@@ -30,7 +30,6 @@ FLAGS:
                            e.g. --owned 10.0.0.0/23:65001
     --vantage N            a vantage-point ASN for monitors (repeatable;
                            default 174 and 3356)
-    --workers N            detection worker threads (default 1)
     --event-capacity N     incident event-log ring capacity (default 1024)
     --audit-log PATH       also append audit records to this JSONL file
     --webhook URL          register a webhook alert sink (repeatable)
@@ -46,7 +45,6 @@ struct Flags {
     asn: u32,
     owned: Vec<(String, u32)>,
     vantage: Vec<u32>,
-    workers: usize,
     event_capacity: usize,
     audit_log: Option<PathBuf>,
     webhooks: Vec<String>,
@@ -59,7 +57,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
         asn: 65001,
         owned: Vec::new(),
         vantage: Vec::new(),
-        workers: 1,
         event_capacity: 1024,
         audit_log: None,
         webhooks: Vec::new(),
@@ -90,11 +87,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
                     .parse()
                     .map_err(|e| format!("--vantage: {e}"))?;
                 flags.vantage.push(v);
-            }
-            "--workers" => {
-                flags.workers = value("--workers")?
-                    .parse()
-                    .map_err(|e| format!("--workers: {e}"))?;
             }
             "--event-capacity" => {
                 flags.event_capacity = value("--event-capacity")?
@@ -132,9 +124,7 @@ fn run(flags: Flags) -> Result<(), String> {
     };
 
     let config = ArtemisConfig::new(asn, owned);
-    let pipeline = Pipeline::bare(config, vantage)
-        .with_event_capacity(flags.event_capacity.max(1))
-        .with_workers(flags.workers.max(1));
+    let pipeline = Pipeline::bare(config, vantage).with_event_capacity(flags.event_capacity.max(1));
     let controller = Controller::new(asn, LatencyModel::const_secs(15), SimRng::new(1));
     let mut service = ArtemisService::new(pipeline, controller);
     for (name, addr) in &flags.bmp_feeds {

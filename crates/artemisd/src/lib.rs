@@ -14,7 +14,7 @@
 //!   (`GET /v1/events?cursor=N&wait_ms=M`), with ring overruns
 //!   surfaced as a `missed` count;
 //! * Prometheus text metrics (`GET /metrics`): per-stage wall-clock
-//!   batch latency, worker occupancy, per-feed lag, incidents by
+//!   batch latency, per-feed lag, incidents by
 //!   mitigation phase;
 //! * an append-only [`AuditLog`] of every operator command with its
 //!   outcome, optionally persisted as JSON lines;

@@ -111,8 +111,7 @@ pub fn render(
     stage_lines(&mut out, "drain", &stages.drain);
     stage_lines(&mut out, "classify", &stages.classify);
     stage_lines(&mut out, "commit", &stages.commit);
-    // Sub-stages (each overlaps its parent stage, never adds to it);
-    // recorded by the batched deliver_due path only.
+    // Sub-stages (each overlaps its parent stage, never adds to it).
     stage_lines(&mut out, "drain_seal", &stages.drain_seal);
     stage_lines(&mut out, "drain_merge", &stages.drain_merge);
     stage_lines(&mut out, "classify_snapshot", &stages.classify_snapshot);
@@ -122,35 +121,6 @@ pub fn render(
     stage_lines(&mut out, "commit_monitor_ingest", &stages.monitor_ingest);
     stage_lines(&mut out, "commit_resolve", &stages.resolve);
     stage_lines(&mut out, "commit_mitigate", &stages.mitigate);
-
-    // -- worker occupancy ---------------------------------------------
-    out.push_str("# HELP artemis_workers Detection worker threads configured.\n");
-    out.push_str("# TYPE artemis_workers gauge\n");
-    let _ = writeln!(out, "artemis_workers {}", status.workers.workers);
-    out.push_str("# HELP artemis_worker_parallel_batches_total Batches classified in parallel.\n");
-    out.push_str("# TYPE artemis_worker_parallel_batches_total counter\n");
-    let _ = writeln!(
-        out,
-        "artemis_worker_parallel_batches_total {}",
-        status.workers.parallel_batches
-    );
-    out.push_str(
-        "# HELP artemis_worker_sequential_batches_total Batches classified sequentially.\n",
-    );
-    out.push_str("# TYPE artemis_worker_sequential_batches_total counter\n");
-    let _ = writeln!(
-        out,
-        "artemis_worker_sequential_batches_total {}",
-        status.workers.sequential_batches
-    );
-    out.push_str("# HELP artemis_worker_events_total Events classified per worker slot.\n");
-    out.push_str("# TYPE artemis_worker_events_total counter\n");
-    for (slot, events) in status.workers.per_worker_events.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "artemis_worker_events_total{{worker=\"{slot}\"}} {events}"
-        );
-    }
 
     // -- feed lag ------------------------------------------------------
     out.push_str("# HELP artemis_feed_events_emitted_total Events emitted per attached feed.\n");
@@ -330,7 +300,6 @@ pub fn render(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use artemis_core::pipeline::WorkerStatus;
     use artemis_simnet::SimTime;
 
     fn empty_status() -> ServiceStatus {
@@ -342,7 +311,6 @@ mod tests {
             owned: Vec::new(),
             incidents: Vec::new(),
             feeds: Vec::new(),
-            workers: WorkerStatus::default(),
         }
     }
 

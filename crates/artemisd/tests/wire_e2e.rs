@@ -120,7 +120,6 @@ fn every_command_round_trips_with_identical_history() {
     let metrics = client.metrics_text().expect("metrics scrape failed");
     assert!(metrics.contains("artemis_stage_batches_total{stage=\"drain\"}"));
     assert!(metrics.contains("artemis_stage_mean_batch_nanos{stage=\"classify\"}"));
-    assert!(metrics.contains("artemis_workers 1"));
     assert!(metrics.contains("artemis_incidents{phase=\"pending_confirmation\"} 1"));
     assert!(metrics.contains(&format!("artemis_feed_queued_events{{feed=\"{handle}\"")));
     assert!(metrics.contains("artemis_events_delivered_total 1"));

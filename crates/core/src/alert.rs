@@ -78,9 +78,14 @@ impl fmt::Display for Alert {
 
 /// Deduplicating alert store.
 ///
-/// Alerts are keyed by `(owned, observed, offending origin, type)`: a
+/// Open alerts are keyed by `(owned, observed, offending origin)`: a
 /// hijack seen from 40 vantage points is *one* incident with 40
-/// witnesses, not 40 incidents.
+/// witnesses, not 40 incidents. The classification is not part of the
+/// key — the same offending announcement can classify differently
+/// once our own rules change under it (a squatting mitigation
+/// activates the dormant prefix, so later witnesses of the same squat
+/// read `ExactOrigin`), and that is still the incident already open.
+/// The alert keeps the type it was raised with.
 #[derive(Debug, Default)]
 pub struct AlertStore {
     alerts: Vec<Alert>,
@@ -91,6 +96,22 @@ impl AlertStore {
     /// Empty store.
     pub fn new() -> Self {
         AlertStore::default()
+    }
+
+    /// True when the alert at `i` is open on this offending
+    /// announcement, i.e. absorbs a new witness of it.
+    fn absorbs(
+        &self,
+        i: usize,
+        owned_prefix: Prefix,
+        observed_prefix: Prefix,
+        offending_origin: Option<Asn>,
+    ) -> bool {
+        let a = &self.alerts[i];
+        a.owned_prefix == owned_prefix
+            && a.observed_prefix == observed_prefix
+            && a.offending_origin == offending_origin
+            && a.state != AlertState::Resolved
     }
 
     /// Position of `id` in the store (alerts are kept sorted by id).
@@ -115,13 +136,8 @@ impl AlertStore {
         observed_at: SimTime,
         source: FeedKind,
     ) -> (AlertId, bool) {
-        let hit = self.alerts.iter().position(|a| {
-            a.owned_prefix == owned_prefix
-                && a.observed_prefix == observed_prefix
-                && a.offending_origin == offending_origin
-                && a.hijack_type == hijack_type
-                && a.state != AlertState::Resolved
-        });
+        let hit = (0..self.alerts.len())
+            .find(|i| self.absorbs(*i, owned_prefix, observed_prefix, offending_origin));
         self.upsert(
             hit,
             hijack_type,
@@ -156,14 +172,7 @@ impl AlertStore {
         let hit = scope
             .iter()
             .map(|id| self.idx(*id).expect("scoped id exists"))
-            .find(|i| {
-                let a = &self.alerts[*i];
-                a.owned_prefix == owned_prefix
-                    && a.observed_prefix == observed_prefix
-                    && a.offending_origin == offending_origin
-                    && a.hijack_type == hijack_type
-                    && a.state != AlertState::Resolved
-            });
+            .find(|i| self.absorbs(*i, owned_prefix, observed_prefix, offending_origin));
         let (id, new) = self.upsert(
             hit,
             hijack_type,

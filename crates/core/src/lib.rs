@@ -30,8 +30,7 @@
 //! with owned serializable snapshots ([`service::ServiceStatus`]),
 //! and a replayable [`event_log::IncidentEvent`] stream with
 //! independent cursors.
-//! [`ArtemisApp`] is a thin feed-less facade over the pipeline for
-//! hand-driven deployments; [`experiment`] reproduces the paper's
+//! [`experiment`] reproduces the paper's
 //! PEERING experiments (Phase 1 setup / Phase 2 hijack + detection /
 //! Phase 3 mitigation) on the simulated Internet by delegating its
 //! main loop to the service; and [`baseline`] implements the slow
@@ -41,7 +40,6 @@
 #![warn(missing_docs)]
 
 pub mod alert;
-pub mod app;
 pub mod baseline;
 pub mod classify;
 pub mod config;
@@ -52,7 +50,6 @@ pub mod hijack_stats;
 pub mod metrics;
 pub mod mitigation;
 pub mod monitor;
-pub mod parallel;
 pub mod pipeline;
 pub mod report;
 pub mod roa;
@@ -61,7 +58,6 @@ pub mod viz;
 pub mod wire;
 
 pub use alert::{Alert, AlertId, AlertState};
-pub use app::{AppAction, ArtemisApp};
 pub use classify::HijackType;
 pub use config::{ArtemisConfig, DeaggregationPolicy, OwnedPrefix};
 pub use detector::Detector;
@@ -71,10 +67,7 @@ pub use hijack_stats::HijackDurationModel;
 pub use metrics::{StageMetrics, StageStat};
 pub use mitigation::{MitigationPlan, MitigationPolicy, Mitigator};
 pub use monitor::{MonitorIndex, MonitorService, RetiredMonitor};
-pub use parallel::WorkerPool;
-pub use pipeline::{
-    OffboardReport, Pipeline, PipelineConfig, PipelineEvent, RunEnd, RunReport, WorkerStatus,
-};
+pub use pipeline::{AppAction, OffboardReport, Pipeline, PipelineEvent, RunEnd, RunReport};
 pub use service::{
     ArtemisService, CommandOutcome, ServiceCommand, ServiceError, ServiceQuery, ServiceReply,
     ServiceStatus,

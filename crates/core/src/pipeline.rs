@@ -29,22 +29,25 @@
 //! [`PipelineEvent`] observer callback remains as a thin inline
 //! adapter for drivers that want zero-copy progress reporting.
 //!
-//! Drivers have two entry points:
+//! Drivers have three entry points, and all three are batches through
+//! the same staged commit (classify pass → monitor route → per-shard
+//! monitor replay → ordered detect/resolve walk) — there is no second
+//! code path that walks events:
 //!
+//! * [`Pipeline::deliver_due`] — drain everything due and commit it as
+//!   one batch (the daemon's pump, archive replays, benches).
 //! * [`Pipeline::run`] — the full interleaved loop across the four
 //!   clock domains (BGP engine, controller installs, pull-feed polls,
 //!   feed-event deliveries), reporting progress through an observer
-//!   callback. The experiment harness and the multi-prefix examples
-//!   are thin wrappers around this.
-//! * [`Pipeline::deliver`] — hand-feed single events (what
-//!   [`crate::ArtemisApp`] exposes for deployments that bring their
-//!   own transport).
+//!   callback; each due event is committed as a batch of one so the
+//!   observer can stop the run between any two events.
+//! * [`Pipeline::deliver`] — hand-feed a single event: a batch of one
+//!   (deployments that bring their own transport, `/v1/inject`).
 //!
 //! Deployments that want typed commands/queries over these primitives
 //! should use [`crate::service::ArtemisService`].
 
 use crate::alert::{AlertId, AlertState};
-use crate::app::AppAction;
 use crate::config::{ArtemisConfig, OwnedPrefix};
 use crate::detector::{Detection, Detector, PreparedEvent};
 use crate::event_log::{EventCursor, EventLog, IncidentEvent, PollBatch};
@@ -53,7 +56,6 @@ use crate::mitigation::{MitigationPlan, MitigationPolicy, Mitigator};
 use crate::monitor::{
     run_monitor_tasks, MonitorIndex, MonitorOutcome, MonitorService, MonitorTask, RetiredMonitor,
 };
-use crate::parallel::WorkerPool;
 use artemis_bgp::{Asn, Prefix};
 use artemis_bgpsim::Engine;
 use artemis_controller::{Controller, IntentKind};
@@ -62,80 +64,44 @@ use artemis_simnet::{SimRng, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::ControlFlow;
-use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-/// Execution parameters of the [`Pipeline`] itself (as opposed to the
-/// operator's [`ArtemisConfig`], which describes *what* to protect).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PipelineConfig {
-    /// Number of detection worker threads. `1` (the default) keeps
-    /// everything on the calling thread — bit-for-bit the historical
-    /// sequential pipeline. With `workers ≥ 2`, every drained batch of
-    /// at least [`PipelineConfig::parallel_threshold`] events is
-    /// partitioned and classified concurrently on a persistent
-    /// [`WorkerPool`], then committed in deterministic `(emitted_at,
-    /// ingestion order)` — outputs are byte-identical to `workers =
-    /// 1` regardless of thread scheduling.
-    pub workers: usize,
-    /// Minimum batch size worth fanning out; smaller batches (the
-    /// common case in fine-grained simulation loops, where a batch is
-    /// one emission instant) stay on the calling thread to avoid
-    /// paying channel round-trips for a handful of events.
-    ///
-    /// [`PipelineConfig::ADAPTIVE`] (`0`, the default) calibrates the
-    /// break-even point at pool spawn time: the pipeline times one
-    /// pool dispatch round-trip against the inline per-event classify
-    /// cost on this machine and picks the batch size where fan-out
-    /// starts paying for itself (clamped to `16..=4096`). Any nonzero
-    /// value is an explicit override, used verbatim. The *effective*
-    /// threshold in force is
-    /// [`Pipeline::effective_parallel_threshold`]; either way, outputs
-    /// stay byte-identical — the threshold only picks which
-    /// (identical) execution arm runs.
-    pub parallel_threshold: usize,
-}
-
-impl Default for PipelineConfig {
-    fn default() -> Self {
-        PipelineConfig {
-            workers: 1,
-            parallel_threshold: PipelineConfig::ADAPTIVE,
-        }
-    }
-}
-
-impl PipelineConfig {
-    /// Sentinel for [`PipelineConfig::parallel_threshold`]: calibrate
-    /// the fan-out break-even at pool spawn instead of fixing it.
-    pub const ADAPTIVE: usize = 0;
-
-    /// A config with `workers` threads and the default (adaptive)
-    /// fan-out threshold.
-    pub fn with_workers(workers: usize) -> Self {
-        PipelineConfig {
-            workers,
-            ..PipelineConfig::default()
-        }
-    }
-}
-
-/// Worker-occupancy snapshot of the (possibly parallel) pipeline.
-///
-/// Purely observability: none of these counters feed back into
-/// detection, and between worker counts they legitimately differ —
-/// identity tests compare everything *else* in a status snapshot.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct WorkerStatus {
-    /// Configured worker threads (`1` = sequential pipeline).
-    pub workers: usize,
-    /// Batches fanned out to the worker pool.
-    pub parallel_batches: u64,
-    /// Batches delivered inline (no pool, or below the threshold).
-    pub sequential_batches: u64,
-    /// Events classified by each worker over the pipeline's lifetime
-    /// (chunk *i* of every parallel batch goes to worker *i*, so the
-    /// distribution shows per-shard/per-chunk occupancy).
-    pub per_worker_events: Vec<u64>,
+/// Things the pipeline decided to do in response to one delivered
+/// event; the driver (experiment harness or a real deployment shim)
+/// applies them.
+#[derive(Debug, Clone, PartialEq)]
+pub enum AppAction {
+    /// A new alert was raised.
+    AlertRaised(AlertId),
+    /// A mitigation plan was computed but held for operator
+    /// confirmation (confirm-first policy, or mitigation paused).
+    /// Execute it with `Pipeline::confirm_mitigation` or
+    /// `ServiceCommand::ConfirmMitigation`.
+    MitigationPending {
+        /// The alert whose plan is held.
+        alert: AlertId,
+        /// The plan awaiting confirmation.
+        plan: MitigationPlan,
+        /// When the plan was computed.
+        at: SimTime,
+    },
+    /// Mitigation intents were submitted to the controller for `alert`.
+    MitigationTriggered {
+        /// The alert being mitigated.
+        alert: AlertId,
+        /// The executed plan.
+        plan: MitigationPlan,
+        /// When the trigger happened.
+        at: SimTime,
+    },
+    /// The monitoring service reports every vantage point back on a
+    /// legitimate origin — the incident is over.
+    Resolved {
+        /// The resolved alert.
+        alert: AlertId,
+        /// Resolution instant.
+        at: SimTime,
+    },
 }
 
 /// Progress notifications emitted by [`Pipeline::run`].
@@ -198,19 +164,8 @@ pub struct OffboardReport {
     pub shard_events: u64,
 }
 
-/// Sub-stage wall-clock split of one classify stage (see
-/// [`StageMetrics`]): batch start + snapshot vs. the classification
-/// pass itself.
-#[derive(Debug, Clone, Copy, Default)]
-struct ClassifySplit {
-    /// Dirty-tracking reset plus the routing-epoch/rules snapshot.
-    snapshot_ns: u64,
-    /// Classifying every event (inline sequential or pooled).
-    prepare_ns: u64,
-}
-
 /// Saturating elapsed nanoseconds since `t0`.
-fn elapsed_ns(t0: std::time::Instant) -> u64 {
+fn elapsed_ns(t0: Instant) -> u64 {
     u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
@@ -238,7 +193,6 @@ pub struct Pipeline {
     route_buf: Vec<AlertId>,
     /// Vantage population handed to new monitors.
     vantage_points: BTreeSet<Asn>,
-    config: ArtemisConfig,
     mitigated: BTreeSet<AlertId>,
     /// Compact records of incidents that are over (resolved, or closed
     /// by offboarding). Their full monitors are retired on resolution,
@@ -255,20 +209,9 @@ pub struct Pipeline {
     log: EventLog,
     /// Reusable drain buffer for batched feed consumption.
     batch: Vec<FeedEvent>,
-    /// Reusable per-event action buffer.
-    actions: Vec<AppAction>,
     events_delivered: u64,
-    /// Execution parameters (worker count, fan-out threshold).
-    pconfig: PipelineConfig,
-    /// Resolved fan-out threshold (explicit override or calibrated).
-    effective_threshold: usize,
-    /// The persistent classification pool (`None` when `workers = 1`).
-    pool: Option<WorkerPool>,
-    /// Batch-aligned classification cache filled by the pool.
+    /// Reusable batch-aligned classification buffer.
     prepared: Vec<PreparedEvent>,
-    /// Batches fanned out / delivered inline (observability).
-    parallel_batches: u64,
-    sequential_batches: u64,
     /// Wall-clock per-stage batch latency (observability only; never
     /// part of deterministic snapshots).
     stage_metrics: StageMetrics,
@@ -276,17 +219,22 @@ pub struct Pipeline {
 
 impl Pipeline {
     /// Assemble a pipeline around a configured feed hub.
-    pub fn new(hub: FeedHub, config: ArtemisConfig, vantage_points: BTreeSet<Asn>) -> Self {
+    ///
+    /// The owned-prefix table moves into the detector's shard rules —
+    /// the one copy the pipeline keeps (see
+    /// [`Detector::owned_prefixes`]); the mitigator only needs the
+    /// operator-wide knobs.
+    pub fn new(hub: FeedHub, mut config: ArtemisConfig, vantage_points: BTreeSet<Asn>) -> Self {
+        let owned = std::mem::take(&mut config.owned);
         Pipeline {
             hub,
-            detector: Detector::new(config.clone()),
             mitigator: Mitigator::new(config.clone()),
+            detector: Detector::new(ArtemisConfig { owned, ..config }),
             monitors: BTreeMap::new(),
             monitor_index: MonitorIndex::new(),
             recheck: BTreeSet::new(),
             route_buf: Vec::new(),
             vantage_points,
-            config,
             mitigated: BTreeSet::new(),
             retired: BTreeMap::new(),
             pending: BTreeMap::new(),
@@ -294,21 +242,14 @@ impl Pipeline {
             paused: false,
             log: EventLog::new(),
             batch: Vec::new(),
-            actions: Vec::new(),
             events_delivered: 0,
-            pconfig: PipelineConfig::default(),
-            effective_threshold: FALLBACK_THRESHOLD,
-            pool: None,
             prepared: Vec::new(),
-            parallel_batches: 0,
-            sequential_batches: 0,
             stage_metrics: StageMetrics::default(),
         }
     }
 
     /// A pipeline with no feeds attached — for drivers that deliver
-    /// events by hand through [`Pipeline::deliver`] (the
-    /// [`crate::ArtemisApp`] facade).
+    /// events by hand through [`Pipeline::deliver`].
     pub fn bare(config: ArtemisConfig, vantage_points: BTreeSet<Asn>) -> Self {
         Pipeline::new(FeedHub::new(SimRng::new(0)), config, vantage_points)
     }
@@ -318,62 +259,6 @@ impl Pipeline {
     pub fn with_event_capacity(mut self, capacity: usize) -> Self {
         self.log = EventLog::with_capacity(capacity);
         self
-    }
-
-    /// Set the execution parameters (builder style). `workers ≥ 2`
-    /// spawns the persistent classification pool immediately (and,
-    /// when the threshold is [`PipelineConfig::ADAPTIVE`], calibrates
-    /// the fan-out break-even against it); a later call can also
-    /// shrink back to the sequential pipeline (the pool is dropped and
-    /// joined). The same worker count also parallelizes feed-event
-    /// synthesis in the hub ([`FeedHub::set_ingest_workers`]). Outputs
-    /// are byte-identical across worker counts — see the
-    /// [`PipelineConfig::workers`] docs.
-    pub fn with_pipeline_config(mut self, pconfig: PipelineConfig) -> Self {
-        self.pool = (pconfig.workers > 1).then(|| WorkerPool::new(pconfig.workers));
-        self.hub.set_ingest_workers(pconfig.workers.max(1));
-        self.effective_threshold = match (pconfig.parallel_threshold, self.pool.as_mut()) {
-            (PipelineConfig::ADAPTIVE, Some(pool)) => {
-                calibrate_threshold(pool, &self.detector, &self.config)
-            }
-            (PipelineConfig::ADAPTIVE, None) => FALLBACK_THRESHOLD,
-            (explicit, _) => explicit,
-        };
-        self.pconfig = pconfig;
-        self
-    }
-
-    /// The fan-out threshold actually in force: the explicit
-    /// [`PipelineConfig::parallel_threshold`] override, or the
-    /// calibrated break-even when the config asked for
-    /// [`PipelineConfig::ADAPTIVE`].
-    pub fn effective_parallel_threshold(&self) -> usize {
-        self.effective_threshold
-    }
-
-    /// Shorthand for [`Pipeline::with_pipeline_config`] with the
-    /// default fan-out threshold.
-    pub fn with_workers(self, workers: usize) -> Self {
-        self.with_pipeline_config(PipelineConfig::with_workers(workers))
-    }
-
-    /// The execution parameters in force.
-    pub fn pipeline_config(&self) -> &PipelineConfig {
-        &self.pconfig
-    }
-
-    /// Worker-occupancy snapshot (see [`WorkerStatus`]).
-    pub fn worker_status(&self) -> WorkerStatus {
-        WorkerStatus {
-            workers: self.pconfig.workers.max(1),
-            parallel_batches: self.parallel_batches,
-            sequential_batches: self.sequential_batches,
-            per_worker_events: self
-                .pool
-                .as_ref()
-                .map(|p| p.worker_events().to_vec())
-                .unwrap_or_default(),
-        }
     }
 
     /// Read access to the feed hub.
@@ -394,12 +279,6 @@ impl Pipeline {
     /// Read access to the mitigation history.
     pub fn mitigator(&self) -> &Mitigator {
         &self.mitigator
-    }
-
-    /// The operator configuration as currently in force (kept current
-    /// across runtime onboarding/offboarding).
-    pub fn config(&self) -> &ArtemisConfig {
-        &self.config
     }
 
     /// The live monitor attached to an *active* alert, if any. Once
@@ -468,17 +347,15 @@ impl Pipeline {
         policy: Option<MitigationPolicy>,
         now: SimTime,
     ) -> bool {
-        if !self.detector.add_shard(owned.clone()) {
+        let prefix = owned.prefix;
+        if !self.detector.add_shard(owned) {
             return false;
         }
         if let Some(p) = policy {
-            self.mitigator.set_policy(owned.prefix, p);
+            self.mitigator.set_policy(prefix, p);
         }
-        self.log.push(IncidentEvent::PrefixOnboarded {
-            prefix: owned.prefix,
-            at: now,
-        });
-        self.config.owned.push(owned);
+        self.log
+            .push(IncidentEvent::PrefixOnboarded { prefix, at: now });
         true
     }
 
@@ -498,7 +375,6 @@ impl Pipeline {
         helper_controllers: &mut [Controller],
     ) -> Option<OffboardReport> {
         let removed = self.detector.remove_shard(prefix)?;
-        self.config.owned.retain(|o| o.prefix != prefix);
         self.mitigator.clear_policy(prefix);
         let mut closed_alerts = Vec::new();
         let mut withdrawn_plans = 0usize;
@@ -738,9 +614,9 @@ impl Pipeline {
     }
 
     /// Feed one monitoring event through detection, monitoring and
-    /// (policy permitting) automatic mitigation. `controller` (and
-    /// optional helpers) receive mitigation intents when a new alert
-    /// fires.
+    /// (policy permitting) automatic mitigation — a batch of one
+    /// through the staged commit. `controller` (and optional helpers)
+    /// receive mitigation intents when a new alert fires.
     pub fn deliver(
         &mut self,
         event: &FeedEvent,
@@ -748,51 +624,37 @@ impl Pipeline {
         helper_controllers: &mut [Controller],
     ) -> Vec<AppAction> {
         let mut actions = Vec::new();
-        self.deliver_into(event, controller, helper_controllers, &mut actions);
+        self.commit_batch(
+            std::slice::from_ref(event),
+            controller,
+            helper_controllers,
+            &mut |a| actions.push(a),
+        );
         actions
     }
 
-    /// [`Pipeline::deliver`] into a caller-owned buffer (cleared
-    /// first) — the batch loop reuses one allocation per run.
-    pub fn deliver_into(
-        &mut self,
-        event: &FeedEvent,
-        controller: &mut Controller,
-        helper_controllers: &mut [Controller],
-        actions: &mut Vec<AppAction>,
-    ) {
-        self.deliver_impl(event, None, controller, helper_controllers, actions);
-    }
-
-    /// Steps 1–3 of delivering one event: commit detection (using the
-    /// precomputed classification when one exists), and — on a new
-    /// alert — record it, spin up and index its monitor, and run the
-    /// policy-gated mitigation. Returns the newly raised alert (if
-    /// any) plus the wall-clock nanoseconds the mitigation sub-stage
-    /// took (0 on the overwhelmingly common no-alert path, which never
-    /// reads the clock).
+    /// Steps 1–3 of committing one event: commit its prepared
+    /// classification, and — on a new alert — record it, spin up and
+    /// index its monitor, and run the policy-gated mitigation. Returns
+    /// the newly raised alert (if any) plus the wall-clock nanoseconds
+    /// the mitigation sub-stage took (0 on the overwhelmingly common
+    /// no-alert path, which never reads the clock).
     fn detect_and_arm(
         &mut self,
         event: &FeedEvent,
-        prepared: Option<PreparedEvent>,
+        prepared: PreparedEvent,
         controller: &mut Controller,
         helper_controllers: &mut [Controller],
-        actions: &mut Vec<AppAction>,
+        sink: &mut dyn FnMut(AppAction),
     ) -> (Option<AlertId>, u64) {
-        // 1. Detection: route the event to the responsible shard. A
-        // prepared classification (from the worker pool) is committed
-        // via the detector's two-phase path, which re-classifies
-        // against live state whenever the owning shard's rules changed
-        // mid-batch — so both arms produce identical outcomes.
-        let detection = match prepared {
-            Some(prep) => self.detector.process_prepared(event, prep),
-            None => self.detector.process(event),
-        };
-
-        let Detection::NewAlert(id) = detection else {
+        // 1. Detection: the detector re-classifies against live state
+        // whenever the owning shard's rules changed since the batch was
+        // prepared (an earlier event's mitigation registered an
+        // expectation), so the outcome never depends on batch shape.
+        let Detection::NewAlert(id) = self.detector.process_prepared(event, prepared) else {
             return (None, 0);
         };
-        actions.push(AppAction::AlertRaised(id));
+        sink(AppAction::AlertRaised(id));
 
         let alert = self.detector.alerts().get(id).expect("just created");
         let hijack_type = alert.hijack_type;
@@ -830,12 +692,12 @@ impl Pipeline {
         let policy = self.mitigator.policy_for(owned_prefix);
         let mut mitigate_ns = 0u64;
         if policy != MitigationPolicy::DetectOnly && !self.mitigated.contains(&id) {
-            let clock = std::time::Instant::now();
+            let clock = Instant::now();
+            let alert = self.detector.alerts().get(id).expect("just created");
+            let plan = self.mitigator.plan(alert);
             if policy == MitigationPolicy::Auto && !self.paused {
-                let alert = self.detector.alerts().get(id).expect("just created");
-                let plan = self.mitigator.plan(alert);
                 self.execute_held_plan(id, plan.clone(), at, controller, helper_controllers);
-                actions.push(AppAction::MitigationTriggered {
+                sink(AppAction::MitigationTriggered {
                     alert: id,
                     plan,
                     at,
@@ -843,222 +705,125 @@ impl Pipeline {
             } else {
                 // Confirm-first policy, or Auto while paused: the
                 // plan is computed and held for the operator.
-                let alert = self.detector.alerts().get(id).expect("just created");
-                let plan = self.mitigator.plan(alert);
                 self.pending.insert(id, plan.clone());
                 self.log.push(IncidentEvent::MitigationPending {
                     alert: id,
                     plan: plan.clone(),
                     at,
                 });
-                actions.push(AppAction::MitigationPending {
+                sink(AppAction::MitigationPending {
                     alert: id,
                     plan,
                     at,
                 });
             }
-            mitigate_ns = u64::try_from(clock.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            mitigate_ns = elapsed_ns(clock);
         }
         (Some(id), mitigate_ns)
     }
 
-    /// Resolve one alert's incident: retire its monitor into the
-    /// compact record and drop it from the prefix index. A missing
-    /// monitor would mean the routing layer and the registry disagree
-    /// — debug builds assert; release builds skip gracefully instead
-    /// of aborting the daemon mid-incident.
-    fn retire_monitor(&mut self, id: AlertId, at: SimTime) {
-        if let Some(monitor) = self.monitors.remove(&id) {
-            self.monitor_index.remove(monitor.target(), id);
-            self.retired.insert(id, monitor.retire(at));
-        } else {
-            debug_assert!(false, "resolved alert {id:?} has no live monitor");
-        }
-    }
-
-    /// Shared tail of the sequential and parallel delivery paths:
-    /// commit detection (using the precomputed classification when one
-    /// exists), then monitoring and mitigation — always on the calling
-    /// thread, always in batch order.
-    fn deliver_impl(
+    /// Resolve one alert's incident at `at`: mark it, log it, tell the
+    /// sink, and retire its monitor (already checked out of the
+    /// registry) into the compact record.
+    fn resolve(
         &mut self,
-        event: &FeedEvent,
-        prepared: Option<PreparedEvent>,
-        controller: &mut Controller,
-        helper_controllers: &mut [Controller],
-        actions: &mut Vec<AppAction>,
+        id: AlertId,
+        monitor: MonitorService,
+        at: SimTime,
+        sink: &mut dyn FnMut(AppAction),
     ) {
-        actions.clear();
-        self.events_delivered += 1;
-
-        self.detect_and_arm(event, prepared, controller, helper_controllers, actions);
-
-        // 4. Monitoring: the prefix index routes the event to its
-        // covering set of relevant monitors (a freshly armed monitor is
-        // already indexed, so it sees its triggering event — identical
-        // to the historical full-registry scan). On full recovery,
-        // resolve that monitor's alert and retire the monitor into its
-        // compact record, so both per-event cost and memory track
-        // active incidents only.
-        let mut route = std::mem::take(&mut self.route_buf);
-        self.monitor_index.route(event.prefix, &mut route);
-        if !self.recheck.is_empty() {
-            // Externally mitigated alerts re-evaluate their resolution
-            // condition at this event even when it is irrelevant to
-            // them (see the `recheck` field docs).
-            let recheck = std::mem::take(&mut self.recheck);
-            for id in recheck {
-                if route.binary_search(&id).is_err() {
-                    route.push(id);
-                }
-            }
-            route.sort_unstable();
-        }
-        let mut newly_resolved: Vec<AlertId> = Vec::new();
-        for id in &route {
-            // A recheck entry can outlive its incident (offboarded
-            // mid-wait); skip gracefully.
-            let Some(monitor) = self.monitors.get_mut(id) else {
-                continue;
-            };
-            if monitor.is_relevant(event.prefix) {
-                monitor.ingest_routed(event);
-            }
-            if self.mitigated.contains(id) && monitor.all_legitimate() {
-                self.detector
-                    .alerts_mut()
-                    .mark_resolved(*id, event.emitted_at);
-                self.log.push(IncidentEvent::Resolved {
-                    alert: *id,
-                    at: event.emitted_at,
-                });
-                actions.push(AppAction::Resolved {
-                    alert: *id,
-                    at: event.emitted_at,
-                });
-                newly_resolved.push(*id);
-            }
-        }
-        route.clear();
-        self.route_buf = route;
-        for id in newly_resolved {
-            self.retire_monitor(id, event.emitted_at);
-        }
-    }
-
-    /// Classify the events currently in `self.batch`, fanning out to
-    /// the worker pool when one is configured and the batch is large
-    /// enough. Returns `true` when `self.prepared` is batch-aligned
-    /// and should be consumed; `false` selects the inline sequential
-    /// path. Either way the detector's per-batch dirty tracking is
-    /// reset so mid-batch rule changes invalidate stale preparations.
-    ///
-    /// The second return value is the classify stage's sub-stage
-    /// timing: snapshot (batch start + routing-epoch/rules snapshot)
-    /// and prepare (the classification itself; the caller adds its own
-    /// inline fallback pass when this method returns `false`).
-    fn prepare_batch(&mut self) -> (bool, ClassifySplit) {
-        let t0 = std::time::Instant::now();
-        let epoch = self.detector.begin_batch();
-        let mut split = ClassifySplit::default();
-        let n = self.batch.len();
-        if n == 0 {
-            split.snapshot_ns = elapsed_ns(t0);
-            return (false, split);
-        }
-        let parallel = self
-            .pool
-            .as_ref()
-            .is_some_and(|_| n >= self.effective_threshold);
-        if !parallel {
-            self.sequential_batches += 1;
-            split.snapshot_ns = elapsed_ns(t0);
-            return (false, split);
-        }
-        self.parallel_batches += 1;
-        let ctx = self.detector.classify_context();
-        debug_assert_eq!(
-            ctx.epoch(),
-            epoch,
-            "worker snapshot classifies under the batch's routing epoch"
-        );
-        split.snapshot_ns = elapsed_ns(t0);
-        let t1 = std::time::Instant::now();
-        // The batch rides to the workers in an `Arc` (no copying) and
-        // comes back untouched once every chunk has returned.
-        let events = Arc::new(std::mem::take(&mut self.batch));
-        self.prepared.clear();
-        self.prepared.resize(n, PreparedEvent::BENIGN);
-        self.pool.as_mut().expect("parallel implies pool").classify(
-            &events,
-            &ctx,
-            &mut self.prepared,
-        );
-        drop(ctx);
-        self.batch = Arc::try_unwrap(events).expect("workers released the batch");
-        split.prepare_ns = elapsed_ns(t1);
-        (true, split)
+        self.detector.alerts_mut().mark_resolved(id, at);
+        self.log.push(IncidentEvent::Resolved { alert: id, at });
+        sink(AppAction::Resolved { alert: id, at });
+        self.monitor_index.remove(monitor.target(), id);
+        self.retired.insert(id, monitor.retire(at));
     }
 
     /// Drain every queued feed event due by `upto` and deliver it as
-    /// **one** batch (classified across the worker pool when
-    /// configured), using the service's controllers but no observer.
+    /// **one** batch, using the caller's controllers but no observer.
     /// Returns the number of events delivered.
     ///
-    /// This is the bulk-ingestion surface for drivers that replay
-    /// pre-queued streams (benchmarks, archive replays): unlike
-    /// [`Pipeline::run`], which batches per emission instant, the
-    /// whole backlog becomes a single batch — exactly the
-    /// `drain_batch` contract — maximizing fan-out while preserving
-    /// the global `(emitted_at, ingestion order)` delivery order.
-    ///
-    /// The commit stage here is **staged**: monitors that pre-exist
-    /// the batch consume their routed events up front (in covering-set
-    /// shards, fanned across the worker pool when the routed volume
-    /// clears the fan-out threshold), and the ordered walk then only
-    /// runs detection, in-batch-born monitors, and the pre-computed
-    /// resolution points. This is byte-identical to delivering the
-    /// batch one event at a time — a pre-existing monitor's state
-    /// evolution depends only on the event sequence, never on in-batch
-    /// detection, and its `mitigated` flag cannot change mid-batch
-    /// (confirm/resume happen between deliveries) — which the identity
-    /// and property tests lock in. Each sub-stage records its own
-    /// [`crate::StageStat`] (see [`StageMetrics`]).
+    /// This is the bulk-ingestion surface for drivers that pump live
+    /// feeds or replay pre-queued streams (the daemon, benchmarks,
+    /// archive replays): unlike [`Pipeline::run`], which stops between
+    /// events for its observer, the whole backlog becomes a single
+    /// batch — exactly the `drain_batch` contract — preserving the
+    /// global `(emitted_at, ingestion order)` delivery order.
     pub fn deliver_due(
         &mut self,
         upto: SimTime,
         controller: &mut Controller,
         helper_controllers: &mut [Controller],
     ) -> u64 {
-        use std::time::Instant;
+        let mut batch = self.drain_due(upto);
+        self.commit_batch(&batch, controller, helper_controllers, &mut |_| {});
+        let delivered = batch.len() as u64;
+        batch.clear();
+        self.batch = batch;
+        delivered
+    }
 
+    /// Apply pending peer-downs, then drain every queued feed event
+    /// due by `upto` into the reusable batch buffer (handed to the
+    /// caller, who puts it back) and record the drain stage.
+    fn drain_due(&mut self, upto: SimTime) -> Vec<FeedEvent> {
         self.apply_peer_downs(upto);
         let t0 = Instant::now();
-        let (_, drain_split) = self.hub.drain_batch_timed(upto, &mut self.batch);
-        let delivered = self.batch.len() as u64;
+        let mut batch = std::mem::take(&mut self.batch);
+        let (_, split) = self.hub.drain_batch_timed(upto, &mut batch);
+        let drained = batch.len() as u64;
+        if drained > 0 {
+            let m = &mut self.stage_metrics;
+            m.drain.record(drained, t0.elapsed());
+            m.drain_seal
+                .record(drained, Duration::from_nanos(split.seal_nanos));
+            m.drain_merge
+                .record(drained, Duration::from_nanos(split.merge_nanos));
+        }
+        batch
+    }
+
+    /// The staged commit — the only code that walks events. Every
+    /// entry point ([`Pipeline::deliver_due`], [`Pipeline::deliver`],
+    /// [`Pipeline::run`]) hands it a batch in `(emitted_at, ingestion
+    /// order)`; `sink` receives every [`AppAction`] in delivery order.
+    ///
+    /// Stages: classify the whole batch in one tight pass (the flat
+    /// trie and shard rules stay hot in cache); route every event once
+    /// through the [`MonitorIndex`]; replay each covering-set shard's
+    /// routed events into the monitors that pre-exist the batch (each
+    /// monitor over its own run of events keeps its per-VP maps hot);
+    /// then walk the batch in order running detection, monitors born
+    /// earlier in this batch, and the pre-computed resolution points.
+    ///
+    /// The outcome is independent of how a stream is cut into batches:
+    /// a pre-existing monitor's state evolution depends only on the
+    /// event sequence, never on in-batch detection; its `mitigated`
+    /// flag cannot change mid-batch (confirm/resume happen between
+    /// deliveries); and the detector re-classifies any event whose
+    /// shard rules changed after the classify pass. Each stage records
+    /// its own [`crate::StageStat`] (see [`StageMetrics`]).
+    fn commit_batch(
+        &mut self,
+        batch: &[FeedEvent],
+        controller: &mut Controller,
+        helper_controllers: &mut [Controller],
+        sink: &mut dyn FnMut(AppAction),
+    ) {
+        if batch.is_empty() {
+            return;
+        }
+        let delivered = batch.len() as u64;
+
+        // --- classify: start the detector's batch (dirty tracking),
+        // then one sequential pass over the events.
         let t1 = Instant::now();
-        let (mut prepared, mut split) = self.prepare_batch();
-        if !prepared && !self.batch.is_empty() {
-            // No pool (or below the fan-out threshold): classify in
-            // one tight sequential pass anyway. The flat trie and the
-            // shard rules stay hot in cache across the whole batch —
-            // measurably cheaper than re-entering the fused
-            // classify-and-commit path per event — and the dirty-shard
-            // recompute in `process_prepared` keeps the outcome
-            // byte-identical to the fused path by construction.
-            let inline_t = Instant::now();
-            self.prepared.clear();
-            self.prepared.reserve(self.batch.len());
-            for event in &self.batch {
-                self.prepared.push(self.detector.prepare(event));
-            }
-            prepared = true;
-            split.prepare_ns += elapsed_ns(inline_t);
-        }
+        self.detector.begin_batch();
+        let t1b = Instant::now();
+        let mut prep = std::mem::take(&mut self.prepared);
+        prep.clear();
+        prep.extend(batch.iter().map(|event| self.detector.prepare(event)));
         let t2 = Instant::now();
-        if delivered == 0 {
-            return 0;
-        }
 
         // --- monitor-route: partition the active monitors into
         // covering-set shards and route every event once through the
@@ -1074,12 +839,10 @@ impl Pipeline {
             }
         }
         let mut shard_events: Vec<Vec<u32>> = vec![Vec::new(); shards.len()];
-        let mut routed_pairs = 0usize;
         {
             let mut route = std::mem::take(&mut self.route_buf);
-            for (i, event) in self.batch.iter().enumerate() {
+            for (i, event) in batch.iter().enumerate() {
                 self.monitor_index.route(event.prefix, &mut route);
-                routed_pairs += route.len();
                 for id in &route {
                     let list = &mut shard_events[group_of[id] as usize];
                     if list.last() != Some(&(i as u32)) {
@@ -1094,15 +857,17 @@ impl Pipeline {
 
         // --- monitor-ingest. Recheck pre-pass first: externally
         // mitigated alerts evaluate their resolution condition at the
-        // batch's first event regardless of relevance (mirroring the
-        // per-event path); survivors rejoin the shard scan from event
-        // 1 so the first event is not ingested twice.
+        // batch's first event regardless of relevance; survivors rejoin
+        // the shard scan from event 1 so the first event is not
+        // ingested twice.
         let mut resolutions: BTreeMap<usize, Vec<(AlertId, MonitorService)>> = BTreeMap::new();
         let mut starts: BTreeMap<AlertId, usize> = BTreeMap::new();
         if !self.recheck.is_empty() {
             let recheck = std::mem::take(&mut self.recheck);
-            let first = &self.batch[0];
+            let first = &batch[0];
             for id in recheck {
+                // A recheck entry can outlive its incident (offboarded
+                // mid-wait); skip gracefully.
                 let Some(mut monitor) = self.monitors.remove(&id) else {
                     continue;
                 };
@@ -1118,11 +883,11 @@ impl Pipeline {
             }
         }
 
-        // Check the pre-existing monitors out of the registry into
-        // per-shard task lists (shards with no routed events stay put).
-        let mut work: Vec<(Vec<u32>, Vec<MonitorTask>)> = Vec::new();
-        for (g, ids) in shards.iter().enumerate() {
-            let indices = std::mem::take(&mut shard_events[g]);
+        // Check the pre-existing monitors out of the registry shard by
+        // shard (shards with no routed events stay put) and replay
+        // each shard's events into them.
+        let mut outcomes: Vec<MonitorOutcome> = Vec::new();
+        for (ids, indices) in shards.iter().zip(&shard_events) {
             if indices.is_empty() {
                 continue;
             }
@@ -1138,30 +903,7 @@ impl Pipeline {
                     start: starts.get(id).copied().unwrap_or(0),
                 });
             }
-            if !tasks.is_empty() {
-                work.push((indices, tasks));
-            }
-        }
-
-        // Fan the shards across the worker pool when the routed volume
-        // clears the threshold; either arm is byte-identical (the
-        // merge sorts outcomes back into alert order).
-        let mut outcomes: Vec<MonitorOutcome> = Vec::new();
-        if !work.is_empty() {
-            let pooled = self.pool.is_some() && routed_pairs >= self.effective_threshold;
-            if pooled {
-                let events = Arc::new(std::mem::take(&mut self.batch));
-                self.pool
-                    .as_mut()
-                    .expect("pooled implies pool")
-                    .ingest_monitors(&events, work, &mut outcomes);
-                self.batch = Arc::try_unwrap(events).expect("workers released the batch");
-            } else {
-                for (indices, tasks) in work {
-                    run_monitor_tasks(&self.batch, &indices, tasks, &mut outcomes);
-                }
-                outcomes.sort_unstable_by_key(|o| o.alert);
-            }
+            run_monitor_tasks(batch, indices, tasks, &mut outcomes);
         }
         for outcome in outcomes {
             match outcome.resolved_at {
@@ -1174,9 +916,8 @@ impl Pipeline {
                 }
             }
         }
-        // A recheck resolution and a shard resolution can share event
-        // 0; resolutions at one event must apply in ascending alert
-        // order like the per-event path.
+        // Resolutions at one event apply in ascending alert order,
+        // whichever shard (or the recheck pre-pass) produced them.
         for entry in resolutions.values_mut() {
             entry.sort_unstable_by_key(|(id, _)| *id);
         }
@@ -1186,23 +927,16 @@ impl Pipeline {
         // monitors born earlier in this batch, and the pre-computed
         // resolutions applied at their exact event indices (before the
         // next event's detection, so dedup against resolved alerts —
-        // a re-hijack is a NEW alert — behaves identically).
-        let batch = std::mem::take(&mut self.batch);
-        let prep = std::mem::take(&mut self.prepared);
-        let mut actions = std::mem::take(&mut self.actions);
+        // a re-hijack is a NEW alert — sees them).
         let mut live_new: Vec<AlertId> = Vec::new();
         let mut mitigate_ns = 0u64;
         let mut resolve_ns = 0u64;
         for (i, event) in batch.iter().enumerate() {
-            actions.clear();
             self.events_delivered += 1;
-            let p = prepared.then(|| prep[i]);
             let (new_alert, mit_ns) =
-                self.detect_and_arm(event, p, controller, helper_controllers, &mut actions);
+                self.detect_and_arm(event, prep[i], controller, helper_controllers, sink);
             mitigate_ns += mit_ns;
-            if let Some(id) = new_alert {
-                live_new.push(id);
-            }
+            live_new.extend(new_alert);
 
             // Monitors born earlier in this batch could not be
             // pre-staged; they ingest inline (their count is bounded
@@ -1226,64 +960,37 @@ impl Pipeline {
                 let clock = Instant::now();
                 let at = event.emitted_at;
                 // Pre-existing alerts carry smaller ids than any alert
-                // born in this batch, so scheduled-then-new preserves
-                // the ascending order of the per-event path.
-                if let Some(entries) = scheduled {
-                    for (id, monitor) in entries {
-                        self.detector.alerts_mut().mark_resolved(id, at);
-                        self.log.push(IncidentEvent::Resolved { alert: id, at });
-                        actions.push(AppAction::Resolved { alert: id, at });
-                        self.monitor_index.remove(monitor.target(), id);
-                        self.retired.insert(id, monitor.retire(at));
-                    }
+                // born in this batch, so scheduled-then-new keeps the
+                // ascending order.
+                for (id, monitor) in scheduled.into_iter().flatten() {
+                    self.resolve(id, monitor, at, sink);
                 }
                 for id in resolved_new {
-                    self.detector.alerts_mut().mark_resolved(id, at);
-                    self.log.push(IncidentEvent::Resolved { alert: id, at });
-                    actions.push(AppAction::Resolved { alert: id, at });
-                    self.retire_monitor(id, at);
+                    if let Some(monitor) = self.monitors.remove(&id) {
+                        self.resolve(id, monitor, at, sink);
+                    }
                     live_new.retain(|x| *x != id);
                 }
-                resolve_ns += u64::try_from(clock.elapsed().as_nanos()).unwrap_or(u64::MAX);
+                resolve_ns += elapsed_ns(clock);
             }
         }
         let t5 = Instant::now();
+        self.prepared = prep;
 
         let m = &mut self.stage_metrics;
-        m.drain.record(delivered, t1 - t0);
-        m.drain_seal.record(
-            delivered,
-            std::time::Duration::from_nanos(drain_split.seal_nanos),
-        );
-        m.drain_merge.record(
-            delivered,
-            std::time::Duration::from_nanos(drain_split.merge_nanos),
-        );
         m.classify.record(delivered, t2 - t1);
-        m.classify_snapshot.record(
-            delivered,
-            std::time::Duration::from_nanos(split.snapshot_ns),
-        );
-        m.classify_prepare
-            .record(delivered, std::time::Duration::from_nanos(split.prepare_ns));
+        m.classify_snapshot.record(delivered, t1b - t1);
+        m.classify_prepare.record(delivered, t2 - t1b);
         m.commit.record(delivered, t5 - t2);
         m.monitor_route.record(delivered, t3 - t2);
         m.monitor_ingest.record(delivered, t4 - t3);
         let walk_ns = u64::try_from((t5 - t4).as_nanos()).unwrap_or(u64::MAX);
         let detect_ns = walk_ns.saturating_sub(mitigate_ns + resolve_ns);
-        m.detect
-            .record(delivered, std::time::Duration::from_nanos(detect_ns));
+        m.detect.record(delivered, Duration::from_nanos(detect_ns));
         m.resolve
-            .record(delivered, std::time::Duration::from_nanos(resolve_ns));
+            .record(delivered, Duration::from_nanos(resolve_ns));
         m.mitigate
-            .record(delivered, std::time::Duration::from_nanos(mitigate_ns));
-
-        actions.clear();
-        self.actions = actions;
-        self.batch = batch;
-        self.batch.clear();
-        self.prepared = prep;
-        delivered
+            .record(delivered, Duration::from_nanos(mitigate_ns));
     }
 
     /// Shared tail of the auto/confirm/resume execution paths for a
@@ -1450,23 +1157,18 @@ impl Pipeline {
                 continue;
             }
 
-            // Otherwise: deliver the batch of feed events due now —
-            // classified across the worker pool when configured, then
-            // committed one by one in `(emitted_at, ingestion order)`.
-            self.apply_peer_downs(next);
-            let t0 = std::time::Instant::now();
-            self.hub.drain_batch(next, &mut self.batch);
-            let drained = self.batch.len() as u64;
-            let t1 = std::time::Instant::now();
-            let (prepared, _) = self.prepare_batch();
-            let t2 = std::time::Instant::now();
-            let mut batch = std::mem::take(&mut self.batch);
-            let prep = std::mem::take(&mut self.prepared);
-            let mut actions = std::mem::take(&mut self.actions);
+            // Otherwise: the feed events due now, committed one by one
+            // in `(emitted_at, ingestion order)` — a batch of one each,
+            // so nothing is staged past an event the observer has not
+            // seen yet and a Break loses nothing.
+            let mut batch = self.drain_due(next);
+            let mut actions: Vec<AppAction> = Vec::new();
             let mut stopped_at: Option<usize> = None;
-            'events: for (i, event) in batch.iter().enumerate() {
-                let p = prepared.then(|| prep[i]);
-                self.deliver_impl(event, p, controller, helper_controllers, &mut actions);
+            'events: for i in 0..batch.len() {
+                actions.clear();
+                self.commit_batch(&batch[i..=i], controller, helper_controllers, &mut |a| {
+                    actions.push(a)
+                });
                 for action in &actions {
                     if observer(engine, PipelineEvent::App(action)).is_break() {
                         stopped_at = Some(i);
@@ -1474,22 +1176,13 @@ impl Pipeline {
                     }
                 }
             }
-            if drained > 0 {
-                let t3 = std::time::Instant::now();
-                self.stage_metrics.drain.record(drained, t1 - t0);
-                self.stage_metrics.classify.record(drained, t2 - t1);
-                self.stage_metrics.commit.record(drained, t3 - t2);
-            }
             if let Some(i) = stopped_at {
                 // Hand undelivered events back to the hub so a later
                 // `run` resumes without losing them.
                 self.hub.requeue(batch.drain(i + 1..));
             }
             batch.clear();
-            actions.clear();
             self.batch = batch;
-            self.actions = actions;
-            self.prepared = prep;
             if stopped_at.is_some() {
                 break RunEnd::Stopped;
             }
@@ -1500,91 +1193,6 @@ impl Pipeline {
             events_delivered: self.events_delivered - delivered_before,
         }
     }
-}
-
-/// Effective threshold when no calibration is possible: the adaptive
-/// sentinel without a pool (sequential pipelines never fan out anyway).
-const FALLBACK_THRESHOLD: usize = 128;
-/// Synthetic batch size the calibration times (large enough that the
-/// per-event quotient is stable, small enough to finish in ~a ms).
-const CALIBRATION_BATCH: usize = 256;
-/// Timing rounds; the minimum over rounds rejects scheduler noise.
-const CALIBRATION_ROUNDS: usize = 5;
-/// Calibration clamp: never fan out below this batch size…
-const THRESHOLD_MIN: usize = 16;
-/// …and never demand more than this before fanning out.
-const THRESHOLD_MAX: usize = 4096;
-
-/// Measure, on this machine, the batch size where pool fan-out starts
-/// beating inline classification.
-///
-/// Model: inline cost is `per_event · n`; pooled cost is
-/// `overhead + per_event · n / workers` (one dispatch round-trip plus
-/// the divided classify work). Break-even:
-/// `n* = overhead · workers / (per_event · (workers − 1))`. Both sides
-/// are timed against a representative synthetic event — an
-/// announcement for the first owned prefix from a non-legitimate
-/// origin, so the longest-prefix match *and* the shard rules actually
-/// run. The calibration result only selects which of two
-/// byte-identical execution arms handles a given batch, so run-to-run
-/// timing variance never changes outputs.
-fn calibrate_threshold(
-    pool: &mut WorkerPool,
-    detector: &Detector,
-    config: &ArtemisConfig,
-) -> usize {
-    use std::hint::black_box;
-    use std::time::Instant;
-
-    let vantage = Asn(64_496);
-    let rogue = Asn(64_511);
-    let prefix = config
-        .owned
-        .first()
-        .map(|o| o.prefix)
-        .unwrap_or_else(|| "192.0.2.0/24".parse().expect("literal parses"));
-    let template = FeedEvent {
-        emitted_at: SimTime::ZERO,
-        observed_at: SimTime::ZERO,
-        source: artemis_feeds::FeedKind::RisLive,
-        collector: "calibration".to_string(),
-        vantage,
-        prefix,
-        as_path: Some(artemis_bgp::AsPath::from_sequence([vantage, rogue])),
-        origin_as: Some(rogue),
-        raw: None,
-    };
-    let events: Vec<FeedEvent> = std::iter::repeat_with(|| template.clone())
-        .take(CALIBRATION_BATCH)
-        .collect();
-    let ctx = detector.classify_context();
-
-    let mut inline_ns = u64::MAX;
-    for _ in 0..CALIBRATION_ROUNDS {
-        let start = Instant::now();
-        for event in &events {
-            black_box(ctx.prepare(black_box(event)));
-        }
-        inline_ns = inline_ns.min(start.elapsed().as_nanos() as u64);
-    }
-    let per_event = (inline_ns / CALIBRATION_BATCH as u64).max(1);
-
-    let events = Arc::new(events);
-    let mut prepared = vec![PreparedEvent::BENIGN; CALIBRATION_BATCH];
-    let mut pooled_ns = u64::MAX;
-    for _ in 0..CALIBRATION_ROUNDS {
-        let start = Instant::now();
-        pool.classify(&events, &ctx, &mut prepared);
-        pooled_ns = pooled_ns.min(start.elapsed().as_nanos() as u64);
-    }
-    // Calibration traffic is not real occupancy; keep the per-worker
-    // counters meaning "events classified exactly once per batch".
-    pool.reset_worker_events();
-
-    let workers = pool.workers() as u64;
-    let overhead = pooled_ns.saturating_sub(inline_ns / workers);
-    let threshold = overhead * workers / (per_event * workers.saturating_sub(1).max(1));
-    (threshold as usize).clamp(THRESHOLD_MIN, THRESHOLD_MAX)
 }
 
 #[cfg(test)]
@@ -2106,183 +1714,191 @@ mod tests {
         assert!(p.executed_plan(id).is_none(), "plan bookkeeping cleared");
     }
 
-    // ---- Parallel execution mode ------------------------------------
-
-    /// A hub-backed pipeline over several owned prefixes, fed with a
-    /// deterministic mix of benign, hijack and mitigation-echo
-    /// traffic.
-    fn hub_pipeline(workers: usize) -> (Pipeline, Controller) {
-        use artemis_feeds::vantage::group_into_collectors;
-        use artemis_feeds::StreamFeed;
-        let vps = vec![Asn(174), Asn(3356)];
-        let mut hub = FeedHub::new(SimRng::new(11));
-        hub.add(Box::new(
-            StreamFeed::ris_live(group_into_collectors("rrc", &vps, 1))
-                .with_export_delay(artemis_simnet::LatencyModel::const_secs(3)),
-        ));
-        hub.add(Box::new(
-            StreamFeed::bgpmon(group_into_collectors("bmon", &vps, 1))
-                .with_export_delay(artemis_simnet::LatencyModel::const_secs(9)),
-        ));
+    #[test]
+    fn squat_seen_by_a_second_vantage_point_joins_the_open_alert() {
+        // Regression: auto-mitigating a squat activates the dormant
+        // prefix, so the next vantage point's view of the *same* rogue
+        // announcement classifies ExactOrigin. That is the incident
+        // already open, not a second one with a second plan.
         let config = ArtemisConfig::new(
             Asn(65001),
-            (0..8u32)
-                .map(|i| {
-                    OwnedPrefix::new(
-                        Prefix::v4(std::net::Ipv4Addr::new(10, i as u8, 0, 0), 23).unwrap(),
-                        Asn(65001),
-                    )
-                })
-                .collect(),
+            vec![OwnedPrefix::new(pfx("203.0.113.0/24"), Asn(65001)).dormant()],
         );
-        let p = Pipeline::new(hub, config, [Asn(174), Asn(3356)].into_iter().collect())
-            .with_pipeline_config(PipelineConfig {
-                workers,
-                parallel_threshold: 16,
-            });
-        (p, controller())
-    }
+        let mut p = Pipeline::bare(config, [Asn(174), Asn(3356)].into_iter().collect());
+        let mut ctrl = controller();
 
-    fn synthetic_changes(n: u64) -> Vec<artemis_bgpsim::RouteChange> {
-        use artemis_bgp::AsPath;
-        use artemis_bgpsim::BestRoute;
-        (0..n)
-            .map(|i| {
-                // Mostly unrelated prefixes, periodic touches of owned
-                // space, periodic hijack origins.
-                let prefix = if i % 5 == 0 {
-                    Prefix::v4(std::net::Ipv4Addr::new(10, (i % 8) as u8, 0, 0), 23).unwrap()
-                } else {
-                    Prefix::v4(std::net::Ipv4Addr::from((i as u32) << 8), 24).unwrap()
-                };
-                let origin = if i % 7 == 0 { 666 } else { 65001 };
-                let path = AsPath::from_sequence([3356u32, origin]);
-                artemis_bgpsim::RouteChange {
-                    time: SimTime::from_micros(i * 50),
-                    asn: if i % 2 == 0 { Asn(174) } else { Asn(3356) },
-                    prefix,
-                    old: None,
-                    new: Some(BestRoute {
-                        origin_as: path.origin().unwrap(),
-                        as_path: path,
-                        neighbor: Some(Asn(3356)),
-                        learned_from: Some(artemis_topology::RelKind::Provider),
-                        local_pref: 100,
-                    }),
-                }
+        let mut acts = p.deliver(
+            &event(174, "203.0.113.0/24", &[174, 31337], 45),
+            &mut ctrl,
+            &mut [],
+        );
+        acts.extend(p.deliver(
+            &event(3356, "203.0.113.0/24", &[3356, 31337], 50),
+            &mut ctrl,
+            &mut [],
+        ));
+        let raised: Vec<AlertId> = acts
+            .iter()
+            .filter_map(|a| match a {
+                AppAction::AlertRaised(id) => Some(*id),
+                _ => None,
             })
-            .collect()
-    }
-
-    #[test]
-    fn parallel_delivery_is_byte_identical_to_sequential() {
-        let changes = synthetic_changes(600);
-        let (mut seq, mut seq_ctrl) = hub_pipeline(1);
-        seq.ingest_route_changes(&changes);
-        let n_seq = seq.deliver_due(SimTime::from_secs(1 << 30), &mut seq_ctrl, &mut []);
-
-        for workers in [2usize, 4, 8] {
-            let (mut par, mut par_ctrl) = hub_pipeline(workers);
-            par.ingest_route_changes(&changes);
-            let n_par = par.deliver_due(SimTime::from_secs(1 << 30), &mut par_ctrl, &mut []);
-            assert_eq!(n_seq, n_par, "workers={workers}");
-            assert_eq!(
-                seq.detector().alerts().all(),
-                par.detector().alerts().all(),
-                "workers={workers}"
-            );
-            assert_eq!(
-                seq.poll_events(EventCursor::START).events,
-                par.poll_events(EventCursor::START).events,
-                "workers={workers}"
-            );
-            assert_eq!(seq.events_delivered(), par.events_delivered());
-            assert_eq!(
-                seq_ctrl.intents().collect::<Vec<_>>(),
-                par_ctrl.intents().collect::<Vec<_>>(),
-                "workers={workers}: identical mitigation intents"
-            );
-            // The parallel pipeline actually fanned out.
-            let ws = par.worker_status();
-            assert_eq!(ws.workers, workers);
-            assert!(ws.parallel_batches > 0, "workers={workers} fanned out");
-            assert_eq!(
-                ws.per_worker_events.iter().sum::<u64>(),
-                n_par,
-                "every event classified exactly once"
-            );
-        }
-    }
-
-    #[test]
-    fn adaptive_threshold_calibrates_explicit_override_wins() {
-        // Explicit override: used verbatim.
-        let (p, _) = hub_pipeline(4);
-        assert_eq!(p.effective_parallel_threshold(), 16);
-        assert_eq!(p.pipeline_config().parallel_threshold, 16);
-
-        // Adaptive with a pool: calibrated within the clamp, and the
-        // calibration traffic never shows up as worker occupancy.
-        let (p, _) = hub_pipeline(4);
-        let p = p.with_workers(4);
-        let t = p.effective_parallel_threshold();
-        assert!((16..=4096).contains(&t), "calibrated threshold {t}");
-        assert_eq!(p.pipeline_config().parallel_threshold, 0);
-        assert_eq!(p.worker_status().per_worker_events, vec![0; 4]);
-
-        // Adaptive without a pool: inert fallback (never consulted —
-        // the sequential pipeline has nothing to fan out to).
-        let (p, _) = hub_pipeline(4);
-        let p = p.with_workers(1);
-        assert_eq!(p.effective_parallel_threshold(), FALLBACK_THRESHOLD);
-    }
-
-    #[test]
-    fn small_batches_stay_inline() {
-        let (mut p, mut ctrl) = hub_pipeline(4);
-        // Two route changes → four events, below the threshold of 16.
-        let changes = synthetic_changes(2);
-        p.ingest_route_changes(&changes);
-        p.deliver_due(SimTime::from_secs(1 << 30), &mut ctrl, &mut []);
-        let ws = p.worker_status();
-        assert_eq!(ws.parallel_batches, 0);
-        assert_eq!(ws.sequential_batches, 1);
-        assert_eq!(ws.per_worker_events, vec![0; 4]);
-    }
-
-    #[test]
-    fn sequential_pipeline_reports_one_worker() {
-        let (mut p, mut ctrl) = hub_pipeline(1);
-        p.ingest_route_changes(&synthetic_changes(50));
-        p.deliver_due(SimTime::from_secs(1 << 30), &mut ctrl, &mut []);
-        let ws = p.worker_status();
-        assert_eq!(ws.workers, 1);
-        assert_eq!(ws.parallel_batches, 0);
-        assert!(ws.sequential_batches > 0);
-        assert!(ws.per_worker_events.is_empty());
-    }
-
-    #[test]
-    fn deliver_due_is_equivalent_to_per_event_delivery() {
-        let changes = synthetic_changes(40);
-        // Reference: drain by hand, deliver one event at a time.
-        let (mut a, mut ctrl_a) = hub_pipeline(1);
-        a.ingest_route_changes(&changes);
-        let mut buf = Vec::new();
-        a.hub_mut()
-            .drain_batch(SimTime::from_secs(1 << 30), &mut buf);
-        for ev in &buf {
-            a.deliver(ev, &mut ctrl_a, &mut []);
-        }
-        // Bulk path.
-        let (mut b, mut ctrl_b) = hub_pipeline(1);
-        b.ingest_route_changes(&changes);
-        b.deliver_due(SimTime::from_secs(1 << 30), &mut ctrl_b, &mut []);
-        assert_eq!(a.detector().alerts().all(), b.detector().alerts().all());
+            .collect();
+        assert_eq!(raised.len(), 1, "one offender, one alert: {acts:?}");
+        let triggered = acts
+            .iter()
+            .filter(|a| matches!(a, AppAction::MitigationTriggered { .. }))
+            .count();
+        assert_eq!(triggered, 1, "one plan: {acts:?}");
+        let alert = p.detector().alerts().get(raised[0]).unwrap();
         assert_eq!(
-            a.poll_events(EventCursor::START).events,
-            b.poll_events(EventCursor::START).events
+            alert.vantage_points,
+            [Asn(174), Asn(3356)].into_iter().collect()
         );
+        assert_eq!(alert.hijack_type, crate::HijackType::Squatting);
+        assert_eq!(ctrl.intents().count(), 1, "the prefix is announced once");
+    }
+
+    // ---- Hand-fed single-prefix scenarios ---------------------------
+
+    fn one_prefix_pipeline() -> Pipeline {
+        let config = ArtemisConfig::new(
+            Asn(65001),
+            vec![OwnedPrefix::new(pfx("10.0.0.0/23"), Asn(65001))],
+        );
+        Pipeline::bare(config, [Asn(174), Asn(3356)].into_iter().collect())
+    }
+
+    #[test]
+    fn full_cycle_detect_mitigate_resolve() {
+        let mut p = one_prefix_pipeline();
+        let mut ctrl = controller();
+
+        // Phase 1: legit announcement observed — benign.
+        let acts = p.deliver(
+            &event(174, "10.0.0.0/23", &[174, 65001], 10),
+            &mut ctrl,
+            &mut [],
+        );
+        assert!(acts.is_empty());
+
+        // Phase 2: hijack detected at t=45 → alert + auto mitigation.
+        let acts = p.deliver(
+            &event(174, "10.0.0.0/23", &[174, 666], 45),
+            &mut ctrl,
+            &mut [],
+        );
+        assert_eq!(acts.len(), 2);
+        let AppAction::AlertRaised(alert_id) = acts[0] else {
+            panic!("expected alert first, got {acts:?}");
+        };
+        match &acts[1] {
+            AppAction::MitigationTriggered { plan, at, .. } => {
+                assert_eq!(plan.announce, vec![pfx("10.0.0.0/24"), pfx("10.0.1.0/24")]);
+                assert_eq!(*at, SimTime::from_secs(45));
+            }
+            other => panic!("expected mitigation, got {other:?}"),
+        }
+        assert_eq!(ctrl.intents().count(), 2, "intents submitted to controller");
+
+        // Phase 3: the /24s propagate; VPs flip back. 3356 was also
+        // hijacked, then recovers.
+        p.deliver(
+            &event(3356, "10.0.0.0/23", &[3356, 666], 50),
+            &mut ctrl,
+            &mut [],
+        );
+        p.deliver(
+            &event(174, "10.0.0.0/24", &[174, 65001], 120),
+            &mut ctrl,
+            &mut [],
+        );
+        p.deliver(
+            &event(174, "10.0.1.0/24", &[174, 65001], 121),
+            &mut ctrl,
+            &mut [],
+        );
+        // 3356 still hijacked → not resolved yet.
+        assert!(p.monitor_for(alert_id).unwrap().any_hijacked());
+        let acts = p.deliver(
+            &event(3356, "10.0.0.0/24", &[3356, 65001], 300),
+            &mut ctrl,
+            &mut [],
+        );
+        let resolved = acts
+            .iter()
+            .find_map(|a| match a {
+                AppAction::Resolved { alert, at } => Some((*alert, *at)),
+                _ => None,
+            })
+            .expect("incident resolves once every VP is clean");
+        assert_eq!(resolved.0, alert_id);
+        assert_eq!(resolved.1, SimTime::from_secs(300));
+    }
+
+    #[test]
+    fn mitigation_announcements_do_not_self_alert() {
+        let mut p = one_prefix_pipeline();
+        let mut ctrl = controller();
+        p.deliver(
+            &event(174, "10.0.0.0/23", &[174, 666], 45),
+            &mut ctrl,
+            &mut [],
+        );
+        // Our own /24s observed in the wild must not raise alerts.
+        let acts = p.deliver(
+            &event(174, "10.0.0.0/24", &[174, 65001], 90),
+            &mut ctrl,
+            &mut [],
+        );
+        assert!(acts.iter().all(|a| !matches!(a, AppAction::AlertRaised(_))));
+        assert_eq!(p.detector().alerts().all().len(), 1);
+    }
+
+    #[test]
+    fn auto_mitigate_off_only_alerts() {
+        let mut config = ArtemisConfig::new(
+            Asn(65001),
+            vec![OwnedPrefix::new(pfx("10.0.0.0/23"), Asn(65001))],
+        );
+        config.auto_mitigate = false;
+        let mut p = Pipeline::bare(config, [Asn(174)].into_iter().collect());
+        let mut ctrl = controller();
+        let acts = p.deliver(
+            &event(174, "10.0.0.0/23", &[174, 666], 45),
+            &mut ctrl,
+            &mut [],
+        );
+        assert_eq!(acts.len(), 1);
+        assert!(matches!(acts[0], AppAction::AlertRaised(_)));
+        assert_eq!(ctrl.intents().count(), 0);
+    }
+
+    #[test]
+    fn second_hijacker_gets_its_own_alert_and_mitigation_once() {
+        let mut p = one_prefix_pipeline();
+        let mut ctrl = controller();
+        p.deliver(
+            &event(174, "10.0.0.0/23", &[174, 666], 45),
+            &mut ctrl,
+            &mut [],
+        );
+        let n_after_first = ctrl.intents().count();
+        // Same hijack seen elsewhere: no new intents.
+        p.deliver(
+            &event(3356, "10.0.0.0/23", &[3356, 666], 50),
+            &mut ctrl,
+            &mut [],
+        );
+        assert_eq!(ctrl.intents().count(), n_after_first);
+        // Different offending origin: new alert, new mitigation.
+        let acts = p.deliver(
+            &event(174, "10.0.0.0/23", &[174, 667], 60),
+            &mut ctrl,
+            &mut [],
+        );
+        assert!(acts.iter().any(|a| matches!(a, AppAction::AlertRaised(_))));
+        assert!(ctrl.intents().count() > n_after_first);
     }
 
     #[test]

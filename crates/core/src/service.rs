@@ -29,14 +29,15 @@ use crate::alert::{AlertId, AlertState};
 use crate::config::OwnedPrefix;
 use crate::event_log::{EventCursor, EventLog, PollBatch};
 use crate::mitigation::{MitigationPlan, MitigationPolicy};
-use crate::pipeline::{OffboardReport, Pipeline, PipelineEvent, RunReport, WorkerStatus};
-use crate::{AppAction, HijackType};
+use crate::pipeline::{AppAction, OffboardReport, Pipeline, PipelineEvent, RunReport};
+use crate::HijackType;
 use artemis_bgp::{Asn, Prefix};
 use artemis_bgpsim::Engine;
 use artemis_controller::Controller;
 use artemis_feeds::{FeedEvent, FeedHandle, FeedKind, FeedSpec};
 use artemis_simnet::SimTime;
 use serde::{Deserialize, Serialize};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::ops::ControlFlow;
 
@@ -224,24 +225,6 @@ pub struct ServiceStatus {
     pub incidents: Vec<IncidentStatus>,
     /// Per-feed health.
     pub feeds: Vec<FeedStatus>,
-    /// Worker occupancy of the (possibly parallel) pipeline.
-    ///
-    /// Observability only: these counters are the one part of a
-    /// status snapshot that legitimately differs between worker
-    /// counts; [`ServiceStatus::scrubbed_of_worker_stats`] strips them
-    /// for cross-configuration identity comparisons.
-    pub workers: WorkerStatus,
-}
-
-impl ServiceStatus {
-    /// The snapshot with worker-occupancy counters reset — everything
-    /// left is guaranteed identical across `PipelineConfig::workers`
-    /// settings for the same input stream (the parallel pipeline's
-    /// determinism contract, locked by the cross-seed property tests).
-    pub fn scrubbed_of_worker_stats(mut self) -> Self {
-        self.workers = WorkerStatus::default();
-        self
-    }
 }
 
 /// One row of the owned-prefix table.
@@ -502,34 +485,35 @@ impl ArtemisService {
             owned: self.prefix_table(),
             incidents: self.incident_table(now),
             feeds: self.feed_table(),
-            workers: self.pipeline.worker_status(),
         }
     }
 
+    /// The owned-prefix table, read from the detector's shard rules in
+    /// prefix order (see [`crate::Detector::owned_prefixes`]): the same
+    /// configured set always lists the same way, whatever sequence of
+    /// onboards and offboards produced it.
     fn prefix_table(&self) -> Vec<PrefixStatus> {
         let detector = self.pipeline.detector();
-        self.pipeline
-            .config()
-            .owned
-            .iter()
+        // One pass over the alert store, not one per owned prefix.
+        let mut open_alerts: BTreeMap<Prefix, usize> = BTreeMap::new();
+        for alert in detector.alerts().active() {
+            *open_alerts.entry(alert.owned_prefix).or_default() += 1;
+        }
+        detector
+            .owned_prefixes()
             .map(|o| PrefixStatus {
                 prefix: o.prefix,
                 legitimate_origins: o.legitimate_origins.iter().copied().collect(),
                 dormant: o.dormant,
                 policy: self.pipeline.mitigation_policy(o.prefix),
                 shard_events: detector.shard_events(o.prefix).unwrap_or(0),
-                open_alerts: detector
-                    .alerts()
-                    .all()
-                    .iter()
-                    .filter(|a| a.owned_prefix == o.prefix && a.state != AlertState::Resolved)
-                    .count(),
+                open_alerts: open_alerts.get(&o.prefix).copied().unwrap_or(0),
             })
             .collect()
     }
 
     fn incident_table(&self, now: SimTime) -> Vec<IncidentStatus> {
-        let pending: std::collections::BTreeSet<AlertId> = self
+        let pending: BTreeSet<AlertId> = self
             .pipeline
             .pending_mitigations()
             .map(|(id, _)| id)
@@ -861,6 +845,54 @@ mod tests {
             panic!("wrong reply variant");
         };
         assert_eq!(incidents, status.incidents);
+    }
+
+    #[test]
+    fn prefix_table_counts_open_alerts_like_a_per_prefix_scan_and_lists_in_prefix_order() {
+        // 10k owned /24s, onboarded in scrambled order; 200 hijacks on
+        // every 50th of them, half of which heal again. The one-pass
+        // open-alert count must equal the old definition (scan the
+        // whole store once per owned prefix), and the table must come
+        // out in prefix order whatever order the fleet was built in.
+        const N: u32 = 10_000;
+        let nth = |i: u32| {
+            let p = Prefix::v4(std::net::Ipv4Addr::from((10 << 24) | (i << 8)), 24);
+            p.expect("valid /24")
+        };
+        let owned = (0..N)
+            .map(|i| OwnedPrefix::new(nth(i * 7919 % N), Asn(65001)))
+            .collect();
+        let pipeline = Pipeline::bare(
+            ArtemisConfig::new(Asn(65001), owned),
+            [Asn(174)].into_iter().collect(),
+        );
+        let controller = Controller::new(Asn(65001), LatencyModel::const_secs(15), SimRng::new(1));
+        let mut svc = ArtemisService::new(pipeline, controller);
+        for k in 0..200u32 {
+            let victim = nth(k * 50).to_string();
+            // Two offenders on every fourth victim: counts above one.
+            svc.deliver(&event(174, &victim, &[174, 666], 10 + u64::from(k)));
+            if k % 4 == 0 {
+                svc.deliver(&event(174, &victim, &[174, 667], 300 + u64::from(k)));
+            }
+            if k % 2 == 1 {
+                svc.deliver(&event(174, &victim, &[174, 65001], 600 + u64::from(k)));
+            }
+        }
+        let alerts = svc.pipeline().detector().alerts().all();
+        assert_eq!(alerts.len(), 250);
+
+        let table = svc.prefix_table();
+        assert_eq!(table.len(), N as usize);
+        assert!(table.windows(2).all(|w| w[0].prefix < w[1].prefix));
+        for row in &table {
+            let scanned = alerts
+                .iter()
+                .filter(|a| a.owned_prefix == row.prefix && a.state != AlertState::Resolved)
+                .count();
+            assert_eq!(row.open_alerts, scanned, "{}", row.prefix);
+        }
+        assert_eq!(table.iter().map(|r| r.open_alerts).sum::<usize>(), 150);
     }
 
     #[test]

@@ -17,7 +17,7 @@ use serde::{Deserialize, Serialize};
 
 /// Version of the wire contract. Bump on any breaking change to the
 /// envelopes or the types they carry.
-pub const SCHEMA_VERSION: u32 = 1;
+pub const SCHEMA_VERSION: u32 = 2;
 
 /// A [`ServiceCommand`] as submitted over the wire.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

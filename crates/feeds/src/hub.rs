@@ -173,28 +173,20 @@ pub struct DrainBreakdown {
 /// [`FeedHub::add`]; [`FeedHub::remove`] detaches a feed at runtime and
 /// **drops** its queued, undelivered events (see `remove` docs).
 ///
-/// # Per-feed RNG streams and parallel ingest
+/// # Per-feed RNG streams
 ///
 /// Every feed draws its export-delay samples from its **own** RNG
 /// stream, forked deterministically from the hub's master stream at
 /// attach time (`fork_indexed("feed", handle)`). A feed's draw
 /// sequence therefore depends only on the hub seed, its handle and its
-/// own event history — never on how work is interleaved across feeds.
-/// That property is what lets [`FeedHub::ingest_route_changes`] fan
-/// the synthesis out across threads (see
-/// [`FeedHub::set_ingest_workers`]) and still enqueue a stream
-/// byte-identical to the serial path: each feed synthesizes its events
-/// independently, and a deterministic change-major, feed-minor merge
-/// reassigns the exact ingestion sequence numbers the serial nested
-/// loop would have produced.
+/// own event history — attaching or detaching another feed never
+/// shifts it.
 pub struct FeedHub {
     /// Attached feeds with their stable handle and private RNG stream.
     feeds: Vec<(FeedHandle, SimRng, Box<dyn FeedSource>)>,
     /// Master stream: only forked at attach time, never drawn from on
     /// the event path.
     rng: SimRng,
-    /// Threads the batched ingest path may fan out over (1 = serial).
-    ingest_workers: usize,
     /// Per-feed sorted runs of pending event keys, keyed by handle id
     /// (including [`FeedHandle::REQUEUED`]'s own lane at id 0). The
     /// global drain order is recovered by a k-way merge over the lane
@@ -229,7 +221,6 @@ impl FeedHub {
         FeedHub {
             feeds: Vec::new(),
             rng,
-            ingest_workers: 1,
             lanes: BTreeMap::new(),
             pending: 0,
             slots: Vec::new(),
@@ -289,19 +280,6 @@ impl FeedHub {
     /// non-trivial one is.
     pub fn feed_filter(&self, handle: FeedHandle) -> Option<&FeedFilter> {
         self.filters.get(&handle.0)
-    }
-
-    /// Let the batched ingest path ([`FeedHub::ingest_route_changes`])
-    /// fan feed-event synthesis out over up to `workers` threads.
-    /// Output is byte-identical to the serial path (the default,
-    /// `workers = 1`) — see the type-level docs.
-    pub fn set_ingest_workers(&mut self, workers: usize) {
-        self.ingest_workers = workers.max(1);
-    }
-
-    /// Threads the batched ingest path may use (1 = serial).
-    pub fn ingest_workers(&self) -> usize {
-        self.ingest_workers
     }
 
     /// Detach a feed at runtime, returning the feed and the number of
@@ -404,83 +382,9 @@ impl FeedHub {
 
     /// Fan a batch of routing changes out to all push feeds, in order,
     /// queueing every resulting event.
-    ///
-    /// With [`FeedHub::set_ingest_workers`] `> 1` and a batch worth the
-    /// thread fan-out, each feed synthesizes its event stream on a
-    /// worker thread (its private RNG stream makes the draws
-    /// interleaving-independent) and a deterministic change-major,
-    /// feed-minor merge assigns exactly the ingestion sequence numbers
-    /// the serial nested loop would have — the queued stream is
-    /// byte-identical either way.
     pub fn ingest_route_changes(&mut self, changes: &[RouteChange]) {
-        if self.ingest_workers > 1
-            && self.feeds.len() > 1
-            && changes.len() >= PARALLEL_INGEST_MIN_CHANGES
-        {
-            self.ingest_route_changes_parallel(changes);
-        } else {
-            for change in changes {
-                self.ingest_route_change(change);
-            }
-        }
-    }
-
-    /// The parallel arm of [`FeedHub::ingest_route_changes`].
-    fn ingest_route_changes_parallel(&mut self, changes: &[RouteChange]) {
-        /// One feed's synthesis over the whole change batch: its
-        /// events in emission order plus how many each change produced
-        /// (the merge key).
-        struct FeedRun {
-            events: Vec<FeedEvent>,
-            per_change: Vec<u32>,
-        }
-        let threads = self.ingest_workers.min(self.feeds.len());
-        let feeds_per_thread = self.feeds.len().div_ceil(threads);
-        // Feed chunks spawn in order and feeds stay ordered within a
-        // chunk, so `runs` lines up with `self.feeds` by index.
-        let runs: Vec<FeedRun> = std::thread::scope(|s| {
-            let handles: Vec<_> = self
-                .feeds
-                .chunks_mut(feeds_per_thread)
-                .map(|chunk| {
-                    s.spawn(move || {
-                        chunk
-                            .iter_mut()
-                            .map(|(_, rng, feed)| {
-                                let mut events = Vec::new();
-                                let mut per_change = Vec::with_capacity(changes.len());
-                                for change in changes {
-                                    let before = events.len();
-                                    feed.on_route_change_into(change, rng, &mut events);
-                                    per_change.push((events.len() - before) as u32);
-                                }
-                                FeedRun { events, per_change }
-                            })
-                            .collect::<Vec<FeedRun>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("ingest worker panicked"))
-                .collect()
-        });
-        // Deterministic merge: replay the serial loop's order (change
-        // major, feed minor) while assigning sequence numbers.
-        let mut cursors: Vec<(std::vec::IntoIter<FeedEvent>, Vec<u32>)> = runs
-            .into_iter()
-            .map(|r| (r.events.into_iter(), r.per_change))
-            .collect();
-        for change_idx in 0..changes.len() {
-            for (feed_idx, (events, per_change)) in cursors.iter_mut().enumerate() {
-                let n = per_change[change_idx] as usize;
-                if n == 0 {
-                    continue;
-                }
-                let handle = self.feeds[feed_idx].0;
-                self.scratch.extend(events.take(n));
-                self.queue_scratch(handle);
-            }
+        for change in changes {
+            self.ingest_route_change(change);
         }
     }
 
@@ -697,30 +601,6 @@ impl FeedHub {
     pub fn polls_executed(&self) -> u64 {
         self.feeds.iter().map(|(_, _, f)| f.polls_executed()).sum()
     }
-}
-
-/// Below this many route changes the batched ingest path stays serial
-/// even when workers are configured: scoped-thread spawn overhead
-/// would dominate tiny batches. Purely a performance gate — both arms
-/// produce byte-identical queues.
-const PARALLEL_INGEST_MIN_CHANGES: usize = 32;
-
-/// Split a drained batch of `len` events into at most `chunks`
-/// near-equal contiguous index ranges, preserving `(emitted_at,
-/// ingestion order)` within and across ranges.
-///
-/// This is the partitioning contract parallel consumers of
-/// [`FeedHub::drain_batch`] rely on: concatenating the ranges in
-/// iteration order reproduces the batch exactly, so per-chunk results
-/// indexed by position merge back deterministically regardless of
-/// which worker handled which chunk. Trailing ranges are never empty
-/// (fewer ranges are yielded when `len < chunks`).
-pub fn batch_chunks(len: usize, chunks: usize) -> impl Iterator<Item = std::ops::Range<usize>> {
-    let chunks = chunks.max(1);
-    let size = len.div_ceil(chunks).max(1);
-    (0..len)
-        .step_by(size)
-        .map(move |start| start..(start + size).min(len))
 }
 
 #[cfg(test)]
@@ -980,27 +860,6 @@ mod tests {
         let mut per_event_sorted = per_event.clone();
         per_event_sorted.sort_by_key(|e| e.emitted_at);
         assert_eq!(batch, per_event_sorted);
-    }
-
-    #[test]
-    fn batch_chunks_cover_exactly_once_in_order() {
-        for (len, chunks) in [(0, 4), (1, 4), (7, 3), (8, 4), (100, 7), (5, 1), (3, 8)] {
-            let ranges: Vec<_> = batch_chunks(len, chunks).collect();
-            assert!(ranges.len() <= chunks.max(1), "len={len} chunks={chunks}");
-            let mut covered = Vec::new();
-            for r in &ranges {
-                assert!(!r.is_empty(), "no empty ranges: len={len} chunks={chunks}");
-                covered.extend(r.clone());
-            }
-            assert_eq!(covered, (0..len).collect::<Vec<_>>());
-            // Near-equal: sizes differ by at most the rounding step.
-            if let (Some(max), Some(min)) = (
-                ranges.iter().map(|r| r.len()).max(),
-                ranges.iter().map(|r| r.len()).min(),
-            ) {
-                assert!(max - min <= len.div_ceil(chunks));
-            }
-        }
     }
 
     #[test]

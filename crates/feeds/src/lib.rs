@@ -44,7 +44,7 @@ pub mod vantage;
 pub use archive::{ArchiveRibFeed, ArchiveUpdatesFeed};
 pub use event::{FeedEvent, FeedKind};
 pub use filter::FeedFilter;
-pub use hub::{batch_chunks, DrainBreakdown, FeedHandle, FeedHub, FeedLag};
+pub use hub::{DrainBreakdown, FeedHandle, FeedHub, FeedLag};
 pub use live::{BmpLiveFeed, LiveFeedConfig, LiveFeedStats, PeerHealth, WireHealth};
 pub use periscope::{LookingGlass, PeriscopeFeed};
 pub use replay::{MrtReplayFeed, MrtRibSnapshot};

@@ -17,9 +17,8 @@
 
 use artemis_repro::bgpsim::{Engine, SimConfig};
 use artemis_repro::controller::Controller;
-use artemis_repro::core::app::AppAction;
 use artemis_repro::core::config::OwnedPrefix;
-use artemis_repro::core::pipeline::PipelineEvent;
+use artemis_repro::core::pipeline::{AppAction, PipelineEvent};
 use artemis_repro::core::{ArtemisService, EventCursor, IncidentEvent};
 use artemis_repro::feeds::vantage::group_into_collectors;
 use artemis_repro::feeds::{FeedHub, StreamFeed};

@@ -32,8 +32,8 @@ pub use artemis_topology as topology;
 pub mod prelude {
     pub use artemis_bgp::{Asn, Prefix};
     pub use artemis_core::{
-        ArtemisApp, ArtemisConfig, ArtemisService, Detector, ExperimentBuilder, HijackType,
-        MitigationPolicy, Mitigator, Pipeline,
+        ArtemisConfig, ArtemisService, Detector, ExperimentBuilder, HijackType, MitigationPolicy,
+        Mitigator, Pipeline,
     };
     pub use artemis_simnet::{SimDuration, SimTime};
 }

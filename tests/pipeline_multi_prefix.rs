@@ -5,17 +5,11 @@
 //! concurrent alerts with independent monitor timelines and
 //! independent mitigation lifecycles (the configuration the old
 //! single-alert experiment loop could not represent).
-//!
-//! Also the home of the parallel-mode determinism contract: the same
-//! scenario driven with `PipelineConfig::workers ∈ {2, 4, 8}` must
-//! produce **byte-identical** event-log histories and service status
-//! snapshots to the sequential pipeline, across seeds (property test).
 
 use artemis_repro::bgpsim::{Engine, SimConfig};
 use artemis_repro::controller::Controller;
-use artemis_repro::core::app::AppAction;
 use artemis_repro::core::config::OwnedPrefix;
-use artemis_repro::core::pipeline::{PipelineConfig, PipelineEvent, RunEnd};
+use artemis_repro::core::pipeline::{AppAction, PipelineEvent, RunEnd};
 use artemis_repro::core::service::ServiceStatus;
 use artemis_repro::core::{AlertState, EventCursor};
 use artemis_repro::feeds::vantage::group_into_collectors;
@@ -23,7 +17,6 @@ use artemis_repro::feeds::{FeedHub, StreamFeed};
 use artemis_repro::prelude::*;
 use artemis_repro::simnet::{LatencyModel, SimRng};
 use artemis_repro::topology::{generate, TopologyConfig};
-use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::ControlFlow;
 
@@ -40,14 +33,12 @@ struct FleetRun {
     end: RunEnd,
     /// The full owned event history, serialized (byte-identity probe).
     history: String,
-    /// Status snapshot with worker-occupancy counters scrubbed.
+    /// Status snapshot at the horizon.
     status: ServiceStatus,
 }
 
 /// Mirror of the `multi_prefix_fleet` example scenario, instrumented.
-/// `workers` selects the pipeline's execution mode; the scenario (and
-/// per the determinism contract, every output) is independent of it.
-fn run_fleet_with(seed: u64, workers: usize) -> FleetRun {
+fn run_fleet(seed: u64) -> FleetRun {
     let mut rng = SimRng::new(seed);
     let topo = generate(&TopologyConfig::tiny(), &mut rng);
     let victim = topo.stubs[0];
@@ -80,13 +71,7 @@ fn run_fleet_with(seed: u64, workers: usize) -> FleetRun {
             OwnedPrefix::new(p3, victim),
         ],
     );
-    // Threshold 1: every batch — even a single-instant one — takes the
-    // fan-out path, maximizing the surface the identity contract
-    // covers.
-    let pipeline = Pipeline::new(hub, config, vp_set).with_pipeline_config(PipelineConfig {
-        workers,
-        parallel_threshold: 1,
-    });
+    let pipeline = Pipeline::new(hub, config, vp_set);
     let mut engine = Engine::new(topo.graph.clone(), SimConfig::default(), seed);
     let controller = Controller::new(
         victim,
@@ -147,7 +132,7 @@ fn run_fleet_with(seed: u64, workers: usize) -> FleetRun {
 
     let history = serde_json::to_string(&service.poll_events(EventCursor::START).events)
         .expect("events serialize");
-    let status = service.status(horizon).scrubbed_of_worker_stats();
+    let status = service.status(horizon);
 
     FleetRun {
         triggers,
@@ -158,10 +143,6 @@ fn run_fleet_with(seed: u64, workers: usize) -> FleetRun {
         history,
         status,
     }
-}
-
-fn run_fleet(seed: u64) -> FleetRun {
-    run_fleet_with(seed, 1)
 }
 
 #[test]
@@ -238,58 +219,10 @@ fn fleet_runs_are_deterministic() {
     let b = run_fleet(SEED);
     assert_eq!(a.triggers, b.triggers);
     assert_eq!(a.resolutions, b.resolutions);
+    assert_eq!(a.history, b.history, "serialized event log");
+    assert_eq!(a.status, b.status);
     assert_eq!(
         a.service.pipeline().events_delivered(),
         b.service.pipeline().events_delivered()
     );
-}
-
-/// The core of the parallel determinism contract, shared by the fixed
-/// smoke test and the cross-seed property below.
-fn assert_workers_identical(seed: u64, workers: usize) {
-    let seq = run_fleet_with(seed, 1);
-    let par = run_fleet_with(seed, workers);
-    assert_eq!(
-        seq.history, par.history,
-        "seed {seed}, workers {workers}: serialized event-log history \
-         must be byte-identical"
-    );
-    assert_eq!(
-        seq.status, par.status,
-        "seed {seed}, workers {workers}: status snapshots (minus worker \
-         occupancy) must be identical"
-    );
-    assert_eq!(seq.triggers, par.triggers);
-    assert_eq!(seq.resolutions, par.resolutions);
-    assert_eq!(seq.end, par.end);
-    assert_eq!(
-        seq.service.pipeline().events_delivered(),
-        par.service.pipeline().events_delivered()
-    );
-    // Status JSON too — "identical" down to the serialized bytes.
-    let seq_json = serde_json::to_string(&seq.status).expect("serializes");
-    let par_json = serde_json::to_string(&par.status).expect("serializes");
-    assert_eq!(seq_json, par_json);
-}
-
-#[test]
-fn parallel_fleet_is_byte_identical_to_sequential() {
-    for workers in [2usize, 4, 8] {
-        assert_workers_identical(SEED, workers);
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// Cross-seed: whatever topology, victim/attacker pair and feed
-    /// timing a seed produces, `workers ∈ {2, 4, 8}` replays the exact
-    /// sequential history.
-    #[test]
-    fn parallel_fleet_matches_sequential_across_seeds(
-        seed in 1u64..500,
-        workers_idx in 0usize..3,
-    ) {
-        assert_workers_identical(seed, [2usize, 4, 8][workers_idx]);
-    }
 }

@@ -193,8 +193,7 @@ fn one_service_run_reconfigures_mid_stream() {
         now,
         now + SimDuration::from_mins(30),
         |_, event| {
-            use artemis_repro::core::app::AppAction;
-            use artemis_repro::core::pipeline::PipelineEvent;
+            use artemis_repro::core::pipeline::{AppAction, PipelineEvent};
             match event {
                 PipelineEvent::App(AppAction::MitigationTriggered { plan, .. })
                     if p1.contains(plan.target) =>
