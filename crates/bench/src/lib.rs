@@ -2,7 +2,8 @@
 //! regenerate every number in the ARTEMIS paper, and for the criterion
 //! micro-benches (`benches/`).
 //!
-//! Experiment ↔ paper mapping (see DESIGN.md §4 and EXPERIMENTS.md):
+//! Experiment ↔ paper mapping (README "Reproducing the paper's
+//! numbers" has the measured side of each row):
 //!
 //! | binary | paper anchor |
 //! |--------|--------------|

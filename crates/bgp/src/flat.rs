@@ -1,31 +1,25 @@
-//! Flattened, array-backed companion to [`PrefixTrie`].
+//! Array-backed binary prefix trie: the one prefix → value map of the
+//! workspace.
 //!
-//! [`FlatTrie`] stores the same prefix → value mapping as a
-//! [`PrefixTrie`], but in contiguous arrays — a node pool linked by
-//! `u32` indices instead of `[Option<Box<Node>>; 2]` pointers, and a
-//! value slab indexed from the nodes. Longest-prefix match becomes a
-//! cache-friendly walk over a dense array, and for IPv4 lookups a
-//! precomputed stride-16 root table skips the first sixteen branches in
-//! one indexed load.
+//! [`FlatTrie`] is a plain one-bit-per-level binary trie whose nodes
+//! live in a contiguous pool linked by `u32` indices, with the values
+//! in a slab indexed from the nodes. Longest-prefix match is a walk
+//! over a dense array, and for IPv4 lookups a stride-16 root table
+//! skips the first sixteen branches in one indexed load.
 //!
-//! Unlike its first incarnation the structure is **incrementally
-//! mutable**: [`FlatTrie::insert`] and [`FlatTrie::remove`] patch the
-//! node pool and the stride table in place, touching only the affected
-//! subtree and the `2^(16-len)` stride slots a changed IPv4 prefix can
+//! [`FlatTrie::insert`] and [`FlatTrie::remove`] patch the node pool
+//! and the stride table in place, touching only the affected subtree
+//! and the `2^(16-len)` stride slots a changed IPv4 prefix can
 //! influence. Onboarding or offboarding a prefix therefore costs
-//! O(affected subtree) instead of a wholesale rebuild, which is what
-//! lets the ARTEMIS detector keep a single epoch-stamped flat routing
-//! structure across configuration churn.
+//! O(affected subtree), which is what lets the ARTEMIS detector keep a
+//! single epoch-stamped routing structure across configuration churn.
 //!
-//! Lookup results are bit-for-bit identical to the boxed trie:
-//! [`FlatTrie::longest_match`], [`FlatTrie::get`] and
-//! [`FlatTrie::iter`] agree with their [`PrefixTrie`] counterparts on
-//! every input, and a trie mutated incrementally is indistinguishable
-//! from one rebuilt from scratch (property-locked in
-//! `tests/flat_properties.rs`).
+//! Every query is property-checked in `tests/flat_properties.rs`
+//! against a linear model (a `BTreeMap<Prefix, T>` scanned with
+//! [`Prefix::contains`]), after every single mutation and on both sides
+//! of the stride-table threshold.
 
 use crate::prefix::{Afi, Prefix};
-use crate::trie::PrefixTrie;
 
 /// Sentinel for "no node" / "no value" links in the flat arrays.
 const NONE: u32 = u32::MAX;
@@ -65,14 +59,12 @@ struct RootSlot {
     best: u32,
 }
 
-/// A level-compressed, array-backed prefix trie supporting in-place
-/// incremental updates.
+/// A map from [`Prefix`] to `T` with longest-prefix-match, covering and
+/// containment queries; IPv4 and IPv6 occupy disjoint sub-tries.
 ///
-/// See the [module docs](self) for the design rationale. `FlatTrie` is
-/// cheap to share (`Arc<FlatTrie<T>>`) and cheap to query; mutation
-/// patches the node pool and IPv4 stride table in place so callers
-/// holding an `Arc` can use copy-on-write (`Arc::make_mut`) for epoch
-/// snapshots.
+/// See the [module docs](self) for the layout. All point operations
+/// are `O(len)` (≤ 32 / 128 bit steps); the visits are
+/// output-sensitive.
 #[derive(Debug, Clone)]
 pub struct FlatTrie<T> {
     nodes: Vec<FlatNode>,
@@ -87,22 +79,6 @@ pub struct FlatTrie<T> {
     v4_table: Vec<RootSlot>,
     /// Live IPv4 prefix count (drives stride-table materialization).
     v4_len: usize,
-}
-
-impl<T: Clone> FlatTrie<T> {
-    /// Build a flat snapshot of `trie`. Lookups on the result are
-    /// identical to lookups on `trie` at the time of the call.
-    pub fn from_trie(trie: &PrefixTrie<T>) -> Self {
-        let mut flat = FlatTrie::new();
-        flat.values.reserve(trie.len());
-        for (prefix, value) in trie.iter() {
-            flat.insert_inner(prefix, value.clone(), false);
-        }
-        if flat.v4_len >= TABLE_MIN_V4 {
-            flat.build_v4_table();
-        }
-        flat
-    }
 }
 
 impl<T> FlatTrie<T> {
@@ -123,10 +99,6 @@ impl<T> FlatTrie<T> {
     /// the stride-16 root table in place: only the path to `prefix` and
     /// the stride slots covered by `prefix` are touched.
     pub fn insert(&mut self, prefix: Prefix, value: T) -> Option<T> {
-        self.insert_inner(prefix, value, true)
-    }
-
-    fn insert_inner(&mut self, prefix: Prefix, value: T, patch: bool) -> Option<T> {
         let mut cur = root_of(prefix.afi());
         for i in 0..prefix.len() {
             let b = usize::from(prefix.bit(i));
@@ -153,14 +125,12 @@ impl<T> FlatTrie<T> {
         self.nodes[cur as usize].value = vidx;
         if prefix.afi() == Afi::Ipv4 {
             self.v4_len += 1;
-            if patch {
-                if self.v4_table.is_empty() {
-                    if self.v4_len >= TABLE_MIN_V4 {
-                        self.build_v4_table();
-                    }
-                } else {
-                    self.patch_v4_table(prefix);
+            if self.v4_table.is_empty() {
+                if self.v4_len >= TABLE_MIN_V4 {
+                    self.build_v4_table();
                 }
+            } else {
+                self.patch_v4_table(prefix);
             }
         }
         None
@@ -296,8 +266,8 @@ impl<T> FlatTrie<T> {
         self.v4_table = table;
     }
 
-    /// Longest stored prefix covering `prefix`, with its value.
-    /// Agrees exactly with [`PrefixTrie::longest_match`].
+    /// Longest stored prefix covering `prefix` (possibly `prefix`
+    /// itself), with its value.
     pub fn longest_match(&self, prefix: Prefix) -> Option<(Prefix, &T)> {
         let (mut cur, mut best, start) = match prefix.afi() {
             Afi::Ipv4 if !self.v4_table.is_empty() && prefix.len() >= TABLE_BITS => {
@@ -326,8 +296,7 @@ impl<T> FlatTrie<T> {
         self.value_at(best)
     }
 
-    /// Value stored for exactly `prefix`, if any. Agrees with
-    /// [`PrefixTrie::get`].
+    /// Value stored for exactly `prefix`, if any.
     pub fn get(&self, prefix: Prefix) -> Option<&T> {
         let mut cur = root_of(prefix.afi());
         for i in 0..prefix.len() {
@@ -341,6 +310,76 @@ impl<T> FlatTrie<T> {
             .map(|(_, v)| v)
     }
 
+    /// Show `f` every stored strict less-specific of `prefix`,
+    /// shortest first, and return the node at exactly `prefix` (`None`
+    /// when the branch ends before it). Walks from the family root:
+    /// the stride table records only the best match per slot, not
+    /// every match on the way down.
+    fn visit_above<'a, F>(&'a self, prefix: Prefix, f: &mut F) -> Option<u32>
+    where
+        F: FnMut(Prefix, &'a T),
+    {
+        let mut cur = root_of(prefix.afi());
+        for i in 0..prefix.len() {
+            if let Some((p, v)) = self.value_at(self.nodes[cur as usize].value) {
+                f(p, v);
+            }
+            cur = self.nodes[cur as usize].children[usize::from(prefix.bit(i))];
+            if cur == NONE {
+                return None;
+            }
+        }
+        Some(cur)
+    }
+
+    /// Visit every stored prefix that covers `prefix` — its
+    /// less-specifics and `prefix` itself when stored — shortest
+    /// first, without allocating.
+    pub fn visit_covering<'a, F>(&'a self, prefix: Prefix, mut f: F)
+    where
+        F: FnMut(Prefix, &'a T),
+    {
+        if let Some(at) = self.visit_above(prefix, &mut f) {
+            if let Some((p, v)) = self.value_at(self.nodes[at as usize].value) {
+                f(p, v);
+            }
+        }
+    }
+
+    /// Visit every stored prefix *relevant* to `prefix` under the
+    /// containment relation — every stored prefix that covers it,
+    /// equals it, or is covered by it — exactly once each and without
+    /// allocating: the strict less-specifics shortest-first, then the
+    /// subtree at `prefix` (the exact prefix first, then
+    /// more-specifics in address order). Hot paths that run one
+    /// containment query per feed event (the monitor-routing index)
+    /// use this.
+    pub fn visit_relevant<'a, F>(&'a self, prefix: Prefix, mut f: F)
+    where
+        F: FnMut(Prefix, &'a T),
+    {
+        if let Some(at) = self.visit_above(prefix, &mut f) {
+            self.visit_subtree(at, &mut f);
+        }
+    }
+
+    /// Pre-order walk of the subtree at `idx`; recursion depth is
+    /// bounded by the family's address length.
+    fn visit_subtree<'a, F>(&'a self, idx: u32, f: &mut F)
+    where
+        F: FnMut(Prefix, &'a T),
+    {
+        let node = self.nodes[idx as usize];
+        if let Some((p, v)) = self.value_at(node.value) {
+            f(p, v);
+        }
+        for child in node.children {
+            if child != NONE {
+                self.visit_subtree(child, f);
+            }
+        }
+    }
+
     fn value_at(&self, idx: u32) -> Option<(Prefix, &T)> {
         if idx == NONE {
             None
@@ -352,8 +391,8 @@ impl<T> FlatTrie<T> {
         }
     }
 
-    /// All `(prefix, value)` pairs in [`PrefixTrie::iter`] order (IPv4
-    /// before IPv6, pre-order address order within each family).
+    /// All `(prefix, value)` pairs, IPv4 before IPv6 and in pre-order
+    /// address order within each family — the order of `Prefix: Ord`.
     pub fn iter(&self) -> FlatIter<'_, T> {
         FlatIter {
             trie: self,
@@ -395,8 +434,8 @@ fn root_of(afi: Afi) -> u32 {
     }
 }
 
-/// Pre-order iterator over a [`FlatTrie`], yielding pairs in exactly
-/// [`PrefixTrie::iter`] order.
+/// Lazy pre-order iterator over a [`FlatTrie`] (see
+/// [`FlatTrie::iter`]).
 #[derive(Debug)]
 pub struct FlatIter<'a, T> {
     trie: &'a FlatTrie<T>,
@@ -432,18 +471,49 @@ impl<T> Default for FlatTrie<T> {
     }
 }
 
-impl<T: Clone> From<&PrefixTrie<T>> for FlatTrie<T> {
-    fn from(trie: &PrefixTrie<T>) -> Self {
-        FlatTrie::from_trie(trie)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     fn p(s: &str) -> Prefix {
         s.parse().expect("valid prefix")
+    }
+
+    /// The linear reference: a sorted map scanned with
+    /// [`Prefix::contains`]. `Prefix: Ord` is `(afi, bits, len)`, which
+    /// is the trie's pre-order, so the map's order is `iter()`'s.
+    type Model = BTreeMap<Prefix, u32>;
+
+    fn model_lpm(model: &Model, q: Prefix) -> Option<(Prefix, u32)> {
+        model
+            .iter()
+            .filter(|(m, _)| m.contains(q))
+            .max_by_key(|(m, _)| m.len())
+            .map(|(m, v)| (*m, *v))
+    }
+
+    fn both(entries: &[(Prefix, u32)]) -> (FlatTrie<u32>, Model) {
+        let mut flat = FlatTrie::new();
+        for (pr, v) in entries {
+            flat.insert(*pr, *v);
+        }
+        (flat, entries.iter().copied().collect())
+    }
+
+    fn assert_agrees(flat: &FlatTrie<u32>, model: &Model, queries: &[Prefix]) {
+        assert_eq!(flat.len(), model.len());
+        let pairs: Vec<_> = flat.iter().map(|(pr, v)| (pr, *v)).collect();
+        let expected: Vec<_> = model.iter().map(|(pr, v)| (*pr, *v)).collect();
+        assert_eq!(pairs, expected, "iteration order and contents");
+        for &q in queries {
+            assert_eq!(
+                flat.longest_match(q).map(|(pr, v)| (pr, *v)),
+                model_lpm(model, q),
+                "longest_match({q})"
+            );
+            assert_eq!(flat.get(q), model.get(&q), "get({q})");
+        }
     }
 
     #[test]
@@ -457,15 +527,186 @@ mod tests {
     }
 
     #[test]
-    fn matches_boxed_trie_on_nested_prefixes() {
-        let mut trie = PrefixTrie::new();
-        trie.insert(p("10.0.0.0/8"), 8u32);
-        trie.insert(p("10.0.0.0/24"), 24);
-        trie.insert(p("10.0.1.0/24"), 124);
-        trie.insert(p("0.0.0.0/0"), 0);
-        trie.insert(p("2001:db8::/32"), 632);
-        let flat = FlatTrie::from_trie(&trie);
-        for q in [
+    fn insert_get_remove_roundtrip() {
+        let mut t = FlatTrie::new();
+        assert_eq!(t.insert(p("10.0.0.0/23"), "a"), None);
+        assert_eq!(t.len(), 1);
+        assert_eq!(t.get(p("10.0.0.0/23")), Some(&"a"));
+        assert_eq!(t.insert(p("10.0.0.0/23"), "b"), Some("a"));
+        assert_eq!(t.len(), 1);
+        assert_eq!(t.remove(p("10.0.0.0/23")), Some("b"));
+        assert!(t.is_empty());
+        assert_eq!(t.remove(p("10.0.0.0/23")), None);
+    }
+
+    #[test]
+    fn exact_match_does_not_cross_lengths() {
+        let mut t = FlatTrie::new();
+        t.insert(p("10.0.0.0/23"), 23);
+        assert_eq!(t.get(p("10.0.0.0/24")), None);
+        assert_eq!(t.get(p("10.0.0.0/22")), None);
+        assert_eq!(t.get(p("10.0.0.0/23")), Some(&23));
+    }
+
+    #[test]
+    fn default_route_storable() {
+        let mut t = FlatTrie::new();
+        t.insert(Prefix::default_v4(), "default");
+        assert_eq!(t.get(Prefix::default_v4()), Some(&"default"));
+        assert_eq!(
+            t.longest_match(p("203.0.113.0/24")).map(|(q, v)| (q, *v)),
+            Some((Prefix::default_v4(), "default"))
+        );
+        assert!(t.longest_match(p("2001:db8::/32")).is_none());
+    }
+
+    #[test]
+    fn longest_match_prefers_most_specific() {
+        let mut t = FlatTrie::new();
+        t.insert(p("10.0.0.0/8"), 8);
+        t.insert(p("10.0.0.0/16"), 16);
+        t.insert(p("10.0.0.0/24"), 24);
+        let (q, v) = t.longest_match(p("10.0.0.0/26")).unwrap();
+        assert_eq!((q, *v), (p("10.0.0.0/24"), 24));
+        let (q, v) = t.longest_match(p("10.0.1.0/24")).unwrap();
+        assert_eq!((q, *v), (p("10.0.0.0/16"), 16));
+        let (q, v) = t.longest_match(p("10.9.0.0/16")).unwrap();
+        assert_eq!((q, *v), (p("10.0.0.0/8"), 8));
+        assert!(t.longest_match(p("11.0.0.0/8")).is_none());
+    }
+
+    #[test]
+    fn covering_lists_less_specifics() {
+        let mut t = FlatTrie::new();
+        for s in ["10.0.0.0/8", "10.0.0.0/16", "10.0.0.0/24", "10.1.0.0/16"] {
+            t.insert(p(s), ());
+        }
+        let mut cov = Vec::new();
+        t.visit_covering(p("10.0.0.0/24"), |q, _| cov.push(q));
+        assert_eq!(
+            cov,
+            vec![p("10.0.0.0/8"), p("10.0.0.0/16"), p("10.0.0.0/24")]
+        );
+        // A branch that ends early still reports what covers the query.
+        cov.clear();
+        t.visit_covering(p("10.0.128.0/17"), |q, _| cov.push(q));
+        assert_eq!(cov, vec![p("10.0.0.0/8"), p("10.0.0.0/16")]);
+    }
+
+    #[test]
+    fn visit_relevant_is_covering_union_covered() {
+        let (t, model) = both(&[
+            (p("0.0.0.0/0"), 0),
+            (p("10.0.0.0/8"), 8),
+            (p("10.0.0.0/23"), 23),
+            (p("10.0.0.0/24"), 24),
+            (p("10.0.1.0/24"), 124),
+            (p("10.0.0.0/25"), 25),
+            (p("10.0.2.0/24"), 224),
+            (p("172.16.0.0/12"), 12),
+        ]);
+        for query in [
+            "10.0.0.0/24",
+            "10.0.0.0/23",
+            "10.0.0.0/8",
+            "10.0.0.128/25",
+            "10.0.3.0/24",
+            "192.0.2.0/24",
+            "0.0.0.0/0",
+        ] {
+            let q = p(query);
+            // Pre-order puts the covering chain (shortest first) ahead
+            // of the subtree at `q`, so the sorted model is the order.
+            let expected: Vec<(Prefix, u32)> = model
+                .iter()
+                .filter(|(m, _)| m.contains(q) || q.contains(**m))
+                .map(|(m, v)| (*m, *v))
+                .collect();
+            let mut got = Vec::new();
+            t.visit_relevant(q, |pfx, v| got.push((pfx, *v)));
+            assert_eq!(got, expected, "query {query}");
+        }
+    }
+
+    #[test]
+    fn families_are_disjoint() {
+        let mut t = FlatTrie::new();
+        t.insert(p("10.0.0.0/8"), "v4");
+        t.insert(p("a00::/8"), "v6");
+        assert_eq!(t.len(), 2);
+        assert_eq!(t.get(p("10.0.0.0/8")), Some(&"v4"));
+        assert_eq!(t.get(p("a00::/8")), Some(&"v6"));
+        let mut seen = Vec::new();
+        t.visit_covering(p("10.0.0.0/24"), |_, v| seen.push(*v));
+        t.visit_relevant(Prefix::default_v6(), |_, v| seen.push(*v));
+        assert_eq!(seen, vec!["v4", "v6"]);
+    }
+
+    #[test]
+    fn iter_returns_everything_in_order() {
+        let mut t = FlatTrie::new();
+        t.insert(p("192.0.2.0/24"), 1);
+        t.insert(p("10.0.0.0/8"), 2);
+        t.insert(p("2001:db8::/32"), 3);
+        let all: Vec<Prefix> = t.iter().map(|(q, _)| q).collect();
+        assert_eq!(
+            all,
+            vec![p("10.0.0.0/8"), p("192.0.2.0/24"), p("2001:db8::/32")]
+        );
+    }
+
+    #[test]
+    fn iter_is_lazy_and_ordered_within_subtrees() {
+        let mut t = FlatTrie::new();
+        t.insert(p("10.0.0.0/23"), 0);
+        t.insert(p("10.0.1.0/24"), 1);
+        t.insert(p("10.0.0.0/24"), 2);
+        let mut it = t.iter();
+        // Less-specific parent first, then children in address order.
+        assert_eq!(it.next().map(|(q, _)| q), Some(p("10.0.0.0/23")));
+        assert_eq!(it.next().map(|(q, _)| q), Some(p("10.0.0.0/24")));
+        assert_eq!(it.next().map(|(q, _)| q), Some(p("10.0.1.0/24")));
+        assert_eq!(it.next(), None);
+    }
+
+    #[test]
+    fn remove_prunes_branches() {
+        let mut t = FlatTrie::new();
+        t.insert(p("10.0.0.0/24"), ());
+        t.remove(p("10.0.0.0/24"));
+        // After pruning, longest_match walks nothing.
+        assert!(t.longest_match(p("10.0.0.0/32")).is_none());
+        assert_eq!(t.nodes[V4_ROOT as usize].children, [NONE, NONE]);
+    }
+
+    #[test]
+    fn remove_keeps_other_branch() {
+        let mut t = FlatTrie::new();
+        t.insert(p("10.0.0.0/24"), 1);
+        t.insert(p("10.0.1.0/24"), 2);
+        t.remove(p("10.0.0.0/24"));
+        assert_eq!(t.get(p("10.0.1.0/24")), Some(&2));
+        assert_eq!(t.len(), 1);
+    }
+
+    #[test]
+    fn get_mut_mutates() {
+        let mut t = FlatTrie::new();
+        t.insert(p("10.0.0.0/8"), 1);
+        *t.get_mut(p("10.0.0.0/8")).unwrap() = 42;
+        assert_eq!(t.get(p("10.0.0.0/8")), Some(&42));
+    }
+
+    #[test]
+    fn matches_model_on_nested_prefixes() {
+        let (flat, model) = both(&[
+            (p("10.0.0.0/8"), 8),
+            (p("10.0.0.0/24"), 24),
+            (p("10.0.1.0/24"), 124),
+            (p("0.0.0.0/0"), 0),
+            (p("2001:db8::/32"), 632),
+        ]);
+        let queries = [
             "10.0.0.0/25",
             "10.0.0.0/24",
             "10.0.1.7/32",
@@ -474,53 +715,35 @@ mod tests {
             "0.0.0.0/0",
             "2001:db8:1::/48",
             "2001:db9::/32",
-        ] {
-            let q = p(q);
-            assert_eq!(
-                flat.longest_match(q).map(|(pr, v)| (pr, *v)),
-                trie.longest_match(q).map(|(pr, v)| (pr, *v)),
-                "longest_match({q})"
-            );
-            assert_eq!(flat.get(q), trie.get(q), "get({q})");
-        }
-        let flat_pairs: Vec<_> = flat.iter().map(|(pr, v)| (pr, *v)).collect();
-        let boxed_pairs: Vec<_> = trie.iter().map(|(pr, v)| (pr, *v)).collect();
-        assert_eq!(flat_pairs, boxed_pairs);
+        ]
+        .map(p);
+        assert_agrees(&flat, &model, &queries);
     }
 
     #[test]
     fn stride_table_kicks_in_above_threshold_and_stays_identical() {
-        let mut trie = PrefixTrie::new();
-        for i in 0..64u32 {
-            let octets = [10, (i >> 8) as u8, i as u8, 0];
-            let pr = Prefix::v4(octets.into(), 24).expect("valid");
-            trie.insert(pr, i);
-        }
-        trie.insert(p("10.0.0.0/12"), 9000);
-        let flat = FlatTrie::from_trie(&trie);
+        let mut entries: Vec<(Prefix, u32)> = (0..64u32)
+            .map(|i| {
+                (
+                    Prefix::v4([10, 0, i as u8, 0].into(), 24).expect("valid"),
+                    i,
+                )
+            })
+            .collect();
+        entries.push((p("10.0.0.0/12"), 9000));
+        let (flat, model) = both(&entries);
         assert!(!flat.v4_table.is_empty(), "table built above threshold");
-        for i in 0..128u32 {
-            let octets = [10, (i >> 8) as u8, i as u8, 1];
-            let q = Prefix::v4(octets.into(), 32).expect("valid");
-            assert_eq!(
-                flat.longest_match(q).map(|(pr, v)| (pr, *v)),
-                trie.longest_match(q).map(|(pr, v)| (pr, *v)),
-                "query {q}"
-            );
-        }
+        let mut queries: Vec<Prefix> = (0..128u32)
+            .map(|i| Prefix::v4([10, (i >> 8) as u8, i as u8, 1].into(), 32).expect("valid"))
+            .collect();
         // Short queries bypass the table but still agree.
-        let q = p("10.128.0.0/9");
-        assert_eq!(
-            flat.longest_match(q).map(|(pr, v)| (pr, *v)),
-            trie.longest_match(q).map(|(pr, v)| (pr, *v)),
-        );
+        queries.push(p("10.128.0.0/9"));
+        assert_agrees(&flat, &model, &queries);
     }
 
     #[test]
     fn footprint_accessors_report_plausible_sizes() {
-        let mut trie = PrefixTrie::new();
-        trie.insert(p("192.0.2.0/24"), 1u32);
-        let flat = FlatTrie::from_trie(&trie);
+        let (flat, _) = both(&[(p("192.0.2.0/24"), 1)]);
         assert_eq!(flat.len(), 1);
         assert_eq!(flat.node_count(), 2 + 24);
         assert!(flat.approx_bytes() >= flat.node_count() * std::mem::size_of::<FlatNode>());
@@ -528,8 +751,6 @@ mod tests {
 
     #[test]
     fn incremental_insert_remove_matches_rebuild() {
-        let mut trie = PrefixTrie::new();
-        let mut flat: FlatTrie<u32> = FlatTrie::new();
         let prefixes: Vec<Prefix> = (0..48u32)
             .map(|i| {
                 let octets = [10, (i >> 4) as u8, (i << 4) as u8, 0];
@@ -537,31 +758,22 @@ mod tests {
             })
             .chain([p("10.0.0.0/8"), p("0.0.0.0/0"), p("2001:db8::/32")])
             .collect();
-        for (i, pr) in prefixes.iter().enumerate() {
-            trie.insert(*pr, i as u32);
-            assert_eq!(flat.insert(*pr, i as u32), None);
-        }
+        let entries: Vec<(Prefix, u32)> = prefixes.iter().copied().zip(0..).collect();
+        let (mut flat, mut model) = both(&entries);
         // Replacement returns the old value and keeps lookups intact.
         assert_eq!(flat.insert(prefixes[0], 999), Some(0));
-        trie.insert(prefixes[0], 999);
+        model.insert(prefixes[0], 999);
         // Remove roughly half, including table-covered and short ones.
         for pr in prefixes.iter().step_by(2) {
-            assert_eq!(flat.remove(*pr), trie.remove(*pr));
+            assert_eq!(flat.remove(*pr), model.remove(pr));
         }
         assert_eq!(flat.remove(p("10.255.0.0/24")), None);
-        let rebuilt = FlatTrie::from_trie(&trie);
-        assert_eq!(flat.len(), rebuilt.len());
-        let inc: Vec<_> = flat.iter().map(|(pr, v)| (pr, *v)).collect();
-        let reb: Vec<_> = rebuilt.iter().map(|(pr, v)| (pr, *v)).collect();
-        assert_eq!(inc, reb);
-        for pr in &prefixes {
-            assert_eq!(flat.get(*pr), trie.get(*pr), "get({pr})");
-            assert_eq!(
-                flat.longest_match(*pr).map(|(m, v)| (m, *v)),
-                trie.longest_match(*pr).map(|(m, v)| (m, *v)),
-                "longest_match({pr})"
-            );
-        }
+        assert_agrees(&flat, &model, &prefixes);
+        // A trie that only ever saw the survivors answers the same.
+        let survivors: Vec<(Prefix, u32)> = model.iter().map(|(pr, v)| (*pr, *v)).collect();
+        let (rebuilt, _) = both(&survivors);
+        assert_agrees(&rebuilt, &model, &prefixes);
+        assert_eq!(flat.node_count(), rebuilt.node_count());
     }
 
     #[test]
@@ -580,38 +792,30 @@ mod tests {
 
     #[test]
     fn stride_table_stays_patched_under_churn() {
-        let mut flat: FlatTrie<u32> = FlatTrie::new();
-        let mut trie = PrefixTrie::new();
-        for i in 0..40u32 {
-            let octets = [10, i as u8, 0, 0];
-            let pr = Prefix::v4(octets.into(), 16).expect("valid");
-            flat.insert(pr, i);
-            trie.insert(pr, i);
-        }
+        let entries: Vec<(Prefix, u32)> = (0..40u32)
+            .map(|i| {
+                (
+                    Prefix::v4([10, i as u8, 0, 0].into(), 16).expect("valid"),
+                    i,
+                )
+            })
+            .collect();
+        let (mut flat, mut model) = both(&entries);
         assert!(!flat.v4_table.is_empty());
         // Short prefix insert patches a wide slot range.
         flat.insert(p("10.0.0.0/8"), 800);
-        trie.insert(p("10.0.0.0/8"), 800);
+        model.insert(p("10.0.0.0/8"), 800);
         // Long prefix insert patches a single slot.
         flat.insert(p("10.3.7.0/24"), 2437);
-        trie.insert(p("10.3.7.0/24"), 2437);
+        model.insert(p("10.3.7.0/24"), 2437);
         // Removal under the table, including a pruning one.
         flat.remove(p("10.5.0.0/16"));
-        trie.remove(p("10.5.0.0/16"));
-        for i in 0..40u32 {
-            for host in [[10, i as u8, 0, 1], [10, i as u8, 255, 255]] {
-                let q = Prefix::v4(host.into(), 32).expect("valid");
-                assert_eq!(
-                    flat.longest_match(q).map(|(pr, v)| (pr, *v)),
-                    trie.longest_match(q).map(|(pr, v)| (pr, *v)),
-                    "query {q}"
-                );
-            }
-        }
-        let q = p("10.5.1.2/32");
-        assert_eq!(
-            flat.longest_match(q).map(|(pr, v)| (pr, *v)),
-            trie.longest_match(q).map(|(pr, v)| (pr, *v)),
-        );
+        model.remove(&p("10.5.0.0/16"));
+        let mut queries: Vec<Prefix> = (0..40u8)
+            .flat_map(|i| [[10, i, 0, 1], [10, i, 255, 255]])
+            .map(|host| Prefix::v4(host.into(), 32).expect("valid"))
+            .collect();
+        queries.push(p("10.5.1.2/32"));
+        assert_agrees(&flat, &model, &queries);
     }
 }

@@ -15,14 +15,13 @@
 //! * [`BgpMessage`] / [`wire`] — the RFC 4271 wire codec (OPEN / UPDATE /
 //!   NOTIFICATION / KEEPALIVE) including RFC 6793 four-octet AS support
 //!   and RFC 4760 multiprotocol NLRI for IPv6.
-//! * [`PrefixTrie`] — a binary radix (Patricia) trie keyed by prefix with
-//!   longest-prefix-match, exact-match, covering- and covered-prefix
-//!   queries. This is the data structure both the simulated routers and
-//!   the ARTEMIS detector index routes with.
-//! * [`FlatTrie`] — an immutable, array-backed snapshot of a
-//!   [`PrefixTrie`] (contiguous nodes linked by `u32` indices plus a
-//!   stride-16 IPv4 root table) for cache-friendly longest-prefix match
-//!   on the detector's hot path.
+//! * [`FlatTrie`] — the prefix → value map everything routes with: a
+//!   binary trie in a contiguous node pool (nodes linked by `u32`
+//!   indices, a stride-16 IPv4 root table) with in-place
+//!   insert/remove, longest-prefix match, exact match, and
+//!   allocation-free covering / containment visits. The detector's
+//!   owned-prefix routing, the monitor index and the ROA table are all
+//!   built on it.
 //! * [`Route`] / [`RouteUpdate`] — announced paths and announce/withdraw
 //!   events exchanged between the simulator, the feeds and the detector.
 //!
@@ -39,7 +38,6 @@ pub mod flat;
 pub mod message;
 pub mod prefix;
 pub mod route;
-pub mod trie;
 pub mod wire;
 
 mod asn;
@@ -55,5 +53,4 @@ pub use message::{
 };
 pub use prefix::{Afi, Prefix, PrefixParseError};
 pub use route::{Route, RouteSource, RouteUpdate};
-pub use trie::PrefixTrie;
 pub use wire::Codec;

@@ -3,8 +3,8 @@
 
 use artemis_bgp::prefix::Afi;
 use artemis_bgp::{
-    aspath::Segment, AsPath, Asn, BgpMessage, Codec, Community, Origin, PathAttributes, Prefix,
-    PrefixTrie, UpdateMessage,
+    aspath::Segment, AsPath, Asn, BgpMessage, Codec, Community, FlatTrie, Origin, PathAttributes,
+    Prefix, UpdateMessage,
 };
 use proptest::prelude::*;
 
@@ -163,7 +163,7 @@ proptest! {
         entries in prop::collection::hash_set((any::<u32>(), 0u8..=28), 1..40),
         probe in any::<u32>(),
     ) {
-        let mut trie = PrefixTrie::new();
+        let mut trie = FlatTrie::new();
         let prefixes: Vec<Prefix> = entries
             .iter()
             .map(|(a, l)| Prefix::v4((*a).into(), *l).unwrap())
@@ -188,7 +188,7 @@ proptest! {
         root_addr in any::<u32>(),
         root_len in 0u8..=16,
     ) {
-        let mut trie = PrefixTrie::new();
+        let mut trie = FlatTrie::new();
         let prefixes: Vec<Prefix> = entries
             .iter()
             .map(|(a, l)| Prefix::v4((*a).into(), *l).unwrap())
@@ -197,7 +197,14 @@ proptest! {
             trie.insert(*p, ());
         }
         let root = Prefix::v4(root_addr.into(), root_len).unwrap();
-        let mut from_trie: Vec<Prefix> = trie.covered(root).into_iter().map(|(p, _)| p).collect();
+        // The containment visit minus the strict less-specifics is the
+        // covered set.
+        let mut visited: Vec<Prefix> = Vec::new();
+        trie.visit_relevant(root, |p, _| {
+            if root.contains(p) {
+                visited.push(p);
+            }
+        });
         let mut naive: Vec<Prefix> = prefixes
             .iter()
             .filter(|p| root.contains(**p))
@@ -205,15 +212,15 @@ proptest! {
             .collect();
         naive.sort();
         naive.dedup();
-        from_trie.sort();
-        prop_assert_eq!(from_trie, naive);
+        visited.sort();
+        prop_assert_eq!(visited, naive);
     }
 
     #[test]
     fn trie_insert_remove_is_identity(
         entries in prop::collection::vec((any::<u32>(), 0u8..=32), 1..30),
     ) {
-        let mut trie = PrefixTrie::new();
+        let mut trie = FlatTrie::new();
         let prefixes: Vec<Prefix> = entries
             .iter()
             .map(|(a, l)| Prefix::v4((*a).into(), *l).unwrap())
@@ -231,9 +238,9 @@ proptest! {
         prop_assert!(trie.is_empty());
     }
 
-    /// `collect()` (FromIterator) then `iter()` is the identity on the
-    /// deduplicated entry set, and yields address order within each
-    /// family with v4 before v6.
+    /// Insert-all then `iter()` is the identity on the deduplicated
+    /// entry set, and yields address order within each family with v4
+    /// before v6.
     #[test]
     fn trie_insert_iter_roundtrip(
         v4 in prop::collection::hash_set((any::<u32>(), 0u8..=32), 0..30),
@@ -249,9 +256,12 @@ proptest! {
             .enumerate()
             .map(|(i, p)| (p, i as u64))
             .collect();
-        let trie: PrefixTrie<u64> = entries.iter().copied().collect();
+        let mut trie = FlatTrie::new();
+        for (p, v) in &entries {
+            trie.insert(*p, *v);
+        }
 
-        // FromIterator keeps the *last* value for duplicate prefixes
+        // Insertion keeps the *last* value for duplicate prefixes
         // (distinct (addr, len) pairs can mask to the same prefix), and
         // `Prefix: Ord` is (family, bits, len) — exactly iteration
         // order — so a BTreeMap models both.
@@ -267,11 +277,13 @@ proptest! {
         prop_assert_eq!(yielded, expected);
     }
 
-    /// A trie built via FromIterator agrees with a naive linear scan on
-    /// longest-prefix-match for arbitrary host probes.
+    /// Longest-prefix match agrees with a naive linear scan for
+    /// arbitrary host probes on sets from 1 to 95 entries — on both
+    /// sides of the 32-entry threshold where the stride-16 root table
+    /// starts answering the first sixteen bits.
     #[test]
-    fn trie_from_iter_lpm_equals_naive_scan(
-        entries in prop::collection::hash_set((any::<u32>(), 0u8..=30), 1..40),
+    fn trie_lpm_equals_naive_scan_across_table_threshold(
+        entries in prop::collection::hash_set((any::<u32>(), 0u8..=30), 1..96),
         probes in prop::collection::vec(any::<u32>(), 1..16),
     ) {
         let prefixes: Vec<(Prefix, usize)> = entries
@@ -280,7 +292,10 @@ proptest! {
             .enumerate()
             .map(|(i, p)| (p, i))
             .collect();
-        let trie: PrefixTrie<usize> = prefixes.iter().copied().collect();
+        let mut trie = FlatTrie::new();
+        for (p, i) in &prefixes {
+            trie.insert(*p, *i);
+        }
         for probe in probes {
             let host = Prefix::v4(probe.into(), 32).unwrap();
             let trie_hit = trie.longest_match(host).map(|(p, _)| p);
@@ -400,16 +415,17 @@ proptest! {
 
 #[test]
 fn afi_scoping_of_tries_under_heavy_mixing() {
-    let mut trie = PrefixTrie::new();
+    let mut trie = FlatTrie::new();
     for i in 0..512u32 {
         let v4 = Prefix::v4(std::net::Ipv4Addr::from(i << 12), 24).unwrap();
         let v6 = Prefix::v6(std::net::Ipv6Addr::from((i as u128) << 100), 28).unwrap();
         trie.insert(v4, i);
         trie.insert(v6, i + 10_000);
     }
-    let v4_all = trie.covered(Prefix::default_v4());
-    let v6_all = trie.covered(Prefix::default_v6());
-    assert!(v4_all.iter().all(|(p, _)| p.afi() == Afi::Ipv4));
-    assert!(v6_all.iter().all(|(p, _)| p.afi() == Afi::Ipv6));
+    let (mut v4_all, mut v6_all) = (Vec::new(), Vec::new());
+    trie.visit_relevant(Prefix::default_v4(), |p, _| v4_all.push(p));
+    trie.visit_relevant(Prefix::default_v6(), |p, _| v6_all.push(p));
+    assert!(v4_all.iter().all(|p| p.afi() == Afi::Ipv4));
+    assert!(v6_all.iter().all(|p| p.afi() == Afi::Ipv6));
     assert_eq!(v4_all.len() + v6_all.len(), trie.len());
 }

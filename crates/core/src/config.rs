@@ -1,7 +1,7 @@
 //! The operator's configuration: which prefixes we own, who may
 //! originate them, and how to mitigate.
 
-use artemis_bgp::{Asn, Prefix, PrefixTrie};
+use artemis_bgp::{Asn, Prefix};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
@@ -104,29 +104,6 @@ impl ArtemisConfig {
         }
     }
 
-    /// Build the lookup trie used by the detector: every owned prefix
-    /// keyed for covering-prefix queries.
-    pub fn owned_trie(&self) -> PrefixTrie<OwnedPrefix> {
-        let mut trie = PrefixTrie::new();
-        for o in &self.owned {
-            trie.insert(o.prefix, o.clone());
-        }
-        trie
-    }
-
-    /// The owned entry exactly matching `prefix`, if any.
-    pub fn owned_exact(&self, prefix: Prefix) -> Option<&OwnedPrefix> {
-        self.owned.iter().find(|o| o.prefix == prefix)
-    }
-
-    /// The most-specific owned prefix covering `prefix`, if any.
-    pub fn owning_prefix(&self, prefix: Prefix) -> Option<&OwnedPrefix> {
-        self.owned
-            .iter()
-            .filter(|o| o.prefix.contains(prefix))
-            .max_by_key(|o| o.prefix.len())
-    }
-
     /// Max de-aggregation length for the family of `prefix`.
     pub fn max_deagg_len(&self, prefix: Prefix) -> u8 {
         match prefix.afi() {
@@ -155,39 +132,6 @@ mod tests {
                 OwnedPrefix::new(pfx("203.0.113.0/24"), Asn(65001)).dormant(),
             ],
         )
-    }
-
-    #[test]
-    fn owned_lookup_exact_and_covering() {
-        let c = config();
-        assert!(c.owned_exact(pfx("10.0.0.0/23")).is_some());
-        assert!(c.owned_exact(pfx("10.0.0.0/24")).is_none());
-        let owner = c.owning_prefix(pfx("10.0.0.0/24")).unwrap();
-        assert_eq!(owner.prefix, pfx("10.0.0.0/23"));
-        assert!(c.owning_prefix(pfx("8.8.8.0/24")).is_none());
-    }
-
-    #[test]
-    fn owning_prefix_picks_most_specific() {
-        let mut c = config();
-        c.owned
-            .push(OwnedPrefix::new(pfx("10.0.0.0/8"), Asn(65001)));
-        assert_eq!(
-            c.owning_prefix(pfx("10.0.0.0/24")).unwrap().prefix,
-            pfx("10.0.0.0/23")
-        );
-        assert_eq!(
-            c.owning_prefix(pfx("10.9.0.0/16")).unwrap().prefix,
-            pfx("10.0.0.0/8")
-        );
-    }
-
-    #[test]
-    fn trie_contains_all_owned() {
-        let c = config();
-        let trie = c.owned_trie();
-        assert_eq!(trie.len(), 3);
-        assert!(trie.get(pfx("203.0.113.0/24")).unwrap().dormant);
     }
 
     #[test]

@@ -1010,7 +1010,6 @@ mod tests {
 
     #[test]
     fn incremental_routing_stays_consistent_across_onboard_offboard_churn() {
-        use artemis_bgp::PrefixTrie;
         let mut d = Detector::new(config());
         let probes = [
             event("10.0.0.0/23", &[2914, 174, 666], 45),
@@ -1022,15 +1021,17 @@ mod tests {
         let check = |d: &Detector| {
             // The routing structure must mirror the shard table exactly…
             assert_eq!(d.routing.len(), d.shards.len());
-            let mut boxed = PrefixTrie::new();
             for (i, r) in d.rules.iter().enumerate() {
                 assert_eq!(d.routing.flat.get(r.owned.prefix), Some(&i));
-                boxed.insert(r.owned.prefix, i);
             }
-            // …and classify identically to a boxed reference trie.
+            // …and classify identically to a linear scan of the rules.
             for ev in &probes {
                 let reference = prepare_with(
-                    |p| boxed.longest_match(p).map(|(_, idx)| *idx),
+                    |p| {
+                        (0..d.rules.len())
+                            .filter(|i| d.rules[*i].owned.prefix.contains(p))
+                            .max_by_key(|i| d.rules[*i].owned.prefix.len())
+                    },
                     &d.rules,
                     ev,
                 );
@@ -1068,5 +1069,36 @@ mod tests {
         // Keyed owned-prefix lookup sees exactly the onboarded shards.
         assert!(d.owned_rules(pfx("10.0.0.0/23")).is_some());
         assert!(d.owned_rules(pfx("10.0.0.0/24")).is_none());
+    }
+
+    #[test]
+    fn offboard_reonboard_cycles_patch_in_place_with_no_hidden_rebuild() {
+        // 96 owned /24s: past the 32-entry threshold, so the routing
+        // structure's stride table is live and every cycle patches it.
+        let fleet: Vec<Prefix> = (0..96u8)
+            .map(|i| Prefix::v4([10, i, 0, 0].into(), 24).expect("valid"))
+            .collect();
+        let owned = fleet
+            .iter()
+            .map(|p| OwnedPrefix::new(*p, Asn(65001)))
+            .collect();
+        let mut d = Detector::new(ArtemisConfig::new(Asn(65001), owned));
+        let epoch_before = d.routing_epoch().epoch();
+        let nodes_before = d.routing_nodes();
+        let cycles = 40;
+        for c in 0..cycles {
+            let prefix = fleet[(c * 7) % fleet.len()];
+            d.remove_shard(prefix).expect("fleet prefix is onboarded");
+            assert!(d.add_shard(OwnedPrefix::new(prefix, Asn(65001))));
+        }
+        // One epoch per patch, two patches per cycle — and nothing
+        // leaked or was rebuilt: the node pool is back where it began.
+        assert_eq!(d.routing_epoch().epoch() - epoch_before, 2 * cycles as u64);
+        assert_eq!(d.routing_nodes(), nodes_before);
+        assert_eq!(d.shard_count(), fleet.len());
+        for p in &fleet {
+            let hijack = event(&p.to_string(), &[2914, 174, 666], 45);
+            assert!(matches!(d.process(&hijack), Detection::NewAlert(_)), "{p}");
+        }
     }
 }

@@ -828,9 +828,11 @@ impl Pipeline {
         // --- monitor-route: partition the active monitors into
         // covering-set shards and route every event once through the
         // prefix index, building each shard's (deduplicated, ordered)
-        // relevant-event index list. The partition is cached inside
-        // the index and invalidated by its epoch, so steady-state
-        // batches (no onboard/offboard in between) skip the recompute.
+        // relevant-event index list (per shard, not per alert: see
+        // `MonitorIndex::covering_shards` for the measurement). The
+        // partition is cached inside the index and invalidated by its
+        // epoch, so steady-state batches (no onboard/offboard in
+        // between) skip the recompute.
         let shards = self.monitor_index.covering_shards_cached();
         let mut group_of: BTreeMap<AlertId, u32> = BTreeMap::new();
         for (g, ids) in shards.iter().enumerate() {

@@ -8,7 +8,7 @@
 //! RPKI validity (an `Invalid` announcement is a hijack with very high
 //! confidence; `NotFound` keeps the config-based logic authoritative).
 
-use artemis_bgp::{Asn, Prefix, PrefixTrie};
+use artemis_bgp::{Asn, FlatTrie, Prefix};
 use serde::{Deserialize, Serialize};
 
 /// One Route Origin Authorization: `asn` may originate `prefix` and
@@ -38,7 +38,7 @@ pub enum RoaValidity {
 #[derive(Debug, Clone, Default)]
 pub struct RoaTable {
     // Multiple ROAs can share a prefix (different origins/maxLength).
-    by_prefix: PrefixTrie<Vec<Roa>>,
+    by_prefix: FlatTrie<Vec<Roa>>,
     count: usize,
 }
 
@@ -91,18 +91,18 @@ impl RoaTable {
 
     /// RFC 6811 origin validation of an announcement.
     pub fn validate(&self, prefix: Prefix, origin: Asn) -> RoaValidity {
-        let covering = self.by_prefix.covering(prefix);
-        if covering.is_empty() {
-            return RoaValidity::NotFound;
-        }
-        for (_, roas) in &covering {
-            for roa in roas.iter() {
-                if roa.asn == origin && prefix.len() <= roa.max_length {
-                    return RoaValidity::Valid;
-                }
+        let mut validity = RoaValidity::NotFound;
+        self.by_prefix.visit_covering(prefix, |_, roas| {
+            if roas
+                .iter()
+                .any(|roa| roa.asn == origin && prefix.len() <= roa.max_length)
+            {
+                validity = RoaValidity::Valid;
+            } else if validity == RoaValidity::NotFound {
+                validity = RoaValidity::Invalid;
             }
-        }
-        RoaValidity::Invalid
+        });
+        validity
     }
 }
 
