@@ -34,6 +34,18 @@
 //! the daemon and an in-process twin with the same explicit
 //! timestamps and require byte-identical event logs.
 //!
+//! Nothing between a BMP socket and a parked `/v1/events` consumer
+//! sleeps on a timer. A live feed's ring signals a latch when it turns
+//! non-empty and the feed pump parks on that latch; after a delivery
+//! that grew the incident log the pump bumps a generation counter and
+//! notifies the condvar the long-polls park on. Operator commands bump
+//! the counter **without** notifying: waking the consumer while the
+//! operator's reply is still being written costs the operator more
+//! than it gains the consumer, so a parked poll looks at the counter
+//! again at least every `LONGPOLL_PARK_CAP` (10 ms) instead. The pump's
+//! [`FEED_PUMP_IDLE_TICK`] is the safety net for a lost wake and for
+//! simulated feeds, which have no thread to knock with.
+//!
 //! [`ServiceReply::Status`]: artemis_core::ServiceReply::Status
 
 use crate::alerts::{AlertDispatcher, WebhookSink};
@@ -43,13 +55,29 @@ use artemis_core::wire::{
     QueryEnvelope, SCHEMA_VERSION,
 };
 use artemis_core::{AppAction, ArtemisService, EventCursor, IncidentEvent, ServiceQuery};
+use artemis_feeds::WakeLatch;
 use artemis_simnet::SimTime;
 use minihttp::{Request, Response, Server, ShutdownSwitch};
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// How long the feed pump parks when no live ring wakes it. Not a
+/// setting: live feeds are drained when their ring knocks, and this
+/// only bounds how late a lost wake, a shutdown through a cloned
+/// [`ShutdownSwitch`] or an event queued by a simulated feed is seen.
+pub const FEED_PUMP_IDLE_TICK: Duration = Duration::from_millis(250);
+
+/// Longest single park of a `/v1/events` long-poll before it looks at
+/// the log generation (and the shutdown switch) again: the bound on
+/// how late a consumer learns of an event an operator command
+/// recorded, since commands do not wake it. Unit tests raise it so
+/// that a notification lost on the delivery path shows as seconds
+/// instead of hiding behind this bound.
+const LONGPOLL_PARK_CAP: Duration = Duration::from_millis(if cfg!(test) { 3_000 } else { 10 });
 
 /// Payload posted to alert sinks: one alert-worthy incident event.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -82,11 +110,6 @@ pub struct DaemonConfig {
     pub alert_min_interval: Duration,
     /// How often the background thread retries queued alerts.
     pub pump_interval: Duration,
-    /// How often the feed pump drains live wire feeds (BMP rings)
-    /// through the detector. Much faster than `pump_interval`: this
-    /// cadence bounds live detection latency, and an idle tick costs
-    /// one readiness check per feed.
-    pub feed_pump_interval: Duration,
 }
 
 impl Default for DaemonConfig {
@@ -98,7 +121,6 @@ impl Default for DaemonConfig {
             alert_attempts: 3,
             alert_min_interval: Duration::from_millis(50),
             pump_interval: Duration::from_millis(200),
-            feed_pump_interval: Duration::from_millis(10),
         }
     }
 }
@@ -113,6 +135,23 @@ struct Inner {
 struct Shared {
     inner: Mutex<Inner>,
     started: Instant,
+    switch: ShutdownSwitch,
+    /// Bumped whenever the incident log grew; long-polls park on
+    /// `log_grew` until it moves.
+    log_generation: Mutex<u64>,
+    log_grew: Condvar,
+    /// Knocked by live feeds' rings; the feed pump parks on it.
+    feed_wake: WakeLatch,
+    state_lock_poisoned: AtomicU64,
+    feed_pump_wakeups: AtomicU64,
+}
+
+/// Whether a log append wakes parked long-polls now or lets them find
+/// it at their next look (see the module docs).
+#[derive(Clone, Copy, PartialEq)]
+enum Publish {
+    Wake,
+    Quiet,
 }
 
 impl Shared {
@@ -123,6 +162,73 @@ impl Shared {
 
     fn wall_ms(&self) -> u64 {
         self.started.elapsed().as_millis() as u64
+    }
+
+    /// The state lock, the one way every thread takes it. A thread
+    /// that panicked while holding it must not take the pump, the
+    /// retry loop and every later request down with it: the guard is
+    /// recovered, the poison cleared and the takeover counted
+    /// (`artemis_state_lock_poisoned_total`). Whatever the dead request
+    /// left half-applied stays as it is; refusing all further service
+    /// would trade one doubtful command for every later incident.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(|poisoned| {
+            self.state_lock_poisoned.fetch_add(1, Ordering::Relaxed);
+            self.inner.clear_poison();
+            poisoned.into_inner()
+        })
+    }
+
+    /// Run `f` under the state lock and, if it grew the incident log,
+    /// publish that to the long-polls once the lock is released.
+    fn mutate<R>(&self, publish: Publish, f: impl FnOnce(&mut Inner) -> R) -> R {
+        let mut inner = self.lock();
+        let before = inner.service.event_log().total_pushed();
+        let out = f(&mut inner);
+        let grew = inner.service.event_log().total_pushed() > before;
+        drop(inner);
+        if grew {
+            *self.log_generation() += 1;
+            if publish == Publish::Wake {
+                self.log_grew.notify_all();
+            }
+        }
+        out
+    }
+
+    fn log_generation(&self) -> MutexGuard<'_, u64> {
+        // Nothing can panic while holding a counter.
+        self.log_generation
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Park a long-poll until the log generation moves past `seen`,
+    /// shutdown is requested, or `deadline` passes.
+    fn wait_for_log(&self, seen: u64, deadline: Instant) {
+        let mut generation = self.log_generation();
+        while *generation == seen && !self.switch.is_triggered() {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return;
+            }
+            generation = self
+                .log_grew
+                .wait_timeout(generation, left.min(LONGPOLL_PARK_CAP))
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+        }
+    }
+
+    /// Request shutdown and release every parked thread: the feed pump
+    /// and the long-polls, which return their current batch at once.
+    fn shutdown(&self) {
+        self.switch.trigger();
+        self.feed_wake.wake();
+        // Through the mutex, so the flag cannot change between a
+        // long-poll's check and its park.
+        drop(self.log_generation());
+        self.log_grew.notify_all();
     }
 }
 
@@ -185,14 +291,15 @@ fn handle_command(shared: &Shared, req: &Request) -> Response {
     }
     let at = env.at.unwrap_or_else(|| shared.now());
     let wall_ms = shared.wall_ms();
-    let mut inner = shared.inner.lock().expect("daemon state");
-    let result = inner.service.apply(env.command.clone(), at);
-    let result = match result {
-        Ok(outcome) => CommandResult::Outcome(outcome),
-        Err(error) => CommandResult::Rejected(error),
-    };
-    inner.audit.record(wall_ms, at, env.command, result.clone());
-    pump_alerts(&mut inner);
+    let result = shared.mutate(Publish::Quiet, |inner| {
+        let result = match inner.service.apply(env.command.clone(), at) {
+            Ok(outcome) => CommandResult::Outcome(outcome),
+            Err(error) => CommandResult::Rejected(error),
+        };
+        inner.audit.record(wall_ms, at, env.command, result.clone());
+        pump_alerts(inner);
+        result
+    });
     let envelope = OutcomeEnvelope {
         schema_version: SCHEMA_VERSION,
         at,
@@ -210,14 +317,14 @@ fn handle_query(shared: &Shared, req: &Request) -> Response {
         return resp;
     }
     let at = env.at.unwrap_or_else(|| shared.now());
-    let inner = shared.inner.lock().expect("daemon state");
-    reply_json(&inner.service.query(env.query, at))
+    let reply = shared.lock().service.query(env.query, at);
+    reply_json(&reply)
 }
 
 fn handle_named_query(shared: &Shared, query: ServiceQuery) -> Response {
     let at = shared.now();
-    let inner = shared.inner.lock().expect("daemon state");
-    reply_json(&inner.service.query(query, at))
+    let reply = shared.lock().service.query(query, at);
+    reply_json(&reply)
 }
 
 fn handle_events(shared: &Shared, req: &Request) -> Response {
@@ -235,17 +342,22 @@ fn handle_events(shared: &Shared, req: &Request) -> Response {
         .min(30_000);
     let deadline = Instant::now() + Duration::from_millis(wait);
     loop {
-        let batch = {
-            let inner = shared.inner.lock().expect("daemon state");
-            inner.service.poll_events(cursor)
-        };
+        // Generation first, poll second: an append this poll misses
+        // bumps the generation after it was read here, so the park
+        // below returns at once — no wake falls between the two.
+        let seen = *shared.log_generation();
+        let batch = shared.lock().service.poll_events(cursor);
         // Return as soon as there is anything to report (events, or an
-        // overrun the consumer must learn about) or the wait expires;
-        // the lock is released while parked so commands keep flowing.
-        if !batch.events.is_empty() || batch.missed > 0 || Instant::now() >= deadline {
+        // overrun the consumer must learn about), the wait expires or
+        // the daemon is stopping; no lock is held while parked.
+        if !batch.events.is_empty()
+            || batch.missed > 0
+            || Instant::now() >= deadline
+            || shared.switch.is_triggered()
+        {
             return reply_json(&EventsEnvelope::from(batch));
         }
-        std::thread::sleep(Duration::from_millis(10));
+        shared.wait_for_log(seen, deadline);
     }
 }
 
@@ -257,18 +369,21 @@ fn handle_inject(shared: &Shared, req: &Request) -> Response {
     if let Err(resp) = check_schema(env.schema_version) {
         return resp;
     }
-    let mut inner = shared.inner.lock().expect("daemon state");
-    let mut delivered = 0u64;
-    let mut alerts_raised = 0u64;
-    for event in &env.events {
-        let actions = inner.service.deliver(event);
-        delivered += 1;
-        alerts_raised += actions
-            .iter()
-            .filter(|a| matches!(a, AppAction::AlertRaised(_)))
-            .count() as u64;
-    }
-    pump_alerts(&mut inner);
+    // A delivery, like the feed pump's: it wakes the long-polls.
+    let (delivered, alerts_raised) = shared.mutate(Publish::Wake, |inner| {
+        let mut delivered = 0u64;
+        let mut alerts_raised = 0u64;
+        for event in &env.events {
+            let actions = inner.service.deliver(event);
+            delivered += 1;
+            alerts_raised += actions
+                .iter()
+                .filter(|a| matches!(a, AppAction::AlertRaised(_)))
+                .count() as u64;
+        }
+        pump_alerts(inner);
+        (delivered, alerts_raised)
+    });
     reply_json(&InjectOutcome {
         schema_version: SCHEMA_VERSION,
         delivered,
@@ -281,15 +396,12 @@ fn handle_audit(shared: &Shared, req: &Request) -> Response {
         .query_param("from")
         .and_then(|f| f.parse::<u64>().ok())
         .unwrap_or(0);
-    let inner = shared.inner.lock().expect("daemon state");
-    let records: Vec<AuditRecord> = inner.audit.records_from(from).to_vec();
+    let records: Vec<AuditRecord> = shared.lock().audit.records_from(from).to_vec();
     reply_json(&records)
 }
 
 fn handle_metrics(shared: &Shared) -> Response {
-    let at = shared.now();
-    let inner = shared.inner.lock().expect("daemon state");
-    let status = inner.service.status(at);
+    let inner = shared.lock();
     let pipeline = inner.service.pipeline();
     let structure = crate::metrics::StructureGauges {
         routing_nodes: pipeline.detector().routing_nodes(),
@@ -302,14 +414,19 @@ fn handle_metrics(shared: &Shared) -> Response {
         .handles()
         .filter_map(|(_, feed)| feed.wire_health().map(|h| (feed.name().to_string(), h)))
         .collect();
+    let daemon = crate::metrics::DaemonGauges {
+        alert_queue_depth: inner.dispatcher.queued(),
+        audit_records: inner.audit.len(),
+        state_lock_poisoned: shared.state_lock_poisoned.load(Ordering::Relaxed),
+        feed_pump_wakeups: shared.feed_pump_wakeups.load(Ordering::Relaxed),
+    };
     let text = crate::metrics::render(
-        &status,
+        &inner.service.summary(),
         inner.service.stage_metrics(),
         &structure,
         &wire,
         &inner.dispatcher.stats(),
-        inner.dispatcher.queued(),
-        inner.audit.len(),
+        &daemon,
     );
     Response::text(text)
 }
@@ -324,16 +441,15 @@ fn handle_sinks(shared: &Shared, req: &Request) -> Response {
             Ok(s) => s,
             Err(e) => return Response::bad_request(e),
         };
-        let mut inner = shared.inner.lock().expect("daemon state");
+        let mut inner = shared.lock();
         inner.dispatcher.add_sink(Box::new(sink));
         reply_json(&inner.dispatcher.sink_names())
     } else {
-        let inner = shared.inner.lock().expect("daemon state");
-        reply_json(&inner.dispatcher.sink_names())
+        reply_json(&shared.lock().dispatcher.sink_names())
     }
 }
 
-fn route(shared: &Shared, switch: &ShutdownSwitch, req: &Request) -> Response {
+fn route(shared: &Shared, req: &Request) -> Response {
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/healthz") => Response::text("ok\n"),
         ("POST", "/v1/command") => handle_command(shared, req),
@@ -348,7 +464,7 @@ fn route(shared: &Shared, switch: &ShutdownSwitch, req: &Request) -> Response {
         ("GET", "/metrics") => handle_metrics(shared),
         ("GET", "/v1/sinks") | ("POST", "/v1/sinks") => handle_sinks(shared, req),
         ("POST", "/v1/shutdown") => {
-            switch.trigger();
+            shared.shutdown();
             Response::json("{\"shutting_down\":true}").closing()
         }
         _ => Response::not_found(),
@@ -360,7 +476,7 @@ fn route(shared: &Shared, switch: &ShutdownSwitch, req: &Request) -> Response {
 /// then [`DaemonHandle::wait`]).
 pub struct DaemonHandle {
     addr: std::net::SocketAddr,
-    switch: ShutdownSwitch,
+    shared: Arc<Shared>,
     server: Option<JoinHandle<()>>,
     pump: Option<JoinHandle<()>>,
     feed_pump: Option<JoinHandle<()>>,
@@ -373,13 +489,17 @@ impl DaemonHandle {
     }
 
     /// A clone of the shutdown switch, e.g. for signal handlers.
+    /// Triggering it stops the daemon too, but wakes nobody: parked
+    /// threads notice at their next look ([`FEED_PUMP_IDLE_TICK`] at
+    /// the latest).
     pub fn switch(&self) -> ShutdownSwitch {
-        self.switch.clone()
+        self.shared.switch.clone()
     }
 
-    /// Trigger shutdown and join the server and pump threads.
+    /// Trigger shutdown, release every parked long-poll and join the
+    /// server and pump threads.
     pub fn shutdown(mut self) {
-        self.switch.trigger();
+        self.shared.shutdown();
         self.join_threads();
     }
 
@@ -411,7 +531,7 @@ impl Daemon {
     /// daemon runs on background threads until shut down.
     pub fn start(
         addr: &str,
-        service: ArtemisService,
+        mut service: ArtemisService,
         config: DaemonConfig,
     ) -> std::io::Result<DaemonHandle> {
         let mut dispatcher = AlertDispatcher::new(
@@ -436,6 +556,15 @@ impl Daemon {
         let bound = server.local_addr()?;
         let switch = server.shutdown_switch()?;
 
+        // Every live feed — attached already or later through
+        // `ServiceCommand::AttachFeed` — knocks on the pump's latch
+        // when its ring turns non-empty.
+        let feed_wake = WakeLatch::new();
+        service
+            .pipeline_mut()
+            .hub_mut()
+            .set_waker(feed_wake.clone());
+
         let shared = Arc::new(Shared {
             inner: Mutex::new(Inner {
                 service,
@@ -444,52 +573,61 @@ impl Daemon {
                 alert_cursor,
             }),
             started: Instant::now(),
+            switch,
+            log_generation: Mutex::new(0),
+            log_grew: Condvar::new(),
+            feed_wake,
+            state_lock_poisoned: AtomicU64::new(0),
+            feed_pump_wakeups: AtomicU64::new(0),
         });
 
         let server_shared = Arc::clone(&shared);
-        let server_switch = switch.clone();
         let server_thread = std::thread::spawn(move || {
-            let _ = server.serve(move |req| route(&server_shared, &server_switch, req));
+            let _ = server.serve(move |req| route(&server_shared, req));
         });
 
         // Background retry loop: queued alert payloads whose sinks were
         // down (or rate-limited) are retried even when no request
         // arrives to pump them.
         let pump_shared = Arc::clone(&shared);
-        let pump_switch = switch.clone();
         let pump_interval = config.pump_interval;
         let pump_thread = std::thread::spawn(move || {
-            while !pump_switch.is_triggered() {
+            while !pump_shared.switch.is_triggered() {
                 std::thread::sleep(pump_interval);
-                let mut inner = pump_shared.inner.lock().expect("daemon state");
-                pump_alerts(&mut inner);
+                pump_alerts(&mut pump_shared.lock());
             }
         });
 
-        // Feed pump: drain live wire feeds (BMP backpressure rings)
-        // through detection on a tight cadence, and page any alerts
-        // the delivered events raised without waiting for the slower
-        // alert retry tick.
+        // Feed pump: parked until a live ring knocks (or the idle tick
+        // passes), then drains the feeds through detection, pages any
+        // alerts the delivered events raised without waiting for the
+        // slower alert retry tick, and wakes the long-polls if the
+        // incident log grew.
         let feed_shared = Arc::clone(&shared);
-        let feed_switch = switch.clone();
-        let feed_interval = config.feed_pump_interval;
         let feed_thread = std::thread::spawn(move || {
-            while !feed_switch.is_triggered() {
-                std::thread::sleep(feed_interval);
+            while !feed_shared.switch.is_triggered() {
+                feed_shared.feed_wake.wait(FEED_PUMP_IDLE_TICK);
+                feed_shared
+                    .feed_pump_wakeups
+                    .fetch_add(1, Ordering::Relaxed);
                 let now = feed_shared.now();
-                let mut inner = feed_shared.inner.lock().expect("daemon state");
-                if inner.service.pump_feeds(now) > 0 {
-                    pump_alerts(&mut inner);
-                }
+                feed_shared.mutate(Publish::Wake, |inner| {
+                    if inner.service.pump_feeds(now) > 0 {
+                        pump_alerts(inner);
+                    }
+                });
             }
         });
 
         Ok(DaemonHandle {
             addr: bound,
-            switch,
+            shared,
             server: Some(server_thread),
             pump: Some(pump_thread),
             feed_pump: Some(feed_thread),
         })
     }
 }
+
+#[cfg(test)]
+mod tests;

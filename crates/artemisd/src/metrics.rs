@@ -1,13 +1,15 @@
 //! Prometheus text exposition for the daemon's `/metrics` endpoint.
 //!
 //! Everything rendered here comes from surfaces the typed API already
-//! exposes — [`ServiceStatus`] snapshots, the pipeline's wall-clock
-//! [`StageMetrics`], the alert dispatcher's [`DispatchStats`], and the
-//! audit-log length — so a scrape can never disagree with what
-//! `ServiceQuery::Status` reports at the same instant.
+//! exposes — the [`ServiceSummary`] counts (the numbers of a
+//! `ServiceQuery::Status` snapshot without its fleet-sized tables), the
+//! pipeline's wall-clock [`StageMetrics`], the alert dispatcher's
+//! [`DispatchStats`], and the daemon's own counters — so a scrape can
+//! never disagree with what `ServiceQuery::Status` reports at the same
+//! instant, and costs the same whatever the fleet size.
 
 use crate::alerts::DispatchStats;
-use artemis_core::service::{MitigationPhase, ServiceStatus};
+use artemis_core::service::{MitigationPhase, ServiceSummary};
 use artemis_core::{StageMetrics, StageStat};
 use std::fmt::Write;
 
@@ -21,7 +23,7 @@ fn phase_label(phase: MitigationPhase) -> &'static str {
 }
 
 /// Point-in-time gauges of the pipeline's internal structures that
-/// [`ServiceStatus`] does not carry (they are implementation detail,
+/// [`ServiceSummary`] does not carry (they are implementation detail,
 /// not operator-facing state): the flattened routing structure's
 /// footprint and the count of incidents whose monitors were retired
 /// into compact summaries.
@@ -38,6 +40,20 @@ pub struct StructureGauges {
     pub routing_epoch: u64,
     /// Resolved incidents retired to compact monitor summaries.
     pub retired_incidents: usize,
+}
+
+/// The daemon's own state, outside the service it wraps.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct DaemonGauges {
+    /// Alert payloads waiting for delivery.
+    pub alert_queue_depth: usize,
+    /// Operator commands audited.
+    pub audit_records: u64,
+    /// Times the state lock was taken over from a thread that
+    /// panicked while holding it.
+    pub state_lock_poisoned: u64,
+    /// Times the feed pump left its park (ring wake or idle tick).
+    pub feed_pump_wakeups: u64,
 }
 
 fn stage_lines(out: &mut String, name: &str, stat: &StageStat) {
@@ -73,13 +89,12 @@ fn stage_lines(out: &mut String, name: &str, stat: &StageStat) {
 /// [`artemis_feeds::WireHealth`] — rendered as reconnect counters and
 /// per-peer session gauges.
 pub fn render(
-    status: &ServiceStatus,
+    status: &ServiceSummary,
     stages: &StageMetrics,
     structure: &StructureGauges,
     wire: &[(String, artemis_feeds::WireHealth)],
     dispatch: &DispatchStats,
-    alert_queue_depth: usize,
-    audit_records: u64,
+    daemon: &DaemonGauges,
 ) -> String {
     let mut out = String::with_capacity(2048);
 
@@ -220,24 +235,19 @@ pub fn render(
     // -- incidents by mitigation phase --------------------------------
     out.push_str("# HELP artemis_incidents Incidents by mitigation lifecycle phase.\n");
     out.push_str("# TYPE artemis_incidents gauge\n");
-    for phase in [
-        MitigationPhase::None,
-        MitigationPhase::PendingConfirmation,
-        MitigationPhase::Executing,
-        MitigationPhase::Resolved,
-    ] {
-        let count = status.incidents.iter().filter(|i| i.phase == phase).count();
+    for phase in MitigationPhase::ALL {
         let _ = writeln!(
             out,
-            "artemis_incidents{{phase=\"{}\"}} {count}",
-            phase_label(phase)
+            "artemis_incidents{{phase=\"{}\"}} {}",
+            phase_label(phase),
+            status.incidents_in(phase)
         );
     }
 
     // -- service state -------------------------------------------------
     out.push_str("# HELP artemis_owned_prefixes Owned prefixes currently onboarded.\n");
     out.push_str("# TYPE artemis_owned_prefixes gauge\n");
-    let _ = writeln!(out, "artemis_owned_prefixes {}", status.owned.len());
+    let _ = writeln!(out, "artemis_owned_prefixes {}", status.owned_prefixes);
     out.push_str("# HELP artemis_mitigation_paused 1 while mitigation is paused.\n");
     out.push_str("# TYPE artemis_mitigation_paused gauge\n");
     let _ = writeln!(
@@ -287,12 +297,38 @@ pub fn render(
     );
     out.push_str("# HELP artemis_alert_queue_depth Alert payloads waiting for delivery.\n");
     out.push_str("# TYPE artemis_alert_queue_depth gauge\n");
-    let _ = writeln!(out, "artemis_alert_queue_depth {alert_queue_depth}");
+    let _ = writeln!(
+        out,
+        "artemis_alert_queue_depth {}",
+        daemon.alert_queue_depth
+    );
 
     // -- audit ---------------------------------------------------------
     out.push_str("# HELP artemis_audit_records_total Operator commands audited.\n");
     out.push_str("# TYPE artemis_audit_records_total counter\n");
-    let _ = writeln!(out, "artemis_audit_records_total {audit_records}");
+    let _ = writeln!(out, "artemis_audit_records_total {}", daemon.audit_records);
+
+    // -- daemon threads ------------------------------------------------
+    out.push_str(
+        "# HELP artemis_state_lock_poisoned_total State-lock acquisitions that recovered the \
+         guard from a thread that panicked holding it.\n",
+    );
+    out.push_str("# TYPE artemis_state_lock_poisoned_total counter\n");
+    let _ = writeln!(
+        out,
+        "artemis_state_lock_poisoned_total {}",
+        daemon.state_lock_poisoned
+    );
+    out.push_str(
+        "# HELP artemis_feed_pump_wakeups_total Times the feed pump left its park (a live \
+         ring turned non-empty, or the idle tick).\n",
+    );
+    out.push_str("# TYPE artemis_feed_pump_wakeups_total counter\n");
+    let _ = writeln!(
+        out,
+        "artemis_feed_pump_wakeups_total {}",
+        daemon.feed_pump_wakeups
+    );
 
     out
 }
@@ -302,14 +338,13 @@ mod tests {
     use super::*;
     use artemis_simnet::SimTime;
 
-    fn empty_status() -> ServiceStatus {
-        ServiceStatus {
-            at: SimTime::from_secs(1),
+    fn empty_status() -> ServiceSummary {
+        ServiceSummary {
             mitigation_paused: false,
             events_delivered: 7,
             events_recorded: 3,
-            owned: Vec::new(),
-            incidents: Vec::new(),
+            owned_prefixes: 100_000,
+            incidents_by_phase: [0, 0, 4, 9],
             feeds: Vec::new(),
         }
     }
@@ -327,8 +362,12 @@ mod tests {
             },
             &[],
             &DispatchStats::default(),
-            0,
-            5,
+            &DaemonGauges {
+                alert_queue_depth: 0,
+                audit_records: 5,
+                state_lock_poisoned: 1,
+                feed_pump_wakeups: 12,
+            },
         );
         for line in text.lines() {
             assert!(
@@ -338,8 +377,13 @@ mod tests {
         }
         assert!(text.contains("artemis_events_delivered_total 7"));
         assert!(text.contains("artemis_stage_batches_total{stage=\"drain\"} 0"));
-        assert!(text.contains("artemis_incidents{phase=\"executing\"} 0"));
+        assert!(text.contains("artemis_incidents{phase=\"executing\"} 4"));
+        assert!(text.contains("artemis_incidents{phase=\"resolved\"} 9"));
+        assert!(text.contains("artemis_incidents{phase=\"none\"} 0"));
+        assert!(text.contains("artemis_owned_prefixes 100000"));
         assert!(text.contains("artemis_audit_records_total 5"));
+        assert!(text.contains("artemis_state_lock_poisoned_total 1"));
+        assert!(text.contains("artemis_feed_pump_wakeups_total 12"));
         assert!(text.contains("artemis_mitigation_paused 0"));
         assert!(text.contains("artemis_stage_p99_batch_nanos{stage=\"classify\"} 0"));
         for sub in [
@@ -388,8 +432,7 @@ mod tests {
             &StructureGauges::default(),
             &[],
             &DispatchStats::default(),
-            0,
-            0,
+            &DaemonGauges::default(),
         );
         assert!(text.contains("artemis_feed_dropped_total{feed=\"feed#0\",name=\"bmp0\"} 7"));
         assert!(text.contains("artemis_feed_shed_total{feed=\"feed#0\",name=\"bmp0\"} 3"));
@@ -426,8 +469,7 @@ mod tests {
             &StructureGauges::default(),
             &wire,
             &DispatchStats::default(),
-            0,
-            0,
+            &DaemonGauges::default(),
         );
         assert!(text.contains("artemis_feed_reconnects_total{name=\"bmp0\"} 3"));
         assert!(text.contains(

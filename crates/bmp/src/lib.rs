@@ -31,7 +31,7 @@ mod ring;
 mod wire;
 
 pub use frame::FrameAssembler;
-pub use ring::BackpressureRing;
+pub use ring::{BackpressureRing, WakeLatch};
 pub use wire::{
     BmpDiagnostic, BmpError, BmpMessage, BmpScanner, BmpWriter, InfoTlv, PeerHeader, RawBmpMessage,
     StatCounter, COMMON_HEADER_LEN, MAX_BMP_MESSAGE_LEN, MSG_INITIATION, MSG_PEER_DOWN,

@@ -3,7 +3,41 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
+use std::time::Duration;
+
+/// A one-bit wake-up latch: producers [`WakeLatch::wake`] it, one
+/// consumer thread parks in [`WakeLatch::wait`]. Signals do not count
+/// — any number of wakes before the consumer looks collapse into one —
+/// and a wake that arrives while nobody is parked is kept, so the next
+/// `wait` returns at once. Clones share the bit.
+#[derive(Clone, Default)]
+pub struct WakeLatch(Arc<(Mutex<bool>, Condvar)>);
+
+impl WakeLatch {
+    /// A fresh, unsignalled latch.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Set the bit and wake the parked consumer, if any.
+    pub fn wake(&self) {
+        let (bit, parked) = &*self.0;
+        *bit.lock().unwrap_or_else(PoisonError::into_inner) = true;
+        parked.notify_one();
+    }
+
+    /// Park until the bit is set or `timeout` elapses, then clear it.
+    /// Returns whether it was set.
+    pub fn wait(&self, timeout: Duration) -> bool {
+        let (bit, parked) = &*self.0;
+        let guard = bit.lock().unwrap_or_else(PoisonError::into_inner);
+        let (mut guard, _) = parked
+            .wait_timeout_while(guard, timeout, |set| !*set)
+            .unwrap_or_else(PoisonError::into_inner);
+        std::mem::take(&mut *guard)
+    }
+}
 
 /// A fixed-capacity drop-oldest ring shared between one producer (the
 /// socket reader thread) and one consumer (the pipeline's poll path).
@@ -15,8 +49,14 @@ use std::sync::Mutex;
 /// hijacked prefix keeps being re-announced, so fresher data always
 /// supersedes what was shed. Every shed is counted; the counters are
 /// monotone and readable without taking the lock.
+///
+/// A consumer that would rather sleep than poll installs a
+/// [`WakeLatch`] with [`BackpressureRing::set_waker`]: a push that
+/// lands on an **empty** ring signals it — one wake per burst, not per
+/// item, and nothing on the drain path.
 pub struct BackpressureRing<T> {
     inner: Mutex<VecDeque<T>>,
+    waker: OnceLock<WakeLatch>,
     capacity: usize,
     pushed: AtomicU64,
     shed: AtomicU64,
@@ -29,6 +69,7 @@ impl<T> BackpressureRing<T> {
         let capacity = capacity.max(1);
         BackpressureRing {
             inner: Mutex::new(VecDeque::with_capacity(capacity)),
+            waker: OnceLock::new(),
             capacity,
             pushed: AtomicU64::new(0),
             shed: AtomicU64::new(0),
@@ -36,10 +77,34 @@ impl<T> BackpressureRing<T> {
         }
     }
 
+    /// Install the latch signalled when a push lands on an empty ring.
+    /// The first installed latch stays for the ring's life (later calls
+    /// are ignored). Items already queued signal it at once, so a
+    /// consumer that attaches late never waits for a burst it cannot
+    /// be told about.
+    pub fn set_waker(&self, waker: WakeLatch) {
+        // Under the queue lock: a concurrent push either is seen here
+        // as a non-empty ring or sees the installed latch itself.
+        let q = self.inner.lock().expect("ring lock poisoned");
+        let installed = self.waker.get_or_init(|| waker);
+        if !q.is_empty() {
+            installed.wake();
+        }
+    }
+
+    /// Signal the installed latch (if any) although nothing was
+    /// pushed: for producer-side news that travels beside the ring.
+    pub fn wake_consumer(&self) {
+        if let Some(waker) = self.waker.get() {
+            waker.wake();
+        }
+    }
+
     /// Queue `item`, shedding the oldest queued item if full. Returns
     /// `true` when nothing was shed.
     pub fn push(&self, item: T) -> bool {
         let mut q = self.inner.lock().expect("ring lock poisoned");
+        let was_empty = q.is_empty();
         let mut clean = true;
         if q.len() == self.capacity {
             q.pop_front();
@@ -48,6 +113,10 @@ impl<T> BackpressureRing<T> {
         }
         q.push_back(item);
         self.pushed.fetch_add(1, Ordering::Relaxed);
+        drop(q);
+        if was_empty {
+            self.wake_consumer();
+        }
         clean
     }
 
@@ -55,6 +124,7 @@ impl<T> BackpressureRing<T> {
     /// as needed. Returns how many items were shed.
     pub fn push_batch(&self, items: impl IntoIterator<Item = T>) -> u64 {
         let mut q = self.inner.lock().expect("ring lock poisoned");
+        let was_empty = q.is_empty();
         let mut shed = 0u64;
         let mut pushed = 0u64;
         for item in items {
@@ -67,6 +137,10 @@ impl<T> BackpressureRing<T> {
         }
         self.pushed.fetch_add(pushed, Ordering::Relaxed);
         self.shed.fetch_add(shed, Ordering::Relaxed);
+        drop(q);
+        if was_empty && pushed > 0 {
+            self.wake_consumer();
+        }
         shed
     }
 
@@ -169,6 +243,63 @@ mod tests {
         let mut out = Vec::new();
         ring.drain_into(&mut out, usize::MAX);
         assert_eq!(out.last(), Some(&99_999), "newest survives the stall");
+    }
+
+    #[test]
+    fn only_a_push_onto_an_empty_ring_signals_the_waker() {
+        const NOW: Duration = Duration::ZERO;
+        let ring = BackpressureRing::new(8);
+        let latch = WakeLatch::new();
+        ring.set_waker(latch.clone());
+        assert!(!latch.wait(NOW), "installing on an empty ring is silent");
+
+        ring.push(1);
+        assert!(latch.wait(NOW), "a push onto an empty ring signals");
+        ring.push(2);
+        ring.push_batch(3..6);
+        assert!(!latch.wait(NOW), "pushes onto a non-empty ring do not");
+
+        let mut out = Vec::new();
+        ring.drain_into(&mut out, usize::MAX);
+        assert!(!latch.wait(NOW), "draining signals nothing");
+        ring.push_batch(std::iter::empty());
+        assert!(!latch.wait(NOW), "an empty batch is not a burst");
+        ring.push_batch(6..9);
+        assert!(latch.wait(NOW), "the drain re-armed it: one wake per burst");
+        assert!(!latch.wait(NOW), "waiting clears the bit");
+        assert_eq!(out, vec![1, 2, 3, 4, 5]);
+    }
+
+    #[test]
+    fn a_waker_installed_late_learns_of_what_is_already_queued() {
+        let ring = BackpressureRing::new(8);
+        ring.push(1); // no waker installed: the old behaviour
+        assert_eq!(ring.len(), 1);
+        let latch = WakeLatch::new();
+        ring.set_waker(latch.clone());
+        assert!(latch.wait(Duration::ZERO));
+        // The first latch stays; a second install is ignored.
+        let other = WakeLatch::new();
+        ring.set_waker(other.clone());
+        let mut out = Vec::new();
+        ring.drain_into(&mut out, usize::MAX);
+        ring.push(2);
+        assert!(latch.wait(Duration::ZERO));
+        assert!(!other.wait(Duration::ZERO));
+    }
+
+    #[test]
+    fn a_parked_consumer_is_woken_from_another_thread() {
+        let ring = Arc::new(BackpressureRing::new(8));
+        let latch = WakeLatch::new();
+        ring.set_waker(latch.clone());
+        let producer = {
+            let ring = Arc::clone(&ring);
+            std::thread::spawn(move || ring.push(7))
+        };
+        assert!(latch.wait(Duration::from_secs(10)), "woken, not timed out");
+        producer.join().unwrap();
+        assert_eq!(ring.len(), 1);
     }
 
     #[test]

@@ -70,7 +70,7 @@ pub use monitor::{MonitorIndex, MonitorService, RetiredMonitor};
 pub use pipeline::{AppAction, OffboardReport, Pipeline, PipelineEvent, RunEnd, RunReport};
 pub use service::{
     ArtemisService, CommandOutcome, ServiceCommand, ServiceError, ServiceQuery, ServiceReply,
-    ServiceStatus,
+    ServiceStatus, ServiceSummary,
 };
 pub use wire::{
     CommandEnvelope, CommandResult, EventsEnvelope, InjectEnvelope, InjectOutcome, OutcomeEnvelope,

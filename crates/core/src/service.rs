@@ -25,7 +25,7 @@
 
 #![deny(missing_docs)]
 
-use crate::alert::{AlertId, AlertState};
+use crate::alert::{Alert, AlertId, AlertState};
 use crate::config::OwnedPrefix;
 use crate::event_log::{EventCursor, EventLog, PollBatch};
 use crate::mitigation::{MitigationPlan, MitigationPolicy};
@@ -227,6 +227,34 @@ pub struct ServiceStatus {
     pub feeds: Vec<FeedStatus>,
 }
 
+/// The counts of a [`ServiceStatus`] without its owned-prefix and
+/// incident tables: what a metrics scrape prints, at a cost that does
+/// not grow with the fleet (see [`ArtemisService::summary`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct ServiceSummary {
+    /// True while mitigation is paused.
+    pub mitigation_paused: bool,
+    /// Feed events delivered to the detector so far.
+    pub events_delivered: u64,
+    /// Total incident events recorded (retained or evicted).
+    pub events_recorded: u64,
+    /// Owned prefixes currently onboarded.
+    pub owned_prefixes: usize,
+    /// Incidents (open and resolved) per [`MitigationPhase`], in the
+    /// order of [`MitigationPhase::ALL`]; read through
+    /// [`ServiceSummary::incidents_in`].
+    pub incidents_by_phase: [usize; MitigationPhase::ALL.len()],
+    /// Per-feed health.
+    pub feeds: Vec<FeedStatus>,
+}
+
+impl ServiceSummary {
+    /// How many incidents sit in `phase`.
+    pub fn incidents_in(&self, phase: MitigationPhase) -> usize {
+        self.incidents_by_phase[phase as usize]
+    }
+}
+
 /// One row of the owned-prefix table.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PrefixStatus {
@@ -255,6 +283,29 @@ pub enum MitigationPhase {
     Executing,
     /// The incident is over.
     Resolved,
+}
+
+impl MitigationPhase {
+    /// Every phase, in lifecycle (and discriminant) order.
+    pub const ALL: [MitigationPhase; 4] = [
+        MitigationPhase::None,
+        MitigationPhase::PendingConfirmation,
+        MitigationPhase::Executing,
+        MitigationPhase::Resolved,
+    ];
+}
+
+/// The phase of `alert`, given the alerts whose plan awaits confirmation.
+fn phase_of(alert: &Alert, pending: &BTreeSet<AlertId>) -> MitigationPhase {
+    if alert.state == AlertState::Resolved {
+        MitigationPhase::Resolved
+    } else if pending.contains(&alert.id) {
+        MitigationPhase::PendingConfirmation
+    } else if alert.state == AlertState::Mitigating {
+        MitigationPhase::Executing
+    } else {
+        MitigationPhase::None
+    }
 }
 
 /// One row of the incident table.
@@ -488,6 +539,33 @@ impl ArtemisService {
         }
     }
 
+    /// The same instant's counts without the tables: the owned-prefix
+    /// count is the detector's shard count and an incident costs one
+    /// phase lookup — no per-prefix row, no monitor snapshot.
+    pub fn summary(&self) -> ServiceSummary {
+        let pending = self.pending_alerts();
+        let mut incidents_by_phase = [0; MitigationPhase::ALL.len()];
+        for alert in self.pipeline.detector().alerts().all() {
+            incidents_by_phase[phase_of(alert, &pending) as usize] += 1;
+        }
+        ServiceSummary {
+            mitigation_paused: self.pipeline.mitigation_paused(),
+            events_delivered: self.pipeline.events_delivered(),
+            events_recorded: self.pipeline.event_log().total_pushed(),
+            owned_prefixes: self.pipeline.detector().shard_count(),
+            incidents_by_phase,
+            feeds: self.feed_table(),
+        }
+    }
+
+    /// Alerts whose mitigation plan is held for confirmation.
+    fn pending_alerts(&self) -> BTreeSet<AlertId> {
+        self.pipeline
+            .pending_mitigations()
+            .map(|(id, _)| id)
+            .collect()
+    }
+
     /// The owned-prefix table, read from the detector's shard rules in
     /// prefix order (see [`crate::Detector::owned_prefixes`]): the same
     /// configured set always lists the same way, whatever sequence of
@@ -513,26 +591,14 @@ impl ArtemisService {
     }
 
     fn incident_table(&self, now: SimTime) -> Vec<IncidentStatus> {
-        let pending: BTreeSet<AlertId> = self
-            .pipeline
-            .pending_mitigations()
-            .map(|(id, _)| id)
-            .collect();
+        let pending = self.pending_alerts();
         self.pipeline
             .detector()
             .alerts()
             .all()
             .iter()
             .map(|a| {
-                let phase = if a.state == AlertState::Resolved {
-                    MitigationPhase::Resolved
-                } else if pending.contains(&a.id) {
-                    MitigationPhase::PendingConfirmation
-                } else if a.state == AlertState::Mitigating {
-                    MitigationPhase::Executing
-                } else {
-                    MitigationPhase::None
-                };
+                let phase = phase_of(a, &pending);
                 // Active incidents snapshot their live monitor; over
                 // incidents read the counts frozen at retirement
                 // (identical, since a frozen monitor never changes).
@@ -845,6 +911,18 @@ mod tests {
             panic!("wrong reply variant");
         };
         assert_eq!(incidents, status.incidents);
+
+        // The table-free summary counts what the snapshot lists.
+        let summary = svc.summary();
+        assert_eq!(summary.owned_prefixes, status.owned.len());
+        assert_eq!(summary.events_delivered, status.events_delivered);
+        assert_eq!(summary.events_recorded, status.events_recorded);
+        assert_eq!(summary.mitigation_paused, status.mitigation_paused);
+        assert_eq!(summary.feeds, status.feeds);
+        for phase in MitigationPhase::ALL {
+            let listed = status.incidents.iter().filter(|i| i.phase == phase);
+            assert_eq!(summary.incidents_in(phase), listed.count(), "{phase:?}");
+        }
     }
 
     #[test]

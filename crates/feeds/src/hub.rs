@@ -3,7 +3,7 @@
 
 use crate::event::{FeedEvent, FeedKind};
 use crate::filter::FeedFilter;
-use crate::source::{FeedSource, RibView};
+use crate::source::{FeedSource, RibView, WakeLatch};
 use artemis_bgpsim::RouteChange;
 use artemis_simnet::{SimRng, SimTime};
 use serde::{Deserialize, Serialize};
@@ -213,6 +213,9 @@ pub struct FeedHub {
     /// Per-feed pre-heap filters, keyed by handle id. Only non-trivial
     /// filters are stored (the wildcard costs nothing by absence).
     filters: BTreeMap<u64, FeedFilter>,
+    /// The driver's wake-up latch, kept so feeds attached later get it
+    /// too (see [`FeedHub::set_waker`]).
+    waker: Option<WakeLatch>,
 }
 
 impl FeedHub {
@@ -230,7 +233,19 @@ impl FeedHub {
             scratch: Vec::new(),
             lag: BTreeMap::new(),
             filters: BTreeMap::new(),
+            waker: None,
         }
+    }
+
+    /// Install the latch the hub's driver parks on: handed to every
+    /// attached feed now and to every feed attached from here on
+    /// ([`FeedSource::set_waker`]), so a live feed wakes the driver
+    /// whenever [`FeedHub::next_poll`] turns ready.
+    pub fn set_waker(&mut self, waker: WakeLatch) {
+        for (_, _, feed) in &mut self.feeds {
+            feed.set_waker(waker.clone());
+        }
+        self.waker = Some(waker);
     }
 
     /// Add a feed, returning its stable [`FeedHandle`]. Handles are
@@ -238,10 +253,13 @@ impl FeedHub {
     /// own RNG stream, forked from the hub's master stream by handle —
     /// so its delay draws are a pure function of (hub seed, handle,
     /// its own event history), independent of other feeds.
-    pub fn add(&mut self, feed: Box<dyn FeedSource>) -> FeedHandle {
+    pub fn add(&mut self, mut feed: Box<dyn FeedSource>) -> FeedHandle {
         let handle = FeedHandle(self.next_handle);
         self.next_handle += 1;
         let feed_rng = self.rng.fork_indexed("feed", handle.0);
+        if let Some(waker) = &self.waker {
+            feed.set_waker(waker.clone());
+        }
         self.feeds.push((handle, feed_rng, feed));
         self.lag.insert(handle.0, FeedLag::default());
         handle
@@ -645,6 +663,52 @@ mod tests {
         let kinds: std::collections::BTreeSet<FeedKind> = evs.iter().map(|e| e.source).collect();
         assert!(kinds.contains(&FeedKind::RisLive));
         assert!(kinds.contains(&FeedKind::BgpMon));
+    }
+
+    /// A feed that knocks on the latch the moment it is handed one.
+    struct Knocker;
+
+    impl FeedSource for Knocker {
+        fn kind(&self) -> FeedKind {
+            FeedKind::BmpLive
+        }
+        fn name(&self) -> &str {
+            "knocker"
+        }
+        fn on_route_change_into(
+            &mut self,
+            _: &RouteChange,
+            _: &mut SimRng,
+            _: &mut Vec<FeedEvent>,
+        ) {
+        }
+        fn next_poll(&self, _now: SimTime) -> Option<SimTime> {
+            None
+        }
+        fn poll(&mut self, _: SimTime, _: &dyn RibView, _: &mut SimRng) -> Vec<FeedEvent> {
+            Vec::new()
+        }
+        fn events_emitted(&self) -> u64 {
+            0
+        }
+        fn set_waker(&mut self, waker: WakeLatch) {
+            waker.wake();
+        }
+    }
+
+    #[test]
+    fn waker_reaches_feeds_attached_before_and_after_it() {
+        use std::time::Duration;
+        let mut hub = FeedHub::new(SimRng::new(1));
+        let latch = WakeLatch::new();
+        hub.add(Box::new(Knocker));
+        assert!(!latch.wait(Duration::ZERO), "no waker installed yet");
+        hub.set_waker(latch.clone());
+        assert!(latch.wait(Duration::ZERO), "already-attached feeds get it");
+        hub.add(Box::new(Knocker));
+        assert!(latch.wait(Duration::ZERO), "so does a feed added later");
+        hub.add_filtered(Box::new(Knocker), FeedFilter::any().origin(Asn(174)));
+        assert!(latch.wait(Duration::ZERO), "and one added with a filter");
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub use hub::{DrainBreakdown, FeedHandle, FeedHub, FeedLag};
 pub use live::{BmpLiveFeed, LiveFeedConfig, LiveFeedStats, PeerHealth, WireHealth};
 pub use periscope::{LookingGlass, PeriscopeFeed};
 pub use replay::{MrtReplayFeed, MrtRibSnapshot};
-pub use source::{EmptyRibView, EngineView, FeedSource, RibView};
+pub use source::{EmptyRibView, EngineView, FeedSource, RibView, WakeLatch};
 pub use spec::FeedSpec;
 pub use stream::StreamFeed;
 pub use vantage::VantageStrategy;

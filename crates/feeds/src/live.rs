@@ -6,7 +6,9 @@
 //! and parks the survivors in a fixed-capacity
 //! [`artemis_bmp::BackpressureRing`]. The pipeline side is an ordinary
 //! pull-based [`FeedSource`]: `next_poll` reports "now" whenever the
-//! ring holds events, and `poll` drains them. When the detector falls
+//! ring holds events, and `poll` drains them; a driver that installed
+//! a latch with [`FeedSource::set_waker`] is woken when the ring turns
+//! non-empty (and on a `peer_down`). When the detector falls
 //! behind, the ring sheds oldest-first and counts every shed — memory
 //! stays bounded by construction, and the loss is visible in
 //! [`crate::FeedLag`] instead of silent.
@@ -15,7 +17,7 @@
 
 use crate::event::{FeedEvent, FeedKind};
 use crate::filter::FeedFilter;
-use crate::source::{FeedSource, RibView};
+use crate::source::{FeedSource, RibView, WakeLatch};
 use artemis_bgp::{Asn, BgpMessage};
 use artemis_bgpsim::RouteChange;
 use artemis_bmp::{BackpressureRing, BmpMessage, FrameAssembler, PeerHeader};
@@ -253,8 +255,8 @@ impl FeedSource for BmpLiveFeed {
 
     fn next_poll(&self, now: SimTime) -> Option<SimTime> {
         // Ready exactly when the ring holds events: the driver polls
-        // immediately, and an empty ring schedules nothing (the next
-        // pump tick re-asks).
+        // immediately, and an empty ring schedules nothing (the ring
+        // wakes the driver when that changes).
         if self.ring.is_empty() {
             None
         } else {
@@ -305,6 +307,10 @@ impl FeedSource for BmpLiveFeed {
 
     fn take_peer_downs(&mut self) -> Vec<Asn> {
         std::mem::take(&mut *self.counters.peer_downs.lock().expect("peer downs"))
+    }
+
+    fn set_waker(&mut self, waker: WakeLatch) {
+        self.ring.set_waker(waker);
     }
 }
 
@@ -480,6 +486,10 @@ fn stream_session(
                         if !downs.contains(&peer.peer_as) {
                             downs.push(peer.peer_as);
                         }
+                        drop(downs);
+                        // The purge waits for the next delivery
+                        // boundary; do not let that be the idle tick.
+                        ring.wake_consumer();
                     }
                     // Remaining session bookkeeping (peer up,
                     // initiation/termination) carries no reachability.
@@ -850,5 +860,35 @@ mod tests {
             "draining is destructive — the purge applies once"
         );
         writer.join().unwrap();
+    }
+
+    #[test]
+    fn peer_down_knocks_on_the_waker_though_nothing_is_pushed() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let mut feed = BmpLiveFeed::connect("bmp0", addr.to_string(), LiveFeedConfig::default());
+        let latch = WakeLatch::new();
+        feed.set_waker(latch.clone());
+        let (mut sock, _) = listener.accept().unwrap();
+        let peer = PeerHeader::global(
+            std::net::IpAddr::V4(Ipv4Addr::new(192, 0, 2, 10)),
+            Asn(174),
+            Ipv4Addr::new(10, 0, 0, 1),
+            5_000_000,
+        );
+        let mut w = BmpWriter::new();
+        w.write(&artemis_bmp::BmpMessage::PeerDown {
+            peer,
+            reason: 1,
+            data: Vec::new(),
+        })
+        .unwrap();
+        sock.write_all(w.as_bytes()).unwrap();
+        assert!(
+            latch.wait(Duration::from_secs(10)),
+            "the purge must not wait for the driver's idle tick"
+        );
+        assert_eq!(feed.stats().pending, 0);
+        assert_eq!(feed.take_peer_downs(), vec![Asn(174)]);
     }
 }

@@ -5,6 +5,8 @@ use artemis_bgp::{Asn, Prefix};
 use artemis_bgpsim::{BestRoute, Engine, RouteChange};
 use artemis_simnet::{SimRng, SimTime};
 
+pub use artemis_bmp::WakeLatch;
+
 /// Read-only view of current routing state, used by pull-based feeds
 /// (looking glasses, RIB snapshots).
 pub trait RibView {
@@ -125,6 +127,12 @@ pub trait FeedSource: Send {
     fn take_peer_downs(&mut self) -> Vec<Asn> {
         Vec::new()
     }
+    /// Hand the feed the latch its driver parks on. A feed that learns
+    /// of events on a thread of its own ([`crate::BmpLiveFeed`])
+    /// signals it when [`FeedSource::next_poll`] turns from `None` to
+    /// ready, so the driver need not ask on a timer. Feeds driven
+    /// entirely by the caller have nobody to wake and ignore it.
+    fn set_waker(&mut self, _waker: WakeLatch) {}
 }
 
 #[cfg(test)]

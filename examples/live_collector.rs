@@ -228,7 +228,7 @@ fn main() {
     let metrics = client.metrics_text().expect("metrics");
     let nonzero_feed_lines: Vec<&str> = metrics
         .lines()
-        .filter(|l| l.starts_with("artemis_feed_") && !l.ends_with(" 0"))
+        .filter(|l| l.contains("name=\"bmp0\"") && !l.ends_with(" 0"))
         .collect();
     assert!(
         nonzero_feed_lines
