@@ -408,6 +408,7 @@ fn handle_metrics(shared: &Shared) -> Response {
         routing_bytes: pipeline.detector().routing_bytes(),
         routing_epoch: pipeline.detector().routing_epoch().epoch(),
         retired_incidents: pipeline.retired_count(),
+        timeline_coalesced_points: pipeline.timeline_coalesced_points(),
     };
     let wire: Vec<(String, artemis_feeds::WireHealth)> = pipeline
         .hub()

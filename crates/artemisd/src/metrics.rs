@@ -40,6 +40,9 @@ pub struct StructureGauges {
     pub routing_epoch: u64,
     /// Resolved incidents retired to compact monitor summaries.
     pub retired_incidents: usize,
+    /// Timeline points folded away by the per-incident timeline cap,
+    /// over live and retired incidents.
+    pub timeline_coalesced_points: u64,
 }
 
 /// The daemon's own state, outside the service it wraps.
@@ -275,6 +278,15 @@ pub fn render(
         "artemis_retired_incidents {}",
         structure.retired_incidents
     );
+    out.push_str(
+        "# HELP artemis_monitor_timeline_coalesced_points_total State changes folded into a full incident timeline's last point.\n",
+    );
+    out.push_str("# TYPE artemis_monitor_timeline_coalesced_points_total counter\n");
+    let _ = writeln!(
+        out,
+        "artemis_monitor_timeline_coalesced_points_total {}",
+        structure.timeline_coalesced_points
+    );
 
     // -- alert dispatch ------------------------------------------------
     out.push_str("# HELP artemis_alerts_enqueued_total Alert payloads queued for delivery.\n");
@@ -359,6 +371,7 @@ mod tests {
                 routing_bytes: 1024,
                 routing_epoch: 17,
                 retired_incidents: 2,
+                timeline_coalesced_points: 6,
             },
             &[],
             &DispatchStats::default(),
@@ -408,6 +421,7 @@ mod tests {
         assert!(text.contains("artemis_routing_bytes 1024"));
         assert!(text.contains("artemis_routing_epoch 17"));
         assert!(text.contains("artemis_retired_incidents 2"));
+        assert!(text.contains("artemis_monitor_timeline_coalesced_points_total 6"));
     }
 
     #[test]

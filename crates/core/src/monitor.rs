@@ -6,13 +6,55 @@
 //! between the legitimate and illegitimate origin — this module keeps
 //! that state and declares the incident resolved when every vantage
 //! point routes to a legitimate origin again.
+//!
+//! # Cost model
+//!
+//! The information the paper asks for is small: per vantage point the
+//! *selected origin*, and over the population three counters. The
+//! service keeps exactly that, incrementally:
+//!
+//! * the vantage population is fixed at construction, so it is a
+//!   sorted `Vec<Asn>` with one slot per VP beside it; a slot holds
+//!   the few routes that VP reported inside the monitored space, the
+//!   index of the one longest-prefix match selects, and the
+//!   `(state, origin)` that selection classifies to;
+//! * an announcement of a prefix the VP already reports updates that
+//!   route in place, a new prefix replaces the cached selection only
+//!   when its `(length, prefix)` key beats the cached one, and a
+//!   withdrawal rescans that one VP's routes only when it removed the
+//!   selection;
+//! * `legitimate` and `hijacked` are fields adjusted on each per-VP
+//!   transition, so [`MonitorService::snapshot`],
+//!   [`MonitorService::all_legitimate`],
+//!   [`MonitorService::any_hijacked`] and [`MonitorService::retire`]
+//!   read two integers;
+//! * the timeline holds at most [`TIMELINE_CAP`] points. Below the cap
+//!   every state change appends one; at the cap the newest point
+//!   overwrites the last slot and `coalesced_points` counts it, so the
+//!   head of the incident (hijack spread, mitigation onset) and its
+//!   current state stay exact while a flapping incident's memory stays
+//!   bounded. The rule depends only on the event sequence, never on
+//!   how the stream was cut into batches.
+//!
+//! The previous implementation (nested `BTreeMap`s, a `max_by_key`
+//! scan per read, a full population rescan per snapshot) lives on
+//! under `#[cfg(test)]` as the linear model the property tests at the
+//! bottom of this file compare every step against.
 
 use crate::alert::AlertId;
 use artemis_bgp::{Asn, FlatTrie, Prefix};
 use artemis_feeds::FeedEvent;
 use artemis_simnet::SimTime;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::Arc;
+
+/// Most timeline points one incident keeps (4096 × 32 B = 128 KiB).
+/// Past it the last slot tracks the newest point and
+/// [`MonitorService::coalesced_points`] counts what it absorbed. Far
+/// above anything an experiment binary, example or test records (the
+/// longest timeline among them is under 128 points), so theirs are
+/// complete.
+pub const TIMELINE_CAP: usize = 4096;
 
 /// What a vantage point currently selects for the monitored space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,19 +80,52 @@ pub struct TimelinePoint {
     pub unknown: usize,
 }
 
+/// One vantage point's view of the monitored space.
+#[derive(Debug)]
+struct VpSlot {
+    /// Every route the VP currently reports inside the monitored space
+    /// (covering or covered by the target), unordered. A handful at
+    /// most: the owned prefix, the hijacker's more-specifics, the
+    /// mitigation's de-aggregates.
+    routes: Vec<(Prefix, Option<Asn>)>,
+    /// Index into `routes` of the longest-prefix match — the maximum
+    /// by `(length, prefix)`. Meaningless while `routes` is empty.
+    selected: usize,
+    /// What the selection classifies to; `(Unknown, None)` while
+    /// `routes` is empty.
+    observation: (VpState, Option<Asn>),
+}
+
+/// Selection order within one VP: longest prefix first, and of two
+/// equal-length more-specifics the greater in `Prefix` order.
+fn selection_key(prefix: Prefix) -> (u8, Prefix) {
+    (prefix.len(), prefix)
+}
+
 /// Tracks, per vantage point, the origin selected for a monitored
 /// prefix (longest-prefix-match over everything that VP reported).
+/// See the module documentation for the cost model.
 #[derive(Debug)]
 pub struct MonitorService {
     /// The monitored (owned) prefix.
     target: Prefix,
     legitimate_origins: BTreeSet<Asn>,
-    /// Expected vantage points (fixed population for percentages).
-    vantage_points: BTreeSet<Asn>,
-    /// vp -> (prefix -> origin) observations within the target space.
-    observations: BTreeMap<Asn, BTreeMap<Prefix, Option<Asn>>>,
-    /// Recorded timeline (one point per state change).
+    /// Expected vantage points (fixed population for percentages),
+    /// ascending.
+    vantage_points: Vec<Asn>,
+    /// One slot per vantage point, parallel to `vantage_points`.
+    slots: Vec<VpSlot>,
+    /// Vantage points whose selection is legitimate / the offender's;
+    /// the rest of the population is unknown.
+    legitimate: usize,
+    hijacked: usize,
+    /// Recorded timeline (one point per state change, up to
+    /// `timeline_cap`).
     timeline: Vec<TimelinePoint>,
+    /// [`TIMELINE_CAP`] outside tests.
+    timeline_cap: usize,
+    /// State changes absorbed by the last timeline slot at the cap.
+    coalesced_points: u64,
 }
 
 impl MonitorService {
@@ -61,13 +136,35 @@ impl MonitorService {
         legitimate_origins: BTreeSet<Asn>,
         vantage_points: BTreeSet<Asn>,
     ) -> Self {
+        let vantage_points: Vec<Asn> = vantage_points.into_iter().collect();
+        let slots = vantage_points
+            .iter()
+            .map(|_| VpSlot {
+                routes: Vec::new(),
+                selected: 0,
+                observation: (VpState::Unknown, None),
+            })
+            .collect();
         MonitorService {
             target,
             legitimate_origins,
             vantage_points,
-            observations: BTreeMap::new(),
+            slots,
+            legitimate: 0,
+            hijacked: 0,
             timeline: Vec::new(),
+            timeline_cap: TIMELINE_CAP,
+            coalesced_points: 0,
         }
+    }
+
+    /// [`MonitorService::new`] with a small timeline cap, so tests
+    /// reach the coalescing regime in a few events.
+    #[cfg(test)]
+    fn with_timeline_cap(mut self, cap: usize) -> Self {
+        assert!(cap > 0, "the last slot must exist");
+        self.timeline_cap = cap;
+        self
     }
 
     /// The monitored prefix.
@@ -124,47 +221,97 @@ impl MonitorService {
             event.prefix,
             self.target
         );
-        if !self.vantage_points.contains(&event.vantage) {
+        let Ok(vp) = self.vantage_points.binary_search(&event.vantage) else {
             return;
-        }
-        let before = self.vp_observation(event.vantage);
-        let slot = self.observations.entry(event.vantage).or_default();
-        match (&event.as_path, event.origin_as) {
-            (Some(_), origin) => {
-                slot.insert(event.prefix, origin);
+        };
+        let slot = &mut self.slots[vp];
+        let at = slot.routes.iter().position(|(p, _)| *p == event.prefix);
+        match (&event.as_path, at) {
+            (Some(_), Some(i)) => slot.routes[i].1 = event.origin_as,
+            (Some(_), None) => {
+                slot.routes.push((event.prefix, event.origin_as));
+                let i = slot.routes.len() - 1;
+                if i == 0
+                    || selection_key(event.prefix) > selection_key(slot.routes[slot.selected].0)
+                {
+                    slot.selected = i;
+                }
             }
-            (None, _) => {
-                slot.remove(&event.prefix);
+            (None, Some(i)) => {
+                slot.routes.swap_remove(i);
+                if slot.selected == i {
+                    // The selection itself went away: the one rescan,
+                    // over this VP's few routes only.
+                    slot.selected = (0..slot.routes.len())
+                        .max_by_key(|j| selection_key(slot.routes[*j].0))
+                        .unwrap_or(0);
+                } else if slot.selected == slot.routes.len() {
+                    slot.selected = i; // the selection was the moved tail
+                }
             }
+            (None, None) => {}
         }
-        let after = self.vp_observation(event.vantage);
-        if self.timeline.is_empty() || before != after {
-            self.timeline.push(self.snapshot(event.emitted_at));
+        let changed = self.reclassify(vp);
+        if self.timeline.is_empty() || changed {
+            self.record(event.emitted_at);
         }
     }
 
-    /// The state of one vantage point together with the origin its
-    /// LPM-selected observation points at (`None` when the VP has no
-    /// data, or its best route carries an AS_SET origin).
-    pub fn vp_observation(&self, vp: Asn) -> (VpState, Option<Asn>) {
-        let Some(obs) = self.observations.get(&vp) else {
-            return (VpState::Unknown, None);
-        };
-        // Longest prefix match across everything the VP reported that
-        // covers (part of) the target. For the paper's measurement the
-        // address under test is the target prefix itself (its first
-        // address).
-        let best = obs
-            .iter()
-            .filter(|(p, _)| p.contains(self.target) || self.target.contains(**p))
-            .max_by_key(|(p, _)| p.len());
-        match best {
+    /// Re-derive slot `vp`'s `(state, origin)` from its selection and
+    /// move the VP between the counters. Returns whether it changed.
+    fn reclassify(&mut self, vp: usize) -> bool {
+        let slot = &mut self.slots[vp];
+        let after = match slot.routes.get(slot.selected) {
             None => (VpState::Unknown, None),
             Some((_, Some(origin))) if self.legitimate_origins.contains(origin) => {
                 (VpState::Legitimate, Some(*origin))
             }
             Some((_, Some(origin))) => (VpState::Hijacked, Some(*origin)),
             Some((_, None)) => (VpState::Hijacked, None), // AS_SET origin: suspicious
+        };
+        let before = std::mem::replace(&mut slot.observation, after);
+        if before.0 != after.0 {
+            if let Some(n) = self.count_mut(before.0) {
+                *n -= 1;
+            }
+            if let Some(n) = self.count_mut(after.0) {
+                *n += 1;
+            }
+        }
+        before != after
+    }
+
+    /// The counter `state` is tallied in; unknown is the remainder.
+    fn count_mut(&mut self, state: VpState) -> Option<&mut usize> {
+        match state {
+            VpState::Legitimate => Some(&mut self.legitimate),
+            VpState::Hijacked => Some(&mut self.hijacked),
+            VpState::Unknown => None,
+        }
+    }
+
+    /// Put the current counts on the timeline: appended below the cap,
+    /// folded into the last slot at it.
+    fn record(&mut self, time: SimTime) {
+        let point = self.snapshot(time);
+        if self.timeline.len() < self.timeline_cap {
+            self.timeline.push(point);
+        } else {
+            *self.timeline.last_mut().expect("cap is nonzero") = point;
+            self.coalesced_points += 1;
+        }
+    }
+
+    /// The state of one vantage point together with the origin its
+    /// LPM-selected observation points at (`None` when the VP has no
+    /// data, or its best route carries an AS_SET origin). For the
+    /// paper's measurement the address under test is the target prefix
+    /// itself (its first address), so every route the VP reported
+    /// inside the monitored space competes and the longest wins.
+    pub fn vp_observation(&self, vp: Asn) -> (VpState, Option<Asn>) {
+        match self.vantage_points.binary_search(&vp) {
+            Ok(i) => self.slots[i].observation,
+            Err(_) => (VpState::Unknown, None),
         }
     }
 
@@ -185,34 +332,26 @@ impl MonitorService {
     /// state change — so a flapping session cannot silently close an
     /// alert.
     pub fn purge_vantage(&mut self, vp: Asn, at: SimTime) -> bool {
-        let before = self.vp_observation(vp);
-        if self.observations.remove(&vp).is_none() {
+        let Ok(vp) = self.vantage_points.binary_search(&vp) else {
+            return false;
+        };
+        if self.slots[vp].routes.is_empty() {
             return false;
         }
-        let after = self.vp_observation(vp);
-        if before != after {
-            self.timeline.push(self.snapshot(at));
+        self.slots[vp].routes.clear();
+        if self.reclassify(vp) {
+            self.record(at);
         }
         true
     }
 
     /// Aggregate counts now.
     pub fn snapshot(&self, time: SimTime) -> TimelinePoint {
-        let mut legitimate = 0;
-        let mut hijacked = 0;
-        let mut unknown = 0;
-        for vp in &self.vantage_points {
-            match self.vp_state(*vp) {
-                VpState::Legitimate => legitimate += 1,
-                VpState::Hijacked => hijacked += 1,
-                VpState::Unknown => unknown += 1,
-            }
-        }
         TimelinePoint {
             time,
-            legitimate,
-            hijacked,
-            unknown,
+            legitimate: self.legitimate,
+            hijacked: self.hijacked,
+            unknown: self.vantage_points.len() - self.legitimate - self.hijacked,
         }
     }
 
@@ -220,20 +359,26 @@ impl MonitorService {
     /// legitimate origin (the paper's "mitigation completed": *all*
     /// vantage points switched back) and at least one VP has data.
     pub fn all_legitimate(&self) -> bool {
-        let snap = self.snapshot(SimTime::ZERO);
-        snap.hijacked == 0 && snap.legitimate > 0
+        self.hijacked == 0 && self.legitimate > 0
     }
 
     /// True when at least one vantage point selects the hijacker.
     pub fn any_hijacked(&self) -> bool {
-        self.vantage_points
-            .iter()
-            .any(|vp| self.vp_state(*vp) == VpState::Hijacked)
+        self.hijacked > 0
     }
 
-    /// The recorded timeline.
+    /// The recorded timeline: one point per state change, complete
+    /// while [`MonitorService::coalesced_points`] is zero. Past
+    /// [`TIMELINE_CAP`] points the head stays as recorded and the last
+    /// point is the newest one.
     pub fn timeline(&self) -> &[TimelinePoint] {
         &self.timeline
+    }
+
+    /// State changes the timeline did not keep a point of their own
+    /// for: each overwrote the last slot once the timeline was full.
+    pub fn coalesced_points(&self) -> u64 {
+        self.coalesced_points
     }
 
     /// Number of monitored vantage points.
@@ -242,8 +387,7 @@ impl MonitorService {
     }
 
     /// Freeze this monitor into its compact retirement record,
-    /// dropping the per-VP observation maps (the part of monitor state
-    /// that grows with every ingested event). `at` stamps the final
+    /// dropping the per-VP route lists. `at` stamps the final
     /// snapshot. See [`RetiredMonitor`].
     pub fn retire(self, at: SimTime) -> RetiredMonitor {
         let final_point = self.snapshot(at);
@@ -252,6 +396,7 @@ impl MonitorService {
             vantage_count: self.vantage_points.len(),
             final_point,
             timeline: self.timeline,
+            coalesced_points: self.coalesced_points,
         }
     }
 }
@@ -259,18 +404,22 @@ impl MonitorService {
 /// Compact record of a monitor whose incident is over (resolved, or
 /// closed by offboarding its prefix).
 ///
-/// Keeps what reporting needs — the target, the recorded timeline (one
-/// point per state *change*, so bounded by transitions rather than
-/// event volume) and the final aggregate counts — while dropping the
-/// per-VP, per-prefix observation maps that grow with feed volume.
-/// Long-running daemons therefore pay a small frozen record per
-/// lifetime incident instead of leaking full monitor state.
+/// Keeps what reporting needs — the target, the recorded timeline and
+/// the final aggregate counts — while dropping the per-VP route lists.
+/// The timeline holds one point per state *change* up to
+/// [`TIMELINE_CAP`], so a record is bounded by that constant whatever
+/// the incident's event volume or lifetime; how many changes the cap
+/// folded into the last point travels along as
+/// [`RetiredMonitor::coalesced_points`]. Long-running daemons
+/// therefore pay a small frozen record per lifetime incident instead
+/// of leaking full monitor state.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RetiredMonitor {
     target: Prefix,
     vantage_count: usize,
     final_point: TimelinePoint,
     timeline: Vec<TimelinePoint>,
+    coalesced_points: u64,
 }
 
 impl RetiredMonitor {
@@ -292,6 +441,12 @@ impl RetiredMonitor {
     /// The recorded timeline (identical to what the live monitor had).
     pub fn timeline(&self) -> &[TimelinePoint] {
         &self.timeline
+    }
+
+    /// State changes folded into the timeline's last point because the
+    /// incident outgrew [`TIMELINE_CAP`] (0 for any ordinary incident).
+    pub fn coalesced_points(&self) -> u64 {
+        self.coalesced_points
     }
 }
 
@@ -319,7 +474,38 @@ pub struct MonitorIndex {
     /// births/retirements between batches) reuses it for free; the
     /// `Arc` lets the pipeline hold the partition across a batch while
     /// the index itself is mutably borrowed.
-    shards_cache: Option<(u64, Arc<Vec<Vec<AlertId>>>)>,
+    shards_cache: Option<(u64, Arc<ShardPartition>)>,
+}
+
+/// [`MonitorIndex::covering_shards`] together with the map it inverts,
+/// so a batch looks an alert's shard up instead of rebuilding the map.
+#[derive(Debug)]
+pub(crate) struct ShardPartition {
+    /// The shards, as [`MonitorIndex::covering_shards`] returns them.
+    pub shards: Vec<Vec<AlertId>>,
+    /// `(alert, index into shards)`, ascending by alert.
+    shard_of: Vec<(AlertId, u32)>,
+}
+
+impl ShardPartition {
+    fn new(shards: Vec<Vec<AlertId>>) -> Self {
+        let mut shard_of: Vec<(AlertId, u32)> = shards
+            .iter()
+            .enumerate()
+            .flat_map(|(g, ids)| ids.iter().map(move |id| (*id, g as u32)))
+            .collect();
+        shard_of.sort_unstable();
+        ShardPartition { shards, shard_of }
+    }
+
+    /// The shard holding `alert`, which must be in the partition.
+    pub fn shard_of(&self, alert: AlertId) -> usize {
+        let at = self
+            .shard_of
+            .binary_search_by_key(&alert, |(id, _)| *id)
+            .expect("routed alert is in the partition it was routed under");
+        self.shard_of[at].1 as usize
+    }
 }
 
 impl MonitorIndex {
@@ -430,18 +616,18 @@ impl MonitorIndex {
         shards
     }
 
-    /// [`MonitorIndex::covering_shards`], memoized against the index's
-    /// epoch: recomputed only after a monitor was indexed or dropped
-    /// since the last call.
-    pub fn covering_shards_cached(&mut self) -> Arc<Vec<Vec<AlertId>>> {
-        if let Some((at, shards)) = &self.shards_cache {
+    /// [`MonitorIndex::covering_shards`] and its alert → shard inverse,
+    /// memoized against the index's epoch: recomputed only after a
+    /// monitor was indexed or dropped since the last call.
+    pub(crate) fn covering_shards_cached(&mut self) -> Arc<ShardPartition> {
+        if let Some((at, partition)) = &self.shards_cache {
             if *at == self.epoch {
-                return Arc::clone(shards);
+                return Arc::clone(partition);
             }
         }
-        let shards = Arc::new(self.covering_shards());
-        self.shards_cache = Some((self.epoch, Arc::clone(&shards)));
-        shards
+        let partition = Arc::new(ShardPartition::new(self.covering_shards()));
+        self.shards_cache = Some((self.epoch, Arc::clone(&partition)));
+        partition
     }
 }
 
@@ -522,8 +708,135 @@ pub(crate) fn run_monitor_tasks(
     }
 }
 
+/// The linear model: the monitor as it was before the cached
+/// selection and the counters — nested `BTreeMap`s, a filtered
+/// `max_by_key` scan on every read, a full population rescan per
+/// snapshot, an unbounded timeline. Slow and obviously right; the
+/// property tests below hold [`MonitorService`] to it step by step.
+#[cfg(test)]
+mod model {
+    use super::{TimelinePoint, VpState};
+    use artemis_bgp::{Asn, Prefix};
+    use artemis_feeds::FeedEvent;
+    use artemis_simnet::SimTime;
+    use std::collections::{BTreeMap, BTreeSet};
+
+    pub(super) struct ModelMonitor {
+        target: Prefix,
+        legitimate_origins: BTreeSet<Asn>,
+        vantage_points: BTreeSet<Asn>,
+        /// vp -> (prefix -> origin) observations within the target space.
+        observations: BTreeMap<Asn, BTreeMap<Prefix, Option<Asn>>>,
+        timeline: Vec<TimelinePoint>,
+    }
+
+    impl ModelMonitor {
+        pub(super) fn new(
+            target: Prefix,
+            legitimate_origins: BTreeSet<Asn>,
+            vantage_points: BTreeSet<Asn>,
+        ) -> Self {
+            ModelMonitor {
+                target,
+                legitimate_origins,
+                vantage_points,
+                observations: BTreeMap::new(),
+                timeline: Vec::new(),
+            }
+        }
+
+        fn is_relevant(&self, prefix: Prefix) -> bool {
+            self.target.contains(prefix) || prefix.contains(self.target)
+        }
+
+        pub(super) fn ingest(&mut self, event: &FeedEvent) {
+            if !self.is_relevant(event.prefix) || !self.vantage_points.contains(&event.vantage) {
+                return;
+            }
+            let before = self.vp_observation(event.vantage);
+            let slot = self.observations.entry(event.vantage).or_default();
+            match (&event.as_path, event.origin_as) {
+                (Some(_), origin) => {
+                    slot.insert(event.prefix, origin);
+                }
+                (None, _) => {
+                    slot.remove(&event.prefix);
+                }
+            }
+            let after = self.vp_observation(event.vantage);
+            if self.timeline.is_empty() || before != after {
+                self.timeline.push(self.snapshot(event.emitted_at));
+            }
+        }
+
+        pub(super) fn vp_observation(&self, vp: Asn) -> (VpState, Option<Asn>) {
+            let Some(obs) = self.observations.get(&vp) else {
+                return (VpState::Unknown, None);
+            };
+            // `max_by_key` returns the *last* maximum, and the map
+            // iterates in `Prefix` order: of two equal-length
+            // more-specifics the greater prefix wins.
+            let best = obs
+                .iter()
+                .filter(|(p, _)| self.is_relevant(**p))
+                .max_by_key(|(p, _)| p.len());
+            match best {
+                None => (VpState::Unknown, None),
+                Some((_, Some(origin))) if self.legitimate_origins.contains(origin) => {
+                    (VpState::Legitimate, Some(*origin))
+                }
+                Some((_, Some(origin))) => (VpState::Hijacked, Some(*origin)),
+                Some((_, None)) => (VpState::Hijacked, None),
+            }
+        }
+
+        pub(super) fn purge_vantage(&mut self, vp: Asn, at: SimTime) -> bool {
+            let before = self.vp_observation(vp);
+            let dropped = self.observations.remove(&vp).is_some_and(|o| !o.is_empty());
+            let after = self.vp_observation(vp);
+            if before != after {
+                self.timeline.push(self.snapshot(at));
+            }
+            dropped
+        }
+
+        pub(super) fn snapshot(&self, time: SimTime) -> TimelinePoint {
+            let mut point = TimelinePoint {
+                time,
+                legitimate: 0,
+                hijacked: 0,
+                unknown: 0,
+            };
+            for vp in &self.vantage_points {
+                match self.vp_observation(*vp).0 {
+                    VpState::Legitimate => point.legitimate += 1,
+                    VpState::Hijacked => point.hijacked += 1,
+                    VpState::Unknown => point.unknown += 1,
+                }
+            }
+            point
+        }
+
+        pub(super) fn all_legitimate(&self) -> bool {
+            let snap = self.snapshot(SimTime::ZERO);
+            snap.hijacked == 0 && snap.legitimate > 0
+        }
+
+        pub(super) fn any_hijacked(&self) -> bool {
+            self.vantage_points
+                .iter()
+                .any(|vp| self.vp_observation(*vp).0 == VpState::Hijacked)
+        }
+
+        pub(super) fn timeline(&self) -> &[TimelinePoint] {
+            &self.timeline
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::model::ModelMonitor;
     use super::*;
     use artemis_bgp::AsPath;
     use artemis_feeds::FeedKind;
@@ -633,6 +946,59 @@ mod tests {
         // data, but `all_legitimate` is only *acted on* at the next
         // ingest (here it merely reads true, as any snapshot would).
         assert!(m.all_legitimate());
+    }
+
+    #[test]
+    fn withdraw_only_vantage_purges_to_false() {
+        // A VP whose only traffic was a withdrawal holds no
+        // observation: purging it drops nothing, so it must not count
+        // in `Pipeline::apply_peer_downs` nor touch the timeline.
+        let mut m = service();
+        m.ingest(&event(174, "10.0.0.0/23", None, 10));
+        assert_eq!(m.timeline().len(), 1, "the first event always records");
+        assert!(!m.purge_vantage(Asn(174), SimTime::from_secs(20)));
+        assert_eq!(m.timeline().len(), 1);
+        assert!(!m.purge_vantage(Asn(9999), SimTime::from_secs(21)));
+    }
+
+    #[test]
+    fn of_two_equal_length_more_specifics_the_greater_prefix_wins() {
+        let mut m = service();
+        m.ingest(&event(174, "10.0.1.0/24", Some(666), 10));
+        m.ingest(&event(174, "10.0.0.0/24", Some(65001), 11));
+        assert_eq!(
+            m.vp_state(Asn(174)),
+            VpState::Hijacked,
+            "10.0.1.0/24 selected"
+        );
+        // Withdrawing the selection falls back to the other /24; the
+        // covering /16 never beats either.
+        m.ingest(&event(174, "10.0.0.0/16", Some(667), 12));
+        m.ingest(&event(174, "10.0.1.0/24", None, 13));
+        assert_eq!(
+            m.vp_observation(Asn(174)),
+            (VpState::Legitimate, Some(Asn(65001)))
+        );
+    }
+
+    #[test]
+    fn full_timeline_keeps_its_head_and_tracks_the_newest_point() {
+        let mut m = service().with_timeline_cap(3);
+        for t in 0..6u64 {
+            let origin = if t % 2 == 0 { 666 } else { 65001 };
+            m.ingest(&event(174, "10.0.0.0/23", Some(origin), t));
+        }
+        let times: Vec<SimTime> = m.timeline().iter().map(|p| p.time).collect();
+        assert_eq!(
+            times,
+            [0, 1, 5].map(SimTime::from_secs),
+            "head exact, last slot = newest"
+        );
+        assert_eq!(m.timeline().last().unwrap().legitimate, 1);
+        assert_eq!(m.coalesced_points(), 3);
+        let retired = m.retire(SimTime::from_secs(9));
+        assert_eq!(retired.coalesced_points(), 3);
+        assert_eq!(retired.timeline().len(), 3);
     }
 
     #[test]
@@ -862,5 +1228,111 @@ mod tests {
         // route: LPM selection unchanged.
         m.ingest(&event(174, "10.0.0.0/16", Some(666), 11));
         assert_eq!(m.timeline().len(), 1);
+    }
+
+    // ---- Equivalence with the linear model --------------------------
+
+    /// The population, plus (last) an ASN outside it.
+    const VPS: [u32; 5] = [174, 2914, 3356, 6939, 9999];
+
+    /// Everything around the 10.0.0.0/23 target: itself, a covering
+    /// /16 and /8, both /24 halves, all four /25 quarters (equal-length
+    /// siblings compete on `Prefix` order), and unrelated space.
+    const PREFIXES: [&str; 10] = [
+        "10.0.0.0/23",
+        "10.0.0.0/16",
+        "10.0.0.0/8",
+        "10.0.0.0/24",
+        "10.0.1.0/24",
+        "10.0.0.0/25",
+        "10.0.0.128/25",
+        "10.0.1.0/25",
+        "10.0.1.128/25",
+        "8.8.8.0/24",
+    ];
+
+    /// Two legitimate (anycast) origins, two hijackers, and an AS_SET
+    /// route (`origin_as: None` on an announcement).
+    const ORIGINS: [Option<u32>; 5] = [Some(65001), Some(65002), Some(666), Some(667), None];
+
+    /// Shrunk cap of the second service under test.
+    const SMALL_CAP: usize = 5;
+
+    fn population() -> (BTreeSet<Asn>, BTreeSet<Asn>) {
+        (
+            [Asn(65001), Asn(65002)].into_iter().collect(),
+            VPS[..4].iter().map(|vp| Asn(*vp)).collect(),
+        )
+    }
+
+    /// One generated announcement or withdrawal; every index wraps
+    /// into its pool.
+    fn step_event(vp: u8, prefix: u8, origin: u8, withdraw: bool, t: u64) -> FeedEvent {
+        let vp = VPS[vp as usize % VPS.len()];
+        let mut e = event(vp, PREFIXES[prefix as usize % PREFIXES.len()], None, t);
+        if !withdraw {
+            e.as_path = Some(AsPath::from_sequence([vp]));
+            e.origin_as = ORIGINS[origin as usize % ORIGINS.len()].map(Asn);
+        }
+        e
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// After every step of a generated sequence the service reads
+        /// exactly like the model: per-VP observation, counters,
+        /// resolution predicate, `purge_vantage`'s return value and —
+        /// under the cap — the whole timeline. A second service with
+        /// the cap shrunk to `SMALL_CAP` keeps the model's head, ends
+        /// on the model's last point and counts the rest. A step is
+        /// `(kind, vp, prefix, origin)`: kind 0–5 announces, 6–8
+        /// withdraws, 9 is `purge_vantage`.
+        #[test]
+        fn service_matches_linear_model_step_by_step(
+            steps in proptest::collection::vec((0u8..10, 0u8..=255, 0u8..=255, 0u8..=255), 1..120),
+        ) {
+            use proptest::prop_assert_eq;
+            let (legit, vps) = population();
+            let target = pfx(PREFIXES[0]);
+            let mut model = ModelMonitor::new(target, legit.clone(), vps.clone());
+            let mut full = MonitorService::new(target, legit.clone(), vps.clone());
+            let mut small = MonitorService::new(target, legit, vps).with_timeline_cap(SMALL_CAP);
+            for (t, (kind, vp, prefix, origin)) in steps.into_iter().enumerate() {
+                let t = t as u64;
+                if kind == 9 {
+                    let vp = Asn(VPS[vp as usize % VPS.len()]);
+                    let at = SimTime::from_secs(t);
+                    let dropped = model.purge_vantage(vp, at);
+                    prop_assert_eq!(full.purge_vantage(vp, at), dropped);
+                    prop_assert_eq!(small.purge_vantage(vp, at), dropped);
+                } else {
+                    let e = step_event(vp, prefix, origin, kind >= 6, t);
+                    model.ingest(&e);
+                    full.ingest(&e);
+                    small.ingest(&e);
+                }
+
+                for vp in VPS {
+                    prop_assert_eq!(full.vp_observation(Asn(vp)), model.vp_observation(Asn(vp)));
+                }
+                let now = SimTime::from_secs(t);
+                prop_assert_eq!(full.snapshot(now), model.snapshot(now));
+                prop_assert_eq!(small.snapshot(now), model.snapshot(now));
+                prop_assert_eq!(full.all_legitimate(), model.all_legitimate());
+                prop_assert_eq!(full.any_hijacked(), model.any_hijacked());
+                prop_assert_eq!(full.timeline(), model.timeline());
+                prop_assert_eq!(full.coalesced_points(), 0);
+
+                let recorded = model.timeline();
+                let kept = recorded.len().min(SMALL_CAP);
+                prop_assert_eq!(small.timeline().len(), kept);
+                prop_assert_eq!(small.timeline().last(), recorded.last());
+                if kept > 0 {
+                    prop_assert_eq!(&small.timeline()[..kept - 1], &recorded[..kept - 1]);
+                }
+                prop_assert_eq!(small.coalesced_points(), (recorded.len() - kept) as u64);
+            }
+        }
     }
 }

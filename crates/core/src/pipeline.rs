@@ -191,6 +191,8 @@ pub struct Pipeline {
     recheck: BTreeSet<AlertId>,
     /// Reusable routing buffer for [`MonitorIndex::route`].
     route_buf: Vec<AlertId>,
+    /// Reusable per-shard lists of routed batch indices.
+    shard_events: Vec<Vec<u32>>,
     /// Vantage population handed to new monitors.
     vantage_points: BTreeSet<Asn>,
     mitigated: BTreeSet<AlertId>,
@@ -199,6 +201,9 @@ pub struct Pipeline {
     /// so per-event cost *and* memory track active incidents, not
     /// lifetime incident count.
     retired: BTreeMap<AlertId, RetiredMonitor>,
+    /// Sum of [`RetiredMonitor::coalesced_points`] over `retired`,
+    /// kept as a count so a metrics scrape never walks the records.
+    retired_coalesced_points: u64,
     /// Plans computed but held (confirm-first policy, or paused).
     pending: BTreeMap<AlertId, MitigationPlan>,
     /// Plans that were executed, for withdrawal on offboard.
@@ -234,9 +239,11 @@ impl Pipeline {
             monitor_index: MonitorIndex::new(),
             recheck: BTreeSet::new(),
             route_buf: Vec::new(),
+            shard_events: Vec::new(),
             vantage_points,
             mitigated: BTreeSet::new(),
             retired: BTreeMap::new(),
+            retired_coalesced_points: 0,
             pending: BTreeMap::new(),
             executed_plans: BTreeMap::new(),
             paused: false,
@@ -307,6 +314,18 @@ impl Pipeline {
     /// Number of retired (over) incidents (capacity gauge).
     pub fn retired_count(&self) -> usize {
         self.retired.len()
+    }
+
+    /// Timeline points folded away by [`crate::monitor::TIMELINE_CAP`]
+    /// over every incident so far, live and retired (monotone; 0
+    /// unless some incident outlived the cap).
+    pub fn timeline_coalesced_points(&self) -> u64 {
+        let live: u64 = self
+            .monitors
+            .values()
+            .map(MonitorService::coalesced_points)
+            .sum();
+        self.retired_coalesced_points + live
     }
 
     /// Wall-clock per-stage batch latency of the delivery path
@@ -401,8 +420,7 @@ impl Pipeline {
             }
             self.detector.alerts_mut().mark_resolved(*id, now);
             if let Some(monitor) = self.monitors.remove(id) {
-                self.monitor_index.remove(monitor.target(), *id);
-                self.retired.insert(*id, monitor.retire(now));
+                self.retire_monitor(*id, monitor, now);
             }
             closed_alerts.push(*id);
         }
@@ -735,7 +753,14 @@ impl Pipeline {
         self.detector.alerts_mut().mark_resolved(id, at);
         self.log.push(IncidentEvent::Resolved { alert: id, at });
         sink(AppAction::Resolved { alert: id, at });
+        self.retire_monitor(id, monitor, at);
+    }
+
+    /// Unindex a monitor already checked out of the registry and file
+    /// its compact record.
+    fn retire_monitor(&mut self, id: AlertId, monitor: MonitorService, at: SimTime) {
         self.monitor_index.remove(monitor.target(), id);
+        self.retired_coalesced_points += monitor.coalesced_points();
         self.retired.insert(id, monitor.retire(at));
     }
 
@@ -792,7 +817,7 @@ impl Pipeline {
     /// trie and shard rules stay hot in cache); route every event once
     /// through the [`MonitorIndex`]; replay each covering-set shard's
     /// routed events into the monitors that pre-exist the batch (each
-    /// monitor over its own run of events keeps its per-VP maps hot);
+    /// monitor over its own run of events keeps its per-VP slots hot);
     /// then walk the batch in order running detection, monitors born
     /// earlier in this batch, and the pre-computed resolution points.
     ///
@@ -830,23 +855,21 @@ impl Pipeline {
         // prefix index, building each shard's (deduplicated, ordered)
         // relevant-event index list (per shard, not per alert: see
         // `MonitorIndex::covering_shards` for the measurement). The
-        // partition is cached inside the index and invalidated by its
-        // epoch, so steady-state batches (no onboard/offboard in
-        // between) skip the recompute.
-        let shards = self.monitor_index.covering_shards_cached();
-        let mut group_of: BTreeMap<AlertId, u32> = BTreeMap::new();
-        for (g, ids) in shards.iter().enumerate() {
-            for id in ids {
-                group_of.insert(*id, g as u32);
-            }
-        }
-        let mut shard_events: Vec<Vec<u32>> = vec![Vec::new(); shards.len()];
+        // partition and its alert → shard inverse are cached inside
+        // the index and invalidated by its epoch, so steady-state
+        // batches (no monitor born or retired in between) skip the
+        // recompute.
+        let partition = self.monitor_index.covering_shards_cached();
+        let shards = &partition.shards;
+        let mut shard_events = std::mem::take(&mut self.shard_events);
+        shard_events.iter_mut().for_each(Vec::clear);
+        shard_events.resize_with(shards.len(), Vec::new);
         {
             let mut route = std::mem::take(&mut self.route_buf);
             for (i, event) in batch.iter().enumerate() {
                 self.monitor_index.route(event.prefix, &mut route);
                 for id in &route {
-                    let list = &mut shard_events[group_of[id] as usize];
+                    let list = &mut shard_events[partition.shard_of(*id)];
                     if list.last() != Some(&(i as u32)) {
                         list.push(i as u32);
                     }
@@ -923,6 +946,7 @@ impl Pipeline {
         for entry in resolutions.values_mut() {
             entry.sort_unstable_by_key(|(id, _)| *id);
         }
+        self.shard_events = shard_events;
         let t4 = Instant::now();
 
         // --- commit walk: detection in delivery order, events into
@@ -1935,5 +1959,45 @@ mod tests {
         assert_eq!(batch.events, batch2.events);
         // And an incremental cursor sees nothing new.
         assert!(p.poll_events(batch.next).events.is_empty());
+    }
+
+    #[test]
+    fn coalesced_points_total_spans_live_and_retired_incidents() {
+        use crate::monitor::TIMELINE_CAP;
+        let mut p = two_prefix_pipeline();
+        let mut ctrl = controller();
+        let acts = p.deliver(
+            &event(3356, "10.0.0.0/23", &[3356, 666], 45),
+            &mut ctrl,
+            &mut [],
+        );
+        let AppAction::AlertRaised(id) = acts[0] else {
+            panic!("hijack must alert");
+        };
+        // AS3356 stays on the hijacker, so the incident never heals
+        // while AS174 flaps: one timeline point per flip, `extra` more
+        // than the timeline holds.
+        let extra = 7u64;
+        for flip in 0..TIMELINE_CAP as u64 - 1 + extra {
+            let origin = if flip % 2 == 0 { 666 } else { 65001 };
+            p.deliver(
+                &event(174, "10.0.0.0/23", &[174, origin], 46 + flip),
+                &mut ctrl,
+                &mut [],
+            );
+        }
+        let live = p.monitor_for(id).expect("never healed");
+        assert_eq!(live.timeline().len(), TIMELINE_CAP);
+        assert_eq!(live.coalesced_points(), extra);
+        assert_eq!(p.timeline_coalesced_points(), extra);
+
+        // Closing the incident moves the count from the live monitor
+        // to the retired record; the total does not move.
+        let at = SimTime::from_secs(10_000);
+        p.remove_owned_prefix(pfx("10.0.0.0/23"), at, &mut ctrl, &mut [])
+            .expect("prefix configured");
+        assert!(p.monitor_for(id).is_none());
+        assert_eq!(p.retired_monitor(id).unwrap().coalesced_points(), extra);
+        assert_eq!(p.timeline_coalesced_points(), extra);
     }
 }
