@@ -3,6 +3,8 @@
 use crate::Asn;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::iter;
+use std::sync::Arc;
 
 /// One AS_PATH segment (RFC 4271 §4.3).
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -37,9 +39,13 @@ impl Segment {
 /// hop). The *origin* of the path — the AS that first announced the
 /// route, and the value ARTEMIS validates against the operator's
 /// configuration — is the rightmost ASN of the final `Sequence` segment.
+///
+/// A path is immutable once built and its segments sit behind one
+/// shared allocation, so `clone` is a reference-count bump: the N
+/// events of an N-NLRI UPDATE carry the same path without copying it.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub struct AsPath {
-    segments: Vec<Segment>,
+    segments: Arc<[Segment]>,
 }
 
 impl AsPath {
@@ -59,7 +65,7 @@ impl AsPath {
             AsPath::empty()
         } else {
             AsPath {
-                segments: vec![Segment::Sequence(seq)],
+                segments: Arc::from([Segment::Sequence(seq)]),
             }
         }
     }
@@ -69,14 +75,28 @@ impl AsPath {
     /// (the wire format chunks long sequences at 255 ASNs, so adjacent
     /// sequences carry no information).
     pub fn from_segments<I: IntoIterator<Item = Segment>>(segments: I) -> Self {
-        let mut merged: Vec<Segment> = Vec::new();
-        for seg in segments.into_iter().filter(|s| !s.asns().is_empty()) {
+        let mut rest = segments.into_iter().filter(|s| !s.asns().is_empty());
+        let Some(first) = rest.next() else {
+            return AsPath::empty();
+        };
+        let Some(second) = rest.next() else {
+            // One segment is already canonical, and is what nearly every
+            // path off the wire looks like: the shared slice is the only
+            // allocation, no staging `Vec`.
+            return AsPath {
+                segments: Arc::from([first]),
+            };
+        };
+        let mut merged = vec![first];
+        for seg in iter::once(second).chain(rest) {
             match (merged.last_mut(), seg) {
                 (Some(Segment::Sequence(tail)), Segment::Sequence(more)) => tail.extend(more),
                 (_, seg) => merged.push(seg),
             }
         }
-        AsPath { segments: merged }
+        AsPath {
+            segments: merged.into(),
+        }
     }
 
     /// Segments, leftmost (most recent) first.
@@ -123,18 +143,15 @@ impl AsPath {
     /// The AS adjacent to the origin (second-to-last ASN), if any —
     /// used for Type-1 hijack classification at the origin end.
     pub fn origin_neighbor(&self) -> Option<Asn> {
-        let mut all: Vec<Asn> = Vec::new();
-        for seg in &self.segments {
-            match seg {
-                Segment::Sequence(a) => all.extend_from_slice(a),
-                Segment::Set(_) => return None,
-            }
+        if self.segments.iter().any(|s| matches!(s, Segment::Set(_))) {
+            return None;
         }
-        if all.len() >= 2 {
-            Some(all[all.len() - 2])
-        } else {
-            None
-        }
+        self.segments
+            .iter()
+            .rev()
+            .flat_map(|s| s.asns().iter().rev())
+            .nth(1)
+            .copied()
     }
 
     /// Prepend `asn` once at the front (what a router does on eBGP
@@ -148,15 +165,21 @@ impl AsPath {
         if n == 0 {
             return self.clone();
         }
-        let mut segments = self.segments.clone();
-        match segments.first_mut() {
-            Some(Segment::Sequence(seq)) => {
-                let mut new_seq = vec![asn; n];
-                new_seq.append(seq);
-                *seq = new_seq;
+        // Both arms chain exact-size iterators, so `collect` sizes the
+        // shared slice once and fills it in place.
+        let segments = match self.segments.split_first() {
+            Some((Segment::Sequence(seq), rest)) => {
+                let mut front = Vec::with_capacity(n + seq.len());
+                front.resize(n, asn);
+                front.extend_from_slice(seq);
+                iter::once(Segment::Sequence(front))
+                    .chain(rest.iter().cloned())
+                    .collect()
             }
-            _ => segments.insert(0, Segment::Sequence(vec![asn; n])),
-        }
+            _ => iter::once(Segment::Sequence(vec![asn; n]))
+                .chain(self.segments.iter().cloned())
+                .collect(),
+        };
         AsPath { segments }
     }
 
@@ -171,7 +194,7 @@ impl AsPath {
     /// count because repeats are adjacent).
     pub fn has_nonadjacent_repeat(&self) -> bool {
         let mut flat: Vec<Asn> = Vec::new();
-        for seg in &self.segments {
+        for seg in self.segments.iter() {
             if let Segment::Sequence(a) = seg {
                 flat.extend_from_slice(a);
             }
@@ -193,7 +216,7 @@ impl fmt::Display for AsPath {
     /// Conventional `show ip bgp` rendering: `174 3356 {1299,2914}`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut first = true;
-        for seg in &self.segments {
+        for seg in self.segments.iter() {
             if !first {
                 write!(f, " ")?;
             }
@@ -251,6 +274,33 @@ mod tests {
             Segment::Set(vec![Asn(1)]),
         ]);
         assert_eq!(with_set.origin_neighbor(), None);
+    }
+
+    #[test]
+    fn origin_neighbor_spans_segments_and_refuses_any_set() {
+        // Deserialisation does not canonicalise, so two adjacent
+        // sequences can exist: the pair then straddles the boundary.
+        let split = AsPath {
+            segments: Arc::from([
+                Segment::Sequence(vec![Asn(174), Asn(3356)]),
+                Segment::Sequence(vec![Asn(65001)]),
+            ]),
+        };
+        assert_eq!(split.origin_neighbor(), Some(Asn(3356)));
+        // A set that is not last: the tail sequence alone has a
+        // second-to-last ASN, the path as a whole has none.
+        let set_first = AsPath::from_segments([
+            Segment::Set(vec![Asn(1), Asn(2)]),
+            Segment::Sequence(vec![Asn(3356), Asn(65001)]),
+        ]);
+        assert_eq!(set_first.origin(), Some(Asn(65001)));
+        assert_eq!(set_first.origin_neighbor(), None);
+        let set_middle = AsPath::from_segments([
+            Segment::Sequence(vec![Asn(174)]),
+            Segment::Set(vec![Asn(1)]),
+            Segment::Sequence(vec![Asn(3356), Asn(65001)]),
+        ]);
+        assert_eq!(set_middle.origin_neighbor(), None);
     }
 
     #[test]

@@ -832,17 +832,9 @@ fn decode_as_path(mut cur: &[u8], four_octet: bool) -> Result<AsPath, BgpError> 
             }
         }
     }
-    // Merge adjacent sequences (chunked on encode) back together.
-    let mut merged: Vec<Segment> = Vec::new();
-    for seg in segments {
-        match (merged.last_mut(), seg) {
-            (Some(Segment::Sequence(tail)), Segment::Sequence(more)) => {
-                tail.extend(more);
-            }
-            (_, seg) => merged.push(seg),
-        }
-    }
-    Ok(AsPath::from_segments(merged))
+    // `from_segments` merges adjacent sequences (chunked on encode)
+    // back together.
+    Ok(AsPath::from_segments(segments))
 }
 
 fn encode_mp_unreach(wd_v6: &[Prefix], out: &mut BytesMut) {

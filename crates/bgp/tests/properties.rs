@@ -321,6 +321,63 @@ proptest! {
         prop_assert_eq!(out.neighbor(), Some(asn));
         prop_assert_eq!(out.origin(), path.origin());
     }
+
+    /// Value semantics of a path do not depend on how its storage is
+    /// shared: a clone equals its source, equal paths hash equally
+    /// however they were built, and `prepend_n` builds a new path
+    /// without touching the one it was called on (or its clones).
+    #[test]
+    fn paths_keep_value_semantics(
+        path in arb_as_path_with_sets(),
+        asn in arb_asn(),
+        n in 0usize..4,
+        cut in any::<usize>(),
+    ) {
+        let before: Vec<Segment> = path.segments().to_vec();
+        let copy = path.clone();
+        prop_assert_eq!(&copy, &path);
+
+        // Built a second way: every sequence cut in two adjacent
+        // chunks (as the wire does past 255 ASNs) plus an empty
+        // segment, which `from_segments` must merge and drop again.
+        let rebuilt = AsPath::from_segments(before.iter().flat_map(|seg| match seg {
+            Segment::Sequence(a) => {
+                let (l, r) = a.split_at(cut % (a.len() + 1));
+                vec![
+                    Segment::Sequence(l.to_vec()),
+                    Segment::Set(Vec::new()),
+                    Segment::Sequence(r.to_vec()),
+                ]
+            }
+            set => vec![set.clone()],
+        }));
+        prop_assert_eq!(&rebuilt, &path);
+        prop_assert_eq!(hash_of(&rebuilt), hash_of(&path));
+        prop_assert_eq!(hash_of(&copy), hash_of(&path));
+
+        let out = path.prepend_n(asn, n);
+        let expected: Vec<Asn> = std::iter::repeat_n(asn, n).chain(path.iter()).collect();
+        prop_assert_eq!(out.iter().collect::<Vec<_>>(), expected);
+        prop_assert_eq!(path.segments(), &before[..]);
+        prop_assert_eq!(copy.segments(), &before[..]);
+    }
+
+    /// `origin_neighbor` against the flatten-everything model it
+    /// replaced: `None` on any set, else the second-to-last ASN.
+    #[test]
+    fn origin_neighbor_matches_flattened_model(path in arb_as_path_with_sets()) {
+        let has_set = path.segments().iter().any(|s| matches!(s, Segment::Set(_)));
+        let flat: Vec<Asn> = path.iter().collect();
+        let model = if has_set || flat.len() < 2 { None } else { Some(flat[flat.len() - 2]) };
+        prop_assert_eq!(path.origin_neighbor(), model);
+    }
+}
+
+fn hash_of(path: &AsPath) -> u64 {
+    use std::hash::{Hash, Hasher};
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    path.hash(&mut h);
+    h.finish()
 }
 
 // ---------------------------------------------------------------------

@@ -371,7 +371,7 @@ impl Experiment {
                 .iter()
                 .enumerate()
                 .map(|(i, vp)| LookingGlass {
-                    name: format!("lg-{i:02}"),
+                    name: format!("lg-{i:02}").into(),
                     vantage: *vp,
                     min_interval: builder.lg_interval,
                     response_latency: LatencyModel::uniform_millis(1_000, 4_000),

@@ -16,11 +16,12 @@ use artemis_mrt::{
 };
 use artemis_simnet::{SimDuration, SimRng, SimTime};
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 /// Batched update archive: updates observed at vantage points become
 /// visible at the end of their batch window plus a publish delay.
 pub struct ArchiveUpdatesFeed {
-    name: String,
+    name: Arc<str>,
     peers: Vec<Asn>,
     /// Batch window (paper: 15 minutes).
     pub batch_period: SimDuration,
@@ -143,7 +144,7 @@ impl FeedSource for ArchiveUpdatesFeed {
 
 /// Periodic full-RIB snapshots: the slowest baseline (paper: ~2 h).
 pub struct ArchiveRibFeed {
-    name: String,
+    name: Arc<str>,
     peers: Vec<Asn>,
     /// Snapshot period (paper: 2 hours).
     pub rib_period: SimDuration,

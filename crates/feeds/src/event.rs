@@ -4,6 +4,7 @@ use artemis_bgp::{AsPath, Asn, Prefix};
 use artemis_simnet::SimTime;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// Which monitoring system produced an event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -43,6 +44,11 @@ impl fmt::Display for FeedKind {
 /// `as_path` is the path *as seen from the vantage point's collector
 /// session* — i.e. it starts with the vantage AS itself (a collector
 /// receives the peer's Adj-RIB-Out, which prepends the peer).
+///
+/// The event is moved ring → lane → batch by value and cloned per
+/// NLRI, so what it carries on the heap is shared, not owned: cloning
+/// `collector` or `as_path` bumps a reference count. On the wire both
+/// are a plain string and a plain segment list, as they always were.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FeedEvent {
     /// When the monitoring service delivered the event to subscribers
@@ -52,19 +58,26 @@ pub struct FeedEvent {
     pub observed_at: SimTime,
     /// Producing system.
     pub source: FeedKind,
-    /// Collector / LG identifier (e.g. `rrc00`, `lg-03`).
-    pub collector: String,
+    /// Collector / LG identifier (e.g. `rrc00`, `lg-03`): a handle on
+    /// the one copy of the name its feed made at construction.
+    pub collector: Arc<str>,
     /// The vantage-point AS.
     pub vantage: Asn,
     /// Affected prefix.
     pub prefix: Prefix,
-    /// Path including the vantage AS; `None` for withdrawals.
+    /// Path including the vantage AS; `None` for withdrawals. All
+    /// announcements of one UPDATE share one path allocation.
     pub as_path: Option<AsPath>,
     /// Origin AS of the observed path, if defined.
     pub origin_as: Option<Asn>,
-    /// Raw wire payload where the real service has one (RIS-live JSON).
+    /// Raw wire payload where the real service has one (RIS-live
+    /// JSON). The one field whose clone allocates; only the simulated
+    /// RIS-live stream fills it.
     pub raw: Option<String>,
 }
+
+// The hot type of the chain: every build fails when it regrows.
+const _: () = assert!(std::mem::size_of::<FeedEvent>() <= 128);
 
 impl FeedEvent {
     /// Feed pipeline latency for this event (emission − observation).

@@ -64,8 +64,8 @@ pub struct FeedLag {
 /// the sequence number makes simultaneous emissions deterministic —
 /// plus the slab slot holding the event payload. Keeping the payload
 /// out of the ordering structures makes every key move a 24-byte copy
-/// instead of a full `FeedEvent` (collector name, AS path, raw JSON)
-/// move.
+/// instead of a `FeedEvent` move (128 bytes: instants, prefix, and the
+/// handles on the shared collector name and AS path).
 #[derive(Clone, Copy, PartialEq, Eq)]
 struct QueuedKey(SimTime, u64, u32);
 

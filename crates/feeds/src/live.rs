@@ -26,7 +26,7 @@ use std::collections::BTreeMap;
 use std::io::Read;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// Tuning knobs for a [`BmpLiveFeed`].
@@ -73,6 +73,16 @@ struct LiveCounters {
     peer_health: Mutex<BTreeMap<Asn, PeerHealth>>,
     /// Peers whose sessions went down since the pipeline last asked.
     peer_downs: Mutex<Vec<Asn>>,
+}
+
+/// Lock one of the two session maps, taking the guard back from a
+/// `PoisonError`. Every write to them is a single insert, push or
+/// field store, so a thread that panicked while holding the lock left
+/// the map valid; refusing it afterwards would take `stats`, the
+/// health views and `take_peer_downs` — and with them the pump that
+/// calls those — down for one dead reader.
+fn lock_recovering<T>(map: &Mutex<T>) -> MutexGuard<'_, T> {
+    map.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Per-peer session health accumulated from BMP `stats_report` and
@@ -135,7 +145,9 @@ pub struct LiveFeedStats {
 /// A live RFC 7854 BMP session as a [`FeedSource`]. See the module
 /// docs for the architecture.
 pub struct BmpLiveFeed {
-    name: String,
+    /// Also the `collector` of every event: the reader clones this
+    /// handle per event, never the bytes.
+    name: Arc<str>,
     ring: Arc<BackpressureRing<FeedEvent>>,
     counters: Arc<LiveCounters>,
     shutdown: Arc<AtomicBool>,
@@ -148,7 +160,11 @@ pub struct BmpLiveFeed {
 
 impl BmpLiveFeed {
     /// Wrap an already-connected stream (loopback tests, benches).
-    pub fn from_stream(name: impl Into<String>, stream: TcpStream, config: LiveFeedConfig) -> Self {
+    pub fn from_stream(
+        name: impl Into<Arc<str>>,
+        stream: TcpStream,
+        config: LiveFeedConfig,
+    ) -> Self {
         Self::start(name.into(), ConnectMode::Stream(stream), config)
     }
 
@@ -159,14 +175,14 @@ impl BmpLiveFeed {
     /// is what lets a serializable [`crate::FeedSpec`] build this feed
     /// infallibly.
     pub fn connect(
-        name: impl Into<String>,
+        name: impl Into<Arc<str>>,
         addr: impl Into<String>,
         config: LiveFeedConfig,
     ) -> Self {
         Self::start(name.into(), ConnectMode::Addr(addr.into()), config)
     }
 
-    fn start(name: String, mode: ConnectMode, config: LiveFeedConfig) -> Self {
+    fn start(name: Arc<str>, mode: ConnectMode, config: LiveFeedConfig) -> Self {
         let ring = Arc::new(BackpressureRing::new(config.ring_capacity));
         let counters = Arc::new(LiveCounters::default());
         let shutdown = Arc::new(AtomicBool::new(false));
@@ -174,7 +190,7 @@ impl BmpLiveFeed {
             let ring = Arc::clone(&ring);
             let counters = Arc::clone(&counters);
             let shutdown = Arc::clone(&shutdown);
-            let collector = name.clone();
+            let collector = Arc::clone(&name);
             std::thread::Builder::new()
                 .name(format!("bmp-live-{name}"))
                 .spawn(move || reader_main(mode, config, collector, ring, counters, shutdown))
@@ -200,7 +216,7 @@ impl BmpLiveFeed {
             pending: self.ring.len(),
             diagnostics: self.counters.diagnostics.load(Ordering::Relaxed),
             reconnects: self.counters.reconnects.load(Ordering::Relaxed),
-            peers: self.counters.peer_health.lock().expect("peer health").len(),
+            peers: lock_recovering(&self.counters.peer_health).len(),
             connected: self.counters.connected.load(Ordering::Relaxed),
             disconnected: self.counters.disconnected.load(Ordering::Relaxed),
         }
@@ -209,10 +225,7 @@ impl BmpLiveFeed {
     /// Per-peer session health accumulated from `stats_report` and
     /// `peer_down` messages, ascending by peer ASN.
     pub fn peer_health(&self) -> Vec<(Asn, PeerHealth)> {
-        self.counters
-            .peer_health
-            .lock()
-            .expect("peer health")
+        lock_recovering(&self.counters.peer_health)
             .iter()
             .map(|(asn, h)| (*asn, *h))
             .collect()
@@ -306,7 +319,7 @@ impl FeedSource for BmpLiveFeed {
     }
 
     fn take_peer_downs(&mut self) -> Vec<Asn> {
-        std::mem::take(&mut *self.counters.peer_downs.lock().expect("peer downs"))
+        std::mem::take(&mut *lock_recovering(&self.counters.peer_downs))
     }
 
     fn set_waker(&mut self, waker: WakeLatch) {
@@ -372,7 +385,7 @@ fn sleep_with_shutdown(total: Duration, shutdown: &AtomicBool) {
 fn reader_main(
     mode: ConnectMode,
     config: LiveFeedConfig,
-    collector: String,
+    collector: Arc<str>,
     ring: Arc<BackpressureRing<FeedEvent>>,
     counters: Arc<LiveCounters>,
     shutdown: Arc<AtomicBool>,
@@ -422,7 +435,7 @@ fn reader_main(
 fn stream_session(
     mut stream: TcpStream,
     config: &LiveFeedConfig,
-    collector: &str,
+    collector: &Arc<str>,
     ring: &BackpressureRing<FeedEvent>,
     counters: &LiveCounters,
     shutdown: &AtomicBool,
@@ -457,7 +470,7 @@ fn stream_session(
                         events_from_update(collector, &peer, &update, config, counters, &mut batch);
                     }
                     Ok(BmpMessage::StatsReport { peer, stats }) => {
-                        let mut health = counters.peer_health.lock().expect("peer health");
+                        let mut health = lock_recovering(&counters.peer_health);
                         let h = health.entry(peer.peer_as).or_default();
                         h.reports += 1;
                         for s in stats {
@@ -475,14 +488,11 @@ fn stream_session(
                         }
                     }
                     Ok(BmpMessage::PeerDown { peer, .. }) => {
-                        counters
-                            .peer_health
-                            .lock()
-                            .expect("peer health")
+                        lock_recovering(&counters.peer_health)
                             .entry(peer.peer_as)
                             .or_default()
                             .peer_downs += 1;
-                        let mut downs = counters.peer_downs.lock().expect("peer downs");
+                        let mut downs = lock_recovering(&counters.peer_downs);
                         if !downs.contains(&peer.peer_as) {
                             downs.push(peer.peer_as);
                         }
@@ -513,9 +523,11 @@ fn stream_session(
 }
 
 /// Expand one route-monitoring UPDATE into per-prefix feed events,
-/// filter them, and append survivors to `batch`.
+/// filter them, and append survivors to `batch`. The events share the
+/// feed's collector name and the UPDATE's one path: nothing here
+/// allocates per event.
 fn events_from_update(
-    collector: &str,
+    collector: &Arc<str>,
     peer: &PeerHeader,
     update: &BgpMessage,
     config: &LiveFeedConfig,
@@ -526,7 +538,7 @@ fn events_from_update(
         return; // decode() already guarantees this
     };
     let observed = SimTime::from_micros(peer.timestamp_micros());
-    let path = u.attrs.as_ref().map(|a| a.as_path.clone());
+    let path = u.attrs.as_ref().map(|a| &a.as_path);
     let origin = u.attrs.as_ref().and_then(|a| a.origin_as());
     let mut push = |prefix, as_path, origin_as| {
         counters.decoded.fetch_add(1, Ordering::Relaxed);
@@ -536,7 +548,7 @@ fn events_from_update(
             emitted_at: observed,
             observed_at: observed,
             source: FeedKind::BmpLive,
-            collector: collector.to_string(),
+            collector: Arc::clone(collector),
             vantage: peer.peer_as,
             prefix,
             as_path,
@@ -554,7 +566,7 @@ fn events_from_update(
         push(*prefix, None, None);
     }
     for prefix in &u.nlri {
-        push(*prefix, path.clone(), origin);
+        push(*prefix, path.cloned(), origin);
     }
 }
 
@@ -585,6 +597,15 @@ mod tests {
                 vec![Prefix::from_str(prefix).unwrap()],
             )),
         }
+    }
+
+    fn peer_174() -> PeerHeader {
+        PeerHeader::global(
+            std::net::IpAddr::V4(Ipv4Addr::new(192, 0, 2, 10)),
+            Asn(174),
+            Ipv4Addr::new(10, 0, 0, 1),
+            5_000_000,
+        )
     }
 
     fn wait_until(pred: impl Fn() -> bool) {
@@ -631,6 +652,140 @@ mod tests {
         assert_eq!(feed.next_poll(now), None, "drained ring schedules nothing");
         assert_eq!(feed.events_emitted(), 2);
         assert_eq!(feed.polls_executed(), 1);
+    }
+
+    #[test]
+    fn events_of_one_update_share_one_path_and_one_collector_name() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let writer = std::thread::spawn(move || {
+            let (mut sock, _) = listener.accept().unwrap();
+            let peer = peer_174();
+            let mut w = BmpWriter::new();
+            // 16 NLRI + 2 withdrawals in one UPDATE, then a second
+            // UPDATE carrying an equal path of its own.
+            let attrs = || {
+                PathAttributes::with_path(
+                    AsPath::from_sequence([174u32, 3356, 65001]),
+                    "192.0.2.10".parse().unwrap(),
+                )
+            };
+            w.write(&artemis_bmp::BmpMessage::RouteMonitoring {
+                peer,
+                update: BgpMessage::Update(UpdateMessage {
+                    withdrawn: (0..2u8)
+                        .map(|i| Prefix::v4(Ipv4Addr::new(198, 51, i, 0), 24).unwrap())
+                        .collect(),
+                    attrs: Some(attrs()),
+                    nlri: (0..16u8)
+                        .map(|i| Prefix::v4(Ipv4Addr::new(10, 0, i, 0), 24).unwrap())
+                        .collect(),
+                }),
+            })
+            .unwrap();
+            w.write(&artemis_bmp::BmpMessage::RouteMonitoring {
+                peer,
+                update: BgpMessage::Update(UpdateMessage::announce(
+                    attrs(),
+                    vec![Prefix::from_str("10.1.0.0/24").unwrap()],
+                )),
+            })
+            .unwrap();
+            sock.write_all(w.as_bytes()).unwrap();
+        });
+        let mut feed = BmpLiveFeed::connect("bmp0", addr.to_string(), LiveFeedConfig::default());
+        writer.join().unwrap();
+        wait_until(|| feed.stats().pending == 19);
+        let evs = feed.poll(SimTime::from_secs(100), &EmptyRibView, &mut SimRng::new(1));
+        let (first, second) = evs.split_at(18);
+        assert!(first[..2].iter().all(FeedEvent::is_withdrawal));
+
+        for ev in &evs {
+            assert_eq!(&*ev.collector, "bmp0");
+            assert!(
+                Arc::ptr_eq(&ev.collector, &evs[0].collector),
+                "one collector name per feed, not per event"
+            );
+        }
+        let segments = |ev: &FeedEvent| {
+            ev.as_path
+                .as_ref()
+                .expect("announcement")
+                .segments()
+                .as_ptr()
+        };
+        for ev in &first[2..] {
+            assert_eq!(ev.origin_as, Some(Asn(65001)));
+            assert_eq!(
+                segments(ev),
+                segments(&first[2]),
+                "one path allocation per UPDATE, not per NLRI"
+            );
+        }
+        assert_eq!(second[0].as_path, first[2].as_path);
+        assert_ne!(
+            segments(&second[0]),
+            segments(&first[2]),
+            "the next UPDATE decodes a path of its own"
+        );
+    }
+
+    #[test]
+    fn poisoned_session_maps_do_not_take_the_feed_down() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let mut feed = BmpLiveFeed::connect("bmp0", addr.to_string(), LiveFeedConfig::default());
+        let (mut sock, _) = listener.accept().unwrap();
+
+        // What a panic on the reader thread does to the two maps.
+        let counters = Arc::clone(&feed.counters);
+        let died = std::thread::spawn(move || {
+            let _health = counters.peer_health.lock().unwrap();
+            let _downs = counters.peer_downs.lock().unwrap();
+            panic!("poisoning both session maps (expected in this test)");
+        })
+        .join();
+        assert!(died.is_err());
+        assert!(feed.counters.peer_health.is_poisoned());
+        assert!(feed.counters.peer_downs.is_poisoned());
+
+        // The pump's four reads still answer ...
+        assert_eq!(feed.stats().peers, 0);
+        assert!(feed.peer_health().is_empty());
+        assert!(feed.wire_health().expect("wire feed").peers.is_empty());
+        assert!(feed.take_peer_downs().is_empty());
+
+        // ... and the reader's three writes still land.
+        let peer = peer_174();
+        let mut w = BmpWriter::new();
+        w.write(&artemis_bmp::BmpMessage::StatsReport {
+            peer,
+            stats: vec![artemis_bmp::StatCounter {
+                stat_type: 7,
+                value: 42,
+            }],
+        })
+        .unwrap();
+        w.write(&artemis_bmp::BmpMessage::PeerDown {
+            peer,
+            reason: 1,
+            data: Vec::new(),
+        })
+        .unwrap();
+        let latch = WakeLatch::new();
+        feed.set_waker(latch.clone());
+        sock.write_all(w.as_bytes()).unwrap();
+        // The reader knocks once the peer down is fully recorded.
+        assert!(latch.wait(Duration::from_secs(10)));
+        let (asn, health) = feed.peer_health()[0];
+        assert_eq!(
+            (asn, health.reports, health.adj_rib_in, health.peer_downs),
+            (Asn(174), 1, 42, 1)
+        );
+        assert_eq!(feed.stats().peers, 1);
+        assert_eq!(feed.wire_health().expect("wire feed").peers.len(), 1);
+        assert_eq!(feed.take_peer_downs(), vec![Asn(174)]);
+        assert!(feed.is_live());
     }
 
     #[test]

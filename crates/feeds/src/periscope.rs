@@ -12,12 +12,13 @@ use crate::event::{FeedEvent, FeedKind};
 use crate::source::{FeedSource, RibView};
 use artemis_bgp::{Asn, Prefix};
 use artemis_simnet::{LatencyModel, SimDuration, SimRng, SimTime};
+use std::sync::Arc;
 
 /// One looking glass: a vantage AS we may query.
 #[derive(Debug, Clone)]
 pub struct LookingGlass {
-    /// Identifier, e.g. `lg-ams-01`.
-    pub name: String,
+    /// Identifier, e.g. `lg-ams-01`; shared by every event the LG yields.
+    pub name: Arc<str>,
     /// The AS whose operational routers this LG exposes.
     pub vantage: Asn,
     /// Minimum interval between queries (rate limit).
@@ -29,7 +30,7 @@ pub struct LookingGlass {
 impl LookingGlass {
     /// An LG with a 60 s rate limit and 1–4 s response time — typical
     /// for public web looking glasses.
-    pub fn typical(name: impl Into<String>, vantage: Asn) -> Self {
+    pub fn typical(name: impl Into<Arc<str>>, vantage: Asn) -> Self {
         LookingGlass {
             name: name.into(),
             vantage,
@@ -265,7 +266,7 @@ mod tests {
         let mut rng = SimRng::new(3);
         let lgs: Vec<LookingGlass> = (0..8)
             .map(|i| LookingGlass {
-                name: format!("lg-{i}"),
+                name: format!("lg-{i}").into(),
                 vantage: Asn(100 + i),
                 min_interval: SimDuration::from_secs(60),
                 response_latency: LatencyModel::const_secs(1),

@@ -27,6 +27,7 @@ use artemis_bgpsim::{BestRoute, RouteChange};
 use artemis_mrt::{MrtDiagnostic, MrtError, MrtRecord, MrtScanner, PeerEntry, PeerIndexTable};
 use artemis_simnet::{SimDuration, SimRng, SimTime};
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 /// Convert an MRT `(seconds, microseconds)` pair back into simulation
 /// time (the writers store observation instants at full precision).
@@ -200,7 +201,7 @@ impl RibView for MrtRibSnapshot {
 /// feed replays at observation instants instead — the forensics mode:
 /// "what would ARTEMIS have seen live?".
 pub struct MrtReplayFeed {
-    name: String,
+    name: Arc<str>,
     batch_period: SimDuration,
     publish_delay: SimDuration,
     /// Events in emission order, ready to be polled out.
@@ -281,7 +282,7 @@ impl MrtReplayFeed {
     }
 
     /// Rename the feed instance (collector field of replayed events).
-    pub fn named(mut self, name: impl Into<String>) -> Self {
+    pub fn named(mut self, name: impl Into<Arc<str>>) -> Self {
         self.name = name.into();
         for ev in &mut self.queue {
             ev.collector = self.name.clone();

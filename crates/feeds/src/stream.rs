@@ -6,6 +6,7 @@ use artemis_bgp::Asn;
 use artemis_bgpsim::RouteChange;
 use artemis_simnet::{LatencyModel, SimDuration, SimRng, SimTime};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A streaming collector network (RIS-live or BGPmon flavour).
 ///
@@ -16,8 +17,9 @@ use std::collections::BTreeMap;
 pub struct StreamFeed {
     kind: FeedKind,
     name: String,
-    /// collector name -> peers
-    collectors: BTreeMap<String, Vec<Asn>>,
+    /// collector name -> peers; each name is shared by the events
+    /// its sessions produce
+    collectors: BTreeMap<Arc<str>, Vec<Asn>>,
     export_delay: LatencyModel,
     /// Events dropped by an (optional) outage window.
     outage: Option<(SimTime, SimTime)>,
@@ -25,6 +27,14 @@ pub struct StreamFeed {
     /// Observations swallowed by the outage window (one per vantage
     /// session that would have produced an event).
     dropped: u64,
+}
+
+/// One shared handle per collector name, made once at construction.
+fn shared_names(collectors: BTreeMap<String, Vec<Asn>>) -> BTreeMap<Arc<str>, Vec<Asn>> {
+    collectors
+        .into_iter()
+        .map(|(name, peers)| (name.into(), peers))
+        .collect()
 }
 
 impl StreamFeed {
@@ -36,7 +46,7 @@ impl StreamFeed {
         StreamFeed {
             kind: FeedKind::RisLive,
             name: "ris-live".into(),
-            collectors,
+            collectors: shared_names(collectors),
             export_delay: LatencyModel::LogNormal {
                 median: SimDuration::from_secs(8),
                 sigma: 0.6,
@@ -53,7 +63,7 @@ impl StreamFeed {
         StreamFeed {
             kind: FeedKind::BgpMon,
             name: "bgpmon".into(),
-            collectors,
+            collectors: shared_names(collectors),
             export_delay: LatencyModel::LogNormal {
                 median: SimDuration::from_secs(15),
                 sigma: 0.5,

@@ -63,7 +63,7 @@ fn scripted_event(feed: usize, step: usize, k: usize, t_micros: u64) -> FeedEven
         emitted_at: SimTime::from_micros(t_micros),
         observed_at: SimTime::from_micros(t_micros.saturating_sub(3)),
         source: FeedKind::RisLive,
-        collector: format!("f{feed}-s{step}-e{k}"),
+        collector: format!("f{feed}-s{step}-e{k}").into(),
         vantage: Asn(174),
         prefix: Prefix::from_str("10.0.0.0/23").unwrap(),
         as_path: Some(as_path),
