@@ -1,5 +1,5 @@
 //! Pre-heap feed filtering: decide whether an event is interesting
-//! *before* it costs a [`crate::FeedHub`] slab slot.
+//! *before* it reaches a [`crate::FeedHub`] lane.
 //!
 //! A [`FeedFilter`] is a serializable conjunction of predicate
 //! dimensions (prefix, origin, vantage/peer, time window). Within a

@@ -7,7 +7,7 @@ use crate::source::{FeedSource, RibView, WakeLatch};
 use artemis_bgpsim::RouteChange;
 use artemis_simnet::{SimRng, SimTime};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 /// Stable identity of a feed inside a [`FeedHub`].
 ///
@@ -49,7 +49,7 @@ pub struct FeedLag {
     pub queued_events: usize,
     /// Emission instant of the newest event this feed queued, if any.
     pub last_event_at: Option<SimTime>,
-    /// Events discarded before they could reach the merge heap:
+    /// Events discarded before they could reach the merge queue:
     /// pre-heap [`crate::FeedFilter`] rejections at the hub boundary
     /// plus everything the feed itself reports dropping (backpressure
     /// sheds, feed-local filters, outage windows). Monotone;
@@ -61,83 +61,135 @@ pub struct FeedLag {
 }
 
 /// A queued event's ordering key: `(emitted_at, ingestion sequence)` —
-/// the sequence number makes simultaneous emissions deterministic —
-/// plus the slab slot holding the event payload. Keeping the payload
-/// out of the ordering structures makes every key move a 24-byte copy
-/// instead of a `FeedEvent` move (128 bytes: instants, prefix, and the
-/// handles on the shared collector name and AS path).
-#[derive(Clone, Copy, PartialEq, Eq)]
-struct QueuedKey(SimTime, u64, u32);
+/// the sequence number makes simultaneous emissions deterministic.
+type Key = (SimTime, u64);
 
-impl Ord for QueuedKey {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.cmp(&other.0).then(self.1.cmp(&other.1))
-    }
-}
-impl PartialOrd for QueuedKey {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// One feed's pending keys, kept as a *sorted run* with a reusable
-/// buffer: appends land at the tail in ingestion order (per-feed
-/// streams are near-sorted already — a constant export delay makes
-/// them exactly sorted), a cheap flag records whether an append ever
-/// broke `(time, seq)` order, and [`Lane::seal`] sorts the run lazily
-/// at drain time only when it has to. Draining consumes from the front
-/// through a cursor so the allocation is reused wave after wave.
+/// Everything the hub keeps for one feed. Its pending events are held
+/// **by value** as a *sorted run*: appends land at the tail in
+/// ingestion order (per-feed streams are near-sorted already — a
+/// constant export delay makes them exactly sorted), a flag records
+/// whether an append broke `(time, seq)` order, and [`Lane::seal`]
+/// sorts the run lazily at drain time only when it has to. Drains take
+/// whole runs off the front; a run that is the lane's whole content,
+/// going into an empty buffer, leaves as a buffer swap — as does a
+/// batch appended to an empty lane — so an event queued and drained
+/// through a lone lane is never moved by the hub at all.
 #[derive(Default)]
 struct Lane {
-    /// Pending keys; `keys[head..]` is the live run.
-    keys: Vec<QueuedKey>,
-    /// Consumption cursor into `keys` (compacted at seal time).
-    head: usize,
+    /// Pending events; `seqs[i]` is the ingestion sequence of
+    /// `events[i]`.
+    events: VecDeque<FeedEvent>,
+    seqs: VecDeque<u64>,
     /// True when an append broke `(time, seq)` order since the last
     /// seal; the run must be sorted before merging.
     unsorted: bool,
-    /// Earliest emission instant among pending keys (exact even while
-    /// the run is unsorted), `None` when the lane is empty.
+    /// Earliest emission instant among pending events (exact even
+    /// while the run is unsorted), `None` when the lane is empty.
     min_time: Option<SimTime>,
+    /// Queue depth, newest emission and filter rejections, booked once
+    /// per queued batch and once per drained run.
+    lag: FeedLag,
+    /// The feed's pre-heap filter; only non-trivial filters are stored
+    /// (the wildcard costs nothing by absence).
+    filter: Option<FeedFilter>,
 }
 
 impl Lane {
-    /// Append a key in ingestion order.
-    fn push(&mut self, key: QueuedKey) {
-        if let Some(last) = self.keys.last() {
-            if key < *last {
-                self.unsorted = true;
-            }
+    /// Append the whole (non-empty) `batch` in ingestion order, under
+    /// sequence numbers from `seq` on. Onto an empty lane this is a
+    /// buffer swap: `batch` comes back empty, holding the lane's spare
+    /// allocation.
+    fn append(&mut self, batch: &mut Vec<FeedEvent>, seq: u64) {
+        let mut last = self.events.back().map(|e| e.emitted_at);
+        let (mut oldest, mut newest) = (SimTime::from_micros(u64::MAX), SimTime::ZERO);
+        for ev in batch.iter() {
+            let t = ev.emitted_at;
+            self.unsorted |= last.is_some_and(|l| t < l);
+            last = Some(t);
+            oldest = oldest.min(t);
+            newest = newest.max(t);
         }
-        self.min_time = Some(self.min_time.map_or(key.0, |t| t.min(key.0)));
-        self.keys.push(key);
+        self.min_time = Some(self.min_time.map_or(oldest, |t| t.min(oldest)));
+        self.lag.queued_events += batch.len();
+        self.lag.last_event_at = self.lag.last_event_at.max(Some(newest));
+        self.seqs.extend(seq..seq + batch.len() as u64);
+        if self.events.is_empty() {
+            let spare = Vec::from(std::mem::take(&mut self.events));
+            self.events = VecDeque::from(std::mem::replace(batch, spare));
+        } else {
+            self.events.extend(batch.drain(..));
+        }
     }
 
-    /// Make the live run contiguous-from-zero and sorted by
-    /// `(time, seq)`. Cheap when nothing is out of order (the common
-    /// case): a drain of the consumed prefix and no sort.
-    fn seal(&mut self) {
-        if self.head > 0 {
-            self.keys.drain(..self.head);
-            self.head = 0;
+    /// Sort the run by `(time, seq)` if an append disordered it. The
+    /// sort moves 24-byte keys, not events: `keys` (reused across
+    /// calls) is sorted with each key's position, and the events then
+    /// follow that permutation in place, one cycle at a time.
+    fn seal(&mut self, keys: &mut Vec<(SimTime, u64, u32)>) {
+        if !std::mem::take(&mut self.unsorted) {
+            return;
         }
-        if self.unsorted {
-            self.keys.sort_unstable();
-            self.unsorted = false;
+        let events = self.events.make_contiguous();
+        let seqs = self.seqs.make_contiguous();
+        keys.clear();
+        keys.extend(
+            events
+                .iter()
+                .zip(seqs.iter())
+                .zip(0u32..)
+                .map(|((ev, &seq), i)| (ev.emitted_at, seq, i)),
+        );
+        keys.sort_unstable();
+        // Position `i` takes the event now at `keys[i].2`; `u32::MAX`
+        // marks a position already filled.
+        for i in 0..keys.len() {
+            seqs[i] = keys[i].1;
+            let mut at = i;
+            loop {
+                let from = std::mem::replace(&mut keys[at].2, u32::MAX);
+                if from == u32::MAX || from as usize == i {
+                    break;
+                }
+                events.swap(at, from as usize);
+                at = from as usize;
+            }
         }
     }
 
     /// The earliest pending key. Only meaningful after [`Lane::seal`].
-    fn front(&self) -> Option<QueuedKey> {
-        self.keys.get(self.head).copied()
+    fn front(&self) -> Option<Key> {
+        Some((self.events.front()?.emitted_at, *self.seqs.front()?))
     }
 
-    /// Consume the front key (lane must be sealed).
-    fn pop_front(&mut self) -> QueuedKey {
-        let key = self.keys[self.head];
-        self.head += 1;
-        self.min_time = self.keys.get(self.head).map(|k| k.0);
-        key
+    /// How many front events sort before `limit` (lane sealed): O(1)
+    /// when the whole lane does, else O(run), never O(pending).
+    fn run_before(&self, limit: Key) -> usize {
+        let n = self.events.len();
+        if n == 0 || (self.events[n - 1].emitted_at, self.seqs[n - 1]) < limit {
+            return n;
+        }
+        self.events
+            .iter()
+            .zip(&self.seqs)
+            .take_while(|(ev, &seq)| (ev.emitted_at, seq) < limit)
+            .count()
+    }
+
+    /// Move the first `k` events (lane sealed) to the end of `out` in
+    /// one drain, or — when they are the whole lane and `out` is empty
+    /// — by swapping buffers with `out`. A front drain moves the `k`
+    /// events and nothing behind them.
+    fn take_run(&mut self, k: usize, out: &mut Vec<FeedEvent>) {
+        if k == self.events.len() && out.is_empty() {
+            let spare = VecDeque::from(std::mem::take(out));
+            *out = Vec::from(std::mem::replace(&mut self.events, spare));
+            self.seqs.clear();
+        } else {
+            out.extend(self.events.drain(..k));
+            self.seqs.drain(..k);
+        }
+        self.lag.queued_events -= k;
+        self.min_time = self.events.front().map(|e| e.emitted_at);
     }
 }
 
@@ -148,7 +200,7 @@ impl Lane {
 /// order.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DrainBreakdown {
-    /// Nanoseconds spent sealing (compacting + lazily sorting) lanes.
+    /// Nanoseconds spent sealing (lazily sorting) lanes.
     pub seal_nanos: u64,
     /// Nanoseconds spent merging due events into the output buffer.
     pub merge_nanos: u64,
@@ -156,18 +208,16 @@ pub struct DrainBreakdown {
 
 /// Aggregates any number of [`FeedSource`]s behind one interface.
 ///
-/// The hub supports two consumption styles:
-///
-/// * **Batched (preferred)** — the driver calls
-///   [`FeedHub::ingest_route_changes`] / [`FeedHub::poll_and_queue`];
-///   the hub merge-sorts every produced event by `emitted_at` into an
-///   internal queue, and [`FeedHub::drain_batch`] moves everything due
-///   up to an instant into a caller-owned reusable buffer. One scratch
-///   buffer is threaded through all feeds, so the hot path performs no
-///   per-route-change allocation.
-/// * **Per-event** — [`FeedHub::on_route_change_into`] /
-///   [`FeedHub::poll_into`] append raw feed output to a caller-owned
-///   buffer and leave ordering to the caller.
+/// The hub has one consumption path: the caller queues events with
+/// [`FeedHub::ingest_route_changes`] / [`FeedHub::poll_and_queue`],
+/// and [`FeedHub::drain_batch`] moves everything due up to an instant,
+/// merge-sorted by `(emitted_at, ingestion order)`, into a
+/// caller-owned reusable buffer. One scratch buffer is threaded
+/// through all feeds, and each feed's lane holds its events by value.
+/// With a single feed attached, both the queueing and the drain are
+/// buffer swaps: an event moves once on its way from the feed to the
+/// batch (into the scratch buffer), and the hot path allocates nothing
+/// once its buffers are warm.
 ///
 /// Feeds are identified by the stable [`FeedHandle`] returned from
 /// [`FeedHub::add`]; [`FeedHub::remove`] detaches a feed at runtime and
@@ -187,32 +237,23 @@ pub struct FeedHub {
     /// Master stream: only forked at attach time, never drawn from on
     /// the event path.
     rng: SimRng,
-    /// Per-feed sorted runs of pending event keys, keyed by handle id
-    /// (including [`FeedHandle::REQUEUED`]'s own lane at id 0). The
-    /// global drain order is recovered by a k-way merge over the lane
-    /// fronts — per-feed streams are already (near-)time-ordered, so
-    /// the merge pays O(feeds) per event where a global heap paid
-    /// O(log total-events) sifts.
+    /// One lane per attached feed, keyed by handle id, plus
+    /// [`FeedHandle::REQUEUED`]'s at id 0 once anything is requeued.
+    /// The global drain order is recovered by a k-way merge over the
+    /// lane fronts that moves a run at a time — per-feed streams are
+    /// already (near-)time-ordered, so the merge pays O(feeds) per run
+    /// where a global heap paid O(log total-events) sifts per event.
     lanes: BTreeMap<u64, Lane>,
     /// Total pending (undrained) events across all lanes.
     pending: usize,
-    /// Event payloads with their source-feed attribution, indexed by
-    /// the slot in each queued key.
-    slots: Vec<Option<(FeedHandle, FeedEvent)>>,
-    /// Recycled slab slots.
-    free: Vec<u32>,
     /// Monotone ingestion counter (tie-break for equal emission times).
     seq: u64,
     /// Monotone handle allocator (0 is [`FeedHandle::REQUEUED`]).
     next_handle: u64,
     /// Reusable fan-out buffer shared by the batch ingestion paths.
     scratch: Vec<FeedEvent>,
-    /// Per-feed lag bookkeeping, keyed by handle id. Entries live
-    /// exactly as long as the feed is attached.
-    lag: BTreeMap<u64, FeedLag>,
-    /// Per-feed pre-heap filters, keyed by handle id. Only non-trivial
-    /// filters are stored (the wildcard costs nothing by absence).
-    filters: BTreeMap<u64, FeedFilter>,
+    /// Reusable sort keys for [`Lane::seal`].
+    sort_keys: Vec<(SimTime, u64, u32)>,
     /// The driver's wake-up latch, kept so feeds attached later get it
     /// too (see [`FeedHub::set_waker`]).
     waker: Option<WakeLatch>,
@@ -226,13 +267,10 @@ impl FeedHub {
             rng,
             lanes: BTreeMap::new(),
             pending: 0,
-            slots: Vec::new(),
-            free: Vec::new(),
             seq: 0,
             next_handle: 1,
             scratch: Vec::new(),
-            lag: BTreeMap::new(),
-            filters: BTreeMap::new(),
+            sort_keys: Vec::new(),
             waker: None,
         }
     }
@@ -261,13 +299,13 @@ impl FeedHub {
             feed.set_waker(waker.clone());
         }
         self.feeds.push((handle, feed_rng, feed));
-        self.lag.insert(handle.0, FeedLag::default());
+        self.lanes.insert(handle.0, Lane::default());
         handle
     }
 
     /// Add a feed with a pre-heap [`FeedFilter`]: events failing the
     /// predicate are discarded at the enqueue boundary — before they
-    /// cost a slab slot or a heap key — and counted in
+    /// reach the feed's lane — and counted in
     /// [`FeedLag::dropped_events`].
     pub fn add_filtered(&mut self, feed: Box<dyn FeedSource>, filter: FeedFilter) -> FeedHandle {
         let handle = self.add(feed);
@@ -280,24 +318,19 @@ impl FeedHub {
     /// Wildcard filters are normalized away so the hot path pays
     /// nothing for unfiltered feeds.
     pub fn set_feed_filter(&mut self, handle: FeedHandle, filter: Option<FeedFilter>) -> bool {
-        if !self.lag.contains_key(&handle.0) {
-            return false;
-        }
-        match filter {
-            Some(f) if !f.matches_everything() => {
-                self.filters.insert(handle.0, f);
+        match self.lanes.get_mut(&handle.0) {
+            Some(lane) if handle != FeedHandle::REQUEUED => {
+                lane.filter = filter.filter(|f| !f.matches_everything());
+                true
             }
-            _ => {
-                self.filters.remove(&handle.0);
-            }
+            _ => false,
         }
-        true
     }
 
     /// The pre-heap filter currently installed for a feed, if any
     /// non-trivial one is.
     pub fn feed_filter(&self, handle: FeedHandle) -> Option<&FeedFilter> {
-        self.filters.get(&handle.0)
+        self.lanes.get(&handle.0)?.filter.as_ref()
     }
 
     /// Detach a feed at runtime, returning the feed and the number of
@@ -316,20 +349,10 @@ impl FeedHub {
         let pos = self.feeds.iter().position(|(h, _, _)| *h == handle)?;
         let (_, _, feed) = self.feeds.remove(pos);
         // The detached feed's pending events all live in its own lane:
-        // dropping them is freeing that lane's slots — other feeds'
-        // lanes (and the requeued lane) are untouched, so their exact
-        // relative order is preserved by construction.
-        let mut dropped = 0usize;
-        if let Some(lane) = self.lanes.remove(&handle.0) {
-            for QueuedKey(_, _, slot) in &lane.keys[lane.head..] {
-                self.slots[*slot as usize] = None;
-                self.free.push(*slot);
-                dropped += 1;
-            }
-            self.pending -= dropped;
-        }
-        self.lag.remove(&handle.0);
-        self.filters.remove(&handle.0);
+        // other feeds' lanes (and the requeued lane) are untouched, so
+        // their exact relative order is preserved by construction.
+        let dropped = self.lanes.remove(&handle.0).map_or(0, |l| l.events.len());
+        self.pending -= dropped;
         Some((feed, dropped))
     }
 
@@ -343,46 +366,26 @@ impl FeedHub {
         self.feeds.is_empty()
     }
 
-    /// Move everything in the scratch buffer into the merge queue,
-    /// attributed to `handle`. This is the pre-heap boundary: events
-    /// rejected by the feed's [`FeedFilter`] are dropped *here*,
-    /// before any slab slot or heap key is allocated for them.
+    /// Move everything in the scratch buffer into `handle`'s lane. This
+    /// is the pre-heap boundary: events rejected by the feed's
+    /// [`FeedFilter`] are dropped *here*, before they reach the lane.
     fn queue_scratch(&mut self, handle: FeedHandle) {
         if self.scratch.is_empty() {
             return;
         }
-        let filter = self.filters.get(&handle.0);
         let lane = self.lanes.entry(handle.0).or_default();
-        for ev in self.scratch.drain(..) {
-            if let Some(f) = filter {
-                if !f.matches(&ev) {
-                    if let Some(lag) = self.lag.get_mut(&handle.0) {
-                        lag.dropped_events += 1;
-                    }
-                    continue;
-                }
+        if let Some(f) = &lane.filter {
+            let before = self.scratch.len();
+            self.scratch.retain(|ev| f.matches(ev));
+            lane.lag.dropped_events += (before - self.scratch.len()) as u64;
+            if self.scratch.is_empty() {
+                return;
             }
-            let emitted_at = ev.emitted_at;
-            if let Some(lag) = self.lag.get_mut(&handle.0) {
-                lag.queued_events += 1;
-                lag.last_event_at =
-                    Some(lag.last_event_at.map_or(emitted_at, |t| t.max(emitted_at)));
-            }
-            let slot = match self.free.pop() {
-                Some(s) => {
-                    self.slots[s as usize] = Some((handle, ev));
-                    s
-                }
-                None => {
-                    let s = self.slots.len() as u32;
-                    self.slots.push(Some((handle, ev)));
-                    s
-                }
-            };
-            lane.push(QueuedKey(emitted_at, self.seq, slot));
-            self.pending += 1;
-            self.seq += 1;
         }
+        let n = self.scratch.len();
+        lane.append(&mut self.scratch, self.seq);
+        self.pending += n;
+        self.seq += n as u64;
     }
 
     /// Fan one routing change out to all push feeds and queue the
@@ -407,12 +410,14 @@ impl FeedHub {
     }
 
     /// Run every feed whose poll is due at `at` and queue the results.
+    /// Each feed appends straight into the hub's reused scratch buffer
+    /// ([`FeedSource::poll_into`]).
     pub fn poll_and_queue(&mut self, at: SimTime, view: &dyn RibView) {
         for i in 0..self.feeds.len() {
             let handle = {
                 let (h, rng, feed) = &mut self.feeds[i];
                 if feed.next_poll(at).is_some_and(|t| t <= at) {
-                    self.scratch.extend(feed.poll(at, view, rng));
+                    feed.poll_into(at, view, rng, &mut self.scratch);
                 }
                 *h
             };
@@ -447,14 +452,15 @@ impl FeedHub {
     /// (cleared first), globally merge-sorted by `(emitted_at,
     /// ingestion order)` across push and pull feeds. Returns the number
     /// of drained events. `out` is caller-owned so one buffer can be
-    /// reused across the whole run.
+    /// reused across the whole run; a drain that empties a lone lane
+    /// swaps buffers with it instead of moving the events.
     ///
     /// Internally this seals each feed's sorted run (a lazy sort, paid
     /// only by lanes an append actually disordered) and then k-way
-    /// merges the lane fronts by `(emitted_at, ingestion sequence)` —
-    /// sequence numbers are globally unique, so the merged order is
-    /// byte-identical to what a single global ordered queue would
-    /// produce.
+    /// merges the lane fronts by `(emitted_at, ingestion sequence)`,
+    /// a run at a time — sequence numbers are globally unique, so the
+    /// merged order is byte-identical to what a single global ordered
+    /// queue would produce.
     pub fn drain_batch(&mut self, upto: SimTime, out: &mut Vec<FeedEvent>) -> usize {
         out.clear();
         self.seal_lanes();
@@ -487,53 +493,40 @@ impl FeedHub {
     /// Seal every lane's sorted run ahead of a merge.
     fn seal_lanes(&mut self) {
         for lane in self.lanes.values_mut() {
-            lane.seal();
+            lane.seal(&mut self.sort_keys);
         }
     }
 
-    /// K-way merge of due events (lanes must be sealed): repeatedly
-    /// take the lane whose front key is globally smallest. With a
-    /// handful of feeds the linear scan over lane fronts beats both a
-    /// loser tree and the old global heap's O(log pending) sifts per
-    /// event.
+    /// K-way merge of due events (lanes must be sealed), a run at a
+    /// time: the lane whose front key is globally smallest gives up,
+    /// in one move, every due event that sorts before the runner-up
+    /// lane's front. With a handful of feeds the linear scan over lane
+    /// fronts beats both a loser tree and a global heap; with one lane
+    /// holding events, the whole due run leaves in one step.
     fn merge_due(&mut self, upto: SimTime, out: &mut Vec<FeedEvent>) -> usize {
         loop {
-            let mut best: Option<(QueuedKey, u64)> = None;
+            let mut best: Option<(Key, u64)> = None;
+            let mut runner_up: Option<Key> = None;
             for (&id, lane) in &self.lanes {
-                if let Some(key) = lane.front() {
-                    if key.0 <= upto && best.is_none_or(|(bk, _)| key < bk) {
-                        best = Some((key, id));
-                    }
+                let Some(key) = lane.front().filter(|k| k.0 <= upto) else {
+                    continue;
+                };
+                if best.is_none_or(|(b, _)| key < b) {
+                    runner_up = best.map(|(b, _)| b);
+                    best = Some((key, id));
+                } else if runner_up.is_none_or(|r| key < r) {
+                    runner_up = Some(key);
                 }
             }
             let Some((_, id)) = best else {
                 break;
             };
-            let QueuedKey(_, _, slot) = self
-                .lanes
-                .get_mut(&id)
-                .expect("winning lane exists")
-                .pop_front();
-            self.pending -= 1;
-            let (owner, ev) = self.slots[slot as usize]
-                .take()
-                .expect("queued slot filled");
-            if let Some(lag) = self.lag.get_mut(&owner.0) {
-                lag.queued_events = lag.queued_events.saturating_sub(1);
-            }
-            self.free.push(slot);
-            out.push(ev);
+            let lane = self.lanes.get_mut(&id).expect("winning lane exists");
+            let k = lane.run_before(runner_up.unwrap_or((upto, u64::MAX)));
+            lane.take_run(k, out);
+            self.pending -= k;
         }
         out.len()
-    }
-
-    /// Fan a routing change out to all push feeds, appending the
-    /// resulting events to `out` (not queueing them; ordering is left
-    /// to the caller). The zero-extra-allocation per-event surface.
-    pub fn on_route_change_into(&mut self, change: &RouteChange, out: &mut Vec<FeedEvent>) {
-        for (_, rng, feed) in &mut self.feeds {
-            feed.on_route_change_into(change, rng, out);
-        }
     }
 
     /// Earliest pending poll across all pull feeds.
@@ -542,16 +535,6 @@ impl FeedHub {
             .iter()
             .filter_map(|(_, _, f)| f.next_poll(now))
             .min()
-    }
-
-    /// Run every feed whose poll is due at `at`, appending the events
-    /// to `out` (not queueing them).
-    pub fn poll_into(&mut self, at: SimTime, view: &dyn RibView, out: &mut Vec<FeedEvent>) {
-        for (_, rng, feed) in &mut self.feeds {
-            if feed.next_poll(at).is_some_and(|t| t <= at) {
-                out.extend(feed.poll(at, view, rng));
-            }
-        }
     }
 
     /// Per-feed event counters (monitoring overhead of E3).
@@ -607,11 +590,10 @@ impl FeedHub {
     /// backpressure sheds, outage windows). Both inputs are monotone,
     /// so the composed counters are too.
     pub fn feed_lag(&self, handle: FeedHandle) -> Option<FeedLag> {
-        let mut lag = *self.lag.get(&handle.0)?;
-        if let Some(feed) = self.feed_by_handle(handle) {
-            lag.dropped_events += feed.dropped_events();
-            lag.shed_events += feed.shed_events();
-        }
+        let feed = self.feed_by_handle(handle)?;
+        let mut lag = self.lanes.get(&handle.0)?.lag;
+        lag.dropped_events += feed.dropped_events();
+        lag.shed_events += feed.shed_events();
         Some(lag)
     }
 
@@ -657,9 +639,9 @@ mod tests {
             "bmp", &vps, 1,
         ))));
         assert_eq!(hub.len(), 2);
+        hub.ingest_route_change(&change(174, 10));
         let mut evs = Vec::new();
-        hub.on_route_change_into(&change(174, 10), &mut evs);
-        assert_eq!(evs.len(), 2);
+        assert_eq!(hub.drain_batch(SimTime::from_micros(u64::MAX), &mut evs), 2);
         let kinds: std::collections::BTreeSet<FeedKind> = evs.iter().map(|e| e.source).collect();
         assert!(kinds.contains(&FeedKind::RisLive));
         assert!(kinds.contains(&FeedKind::BgpMon));
@@ -715,13 +697,13 @@ mod tests {
     fn empty_hub_is_silent() {
         let mut hub = FeedHub::new(SimRng::new(1));
         assert!(hub.is_empty());
-        let mut evs = Vec::new();
-        hub.on_route_change_into(&change(1, 1), &mut evs);
-        assert!(evs.is_empty());
         assert_eq!(hub.next_poll(SimTime::ZERO), None);
         hub.ingest_route_change(&change(1, 1));
+        hub.poll_and_queue(SimTime::ZERO, &crate::source::EmptyRibView);
         assert_eq!(hub.pending_events(), 0);
         assert_eq!(hub.next_emission(), None);
+        let mut evs = Vec::new();
+        assert_eq!(hub.drain_batch(SimTime::from_micros(u64::MAX), &mut evs), 0);
     }
 
     #[test]
@@ -901,23 +883,23 @@ mod tests {
         let changes: Vec<RouteChange> = (0..20u64)
             .map(|i| change(if i % 2 == 0 { 174 } else { 3356 }, i))
             .collect();
-        let build = || {
-            let mut hub = FeedHub::new(SimRng::new(9));
-            hub.add(Box::new(
-                StreamFeed::ris_live(group_into_collectors("rrc", &vps, 2))
-                    .with_export_delay(artemis_simnet::LatencyModel::const_secs(3)),
-            ));
-            hub
+        let feed = || {
+            StreamFeed::ris_live(group_into_collectors("rrc", &vps, 2))
+                .with_export_delay(artemis_simnet::LatencyModel::const_secs(3))
         };
 
+        // The feed's own per-event surface, on the stream the hub forks
+        // for its first handle.
         let mut per_event = Vec::new();
-        let mut hub = build();
+        let mut solo = feed();
+        let mut rng = SimRng::new(9).fork_indexed("feed", 1);
         for c in &changes {
-            hub.on_route_change_into(c, &mut per_event);
+            solo.on_route_change_into(c, &mut rng, &mut per_event);
         }
 
         let mut batch = Vec::new();
-        let mut hub = build();
+        let mut hub = FeedHub::new(SimRng::new(9));
+        hub.add(Box::new(feed()));
         hub.ingest_route_changes(&changes);
         hub.drain_batch(SimTime::from_secs(10_000), &mut batch);
 
@@ -933,15 +915,13 @@ mod tests {
         hub.add(Box::new(StreamFeed::ris_live(group_into_collectors(
             "rrc", &vps, 1,
         ))));
-        let mut sink = Vec::new();
-        hub.on_route_change_into(&change(174, 10), &mut sink);
-        hub.on_route_change_into(&change(174, 20), &mut sink);
+        hub.ingest_route_changes(&[change(174, 10), change(174, 20)]);
         let stats = hub.emission_stats();
         assert_eq!(stats[&(FeedKind::RisLive, "ris-live".to_string())], 2);
     }
 
     #[test]
-    fn pre_heap_filter_rejects_before_the_slab() {
+    fn pre_heap_filter_rejects_before_the_lane() {
         use crate::filter::FeedFilter;
         let mut hub = FeedHub::new(SimRng::new(1));
         let vps = vec![Asn(174)];
@@ -953,7 +933,11 @@ mod tests {
         );
         hub.ingest_route_change(&change(174, 10));
         hub.ingest_route_change(&change(174, 20));
-        assert_eq!(hub.pending_events(), 0, "rejected events cost no slab slot");
+        assert_eq!(
+            hub.pending_events(),
+            0,
+            "rejected events never reach the lane"
+        );
         let lag = hub.feed_lag(h).unwrap();
         assert_eq!(lag.dropped_events, 2);
         assert_eq!(lag.queued_events, 0);

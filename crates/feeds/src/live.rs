@@ -152,7 +152,7 @@ pub struct BmpLiveFeed {
     counters: Arc<LiveCounters>,
     shutdown: Arc<AtomicBool>,
     reader: Option<std::thread::JoinHandle<()>>,
-    /// Events handed to the hub via `poll`.
+    /// Events handed to the hub via `poll` / `poll_into`.
     emitted: u64,
     /// Poll invocations that drained at least one event.
     polls: u64,
@@ -277,10 +277,24 @@ impl FeedSource for BmpLiveFeed {
         }
     }
 
-    fn poll(&mut self, at: SimTime, _view: &dyn RibView, _rng: &mut SimRng) -> Vec<FeedEvent> {
+    fn poll(&mut self, at: SimTime, view: &dyn RibView, rng: &mut SimRng) -> Vec<FeedEvent> {
         let mut out = Vec::new();
-        let n = self.ring.drain_into(&mut out, usize::MAX);
-        for ev in &mut out {
+        self.poll_into(at, view, rng, &mut out);
+        out
+    }
+
+    fn poll_into(
+        &mut self,
+        at: SimTime,
+        _view: &dyn RibView,
+        _rng: &mut SimRng,
+        out: &mut Vec<FeedEvent>,
+    ) {
+        // The ring drains straight into the caller's buffer: one move
+        // per event, and only what this poll appended is stamped.
+        let start = out.len();
+        let n = self.ring.drain_into(out, usize::MAX);
+        for ev in &mut out[start..] {
             // Emission is the instant the pipeline could first react;
             // observation keeps the collector's wire timestamp (capped
             // so a fast collector clock cannot place it after
@@ -292,7 +306,6 @@ impl FeedSource for BmpLiveFeed {
             self.emitted += n as u64;
             self.polls += 1;
         }
-        out
     }
 
     fn events_emitted(&self) -> u64 {
@@ -650,6 +663,55 @@ mod tests {
         assert_eq!(evs[0].observed_at, SimTime::from_secs(5));
         assert_eq!(evs[0].source, FeedKind::BmpLive);
         assert_eq!(feed.next_poll(now), None, "drained ring schedules nothing");
+        assert_eq!(feed.events_emitted(), 2);
+        assert_eq!(feed.polls_executed(), 1);
+    }
+
+    #[test]
+    fn poll_into_appends_and_stamps_only_what_it_appended() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let writer = std::thread::spawn(move || {
+            let (mut sock, _) = listener.accept().unwrap();
+            let mut w = BmpWriter::new();
+            // One wire timestamp before the poll instant, one after.
+            w.write(&route_monitoring("10.0.0.0/24", &[174, 666], 5_000_000))
+                .unwrap();
+            w.write(&route_monitoring("10.0.1.0/24", &[174, 666], 200_000_000))
+                .unwrap();
+            sock.write_all(w.as_bytes()).unwrap();
+        });
+        let mut feed = BmpLiveFeed::connect("bmp0", addr.to_string(), LiveFeedConfig::default());
+        writer.join().unwrap();
+        wait_until(|| feed.stats().pending == 2);
+
+        // What the caller's buffer already holds must come back as it was.
+        let earlier = FeedEvent {
+            emitted_at: SimTime::from_secs(1),
+            observed_at: SimTime::from_secs(999),
+            source: FeedKind::RisLive,
+            collector: "rrc00".into(),
+            vantage: Asn(3356),
+            prefix: Prefix::from_str("192.0.2.0/24").unwrap(),
+            as_path: None,
+            origin_as: None,
+            raw: Some("kept".into()),
+        };
+        let mut out = vec![earlier.clone()];
+        let at = SimTime::from_secs(100);
+        feed.poll_into(at, &EmptyRibView, &mut SimRng::new(1), &mut out);
+        assert_eq!(out.len(), 3, "appended after what was there");
+        assert_eq!(out[0], earlier, "earlier entries untouched");
+        let stamped: Vec<(SimTime, SimTime)> = out[1..]
+            .iter()
+            .map(|e| (e.emitted_at, e.observed_at))
+            .collect();
+        assert_eq!(
+            stamped,
+            vec![(at, SimTime::from_secs(5)), (at, at)],
+            "emitted at the poll, observed at the wire time capped by it"
+        );
+        assert_eq!(out[1].prefix, Prefix::from_str("10.0.0.0/24").unwrap());
         assert_eq!(feed.events_emitted(), 2);
         assert_eq!(feed.polls_executed(), 1);
     }

@@ -87,6 +87,21 @@ pub trait FeedSource: Send {
     fn next_poll(&self, now: SimTime) -> Option<SimTime>;
     /// Pull-path: execute the poll scheduled at `at`.
     fn poll(&mut self, at: SimTime, view: &dyn RibView, rng: &mut SimRng) -> Vec<FeedEvent>;
+    /// Pull-path into a caller's buffer: execute the poll scheduled at
+    /// `at`, **appending** its events to `out`. It never clears `out`;
+    /// whatever `out` held before is left as it was. The
+    /// [`crate::FeedHub`] polls through this into one reused buffer.
+    /// The default forwards [`FeedSource::poll`]; feeds that can fill
+    /// the buffer directly ([`crate::BmpLiveFeed`]) override it.
+    fn poll_into(
+        &mut self,
+        at: SimTime,
+        view: &dyn RibView,
+        rng: &mut SimRng,
+        out: &mut Vec<FeedEvent>,
+    ) {
+        out.extend(self.poll(at, view, rng));
+    }
     /// Events emitted so far (monitoring-overhead accounting).
     fn events_emitted(&self) -> u64;
     /// Pull queries actually issued (0 for push feeds) — the
