@@ -54,7 +54,7 @@ use artemis_core::wire::{
     CommandEnvelope, CommandResult, EventsEnvelope, InjectEnvelope, InjectOutcome, OutcomeEnvelope,
     QueryEnvelope, SCHEMA_VERSION,
 };
-use artemis_core::{AppAction, ArtemisService, EventCursor, IncidentEvent, ServiceQuery};
+use artemis_core::{ArtemisService, EventCursor, IncidentEvent, ServiceQuery};
 use artemis_feeds::WakeLatch;
 use artemis_simnet::SimTime;
 use minihttp::{Request, Response, Server, ShutdownSwitch};
@@ -374,12 +374,8 @@ fn handle_inject(shared: &Shared, req: &Request) -> Response {
         let mut delivered = 0u64;
         let mut alerts_raised = 0u64;
         for event in &env.events {
-            let actions = inner.service.deliver(event);
             delivered += 1;
-            alerts_raised += actions
-                .iter()
-                .filter(|a| matches!(a, AppAction::AlertRaised(_)))
-                .count() as u64;
+            alerts_raised += u64::from(inner.service.deliver(event).is_some());
         }
         pump_alerts(inner);
         (delivered, alerts_raised)
@@ -551,7 +547,7 @@ impl Daemon {
         };
         // Alerts raised before the daemon started (setup-time history)
         // are not paged: the alert cursor begins at the current tail.
-        let alert_cursor = service.event_log().poll(EventCursor::START).next;
+        let alert_cursor = service.event_log().live_cursor();
 
         let server = Server::bind(addr)?;
         let bound = server.local_addr()?;

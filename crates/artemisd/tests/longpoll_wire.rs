@@ -1,14 +1,16 @@
 //! Wire tests for the cursor-based event stream: independent HTTP
 //! consumers replay identical histories from their own cursors, ring
-//! overruns surface as `missed` over the wire, and a long-poll parks
-//! until an event arrives.
+//! overruns surface as `missed` over the wire, a long-poll parks
+//! until an event arrives, and `/v1/inject` counts alerts whatever the
+//! log retains.
 
-use artemis_bgp::{Asn, Prefix};
+use artemis_bgp::{AsPath, Asn, Prefix};
 use artemis_controller::Controller;
 use artemis_core::{
-    ArtemisConfig, ArtemisService, EventCursor, MitigationPolicy, OwnedPrefix, Pipeline,
-    ServiceCommand,
+    ArtemisConfig, ArtemisService, EventCursor, IncidentEvent, MitigationPolicy, OwnedPrefix,
+    Pipeline, ServiceCommand,
 };
+use artemis_feeds::{FeedEvent, FeedKind};
 use artemis_simnet::{LatencyModel, SimRng, SimTime};
 use artemisd::{CtlClient, Daemon, DaemonConfig};
 use std::str::FromStr;
@@ -171,6 +173,43 @@ fn longpoll_parks_until_an_event_arrives() {
         waited < Duration::from_secs(9),
         "poll must return on the event, not the timeout"
     );
+
+    daemon.shutdown();
+}
+
+#[test]
+fn inject_counts_the_alert_that_a_one_entry_log_already_evicted() {
+    let daemon = Daemon::start(
+        "127.0.0.1:0",
+        service_with_capacity(1),
+        DaemonConfig::default(),
+    )
+    .unwrap();
+    let client = CtlClient::new(daemon.addr().to_string());
+
+    let as_path = AsPath::from_sequence([174u32, 666]);
+    let hijack = FeedEvent {
+        emitted_at: SimTime::from_secs(45),
+        observed_at: SimTime::from_secs(40),
+        source: FeedKind::RisLive,
+        collector: "rrc00".into(),
+        vantage: Asn(174),
+        prefix: pfx("10.0.0.0/23"),
+        origin_as: as_path.origin(),
+        as_path: Some(as_path),
+        raw: None,
+    };
+    let injected = client.inject(vec![hijack]).expect("inject failed");
+    assert_eq!(injected.delivered, 1);
+    assert_eq!(injected.alerts_raised, 1);
+
+    // The auto-mitigation's entry pushed the alert's out of the log.
+    let batch = client.events(EventCursor::START, 0).expect("poll failed");
+    assert_eq!(batch.missed, 1, "AlertRaised was evicted");
+    assert!(matches!(
+        batch.events.as_slice(),
+        [IncidentEvent::MitigationTriggered { .. }]
+    ));
 
     daemon.shutdown();
 }

@@ -1,11 +1,7 @@
-//! The owned, replayable incident event stream.
-//!
-//! [`PipelineEvent`](crate::pipeline::PipelineEvent) borrows into the
-//! pipeline and exists only for the duration of one observer call —
-//! fine for an inline progress callback, useless for an operator
-//! console, a websocket fan-out, or anything that wants to *replay*
-//! history. This module provides the primary eventing surface of the
-//! redesigned API instead:
+//! The owned, replayable incident event stream — the one record of
+//! everything the pipeline does. The daemon's sinks, `/v1/events` and
+//! [`Pipeline::run`](crate::pipeline::Pipeline::run)'s observer all
+//! read it:
 //!
 //! * [`IncidentEvent`] — an owned, `serde`-serializable record of one
 //!   noteworthy thing (alert raised, mitigation triggered/pending,
@@ -15,7 +11,8 @@
 //! * [`EventLog`] — a bounded ring buffer of [`IncidentEvent`]s with
 //!   **cursor-based polling**: any number of independent consumers
 //!   call [`EventLog::poll`] with their own [`EventCursor`] and each
-//!   replays the same history at its own pace.
+//!   replays the same history at its own pace;
+//!   [`EventLog::iter_from`] reads the same entries without cloning.
 
 #![deny(missing_docs)]
 
@@ -247,15 +244,18 @@ impl EventLog {
     /// next and how many events (if any) this consumer missed because
     /// they were evicted before it polled.
     pub fn poll(&self, cursor: EventCursor) -> PollBatch {
-        let from = cursor.0.max(self.first_seq);
-        let missed = from - cursor.0;
-        let skip = (from - self.first_seq) as usize;
-        let events: Vec<IncidentEvent> = self.events.iter().skip(skip).cloned().collect();
         PollBatch {
-            events,
+            events: self.iter_from(cursor).cloned().collect(),
             next: EventCursor(self.next_seq),
-            missed,
+            missed: self.first_seq.saturating_sub(cursor.0),
         }
+    }
+
+    /// The retained events since `cursor`, oldest first, borrowed in
+    /// place (what [`EventLog::poll`] clones).
+    pub fn iter_from(&self, cursor: EventCursor) -> impl Iterator<Item = &IncidentEvent> {
+        let skip = cursor.0.saturating_sub(self.first_seq);
+        self.events.iter().skip(skip as usize)
     }
 
     /// Number of events currently retained.
@@ -365,6 +365,20 @@ mod tests {
         assert_eq!(batch.events.len(), 1);
         assert_eq!(batch.events[0].at(), SimTime::from_secs(2));
         assert_eq!(batch.missed, 0);
+    }
+
+    #[test]
+    fn iter_from_borrows_exactly_what_poll_clones() {
+        let mut log = EventLog::with_capacity(3);
+        for t in 0..5 {
+            log.push(ev(t));
+        }
+        // Before, inside and past the retained window.
+        for seq in 0..7 {
+            let cursor = EventCursor(seq);
+            let borrowed: Vec<IncidentEvent> = log.iter_from(cursor).cloned().collect();
+            assert_eq!(borrowed, log.poll(cursor).events, "cursor {seq}");
+        }
     }
 
     #[test]

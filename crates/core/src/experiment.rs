@@ -23,8 +23,9 @@
 //! scenario and records milestones.
 
 use crate::config::{ArtemisConfig, OwnedPrefix};
+use crate::event_log::IncidentEvent;
 use crate::monitor::TimelinePoint;
-use crate::pipeline::{AppAction, Pipeline, PipelineEvent};
+use crate::pipeline::Pipeline;
 use crate::service::ArtemisService;
 use artemis_bgp::{Asn, Prefix};
 use artemis_bgpsim::{Engine, SimConfig};
@@ -491,48 +492,35 @@ impl Experiment {
         let horizon = SimTime::ZERO + self.builder.max_sim_time;
         let attacker = self.attacker;
         let hijack_prefix = self.hijack_prefix;
-        let report = self.service.run(
-            &mut self.engine,
-            converged,
-            horizon,
-            |engine, event| {
+        let report = self
+            .service
+            .run(&mut self.engine, converged, horizon, |engine, event| {
                 match event {
-                    PipelineEvent::ControllerApplied {
+                    IncidentEvent::ControllerApplied {
                         kind: IntentKind::Announce,
                         prefix,
                         at,
-                    } => {
-                        if timings.mitigation_started.is_none() {
-                            timings.mitigation_started = Some(at);
-                            let probes = probe_targets(hijack_prefix);
-                            ground_truth.hijacked_at_mitigation = engine
-                                .ases()
-                                .collect::<Vec<_>>()
-                                .into_iter()
-                                .filter(|a| {
-                                    probes
-                                        .iter()
-                                        .any(|p| engine.origin_of(*a, *p) == Some(attacker))
-                                })
-                                .count();
-                            milestones.push((
-                                at,
-                                format!(
-                                    "mitigation announcements out: {prefix} (controller install done)"
-                                ),
-                            ));
-                        }
+                    } if timings.mitigation_started.is_none() => {
+                        timings.mitigation_started = Some(*at);
+                        let probes = probe_targets(hijack_prefix);
+                        ground_truth.hijacked_at_mitigation = engine
+                            .ases()
+                            .collect::<Vec<_>>()
+                            .into_iter()
+                            .filter(|a| {
+                                probes
+                                    .iter()
+                                    .any(|p| engine.origin_of(*a, *p) == Some(attacker))
+                            })
+                            .count();
+                        milestones.push((
+                            *at,
+                            format!(
+                                "mitigation announcements out: {prefix} (controller install done)"
+                            ),
+                        ));
                     }
-                    PipelineEvent::ControllerApplied { .. } => {}
-                    PipelineEvent::App(AppAction::AlertRaised(_)) => {
-                        // Alert details are read back below, after the
-                        // borrow on the pipeline ends.
-                    }
-                    PipelineEvent::App(AppAction::MitigationPending { .. }) => {
-                        // The experiment never swaps policies, so no
-                        // plan is ever held.
-                    }
-                    PipelineEvent::App(AppAction::MitigationTriggered { plan, at, .. }) => {
+                    IncidentEvent::MitigationTriggered { plan, at, .. } => {
                         milestones.push((
                             *at,
                             format!(
@@ -541,23 +529,24 @@ impl Experiment {
                             ),
                         ));
                     }
-                    PipelineEvent::App(AppAction::Resolved { at, .. }) => {
-                        if timings.resolved_at.is_none() {
-                            timings.resolved_at = Some(*at);
-                            milestones.push((
-                                *at,
-                                "RESOLVED: all vantage points back on the legitimate origin".into(),
-                            ));
-                        }
+                    IncidentEvent::Resolved { at, .. } if timings.resolved_at.is_none() => {
+                        timings.resolved_at = Some(*at);
+                        milestones.push((
+                            *at,
+                            "RESOLVED: all vantage points back on the legitimate origin".into(),
+                        ));
                     }
+                    // Alerts are read back below from the detector's
+                    // store; only the first install and the first
+                    // resolution are milestones.
+                    _ => {}
                 }
                 if timings.resolved_at.is_some() {
                     ControlFlow::Break(())
                 } else {
                     ControlFlow::Continue(())
                 }
-            },
-        );
+            });
         let loop_now = report.ended_at;
 
         // First-alert details (detection instant, winning feed,

@@ -67,7 +67,7 @@ pub use hijack_stats::HijackDurationModel;
 pub use metrics::{StageMetrics, StageStat};
 pub use mitigation::{MitigationPlan, MitigationPolicy, Mitigator};
 pub use monitor::{MonitorIndex, MonitorService, RetiredMonitor};
-pub use pipeline::{AppAction, OffboardReport, Pipeline, PipelineEvent, RunEnd, RunReport};
+pub use pipeline::{OffboardReport, Pipeline, RunEnd, RunReport};
 pub use service::{
     ArtemisService, CommandOutcome, ServiceCommand, ServiceError, ServiceQuery, ServiceReply,
     ServiceStatus, ServiceSummary,

@@ -22,12 +22,9 @@
 //! feeds attach/detach by stable handle, per-prefix
 //! [`MitigationPolicy`] swaps at any instant, and mitigation can
 //! pause/resume without stopping detection. Everything noteworthy is
-//! additionally recorded as an owned, serializable
-//! [`IncidentEvent`] record in an internal
-//! [`EventLog`] — poll it with [`Pipeline::poll_events`]; any number
-//! of cursors replay the same history independently. The borrowing
-//! [`PipelineEvent`] observer callback remains as a thin inline
-//! adapter for drivers that want zero-copy progress reporting.
+//! recorded once, as an owned, serializable [`IncidentEvent`] in an
+//! internal [`EventLog`] — poll it with [`Pipeline::poll_events`]; any
+//! number of cursors replay the same history independently.
 //!
 //! Drivers have three entry points, and all three are batches through
 //! the same staged commit (classify pass → monitor route → per-shard
@@ -38,9 +35,9 @@
 //!   one batch (the daemon's pump, archive replays, benches).
 //! * [`Pipeline::run`] — the full interleaved loop across the four
 //!   clock domains (BGP engine, controller installs, pull-feed polls,
-//!   feed-event deliveries), reporting progress through an observer
-//!   callback; each due event is committed as a batch of one so the
-//!   observer can stop the run between any two events.
+//!   feed-event deliveries); its observer reads the log entries each
+//!   step appended. Each due event is committed as a batch of one so
+//!   the observer can stop the run between any two events.
 //! * [`Pipeline::deliver`] — hand-feed a single event: a batch of one
 //!   (deployments that bring their own transport, `/v1/inject`).
 //!
@@ -65,66 +62,6 @@ use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::ControlFlow;
 use std::time::{Duration, Instant};
-
-/// Things the pipeline decided to do in response to one delivered
-/// event; the driver (experiment harness or a real deployment shim)
-/// applies them.
-#[derive(Debug, Clone, PartialEq)]
-pub enum AppAction {
-    /// A new alert was raised.
-    AlertRaised(AlertId),
-    /// A mitigation plan was computed but held for operator
-    /// confirmation (confirm-first policy, or mitigation paused).
-    /// Execute it with `Pipeline::confirm_mitigation` or
-    /// `ServiceCommand::ConfirmMitigation`.
-    MitigationPending {
-        /// The alert whose plan is held.
-        alert: AlertId,
-        /// The plan awaiting confirmation.
-        plan: MitigationPlan,
-        /// When the plan was computed.
-        at: SimTime,
-    },
-    /// Mitigation intents were submitted to the controller for `alert`.
-    MitigationTriggered {
-        /// The alert being mitigated.
-        alert: AlertId,
-        /// The executed plan.
-        plan: MitigationPlan,
-        /// When the trigger happened.
-        at: SimTime,
-    },
-    /// The monitoring service reports every vantage point back on a
-    /// legitimate origin — the incident is over.
-    Resolved {
-        /// The resolved alert.
-        alert: AlertId,
-        /// Resolution instant.
-        at: SimTime,
-    },
-}
-
-/// Progress notifications emitted by [`Pipeline::run`].
-///
-/// This is the *inline* observer surface: it borrows into the pipeline
-/// and lives only for one callback. The owned, replayable equivalent
-/// is the [`IncidentEvent`] stream behind [`Pipeline::poll_events`].
-#[derive(Debug)]
-pub enum PipelineEvent<'a> {
-    /// An action produced while delivering feed events (alert raised,
-    /// mitigation triggered, incident resolved).
-    App(&'a AppAction),
-    /// A controller intent finished installing and entered the routing
-    /// plane.
-    ControllerApplied {
-        /// Announce or withdraw.
-        kind: IntentKind,
-        /// The affected prefix.
-        prefix: Prefix,
-        /// Installation instant.
-        at: SimTime,
-    },
-}
 
 /// How a [`Pipeline::run`] ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -281,11 +218,6 @@ impl Pipeline {
     /// Read access to the detector.
     pub fn detector(&self) -> &Detector {
         &self.detector
-    }
-
-    /// Read access to the mitigation history.
-    pub fn mitigator(&self) -> &Mitigator {
-        &self.mitigator
     }
 
     /// The live monitor attached to an *active* alert, if any. Once
@@ -580,11 +512,6 @@ impl Pipeline {
         self.pending.iter().map(|(id, p)| (*id, p))
     }
 
-    /// The executed plan of a mitigated alert, if any.
-    pub fn executed_plan(&self, alert: AlertId) -> Option<&MitigationPlan> {
-        self.executed_plans.get(&alert)
-    }
-
     // ---- Event delivery ---------------------------------------------
 
     /// Tell the detector that a prefix announcement of ours is
@@ -621,11 +548,6 @@ impl Pipeline {
         purged
     }
 
-    /// Emission instant of the earliest queued feed event.
-    pub fn next_feed_time(&self) -> Option<SimTime> {
-        self.hub.next_emission()
-    }
-
     /// Earliest pending pull-feed poll.
     pub fn next_poll(&self, now: SimTime) -> Option<SimTime> {
         self.hub.next_poll(now)
@@ -634,21 +556,16 @@ impl Pipeline {
     /// Feed one monitoring event through detection, monitoring and
     /// (policy permitting) automatic mitigation — a batch of one
     /// through the staged commit. `controller` (and optional helpers)
-    /// receive mitigation intents when a new alert fires.
+    /// receive mitigation intents when a new alert fires. Returns the
+    /// alert the event raised, if any (one event raises at most one);
+    /// everything else it caused is in the event log.
     pub fn deliver(
         &mut self,
         event: &FeedEvent,
         controller: &mut Controller,
         helper_controllers: &mut [Controller],
-    ) -> Vec<AppAction> {
-        let mut actions = Vec::new();
-        self.commit_batch(
-            std::slice::from_ref(event),
-            controller,
-            helper_controllers,
-            &mut |a| actions.push(a),
-        );
-        actions
+    ) -> Option<AlertId> {
+        self.commit_batch(std::slice::from_ref(event), controller, helper_controllers)
     }
 
     /// Steps 1–3 of committing one event: commit its prepared
@@ -663,7 +580,6 @@ impl Pipeline {
         prepared: PreparedEvent,
         controller: &mut Controller,
         helper_controllers: &mut [Controller],
-        sink: &mut dyn FnMut(AppAction),
     ) -> (Option<AlertId>, u64) {
         // 1. Detection: the detector re-classifies against live state
         // whenever the owning shard's rules changed since the batch was
@@ -672,7 +588,6 @@ impl Pipeline {
         let Detection::NewAlert(id) = self.detector.process_prepared(event, prepared) else {
             return (None, 0);
         };
-        sink(AppAction::AlertRaised(id));
 
         let alert = self.detector.alerts().get(id).expect("just created");
         let hijack_type = alert.hijack_type;
@@ -714,22 +629,12 @@ impl Pipeline {
             let alert = self.detector.alerts().get(id).expect("just created");
             let plan = self.mitigator.plan(alert);
             if policy == MitigationPolicy::Auto && !self.paused {
-                self.execute_held_plan(id, plan.clone(), at, controller, helper_controllers);
-                sink(AppAction::MitigationTriggered {
-                    alert: id,
-                    plan,
-                    at,
-                });
+                self.execute_held_plan(id, plan, at, controller, helper_controllers);
             } else {
                 // Confirm-first policy, or Auto while paused: the
                 // plan is computed and held for the operator.
                 self.pending.insert(id, plan.clone());
                 self.log.push(IncidentEvent::MitigationPending {
-                    alert: id,
-                    plan: plan.clone(),
-                    at,
-                });
-                sink(AppAction::MitigationPending {
                     alert: id,
                     plan,
                     at,
@@ -740,19 +645,12 @@ impl Pipeline {
         (Some(id), mitigate_ns)
     }
 
-    /// Resolve one alert's incident at `at`: mark it, log it, tell the
-    /// sink, and retire its monitor (already checked out of the
-    /// registry) into the compact record.
-    fn resolve(
-        &mut self,
-        id: AlertId,
-        monitor: MonitorService,
-        at: SimTime,
-        sink: &mut dyn FnMut(AppAction),
-    ) {
+    /// Resolve one alert's incident at `at`: mark it, log it, and
+    /// retire its monitor (already checked out of the registry) into
+    /// the compact record.
+    fn resolve(&mut self, id: AlertId, monitor: MonitorService, at: SimTime) {
         self.detector.alerts_mut().mark_resolved(id, at);
         self.log.push(IncidentEvent::Resolved { alert: id, at });
-        sink(AppAction::Resolved { alert: id, at });
         self.retire_monitor(id, monitor, at);
     }
 
@@ -781,7 +679,7 @@ impl Pipeline {
         helper_controllers: &mut [Controller],
     ) -> u64 {
         let mut batch = self.drain_due(upto);
-        self.commit_batch(&batch, controller, helper_controllers, &mut |_| {});
+        self.commit_batch(&batch, controller, helper_controllers);
         let delivered = batch.len() as u64;
         batch.clear();
         self.batch = batch;
@@ -811,7 +709,8 @@ impl Pipeline {
     /// The staged commit — the only code that walks events. Every
     /// entry point ([`Pipeline::deliver_due`], [`Pipeline::deliver`],
     /// [`Pipeline::run`]) hands it a batch in `(emitted_at, ingestion
-    /// order)`; `sink` receives every [`AppAction`] in delivery order.
+    /// order)`; every lifecycle fact goes to the event log in delivery
+    /// order. Returns the last alert the batch raised, if any.
     ///
     /// Stages: classify the whole batch in one tight pass (the flat
     /// trie and shard rules stay hot in cache); route every event once
@@ -833,10 +732,9 @@ impl Pipeline {
         batch: &[FeedEvent],
         controller: &mut Controller,
         helper_controllers: &mut [Controller],
-        sink: &mut dyn FnMut(AppAction),
-    ) {
+    ) -> Option<AlertId> {
         if batch.is_empty() {
-            return;
+            return None;
         }
         let delivered = batch.len() as u64;
 
@@ -955,13 +853,15 @@ impl Pipeline {
         // next event's detection, so dedup against resolved alerts —
         // a re-hijack is a NEW alert — sees them).
         let mut live_new: Vec<AlertId> = Vec::new();
+        let mut last_raised = None;
         let mut mitigate_ns = 0u64;
         let mut resolve_ns = 0u64;
         for (i, event) in batch.iter().enumerate() {
             self.events_delivered += 1;
             let (new_alert, mit_ns) =
-                self.detect_and_arm(event, prep[i], controller, helper_controllers, sink);
+                self.detect_and_arm(event, prep[i], controller, helper_controllers);
             mitigate_ns += mit_ns;
+            last_raised = new_alert.or(last_raised);
             live_new.extend(new_alert);
 
             // Monitors born earlier in this batch could not be
@@ -989,11 +889,11 @@ impl Pipeline {
                 // born in this batch, so scheduled-then-new keeps the
                 // ascending order.
                 for (id, monitor) in scheduled.into_iter().flatten() {
-                    self.resolve(id, monitor, at, sink);
+                    self.resolve(id, monitor, at);
                 }
                 for id in resolved_new {
                     if let Some(monitor) = self.monitors.remove(&id) {
-                        self.resolve(id, monitor, at, sink);
+                        self.resolve(id, monitor, at);
                     }
                     live_new.retain(|x| *x != id);
                 }
@@ -1017,6 +917,7 @@ impl Pipeline {
             .record(delivered, Duration::from_nanos(resolve_ns));
         m.mitigate
             .record(delivered, Duration::from_nanos(mitigate_ns));
+        last_raised
     }
 
     /// Shared tail of the auto/confirm/resume execution paths for a
@@ -1064,32 +965,26 @@ impl Pipeline {
     /// Tie-break at equal instants (deterministic, and identical to
     /// the historical experiment loop): engine first so RIB views are
     /// current, then controller installs, then polls, then feed
-    /// deliveries. Feed events due at the same instant are delivered
-    /// as one batch in `(emitted_at, ingestion order)`.
+    /// deliveries. Feed events due at the same instant are drained
+    /// together and committed one at a time in `(emitted_at, ingestion
+    /// order)`.
     ///
-    /// The observer sees every [`AppAction`] and every applied
-    /// controller intent, together with the engine (for ground-truth
-    /// measurements); returning [`ControlFlow::Break`] stops the run.
-    pub fn run<F>(
-        &mut self,
-        engine: &mut Engine,
-        controller: &mut Controller,
-        start: SimTime,
-        horizon: SimTime,
-        observer: F,
-    ) -> RunReport
-    where
-        F: FnMut(&mut Engine, PipelineEvent<'_>) -> ControlFlow<()>,
-    {
-        self.run_with_helpers(engine, controller, &mut [], start, horizon, observer)
-    }
-
-    /// [`Pipeline::run`] with helper-AS controllers: mitigation plans
-    /// that outsource co-announcements reach the helpers, and the
-    /// helpers' install queues participate in the controller clock
-    /// domain (the operator's controller installs first at equal
+    /// Mitigation plans that outsource co-announcements reach
+    /// `helper_controllers`, whose install queues join the controller
+    /// clock domain (the operator's controller installs first at equal
     /// instants, then helpers in order).
-    pub fn run_with_helpers<F>(
+    ///
+    /// The observer reads the event log: after each committed feed
+    /// event and after each controller instant it is shown, in order,
+    /// the entries that step appended, together with the engine (for
+    /// ground-truth measurements); returning [`ControlFlow::Break`]
+    /// stops the run. Every step is fully logged before the observer
+    /// sees any of it, so a Break loses nothing and a later `run`
+    /// resumes where this one stopped. The observer sees what the log
+    /// retains: a step that appends more than the log's capacity
+    /// (4096 entries by default, see [`Pipeline::with_event_capacity`])
+    /// shows only the retained tail.
+    pub fn run<F>(
         &mut self,
         engine: &mut Engine,
         controller: &mut Controller,
@@ -1099,7 +994,7 @@ impl Pipeline {
         mut observer: F,
     ) -> RunReport
     where
-        F: FnMut(&mut Engine, PipelineEvent<'_>) -> ControlFlow<()>,
+        F: FnMut(&mut Engine, &IncidentEvent) -> ControlFlow<()>,
     {
         let delivered_before = self.events_delivered;
         let mut now = start;
@@ -1132,12 +1027,13 @@ impl Pipeline {
                 continue;
             }
             if t_ctrl == Some(next) {
-                // Apply every due intent to the engine *before* the
-                // observer runs: `due_actions` already removed them
-                // from the controller's queue, so an early Break must
-                // not lose installs. (The announcements only enter
-                // RIBs when the engine processes them, so ground-truth
-                // reads in the observer are unaffected.)
+                // Apply and log every due intent *before* the observer
+                // runs: `due_actions` already removed them from the
+                // controller's queue, so an early Break must not lose
+                // installs. (The announcements only enter RIBs when the
+                // engine processes them, so ground-truth reads in the
+                // observer are unaffected.)
+                let seen = self.log.live_cursor();
                 let mut due = controller.due_actions(next);
                 for helper in helper_controllers.iter_mut() {
                     due.extend(helper.due_actions(next));
@@ -1151,28 +1047,17 @@ impl Pipeline {
                             engine.withdraw_at(action.origin_as, action.prefix, next);
                         }
                     }
-                }
-                let mut stopped = false;
-                for action in &due {
                     self.log.push(IncidentEvent::ControllerApplied {
                         kind: action.kind,
                         prefix: action.prefix,
                         at: next,
                     });
-                    let flow = observer(
-                        engine,
-                        PipelineEvent::ControllerApplied {
-                            kind: action.kind,
-                            prefix: action.prefix,
-                            at: next,
-                        },
-                    );
-                    if flow.is_break() {
-                        stopped = true;
-                        break;
-                    }
                 }
-                if stopped {
+                let flow = self
+                    .log
+                    .iter_from(seen)
+                    .try_for_each(|e| observer(engine, e));
+                if flow.is_break() {
                     break RunEnd::Stopped;
                 }
                 continue;
@@ -1188,18 +1073,17 @@ impl Pipeline {
             // so nothing is staged past an event the observer has not
             // seen yet and a Break loses nothing.
             let mut batch = self.drain_due(next);
-            let mut actions: Vec<AppAction> = Vec::new();
             let mut stopped_at: Option<usize> = None;
-            'events: for i in 0..batch.len() {
-                actions.clear();
-                self.commit_batch(&batch[i..=i], controller, helper_controllers, &mut |a| {
-                    actions.push(a)
-                });
-                for action in &actions {
-                    if observer(engine, PipelineEvent::App(action)).is_break() {
-                        stopped_at = Some(i);
-                        break 'events;
-                    }
+            for i in 0..batch.len() {
+                let seen = self.log.live_cursor();
+                self.commit_batch(&batch[i..=i], controller, helper_controllers);
+                let flow = self
+                    .log
+                    .iter_from(seen)
+                    .try_for_each(|e| observer(engine, e));
+                if flow.is_break() {
+                    stopped_at = Some(i);
+                    break;
                 }
             }
             if let Some(i) = stopped_at {
@@ -1267,6 +1151,13 @@ mod tests {
         Controller::new(Asn(65001), LatencyModel::const_secs(15), SimRng::new(1))
     }
 
+    /// Deliver one event and return what it appended to the log.
+    fn deliver(p: &mut Pipeline, ev: &FeedEvent, ctrl: &mut Controller) -> Vec<IncidentEvent> {
+        let cursor = p.event_log().live_cursor();
+        p.deliver(ev, ctrl, &mut []);
+        p.poll_events(cursor).events
+    }
+
     /// Minimal wire-feed stand-in: contributes no events, only queued
     /// `peer_down` signals.
     struct PeerDownFeed {
@@ -1311,12 +1202,12 @@ mod tests {
         use crate::monitor::VpState;
         let mut p = two_prefix_pipeline();
         let mut ctrl = controller();
-        let acts = p.deliver(
+        let acts = deliver(
+            &mut p,
             &event(174, "10.0.0.0/23", &[174, 666], 45),
             &mut ctrl,
-            &mut [],
         );
-        let AppAction::AlertRaised(alert) = acts[0] else {
+        let IncidentEvent::AlertRaised { alert, .. } = acts[0] else {
             panic!("hijack must alert");
         };
         assert_eq!(
@@ -1347,20 +1238,20 @@ mod tests {
         let mut ctrl = controller();
 
         // Two overlapping hijacks on different owned prefixes.
-        let acts1 = p.deliver(
+        let acts1 = deliver(
+            &mut p,
             &event(174, "10.0.0.0/23", &[174, 666], 45),
             &mut ctrl,
-            &mut [],
         );
-        let acts2 = p.deliver(
+        let acts2 = deliver(
+            &mut p,
             &event(3356, "172.16.0.0/23", &[3356, 667], 50),
             &mut ctrl,
-            &mut [],
         );
-        let AppAction::AlertRaised(a1) = acts1[0] else {
+        let IncidentEvent::AlertRaised { alert: a1, .. } = acts1[0] else {
             panic!("first hijack must alert");
         };
-        let AppAction::AlertRaised(a2) = acts2[0] else {
+        let IncidentEvent::AlertRaised { alert: a2, .. } = acts2[0] else {
             panic!("second hijack must alert");
         };
         assert_ne!(a1, a2);
@@ -1374,14 +1265,14 @@ mod tests {
         // Resolve incident 2 first; incident 1 stays active. The
         // monitor judges the hijacked vantage by LPM, so the echoed
         // mitigation /24 flips it back.
-        let acts = p.deliver(
+        let acts = deliver(
+            &mut p,
             &event(3356, "172.16.0.0/24", &[3356, 65001], 80),
             &mut ctrl,
-            &mut [],
         );
         assert!(
             acts.iter()
-                .any(|a| matches!(a, AppAction::Resolved { alert, at }
+                .any(|a| matches!(a, IncidentEvent::Resolved { alert, at }
                     if *alert == a2 && *at == SimTime::from_secs(80))),
             "incident on 172.16.0.0/23 resolves alone: {acts:?}"
         );
@@ -1389,14 +1280,14 @@ mod tests {
         assert_ne!(alert1.state, AlertState::Resolved);
 
         // Now resolve incident 1, on its own timeline.
-        let acts = p.deliver(
+        let acts = deliver(
+            &mut p,
             &event(174, "10.0.0.0/24", &[174, 65001], 120),
             &mut ctrl,
-            &mut [],
         );
         assert!(acts
             .iter()
-            .any(|a| matches!(a, AppAction::Resolved { alert, at }
+            .any(|a| matches!(a, IncidentEvent::Resolved { alert, at }
                 if *alert == a1 && *at == SimTime::from_secs(120))));
 
         // Independent timelines on independent monitors. Both
@@ -1428,35 +1319,36 @@ mod tests {
 
         // Attacker squats the dormant prefix → alert + mitigation
         // (announce the prefix ourselves).
-        let acts = p.deliver(
+        let acts = deliver(
+            &mut p,
             &event(174, "203.0.113.0/24", &[174, 31337], 45),
             &mut ctrl,
-            &mut [],
         );
-        let AppAction::AlertRaised(alert) = acts[0] else {
+        let IncidentEvent::AlertRaised { alert, .. } = acts[0] else {
             panic!("squat must alert, got {acts:?}");
         };
         assert!(matches!(
             &acts[1],
-            AppAction::MitigationTriggered { plan, .. }
+            IncidentEvent::MitigationTriggered { plan, .. }
                 if plan.announce == vec![pfx("203.0.113.0/24")]
         ));
 
         // Our own announcement echoes back through the feeds: no new
         // alert, and the vantage point flipping to the legitimate
         // origin resolves the incident.
-        let acts = p.deliver(
+        let acts = deliver(
+            &mut p,
             &event(174, "203.0.113.0/24", &[174, 65001], 80),
             &mut ctrl,
-            &mut [],
         );
         assert!(
-            acts.iter().all(|a| !matches!(a, AppAction::AlertRaised(_))),
+            acts.iter()
+                .all(|a| !matches!(a, IncidentEvent::AlertRaised { .. })),
             "echo must not self-alert: {acts:?}"
         );
         assert!(
             acts.iter()
-                .any(|a| matches!(a, AppAction::Resolved { alert: a2, .. } if *a2 == alert)),
+                .any(|a| matches!(a, IncidentEvent::Resolved { alert: a2, .. } if *a2 == alert)),
             "legitimate echo resolves the squat: {acts:?}"
         );
         assert_eq!(p.detector().alerts().all().len(), 1, "exactly one alert");
@@ -1466,7 +1358,7 @@ mod tests {
     fn bare_pipeline_has_empty_hub() {
         let p = two_prefix_pipeline();
         assert!(p.hub().is_empty());
-        assert_eq!(p.next_feed_time(), None);
+        assert_eq!(p.hub.next_emission(), None);
         assert_eq!(p.events_delivered(), 0);
     }
 
@@ -1480,16 +1372,16 @@ mod tests {
             SimTime::from_secs(1),
         ));
 
-        let acts = p.deliver(
+        let acts = deliver(
+            &mut p,
             &event(174, "10.0.0.0/23", &[174, 666], 45),
             &mut ctrl,
-            &mut [],
         );
-        let AppAction::AlertRaised(id) = acts[0] else {
+        let IncidentEvent::AlertRaised { alert: id, .. } = acts[0] else {
             panic!("must alert");
         };
         assert!(
-            matches!(&acts[1], AppAction::MitigationPending { alert, .. } if *alert == id),
+            matches!(&acts[1], IncidentEvent::MitigationPending { alert, .. } if *alert == id),
             "plan held, not executed: {acts:?}"
         );
         assert_eq!(ctrl.intents().count(), 0, "no intents before confirmation");
@@ -1497,14 +1389,14 @@ mod tests {
 
         // More witnesses update the alert but cannot resolve anything
         // yet (nothing is mitigated).
-        let acts = p.deliver(
+        let acts = deliver(
+            &mut p,
             &event(3356, "10.0.0.0/23", &[3356, 666], 60),
             &mut ctrl,
-            &mut [],
         );
         assert!(acts
             .iter()
-            .all(|a| !matches!(a, AppAction::Resolved { .. })));
+            .all(|a| !matches!(a, IncidentEvent::Resolved { .. })));
         assert_eq!(p.pending_mitigations().count(), 1, "still one held plan");
 
         // Operator confirms: the held plan executes verbatim.
@@ -1526,19 +1418,19 @@ mod tests {
 
         // Now recovery resolves the incident as usual once every
         // witnessing vantage point flips back.
-        p.deliver(
+        deliver(
+            &mut p,
             &event(174, "10.0.0.0/24", &[174, 65001], 120),
             &mut ctrl,
-            &mut [],
         );
-        let acts = p.deliver(
+        let acts = deliver(
+            &mut p,
             &event(3356, "10.0.0.0/24", &[3356, 65001], 121),
             &mut ctrl,
-            &mut [],
         );
         assert!(acts
             .iter()
-            .any(|a| matches!(a, AppAction::Resolved { alert, .. } if *alert == id)));
+            .any(|a| matches!(a, IncidentEvent::Resolved { alert, .. } if *alert == id)));
     }
 
     #[test]
@@ -1548,15 +1440,15 @@ mod tests {
         p.pause_mitigation(SimTime::from_secs(10));
         assert!(p.mitigation_paused());
 
-        let acts = p.deliver(
+        let acts = deliver(
+            &mut p,
             &event(174, "10.0.0.0/23", &[174, 666], 45),
             &mut ctrl,
-            &mut [],
         );
-        let AppAction::AlertRaised(id) = acts[0] else {
+        let IncidentEvent::AlertRaised { alert: id, .. } = acts[0] else {
             panic!("detection keeps running while paused");
         };
-        assert!(matches!(&acts[1], AppAction::MitigationPending { .. }));
+        assert!(matches!(&acts[1], IncidentEvent::MitigationPending { .. }));
         assert_eq!(ctrl.intents().count(), 0);
 
         let executed = p.resume_mitigation(SimTime::from_secs(90), &mut ctrl, &mut []);
@@ -1586,24 +1478,24 @@ mod tests {
         // Unknown prefixes are rejected.
         assert!(!p.set_mitigation_policy(pfx("8.8.8.0/24"), MitigationPolicy::Auto, SimTime::ZERO,));
 
-        let acts = p.deliver(
+        let acts = deliver(
+            &mut p,
             &event(174, "10.0.0.0/23", &[174, 666], 45),
             &mut ctrl,
-            &mut [],
         );
         assert_eq!(acts.len(), 1, "alert only: {acts:?}");
         assert_eq!(ctrl.intents().count(), 0);
         assert_eq!(p.pending_mitigations().count(), 0);
 
         // The second prefix still mitigates automatically.
-        let acts = p.deliver(
+        let acts = deliver(
+            &mut p,
             &event(174, "172.16.0.0/23", &[174, 666], 50),
             &mut ctrl,
-            &mut [],
         );
         assert!(acts
             .iter()
-            .any(|a| matches!(a, AppAction::MitigationTriggered { .. })));
+            .any(|a| matches!(a, IncidentEvent::MitigationTriggered { .. })));
     }
 
     #[test]
@@ -1630,12 +1522,12 @@ mod tests {
         );
 
         // …hijack the first prefix (auto-mitigates: 2 announce intents)…
-        let acts = p.deliver(
+        let acts = deliver(
+            &mut p,
             &event(174, "10.0.0.0/23", &[174, 666], 45),
             &mut ctrl,
-            &mut [],
         );
-        let AppAction::AlertRaised(id) = acts[0] else {
+        let IncidentEvent::AlertRaised { alert: id, .. } = acts[0] else {
             panic!("must alert");
         };
         assert_eq!(ctrl.intents().count(), 2);
@@ -1678,10 +1570,10 @@ mod tests {
         assert_eq!(announces, withdraws, "offboard must not orphan intents");
 
         // Events for the offboarded space are no longer ours.
-        let acts = p.deliver(
+        let acts = deliver(
+            &mut p,
             &event(174, "10.0.0.0/23", &[174, 667], 70),
             &mut ctrl,
-            &mut [],
         );
         assert!(acts.is_empty());
         // The retired record froze at close time and ignored the new
@@ -1700,23 +1592,23 @@ mod tests {
         // longer owns.
         let mut p = two_prefix_pipeline();
         let mut ctrl = controller();
-        let acts = p.deliver(
+        let acts = deliver(
+            &mut p,
             &event(174, "10.0.0.0/23", &[174, 666], 45),
             &mut ctrl,
-            &mut [],
         );
-        let AppAction::AlertRaised(id) = acts[0] else {
+        let IncidentEvent::AlertRaised { alert: id, .. } = acts[0] else {
             panic!("must alert");
         };
         // The mitigation /24 echo resolves the incident naturally.
-        let acts = p.deliver(
+        let acts = deliver(
+            &mut p,
             &event(174, "10.0.0.0/24", &[174, 65001], 120),
             &mut ctrl,
-            &mut [],
         );
         assert!(acts
             .iter()
-            .any(|a| matches!(a, AppAction::Resolved { alert, .. } if *alert == id)));
+            .any(|a| matches!(a, IncidentEvent::Resolved { alert, .. } if *alert == id)));
 
         let report = p
             .remove_owned_prefix(
@@ -1737,7 +1629,10 @@ mod tests {
             .filter(|i| i.kind == IntentKind::Withdraw)
             .count();
         assert_eq!(announces, withdraws, "no intent keeps originating");
-        assert!(p.executed_plan(id).is_none(), "plan bookkeeping cleared");
+        assert!(
+            !p.executed_plans.contains_key(&id),
+            "plan bookkeeping cleared"
+        );
     }
 
     #[test]
@@ -1753,27 +1648,27 @@ mod tests {
         let mut p = Pipeline::bare(config, [Asn(174), Asn(3356)].into_iter().collect());
         let mut ctrl = controller();
 
-        let mut acts = p.deliver(
+        let mut acts = deliver(
+            &mut p,
             &event(174, "203.0.113.0/24", &[174, 31337], 45),
             &mut ctrl,
-            &mut [],
         );
-        acts.extend(p.deliver(
+        acts.extend(deliver(
+            &mut p,
             &event(3356, "203.0.113.0/24", &[3356, 31337], 50),
             &mut ctrl,
-            &mut [],
         ));
         let raised: Vec<AlertId> = acts
             .iter()
             .filter_map(|a| match a {
-                AppAction::AlertRaised(id) => Some(*id),
+                IncidentEvent::AlertRaised { alert, .. } => Some(*alert),
                 _ => None,
             })
             .collect();
         assert_eq!(raised.len(), 1, "one offender, one alert: {acts:?}");
         let triggered = acts
             .iter()
-            .filter(|a| matches!(a, AppAction::MitigationTriggered { .. }))
+            .filter(|a| matches!(a, IncidentEvent::MitigationTriggered { .. }))
             .count();
         assert_eq!(triggered, 1, "one plan: {acts:?}");
         let alert = p.detector().alerts().get(raised[0]).unwrap();
@@ -1801,25 +1696,28 @@ mod tests {
         let mut ctrl = controller();
 
         // Phase 1: legit announcement observed — benign.
-        let acts = p.deliver(
+        let acts = deliver(
+            &mut p,
             &event(174, "10.0.0.0/23", &[174, 65001], 10),
             &mut ctrl,
-            &mut [],
         );
         assert!(acts.is_empty());
 
         // Phase 2: hijack detected at t=45 → alert + auto mitigation.
-        let acts = p.deliver(
+        let acts = deliver(
+            &mut p,
             &event(174, "10.0.0.0/23", &[174, 666], 45),
             &mut ctrl,
-            &mut [],
         );
         assert_eq!(acts.len(), 2);
-        let AppAction::AlertRaised(alert_id) = acts[0] else {
+        let IncidentEvent::AlertRaised {
+            alert: alert_id, ..
+        } = acts[0]
+        else {
             panic!("expected alert first, got {acts:?}");
         };
         match &acts[1] {
-            AppAction::MitigationTriggered { plan, at, .. } => {
+            IncidentEvent::MitigationTriggered { plan, at, .. } => {
                 assert_eq!(plan.announce, vec![pfx("10.0.0.0/24"), pfx("10.0.1.0/24")]);
                 assert_eq!(*at, SimTime::from_secs(45));
             }
@@ -1829,32 +1727,32 @@ mod tests {
 
         // Phase 3: the /24s propagate; VPs flip back. 3356 was also
         // hijacked, then recovers.
-        p.deliver(
+        deliver(
+            &mut p,
             &event(3356, "10.0.0.0/23", &[3356, 666], 50),
             &mut ctrl,
-            &mut [],
         );
-        p.deliver(
+        deliver(
+            &mut p,
             &event(174, "10.0.0.0/24", &[174, 65001], 120),
             &mut ctrl,
-            &mut [],
         );
-        p.deliver(
+        deliver(
+            &mut p,
             &event(174, "10.0.1.0/24", &[174, 65001], 121),
             &mut ctrl,
-            &mut [],
         );
         // 3356 still hijacked → not resolved yet.
         assert!(p.monitor_for(alert_id).unwrap().any_hijacked());
-        let acts = p.deliver(
+        let acts = deliver(
+            &mut p,
             &event(3356, "10.0.0.0/24", &[3356, 65001], 300),
             &mut ctrl,
-            &mut [],
         );
         let resolved = acts
             .iter()
             .find_map(|a| match a {
-                AppAction::Resolved { alert, at } => Some((*alert, *at)),
+                IncidentEvent::Resolved { alert, at } => Some((*alert, *at)),
                 _ => None,
             })
             .expect("incident resolves once every VP is clean");
@@ -1866,18 +1764,20 @@ mod tests {
     fn mitigation_announcements_do_not_self_alert() {
         let mut p = one_prefix_pipeline();
         let mut ctrl = controller();
-        p.deliver(
+        deliver(
+            &mut p,
             &event(174, "10.0.0.0/23", &[174, 666], 45),
             &mut ctrl,
-            &mut [],
         );
         // Our own /24s observed in the wild must not raise alerts.
-        let acts = p.deliver(
+        let acts = deliver(
+            &mut p,
             &event(174, "10.0.0.0/24", &[174, 65001], 90),
             &mut ctrl,
-            &mut [],
         );
-        assert!(acts.iter().all(|a| !matches!(a, AppAction::AlertRaised(_))));
+        assert!(acts
+            .iter()
+            .all(|a| !matches!(a, IncidentEvent::AlertRaised { .. })));
         assert_eq!(p.detector().alerts().all().len(), 1);
     }
 
@@ -1890,13 +1790,13 @@ mod tests {
         config.auto_mitigate = false;
         let mut p = Pipeline::bare(config, [Asn(174)].into_iter().collect());
         let mut ctrl = controller();
-        let acts = p.deliver(
+        let acts = deliver(
+            &mut p,
             &event(174, "10.0.0.0/23", &[174, 666], 45),
             &mut ctrl,
-            &mut [],
         );
         assert_eq!(acts.len(), 1);
-        assert!(matches!(acts[0], AppAction::AlertRaised(_)));
+        assert!(matches!(acts[0], IncidentEvent::AlertRaised { .. }));
         assert_eq!(ctrl.intents().count(), 0);
     }
 
@@ -1904,26 +1804,28 @@ mod tests {
     fn second_hijacker_gets_its_own_alert_and_mitigation_once() {
         let mut p = one_prefix_pipeline();
         let mut ctrl = controller();
-        p.deliver(
+        deliver(
+            &mut p,
             &event(174, "10.0.0.0/23", &[174, 666], 45),
             &mut ctrl,
-            &mut [],
         );
         let n_after_first = ctrl.intents().count();
         // Same hijack seen elsewhere: no new intents.
-        p.deliver(
+        deliver(
+            &mut p,
             &event(3356, "10.0.0.0/23", &[3356, 666], 50),
             &mut ctrl,
-            &mut [],
         );
         assert_eq!(ctrl.intents().count(), n_after_first);
         // Different offending origin: new alert, new mitigation.
-        let acts = p.deliver(
+        let acts = deliver(
+            &mut p,
             &event(174, "10.0.0.0/23", &[174, 667], 60),
             &mut ctrl,
-            &mut [],
         );
-        assert!(acts.iter().any(|a| matches!(a, AppAction::AlertRaised(_))));
+        assert!(acts
+            .iter()
+            .any(|a| matches!(a, IncidentEvent::AlertRaised { .. })));
         assert!(ctrl.intents().count() > n_after_first);
     }
 
@@ -1931,15 +1833,15 @@ mod tests {
     fn event_log_mirrors_the_lifecycle_for_independent_cursors() {
         let mut p = two_prefix_pipeline();
         let mut ctrl = controller();
-        p.deliver(
+        deliver(
+            &mut p,
             &event(174, "10.0.0.0/23", &[174, 666], 45),
             &mut ctrl,
-            &mut [],
         );
-        p.deliver(
+        deliver(
+            &mut p,
             &event(174, "10.0.0.0/24", &[174, 65001], 120),
             &mut ctrl,
-            &mut [],
         );
         let batch = p.poll_events(EventCursor::START);
         let kinds: Vec<&'static str> = batch
@@ -1966,12 +1868,12 @@ mod tests {
         use crate::monitor::TIMELINE_CAP;
         let mut p = two_prefix_pipeline();
         let mut ctrl = controller();
-        let acts = p.deliver(
+        let acts = deliver(
+            &mut p,
             &event(3356, "10.0.0.0/23", &[3356, 666], 45),
             &mut ctrl,
-            &mut [],
         );
-        let AppAction::AlertRaised(id) = acts[0] else {
+        let IncidentEvent::AlertRaised { alert: id, .. } = acts[0] else {
             panic!("hijack must alert");
         };
         // AS3356 stays on the hijacker, so the incident never heals
@@ -1980,10 +1882,10 @@ mod tests {
         let extra = 7u64;
         for flip in 0..TIMELINE_CAP as u64 - 1 + extra {
             let origin = if flip % 2 == 0 { 666 } else { 65001 };
-            p.deliver(
+            deliver(
+                &mut p,
                 &event(174, "10.0.0.0/23", &[174, origin], 46 + flip),
                 &mut ctrl,
-                &mut [],
             );
         }
         let live = p.monitor_for(id).expect("never healed");

@@ -16,20 +16,17 @@
 //! * **Queries** — [`ServiceQuery`] answered with owned,
 //!   `serde`-serializable snapshots ([`ServiceStatus`] and friends)
 //!   rather than borrows into pipeline internals.
-//! * **Events** — the owned [`IncidentEvent`](crate::event_log::IncidentEvent) stream via
+//! * **Events** — the owned [`IncidentEvent`] stream via
 //!   [`ArtemisService::poll_events`]; every consumer holds its own
-//!   [`EventCursor`] and replays the identical history. The borrowing
-//!   [`PipelineEvent`] observer
-//!   callback of [`ArtemisService::run`] remains available as a thin
-//!   inline adapter.
+//!   [`EventCursor`] and replays the identical history.
 
 #![deny(missing_docs)]
 
 use crate::alert::{Alert, AlertId, AlertState};
 use crate::config::OwnedPrefix;
-use crate::event_log::{EventCursor, EventLog, PollBatch};
+use crate::event_log::{EventCursor, EventLog, IncidentEvent, PollBatch};
 use crate::mitigation::{MitigationPlan, MitigationPolicy};
-use crate::pipeline::{AppAction, OffboardReport, Pipeline, PipelineEvent, RunReport};
+use crate::pipeline::{OffboardReport, Pipeline, RunReport};
 use crate::HijackType;
 use artemis_bgp::{Asn, Prefix};
 use artemis_bgpsim::Engine;
@@ -422,16 +419,6 @@ impl ArtemisService {
         &mut self.controller
     }
 
-    /// The helper-AS controllers.
-    pub fn helpers(&self) -> &[Controller] {
-        &self.helpers
-    }
-
-    /// Tear the service apart again.
-    pub fn into_parts(self) -> (Pipeline, Controller, Vec<Controller>) {
-        (self.pipeline, self.controller, self.helpers)
-    }
-
     // ---- Commands ---------------------------------------------------
 
     /// Apply one typed command at `now`. Successful commands record
@@ -682,17 +669,15 @@ impl ArtemisService {
 
     /// Feed one monitoring event through the pipeline using the
     /// service's own controllers (deployments that bring their own
-    /// transport).
-    pub fn deliver(&mut self, event: &FeedEvent) -> Vec<AppAction> {
+    /// transport). Returns the alert it raised, if any.
+    pub fn deliver(&mut self, event: &FeedEvent) -> Option<AlertId> {
         self.pipeline
             .deliver(event, &mut self.controller, &mut self.helpers)
     }
 
     /// Drive the interleaved clock domains until `horizon` (or drain,
     /// or observer break) with the service's own controllers. The
-    /// observer is the legacy borrowing callback — a thin inline
-    /// adapter; the owned history is always available via
-    /// [`ArtemisService::poll_events`].
+    /// observer reads the event log as [`Pipeline::run`] describes.
     pub fn run<F>(
         &mut self,
         engine: &mut Engine,
@@ -701,9 +686,9 @@ impl ArtemisService {
         observer: F,
     ) -> RunReport
     where
-        F: FnMut(&mut Engine, PipelineEvent<'_>) -> ControlFlow<()>,
+        F: FnMut(&mut Engine, &IncidentEvent) -> ControlFlow<()>,
     {
-        self.pipeline.run_with_helpers(
+        self.pipeline.run(
             engine,
             &mut self.controller,
             &mut self.helpers,
@@ -718,7 +703,6 @@ impl ArtemisService {
 mod tests {
     use super::*;
     use crate::config::ArtemisConfig;
-    use crate::event_log::IncidentEvent;
     use artemis_bgp::AsPath;
     use artemis_simnet::{LatencyModel, SimRng};
     use std::str::FromStr;
@@ -984,10 +968,9 @@ mod tests {
             SimTime::from_secs(1),
         )
         .unwrap();
-        let acts = svc.deliver(&event(174, "10.0.0.0/23", &[174, 666], 45));
-        let AppAction::AlertRaised(id) = acts[0] else {
-            panic!("must alert");
-        };
+        let id = svc
+            .deliver(&event(174, "10.0.0.0/23", &[174, 666], 45))
+            .expect("must alert");
         assert_eq!(svc.controller().intents().count(), 0);
         let out = svc
             .apply(

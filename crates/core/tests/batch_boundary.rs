@@ -12,15 +12,15 @@
 //!   monitors, retired timelines and controller intents must come out
 //!   byte-identical.
 //! * A [`Pipeline::run`] interrupted by `Break` at every action of a
-//!   multi-event same-instant batch, then resumed, must match the
-//!   uninterrupted run.
+//!   multi-event same-instant batch — and at every event its observer
+//!   sees, same-instant controller installs included — then resumed,
+//!   must match the uninterrupted run.
 
 use artemis_bgp::{AsPath, Asn, Prefix};
 use artemis_bgpsim::{BestRoute, Engine, RouteChange, SimConfig};
 use artemis_controller::Controller;
 use artemis_core::config::OwnedPrefix;
-use artemis_core::pipeline::PipelineEvent;
-use artemis_core::{ArtemisConfig, EventCursor, MitigationPolicy, Pipeline, RunEnd};
+use artemis_core::{ArtemisConfig, EventCursor, IncidentEvent, MitigationPolicy, Pipeline, RunEnd};
 use artemis_feeds::vantage::group_into_collectors;
 use artemis_feeds::{FeedEvent, FeedHub, FeedKind, StreamFeed};
 use artemis_simnet::{LatencyModel, SimRng, SimTime};
@@ -286,10 +286,19 @@ fn queued_pipeline() -> Pipeline {
     p
 }
 
-/// Run to the horizon, breaking at the `stop_at`-th pipeline action
-/// (if any) and then resuming. Returns the serialized event log, the
-/// events delivered, and how many actions the observer saw in total.
-fn run_with_break(stop_at: Option<usize>) -> (String, u64, usize) {
+/// Alerts, mitigations and resolutions: what the commit walk logs.
+fn is_action(event: &IncidentEvent) -> bool {
+    !matches!(event, IncidentEvent::ControllerApplied { .. })
+}
+
+/// Run to the horizon, breaking at the `stop_at`-th observed event for
+/// which `counts` holds (if any) and then resuming. Returns the
+/// serialized event log, the events delivered, and how many counted
+/// events the observer saw in total.
+fn run_with_break(
+    stop_at: Option<usize>,
+    counts: fn(&IncidentEvent) -> bool,
+) -> (String, u64, usize) {
     let mut p = queued_pipeline();
     let mut ctrl = controller();
     let mut graph = AsGraph::new();
@@ -301,8 +310,8 @@ fn run_with_break(stop_at: Option<usize>) -> (String, u64, usize) {
     let mut start = SimTime::ZERO;
     let mut pending_stop = stop_at;
     loop {
-        let report = p.run(&mut engine, &mut ctrl, start, horizon, |_, ev| {
-            if matches!(ev, PipelineEvent::App(_)) {
+        let report = p.run(&mut engine, &mut ctrl, &mut [], start, horizon, |_, ev| {
+            if counts(ev) {
                 seen += 1;
                 if pending_stop == Some(seen - 1) {
                     pending_stop = None;
@@ -321,7 +330,7 @@ fn run_with_break(stop_at: Option<usize>) -> (String, u64, usize) {
 
 #[test]
 fn run_broken_at_every_action_and_resumed_matches_the_uninterrupted_run() {
-    let (log, delivered, actions) = run_with_break(None);
+    let (log, delivered, actions) = run_with_break(None, is_action);
     assert_eq!(delivered, 9);
     assert!(
         actions >= 8,
@@ -329,8 +338,23 @@ fn run_broken_at_every_action_and_resumed_matches_the_uninterrupted_run() {
     );
     assert!(log.contains("\"Resolved\""), "incidents heal: {log}");
     for k in 0..actions {
-        let (broken_log, broken_delivered, _) = run_with_break(Some(k));
+        let (broken_log, broken_delivered, _) = run_with_break(Some(k), is_action);
         assert_eq!(broken_log, log, "break at action {k}");
         assert_eq!(broken_delivered, delivered, "break at action {k}");
+    }
+}
+
+#[test]
+fn run_broken_at_every_observed_event_and_resumed_matches_the_uninterrupted_run() {
+    // Same-instant mitigation installs are break points too: a Break
+    // on the first of them must not cost the log the others, which the
+    // engine has already applied.
+    let (log, delivered, events) = run_with_break(None, |_| true);
+    let installs = log.matches("\"ControllerApplied\"").count();
+    assert!(installs >= 2, "several installs share an instant: {log}");
+    for k in 0..events {
+        let (broken_log, broken_delivered, _) = run_with_break(Some(k), |_| true);
+        assert_eq!(broken_log, log, "break at observed event {k} of {events}");
+        assert_eq!(broken_delivered, delivered, "break at observed event {k}");
     }
 }

@@ -86,9 +86,14 @@ fn original_run(seed: u64) -> OriginalRun {
     engine.announce_at(attacker, prefix, converged + SimDuration::from_secs(30));
 
     let horizon = SimTime::ZERO + SimDuration::from_mins(120);
-    pipeline.run(&mut engine, &mut controller, converged, horizon, |_, _| {
-        ControlFlow::Continue(())
-    });
+    pipeline.run(
+        &mut engine,
+        &mut controller,
+        &mut [],
+        converged,
+        horizon,
+        |_, _| ControlFlow::Continue(()),
+    );
 
     let keys = alert_keys(&pipeline);
     let mrt_bytes = pipeline
@@ -137,6 +142,7 @@ fn replay_run(original: &OriginalRun) -> (Pipeline, Vec<AlertKey>) {
     pipeline.run(
         &mut engine,
         &mut controller,
+        &mut [],
         SimTime::ZERO,
         horizon,
         |_, _| ControlFlow::Continue(()),

@@ -59,9 +59,14 @@ fn main() {
 
     engine.announce_at(attacker, prefix, converged + SimDuration::from_secs(30));
     let horizon = SimTime::ZERO + SimDuration::from_mins(120);
-    pipeline.run(&mut engine, &mut controller, converged, horizon, |_, _| {
-        ControlFlow::Continue(())
-    });
+    pipeline.run(
+        &mut engine,
+        &mut controller,
+        &mut [],
+        converged,
+        horizon,
+        |_, _| ControlFlow::Continue(()),
+    );
 
     let update_bytes = pipeline
         .hub()
@@ -111,6 +116,7 @@ fn main() {
     forensics.run(
         &mut idle_engine,
         &mut idle_controller,
+        &mut [],
         SimTime::ZERO,
         horizon,
         |_, _| ControlFlow::Continue(()),

@@ -18,7 +18,6 @@
 use artemis_repro::bgpsim::{Engine, SimConfig};
 use artemis_repro::controller::Controller;
 use artemis_repro::core::config::OwnedPrefix;
-use artemis_repro::core::pipeline::{AppAction, PipelineEvent};
 use artemis_repro::core::{ArtemisService, EventCursor, IncidentEvent};
 use artemis_repro::feeds::vantage::group_into_collectors;
 use artemis_repro::feeds::{FeedHub, StreamFeed};
@@ -101,19 +100,19 @@ fn main() {
 
     // --- Drive the service; stop once both prefixes recovered --------
     // (Post-mitigation /23 churn may re-raise an already-mitigated
-    // incident — count recovered *prefixes*, not alerts. The inline
-    // observer only decides when to stop; the narration below comes
-    // from the owned event stream.)
+    // incident — count recovered *prefixes*, not alerts. The observer
+    // reads the event log as the run appends to it and only decides
+    // when to stop; the narration below replays the same log.)
     let mut incident_target: std::collections::BTreeMap<u64, Prefix> =
         std::collections::BTreeMap::new();
     let mut recovered: BTreeSet<Prefix> = BTreeSet::new();
     let horizon = converged + artemis_repro::simnet::SimDuration::from_mins(120);
     let report = service.run(&mut engine, converged, horizon, |_, event| {
         match event {
-            PipelineEvent::App(AppAction::MitigationTriggered { alert, plan, .. }) => {
+            IncidentEvent::MitigationTriggered { alert, plan, .. } => {
                 incident_target.insert(alert.0, plan.target);
             }
-            PipelineEvent::App(AppAction::Resolved { alert, .. }) => {
+            IncidentEvent::Resolved { alert, .. } => {
                 if let Some(target) = incident_target.get(&alert.0) {
                     recovered.insert(*target);
                 }

@@ -9,9 +9,9 @@
 use artemis_repro::bgpsim::{Engine, SimConfig};
 use artemis_repro::controller::Controller;
 use artemis_repro::core::config::OwnedPrefix;
-use artemis_repro::core::pipeline::{AppAction, PipelineEvent, RunEnd};
+use artemis_repro::core::pipeline::RunEnd;
 use artemis_repro::core::service::ServiceStatus;
-use artemis_repro::core::{AlertState, EventCursor};
+use artemis_repro::core::{AlertState, EventCursor, IncidentEvent};
 use artemis_repro::feeds::vantage::group_into_collectors;
 use artemis_repro::feeds::{FeedHub, StreamFeed};
 use artemis_repro::prelude::*;
@@ -105,23 +105,22 @@ fn run_fleet(seed: u64) -> FleetRun {
     let horizon = converged + artemis_repro::simnet::SimDuration::from_mins(120);
     let report = service.run(&mut engine, converged, horizon, |_, event| {
         match event {
-            PipelineEvent::App(AppAction::AlertRaised(id)) => {
-                concurrent_at_raise.insert(id.0, active.len());
-                active.insert(id.0);
+            IncidentEvent::AlertRaised { alert, .. } => {
+                concurrent_at_raise.insert(alert.0, active.len());
+                active.insert(alert.0);
             }
-            PipelineEvent::App(AppAction::MitigationTriggered { alert, plan, at }) => {
+            IncidentEvent::MitigationTriggered { alert, plan, at } => {
                 triggers.push((alert.0, plan.target, *at));
                 target_of.insert(alert.0, plan.target);
             }
-            PipelineEvent::App(AppAction::Resolved { alert, at }) => {
+            IncidentEvent::Resolved { alert, at } => {
                 resolutions.push((alert.0, *at));
                 active.remove(&alert.0);
                 if let Some(t) = target_of.get(&alert.0) {
                     recovered.insert(*t);
                 }
             }
-            PipelineEvent::App(AppAction::MitigationPending { .. })
-            | PipelineEvent::ControllerApplied { .. } => {}
+            _ => {}
         }
         if recovered.contains(&p1) && recovered.contains(&p2) {
             ControlFlow::Break(())

@@ -192,16 +192,11 @@ fn one_service_run_reconfigures_mid_stream() {
         &mut engine,
         now,
         now + SimDuration::from_mins(30),
-        |_, event| {
-            use artemis_repro::core::pipeline::{AppAction, PipelineEvent};
-            match event {
-                PipelineEvent::App(AppAction::MitigationTriggered { plan, .. })
-                    if p1.contains(plan.target) =>
-                {
-                    ControlFlow::Break(())
-                }
-                _ => ControlFlow::Continue(()),
+        |_, event| match event {
+            IncidentEvent::MitigationTriggered { plan, .. } if p1.contains(plan.target) => {
+                ControlFlow::Break(())
             }
+            _ => ControlFlow::Continue(()),
         },
     );
     now = report.ended_at;
