@@ -1,6 +1,5 @@
 //! Shared helpers for the experiment binaries (`src/bin/exp_*`) that
-//! regenerate every number in the ARTEMIS paper, and for the criterion
-//! micro-benches (`benches/`).
+//! regenerate every number in the ARTEMIS paper.
 //!
 //! Experiment ↔ paper mapping (README "Reproducing the paper's
 //! numbers" has the measured side of each row):

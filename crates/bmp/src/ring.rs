@@ -3,7 +3,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Duration;
 
 /// A one-bit wake-up latch: producers [`WakeLatch::wake`] it, one
@@ -50,6 +50,13 @@ impl WakeLatch {
 /// supersedes what was shed. Every shed is counted; the counters are
 /// monotone and readable without taking the lock.
 ///
+/// A thread that panics while holding the lock (a `push_batch`
+/// iterator can) does not take the ring down with it: the queue is
+/// never left half-updated and every item is counted as it moves, so
+/// later callers recover the lock and carry on, and
+/// `pushed_total() == drained_total() + shed_total() + len()` holds
+/// whenever the lock is free.
+///
 /// A consumer that would rather sleep than poll installs a
 /// [`WakeLatch`] with [`BackpressureRing::set_waker`]: a push that
 /// lands on an **empty** ring signals it — one wake per burst, not per
@@ -64,6 +71,11 @@ pub struct BackpressureRing<T> {
 }
 
 impl<T> BackpressureRing<T> {
+    /// The queue, recovered if a panicking holder poisoned its lock.
+    fn lock(&self) -> MutexGuard<'_, VecDeque<T>> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// A ring holding at most `capacity` items (clamped to ≥ 1).
     pub fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
@@ -85,7 +97,7 @@ impl<T> BackpressureRing<T> {
     pub fn set_waker(&self, waker: WakeLatch) {
         // Under the queue lock: a concurrent push either is seen here
         // as a non-empty ring or sees the installed latch itself.
-        let q = self.inner.lock().expect("ring lock poisoned");
+        let q = self.lock();
         let installed = self.waker.get_or_init(|| waker);
         if !q.is_empty() {
             installed.wake();
@@ -103,16 +115,16 @@ impl<T> BackpressureRing<T> {
     /// Queue `item`, shedding the oldest queued item if full. Returns
     /// `true` when nothing was shed.
     pub fn push(&self, item: T) -> bool {
-        let mut q = self.inner.lock().expect("ring lock poisoned");
+        let mut q = self.lock();
         let was_empty = q.is_empty();
         let mut clean = true;
         if q.len() == self.capacity {
             q.pop_front();
-            self.shed.fetch_add(1, Ordering::Relaxed);
+            bump(&self.shed);
             clean = false;
         }
         q.push_back(item);
-        self.pushed.fetch_add(1, Ordering::Relaxed);
+        bump(&self.pushed);
         drop(q);
         if was_empty {
             self.wake_consumer();
@@ -121,22 +133,24 @@ impl<T> BackpressureRing<T> {
     }
 
     /// Queue a batch under one lock acquisition, shedding oldest items
-    /// as needed. Returns how many items were shed.
+    /// as needed. Returns how many items were shed. Each item is
+    /// counted as it lands, so an iterator that panics part-way leaves
+    /// the counters true for what it delivered.
     pub fn push_batch(&self, items: impl IntoIterator<Item = T>) -> u64 {
-        let mut q = self.inner.lock().expect("ring lock poisoned");
+        let mut q = self.lock();
         let was_empty = q.is_empty();
         let mut shed = 0u64;
         let mut pushed = 0u64;
         for item in items {
             if q.len() == self.capacity {
                 q.pop_front();
+                bump(&self.shed);
                 shed += 1;
             }
             q.push_back(item);
+            bump(&self.pushed);
             pushed += 1;
         }
-        self.pushed.fetch_add(pushed, Ordering::Relaxed);
-        self.shed.fetch_add(shed, Ordering::Relaxed);
         drop(q);
         if was_empty && pushed > 0 {
             self.wake_consumer();
@@ -147,7 +161,7 @@ impl<T> BackpressureRing<T> {
     /// Move up to `max` items (oldest first) into `out` (appended, not
     /// cleared). Returns how many were moved.
     pub fn drain_into(&self, out: &mut Vec<T>, max: usize) -> usize {
-        let mut q = self.inner.lock().expect("ring lock poisoned");
+        let mut q = self.lock();
         let n = max.min(q.len());
         out.extend(q.drain(..n));
         self.drained.fetch_add(n as u64, Ordering::Relaxed);
@@ -156,7 +170,7 @@ impl<T> BackpressureRing<T> {
 
     /// Items currently queued.
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("ring lock poisoned").len()
+        self.lock().len()
     }
 
     /// True when nothing is queued.
@@ -183,6 +197,13 @@ impl<T> BackpressureRing<T> {
     pub fn drained_total(&self) -> u64 {
         self.drained.load(Ordering::Relaxed)
     }
+}
+
+/// Add one to a counter that only the ring's lock holder writes: a
+/// plain load and store, no read-modify-write, while lock-free readers
+/// still see a monotone value.
+fn bump(counter: &AtomicU64) {
+    counter.store(counter.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
 }
 
 #[cfg(test)]
@@ -300,6 +321,37 @@ mod tests {
         assert!(latch.wait(Duration::from_secs(10)), "woken, not timed out");
         producer.join().unwrap();
         assert_eq!(ring.len(), 1);
+    }
+
+    #[test]
+    fn a_batch_that_panics_under_the_lock_leaves_a_working_ring() {
+        let ring = Arc::new(BackpressureRing::new(4));
+        let producer = {
+            let ring = Arc::clone(&ring);
+            std::thread::spawn(move || {
+                ring.push_batch(
+                    (0..10).inspect(|&i| assert!(i != 6, "the iterator dies mid-batch")),
+                )
+            })
+        };
+        assert!(producer.join().is_err());
+        assert!(ring.inner.is_poisoned(), "the panic held the lock");
+        // Six items landed: the first two were shed to fit four.
+        assert_eq!(ring.pushed_total(), 6);
+        assert_eq!(ring.shed_total(), 2);
+        assert_eq!(ring.len(), 4);
+
+        assert!(!ring.push(100), "a full ring sheds and keeps going");
+        let latch = WakeLatch::new();
+        ring.set_waker(latch.clone());
+        assert!(latch.wait(Duration::ZERO), "the queued items signal it");
+        let mut out = Vec::new();
+        assert_eq!(ring.drain_into(&mut out, 3), 3);
+        assert_eq!(out, vec![3, 4, 5]);
+        assert_eq!(
+            ring.pushed_total(),
+            ring.drained_total() + ring.shed_total() + ring.len() as u64
+        );
     }
 
     #[test]

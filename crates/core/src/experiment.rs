@@ -589,7 +589,7 @@ impl Experiment {
         // the *address space* (LPM probes into both halves of the
         // hijacked prefix): after de-aggregation the /23 route may
         // still point at the attacker somewhere, but the /24s cover
-        // every address — exactly the paper's recovery criterion.
+        // every address — exactly the paper's recovery condition.
         self.engine.run_to_quiescence(10_000_000);
         let probes = probe_targets(self.hijack_prefix);
         let (mut recovered, mut hijacked) = (0usize, 0usize);

@@ -104,9 +104,10 @@ impl StageStat {
 /// `classify_prepare` (classifying every event in one sequential
 /// pass). The commit stage splits into `detect`
 /// (ordered detection walk, including in-batch monitor creation),
-/// `monitor_route` (prefix-routing every event to its covering set of
-/// active monitors), `monitor_ingest` (replaying the routed events
-/// into each covering-set shard's monitors), `resolve` (applying resolution
+/// `monitor_route` (prefix-routing every event onto the event list of
+/// each active monitor it concerns), `monitor_ingest` (replaying each
+/// monitor's list in batch order, up to the event that resolves it),
+/// `resolve` (applying resolution
 /// decisions: alert state, log, monitor retirement) and `mitigate`
 /// (planning/executing/holding mitigation for newly raised alerts).
 /// Every entry point goes through the same staged commit, so every
@@ -136,11 +137,11 @@ pub struct StageMetrics {
     pub commit: StageStat,
     /// Commit sub-stage: the ordered detection walk.
     pub detect: StageStat,
-    /// Commit sub-stage: routing events to relevant monitors via the
-    /// prefix index.
+    /// Commit sub-stage: routing every event through the prefix index
+    /// onto the event lists of the monitors alive at batch start.
     pub monitor_route: StageStat,
-    /// Commit sub-stage: ingesting routed events into the covering-set
-    /// monitor shards.
+    /// Commit sub-stage: replaying each monitor's event list, in batch
+    /// order, into that monitor.
     pub monitor_ingest: StageStat,
     /// Commit sub-stage: applying resolution decisions in order.
     pub resolve: StageStat,

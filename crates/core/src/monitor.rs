@@ -46,7 +46,6 @@ use artemis_bgp::{Asn, FlatTrie, Prefix};
 use artemis_feeds::FeedEvent;
 use artemis_simnet::SimTime;
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 /// Most timeline points one incident keeps (4096 × 32 B = 128 KiB).
 /// Past it the last slot tracks the newest point and
@@ -466,46 +465,6 @@ impl RetiredMonitor {
 pub struct MonitorIndex {
     targets: FlatTrie<Vec<AlertId>>,
     len: usize,
-    /// Bumped on every successful `insert`/`remove`; versions the
-    /// cached covering-set partition below.
-    epoch: u64,
-    /// Memoized [`MonitorIndex::covering_shards`] result, valid while
-    /// the stored epoch matches. Steady-state delivery (no monitor
-    /// births/retirements between batches) reuses it for free; the
-    /// `Arc` lets the pipeline hold the partition across a batch while
-    /// the index itself is mutably borrowed.
-    shards_cache: Option<(u64, Arc<ShardPartition>)>,
-}
-
-/// [`MonitorIndex::covering_shards`] together with the map it inverts,
-/// so a batch looks an alert's shard up instead of rebuilding the map.
-#[derive(Debug)]
-pub(crate) struct ShardPartition {
-    /// The shards, as [`MonitorIndex::covering_shards`] returns them.
-    pub shards: Vec<Vec<AlertId>>,
-    /// `(alert, index into shards)`, ascending by alert.
-    shard_of: Vec<(AlertId, u32)>,
-}
-
-impl ShardPartition {
-    fn new(shards: Vec<Vec<AlertId>>) -> Self {
-        let mut shard_of: Vec<(AlertId, u32)> = shards
-            .iter()
-            .enumerate()
-            .flat_map(|(g, ids)| ids.iter().map(move |id| (*id, g as u32)))
-            .collect();
-        shard_of.sort_unstable();
-        ShardPartition { shards, shard_of }
-    }
-
-    /// The shard holding `alert`, which must be in the partition.
-    pub fn shard_of(&self, alert: AlertId) -> usize {
-        let at = self
-            .shard_of
-            .binary_search_by_key(&alert, |(id, _)| *id)
-            .expect("routed alert is in the partition it was routed under");
-        self.shard_of[at].1 as usize
-    }
 }
 
 impl MonitorIndex {
@@ -524,12 +483,6 @@ impl MonitorIndex {
         self.len == 0
     }
 
-    /// Mutation counter: bumped whenever the indexed monitor set
-    /// actually changes. No-op inserts/removes leave it untouched.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
     /// Index `alert`'s monitor under its target prefix.
     pub fn insert(&mut self, target: Prefix, alert: AlertId) {
         let ids = match self.targets.get_mut(target) {
@@ -544,7 +497,6 @@ impl MonitorIndex {
             Err(pos) => ids.insert(pos, alert),
         }
         self.len += 1;
-        self.epoch += 1;
     }
 
     /// Drop `alert` from the index. Returns `false` when it was not
@@ -561,7 +513,6 @@ impl MonitorIndex {
             self.targets.remove(target);
         }
         self.len -= 1;
-        self.epoch += 1;
         true
     }
 
@@ -580,131 +531,6 @@ impl MonitorIndex {
         // must be globally sorted (and each id appears under exactly
         // one target, so no dedup is needed).
         out.sort_unstable();
-    }
-
-    /// Partition the active monitors into covering-set shards: targets
-    /// that can share events (one contains the other) land in the same
-    /// shard, keyed by the outermost indexed target above each. Two
-    /// prefixes either nest or are disjoint, so nested targets form
-    /// exact components. A short covering announcement may still be
-    /// routed to several shards — each ingests it into its own
-    /// monitors.
-    ///
-    /// The shard, not the alert, is the pipeline's unit of replay for a
-    /// measured reason: monitors that share a target then ingest the
-    /// same events back to back while those are hot. Per-alert event
-    /// lists read 13–25 % fewer `incident_storm` events/s in 12 of 12
-    /// alternating benchmark pairs.
-    ///
-    /// Shards are returned in address order of their outermost target,
-    /// ids ascending within a shard.
-    pub fn covering_shards(&self) -> Vec<Vec<AlertId>> {
-        let mut shards: Vec<Vec<AlertId>> = Vec::new();
-        let mut current_root: Option<Prefix> = None;
-        for (target, ids) in self.targets.iter() {
-            let nested = current_root.is_some_and(|root| root.contains(target));
-            if !nested {
-                // Address-order iteration visits a covering prefix
-                // before everything under it, so a target outside the
-                // current root starts a new component.
-                current_root = Some(target);
-                shards.push(Vec::new());
-            }
-            let shard = shards.last_mut().expect("component started");
-            shard.extend_from_slice(ids);
-        }
-        shards
-    }
-
-    /// [`MonitorIndex::covering_shards`] and its alert → shard inverse,
-    /// memoized against the index's epoch: recomputed only after a
-    /// monitor was indexed or dropped since the last call.
-    pub(crate) fn covering_shards_cached(&mut self) -> Arc<ShardPartition> {
-        if let Some((at, partition)) = &self.shards_cache {
-            if *at == self.epoch {
-                return Arc::clone(partition);
-            }
-        }
-        let partition = Arc::new(ShardPartition::new(self.covering_shards()));
-        self.shards_cache = Some((self.epoch, Arc::clone(&partition)));
-        partition
-    }
-}
-
-/// One monitor checked out of the pipeline for a batch-ingest pass.
-/// Everything the pass needs travels with the task; nothing borrows
-/// the pipeline.
-#[derive(Debug)]
-pub(crate) struct MonitorTask {
-    /// The alert this monitor belongs to.
-    pub alert: AlertId,
-    /// The monitor itself, moved out of the registry for the batch.
-    pub monitor: MonitorService,
-    /// Whether the alert's mitigation has executed. Constant for the
-    /// whole batch: pre-existing alerts only flip this through
-    /// operator commands (confirm/resume), which never run mid-batch.
-    pub mitigated: bool,
-    /// First batch index to consider (nonzero only when the pipeline's
-    /// recheck pre-pass already consumed earlier events).
-    pub start: usize,
-}
-
-/// What a batch-ingest pass decided for one monitor.
-#[derive(Debug)]
-pub(crate) struct MonitorOutcome {
-    /// The alert the monitor belongs to.
-    pub alert: AlertId,
-    /// The monitor, with the batch's relevant events ingested up to
-    /// (and including) the resolving event when one exists.
-    pub monitor: MonitorService,
-    /// Batch index of the event whose ingest completed the recovery
-    /// (`mitigated` and every reporting vantage point legitimate), or
-    /// `None` when the batch does not resolve this alert.
-    pub resolved_at: Option<usize>,
-}
-
-/// Ingest one covering-set shard's slice of a batch into its monitor
-/// tasks, sequentially and in batch order.
-///
-/// `indices` lists the batch positions routed to this shard (ascending;
-/// a superset of each individual monitor's relevant events, since a
-/// shard unions nested targets). Each task ingests its relevant events
-/// in order and stops at the first event after which the alert
-/// resolves — the pipeline applies the recorded resolution point
-/// during the ordered commit walk, so log/action ordering follows
-/// the batch, not the shard layout.
-pub(crate) fn run_monitor_tasks(
-    events: &[FeedEvent],
-    indices: &[u32],
-    tasks: Vec<MonitorTask>,
-    out: &mut Vec<MonitorOutcome>,
-) {
-    for mut task in tasks {
-        let mut resolved_at = None;
-        for &i in indices {
-            let i = i as usize;
-            if i < task.start {
-                continue;
-            }
-            let event = &events[i];
-            if !task.monitor.is_relevant(event.prefix) {
-                continue;
-            }
-            task.monitor.ingest_routed(event);
-            // `all_legitimate` only changes when an ingested
-            // observation changes, so checking after each relevant
-            // ingest visits every state-change point the old
-            // per-event scan checked.
-            if task.mitigated && task.monitor.all_legitimate() {
-                resolved_at = Some(i);
-                break;
-            }
-        }
-        out.push(MonitorOutcome {
-            alert: task.alert,
-            monitor: task.monitor,
-            resolved_at,
-        });
     }
 }
 
@@ -1138,29 +964,6 @@ mod tests {
     }
 
     #[test]
-    fn covering_shards_group_nested_targets() {
-        let mut idx = MonitorIndex::new();
-        idx.insert(pfx("10.0.0.0/8"), id(1));
-        idx.insert(pfx("10.0.0.0/24"), id(2));
-        idx.insert(pfx("10.1.0.0/24"), id(3));
-        idx.insert(pfx("172.16.0.0/23"), id(4));
-        idx.insert(pfx("172.16.0.0/24"), id(5));
-        idx.insert(pfx("192.0.2.0/24"), id(6));
-        let shards = idx.covering_shards();
-        assert_eq!(
-            shards,
-            vec![vec![id(1), id(2), id(3)], vec![id(4), id(5)], vec![id(6)]]
-        );
-        // Disjoint-only fleets shard one monitor each — commit cost
-        // stays flat as incident count grows.
-        let mut flat = MonitorIndex::new();
-        for i in 0..8u64 {
-            flat.insert(pfx(&format!("10.{i}.0.0/24")), id(i));
-        }
-        assert_eq!(flat.covering_shards().len(), 8);
-    }
-
-    #[test]
     fn checked_ingest_still_filters_irrelevant_events() {
         // The public wrapper keeps direct callers safe after the
         // relevance check moved into the routing layer.
@@ -1170,52 +973,6 @@ mod tests {
         assert!(!m.is_relevant(pfx("8.8.8.0/24")));
         assert!(m.is_relevant(pfx("10.0.0.0/24")));
         assert!(m.is_relevant(pfx("0.0.0.0/0")));
-    }
-
-    #[test]
-    fn run_monitor_tasks_matches_per_event_ingest() {
-        let events: Vec<FeedEvent> = vec![
-            event(174, "10.0.0.0/23", Some(666), 10),
-            event(3356, "8.8.8.0/24", Some(15169), 11), // irrelevant
-            event(3356, "10.0.0.0/23", Some(65001), 12),
-            event(174, "10.0.0.0/24", Some(65001), 13), // resolves
-            event(174, "10.0.0.0/23", Some(666), 14),   // after resolution
-        ];
-        let mut reference = service();
-        for ev in &events[..4] {
-            reference.ingest(ev);
-        }
-        let indices: Vec<u32> = vec![0, 2, 3, 4];
-        let mut out = Vec::new();
-        run_monitor_tasks(
-            &events,
-            &indices,
-            vec![MonitorTask {
-                alert: id(1),
-                monitor: service(),
-                mitigated: true,
-                start: 0,
-            }],
-            &mut out,
-        );
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].resolved_at, Some(3), "stops at the resolving event");
-        assert_eq!(out[0].monitor.timeline(), reference.timeline());
-
-        // Unmitigated: the same recovery never resolves.
-        out.clear();
-        run_monitor_tasks(
-            &events,
-            &indices,
-            vec![MonitorTask {
-                alert: id(1),
-                monitor: service(),
-                mitigated: false,
-                start: 0,
-            }],
-            &mut out,
-        );
-        assert_eq!(out[0].resolved_at, None);
     }
 
     #[test]

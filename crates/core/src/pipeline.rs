@@ -27,9 +27,9 @@
 //! number of cursors replay the same history independently.
 //!
 //! Drivers have three entry points, and all three are batches through
-//! the same staged commit (classify pass → monitor route → per-shard
-//! monitor replay → ordered detect/resolve walk) — there is no second
-//! code path that walks events:
+//! the same staged commit (classify pass → monitor route → monitor
+//! replay in batch order → ordered detect/resolve walk) — there is no
+//! second code path that walks events:
 //!
 //! * [`Pipeline::deliver_due`] — drain everything due and commit it as
 //!   one batch (the daemon's pump, archive replays, benches).
@@ -50,9 +50,7 @@ use crate::detector::{Detection, Detector, PreparedEvent};
 use crate::event_log::{EventCursor, EventLog, IncidentEvent, PollBatch};
 use crate::metrics::StageMetrics;
 use crate::mitigation::{MitigationPlan, MitigationPolicy, Mitigator};
-use crate::monitor::{
-    run_monitor_tasks, MonitorIndex, MonitorOutcome, MonitorService, MonitorTask, RetiredMonitor,
-};
+use crate::monitor::{MonitorIndex, MonitorService, RetiredMonitor};
 use artemis_bgp::{Asn, Prefix};
 use artemis_bgpsim::Engine;
 use artemis_controller::{Controller, IntentKind};
@@ -112,8 +110,10 @@ pub struct Pipeline {
     hub: FeedHub,
     detector: Detector,
     mitigator: Mitigator,
-    /// One monitor per alert, created when the alert is raised.
-    monitors: BTreeMap<AlertId, MonitorService>,
+    /// One monitor per live alert, created when the alert is raised,
+    /// ascending by id. Alert ids only grow, so raising an alert is a
+    /// push and a lookup is a binary search.
+    monitors: Vec<(AlertId, MonitorService)>,
     /// Prefix index over the active monitors' targets: routes an event
     /// to its covering set of relevant monitors instead of scanning the
     /// whole registry. Kept in lockstep with `monitors` (insert on
@@ -128,8 +128,9 @@ pub struct Pipeline {
     recheck: BTreeSet<AlertId>,
     /// Reusable routing buffer for [`MonitorIndex::route`].
     route_buf: Vec<AlertId>,
-    /// Reusable per-shard lists of routed batch indices.
-    shard_events: Vec<Vec<u32>>,
+    /// Reusable monitor-route output, parallel to `monitors`: the batch
+    /// indices routed to each monitor, ascending.
+    routed: Vec<Vec<u32>>,
     /// Vantage population handed to new monitors.
     vantage_points: BTreeSet<Asn>,
     mitigated: BTreeSet<AlertId>,
@@ -172,11 +173,11 @@ impl Pipeline {
             hub,
             mitigator: Mitigator::new(config.clone()),
             detector: Detector::new(ArtemisConfig { owned, ..config }),
-            monitors: BTreeMap::new(),
+            monitors: Vec::new(),
             monitor_index: MonitorIndex::new(),
             recheck: BTreeSet::new(),
             route_buf: Vec::new(),
-            shard_events: Vec::new(),
+            routed: Vec::new(),
             vantage_points,
             mitigated: BTreeSet::new(),
             retired: BTreeMap::new(),
@@ -224,7 +225,20 @@ impl Pipeline {
     /// the incident is over the monitor retires — see
     /// [`Pipeline::retired_monitor`].
     pub fn monitor_for(&self, alert: AlertId) -> Option<&MonitorService> {
-        self.monitors.get(&alert)
+        self.monitor_at(alert).map(|at| &self.monitors[at].1)
+    }
+
+    /// Position of `alert`'s live monitor in the registry.
+    fn monitor_at(&self, alert: AlertId) -> Option<usize> {
+        self.monitors
+            .binary_search_by_key(&alert, |(id, _)| *id)
+            .ok()
+    }
+
+    /// Take `alert`'s live monitor out of the registry.
+    fn take_monitor(&mut self, alert: AlertId) -> Option<MonitorService> {
+        let at = self.monitor_at(alert)?;
+        Some(self.monitors.remove(at).1)
     }
 
     /// Every active `(alert, monitor)` pair, in alert-raise order.
@@ -254,8 +268,8 @@ impl Pipeline {
     pub fn timeline_coalesced_points(&self) -> u64 {
         let live: u64 = self
             .monitors
-            .values()
-            .map(MonitorService::coalesced_points)
+            .iter()
+            .map(|(_, m)| m.coalesced_points())
             .sum();
         self.retired_coalesced_points + live
     }
@@ -351,7 +365,7 @@ impl Pipeline {
                 continue;
             }
             self.detector.alerts_mut().mark_resolved(*id, now);
-            if let Some(monitor) = self.monitors.remove(id) {
+            if let Some(monitor) = self.take_monitor(*id) {
                 self.retire_monitor(*id, monitor, now);
             }
             closed_alerts.push(*id);
@@ -470,7 +484,7 @@ impl Pipeline {
             // could have withered while the plan was held), so the
             // resolution condition must be evaluated at the next
             // delivered event even if that event is irrelevant.
-            if self.monitors.contains_key(id) {
+            if self.monitor_at(*id).is_some() {
                 self.recheck.insert(*id);
             }
         }
@@ -501,7 +515,7 @@ impl Pipeline {
         // Same rationale as in `resume_mitigation`: the mitigated flag
         // flipped outside delivery, so the next delivered event must
         // re-evaluate this alert's resolution condition.
-        if self.monitors.contains_key(&alert) {
+        if self.monitor_at(alert).is_some() {
             self.recheck.insert(alert);
         }
         Some(plan)
@@ -541,7 +555,7 @@ impl Pipeline {
         }
         let mut purged = 0;
         for vp in &downs {
-            for monitor in self.monitors.values_mut() {
+            for (_, monitor) in &mut self.monitors {
                 purged += usize::from(monitor.purge_vantage(*vp, at));
             }
         }
@@ -618,7 +632,8 @@ impl Pipeline {
             legitimate_origins,
             self.vantage_points.clone(),
         );
-        self.monitors.insert(id, monitor);
+        debug_assert!(self.monitors.last().is_none_or(|(last, _)| *last < id));
+        self.monitors.push((id, monitor));
         self.monitor_index.insert(owned_prefix, id);
 
         // 3. Mitigation, governed by the prefix's policy.
@@ -646,16 +661,16 @@ impl Pipeline {
     }
 
     /// Resolve one alert's incident at `at`: mark it, log it, and
-    /// retire its monitor (already checked out of the registry) into
-    /// the compact record.
+    /// retire its monitor (already taken out of the registry) into the
+    /// compact record.
     fn resolve(&mut self, id: AlertId, monitor: MonitorService, at: SimTime) {
         self.detector.alerts_mut().mark_resolved(id, at);
         self.log.push(IncidentEvent::Resolved { alert: id, at });
         self.retire_monitor(id, monitor, at);
     }
 
-    /// Unindex a monitor already checked out of the registry and file
-    /// its compact record.
+    /// Unindex a monitor already taken out of the registry and file its
+    /// compact record.
     fn retire_monitor(&mut self, id: AlertId, monitor: MonitorService, at: SimTime) {
         self.monitor_index.remove(monitor.target(), id);
         self.retired_coalesced_points += monitor.coalesced_points();
@@ -714,11 +729,11 @@ impl Pipeline {
     ///
     /// Stages: classify the whole batch in one tight pass (the flat
     /// trie and shard rules stay hot in cache); route every event once
-    /// through the [`MonitorIndex`]; replay each covering-set shard's
-    /// routed events into the monitors that pre-exist the batch (each
-    /// monitor over its own run of events keeps its per-VP slots hot);
-    /// then walk the batch in order running detection, monitors born
-    /// earlier in this batch, and the pre-computed resolution points.
+    /// through the [`MonitorIndex`] onto the list of each monitor alive
+    /// at batch start that it concerns; replay each monitor's list in
+    /// batch order, stopping at the event that resolves it; then walk
+    /// the batch in order running detection, monitors born earlier in
+    /// this batch, and the noted resolutions.
     ///
     /// The outcome is independent of how a stream is cut into batches:
     /// a pre-existing monitor's state evolution depends only on the
@@ -748,107 +763,67 @@ impl Pipeline {
         prep.extend(batch.iter().map(|event| self.detector.prepare(event)));
         let t2 = Instant::now();
 
-        // --- monitor-route: partition the active monitors into
-        // covering-set shards and route every event once through the
-        // prefix index, building each shard's (deduplicated, ordered)
-        // relevant-event index list (per shard, not per alert: see
-        // `MonitorIndex::covering_shards` for the measurement). The
-        // partition and its alert → shard inverse are cached inside
-        // the index and invalidated by its epoch, so steady-state
-        // batches (no monitor born or retired in between) skip the
-        // recompute.
-        let partition = self.monitor_index.covering_shards_cached();
-        let shards = &partition.shards;
-        let mut shard_events = std::mem::take(&mut self.shard_events);
-        shard_events.iter_mut().for_each(Vec::clear);
-        shard_events.resize_with(shards.len(), Vec::new);
-        {
-            let mut route = std::mem::take(&mut self.route_buf);
-            for (i, event) in batch.iter().enumerate() {
-                self.monitor_index.route(event.prefix, &mut route);
-                for id in &route {
-                    let list = &mut shard_events[partition.shard_of(*id)];
-                    if list.last() != Some(&(i as u32)) {
-                        list.push(i as u32);
-                    }
+        // --- monitor-route: every event once through the prefix
+        // index, its batch index appended to the list of each monitor it
+        // concerns. Alerts mitigated outside delivery (`recheck`) start
+        // their list with event 0 whether or not it concerns them: their
+        // monitor may already be all-legitimate, so resolution is due at
+        // the first event.
+        let mut routed = std::mem::take(&mut self.routed);
+        routed.iter_mut().for_each(Vec::clear);
+        routed.resize_with(self.monitors.len(), Vec::new);
+        for id in std::mem::take(&mut self.recheck) {
+            if let Some(at) = self.monitor_at(id) {
+                routed[at].push(0);
+            }
+        }
+        let mut route = std::mem::take(&mut self.route_buf);
+        for (i, event) in batch.iter().enumerate() {
+            self.monitor_index.route(event.prefix, &mut route);
+            for id in &route {
+                let at = self
+                    .monitor_at(*id)
+                    .expect("indexed alert has a live monitor");
+                let list = &mut routed[at];
+                if list.last() != Some(&(i as u32)) {
+                    list.push(i as u32); // not already there as a recheck
                 }
             }
-            route.clear();
-            self.route_buf = route;
         }
+        self.route_buf = route;
         let t3 = Instant::now();
 
-        // --- monitor-ingest. Recheck pre-pass first: externally
-        // mitigated alerts evaluate their resolution condition at the
-        // batch's first event regardless of relevance; survivors rejoin
-        // the shard scan from event 1 so the first event is not
-        // ingested twice.
-        let mut resolutions: BTreeMap<usize, Vec<(AlertId, MonitorService)>> = BTreeMap::new();
-        let mut starts: BTreeMap<AlertId, usize> = BTreeMap::new();
-        if !self.recheck.is_empty() {
-            let recheck = std::mem::take(&mut self.recheck);
-            let first = &batch[0];
-            for id in recheck {
-                // A recheck entry can outlive its incident (offboarded
-                // mid-wait); skip gracefully.
-                let Some(mut monitor) = self.monitors.remove(&id) else {
-                    continue;
-                };
-                if monitor.is_relevant(first.prefix) {
-                    monitor.ingest_routed(first);
+        // --- monitor-ingest: replay each monitor's events in batch
+        // order straight into the registry, one monitor at a time so its
+        // per-VP slots stay in cache, and stop at the event that
+        // resolves it. Monitors are independent, so this is the state a
+        // batch-order replay reaches. The resolved leave the registry in
+        // the order the walk applies them: by event, then by alert.
+        let mut due: Vec<(usize, AlertId)> = Vec::new();
+        for ((id, monitor), events) in self.monitors.iter_mut().zip(&routed) {
+            for &i in events {
+                let event = &batch[i as usize];
+                if monitor.is_relevant(event.prefix) {
+                    monitor.ingest_routed(event);
                 }
-                if self.mitigated.contains(&id) && monitor.all_legitimate() {
-                    resolutions.entry(0).or_default().push((id, monitor));
-                } else {
-                    self.monitors.insert(id, monitor);
-                    starts.insert(id, 1);
+                if monitor.all_legitimate() && self.mitigated.contains(id) {
+                    due.push((i as usize, *id));
+                    break;
                 }
             }
         }
-
-        // Check the pre-existing monitors out of the registry shard by
-        // shard (shards with no routed events stay put) and replay
-        // each shard's events into them.
-        let mut outcomes: Vec<MonitorOutcome> = Vec::new();
-        for (ids, indices) in shards.iter().zip(&shard_events) {
-            if indices.is_empty() {
-                continue;
-            }
-            let mut tasks = Vec::with_capacity(ids.len());
-            for id in ids {
-                let Some(monitor) = self.monitors.remove(id) else {
-                    continue; // resolved by the recheck pre-pass
-                };
-                tasks.push(MonitorTask {
-                    alert: *id,
-                    monitor,
-                    mitigated: self.mitigated.contains(id),
-                    start: starts.get(id).copied().unwrap_or(0),
-                });
-            }
-            run_monitor_tasks(batch, indices, tasks, &mut outcomes);
+        self.routed = routed;
+        due.sort_unstable();
+        let mut resolved = Vec::with_capacity(due.len());
+        for (i, id) in due {
+            let monitor = self.take_monitor(id).expect("listed monitor is live");
+            resolved.push((i, id, monitor));
         }
-        for outcome in outcomes {
-            match outcome.resolved_at {
-                Some(i) => resolutions
-                    .entry(i)
-                    .or_default()
-                    .push((outcome.alert, outcome.monitor)),
-                None => {
-                    self.monitors.insert(outcome.alert, outcome.monitor);
-                }
-            }
-        }
-        // Resolutions at one event apply in ascending alert order,
-        // whichever shard (or the recheck pre-pass) produced them.
-        for entry in resolutions.values_mut() {
-            entry.sort_unstable_by_key(|(id, _)| *id);
-        }
-        self.shard_events = shard_events;
+        let mut resolved = resolved.into_iter().peekable();
         let t4 = Instant::now();
 
         // --- commit walk: detection in delivery order, events into
-        // monitors born earlier in this batch, and the pre-computed
+        // monitors born earlier in this batch, and the noted
         // resolutions applied at their exact event indices (before the
         // next event's detection, so dedup against resolved alerts —
         // a re-hijack is a NEW alert — sees them).
@@ -869,9 +844,10 @@ impl Pipeline {
             // by in-batch alerts, not registry size).
             let mut resolved_new: Vec<AlertId> = Vec::new();
             for id in &live_new {
-                let Some(monitor) = self.monitors.get_mut(id) else {
+                let Some(at) = self.monitor_at(*id) else {
                     continue;
                 };
+                let monitor = &mut self.monitors[at].1;
                 if !monitor.is_relevant(event.prefix) {
                     continue;
                 }
@@ -881,18 +857,18 @@ impl Pipeline {
                 }
             }
 
-            let scheduled = resolutions.remove(&i);
-            if scheduled.is_some() || !resolved_new.is_empty() {
+            let scheduled = resolved.peek().is_some_and(|(j, _, _)| *j == i);
+            if scheduled || !resolved_new.is_empty() {
                 let clock = Instant::now();
                 let at = event.emitted_at;
                 // Pre-existing alerts carry smaller ids than any alert
                 // born in this batch, so scheduled-then-new keeps the
                 // ascending order.
-                for (id, monitor) in scheduled.into_iter().flatten() {
+                while let Some((_, id, monitor)) = resolved.next_if(|(j, _, _)| *j == i) {
                     self.resolve(id, monitor, at);
                 }
                 for id in resolved_new {
-                    if let Some(monitor) = self.monitors.remove(&id) {
+                    if let Some(monitor) = self.take_monitor(id) {
                         self.resolve(id, monitor, at);
                     }
                     live_new.retain(|x| *x != id);

@@ -2,11 +2,12 @@
 //! walks events, and what it produces must not depend on how a stream
 //! is cut into batches.
 //!
-//! * One generated stream — nested owned prefixes (so covering-set
-//!   monitor shards share events), hijacks and heals (so resolutions
+//! * One generated stream — nested owned prefixes (so one event is
+//!   routed to several monitors), hijacks and heals (so resolutions
 //!   land mid-batch), mitigation echoes that dirty shard rules after
 //!   the classify pass, a dormant prefix, and an operator confirmation
-//!   between two deliveries (so the `recheck` pre-pass fires) — is
+//!   between two deliveries (so a confirmed alert's resolution is due
+//!   at the next batch's first event) — is
 //!   delivered as one batch, as random splits, and as singletons
 //!   through [`Pipeline::deliver`]; event log, alert store, live
 //!   monitors, retired timelines and controller intents must come out
@@ -42,8 +43,8 @@ fn config() -> ArtemisConfig {
         vec![
             OwnedPrefix::new(pfx("10.0.0.0/23"), Asn(OPERATOR)),
             // Nested inside 10.0.0.0/23: concurrent incidents on the
-            // pair produce nested monitor targets, so covering-set
-            // shards actually share events.
+            // pair produce nested monitor targets, so one event is
+            // replayed into several monitors.
             OwnedPrefix::new(pfx("10.0.1.0/24"), Asn(OPERATOR)),
             OwnedPrefix::new(pfx("172.16.0.0/22"), Asn(OPERATOR)),
             OwnedPrefix::new(pfx("192.0.2.0/24"), Asn(OPERATOR)),
@@ -108,8 +109,8 @@ fn decode(kind: u8, slot: u8, t: u64) -> FeedEvent {
 /// Fixed opening that parks one alert in the `recheck` set whatever
 /// the random tail does: a ConfirmFirst hijack seen by one vantage
 /// point heals *before* the operator confirms, so at confirmation its
-/// monitor is already all-legitimate and only the recheck pre-pass of
-/// the next delivery can resolve it.
+/// monitor is already all-legitimate and only the recheck at the first
+/// event of the next delivery can resolve it.
 fn preamble() -> Vec<FeedEvent> {
     vec![
         event(174, "172.16.0.0/22", Some(669), 1),
@@ -227,8 +228,8 @@ proptest! {
 #[test]
 fn confirmed_and_already_healed_incident_resolves_at_the_next_event_however_it_is_batched() {
     // The preamble alone, then one irrelevant event after the confirm:
-    // only the recheck pre-pass can resolve the alert, and it must do
-    // so at that event in every batching.
+    // only the recheck can resolve the alert, and it must do so at
+    // that event in every batching.
     let mut events = preamble();
     events.push(event(2914, "8.8.8.0/24", Some(15169), 9));
     let whole = replay(&events, 2, Cut::Whole);

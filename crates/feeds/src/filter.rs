@@ -1,17 +1,15 @@
-//! Pre-heap feed filtering: decide whether an event is interesting
-//! *before* it reaches a [`crate::FeedHub`] lane.
+//! Pre-ring feed filtering: decide whether an event is interesting
+//! *before* it enters a live feed's backpressure ring.
 //!
 //! A [`FeedFilter`] is a serializable conjunction of predicate
 //! dimensions (prefix, origin, vantage/peer, time window). Within a
 //! dimension the listed values are alternatives (OR); across
 //! dimensions all constraints must hold (AND); an empty dimension is a
-//! wildcard. The hub evaluates an attached feed's filter at the
-//! enqueue boundary ([`crate::FeedHub::set_feed_filter`]) and a
-//! [`crate::BmpLiveFeed`] additionally evaluates it on the socket
-//! reader thread, so rejected updates never even enter the
-//! backpressure ring. Rejections are counted as `dropped_events` in
-//! [`crate::FeedLag`] — filtered load is shed load, and operators
-//! should see it.
+//! wildcard. A [`crate::BmpLiveFeed`] evaluates its configured filter
+//! (`LiveFeedConfig::filter`) on the socket reader thread, so rejected
+//! updates never enter the ring. Rejections are counted as
+//! `dropped_events` in [`crate::FeedLag`] — filtered load is shed
+//! load, and operators should see it.
 
 #![deny(missing_docs)]
 
@@ -20,7 +18,7 @@ use artemis_bgp::{Asn, Prefix};
 use artemis_simnet::SimTime;
 use serde::{Deserialize, Serialize};
 
-/// A serializable event predicate, evaluated pre-heap.
+/// A serializable event predicate, evaluated pre-ring.
 ///
 /// The default value ([`FeedFilter::any`]) matches everything.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -69,14 +67,6 @@ impl FeedFilter {
     pub fn window(mut self, start: SimTime, end: SimTime) -> Self {
         self.window = Some((start, end));
         self
-    }
-
-    /// True when every configured dimension is a wildcard.
-    pub fn matches_everything(&self) -> bool {
-        self.prefixes.is_empty()
-            && self.origins.is_empty()
-            && self.vantages.is_empty()
-            && self.window.is_none()
     }
 
     /// Evaluate the predicate against one event.
@@ -129,7 +119,6 @@ mod tests {
     #[test]
     fn default_matches_everything() {
         let f = FeedFilter::any();
-        assert!(f.matches_everything());
         assert!(f.matches(&event("10.0.0.0/24", Some(666), 174, 5)));
         assert!(f.matches(&event("203.0.113.0/24", None, 1, 0)));
     }
@@ -201,6 +190,6 @@ mod tests {
         assert_eq!(back, f);
         let wild: FeedFilter =
             serde_json::from_str(&serde_json::to_string(&FeedFilter::any()).unwrap()).unwrap();
-        assert!(wild.matches_everything());
+        assert_eq!(wild, FeedFilter::any());
     }
 }

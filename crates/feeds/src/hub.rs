@@ -2,7 +2,6 @@
 //! and time-ordered aggregation of their events.
 
 use crate::event::{FeedEvent, FeedKind};
-use crate::filter::FeedFilter;
 use crate::source::{FeedSource, RibView, WakeLatch};
 use artemis_bgpsim::RouteChange;
 use artemis_simnet::{SimRng, SimTime};
@@ -49,11 +48,10 @@ pub struct FeedLag {
     pub queued_events: usize,
     /// Emission instant of the newest event this feed queued, if any.
     pub last_event_at: Option<SimTime>,
-    /// Events discarded before they could reach the merge queue:
-    /// pre-heap [`crate::FeedFilter`] rejections at the hub boundary
-    /// plus everything the feed itself reports dropping (backpressure
-    /// sheds, feed-local filters, outage windows). Monotone;
-    /// `shed_events` is a subset.
+    /// Events the feed reports discarding before they could reach the
+    /// hub ([`FeedSource::dropped_events`]: backpressure sheds, a live
+    /// feed's pre-ring [`crate::FeedFilter`], outage windows).
+    /// Monotone; `shed_events` is a subset.
     pub dropped_events: u64,
     /// The backpressure subset of `dropped_events`: events shed from a
     /// bounded ring because the consumer fell behind. Monotone.
@@ -86,12 +84,9 @@ struct Lane {
     /// Earliest emission instant among pending events (exact even
     /// while the run is unsorted), `None` when the lane is empty.
     min_time: Option<SimTime>,
-    /// Queue depth, newest emission and filter rejections, booked once
-    /// per queued batch and once per drained run.
+    /// Queue depth and newest emission, booked once per queued batch
+    /// and once per drained run.
     lag: FeedLag,
-    /// The feed's pre-heap filter; only non-trivial filters are stored
-    /// (the wildcard costs nothing by absence).
-    filter: Option<FeedFilter>,
 }
 
 impl Lane {
@@ -303,36 +298,6 @@ impl FeedHub {
         handle
     }
 
-    /// Add a feed with a pre-heap [`FeedFilter`]: events failing the
-    /// predicate are discarded at the enqueue boundary — before they
-    /// reach the feed's lane — and counted in
-    /// [`FeedLag::dropped_events`].
-    pub fn add_filtered(&mut self, feed: Box<dyn FeedSource>, filter: FeedFilter) -> FeedHandle {
-        let handle = self.add(feed);
-        self.set_feed_filter(handle, Some(filter));
-        handle
-    }
-
-    /// Install, replace, or clear (`None`) a feed's pre-heap filter at
-    /// runtime. Returns `false` when the handle is not attached.
-    /// Wildcard filters are normalized away so the hot path pays
-    /// nothing for unfiltered feeds.
-    pub fn set_feed_filter(&mut self, handle: FeedHandle, filter: Option<FeedFilter>) -> bool {
-        match self.lanes.get_mut(&handle.0) {
-            Some(lane) if handle != FeedHandle::REQUEUED => {
-                lane.filter = filter.filter(|f| !f.matches_everything());
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// The pre-heap filter currently installed for a feed, if any
-    /// non-trivial one is.
-    pub fn feed_filter(&self, handle: FeedHandle) -> Option<&FeedFilter> {
-        self.lanes.get(&handle.0)?.filter.as_ref()
-    }
-
     /// Detach a feed at runtime, returning the feed and the number of
     /// its queued, undelivered events.
     ///
@@ -366,22 +331,12 @@ impl FeedHub {
         self.feeds.is_empty()
     }
 
-    /// Move everything in the scratch buffer into `handle`'s lane. This
-    /// is the pre-heap boundary: events rejected by the feed's
-    /// [`FeedFilter`] are dropped *here*, before they reach the lane.
+    /// Move everything in the scratch buffer into `handle`'s lane.
     fn queue_scratch(&mut self, handle: FeedHandle) {
         if self.scratch.is_empty() {
             return;
         }
         let lane = self.lanes.entry(handle.0).or_default();
-        if let Some(f) = &lane.filter {
-            let before = self.scratch.len();
-            self.scratch.retain(|ev| f.matches(ev));
-            lane.lag.dropped_events += (before - self.scratch.len()) as u64;
-            if self.scratch.is_empty() {
-                return;
-            }
-        }
         let n = self.scratch.len();
         lane.append(&mut self.scratch, self.seq);
         self.pending += n;
@@ -581,20 +536,16 @@ impl FeedHub {
     }
 
     /// Hub-observed lag of an attached feed (see [`FeedLag`]).
-    /// `None` once the feed is detached.
-    ///
-    /// Drop accounting is composed at read time: the hub's own
-    /// pre-heap filter rejections (tracked here) plus whatever the
-    /// feed reports discarding on its side of the boundary
-    /// ([`FeedSource::dropped_events`] / [`FeedSource::shed_events`] —
-    /// backpressure sheds, outage windows). Both inputs are monotone,
-    /// so the composed counters are too.
+    /// `None` once the feed is detached. The drop counters are read
+    /// from the feed itself ([`FeedSource::dropped_events`] /
+    /// [`FeedSource::shed_events`]).
     pub fn feed_lag(&self, handle: FeedHandle) -> Option<FeedLag> {
         let feed = self.feed_by_handle(handle)?;
-        let mut lag = self.lanes.get(&handle.0)?.lag;
-        lag.dropped_events += feed.dropped_events();
-        lag.shed_events += feed.shed_events();
-        Some(lag)
+        Some(FeedLag {
+            dropped_events: feed.dropped_events(),
+            shed_events: feed.shed_events(),
+            ..self.lanes.get(&handle.0)?.lag
+        })
     }
 
     /// Total pull queries issued across feeds (LG overhead).
@@ -689,8 +640,6 @@ mod tests {
         assert!(latch.wait(Duration::ZERO), "already-attached feeds get it");
         hub.add(Box::new(Knocker));
         assert!(latch.wait(Duration::ZERO), "so does a feed added later");
-        hub.add_filtered(Box::new(Knocker), FeedFilter::any().origin(Asn(174)));
-        assert!(latch.wait(Duration::ZERO), "and one added with a filter");
     }
 
     #[test]
@@ -918,77 +867,5 @@ mod tests {
         hub.ingest_route_changes(&[change(174, 10), change(174, 20)]);
         let stats = hub.emission_stats();
         assert_eq!(stats[&(FeedKind::RisLive, "ris-live".to_string())], 2);
-    }
-
-    #[test]
-    fn pre_heap_filter_rejects_before_the_lane() {
-        use crate::filter::FeedFilter;
-        let mut hub = FeedHub::new(SimRng::new(1));
-        let vps = vec![Asn(174)];
-        // Watch a disjoint prefix: every ingested change must be
-        // rejected at the enqueue boundary.
-        let h = hub.add_filtered(
-            Box::new(StreamFeed::ris_live(group_into_collectors("rrc", &vps, 1))),
-            FeedFilter::any().prefix(artemis_bgp::Prefix::from_str("192.0.2.0/24").unwrap()),
-        );
-        hub.ingest_route_change(&change(174, 10));
-        hub.ingest_route_change(&change(174, 20));
-        assert_eq!(
-            hub.pending_events(),
-            0,
-            "rejected events never reach the lane"
-        );
-        let lag = hub.feed_lag(h).unwrap();
-        assert_eq!(lag.dropped_events, 2);
-        assert_eq!(lag.queued_events, 0);
-        // Feed-side emission counting still ran (the feed *did* emit).
-        assert_eq!(hub.feed_by_handle(h).unwrap().events_emitted(), 2);
-    }
-
-    #[test]
-    fn matching_filter_passes_events_through() {
-        use crate::filter::FeedFilter;
-        let mut hub = FeedHub::new(SimRng::new(1));
-        let vps = vec![Asn(174)];
-        let h = hub.add_filtered(
-            Box::new(StreamFeed::ris_live(group_into_collectors("rrc", &vps, 1))),
-            FeedFilter::any()
-                .prefix(artemis_bgp::Prefix::from_str("10.0.0.0/24").unwrap())
-                .origin(Asn(65001)),
-        );
-        // 10.0.0.0/23 overlaps the watched /24 and origin matches.
-        hub.ingest_route_change(&change(174, 10));
-        assert_eq!(hub.pending_events(), 1);
-        assert_eq!(hub.feed_lag(h).unwrap().dropped_events, 0);
-    }
-
-    #[test]
-    fn set_feed_filter_swaps_at_runtime() {
-        use crate::filter::FeedFilter;
-        let mut hub = FeedHub::new(SimRng::new(1));
-        let vps = vec![Asn(174)];
-        let h = hub.add(Box::new(StreamFeed::ris_live(group_into_collectors(
-            "rrc", &vps, 1,
-        ))));
-        assert_eq!(hub.feed_filter(h), None, "plain add has no filter");
-        hub.ingest_route_change(&change(174, 10));
-        assert_eq!(hub.pending_events(), 1);
-
-        let deny = FeedFilter::any().vantage(Asn(9999));
-        assert!(hub.set_feed_filter(h, Some(deny.clone())));
-        assert_eq!(hub.feed_filter(h), Some(&deny));
-        hub.ingest_route_change(&change(174, 20));
-        assert_eq!(hub.pending_events(), 1, "new filter rejects");
-        assert_eq!(hub.feed_lag(h).unwrap().dropped_events, 1);
-
-        // Clearing (or installing a wildcard) restores pass-through.
-        assert!(hub.set_feed_filter(h, Some(FeedFilter::any())));
-        assert_eq!(hub.feed_filter(h), None, "wildcard is normalized away");
-        hub.ingest_route_change(&change(174, 30));
-        assert_eq!(hub.pending_events(), 2);
-
-        // Detached handles refuse the swap.
-        hub.remove(h);
-        assert!(!hub.set_feed_filter(h, Some(FeedFilter::any())));
     }
 }

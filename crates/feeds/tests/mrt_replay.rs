@@ -1,4 +1,4 @@
-//! The MRT round-trip property (ISSUE 3 acceptance criterion):
+//! The MRT round-trip property:
 //! an experiment's `ArchiveUpdatesFeed` MRT bytes, replayed through
 //! `MrtReplayFeed` into a **fresh** `Pipeline`, yield the same alert
 //! set and detection instants as the original run.

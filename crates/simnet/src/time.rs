@@ -202,7 +202,11 @@ impl SimTime {
 
     /// Duration since an earlier instant; panics if `earlier` is later.
     pub fn since(self, earlier: SimTime) -> SimDuration {
-        SimDuration(self.0 - earlier.0)
+        SimDuration(
+            self.0
+                .checked_sub(earlier.0)
+                .expect("SimTime::since: `earlier` is later than `self`"),
+        )
     }
 
     /// Duration since an earlier instant, or zero if `earlier` is later.
