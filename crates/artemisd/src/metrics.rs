@@ -24,19 +24,19 @@ fn phase_label(phase: MitigationPhase) -> &'static str {
 
 /// Point-in-time gauges of the pipeline's internal structures that
 /// [`ServiceSummary`] does not carry (they are implementation detail,
-/// not operator-facing state): the flattened routing structure's
-/// footprint and the count of incidents whose monitors were retired
-/// into compact summaries.
+/// not operator-facing state): the routing trie's footprint and the
+/// count of incidents whose monitors were retired into compact
+/// summaries.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StructureGauges {
-    /// Nodes in the detector's flattened routing structure.
+    /// Stride-8 multibit nodes in the detector's routing trie.
     pub routing_nodes: usize,
     /// Approximate heap bytes held by the routing structure.
     pub routing_bytes: usize,
     /// The detector's routing epoch: bumped on every incremental
-    /// onboard/offboard patch of the flattened routing structure. A
-    /// gauge that climbs with churn but never jumps — there are no
-    /// wholesale rebuilds to observe anymore.
+    /// onboard/offboard patch of the routing trie. A gauge that climbs
+    /// with churn but never jumps — there are no wholesale rebuilds to
+    /// observe anymore.
     pub routing_epoch: u64,
     /// Resolved incidents retired to compact monitor summaries.
     pub retired_incidents: usize,
@@ -258,7 +258,7 @@ pub fn render(
         "artemis_mitigation_paused {}",
         u8::from(status.mitigation_paused)
     );
-    out.push_str("# HELP artemis_routing_nodes Nodes in the flattened routing structure.\n");
+    out.push_str("# HELP artemis_routing_nodes Stride-8 multibit nodes in the routing trie.\n");
     out.push_str("# TYPE artemis_routing_nodes gauge\n");
     let _ = writeln!(out, "artemis_routing_nodes {}", structure.routing_nodes);
     out.push_str("# HELP artemis_routing_bytes Approximate heap bytes of the routing structure.\n");

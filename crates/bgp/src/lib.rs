@@ -16,12 +16,13 @@
 //!   NOTIFICATION / KEEPALIVE) including RFC 6793 four-octet AS support
 //!   and RFC 4760 multiprotocol NLRI for IPv6.
 //! * [`FlatTrie`] — the prefix → value map everything routes with: a
-//!   binary trie in a contiguous node pool (nodes linked by `u32`
-//!   indices, a stride-16 IPv4 root table) with in-place
-//!   insert/remove, longest-prefix match, exact match, and
-//!   allocation-free covering / containment visits. The detector's
-//!   owned-prefix routing, the monitor index and the ROA table are all
-//!   built on it.
+//!   stride-8 multibit trie (per node, a presence bit and a pushed-down
+//!   best-value index for each of the 510 prefixes of its 8-bit stride;
+//!   a /16 direct table above the IPv4 nodes of large maps) with
+//!   in-place insert/remove, longest-prefix match in one load per
+//!   level, exact match, and allocation-free covering / containment
+//!   visits. The detector's owned-prefix routing, the monitor index and
+//!   the ROA table are all built on it.
 //! * [`Route`] / [`RouteUpdate`] — announced paths and announce/withdraw
 //!   events exchanged between the simulator, the feeds and the detector.
 //!

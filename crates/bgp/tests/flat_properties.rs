@@ -4,10 +4,15 @@
 //! `BTreeMap<Prefix, u32>` scanned with [`Prefix::contains`]. `Prefix:
 //! Ord` is `(afi, bits, len)`, which is the trie's pre-order, so the
 //! map's own order is the expected visiting order. Checked across
-//! offboard-then-readd churn, nested/adjacent prefix sets, on either
-//! side of the stride-16 root-table threshold, and — the contract the
-//! detector's routing epochs stand on — after every single in-place
-//! mutation, against both the model and a trie rebuilt from scratch.
+//! offboard-then-readd churn, nested/adjacent prefix sets, IPv6 down to
+//! /128 (all 16 levels), queries shorter than stored more-specifics in
+//! the same 8-bit stride, on either side of the IPv4 direct-table
+//! threshold, and — the contract the detector's routing epochs stand on
+//! — after every single in-place mutation, against both the model and
+//! a trie rebuilt from scratch.
+//!
+//! Each block runs 256 cases unless `PROPTEST_CASES` sets the count
+//! (CI runs 4096 in release).
 
 use artemis_bgp::{FlatTrie, Prefix};
 use proptest::prelude::*;
@@ -28,11 +33,20 @@ fn clustered_v4() -> impl Strategy<Value = Prefix> {
     })
 }
 
-/// V6 prefixes clustered under 2001:db8::/32.
+/// V6 prefixes clustered under 2001:db8::/32, down to host routes.
 fn clustered_v6() -> impl Strategy<Value = Prefix> {
-    (any::<u64>(), 8u8..=64).prop_map(|(low, len)| {
-        let addr = Ipv6Addr::from((0x2001_0db8u128 << 96) | u128::from(low));
+    (any::<u128>(), 8u8..=128).prop_map(|(low, len)| {
+        let addr = Ipv6Addr::from((0x2001_0db8u128 << 96) | (low >> 32));
         Prefix::v6(addr, len).expect("len <= 128")
+    })
+}
+
+/// V4 /20–/24s under the four /20s of 10.1.0.0/18: several stored
+/// more-specifics share each depth-16 node (lengths /17–/24).
+fn nested_v4() -> impl Strategy<Value = Prefix> {
+    (0u32..4, any::<u32>(), 20u8..=24).prop_map(|(block, low, len)| {
+        let addr = Ipv4Addr::from(0x0A01_0000 | (block << 12) | (low & 0x0FFF));
+        Prefix::v4(addr, len).expect("len <= 32")
     })
 }
 
@@ -61,13 +75,15 @@ fn mk(template: Prefix, bits: u128, len: u8) -> Prefix {
     }
 }
 
-/// Queries derived from an inserted prefix: itself, a covering parent,
+/// Queries derived from an inserted prefix: itself, every shorter
+/// prefix of it down to the start of its 8-bit stride (so the parent),
 /// a more-specific child, the host route and the adjacent sibling —
 /// the relationships a longest-prefix match has to arbitrate.
 fn related_queries(p: Prefix) -> Vec<Prefix> {
     let mut queries = vec![p];
     if p.len() > 0 {
-        queries.push(mk(p, p.bits(), p.len() - 1));
+        let stride_start = (p.len() - 1) / 8 * 8;
+        queries.extend((stride_start..p.len()).map(|len| mk(p, p.bits(), len)));
         // Sibling: flip the last masked bit.
         let flipped = p.bits() ^ (1u128 << (128 - u32::from(p.len())));
         queries.push(mk(p, flipped, p.len()));
@@ -163,8 +179,33 @@ fn visit_queries(stored: &[Prefix]) -> Vec<Prefix> {
     queries
 }
 
+/// 256 cases, or `PROPTEST_CASES` when set (`with_cases` alone would
+/// override the variable).
+fn config() -> ProptestConfig {
+    if std::env::var_os("PROPTEST_CASES").is_some() {
+        ProptestConfig::default()
+    } else {
+        ProptestConfig::with_cases(256)
+    }
+}
+
+/// Filler /24s that carry a small base set past the IPv4 direct-table
+/// threshold (`TABLE_MIN_V4` = 256 in `flat.rs`).
+const FILLER: u32 = 320;
+
+/// Distinct /24s under 192.0.0.0/8, where the clustered generators
+/// never draw.
+fn filler(seed: u32, count: u32) -> Vec<Prefix> {
+    (0..count)
+        .map(|i| {
+            let addr = 0xC000_0000 | (seed.wrapping_add(i) & 0xFFFF) << 8;
+            Prefix::v4(Ipv4Addr::from(addr), 24).expect("/24")
+        })
+        .collect()
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
+    #![proptest_config(config())]
 
     /// Any clustered prefix set: identical views, identical matches.
     #[test]
@@ -286,33 +327,66 @@ proptest! {
         assert_agrees(&flat, &Model::new(), &queries);
     }
 
-    /// The stride-16 root table must be behaviorally invisible: a set
-    /// just below the table threshold and the same set grown past it
-    /// answer every query like the model.
+    /// The IPv4 direct table must be behaviorally invisible. The same
+    /// base set answers every query like the model while the trie is
+    /// small and walks from the root; once [`FILLER`] has grown it past
+    /// the table threshold, so that the table is built and then patched
+    /// by every insert; while the base set (/4–/32, so up to 4096 slots
+    /// a prefix) is removed and re-added under the live table; and after
+    /// the filler is removed, when the kept table has been patched back.
     #[test]
     fn root_table_threshold_is_invisible(
         base in prop::collection::vec(clustered_v4(), 8..24),
         filler_seed in any::<u32>(),
     ) {
-        // Below threshold (≤ 24 v4 entries): no root table.
         let (mut flat, mut model) = build(numbered(&base));
-        let queries: Vec<Prefix> =
+        let filler = filler(filler_seed, FILLER);
+        let mut queries: Vec<Prefix> =
             base.iter().flat_map(|p| related_queries(*p)).collect();
-        let bytes_below = flat.approx_bytes();
+        queries.extend(filler.iter().step_by(128).flat_map(|p| related_queries(*p)));
         assert_agrees(&flat, &model, &queries);
 
-        // Push past the 32-entry threshold with distinct /24 filler.
-        for i in 0..40u32 {
-            let addr = Ipv4Addr::from(
-                0xC000_0000u32 | (filler_seed.wrapping_add(i * 251) & 0x00FF_FF00),
-            );
-            let p = Prefix::v4(addr, 24).expect("/24");
-            prop_assert_eq!(flat.insert(p, 50_000 + i), model.insert(p, 50_000 + i));
+        for (p, v) in filler.iter().zip(50_000..) {
+            prop_assert_eq!(flat.insert(*p, v), model.insert(*p, v));
         }
-        prop_assert!(
-            flat.approx_bytes() - bytes_below >= 65_536 * 8,
-            "the 65536-slot table was materialized"
-        );
         assert_agrees(&flat, &model, &queries);
+
+        for p in &base {
+            prop_assert_eq!(flat.remove(*p), model.remove(p), "remove({})", p);
+        }
+        assert_agrees(&flat, &model, &queries);
+        for (p, v) in base.iter().zip(60_000..) {
+            prop_assert_eq!(flat.insert(*p, v), model.insert(*p, v), "insert({})", p);
+        }
+        assert_agrees(&flat, &model, &queries);
+
+        for p in &filler {
+            prop_assert_eq!(flat.remove(*p), model.remove(p));
+        }
+        assert_agrees(&flat, &model, &queries);
+    }
+
+    /// The length bound inside one stride: /17–/24 queries over /20–/24
+    /// sets under 10.1.0.0/18, where a /21 or /22 query shares its
+    /// depth-16 node with stored /23s and /24s inside it and must still
+    /// match only what covers it.
+    #[test]
+    fn queries_shorter_than_stored_more_specifics_in_one_stride(
+        stored in prop::collection::vec(nested_v4(), 1..24),
+        churn in prop::collection::vec(nested_v4(), 0..8),
+    ) {
+        let (mut flat, mut model) = build(numbered(&stored));
+        // Every prefix of 10.1.0.0/18 down to /24, and its /16 and /17.
+        let v4 = |addr: u32, len: u8| Prefix::v4(Ipv4Addr::from(addr), len).expect("/16-/24");
+        let mut queries = vec![v4(0x0A01_0000, 16), v4(0x0A01_0000, 17)];
+        for len in 18u8..=24 {
+            let step = 1u32 << (32 - len);
+            queries.extend((0..1u32 << (len - 18)).map(|i| v4(0x0A01_0000 + i * step, len)));
+        }
+        assert_agrees(&flat, &model, &queries);
+        for p in &churn {
+            prop_assert_eq!(flat.remove(*p), model.remove(p), "remove({})", p);
+            assert_agrees(&flat, &model, &queries);
+        }
     }
 }

@@ -278,12 +278,12 @@ proptest! {
     }
 
     /// Longest-prefix match agrees with a naive linear scan for
-    /// arbitrary host probes on sets from 1 to 95 entries — on both
-    /// sides of the 32-entry threshold where the stride-16 root table
+    /// arbitrary host probes on sets from 1 to 511 entries — on both
+    /// sides of the 256-entry threshold where the /16 direct table
     /// starts answering the first sixteen bits.
     #[test]
     fn trie_lpm_equals_naive_scan_across_table_threshold(
-        entries in prop::collection::hash_set((any::<u32>(), 0u8..=30), 1..96),
+        entries in prop::collection::hash_set((any::<u32>(), 0u8..=30), 1..512),
         probes in prop::collection::vec(any::<u32>(), 1..16),
     ) {
         let prefixes: Vec<(Prefix, usize)> = entries

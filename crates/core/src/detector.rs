@@ -443,12 +443,12 @@ impl Detector {
         &self.routing
     }
 
-    /// Nodes in the flattened routing structure (capacity gauge).
+    /// Stride-8 multibit nodes in the routing trie (capacity gauge).
     pub fn routing_nodes(&self) -> usize {
         self.routing.flat.node_count()
     }
 
-    /// Approximate heap bytes held by the flattened routing structure
+    /// Approximate heap bytes held by the routing trie
     /// (capacity gauge).
     pub fn routing_bytes(&self) -> usize {
         self.routing.flat.approx_bytes()
@@ -1073,10 +1073,11 @@ mod tests {
 
     #[test]
     fn offboard_reonboard_cycles_patch_in_place_with_no_hidden_rebuild() {
-        // 96 owned /24s: past the 32-entry threshold, so the routing
-        // structure's stride table is live and every cycle patches it.
-        let fleet: Vec<Prefix> = (0..96u8)
-            .map(|i| Prefix::v4([10, i, 0, 0].into(), 24).expect("valid"))
+        // 320 owned /24s, each in a /16 of its own: past the 256-entry
+        // threshold, so the routing trie's /16 table is live, and every
+        // cycle prunes a node and patches the table.
+        let fleet: Vec<Prefix> = (0..320u32)
+            .map(|i| Prefix::v4([10 + (i >> 8) as u8, i as u8, 0, 0].into(), 24).expect("valid"))
             .collect();
         let owned = fleet
             .iter()
