@@ -143,7 +143,6 @@ fn run(flags: Flags) -> Result<(), String> {
     let daemon_config = DaemonConfig {
         audit_path: flags.audit_log,
         webhooks: flags.webhooks,
-        ..DaemonConfig::default()
     };
     let handle = Daemon::start(&flags.addr, service, daemon_config).map_err(|e| e.to_string())?;
     println!("artemisd listening on http://{}", handle.addr());

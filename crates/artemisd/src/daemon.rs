@@ -59,6 +59,7 @@ use artemis_feeds::WakeLatch;
 use artemis_simnet::SimTime;
 use minihttp::{Request, Response, Server, ShutdownSwitch};
 use serde::{Deserialize, Serialize};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -79,6 +80,9 @@ pub const FEED_PUMP_IDLE_TICK: Duration = Duration::from_millis(250);
 /// instead of hiding behind this bound.
 const LONGPOLL_PARK_CAP: Duration = Duration::from_millis(if cfg!(test) { 3_000 } else { 10 });
 
+/// How often the background thread retries queued alerts.
+const ALERT_RETRY_TICK: Duration = Duration::from_millis(200);
+
 /// Payload posted to alert sinks: one alert-worthy incident event.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AlertPayload {
@@ -95,34 +99,14 @@ pub struct SinkRequest {
     pub url: String,
 }
 
-/// Daemon tuning knobs. [`DaemonConfig::default`] suits tests and the
+/// Daemon settings. [`DaemonConfig::default`] suits tests and the
 /// loopback example; the binary maps its flags onto these fields.
+#[derive(Default)]
 pub struct DaemonConfig {
     /// Append audit records to this JSONL file as well as memory.
     pub audit_path: Option<PathBuf>,
     /// Webhook sinks registered before the daemon starts serving.
     pub webhooks: Vec<String>,
-    /// Alert dispatcher queue capacity.
-    pub alert_queue: usize,
-    /// Delivery attempts per alert payload.
-    pub alert_attempts: u32,
-    /// Minimum interval between alert deliveries.
-    pub alert_min_interval: Duration,
-    /// How often the background thread retries queued alerts.
-    pub pump_interval: Duration,
-}
-
-impl Default for DaemonConfig {
-    fn default() -> Self {
-        DaemonConfig {
-            audit_path: None,
-            webhooks: Vec::new(),
-            alert_queue: 256,
-            alert_attempts: 3,
-            alert_min_interval: Duration::from_millis(50),
-            pump_interval: Duration::from_millis(200),
-        }
-    }
 }
 
 struct Inner {
@@ -144,6 +128,7 @@ struct Shared {
     feed_wake: WakeLatch,
     state_lock_poisoned: AtomicU64,
     feed_pump_wakeups: AtomicU64,
+    feed_pump_panics: AtomicU64,
 }
 
 /// Whether a log append wakes parked long-polls now or lets them find
@@ -416,6 +401,7 @@ fn handle_metrics(shared: &Shared) -> Response {
         audit_records: inner.audit.len(),
         state_lock_poisoned: shared.state_lock_poisoned.load(Ordering::Relaxed),
         feed_pump_wakeups: shared.feed_pump_wakeups.load(Ordering::Relaxed),
+        feed_pump_panics: shared.feed_pump_panics.load(Ordering::Relaxed),
     };
     let text = crate::metrics::render(
         &inner.service.summary(),
@@ -531,11 +517,7 @@ impl Daemon {
         mut service: ArtemisService,
         config: DaemonConfig,
     ) -> std::io::Result<DaemonHandle> {
-        let mut dispatcher = AlertDispatcher::new(
-            config.alert_queue,
-            config.alert_attempts,
-            config.alert_min_interval,
-        );
+        let mut dispatcher = AlertDispatcher::with_defaults();
         for url in &config.webhooks {
             let sink = WebhookSink::from_url(url)
                 .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
@@ -576,6 +558,7 @@ impl Daemon {
             feed_wake,
             state_lock_poisoned: AtomicU64::new(0),
             feed_pump_wakeups: AtomicU64::new(0),
+            feed_pump_panics: AtomicU64::new(0),
         });
 
         let server_shared = Arc::clone(&shared);
@@ -587,10 +570,9 @@ impl Daemon {
         // down (or rate-limited) are retried even when no request
         // arrives to pump them.
         let pump_shared = Arc::clone(&shared);
-        let pump_interval = config.pump_interval;
         let pump_thread = std::thread::spawn(move || {
             while !pump_shared.switch.is_triggered() {
-                std::thread::sleep(pump_interval);
+                std::thread::sleep(ALERT_RETRY_TICK);
                 pump_alerts(&mut pump_shared.lock());
             }
         });
@@ -599,7 +581,11 @@ impl Daemon {
         // passes), then drains the feeds through detection, pages any
         // alerts the delivered events raised without waiting for the
         // slower alert retry tick, and wakes the long-polls if the
-        // incident log grew.
+        // incident log grew. An iteration that panics (a feed or a stage
+        // hitting a bug) is counted (`artemis_feed_pump_panics_total`)
+        // and the pump goes on: a dead pump would stop detection with
+        // no signal. Like a poisoned lock, whatever the panic left
+        // half-done stays as it is.
         let feed_shared = Arc::clone(&shared);
         let feed_thread = std::thread::spawn(move || {
             while !feed_shared.switch.is_triggered() {
@@ -608,11 +594,16 @@ impl Daemon {
                     .feed_pump_wakeups
                     .fetch_add(1, Ordering::Relaxed);
                 let now = feed_shared.now();
-                feed_shared.mutate(Publish::Wake, |inner| {
-                    if inner.service.pump_feeds(now) > 0 {
-                        pump_alerts(inner);
-                    }
-                });
+                let pumped = catch_unwind(AssertUnwindSafe(|| {
+                    feed_shared.mutate(Publish::Wake, |inner| {
+                        if inner.service.pump_feeds(now) > 0 {
+                            pump_alerts(inner);
+                        }
+                    })
+                }));
+                if pumped.is_err() {
+                    feed_shared.feed_pump_panics.fetch_add(1, Ordering::Relaxed);
+                }
             }
         });
 

@@ -10,14 +10,20 @@
 //! They live beside the daemon rather than under `tests/` because
 //! they are stated in terms of its private constants and reach into
 //! [`Shared`] to poison the state lock.
+//!
+//! The last test attaches a feed whose poll panics: the pump must
+//! count it and keep pumping.
 
 use super::*;
 use crate::CtlClient;
 use artemis_bgp::{AsPath, Asn, BgpMessage, PathAttributes, Prefix, UpdateMessage};
+use artemis_bgpsim::RouteChange;
 use artemis_bmp::{BmpMessage, BmpWriter, PeerHeader};
 use artemis_controller::Controller;
 use artemis_core::{ArtemisConfig, OwnedPrefix, Pipeline, ServiceCommand};
-use artemis_feeds::{BmpLiveFeed, FeedSpec, LiveFeedConfig};
+use artemis_feeds::{
+    BmpLiveFeed, FeedEvent, FeedKind, FeedSource, FeedSpec, LiveFeedConfig, RibView,
+};
 use artemis_simnet::{LatencyModel, SimRng};
 use std::io::Write;
 use std::net::{IpAddr, Ipv4Addr, TcpListener, TcpStream};
@@ -219,5 +225,69 @@ fn a_panic_under_the_state_lock_takes_nothing_else_down() {
     let metrics = client.metrics_text().unwrap();
     assert_eq!(counter(&metrics, "artemis_state_lock_poisoned_total"), 1);
     assert!(!daemon.shared.inner.is_poisoned());
+    daemon.shutdown();
+}
+
+/// A pull feed whose first poll panics; it never asks to run again.
+struct PanicsOnFirstPoll {
+    polled: bool,
+}
+
+impl FeedSource for PanicsOnFirstPoll {
+    fn kind(&self) -> FeedKind {
+        FeedKind::Periscope
+    }
+    fn name(&self) -> &str {
+        "panics-on-first-poll"
+    }
+    fn on_route_change_into(&mut self, _: &RouteChange, _: &mut SimRng, _: &mut Vec<FeedEvent>) {}
+    fn next_poll(&self, now: SimTime) -> Option<SimTime> {
+        (!self.polled).then_some(now)
+    }
+    fn poll(&mut self, _: SimTime, _: &dyn RibView, _: &mut SimRng) -> Vec<FeedEvent> {
+        self.polled = true;
+        panic!("a feed's poll dies (expected by this test)");
+    }
+    fn events_emitted(&self) -> u64 {
+        0
+    }
+}
+
+#[test]
+fn a_panicking_feed_poll_is_counted_and_the_pump_keeps_going() {
+    let mut pipeline = pipeline();
+    pipeline.attach_feed(Box::new(PanicsOnFirstPoll { polled: false }), SimTime::ZERO);
+    let (daemon, client) = start(pipeline);
+    let read = |name| counter(&client.metrics_text().unwrap(), name);
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while read("artemis_feed_pump_panics_total") == 0 {
+        assert!(Instant::now() < deadline, "the pump never polled the feed");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let wakeups = read("artemis_feed_pump_wakeups_total");
+    std::thread::sleep(FEED_PUMP_IDLE_TICK * 2);
+    assert!(
+        read("artemis_feed_pump_wakeups_total") > wakeups,
+        "the pump thread died with the panic"
+    );
+    assert_eq!(read("artemis_feed_pump_panics_total"), 1);
+
+    let hijack = FeedEvent {
+        emitted_at: SimTime::from_secs(45),
+        observed_at: SimTime::from_secs(40),
+        source: FeedKind::RisLive,
+        collector: "rrc00".into(),
+        vantage: VANTAGE,
+        prefix: "10.0.7.0/24".parse().unwrap(),
+        as_path: Some(AsPath::from_sequence([VANTAGE.0, 666])),
+        origin_as: Some(Asn(666)),
+        raw: None,
+    };
+    assert_eq!(client.inject(vec![hijack]).unwrap().alerts_raised, 1);
+    let batch = client.events(EventCursor::START, 0).unwrap();
+    assert!(batch
+        .events
+        .iter()
+        .any(|e| matches!(e, IncidentEvent::AlertRaised { .. })));
     daemon.shutdown();
 }

@@ -57,6 +57,8 @@ pub struct DaemonGauges {
     pub state_lock_poisoned: u64,
     /// Times the feed pump left its park (ring wake or idle tick).
     pub feed_pump_wakeups: u64,
+    /// Feed-pump iterations that panicked and were survived.
+    pub feed_pump_panics: u64,
 }
 
 fn stage_lines(out: &mut String, name: &str, stat: &StageStat) {
@@ -152,7 +154,7 @@ pub fn render(
     out.push_str("# TYPE artemis_feed_last_event_seconds gauge\n");
     out.push_str(
         "# HELP artemis_feed_dropped_total Events discarded before the merge queue per feed \
-         (filter rejections, backpressure sheds, outage windows).\n",
+         (filter rejections, backpressure sheds).\n",
     );
     out.push_str("# TYPE artemis_feed_dropped_total counter\n");
     out.push_str(
@@ -341,6 +343,16 @@ pub fn render(
         "artemis_feed_pump_wakeups_total {}",
         daemon.feed_pump_wakeups
     );
+    out.push_str(
+        "# HELP artemis_feed_pump_panics_total Feed-pump iterations that panicked; the pump \
+         counted each and kept pumping.\n",
+    );
+    out.push_str("# TYPE artemis_feed_pump_panics_total counter\n");
+    let _ = writeln!(
+        out,
+        "artemis_feed_pump_panics_total {}",
+        daemon.feed_pump_panics
+    );
 
     out
 }
@@ -380,6 +392,7 @@ mod tests {
                 audit_records: 5,
                 state_lock_poisoned: 1,
                 feed_pump_wakeups: 12,
+                feed_pump_panics: 2,
             },
         );
         for line in text.lines() {
@@ -397,6 +410,7 @@ mod tests {
         assert!(text.contains("artemis_audit_records_total 5"));
         assert!(text.contains("artemis_state_lock_poisoned_total 1"));
         assert!(text.contains("artemis_feed_pump_wakeups_total 12"));
+        assert!(text.contains("artemis_feed_pump_panics_total 2"));
         assert!(text.contains("artemis_mitigation_paused 0"));
         assert!(text.contains("artemis_stage_p99_batch_nanos{stage=\"classify\"} 0"));
         for sub in [

@@ -64,15 +64,6 @@ impl Asn {
         !(self.is_private() || self.is_documentation() || self.is_reserved())
             && self.0 != AS_TRANS.0
     }
-
-    /// Render in `asdot` notation (RFC 5396), e.g. `Asn(65536)` → `1.0`.
-    pub fn to_asdot(self) -> String {
-        if self.is_two_octet() {
-            format!("{}", self.0)
-        } else {
-            format!("{}.{}", self.0 >> 16, self.0 & 0xFFFF)
-        }
-    }
 }
 
 impl fmt::Display for Asn {
@@ -193,13 +184,6 @@ mod tests {
         assert!(!Asn(64512).is_routable());
         assert!(!AS_TRANS.is_routable());
         assert!(!Asn::ZERO.is_routable());
-    }
-
-    #[test]
-    fn asdot_rendering() {
-        assert_eq!(Asn(65536).to_asdot(), "1.0");
-        assert_eq!(Asn(327700).to_asdot(), "5.20");
-        assert_eq!(Asn(1234).to_asdot(), "1234");
     }
 
     #[test]

@@ -57,10 +57,6 @@ impl Community {
     pub const NO_EXPORT: Community = Community(0xFFFF_FF01);
     /// Well-known NO_ADVERTISE (RFC 1997).
     pub const NO_ADVERTISE: Community = Community(0xFFFF_FF02);
-    /// Well-known NO_EXPORT_SUBCONFED (RFC 1997).
-    pub const NO_EXPORT_SUBCONFED: Community = Community(0xFFFF_FF03);
-    /// GRACEFUL_SHUTDOWN (RFC 8326).
-    pub const GRACEFUL_SHUTDOWN: Community = Community(0xFFFF_0000);
 
     /// Build from the conventional `asn:value` pair.
     pub const fn from_parts(asn: u16, value: u16) -> Self {
@@ -156,13 +152,6 @@ impl PathAttributes {
         self.local_pref.unwrap_or(100)
     }
 
-    /// Effective MED with the lowest-preference default (`u32::MAX`
-    /// ordering handled by the decision process; absent MED is treated
-    /// as 0 per common router defaults).
-    pub fn effective_med(&self) -> u32 {
-        self.med.unwrap_or(0)
-    }
-
     /// True if NO_EXPORT is attached.
     pub fn no_export(&self) -> bool {
         self.communities.contains(&Community::NO_EXPORT)
@@ -221,7 +210,6 @@ mod tests {
     fn effective_defaults() {
         let attrs = PathAttributes::originate(Asn(1), "10.0.0.1".parse().unwrap());
         assert_eq!(attrs.effective_local_pref(), 100);
-        assert_eq!(attrs.effective_med(), 0);
     }
 
     #[test]

@@ -54,7 +54,7 @@ const TABLE_BITS: u8 = 16;
 /// Minimum number of IPv4 entries before the 65536-slot direct table
 /// (512 KiB) is materialized. Below this a map walks its few,
 /// cache-resident nodes from the root: the monitor index (tens of live
-/// targets) and a ROA table never pay for the table, while the
+/// targets) never pays for the table, while the
 /// detector's fleet-sized map always has it. Of 32, 256, 1024 and 4096,
 /// 256 gave the lowest monitor-routing time per event on the
 /// benchmark's `incident_storm`. Once built the table is kept (and
@@ -165,7 +165,7 @@ struct RootSlot {
     best: u32,
 }
 
-/// A map from [`Prefix`] to `T` with longest-prefix-match, covering and
+/// A map from [`Prefix`] to `T` with longest-prefix-match and
 /// containment queries; IPv4 and IPv6 occupy disjoint sub-tries.
 ///
 /// See the [module docs](self) for the layout. Point operations visit
@@ -498,20 +498,6 @@ impl<T> FlatTrie<T> {
         }
     }
 
-    /// Visit every stored prefix that covers `prefix` — its
-    /// less-specifics and `prefix` itself when stored — shortest
-    /// first, without allocating.
-    pub fn visit_covering<'a, F>(&'a self, prefix: Prefix, mut f: F)
-    where
-        F: FnMut(Prefix, &'a T),
-    {
-        if let Some((node, pos)) = self.visit_above(prefix, &mut f) {
-            if let Some((p, v)) = self.stored(&self.nodes[node as usize], pos) {
-                f(p, v);
-            }
-        }
-    }
-
     /// Visit every stored prefix *relevant* to `prefix` under the
     /// containment relation — every stored prefix that covers it,
     /// equals it, or is covered by it — exactly once each and without
@@ -805,15 +791,17 @@ mod tests {
         for s in ["10.0.0.0/8", "10.0.0.0/16", "10.0.0.0/24", "10.1.0.0/16"] {
             t.insert(p(s), ());
         }
+        // Nothing is stored below either query, so every relevant
+        // prefix covers it.
         let mut cov = Vec::new();
-        t.visit_covering(p("10.0.0.0/24"), |q, _| cov.push(q));
+        t.visit_relevant(p("10.0.0.0/24"), |q, _| cov.push(q));
         assert_eq!(
             cov,
             vec![p("10.0.0.0/8"), p("10.0.0.0/16"), p("10.0.0.0/24")]
         );
         // A branch that ends early still reports what covers the query.
         cov.clear();
-        t.visit_covering(p("10.0.128.0/17"), |q, _| cov.push(q));
+        t.visit_relevant(p("10.0.128.0/17"), |q, _| cov.push(q));
         assert_eq!(cov, vec![p("10.0.0.0/8"), p("10.0.0.0/16")]);
     }
 
@@ -861,7 +849,7 @@ mod tests {
         assert_eq!(t.get(p("10.0.0.0/8")), Some(&"v4"));
         assert_eq!(t.get(p("a00::/8")), Some(&"v6"));
         let mut seen = Vec::new();
-        t.visit_covering(p("10.0.0.0/24"), |_, v| seen.push(*v));
+        t.visit_relevant(p("10.0.0.0/24"), |_, v| seen.push(*v));
         t.visit_relevant(Prefix::default_v6(), |_, v| seen.push(*v));
         assert_eq!(seen, vec!["v4", "v6"]);
     }

@@ -20,9 +20,9 @@
 //!   best-value index for each of the 510 prefixes of its 8-bit stride;
 //!   a /16 direct table above the IPv4 nodes of large maps) with
 //!   in-place insert/remove, longest-prefix match in one load per
-//!   level, exact match, and allocation-free covering / containment
-//!   visits. The detector's owned-prefix routing, the monitor index and
-//!   the ROA table are all built on it.
+//!   level, exact match, and an allocation-free containment visit. The
+//!   detector's owned-prefix routing and the monitor index are both
+//!   built on it.
 //! * [`Route`] / [`RouteUpdate`] — announced paths and announce/withdraw
 //!   events exchanged between the simulator, the feeds and the detector.
 //!

@@ -128,20 +128,6 @@ impl Prefix {
         }
     }
 
-    /// Build from any [`IpAddr`]; errors with
-    /// [`PrefixParseError::HostBitsSet`] if bits below `len` are set.
-    pub fn new_strict(addr: IpAddr, len: u8) -> Result<Self, PrefixParseError> {
-        let p = Self::new(addr, len)?;
-        let raw = match addr {
-            IpAddr::V4(a) => (u32::from(a) as u128) << 96,
-            IpAddr::V6(a) => u128::from(a),
-        };
-        if raw != p.bits {
-            return Err(PrefixParseError::HostBitsSet);
-        }
-        Ok(p)
-    }
-
     /// Construct directly from left-aligned bits (host bits are masked).
     pub fn from_bits(afi: Afi, bits: u128, len: u8) -> Result<Self, PrefixParseError> {
         if len > afi.max_len() {
@@ -190,11 +176,6 @@ impl Prefix {
         self.len
     }
 
-    /// True for the zero-length (default) route.
-    pub const fn is_default(self) -> bool {
-        self.len == 0
-    }
-
     /// Left-aligned network bits.
     pub const fn bits(self) -> u128 {
         self.bits
@@ -232,28 +213,9 @@ impl Prefix {
             && (self.bits ^ other.bits) & mask(self.len) == 0
     }
 
-    /// True if `self` covers the single address `addr`.
-    pub fn contains_addr(self, addr: IpAddr) -> bool {
-        match Prefix::new(
-            addr,
-            match addr {
-                IpAddr::V4(_) => 32,
-                IpAddr::V6(_) => 128,
-            },
-        ) {
-            Ok(host) => self.contains(host),
-            Err(_) => false,
-        }
-    }
-
     /// True if the two prefixes share any address space.
     pub fn overlaps(self, other: Prefix) -> bool {
         self.contains(other) || other.contains(self)
-    }
-
-    /// Strictly more specific than `other` (contained and longer).
-    pub fn is_subnet_of(self, other: Prefix) -> bool {
-        other.contains(self) && self.len > other.len
     }
 
     /// The immediate parent (one bit shorter), or `None` for /0.
@@ -266,20 +228,6 @@ impl Prefix {
             afi: self.afi,
             bits: self.bits & mask(len),
             len,
-        })
-    }
-
-    /// The other half of this prefix's parent (flip the last network
-    /// bit), or `None` for /0.
-    pub fn sibling(self) -> Option<Prefix> {
-        if self.len == 0 {
-            return None;
-        }
-        let flip = 1u128 << (128 - self.len);
-        Some(Prefix {
-            afi: self.afi,
-            bits: self.bits ^ flip,
-            len: self.len,
         })
     }
 
@@ -330,23 +278,6 @@ impl Prefix {
             })
             .collect()
     }
-
-    /// All covering prefixes from `self.len` up to and including /`to_len`
-    /// (less-specifics), ordered from most to least specific.
-    pub fn supernets_until(self, to_len: u8) -> Vec<Prefix> {
-        let mut out = Vec::new();
-        let mut cur = self;
-        while cur.len > to_len {
-            match cur.supernet() {
-                Some(p) => {
-                    out.push(p);
-                    cur = p;
-                }
-                None => break,
-            }
-        }
-        out
-    }
 }
 
 impl fmt::Display for Prefix {
@@ -391,24 +322,12 @@ impl FromStr for Prefix {
         let len: u8 = len
             .parse()
             .map_err(|_| PrefixParseError::Malformed(s.to_string()))?;
-        Prefix::new_strict(addr, len)
-    }
-}
-
-impl Prefix {
-    /// Parse like [`FromStr`] but canonicalize (mask) host bits instead of
-    /// failing — useful when ingesting sloppy external feeds.
-    pub fn from_str_lossy(s: &str) -> Result<Self, PrefixParseError> {
-        let (addr, len) = s
-            .split_once('/')
-            .ok_or_else(|| PrefixParseError::Malformed(s.to_string()))?;
-        let addr: IpAddr = addr
-            .parse()
-            .map_err(|_| PrefixParseError::Malformed(s.to_string()))?;
-        let len: u8 = len
-            .parse()
-            .map_err(|_| PrefixParseError::Malformed(s.to_string()))?;
-        Prefix::new(addr, len)
+        let prefix = Prefix::new(addr, len)?;
+        // `new` zeroes the host bits: a different address had some set.
+        if prefix.addr() != addr {
+            return Err(PrefixParseError::HostBitsSet);
+        }
+        Ok(prefix)
     }
 }
 
@@ -455,8 +374,8 @@ mod tests {
             Err(PrefixParseError::HostBitsSet)
         );
         assert_eq!(
-            Prefix::from_str_lossy("10.0.0.1/23").unwrap(),
-            p("10.0.0.0/23")
+            "2001:db8::1/64".parse::<Prefix>(),
+            Err(PrefixParseError::HostBitsSet)
         );
     }
 
@@ -486,8 +405,6 @@ mod tests {
         assert!(!p23.contains(other));
         assert!(!p24a.contains(p23));
         assert!(p23.contains(p23));
-        assert!(p24a.is_subnet_of(p23));
-        assert!(!p23.is_subnet_of(p23));
     }
 
     #[test]
@@ -499,16 +416,7 @@ mod tests {
     }
 
     #[test]
-    fn contains_addr_works() {
-        let pfx = p("192.168.0.0/16");
-        assert!(pfx.contains_addr("192.168.3.4".parse().unwrap()));
-        assert!(!pfx.contains_addr("192.169.0.0".parse().unwrap()));
-        assert!(!pfx.contains_addr("2001:db8::1".parse().unwrap()));
-    }
-
-    #[test]
     fn default_routes() {
-        assert!(Prefix::default_v4().is_default());
         assert!(Prefix::default_v4().contains(p("1.2.3.0/24")));
         assert!(Prefix::default_v6().contains(p("2001:db8::/32")));
         assert!(!Prefix::default_v4().contains(p("2001:db8::/32")));
@@ -568,16 +476,10 @@ mod tests {
     fn supernet_and_sibling() {
         let pfx = p("10.0.1.0/24");
         assert_eq!(pfx.supernet().unwrap(), p("10.0.0.0/23"));
-        assert_eq!(pfx.sibling().unwrap(), p("10.0.0.0/24"));
-        assert_eq!(p("10.0.0.0/24").sibling().unwrap(), p("10.0.1.0/24"));
+        // The sibling is the parent's other half.
+        let (sibling, itself) = pfx.supernet().unwrap().split().unwrap();
+        assert_eq!((sibling, itself), (p("10.0.0.0/24"), pfx));
         assert!(Prefix::default_v4().supernet().is_none());
-        assert!(Prefix::default_v4().sibling().is_none());
-    }
-
-    #[test]
-    fn supernets_until_walks_up() {
-        let chain = p("10.0.0.0/26").supernets_until(24);
-        assert_eq!(chain, vec![p("10.0.0.0/25"), p("10.0.0.0/24")]);
     }
 
     #[test]

@@ -94,11 +94,6 @@ impl RouteUpdate {
         }
     }
 
-    /// True for announcements.
-    pub fn is_announce(&self) -> bool {
-        matches!(self, RouteUpdate::Announce(_))
-    }
-
     /// The announced route, if any.
     pub fn route(&self) -> Option<&Route> {
         match self {
@@ -134,8 +129,6 @@ mod tests {
         };
         assert_eq!(a.prefix(), pfx("10.0.0.0/23"));
         assert_eq!(w.prefix(), pfx("10.0.0.0/23"));
-        assert!(a.is_announce());
-        assert!(!w.is_announce());
         assert_eq!(a.route(), Some(&r));
         assert_eq!(w.route(), None);
     }

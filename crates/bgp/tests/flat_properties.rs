@@ -1,6 +1,6 @@
 //! Model-based property tests: [`FlatTrie`] must answer every query —
-//! longest-prefix match, exact lookup, iteration order, the covering
-//! visit and the containment visit — exactly like a linear model, a
+//! longest-prefix match, exact lookup, iteration order and the
+//! containment visit — exactly like a linear model, a
 //! `BTreeMap<Prefix, u32>` scanned with [`Prefix::contains`]. `Prefix:
 //! Ord` is `(afi, bits, len)`, which is the trie's pre-order, so the
 //! map's own order is the expected visiting order. Checked across
@@ -138,9 +138,6 @@ fn assert_agrees(flat: &FlatTrie<u32>, model: &Model, queries: &[Prefix]) {
         // Covering prefixes nest, so pre-order lists them shortest
         // first, and all of them ahead of the subtree at `q`.
         let mut got = Vec::new();
-        flat.visit_covering(q, |p, v| got.push((p, *v)));
-        assert_eq!(got, covering, "visit_covering({q})");
-        got.clear();
         flat.visit_relevant(q, |p, v| got.push((p, *v)));
         let relevant = pairs(
             model
@@ -221,7 +218,7 @@ proptest! {
         assert_agrees(&flat, &model, &queries);
     }
 
-    /// The containment and covering visits on mixed v4/v6 sets of 2 to
+    /// The containment visit on mixed v4/v6 sets of 2 to
     /// 82 entries (both sides of the 32-entry stride-table threshold,
     /// which the visits must not consult), with and without `/0`,
     /// probed at stored exact matches, parents, children, siblings and

@@ -188,17 +188,6 @@ impl Session {
         events
     }
 
-    /// The transport failed/closed underneath us.
-    pub fn on_transport_closed(&mut self, _now: SimTime) -> Vec<SessionEvent> {
-        let mut events = Vec::new();
-        self.reset();
-        self.transition(State::Idle, &mut events);
-        events.push(SessionEvent::Closed {
-            reason: "transport closed".into(),
-        });
-        events
-    }
-
     fn reset(&mut self) {
         self.hold_deadline = None;
         self.keepalive_at = None;

@@ -52,10 +52,8 @@ impl WakeLatch {
 ///
 /// A thread that panics while holding the lock (a `push_batch`
 /// iterator can) does not take the ring down with it: the queue is
-/// never left half-updated and every item is counted as it moves, so
-/// later callers recover the lock and carry on, and
-/// `pushed_total() == drained_total() + shed_total() + len()` holds
-/// whenever the lock is free.
+/// never left half-updated and every shed is counted as it happens, so
+/// later callers recover the lock and carry on with true counts.
 ///
 /// A consumer that would rather sleep than poll installs a
 /// [`WakeLatch`] with [`BackpressureRing::set_waker`]: a push that
@@ -65,9 +63,7 @@ pub struct BackpressureRing<T> {
     inner: Mutex<VecDeque<T>>,
     waker: OnceLock<WakeLatch>,
     capacity: usize,
-    pushed: AtomicU64,
     shed: AtomicU64,
-    drained: AtomicU64,
 }
 
 impl<T> BackpressureRing<T> {
@@ -83,9 +79,7 @@ impl<T> BackpressureRing<T> {
             inner: Mutex::new(VecDeque::with_capacity(capacity)),
             waker: OnceLock::new(),
             capacity,
-            pushed: AtomicU64::new(0),
             shed: AtomicU64::new(0),
-            drained: AtomicU64::new(0),
         }
     }
 
@@ -124,7 +118,6 @@ impl<T> BackpressureRing<T> {
             clean = false;
         }
         q.push_back(item);
-        bump(&self.pushed);
         drop(q);
         if was_empty {
             self.wake_consumer();
@@ -133,9 +126,9 @@ impl<T> BackpressureRing<T> {
     }
 
     /// Queue a batch under one lock acquisition, shedding oldest items
-    /// as needed. Returns how many items were shed. Each item is
-    /// counted as it lands, so an iterator that panics part-way leaves
-    /// the counters true for what it delivered.
+    /// as needed. Returns how many items were shed. Each shed is
+    /// counted as it happens, so an iterator that panics part-way
+    /// leaves the counter true for what it delivered.
     pub fn push_batch(&self, items: impl IntoIterator<Item = T>) -> u64 {
         let mut q = self.lock();
         let was_empty = q.is_empty();
@@ -148,7 +141,6 @@ impl<T> BackpressureRing<T> {
                 shed += 1;
             }
             q.push_back(item);
-            bump(&self.pushed);
             pushed += 1;
         }
         drop(q);
@@ -164,7 +156,6 @@ impl<T> BackpressureRing<T> {
         let mut q = self.lock();
         let n = max.min(q.len());
         out.extend(q.drain(..n));
-        self.drained.fetch_add(n as u64, Ordering::Relaxed);
         n
     }
 
@@ -183,19 +174,9 @@ impl<T> BackpressureRing<T> {
         self.capacity
     }
 
-    /// Total items ever pushed (monotone).
-    pub fn pushed_total(&self) -> u64 {
-        self.pushed.load(Ordering::Relaxed)
-    }
-
     /// Total items shed to make room (monotone).
     pub fn shed_total(&self) -> u64 {
         self.shed.load(Ordering::Relaxed)
-    }
-
-    /// Total items drained by the consumer (monotone).
-    pub fn drained_total(&self) -> u64 {
-        self.drained.load(Ordering::Relaxed)
     }
 }
 
@@ -219,11 +200,10 @@ mod tests {
         }
         assert_eq!(ring.len(), 3);
         assert_eq!(ring.shed_total(), 2);
-        assert_eq!(ring.pushed_total(), 5);
         let mut out = Vec::new();
         assert_eq!(ring.drain_into(&mut out, 100), 3);
         assert_eq!(out, vec![2, 3, 4], "oldest were shed, newest kept");
-        assert_eq!(ring.drained_total(), 3);
+        assert!(ring.is_empty());
     }
 
     #[test]
@@ -337,7 +317,6 @@ mod tests {
         assert!(producer.join().is_err());
         assert!(ring.inner.is_poisoned(), "the panic held the lock");
         // Six items landed: the first two were shed to fit four.
-        assert_eq!(ring.pushed_total(), 6);
         assert_eq!(ring.shed_total(), 2);
         assert_eq!(ring.len(), 4);
 
@@ -348,10 +327,8 @@ mod tests {
         let mut out = Vec::new();
         assert_eq!(ring.drain_into(&mut out, 3), 3);
         assert_eq!(out, vec![3, 4, 5]);
-        assert_eq!(
-            ring.pushed_total(),
-            ring.drained_total() + ring.shed_total() + ring.len() as u64
-        );
+        // 6 landed, then 100: 3 shed, 3 drained, 1 still queued.
+        assert_eq!((ring.shed_total(), ring.len()), (3, 1));
     }
 
     #[test]

@@ -52,9 +52,6 @@ pub struct Alert {
     pub state: AlertState,
     /// Last update time.
     pub last_update: SimTime,
-    /// RPKI validity of the offending announcement, when the operator
-    /// loaded a ROA table (extension; `None` = no table configured).
-    pub rpki: Option<crate::roa::RoaValidity>,
 }
 
 impl fmt::Display for Alert {
@@ -121,41 +118,11 @@ impl AlertStore {
 
     /// Record an observation; returns `(alert id, is_new)`.
     ///
-    /// Deduplication scans every alert in the store. Sharded callers
-    /// that already know the candidate set should prefer
-    /// [`AlertStore::observe_scoped`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn observe(
-        &mut self,
-        hijack_type: HijackType,
-        owned_prefix: Prefix,
-        observed_prefix: Prefix,
-        offending_origin: Option<Asn>,
-        vantage: Asn,
-        emitted_at: SimTime,
-        observed_at: SimTime,
-        source: FeedKind,
-    ) -> (AlertId, bool) {
-        let hit = (0..self.alerts.len())
-            .find(|i| self.absorbs(*i, owned_prefix, observed_prefix, offending_origin));
-        self.upsert(
-            hit,
-            hijack_type,
-            owned_prefix,
-            observed_prefix,
-            offending_origin,
-            vantage,
-            emitted_at,
-            observed_at,
-            source,
-        )
-    }
-
-    /// Like [`AlertStore::observe`], but deduplicates only against the
-    /// alerts listed in `scope` (a detector shard's own alerts) instead
-    /// of scanning the whole store; a newly raised alert is appended to
-    /// `scope`. This keeps multi-prefix detection O(per-shard alerts)
-    /// per event rather than O(total alerts).
+    /// Deduplicates only against the alerts listed in `scope` (a
+    /// detector shard's own alerts) instead of scanning the whole
+    /// store; a newly raised alert is appended to `scope`. This keeps
+    /// multi-prefix detection O(per-shard alerts) per event rather
+    /// than O(total alerts).
     #[allow(clippy::too_many_arguments)]
     pub fn observe_scoped(
         &mut self,
@@ -173,38 +140,6 @@ impl AlertStore {
             .iter()
             .map(|id| self.idx(*id).expect("scoped id exists"))
             .find(|i| self.absorbs(*i, owned_prefix, observed_prefix, offending_origin));
-        let (id, new) = self.upsert(
-            hit,
-            hijack_type,
-            owned_prefix,
-            observed_prefix,
-            offending_origin,
-            vantage,
-            emitted_at,
-            observed_at,
-            source,
-        );
-        if new {
-            scope.push(id);
-        }
-        (id, new)
-    }
-
-    /// Update the alert at `hit` with a new witness, or raise a fresh
-    /// alert when `hit` is `None`.
-    #[allow(clippy::too_many_arguments)]
-    fn upsert(
-        &mut self,
-        hit: Option<usize>,
-        hijack_type: HijackType,
-        owned_prefix: Prefix,
-        observed_prefix: Prefix,
-        offending_origin: Option<Asn>,
-        vantage: Asn,
-        emitted_at: SimTime,
-        observed_at: SimTime,
-        source: FeedKind,
-    ) -> (AlertId, bool) {
         if let Some(existing) = hit.map(|i| &mut self.alerts[i]) {
             existing.vantage_points.insert(vantage);
             existing.last_update = emitted_at;
@@ -227,16 +162,9 @@ impl AlertStore {
             vantage_points: [vantage].into_iter().collect(),
             state: AlertState::Active,
             last_update: emitted_at,
-            rpki: None,
         });
+        scope.push(id);
         (id, true)
-    }
-
-    /// Attach an RPKI validity verdict to an alert.
-    pub fn annotate_rpki(&mut self, id: AlertId, validity: crate::roa::RoaValidity) {
-        if let Some(i) = self.idx(id) {
-            self.alerts[i].rpki = Some(validity);
-        }
     }
 
     /// Move an alert to `Mitigating`.
@@ -282,15 +210,37 @@ mod tests {
         Prefix::from_str(s).unwrap()
     }
 
-    fn observe(store: &mut AlertStore, vantage: u32, t: u64) -> (AlertId, bool) {
-        store.observe(
+    /// A witness of `AS<origin>` announcing the owned /23, with every
+    /// alert in the store in scope.
+    fn witness(
+        store: &mut AlertStore,
+        origin: u32,
+        vantage: u32,
+        t: u64,
+        observed: u64,
+        source: FeedKind,
+    ) -> (AlertId, bool) {
+        let mut scope: Vec<AlertId> = store.all().iter().map(|a| a.id).collect();
+        store.observe_scoped(
+            &mut scope,
             HijackType::ExactOrigin,
             pfx("10.0.0.0/23"),
             pfx("10.0.0.0/23"),
-            Some(Asn(666)),
+            Some(Asn(origin)),
             Asn(vantage),
             SimTime::from_secs(t),
-            SimTime::from_secs(t.saturating_sub(5)),
+            SimTime::from_secs(observed),
+            source,
+        )
+    }
+
+    fn observe(store: &mut AlertStore, vantage: u32, t: u64) -> (AlertId, bool) {
+        witness(
+            store,
+            666,
+            vantage,
+            t,
+            t.saturating_sub(5),
             FeedKind::RisLive,
         )
     }
@@ -324,16 +274,7 @@ mod tests {
     fn different_origin_is_a_new_alert() {
         let mut store = AlertStore::new();
         let (id1, _) = observe(&mut store, 174, 100);
-        let (id2, new) = store.observe(
-            HijackType::ExactOrigin,
-            pfx("10.0.0.0/23"),
-            pfx("10.0.0.0/23"),
-            Some(Asn(667)),
-            Asn(174),
-            SimTime::from_secs(100),
-            SimTime::from_secs(95),
-            FeedKind::BgpMon,
-        );
+        let (id2, new) = witness(&mut store, 667, 174, 100, 95, FeedKind::BgpMon);
         assert!(new);
         assert_ne!(id1, id2);
     }
@@ -363,16 +304,7 @@ mod tests {
     fn first_observed_at_takes_minimum() {
         let mut store = AlertStore::new();
         let (id, _) = observe(&mut store, 174, 100); // observed at 95
-        store.observe(
-            HijackType::ExactOrigin,
-            pfx("10.0.0.0/23"),
-            pfx("10.0.0.0/23"),
-            Some(Asn(666)),
-            Asn(2914),
-            SimTime::from_secs(120),
-            SimTime::from_secs(90), // earlier routing-plane observation
-            FeedKind::Periscope,
-        );
+        witness(&mut store, 666, 2914, 120, 90, FeedKind::Periscope); // reported later, seen earlier
         assert_eq!(
             store.get(id).unwrap().first_observed_at,
             SimTime::from_secs(90)

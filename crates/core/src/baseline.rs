@@ -4,7 +4,8 @@
 //! (YouTube's 2008 reaction took ≈ 80 minutes).
 
 use crate::experiment::{ExperimentBuilder, SourceSelection};
-use artemis_feeds::{ArchiveRibFeed, ArchiveUpdatesFeed};
+use artemis_feeds::archive::batch_end;
+use artemis_feeds::ArchiveUpdatesFeed;
 use artemis_simnet::{LatencyModel, SimDuration, SimRng, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -157,21 +158,6 @@ pub fn run_baseline(kind: BaselineKind, base: &ExperimentBuilder) -> BaselineOut
         detection_delay,
         reaction_delay,
     }
-}
-
-/// Visibility instant for an observation batched with `period` and
-/// published `publish` later (same rule as the archive feeds).
-fn batch_end(observed: SimTime, period: SimDuration, publish: SimDuration) -> SimTime {
-    let p = period.as_micros().max(1);
-    let idx = observed.as_micros() / p;
-    SimTime::from_micros((idx + 1) * p) + publish
-}
-
-/// Sanity helper for tests/benches: make sure the RIB feed type stays
-/// wired into the public API (it is exercised end-to-end in the bench
-/// harness).
-pub fn default_rib_feed() -> ArchiveRibFeed {
-    ArchiveRibFeed::route_views(vec![], vec![])
 }
 
 #[cfg(test)]

@@ -28,29 +28,6 @@ pub enum HijackType {
     Squatting,
 }
 
-impl HijackType {
-    /// Whether prefix de-aggregation is the appropriate mitigation
-    /// (LPM-beatable incidents).
-    pub fn deaggregation_applies(self) -> bool {
-        match self {
-            HijackType::ExactOrigin
-            | HijackType::SubPrefix
-            | HijackType::SubPrefixForgedOrigin
-            | HijackType::Squatting => true,
-            HijackType::Type1FakeNeighbor => true, // still competes on specificity
-        }
-    }
-
-    /// Relative severity for alert ordering (higher = worse).
-    pub fn severity(self) -> u8 {
-        match self {
-            HijackType::SubPrefix | HijackType::SubPrefixForgedOrigin => 3,
-            HijackType::ExactOrigin | HijackType::Squatting => 2,
-            HijackType::Type1FakeNeighbor => 1,
-        }
-    }
-}
-
 impl fmt::Display for HijackType {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -68,27 +45,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn severity_ordering() {
-        assert!(HijackType::SubPrefix.severity() > HijackType::ExactOrigin.severity());
-        assert!(HijackType::ExactOrigin.severity() > HijackType::Type1FakeNeighbor.severity());
-    }
-
-    #[test]
     fn display_is_descriptive() {
         assert!(HijackType::ExactOrigin.to_string().contains("origin"));
         assert!(HijackType::Squatting.to_string().contains("squat"));
-    }
-
-    #[test]
-    fn deaggregation_applicability() {
-        for t in [
-            HijackType::ExactOrigin,
-            HijackType::SubPrefix,
-            HijackType::SubPrefixForgedOrigin,
-            HijackType::Type1FakeNeighbor,
-            HijackType::Squatting,
-        ] {
-            assert!(t.deaggregation_applies());
-        }
     }
 }

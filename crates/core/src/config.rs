@@ -34,12 +34,6 @@ impl OwnedPrefix {
         }
     }
 
-    /// Add an additional legitimate origin (anycast / multi-homing).
-    pub fn with_extra_origin(mut self, origin: Asn) -> Self {
-        self.legitimate_origins.insert(origin);
-        self
-    }
-
     /// Declare the legitimate upstream set (enables Type-1 detection).
     pub fn with_neighbors<I: IntoIterator<Item = Asn>>(mut self, neighbors: I) -> Self {
         self.known_neighbors = neighbors.into_iter().collect();
@@ -74,11 +68,6 @@ pub struct ArtemisConfig {
     pub operator_as: Asn,
     /// Owned prefixes with their rules.
     pub owned: Vec<OwnedPrefix>,
-    /// Longest de-aggregated prefix the mitigation may announce
-    /// (paper §2: /24 for IPv4 — longer is widely filtered).
-    pub max_deaggregation_len_v4: u8,
-    /// IPv6 equivalent (/48 by common filtering practice).
-    pub max_deaggregation_len_v6: u8,
     /// De-aggregation aggressiveness.
     pub deaggregation_policy: DeaggregationPolicy,
     /// Automatically trigger mitigation on detection (the paper's
@@ -96,19 +85,19 @@ impl ArtemisConfig {
         ArtemisConfig {
             operator_as,
             owned,
-            max_deaggregation_len_v4: 24,
-            max_deaggregation_len_v6: 48,
             deaggregation_policy: DeaggregationPolicy::OneLevel,
             auto_mitigate: true,
             helper_ases: Vec::new(),
         }
     }
 
-    /// Max de-aggregation length for the family of `prefix`.
+    /// Longest de-aggregated prefix the mitigation may announce for
+    /// the family of `prefix`: /24 for IPv4 (paper §2: longer is widely
+    /// filtered) and /48 for IPv6, by the same filtering practice.
     pub fn max_deagg_len(&self, prefix: Prefix) -> u8 {
         match prefix.afi() {
-            artemis_bgp::prefix::Afi::Ipv4 => self.max_deaggregation_len_v4,
-            artemis_bgp::prefix::Afi::Ipv6 => self.max_deaggregation_len_v6,
+            artemis_bgp::prefix::Afi::Ipv4 => 24,
+            artemis_bgp::prefix::Afi::Ipv6 => 48,
         }
     }
 }
@@ -136,11 +125,8 @@ mod tests {
 
     #[test]
     fn builder_helpers() {
-        let o = OwnedPrefix::new(pfx("10.0.0.0/23"), Asn(1))
-            .with_extra_origin(Asn(2))
-            .with_neighbors([Asn(10)]);
+        let o = OwnedPrefix::new(pfx("10.0.0.0/23"), Asn(1)).with_neighbors([Asn(10)]);
         assert!(o.legitimate_origins.contains(&Asn(1)));
-        assert!(o.legitimate_origins.contains(&Asn(2)));
         assert!(o.known_neighbors.contains(&Asn(10)));
     }
 

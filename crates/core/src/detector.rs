@@ -17,8 +17,8 @@
 //! Detection splits into a *classification* phase (route the event to
 //! the owning shard and classify it against that shard's rules — a
 //! pure read, [`Detector::prepare`]) and a *commit* phase (per-shard
-//! event accounting, alert dedup against the shard's open alerts, RPKI
-//! annotation, [`Detector::process_prepared`]). The pipeline classifies
+//! event accounting and alert dedup against the shard's open alerts,
+//! [`Detector::process_prepared`]). The pipeline classifies
 //! a whole batch in one tight pass and then commits in batch order; a
 //! rules mutation mid-batch (a mitigation registering an expected
 //! announcement, a squatting plan activating a dormant prefix) marks
@@ -31,7 +31,6 @@ use crate::classify::HijackType;
 use crate::config::{ArtemisConfig, OwnedPrefix};
 use artemis_bgp::{AsPath, Asn, FlatTrie, Prefix};
 use artemis_feeds::FeedEvent;
-use artemis_simnet::SimTime;
 use std::collections::BTreeSet;
 
 /// Outcome of feeding one event to the detector.
@@ -245,11 +244,6 @@ pub struct Detector {
     /// patch it incrementally (O(affected subtree)) and bump its epoch.
     routing: RoutingEpoch,
     store: AlertStore,
-    /// Expectations outside every owned prefix (never consulted by
-    /// classification; kept so expect/unexpect round-trips hold).
-    stray_expected: BTreeSet<Prefix>,
-    /// Optional RPKI table for alert annotation (extension).
-    roa: Option<crate::roa::RoaTable>,
     events_processed: u64,
     /// Shards whose rules changed since [`Detector::begin_batch`]:
     /// batch-start [`PreparedEvent`]s for them are stale and commit by
@@ -289,8 +283,6 @@ impl Detector {
             rules,
             routing: RoutingEpoch { flat, epoch: 0 },
             store: AlertStore::new(),
-            stray_expected: BTreeSet::new(),
-            roa: None,
             events_processed: 0,
             dirty,
             dirtied: Vec::new(),
@@ -316,9 +308,6 @@ impl Detector {
         }
         self.routing.flat.insert(owned.prefix, self.shards.len());
         self.routing.epoch += 1;
-        // Expectations that strayed because no shard covered them yet
-        // (e.g. registered before onboarding) stay stray: they were
-        // never consulted and re-registering is the caller's call.
         self.rules.push(ShardRules { owned, expected });
         self.shards.push(DetectorShard {
             alerts: Vec::new(),
@@ -362,12 +351,6 @@ impl Detector {
         self.routing.flat.get(owned).map(|i| self.shards[*i].events)
     }
 
-    /// Load an RPKI ROA table; subsequent alerts carry a validity
-    /// verdict for the offending announcement.
-    pub fn set_roa_table(&mut self, roa: crate::roa::RoaTable) {
-        self.roa = Some(roa);
-    }
-
     fn mark_dirty(&mut self, idx: usize) {
         self.dirty[idx] = true;
         self.dirtied.push(idx);
@@ -383,15 +366,12 @@ impl Detector {
     /// Register a prefix we are about to announce ourselves (e.g. the
     /// mitigation /24s) so the detector does not flag it. The
     /// expectation is routed to the shard owning the covering prefix —
-    /// the same shard the echoed announcements will be routed to.
+    /// the same shard the echoed announcements will be routed to. A
+    /// prefix outside every owned prefix is never classified, so
+    /// expecting it changes nothing.
     pub fn expect_announcement(&mut self, prefix: Prefix) {
-        match self.routing.route(prefix) {
-            Some(idx) => {
-                self.rules_mut(idx).expected.insert(prefix);
-            }
-            None => {
-                self.stray_expected.insert(prefix);
-            }
+        if let Some(idx) = self.routing.route(prefix) {
+            self.rules_mut(idx).expected.insert(prefix);
         }
     }
 
@@ -406,18 +386,6 @@ impl Detector {
             let rules = self.rules_mut(idx);
             rules.owned.dormant = false;
             rules.expected.insert(owned);
-        }
-    }
-
-    /// Remove an expectation (after mitigation withdrawal).
-    pub fn unexpect_announcement(&mut self, prefix: Prefix) {
-        match self.routing.route(prefix) {
-            Some(idx) => {
-                self.rules_mut(idx).expected.remove(&prefix);
-            }
-            None => {
-                self.stray_expected.remove(&prefix);
-            }
         }
     }
 
@@ -523,7 +491,7 @@ impl Detector {
         self.process_prepared(event, prep)
     }
 
-    /// Commit tail: per-shard alert dedup + RPKI annotation.
+    /// Commit tail: per-shard alert dedup.
     fn commit(
         &mut self,
         event: &FeedEvent,
@@ -548,27 +516,10 @@ impl Detector {
             event.source,
         );
         if new {
-            if let (Some(roa), Some(origin)) = (&self.roa, observed_origin) {
-                let validity = roa.validate(event.prefix, origin);
-                self.store.annotate_rpki(id, validity);
-            }
             Detection::NewAlert(id)
         } else {
             Detection::UpdatedAlert(id)
         }
-    }
-
-    /// First detection instant of any alert on `owned` (the paper's
-    /// detection timestamp for an experiment). Answered from the
-    /// owning shard's alert list.
-    pub fn first_detection(&self, owned: Prefix) -> Option<SimTime> {
-        let idx = self.routing.flat.get(owned)?;
-        self.shards[*idx]
-            .alerts
-            .iter()
-            .filter_map(|id| self.store.get(*id))
-            .map(|a| a.detected_at)
-            .min()
     }
 
     /// Operator AS from the config.
@@ -583,6 +534,7 @@ mod tests {
     use crate::config::OwnedPrefix;
     use artemis_bgp::AsPath;
     use artemis_feeds::FeedKind;
+    use artemis_simnet::SimTime;
     use std::str::FromStr;
 
     fn pfx(s: &str) -> Prefix {
@@ -798,11 +750,9 @@ mod tests {
             d.process(&event("10.0.0.0/23", &[1299, 174, 666], 50)),
             Detection::UpdatedAlert(id)
         );
-        assert_eq!(d.alerts().get(id).unwrap().vantage_points.len(), 2);
-        assert_eq!(
-            d.first_detection(pfx("10.0.0.0/23")),
-            Some(SimTime::from_secs(45))
-        );
+        let alert = d.alerts().get(id).unwrap();
+        assert_eq!(alert.vantage_points.len(), 2);
+        assert_eq!(alert.detected_at, SimTime::from_secs(45));
     }
 
     #[test]
@@ -824,31 +774,6 @@ mod tests {
         assert_eq!(alert.detected_at, SimTime::from_secs(44));
         assert_eq!(alert.detected_by, FeedKind::Periscope);
         assert_eq!(alert.vantage_points.len(), 3);
-    }
-
-    #[test]
-    fn roa_table_annotates_alerts() {
-        use crate::roa::{RoaTable, RoaValidity};
-        let mut d = Detector::new(config());
-        let mut roa = RoaTable::new();
-        assert!(roa.add(pfx("10.0.0.0/23"), Asn(65001), 24));
-        d.set_roa_table(roa);
-        // The hijack is RPKI-Invalid (covered by a ROA, wrong origin).
-        let ev = event("10.0.0.0/23", &[2914, 174, 666], 45);
-        let Detection::NewAlert(id) = d.process(&ev) else {
-            panic!("expected alert");
-        };
-        assert_eq!(d.alerts().get(id).unwrap().rpki, Some(RoaValidity::Invalid));
-    }
-
-    #[test]
-    fn without_roa_table_alerts_are_unannotated() {
-        let mut d = Detector::new(config());
-        let ev = event("10.0.0.0/23", &[2914, 174, 666], 45);
-        let Detection::NewAlert(id) = d.process(&ev) else {
-            panic!("expected alert");
-        };
-        assert_eq!(d.alerts().get(id).unwrap().rpki, None);
     }
 
     #[test]
@@ -898,8 +823,7 @@ mod tests {
     #[test]
     fn anycast_second_origin_is_legitimate() {
         let mut cfg = config();
-        cfg.owned[0] =
-            OwnedPrefix::new(pfx("10.0.0.0/23"), Asn(65001)).with_extra_origin(Asn(65002));
+        cfg.owned[0].legitimate_origins.insert(Asn(65002));
         let mut d = Detector::new(cfg);
         let ev = event("10.0.0.0/23", &[2914, 174, 65002], 45);
         assert_eq!(d.process(&ev), Detection::Benign);

@@ -52,7 +52,6 @@ pub mod mitigation;
 pub mod monitor;
 pub mod pipeline;
 pub mod report;
-pub mod roa;
 pub mod service;
 pub mod viz;
 pub mod wire;

@@ -66,7 +66,6 @@ impl MitigationPlan {
 /// Computes and executes mitigation plans.
 pub struct Mitigator {
     config: ArtemisConfig,
-    executed: Vec<(SimTime, MitigationPlan)>,
     /// Per-owned-prefix policy overrides; prefixes without an entry
     /// follow the default derived from `config.auto_mitigate`.
     policies: BTreeMap<Prefix, MitigationPolicy>,
@@ -77,7 +76,6 @@ impl Mitigator {
     pub fn new(config: ArtemisConfig) -> Self {
         Mitigator {
             config,
-            executed: Vec::new(),
             policies: BTreeMap::new(),
         }
     }
@@ -85,7 +83,7 @@ impl Mitigator {
     /// The policy every prefix without an override follows: `Auto`
     /// when the global `auto_mitigate` knob is on, `DetectOnly`
     /// otherwise (exactly the two behaviours the boolean expressed).
-    pub fn default_policy(&self) -> MitigationPolicy {
+    fn default_policy(&self) -> MitigationPolicy {
         if self.config.auto_mitigate {
             MitigationPolicy::Auto
         } else {
@@ -215,7 +213,6 @@ impl Mitigator {
                 intents.push(hc.submit_announce(*prefix, now));
             }
         }
-        self.executed.push((now, plan.clone()));
         intents
     }
 
@@ -247,11 +244,6 @@ impl Mitigator {
             }
         }
         intents
-    }
-
-    /// Every plan executed so far.
-    pub fn executed(&self) -> &[(SimTime, MitigationPlan)] {
-        &self.executed
     }
 }
 
@@ -294,7 +286,6 @@ mod tests {
             vantage_points: [Asn(174)].into_iter().collect(),
             state: crate::alert::AlertState::Active,
             last_update: SimTime::from_secs(45),
-            rpki: None,
         }
     }
 
@@ -424,7 +415,6 @@ mod tests {
         assert_eq!(ids.len(), 2, "two /24 announce intents");
         assert_eq!(ctrl.intents().count(), 2);
         assert_eq!(helper.intents().count(), 0, "no helper needed for /23");
-        assert_eq!(m.executed().len(), 1);
     }
 
     #[test]

@@ -25,8 +25,7 @@
 //!   selection;
 //! * `legitimate` and `hijacked` are fields adjusted on each per-VP
 //!   transition, so [`MonitorService::snapshot`],
-//!   [`MonitorService::all_legitimate`],
-//!   [`MonitorService::any_hijacked`] and [`MonitorService::retire`]
+//!   [`MonitorService::all_legitimate`] and [`MonitorService::retire`]
 //!   read two integers;
 //! * the timeline holds at most [`TIMELINE_CAP`] points. Below the cap
 //!   every state change appends one; at the cap the newest point
@@ -314,11 +313,6 @@ impl MonitorService {
         }
     }
 
-    /// The state of one vantage point (LPM over its observations).
-    pub fn vp_state(&self, vp: Asn) -> VpState {
-        self.vp_observation(vp).0
-    }
-
     /// Drop everything `vp` ever reported about the monitored space:
     /// its BGP session to the collector went down (BMP `peer_down`),
     /// so its routes are no longer current. The vantage point returns
@@ -359,11 +353,6 @@ impl MonitorService {
     /// vantage points switched back) and at least one VP has data.
     pub fn all_legitimate(&self) -> bool {
         self.hijacked == 0 && self.legitimate > 0
-    }
-
-    /// True when at least one vantage point selects the hijacker.
-    pub fn any_hijacked(&self) -> bool {
-        self.hijacked > 0
     }
 
     /// The recorded timeline: one point per state change, complete
@@ -648,12 +637,6 @@ mod model {
             snap.hijacked == 0 && snap.legitimate > 0
         }
 
-        pub(super) fn any_hijacked(&self) -> bool {
-            self.vantage_points
-                .iter()
-                .any(|vp| self.vp_observation(*vp).0 == VpState::Hijacked)
-        }
-
         pub(super) fn timeline(&self) -> &[TimelinePoint] {
             &self.timeline
         }
@@ -697,16 +680,16 @@ mod tests {
     #[test]
     fn initial_state_unknown() {
         let m = service();
-        assert_eq!(m.vp_state(Asn(174)), VpState::Unknown);
+        assert_eq!(m.vp_observation(Asn(174)).0, VpState::Unknown);
         assert!(!m.all_legitimate());
-        assert!(!m.any_hijacked());
+        assert_eq!(m.snapshot(SimTime::ZERO).hijacked, 0);
     }
 
     #[test]
     fn legitimate_observation_counts() {
         let mut m = service();
         m.ingest(&event(174, "10.0.0.0/23", Some(65001), 10));
-        assert_eq!(m.vp_state(Asn(174)), VpState::Legitimate);
+        assert_eq!(m.vp_observation(Asn(174)).0, VpState::Legitimate);
         let snap = m.snapshot(SimTime::from_secs(10));
         assert_eq!((snap.legitimate, snap.hijacked, snap.unknown), (1, 0, 2));
     }
@@ -716,8 +699,8 @@ mod tests {
         let mut m = service();
         m.ingest(&event(174, "10.0.0.0/23", Some(65001), 10));
         m.ingest(&event(174, "10.0.0.0/23", Some(666), 20));
-        assert_eq!(m.vp_state(Asn(174)), VpState::Hijacked);
-        assert!(m.any_hijacked());
+        assert_eq!(m.vp_observation(Asn(174)).0, VpState::Hijacked);
+        assert_eq!(m.snapshot(SimTime::ZERO).hijacked, 1);
     }
 
     #[test]
@@ -725,9 +708,9 @@ mod tests {
         let mut m = service();
         // Hijacked on the /23 but the mitigation /24s take precedence.
         m.ingest(&event(174, "10.0.0.0/23", Some(666), 20));
-        assert_eq!(m.vp_state(Asn(174)), VpState::Hijacked);
+        assert_eq!(m.vp_observation(Asn(174)).0, VpState::Hijacked);
         m.ingest(&event(174, "10.0.0.0/24", Some(65001), 30));
-        assert_eq!(m.vp_state(Asn(174)), VpState::Legitimate);
+        assert_eq!(m.vp_observation(Asn(174)).0, VpState::Legitimate);
     }
 
     #[test]
@@ -749,14 +732,14 @@ mod tests {
         let mut m = service();
         m.ingest(&event(174, "10.0.0.0/23", Some(666), 10));
         m.ingest(&event(3356, "10.0.0.0/23", Some(65001), 11));
-        assert_eq!(m.vp_state(Asn(174)), VpState::Hijacked);
+        assert_eq!(m.vp_observation(Asn(174)).0, VpState::Hijacked);
         let points_before = m.timeline().len();
 
         // The hijacked VP's session to the collector drops: its stale
         // routes are purged, the VP returns to Unknown, and the state
         // change lands on the timeline.
         assert!(m.purge_vantage(Asn(174), SimTime::from_secs(20)));
-        assert_eq!(m.vp_state(Asn(174)), VpState::Unknown);
+        assert_eq!(m.vp_observation(Asn(174)).0, VpState::Unknown);
         assert_eq!(m.timeline().len(), points_before + 1);
         let last = m.timeline().last().unwrap();
         assert_eq!(last.time, SimTime::from_secs(20));
@@ -793,7 +776,7 @@ mod tests {
         m.ingest(&event(174, "10.0.1.0/24", Some(666), 10));
         m.ingest(&event(174, "10.0.0.0/24", Some(65001), 11));
         assert_eq!(
-            m.vp_state(Asn(174)),
+            m.vp_observation(Asn(174)).0,
             VpState::Hijacked,
             "10.0.1.0/24 selected"
         );
@@ -831,9 +814,9 @@ mod tests {
     fn withdrawal_clears_observation() {
         let mut m = service();
         m.ingest(&event(174, "10.0.0.0/23", Some(666), 10));
-        assert_eq!(m.vp_state(Asn(174)), VpState::Hijacked);
+        assert_eq!(m.vp_observation(Asn(174)).0, VpState::Hijacked);
         m.ingest(&event(174, "10.0.0.0/23", None, 20));
-        assert_eq!(m.vp_state(Asn(174)), VpState::Unknown);
+        assert_eq!(m.vp_observation(Asn(174)).0, VpState::Unknown);
     }
 
     #[test]
@@ -841,8 +824,8 @@ mod tests {
         let mut m = service();
         m.ingest(&event(174, "8.8.8.0/24", Some(15169), 10));
         m.ingest(&event(9999, "10.0.0.0/23", Some(666), 11)); // not a VP
-        assert_eq!(m.vp_state(Asn(174)), VpState::Unknown);
-        assert!(!m.any_hijacked());
+        assert_eq!(m.vp_observation(Asn(174)).0, VpState::Unknown);
+        assert_eq!(m.snapshot(SimTime::ZERO).hijacked, 0);
     }
 
     #[test]
@@ -1077,7 +1060,6 @@ mod tests {
                 prop_assert_eq!(full.snapshot(now), model.snapshot(now));
                 prop_assert_eq!(small.snapshot(now), model.snapshot(now));
                 prop_assert_eq!(full.all_legitimate(), model.all_legitimate());
-                prop_assert_eq!(full.any_hijacked(), model.any_hijacked());
                 prop_assert_eq!(full.timeline(), model.timeline());
                 prop_assert_eq!(full.coalesced_points(), 0);
 

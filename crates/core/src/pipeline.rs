@@ -44,7 +44,7 @@
 //! Deployments that want typed commands/queries over these primitives
 //! should use [`crate::service::ArtemisService`].
 
-use crate::alert::{AlertId, AlertState};
+use crate::alert::{AlertId, AlertState, AlertStore};
 use crate::config::{ArtemisConfig, OwnedPrefix};
 use crate::detector::{Detection, Detector, PreparedEvent};
 use crate::event_log::{EventCursor, EventLog, IncidentEvent, PollBatch};
@@ -99,6 +99,14 @@ pub struct OffboardReport {
     pub shard_events: u64,
 }
 
+/// True when `id`'s plan executed and the incident is not over: the
+/// condition under which an all-legitimate monitor resolves it.
+fn is_mitigating(alerts: &AlertStore, id: AlertId) -> bool {
+    alerts
+        .get(id)
+        .is_some_and(|a| a.state == AlertState::Mitigating)
+}
+
 /// Saturating elapsed nanoseconds since `t0`.
 fn elapsed_ns(t0: Instant) -> u64 {
     u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
@@ -133,7 +141,6 @@ pub struct Pipeline {
     routed: Vec<Vec<u32>>,
     /// Vantage population handed to new monitors.
     vantage_points: BTreeSet<Asn>,
-    mitigated: BTreeSet<AlertId>,
     /// Compact records of incidents that are over (resolved, or closed
     /// by offboarding). Their full monitors are retired on resolution,
     /// so per-event cost *and* memory track active incidents, not
@@ -179,7 +186,6 @@ impl Pipeline {
             route_buf: Vec::new(),
             routed: Vec::new(),
             vantage_points,
-            mitigated: BTreeSet::new(),
             retired: BTreeMap::new(),
             retired_coalesced_points: 0,
             pending: BTreeMap::new(),
@@ -250,11 +256,6 @@ impl Pipeline {
     /// over (resolved, or closed by offboarding), if any.
     pub fn retired_monitor(&self, alert: AlertId) -> Option<&RetiredMonitor> {
         self.retired.get(&alert)
-    }
-
-    /// Every retired `(alert, record)` pair, in alert-raise order.
-    pub fn retired_monitors(&self) -> impl Iterator<Item = (AlertId, &RetiredMonitor)> {
-        self.retired.iter().map(|(id, m)| (*id, m))
     }
 
     /// Number of retired (over) incidents (capacity gauge).
@@ -405,7 +406,7 @@ impl Pipeline {
     }
 
     /// Run every pull feed that is ready at `now`, queueing whatever
-    /// they return into the hub's merge heap. Live wire feeds
+    /// they return onto their lanes in the hub. Live wire feeds
     /// ([`artemis_feeds::BmpLiveFeed`]) report readiness exactly when
     /// their socket ring holds events, so a daemon pump loop can call
     /// this every tick at negligible idle cost. Uses an
@@ -512,8 +513,8 @@ impl Pipeline {
     ) -> Option<MitigationPlan> {
         let plan = self.pending.remove(&alert)?;
         self.execute_held_plan(alert, plan.clone(), now, controller, helper_controllers);
-        // Same rationale as in `resume_mitigation`: the mitigated flag
-        // flipped outside delivery, so the next delivered event must
+        // Same rationale as in `resume_mitigation`: the alert turned
+        // `Mitigating` outside delivery, so the next delivered event must
         // re-evaluate this alert's resolution condition.
         if self.monitor_at(alert).is_some() {
             self.recheck.insert(alert);
@@ -639,7 +640,7 @@ impl Pipeline {
         // 3. Mitigation, governed by the prefix's policy.
         let policy = self.mitigator.policy_for(owned_prefix);
         let mut mitigate_ns = 0u64;
-        if policy != MitigationPolicy::DetectOnly && !self.mitigated.contains(&id) {
+        if policy != MitigationPolicy::DetectOnly {
             let clock = Instant::now();
             let alert = self.detector.alerts().get(id).expect("just created");
             let plan = self.mitigator.plan(alert);
@@ -737,8 +738,8 @@ impl Pipeline {
     ///
     /// The outcome is independent of how a stream is cut into batches:
     /// a pre-existing monitor's state evolution depends only on the
-    /// event sequence, never on in-batch detection; its `mitigated`
-    /// flag cannot change mid-batch (confirm/resume happen between
+    /// event sequence, never on in-batch detection; its alert cannot
+    /// turn `Mitigating` mid-batch (confirm/resume happen between
     /// deliveries); and the detector re-classifies any event whose
     /// shard rules changed after the classify pass. Each stage records
     /// its own [`crate::StageStat`] (see [`StageMetrics`]).
@@ -800,13 +801,14 @@ impl Pipeline {
         // batch-order replay reaches. The resolved leave the registry in
         // the order the walk applies them: by event, then by alert.
         let mut due: Vec<(usize, AlertId)> = Vec::new();
+        let alerts = self.detector.alerts();
         for ((id, monitor), events) in self.monitors.iter_mut().zip(&routed) {
             for &i in events {
                 let event = &batch[i as usize];
                 if monitor.is_relevant(event.prefix) {
                     monitor.ingest_routed(event);
                 }
-                if monitor.all_legitimate() && self.mitigated.contains(id) {
+                if monitor.all_legitimate() && is_mitigating(alerts, *id) {
                     due.push((i as usize, *id));
                     break;
                 }
@@ -852,7 +854,7 @@ impl Pipeline {
                     continue;
                 }
                 monitor.ingest_routed(event);
-                if self.mitigated.contains(id) && monitor.all_legitimate() {
+                if monitor.all_legitimate() && is_mitigating(self.detector.alerts(), *id) {
                     resolved_new.push(*id);
                 }
             }
@@ -924,7 +926,6 @@ impl Pipeline {
         self.mitigator
             .execute(&plan, now, controller, helper_controllers);
         self.detector.alerts_mut().mark_mitigating(id, now);
-        self.mitigated.insert(id);
         self.executed_plans.insert(id, plan.clone());
         self.log.push(IncidentEvent::MitigationTriggered {
             alert: id,
@@ -1187,7 +1188,7 @@ mod tests {
             panic!("hijack must alert");
         };
         assert_eq!(
-            p.monitor_for(alert).unwrap().vp_state(Asn(174)),
+            p.monitor_for(alert).unwrap().vp_observation(Asn(174)).0,
             VpState::Hijacked
         );
 
@@ -1197,7 +1198,7 @@ mod tests {
         let purged = p.apply_peer_downs(SimTime::from_secs(50));
         assert_eq!(purged, 1, "one (peer, monitor) purge");
         assert_eq!(
-            p.monitor_for(alert).unwrap().vp_state(Asn(174)),
+            p.monitor_for(alert).unwrap().vp_observation(Asn(174)).0,
             VpState::Unknown,
             "the downed peer's routes are gone from the per-VP view"
         );
@@ -1666,26 +1667,58 @@ mod tests {
         Pipeline::bare(config, [Asn(174), Asn(3356)].into_iter().collect())
     }
 
+    /// One owned space per address family for the full incident cycle:
+    /// the owned prefix, the two halves its mitigation announces, and a
+    /// second owned prefix already at the family's de-aggregation limit.
+    struct Fleet {
+        owned: &'static str,
+        halves: [&'static str; 2],
+        at_limit: &'static str,
+    }
+
+    const FLEETS: [Fleet; 2] = [
+        Fleet {
+            owned: "10.0.0.0/23",
+            halves: ["10.0.0.0/24", "10.0.1.0/24"],
+            at_limit: "192.0.2.0/24",
+        },
+        Fleet {
+            owned: "2001:db8::/32",
+            halves: ["2001:db8::/33", "2001:db8:8000::/33"],
+            at_limit: "2001:db9:1::/48",
+        },
+    ];
+
     #[test]
     fn full_cycle_detect_mitigate_resolve() {
-        let mut p = one_prefix_pipeline();
+        for fleet in &FLEETS {
+            full_cycle(fleet);
+        }
+    }
+
+    fn full_cycle(fleet: &Fleet) {
+        let config = ArtemisConfig::new(
+            Asn(65001),
+            vec![
+                OwnedPrefix::new(pfx(fleet.owned), Asn(65001)),
+                OwnedPrefix::new(pfx(fleet.at_limit), Asn(65001)),
+            ],
+        );
+        let mut p = Pipeline::bare(config, [Asn(174), Asn(3356)].into_iter().collect());
         let mut ctrl = controller();
+        let [lo, hi] = fleet.halves;
 
         // Phase 1: legit announcement observed — benign.
         let acts = deliver(
             &mut p,
-            &event(174, "10.0.0.0/23", &[174, 65001], 10),
+            &event(174, fleet.owned, &[174, 65001], 10),
             &mut ctrl,
         );
-        assert!(acts.is_empty());
+        assert!(acts.is_empty(), "{}", fleet.owned);
 
         // Phase 2: hijack detected at t=45 → alert + auto mitigation.
-        let acts = deliver(
-            &mut p,
-            &event(174, "10.0.0.0/23", &[174, 666], 45),
-            &mut ctrl,
-        );
-        assert_eq!(acts.len(), 2);
+        let acts = deliver(&mut p, &event(174, fleet.owned, &[174, 666], 45), &mut ctrl);
+        assert_eq!(acts.len(), 2, "{}", fleet.owned);
         let IncidentEvent::AlertRaised {
             alert: alert_id, ..
         } = acts[0]
@@ -1694,37 +1727,27 @@ mod tests {
         };
         match &acts[1] {
             IncidentEvent::MitigationTriggered { plan, at, .. } => {
-                assert_eq!(plan.announce, vec![pfx("10.0.0.0/24"), pfx("10.0.1.0/24")]);
+                assert_eq!(plan.announce, vec![pfx(lo), pfx(hi)]);
+                assert!(!plan.infeasible);
                 assert_eq!(*at, SimTime::from_secs(45));
             }
             other => panic!("expected mitigation, got {other:?}"),
         }
         assert_eq!(ctrl.intents().count(), 2, "intents submitted to controller");
 
-        // Phase 3: the /24s propagate; VPs flip back. 3356 was also
+        // Phase 3: the halves propagate; VPs flip back. 3356 was also
         // hijacked, then recovers.
         deliver(
             &mut p,
-            &event(3356, "10.0.0.0/23", &[3356, 666], 50),
+            &event(3356, fleet.owned, &[3356, 666], 50),
             &mut ctrl,
         );
-        deliver(
-            &mut p,
-            &event(174, "10.0.0.0/24", &[174, 65001], 120),
-            &mut ctrl,
-        );
-        deliver(
-            &mut p,
-            &event(174, "10.0.1.0/24", &[174, 65001], 121),
-            &mut ctrl,
-        );
+        deliver(&mut p, &event(174, lo, &[174, 65001], 120), &mut ctrl);
+        deliver(&mut p, &event(174, hi, &[174, 65001], 121), &mut ctrl);
         // 3356 still hijacked → not resolved yet.
-        assert!(p.monitor_for(alert_id).unwrap().any_hijacked());
-        let acts = deliver(
-            &mut p,
-            &event(3356, "10.0.0.0/24", &[3356, 65001], 300),
-            &mut ctrl,
-        );
+        let monitor = p.monitor_for(alert_id).expect("incident still open");
+        assert_eq!(monitor.snapshot(SimTime::ZERO).hijacked, 1);
+        let acts = deliver(&mut p, &event(3356, lo, &[3356, 65001], 300), &mut ctrl);
         let resolved = acts
             .iter()
             .find_map(|a| match a {
@@ -1732,8 +1755,22 @@ mod tests {
                 _ => None,
             })
             .expect("incident resolves once every VP is clean");
-        assert_eq!(resolved.0, alert_id);
-        assert_eq!(resolved.1, SimTime::from_secs(300));
+        assert_eq!(resolved, (alert_id, SimTime::from_secs(300)));
+
+        // An exact hijack at the limit: nothing longer may be announced,
+        // so the plan re-announces the prefix and says it is infeasible.
+        let acts = deliver(
+            &mut p,
+            &event(174, fleet.at_limit, &[174, 666], 400),
+            &mut ctrl,
+        );
+        match &acts[..] {
+            [IncidentEvent::AlertRaised { .. }, IncidentEvent::MitigationTriggered { plan, .. }] => {
+                assert_eq!(plan.announce, vec![pfx(fleet.at_limit)]);
+                assert!(plan.infeasible, "{}", fleet.at_limit);
+            }
+            other => panic!("expected alert and mitigation, got {other:?}"),
+        }
     }
 
     #[test]

@@ -362,9 +362,9 @@ pub struct FeedStatus {
     /// hub's [`artemis_feeds::FeedLag`] bookkeeping, the same source
     /// `/metrics` scrapes, so query and metrics always agree.
     pub last_event_at: Option<SimTime>,
-    /// Events discarded before reaching the hub's merge queue:
-    /// pre-heap filter rejections plus feed-local sheds, filters, and
-    /// outage windows. Monotone.
+    /// Events the feed discarded before they reached the hub:
+    /// backpressure sheds plus a live feed's pre-ring filter
+    /// rejections. Monotone.
     pub dropped_events: u64,
     /// The backpressure subset of `dropped_events`: events shed from a
     /// bounded ring because the detector fell behind. Monotone.

@@ -194,7 +194,12 @@ fn replay(events: &[FeedEvent], confirm_at: usize, cut: Cut<'_>) -> Outcome {
         monitors: format!(
             "{:?} | {:?}",
             p.monitors().collect::<Vec<_>>(),
-            p.retired_monitors().collect::<Vec<_>>()
+            p.detector()
+                .alerts()
+                .all()
+                .iter()
+                .filter_map(|a| p.retired_monitor(a.id))
+                .collect::<Vec<_>>()
         ),
         intents: format!("{:?}", ctrl.intents().collect::<Vec<_>>()),
         delivered: p.events_delivered(),

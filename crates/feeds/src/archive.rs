@@ -55,12 +55,18 @@ impl ArchiveUpdatesFeed {
     pub fn mrt_records(&self) -> u64 {
         self.mrt_records
     }
+}
 
-    fn batch_end(&self, t: SimTime) -> SimTime {
-        let period = self.batch_period.as_micros().max(1);
-        let idx = t.as_micros() / period;
-        SimTime::from_micros((idx + 1) * period) + self.publish_delay
+/// The instant an observation made at `observed` becomes visible
+/// through an archive pipeline that closes a batch every `period` and
+/// publishes it `publish` later. A zero period publishes each
+/// observation on its own, `publish` after it.
+pub fn batch_end(observed: SimTime, period: SimDuration, publish: SimDuration) -> SimTime {
+    if period == SimDuration::ZERO {
+        return observed + publish;
     }
+    let period = period.as_micros();
+    SimTime::from_micros((observed.as_micros() / period + 1) * period) + publish
 }
 
 impl FeedSource for ArchiveUpdatesFeed {
@@ -81,7 +87,7 @@ impl FeedSource for ArchiveUpdatesFeed {
         if !self.peers.contains(&change.asn) {
             return;
         }
-        let visible = self.batch_end(change.time);
+        let visible = batch_end(change.time, self.batch_period, self.publish_delay);
         let (as_path, origin_as) = match &change.new {
             Some(best) => (Some(best.as_path.prepend(change.asn)), Some(best.origin_as)),
             None => (None, None),
@@ -358,7 +364,9 @@ mod tests {
         let mut c = change(174, 101, 65001);
         c.new = None; // withdrawal
         feed.on_route_change(&c, &mut rng);
-        let records = MrtReader::new(feed.mrt_bytes()).read_all().unwrap();
+        let records = MrtReader::new(feed.mrt_bytes())
+            .collect::<Result<Vec<_>, _>>()
+            .unwrap();
         assert_eq!(records.len(), 2);
         assert_eq!(feed.mrt_records(), 2);
         match &records[0] {
@@ -443,7 +451,9 @@ mod tests {
         let mut rng = SimRng::new(1);
         let at = feed.next_poll(SimTime::ZERO).unwrap();
         feed.poll(at, &fake_view(), &mut rng);
-        let records = MrtReader::new(feed.last_dump_mrt()).read_all().unwrap();
+        let records = MrtReader::new(feed.last_dump_mrt())
+            .collect::<Result<Vec<_>, _>>()
+            .unwrap();
         assert!(matches!(records[0], MrtRecord::PeerIndex { .. }));
         assert!(
             matches!(&records[1], MrtRecord::Rib { rib, .. } if rib.prefix == pfx("10.0.0.0/23"))

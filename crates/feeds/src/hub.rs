@@ -49,8 +49,8 @@ pub struct FeedLag {
     /// Emission instant of the newest event this feed queued, if any.
     pub last_event_at: Option<SimTime>,
     /// Events the feed reports discarding before they could reach the
-    /// hub ([`FeedSource::dropped_events`]: backpressure sheds, a live
-    /// feed's pre-ring [`crate::FeedFilter`], outage windows).
+    /// hub ([`FeedSource::dropped_events`]: backpressure sheds and a
+    /// live feed's pre-ring [`crate::FeedFilter`]).
     /// Monotone; `shed_events` is a subset.
     pub dropped_events: u64,
     /// The backpressure subset of `dropped_events`: events shed from a
@@ -530,11 +530,6 @@ impl FeedHub {
             .map(|(_, _, f)| f.as_ref())
     }
 
-    /// The handle of the feed at `index` (current insertion order).
-    pub fn handle_at(&self, index: usize) -> Option<FeedHandle> {
-        self.feeds.get(index).map(|(h, _, _)| *h)
-    }
-
     /// Hub-observed lag of an attached feed (see [`FeedLag`]).
     /// `None` once the feed is detached. The drop counters are read
     /// from the feed itself ([`FeedSource::dropped_events`] /
@@ -667,8 +662,8 @@ mod tests {
         ))));
         assert_ne!(h1, h2);
         assert_ne!(h1, FeedHandle::REQUEUED);
-        assert_eq!(hub.handle_at(0), Some(h1));
-        assert_eq!(hub.handle_at(1), Some(h2));
+        let handles = |hub: &FeedHub| hub.handles().map(|(h, _)| h).collect::<Vec<_>>();
+        assert_eq!(handles(&hub), vec![h1, h2]);
         assert_eq!(hub.feed_by_handle(h1).unwrap().kind(), FeedKind::RisLive);
         assert_eq!(hub.feed_by_handle(h2).unwrap().kind(), FeedKind::BgpMon);
 
@@ -678,7 +673,7 @@ mod tests {
         assert_eq!(removed.kind(), FeedKind::RisLive);
         assert_eq!(dropped, 0);
         assert_eq!(hub.len(), 1);
-        assert_eq!(hub.handle_at(0), Some(h2));
+        assert_eq!(handles(&hub), vec![h2]);
         assert!(hub.feed_by_handle(h1).is_none());
         let h3 = hub.add(Box::new(StreamFeed::ris_live(group_into_collectors(
             "rrc", &vps, 1,

@@ -37,8 +37,6 @@ pub struct LiveFeedConfig {
     /// Pre-ring filter: events failing it are counted and discarded on
     /// the reader thread, before they cost a ring slot.
     pub filter: Option<FeedFilter>,
-    /// Socket read-buffer size in bytes.
-    pub read_chunk: usize,
 }
 
 impl Default for LiveFeedConfig {
@@ -46,7 +44,6 @@ impl Default for LiveFeedConfig {
         LiveFeedConfig {
             ring_capacity: 8192,
             filter: None,
-            read_chunk: 64 * 1024,
         }
     }
 }
@@ -66,8 +63,7 @@ struct LiveCounters {
     reconnects: AtomicU64,
     /// Session reached an established TCP connection.
     connected: AtomicBool,
-    /// Reader thread has exited (shutdown, fatal framing, or a lost
-    /// transport with no address to re-dial).
+    /// Reader thread has exited (shutdown or fatal framing).
     disconnected: AtomicBool,
     /// Per-peer health accumulated from `stats_report` messages.
     peer_health: Mutex<BTreeMap<Asn, PeerHealth>>,
@@ -159,30 +155,23 @@ pub struct BmpLiveFeed {
 }
 
 impl BmpLiveFeed {
-    /// Wrap an already-connected stream (loopback tests, benches).
-    pub fn from_stream(
-        name: impl Into<Arc<str>>,
-        stream: TcpStream,
-        config: LiveFeedConfig,
-    ) -> Self {
-        Self::start(name.into(), ConnectMode::Stream(stream), config)
-    }
-
     /// Connect to `addr` from a background thread, retrying until the
     /// collector accepts or the feed is dropped. Never blocks and
     /// never fails: connection state is observable via
     /// [`BmpLiveFeed::stats`] rather than a constructor error, which
     /// is what lets a serializable [`crate::FeedSpec`] build this feed
     /// infallibly.
+    ///
+    /// A lost transport re-enters the dial loop with jittered
+    /// exponential backoff, so the feed outlives collector restarts;
+    /// only dropping the feed or fused framing ends the reader.
     pub fn connect(
         name: impl Into<Arc<str>>,
         addr: impl Into<String>,
         config: LiveFeedConfig,
     ) -> Self {
-        Self::start(name.into(), ConnectMode::Addr(addr.into()), config)
-    }
-
-    fn start(name: Arc<str>, mode: ConnectMode, config: LiveFeedConfig) -> Self {
+        let name: Arc<str> = name.into();
+        let addr = addr.into();
         let ring = Arc::new(BackpressureRing::new(config.ring_capacity));
         let counters = Arc::new(LiveCounters::default());
         let shutdown = Arc::new(AtomicBool::new(false));
@@ -193,7 +182,7 @@ impl BmpLiveFeed {
             let collector = Arc::clone(&name);
             std::thread::Builder::new()
                 .name(format!("bmp-live-{name}"))
-                .spawn(move || reader_main(mode, config, collector, ring, counters, shutdown))
+                .spawn(move || reader_main(addr, config, collector, ring, counters, shutdown))
                 .expect("spawn bmp reader thread")
         };
         BmpLiveFeed {
@@ -229,11 +218,6 @@ impl BmpLiveFeed {
             .iter()
             .map(|(asn, h)| (*asn, *h))
             .collect()
-    }
-
-    /// True while the reader thread is alive (connecting or streaming).
-    pub fn is_live(&self) -> bool {
-        !self.counters.disconnected.load(Ordering::Relaxed)
     }
 }
 
@@ -340,11 +324,6 @@ impl FeedSource for BmpLiveFeed {
     }
 }
 
-enum ConnectMode {
-    Stream(TcpStream),
-    Addr(String),
-}
-
 /// Why one TCP session ended, deciding what the reader does next.
 enum SessionEnd {
     /// The feed was dropped; stop for good.
@@ -358,7 +337,9 @@ enum SessionEnd {
 
 /// How often a blocked reader re-checks the shutdown flag.
 const READ_TIMEOUT: Duration = Duration::from_millis(25);
-/// Base backoff between connection attempts in [`ConnectMode::Addr`];
+/// Socket read-buffer size in bytes.
+const READ_CHUNK: usize = 64 * 1024;
+/// Base backoff between connection attempts;
 /// doubles per consecutive failure up to [`CONNECT_RETRY_CAP`], with
 /// jitter so a fleet of feeds does not re-dial in lockstep.
 const CONNECT_RETRY: Duration = Duration::from_millis(50);
@@ -396,51 +377,34 @@ fn sleep_with_shutdown(total: Duration, shutdown: &AtomicBool) {
 }
 
 fn reader_main(
-    mode: ConnectMode,
+    addr: String,
     config: LiveFeedConfig,
     collector: Arc<str>,
     ring: Arc<BackpressureRing<FeedEvent>>,
     counters: Arc<LiveCounters>,
     shutdown: Arc<AtomicBool>,
 ) {
-    match mode {
-        // A pre-connected stream has no address to re-dial: one
-        // session, then done (loopback tests, benches).
-        ConnectMode::Stream(stream) => {
+    let mut jitter = 0x9E37_79B9_7F4A_7C15u64
+        ^ collector
+            .bytes()
+            .fold(0u64, |h, b| h.wrapping_mul(31).wrapping_add(b as u64));
+    let mut attempt = 0u32;
+    let mut established_once = false;
+    while !shutdown.load(Ordering::Relaxed) {
+        if let Ok(stream) = TcpStream::connect(&addr) {
             counters.connected.store(true, Ordering::Relaxed);
-            let _ = stream_session(stream, &config, &collector, &ring, &counters, &shutdown);
-        }
-        // Dial-by-address keeps the feed alive across collector
-        // restarts: a lost transport re-enters the dial loop with
-        // jittered exponential backoff, and only shutdown or fused
-        // framing ends the thread.
-        ConnectMode::Addr(addr) => {
-            let mut jitter = 0x9E37_79B9_7F4A_7C15u64
-                ^ collector
-                    .bytes()
-                    .fold(0u64, |h, b| h.wrapping_mul(31).wrapping_add(b as u64));
-            let mut attempt = 0u32;
-            let mut established_once = false;
-            loop {
-                if shutdown.load(Ordering::Relaxed) {
-                    break;
-                }
-                if let Ok(stream) = TcpStream::connect(&addr) {
-                    counters.connected.store(true, Ordering::Relaxed);
-                    if established_once {
-                        counters.reconnects.fetch_add(1, Ordering::Relaxed);
-                    }
-                    established_once = true;
-                    attempt = 0;
-                    match stream_session(stream, &config, &collector, &ring, &counters, &shutdown) {
-                        SessionEnd::Shutdown | SessionEnd::Fatal => break,
-                        SessionEnd::TransportLost => {}
-                    }
-                }
-                attempt += 1;
-                sleep_with_shutdown(backoff_delay(attempt, &mut jitter), &shutdown);
+            if established_once {
+                counters.reconnects.fetch_add(1, Ordering::Relaxed);
+            }
+            established_once = true;
+            attempt = 0;
+            match stream_session(stream, &config, &collector, &ring, &counters, &shutdown) {
+                SessionEnd::Shutdown | SessionEnd::Fatal => break,
+                SessionEnd::TransportLost => {}
             }
         }
+        attempt += 1;
+        sleep_with_shutdown(backoff_delay(attempt, &mut jitter), &shutdown);
     }
     counters.disconnected.store(true, Ordering::Relaxed);
 }
@@ -457,7 +421,7 @@ fn stream_session(
     // without a second control channel.
     let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
     let mut asm = FrameAssembler::new();
-    let mut buf = vec![0u8; config.read_chunk.max(512)];
+    let mut buf = vec![0u8; READ_CHUNK];
     let mut batch: Vec<FeedEvent> = Vec::new();
     loop {
         if shutdown.load(Ordering::Relaxed) {
@@ -847,7 +811,7 @@ mod tests {
         assert_eq!(feed.stats().peers, 1);
         assert_eq!(feed.wire_health().expect("wire feed").peers.len(), 1);
         assert_eq!(feed.take_peer_downs(), vec![Asn(174)]);
-        assert!(feed.is_live());
+        assert!(!feed.stats().disconnected);
     }
 
     #[test]
@@ -933,7 +897,6 @@ mod tests {
         let stats = feed.stats();
         assert_eq!(stats.decoded, 1, "events before the corruption were kept");
         assert!(stats.diagnostics >= 1);
-        assert!(!feed.is_live());
         writer.join().unwrap();
     }
 
@@ -971,7 +934,7 @@ mod tests {
         let stats = feed.stats();
         assert_eq!(stats.reconnects, 1, "one re-established session");
         assert!(
-            feed.is_live(),
+            !stats.disconnected,
             "a lost transport keeps the feed alive (it re-dials)"
         );
         assert!(stats.connected);

@@ -27,19 +27,6 @@ pub struct LookingGlass {
     pub response_latency: LatencyModel,
 }
 
-impl LookingGlass {
-    /// An LG with a 60 s rate limit and 1–4 s response time — typical
-    /// for public web looking glasses.
-    pub fn typical(name: impl Into<Arc<str>>, vantage: Asn) -> Self {
-        LookingGlass {
-            name: name.into(),
-            vantage,
-            min_interval: SimDuration::from_secs(60),
-            response_latency: LatencyModel::uniform_millis(1_000, 4_000),
-        }
-    }
-}
-
 struct LgState {
     lg: LookingGlass,
     next_query: SimTime,
@@ -81,19 +68,6 @@ impl PeriscopeFeed {
             queries_issued: 0,
             emitted: 0,
         }
-    }
-
-    /// Add a prefix to the monitored set (e.g. the de-aggregated /24s
-    /// once mitigation starts).
-    pub fn monitor_prefix(&mut self, prefix: Prefix) {
-        if !self.monitored.contains(&prefix) {
-            self.monitored.push(prefix);
-        }
-    }
-
-    /// Total queries issued (the "monitoring overhead" axis of E3).
-    pub fn queries_issued(&self) -> u64 {
-        self.queries_issued
     }
 
     /// Number of looking glasses.
@@ -258,7 +232,7 @@ mod tests {
         feed.poll(first, &view(), &mut rng);
         let second = feed.next_poll(first).unwrap();
         assert_eq!(second, first + SimDuration::from_secs(60));
-        assert_eq!(feed.queries_issued(), 1);
+        assert_eq!(feed.polls_executed(), 1);
     }
 
     #[test]
@@ -276,17 +250,6 @@ mod tests {
         let phases: std::collections::BTreeSet<SimTime> =
             feed.lgs.iter().map(|s| s.next_query).collect();
         assert!(phases.len() >= 6, "phases should be spread out");
-    }
-
-    #[test]
-    fn monitor_prefix_extends_queries() {
-        let mut rng = SimRng::new(4);
-        let mut feed = PeriscopeFeed::new(vec![lg(60)], vec![pfx("10.0.0.0/23")], &mut rng);
-        feed.monitor_prefix(pfx("192.0.2.0/24"));
-        feed.monitor_prefix(pfx("192.0.2.0/24")); // idempotent
-        let at = feed.next_poll(SimTime::ZERO).unwrap();
-        let evs = feed.poll(at, &view(), &mut rng);
-        assert!(evs.iter().any(|e| e.prefix == pfx("192.0.2.0/24")));
     }
 
     #[test]

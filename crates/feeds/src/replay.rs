@@ -20,6 +20,7 @@
 //! corrupt record in a multi-gigabyte archive costs one diagnostic,
 //! not the whole replay.
 
+use crate::archive::batch_end;
 use crate::event::{FeedEvent, FeedKind};
 use crate::source::{FeedSource, RibView};
 use artemis_bgp::{Asn, BgpMessage, Prefix};
@@ -243,7 +244,7 @@ impl MrtReplayFeed {
 
     /// Override the batch window; every queued event's emission instant
     /// is recomputed from its observation instant.
-    pub fn with_batch_window(mut self, period: SimDuration, publish_delay: SimDuration) -> Self {
+    fn with_batch_window(mut self, period: SimDuration, publish_delay: SimDuration) -> Self {
         self.batch_period = period;
         self.publish_delay = publish_delay;
         self.reschedule();
@@ -281,15 +282,6 @@ impl MrtReplayFeed {
         self
     }
 
-    /// Rename the feed instance (collector field of replayed events).
-    pub fn named(mut self, name: impl Into<Arc<str>>) -> Self {
-        self.name = name.into();
-        for ev in &mut self.queue {
-            ev.collector = self.name.clone();
-        }
-        self
-    }
-
     /// Events parsed and still awaiting emission.
     pub fn pending_events(&self) -> usize {
         self.queue.len()
@@ -310,24 +302,13 @@ impl MrtReplayFeed {
         &self.diagnostics
     }
 
-    /// The archive-pipeline publication instant for a route observed
-    /// at `observed` (mirrors `ArchiveUpdatesFeed::batch_end`).
-    fn batch_end(&self, observed: SimTime) -> SimTime {
-        if self.batch_period == SimDuration::ZERO {
-            return observed + self.publish_delay;
-        }
-        let period = self.batch_period.as_micros().max(1);
-        let idx = observed.as_micros() / period;
-        SimTime::from_micros((idx + 1) * period) + self.publish_delay
-    }
-
     /// Recompute every queued event's emission instant from its
     /// observation instant under the current batch window, then
     /// restore emission order.
     fn reschedule(&mut self) {
         let mut events = std::mem::take(&mut self.queue);
         for ev in &mut events {
-            ev.emitted_at = self.batch_end(ev.observed_at);
+            ev.emitted_at = batch_end(ev.observed_at, self.batch_period, self.publish_delay);
         }
         self.queue = events;
         self.sort_queue();

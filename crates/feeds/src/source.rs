@@ -109,10 +109,9 @@ pub trait FeedSource: Send {
     fn polls_executed(&self) -> u64 {
         0
     }
-    /// Events this feed discarded *before* they could reach the hub's
-    /// merge queue: backpressure sheds plus feed-local filtering and
-    /// outage windows. Monotone. The hub adds its own pre-heap filter
-    /// rejections on top when reporting [`crate::FeedLag`].
+    /// Events this feed discarded *before* they could reach the hub:
+    /// backpressure sheds plus feed-local filtering. Monotone; reported
+    /// as is in [`crate::FeedLag`].
     fn dropped_events(&self) -> u64 {
         0
     }

@@ -21,12 +21,7 @@ pub struct StreamFeed {
     /// its sessions produce
     collectors: BTreeMap<Arc<str>, Vec<Asn>>,
     export_delay: LatencyModel,
-    /// Events dropped by an (optional) outage window.
-    outage: Option<(SimTime, SimTime)>,
     emitted: u64,
-    /// Observations swallowed by the outage window (one per vantage
-    /// session that would have produced an event).
-    dropped: u64,
 }
 
 /// One shared handle per collector name, made once at construction.
@@ -51,9 +46,7 @@ impl StreamFeed {
                 median: SimDuration::from_secs(8),
                 sigma: 0.6,
             },
-            outage: None,
             emitted: 0,
-            dropped: 0,
         }
     }
 
@@ -68,22 +61,13 @@ impl StreamFeed {
                 median: SimDuration::from_secs(15),
                 sigma: 0.5,
             },
-            outage: None,
             emitted: 0,
-            dropped: 0,
         }
     }
 
     /// Override the export-delay model.
     pub fn with_export_delay(mut self, model: LatencyModel) -> Self {
         self.export_delay = model;
-        self
-    }
-
-    /// Simulate a feed outage: events observed within `[from, to)` are
-    /// lost (never delivered). Used by fault-injection tests.
-    pub fn with_outage(mut self, from: SimTime, to: SimTime) -> Self {
-        self.outage = Some((from, to));
         self
     }
 
@@ -145,18 +129,6 @@ impl FeedSource for StreamFeed {
         rng: &mut SimRng,
         out: &mut Vec<FeedEvent>,
     ) {
-        if let Some((from, to)) = self.outage {
-            if change.time >= from && change.time < to {
-                // Count what the outage swallowed: one observation per
-                // vantage session that would have produced an event.
-                self.dropped += self
-                    .collectors
-                    .values()
-                    .filter(|peers| peers.contains(&change.asn))
-                    .count() as u64;
-                return;
-            }
-        }
         for (collector, peers) in &self.collectors {
             if !peers.contains(&change.asn) {
                 continue;
@@ -193,10 +165,6 @@ impl FeedSource for StreamFeed {
 
     fn events_emitted(&self) -> u64 {
         self.emitted
-    }
-
-    fn dropped_events(&self) -> u64 {
-        self.dropped
     }
 }
 
@@ -289,70 +257,6 @@ mod tests {
         assert!(evs[0].is_withdrawal());
         let raw: serde_json::Value = serde_json::from_str(evs[0].raw.as_ref().unwrap()).unwrap();
         assert_eq!(raw["data"]["withdrawals"][0], "10.0.0.0/23");
-    }
-
-    #[test]
-    fn outage_swallows_events() {
-        let mut feed = StreamFeed::ris_live(collectors())
-            .with_outage(SimTime::from_secs(5), SimTime::from_secs(15));
-        let mut rng = SimRng::new(1);
-        assert!(feed.on_route_change(&change(174, 10), &mut rng).is_empty());
-        assert!(!feed.on_route_change(&change(174, 20), &mut rng).is_empty());
-    }
-
-    #[test]
-    fn outage_boundaries_are_exact() {
-        // Window is [from, to): the first instant is dark, the end
-        // instant is already live again.
-        let from = SimTime::from_secs(5);
-        let to = SimTime::from_secs(15);
-        let mut feed = StreamFeed::ris_live(collectors()).with_outage(from, to);
-        let mut rng = SimRng::new(1);
-        assert!(
-            !feed.on_route_change(&change(174, 4), &mut rng).is_empty(),
-            "instant before the window is delivered"
-        );
-        assert!(
-            feed.on_route_change(&change(174, 5), &mut rng).is_empty(),
-            "window start is inclusive: dropped"
-        );
-        assert!(
-            feed.on_route_change(&change(174, 14), &mut rng).is_empty(),
-            "interior instant is dropped"
-        );
-        assert!(
-            !feed.on_route_change(&change(174, 15), &mut rng).is_empty(),
-            "window end is exclusive: delivered"
-        );
-    }
-
-    #[test]
-    fn outage_accounting_matches_delivered_events() {
-        let mut feed = StreamFeed::ris_live(collectors())
-            .with_outage(SimTime::from_secs(10), SimTime::from_secs(20));
-        let mut rng = SimRng::new(1);
-        // AS174 peers with both collectors (2 events per change), AS3356
-        // with one. Outside: t=5 (2) and t=25 (1). Inside: t=12 (2) and
-        // t=15 (1).
-        let mut delivered = 0;
-        for (asn, t) in [(174, 5), (174, 12), (3356, 15), (3356, 25)] {
-            delivered += feed.on_route_change(&change(asn, t), &mut rng).len();
-        }
-        assert_eq!(delivered, 3);
-        assert_eq!(
-            feed.events_emitted(),
-            3,
-            "emitted counts only delivered events"
-        );
-        assert_eq!(
-            feed.dropped_events(),
-            3,
-            "dropped counts per swallowed vantage session"
-        );
-        // A non-vantage change during the outage is not an outage drop —
-        // no session would have produced an event.
-        assert!(feed.on_route_change(&change(9999, 12), &mut rng).is_empty());
-        assert_eq!(feed.dropped_events(), 3);
     }
 
     #[test]

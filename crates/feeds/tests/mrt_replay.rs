@@ -98,8 +98,9 @@ fn original_run(seed: u64) -> OriginalRun {
     let keys = alert_keys(&pipeline);
     let mrt_bytes = pipeline
         .hub()
-        .handle_at(0)
-        .and_then(|h| pipeline.hub().feed_by_handle(h))
+        .handles()
+        .next()
+        .map(|(_, feed)| feed)
         .expect("archive feed registered")
         .archive_bytes()
         .expect("archive feeds expose their MRT bytes")

@@ -523,20 +523,11 @@ impl<'a> MrtReader<'a> {
     }
 
     /// Parse the next record, or `Ok(None)` at clean EOF.
-    pub fn next_record(&mut self) -> Result<Option<MrtRecord>, MrtError> {
+    fn next_record(&mut self) -> Result<Option<MrtRecord>, MrtError> {
         match self.scanner.next_raw()? {
             Some(raw) => Ok(Some(raw.decode()?)),
             None => Ok(None),
         }
-    }
-
-    /// Collect all remaining records.
-    pub fn read_all(&mut self) -> Result<Vec<MrtRecord>, MrtError> {
-        let mut out = Vec::new();
-        while let Some(r) = self.next_record()? {
-            out.push(r);
-        }
-        Ok(out)
     }
 }
 
@@ -596,7 +587,9 @@ mod tests {
         let mut w = MrtWriter::new();
         w.write(&rec).unwrap();
         let bytes = w.into_bytes();
-        let got = MrtReader::new(&bytes).read_all().unwrap();
+        let got = MrtReader::new(&bytes)
+            .collect::<Result<Vec<_>, _>>()
+            .unwrap();
         assert_eq!(got, vec![rec]);
     }
 
@@ -607,7 +600,9 @@ mod tests {
             w.write(&sample_bgp4mp(i, None)).unwrap();
         }
         let bytes = w.into_bytes();
-        let all = MrtReader::new(&bytes).read_all().unwrap();
+        let all = MrtReader::new(&bytes)
+            .collect::<Result<Vec<_>, _>>()
+            .unwrap();
         assert_eq!(all.len(), 10);
         let stamps: Vec<u32> = all.iter().map(MrtRecord::timestamp).collect();
         assert_eq!(stamps, (0..10).collect::<Vec<_>>());
@@ -638,7 +633,12 @@ mod tests {
         let mut w = MrtWriter::new();
         w.write(&rec).unwrap();
         let bytes = w.into_bytes();
-        assert_eq!(MrtReader::new(&bytes).read_all().unwrap(), vec![rec]);
+        assert_eq!(
+            MrtReader::new(&bytes)
+                .collect::<Result<Vec<_>, _>>()
+                .unwrap(),
+            vec![rec]
+        );
     }
 
     #[test]
@@ -756,7 +756,9 @@ mod tests {
         assert_eq!(diags[0].timestamp, 1);
         assert!(diags[0].to_string().contains("malformed"));
         // The strict reader aborts at the same record.
-        assert!(MrtReader::new(&bytes).read_all().is_err());
+        assert!(MrtReader::new(&bytes)
+            .collect::<Result<Vec<_>, _>>()
+            .is_err());
     }
 
     #[test]

@@ -208,6 +208,13 @@ mod tests {
     use artemis_bgp::AsPath;
     use std::str::FromStr;
 
+    /// Every record of `bytes`, strictly decoded.
+    fn records(bytes: &[u8]) -> Vec<MrtRecord> {
+        MrtReader::new(bytes)
+            .collect::<Result<_, _>>()
+            .expect("strict decode")
+    }
+
     fn table() -> PeerIndexTable {
         PeerIndexTable {
             collector_id: "198.51.100.1".parse().unwrap(),
@@ -259,7 +266,7 @@ mod tests {
         let mut w = MrtWriter::new();
         w.write(&rec).unwrap();
         let bytes = w.into_bytes();
-        assert_eq!(MrtReader::new(&bytes).read_all().unwrap(), vec![rec]);
+        assert_eq!(records(&bytes), vec![rec]);
     }
 
     #[test]
@@ -271,7 +278,7 @@ mod tests {
         let mut w = MrtWriter::new();
         w.write(&rec).unwrap();
         let bytes = w.into_bytes();
-        assert_eq!(MrtReader::new(&bytes).read_all().unwrap(), vec![rec]);
+        assert_eq!(records(&bytes), vec![rec]);
     }
 
     #[test]
@@ -295,7 +302,7 @@ mod tests {
         let mut w = MrtWriter::new();
         w.write(&rec).unwrap();
         let bytes = w.into_bytes();
-        assert_eq!(MrtReader::new(&bytes).read_all().unwrap(), vec![rec]);
+        assert_eq!(records(&bytes), vec![rec]);
     }
 
     #[test]
@@ -320,7 +327,7 @@ mod tests {
             .unwrap();
         }
         let bytes = w.into_bytes();
-        let recs = MrtReader::new(&bytes).read_all().unwrap();
+        let recs = records(&bytes);
         assert_eq!(recs.len(), 4);
         assert!(matches!(recs[0], MrtRecord::PeerIndex { .. }));
         let seqs: Vec<u32> = recs[1..]
@@ -344,7 +351,7 @@ mod tests {
         let mut w = MrtWriter::new();
         w.write(&rec).unwrap();
         let bytes = w.into_bytes();
-        assert_eq!(MrtReader::new(&bytes).read_all().unwrap(), vec![rec]);
+        assert_eq!(records(&bytes), vec![rec]);
     }
 
     #[test]
@@ -431,6 +438,6 @@ mod tests {
         let mut w = MrtWriter::new();
         w.write(&rec).unwrap();
         let bytes = w.into_bytes();
-        assert_eq!(MrtReader::new(&bytes).read_all().unwrap(), vec![rec]);
+        assert_eq!(records(&bytes), vec![rec]);
     }
 }

@@ -28,7 +28,7 @@ fn roundtrip(table: PeerIndexTable) -> Result<PeerIndexTable, MrtError> {
     let mut w = MrtWriter::new();
     w.write(&rec)?;
     let bytes = w.into_bytes();
-    let got = MrtReader::new(&bytes).read_all()?;
+    let got = MrtReader::new(&bytes).collect::<Result<Vec<_>, _>>()?;
     match got.into_iter().next() {
         Some(MrtRecord::PeerIndex { table, .. }) => Ok(table),
         other => panic!("expected a peer index record, got {other:?}"),

@@ -59,11 +59,6 @@ impl SimDuration {
         self.0 / 1_000
     }
 
-    /// Whole seconds (truncating).
-    pub const fn as_secs(self) -> u64 {
-        self.0 / 1_000_000
-    }
-
     /// Fractional seconds.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e6
