@@ -12,7 +12,9 @@
 //! [`Shared`] to poison the state lock.
 //!
 //! The last test attaches a feed whose poll panics: the pump must
-//! count it and keep pumping.
+//! count it and keep pumping. Another attaches a feed whose name holds
+//! a NUL byte, which no thread may be named with: the command must
+//! still be answered and the state lock stay whole.
 
 use super::*;
 use crate::CtlClient;
@@ -20,7 +22,10 @@ use artemis_bgp::{AsPath, Asn, BgpMessage, PathAttributes, Prefix, UpdateMessage
 use artemis_bgpsim::RouteChange;
 use artemis_bmp::{BmpMessage, BmpWriter, PeerHeader};
 use artemis_controller::Controller;
-use artemis_core::{ArtemisConfig, OwnedPrefix, Pipeline, ServiceCommand};
+use artemis_core::wire::CommandResult;
+use artemis_core::{
+    ArtemisConfig, CommandOutcome, OwnedPrefix, Pipeline, ServiceCommand, ServiceReply,
+};
 use artemis_feeds::{
     BmpLiveFeed, FeedEvent, FeedKind, FeedSource, FeedSpec, LiveFeedConfig, RibView,
 };
@@ -155,6 +160,40 @@ fn a_feed_attached_at_runtime_wakes_the_pump_too() {
         .unwrap();
     let (mut sock, _) = listener.accept().unwrap();
     assert_woken_not_ticked(&client, &mut sock);
+    daemon.shutdown();
+}
+
+#[test]
+fn a_feed_name_with_a_nul_byte_is_attached_without_poisoning_the_lock() {
+    let (daemon, client) = start(pipeline());
+    let (_listener, addr) = collector();
+    let name = "bmp\u{0}x";
+    let feed = FeedSpec::BmpLive {
+        name: name.into(),
+        addr,
+        ring_capacity: None,
+        filter: None,
+    };
+    let reply = client
+        .apply(ServiceCommand::AttachFeed { feed }, None)
+        .expect("the command is answered");
+    assert!(
+        matches!(
+            reply.result,
+            CommandResult::Outcome(CommandOutcome::FeedAttached { .. })
+        ),
+        "{reply:?}"
+    );
+    let feeds = minihttp::Client::new(client.addr())
+        .get("/v1/feeds")
+        .unwrap();
+    assert_eq!(feeds.status, 200);
+    let ServiceReply::Feeds(table) = serde_json::from_str(&feeds.body_utf8()).unwrap() else {
+        panic!("/v1/feeds answers the feed table");
+    };
+    assert!(table.iter().any(|f| f.name == name), "{table:?}");
+    let metrics = client.metrics_text().unwrap();
+    assert_eq!(counter(&metrics, "artemis_state_lock_poisoned_total"), 0);
     daemon.shutdown();
 }
 

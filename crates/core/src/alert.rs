@@ -2,10 +2,10 @@
 
 use crate::classify::HijackType;
 use artemis_bgp::{Asn, Prefix};
-use artemis_feeds::FeedKind;
+use artemis_feeds::{FeedEvent, FeedKind};
 use artemis_simnet::SimTime;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// Opaque alert identifier.
@@ -77,16 +77,19 @@ impl fmt::Display for Alert {
 ///
 /// Open alerts are keyed by `(owned, observed, offending origin)`: a
 /// hijack seen from 40 vantage points is *one* incident with 40
-/// witnesses, not 40 incidents. The classification is not part of the
-/// key — the same offending announcement can classify differently
-/// once our own rules change under it (a squatting mitigation
-/// activates the dormant prefix, so later witnesses of the same squat
-/// read `ExactOrigin`), and that is still the incident already open.
-/// The alert keeps the type it was raised with.
+/// witnesses, not 40 incidents, and deduplicating a witness is one
+/// keyed lookup whatever the prefix's history. The classification is
+/// not part of the key — the same offending announcement can classify
+/// differently once our own rules change under it (a squatting
+/// mitigation activates the dormant prefix, so later witnesses of the
+/// same squat read `ExactOrigin`), and that is still the incident
+/// already open. The alert keeps the type it was raised with.
 #[derive(Debug, Default)]
 pub struct AlertStore {
     alerts: Vec<Alert>,
-    next_id: u64,
+    /// The open alert of each key. The owned prefix comes first, so
+    /// one prefix's open alerts form a range.
+    open: BTreeMap<(Prefix, Prefix, Option<Asn>), AlertId>,
 }
 
 impl AlertStore {
@@ -95,76 +98,75 @@ impl AlertStore {
         AlertStore::default()
     }
 
-    /// True when the alert at `i` is open on this offending
-    /// announcement, i.e. absorbs a new witness of it.
-    fn absorbs(
-        &self,
-        i: usize,
-        owned_prefix: Prefix,
-        observed_prefix: Prefix,
-        offending_origin: Option<Asn>,
-    ) -> bool {
-        let a = &self.alerts[i];
-        a.owned_prefix == owned_prefix
-            && a.observed_prefix == observed_prefix
-            && a.offending_origin == offending_origin
-            && a.state != AlertState::Resolved
-    }
-
-    /// Position of `id` in the store (alerts are kept sorted by id).
+    /// Position of `id` in the store: ids count up from 0 and no
+    /// alert is ever dropped, so an id is its own position.
     fn idx(&self, id: AlertId) -> Option<usize> {
-        self.alerts.binary_search_by_key(&id, |a| a.id).ok()
+        let i = usize::try_from(id.0)
+            .ok()
+            .filter(|i| *i < self.alerts.len())?;
+        debug_assert_eq!(self.alerts[i].id, id);
+        Some(i)
     }
 
-    /// Record an observation; returns `(alert id, is_new)`.
+    /// Record one witness of an offending announcement against
+    /// `owned_prefix`; returns `(alert id, is_new)`.
     ///
-    /// Deduplicates only against the alerts listed in `scope` (a
-    /// detector shard's own alerts) instead of scanning the whole
-    /// store; a newly raised alert is appended to `scope`. This keeps
-    /// multi-prefix detection O(per-shard alerts) per event rather
-    /// than O(total alerts).
-    #[allow(clippy::too_many_arguments)]
-    pub fn observe_scoped(
+    /// The witness joins the open alert with the same key, if there is
+    /// one; otherwise it raises a new alert of `hijack_type`.
+    pub fn observe(
         &mut self,
-        scope: &mut Vec<AlertId>,
         hijack_type: HijackType,
         owned_prefix: Prefix,
-        observed_prefix: Prefix,
         offending_origin: Option<Asn>,
-        vantage: Asn,
-        emitted_at: SimTime,
-        observed_at: SimTime,
-        source: FeedKind,
+        event: &FeedEvent,
     ) -> (AlertId, bool) {
-        let hit = scope
-            .iter()
-            .map(|id| self.idx(*id).expect("scoped id exists"))
-            .find(|i| self.absorbs(*i, owned_prefix, observed_prefix, offending_origin));
-        if let Some(existing) = hit.map(|i| &mut self.alerts[i]) {
-            existing.vantage_points.insert(vantage);
-            existing.last_update = emitted_at;
-            if observed_at < existing.first_observed_at {
-                existing.first_observed_at = observed_at;
+        let key = (owned_prefix, event.prefix, offending_origin);
+        if let Some(id) = self.open.get(&key) {
+            let i = self.idx(*id).expect("open id exists");
+            let existing = &mut self.alerts[i];
+            existing.vantage_points.insert(event.vantage);
+            existing.last_update = event.emitted_at;
+            if event.observed_at < existing.first_observed_at {
+                existing.first_observed_at = event.observed_at;
             }
             return (existing.id, false);
         }
-        let id = AlertId(self.next_id);
-        self.next_id += 1;
+        let id = AlertId(self.alerts.len() as u64);
         self.alerts.push(Alert {
             id,
             hijack_type,
             owned_prefix,
-            observed_prefix,
+            observed_prefix: event.prefix,
             offending_origin,
-            detected_at: emitted_at,
-            first_observed_at: observed_at,
-            detected_by: source,
-            vantage_points: [vantage].into_iter().collect(),
+            detected_at: event.emitted_at,
+            first_observed_at: event.observed_at,
+            detected_by: event.source,
+            vantage_points: [event.vantage].into_iter().collect(),
             state: AlertState::Active,
-            last_update: emitted_at,
+            last_update: event.emitted_at,
         });
-        scope.push(id);
+        self.open.insert(key, id);
         (id, true)
+    }
+
+    /// Stop deduplicating against `owned`'s open alerts: later
+    /// witnesses raise new alerts. Returns their ids, ascending; the
+    /// alerts themselves keep their state.
+    pub(crate) fn drain_open(&mut self, owned: Prefix) -> Vec<AlertId> {
+        // Every observed prefix under `owned` lies inside it, so none
+        // sorts before `owned` itself.
+        let keys: Vec<_> = self
+            .open
+            .range((owned, owned, None)..)
+            .take_while(|(key, _)| key.0 == owned)
+            .map(|(key, _)| *key)
+            .collect();
+        let mut ids: Vec<AlertId> = keys
+            .iter()
+            .filter_map(|key| self.open.remove(key))
+            .collect();
+        ids.sort_unstable();
+        ids
     }
 
     /// Move an alert to `Mitigating`.
@@ -175,11 +177,17 @@ impl AlertStore {
         }
     }
 
-    /// Move an alert to `Resolved`.
+    /// Move an alert to `Resolved`, freeing its key for a new
+    /// incident.
     pub fn mark_resolved(&mut self, id: AlertId, at: SimTime) {
         if let Some(i) = self.idx(id) {
-            self.alerts[i].state = AlertState::Resolved;
-            self.alerts[i].last_update = at;
+            let a = &mut self.alerts[i];
+            a.state = AlertState::Resolved;
+            a.last_update = at;
+            let key = (a.owned_prefix, a.observed_prefix, a.offending_origin);
+            if self.open.get(&key) == Some(&id) {
+                self.open.remove(&key);
+            }
         }
     }
 
@@ -210,8 +218,22 @@ mod tests {
         Prefix::from_str(s).unwrap()
     }
 
-    /// A witness of `AS<origin>` announcing the owned /23, with every
-    /// alert in the store in scope.
+    /// `AS<vantage>` reporting `AS<origin>` announcing the owned /23.
+    fn event(origin: u32, vantage: u32, t: u64, observed: u64, source: FeedKind) -> FeedEvent {
+        FeedEvent {
+            emitted_at: SimTime::from_secs(t),
+            observed_at: SimTime::from_secs(observed),
+            source,
+            collector: "rrc00".into(),
+            vantage: Asn(vantage),
+            prefix: pfx("10.0.0.0/23"),
+            as_path: None,
+            origin_as: Some(Asn(origin)),
+            raw: None,
+        }
+    }
+
+    /// A witness of `AS<origin>` announcing the owned /23.
     fn witness(
         store: &mut AlertStore,
         origin: u32,
@@ -220,17 +242,11 @@ mod tests {
         observed: u64,
         source: FeedKind,
     ) -> (AlertId, bool) {
-        let mut scope: Vec<AlertId> = store.all().iter().map(|a| a.id).collect();
-        store.observe_scoped(
-            &mut scope,
+        store.observe(
             HijackType::ExactOrigin,
             pfx("10.0.0.0/23"),
-            pfx("10.0.0.0/23"),
             Some(Asn(origin)),
-            Asn(vantage),
-            SimTime::from_secs(t),
-            SimTime::from_secs(observed),
-            source,
+            &event(origin, vantage, t, observed, source),
         )
     }
 
@@ -298,6 +314,21 @@ mod tests {
         let (id2, new) = observe(&mut store, 174, 300);
         assert!(new, "a recurrence is a fresh incident");
         assert_ne!(id, id2);
+    }
+
+    #[test]
+    fn dedup_keeps_one_key_per_open_incident_whatever_the_history() {
+        let mut store = AlertStore::new();
+        for i in 0..10_000u64 {
+            let (id, new) = witness(&mut store, 1_000 + i as u32, 174, i, i, FeedKind::RisLive);
+            assert!(new);
+            store.mark_resolved(id, SimTime::from_secs(i));
+        }
+        assert!(store.open.is_empty());
+        let (open, new) = observe(&mut store, 174, 20_000);
+        assert!(new);
+        assert_eq!(store.open.len(), 1);
+        assert_eq!(observe(&mut store, 3356, 20_001), (open, false));
     }
 
     #[test]

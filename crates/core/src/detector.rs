@@ -122,29 +122,15 @@ impl ShardRules {
     }
 }
 
-/// Per-owned-prefix mutable accounting.
-///
-/// Each configured prefix gets its own shard: the alerts raised for it
-/// (the dedup scope) and its event counter. Events are routed to
-/// exactly one shard via longest-prefix match, so concurrent incidents
-/// on different prefixes never contend on shared state and per-event
-/// work stays independent of how many prefixes an operator configures.
-struct DetectorShard {
-    /// Alerts raised for this shard (dedup scope).
-    alerts: Vec<AlertId>,
-    /// Events routed to this shard.
-    events: u64,
-}
-
 /// What [`Detector::remove_shard`] hands back: everything the caller
 /// needs to wind an offboarded prefix down cleanly.
 #[derive(Debug)]
 pub struct RemovedShard {
     /// The shard's configuration at removal time.
     pub owned: OwnedPrefix,
-    /// Every alert the shard raised over its lifetime (the caller
-    /// closes the still-open ones).
-    pub alerts: Vec<AlertId>,
+    /// The shard's open alerts, ascending. They no longer absorb
+    /// witnesses; the caller closes them.
+    pub open_alerts: Vec<AlertId>,
     /// Events the shard processed (final accounting).
     pub events: u64,
 }
@@ -233,15 +219,20 @@ fn prepare_with(
 }
 
 /// The ARTEMIS detection service.
+///
+/// Each configured prefix gets its own shard: its rules, its event
+/// counter and its dirty flag, at one index in the parallel vectors
+/// below. Events are routed to exactly one shard via longest-prefix
+/// match, so per-event work stays independent of how many prefixes an
+/// operator configures.
 pub struct Detector {
     operator_as: Asn,
-    shards: Vec<DetectorShard>,
     /// Classification rules per shard — also the only copy of the
     /// owned-prefix table the pipeline keeps.
     rules: Vec<ShardRules>,
     /// Routes an observed prefix to the responsible shard (index into
-    /// `shards`/`rules`) by longest-prefix match. Onboard/offboard
-    /// patch it incrementally (O(affected subtree)) and bump its epoch.
+    /// `rules`) by longest-prefix match. Onboard/offboard patch it
+    /// incrementally (O(affected subtree)) and bump its epoch.
     routing: RoutingEpoch,
     store: AlertStore,
     events_processed: u64,
@@ -249,6 +240,8 @@ pub struct Detector {
     /// batch-start [`PreparedEvent`]s for them are stale and commit by
     /// re-classifying against live state instead.
     dirty: Vec<bool>,
+    /// Events routed to each shard.
+    events: Vec<u64>,
     /// Every index set in `dirty` since the last batch start (possibly
     /// repeated, possibly stale after an offboard), so starting a batch
     /// clears only those instead of one flag per shard of the fleet.
@@ -262,40 +255,35 @@ impl Detector {
     pub fn new(config: ArtemisConfig) -> Self {
         let operator_as = config.operator_as;
         let mut flat = FlatTrie::new();
-        let mut shards = Vec::with_capacity(config.owned.len());
         let mut rules = Vec::with_capacity(config.owned.len());
         for o in config.owned {
             let mut expected = BTreeSet::new();
             if !o.dormant {
                 expected.insert(o.prefix);
             }
-            flat.insert(o.prefix, shards.len());
+            flat.insert(o.prefix, rules.len());
             rules.push(ShardRules { owned: o, expected });
-            shards.push(DetectorShard {
-                alerts: Vec::new(),
-                events: 0,
-            });
         }
-        let dirty = vec![false; shards.len()];
+        let shards = rules.len();
         Detector {
             operator_as,
-            shards,
             rules,
             routing: RoutingEpoch { flat, epoch: 0 },
             store: AlertStore::new(),
             events_processed: 0,
-            dirty,
+            dirty: vec![false; shards],
+            events: vec![0; shards],
             dirtied: Vec::new(),
         }
     }
 
     /// Number of per-prefix shards (one per configured owned prefix).
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.rules.len()
     }
 
     /// Onboard an owned prefix at runtime: a fresh shard with its own
-    /// legitimacy rules, expectation set and alert scope, routed like
+    /// legitimacy rules and expectation set, routed like
     /// any construction-time shard. Returns `false` (and changes
     /// nothing) when a shard for exactly this prefix already exists.
     pub fn add_shard(&mut self, owned: OwnedPrefix) -> bool {
@@ -306,31 +294,30 @@ impl Detector {
         if !owned.dormant {
             expected.insert(owned.prefix);
         }
-        self.routing.flat.insert(owned.prefix, self.shards.len());
+        self.routing.flat.insert(owned.prefix, self.rules.len());
         self.routing.epoch += 1;
         self.rules.push(ShardRules { owned, expected });
-        self.shards.push(DetectorShard {
-            alerts: Vec::new(),
-            events: 0,
-        });
+        self.events.push(0);
         self.dirty.push(false);
         self.mark_dirty(self.dirty.len() - 1);
         true
     }
 
     /// Offboard the shard owning exactly `owned`, returning its
-    /// configuration and the alerts it raised (so the caller can close
-    /// in-flight incidents). Events for the removed address space
-    /// classify as "not our prefix" (benign) from now on.
+    /// configuration and its open alerts (so the caller can close
+    /// in-flight incidents). Those alerts stop absorbing witnesses:
+    /// should the prefix be onboarded again, a witness opens a new
+    /// incident. Events for the removed address space classify as "not
+    /// our prefix" (benign) from now on.
     pub fn remove_shard(&mut self, owned: Prefix) -> Option<RemovedShard> {
         let idx = self.routing.flat.remove(owned)?;
         self.routing.epoch += 1;
-        let shard = self.shards.swap_remove(idx);
         let rules = self.rules.swap_remove(idx);
+        let events = self.events.swap_remove(idx);
         self.dirty.swap_remove(idx);
         // `swap_remove` moved the former last shard into `idx`; its
         // routing entry must follow it.
-        if idx < self.shards.len() {
+        if idx < self.rules.len() {
             let moved_prefix = self.rules[idx].owned.prefix;
             *self
                 .routing
@@ -341,14 +328,14 @@ impl Detector {
         }
         Some(RemovedShard {
             owned: rules.owned,
-            alerts: shard.alerts,
-            events: shard.events,
+            open_alerts: self.store.drain_open(owned),
+            events,
         })
     }
 
     /// Events routed to the shard owning exactly `owned`, if any.
     pub fn shard_events(&self, owned: Prefix) -> Option<u64> {
-        self.routing.flat.get(owned).map(|i| self.shards[*i].events)
+        self.routing.flat.get(owned).map(|i| self.events[*i])
     }
 
     fn mark_dirty(&mut self, idx: usize) {
@@ -472,7 +459,7 @@ impl Detector {
             return Detection::Benign;
         };
         let idx = idx as usize;
-        self.shards[idx].events += 1;
+        self.events[idx] += 1;
         let (hijack_type, observed_origin) = if self.dirty[idx] {
             let as_path = event.as_path.as_ref().expect("routed events carry a path");
             let origin = event.origin_as.or_else(|| as_path.origin());
@@ -491,7 +478,7 @@ impl Detector {
         self.process_prepared(event, prep)
     }
 
-    /// Commit tail: per-shard alert dedup.
+    /// Commit tail: alert dedup against the shard's open alerts.
     fn commit(
         &mut self,
         event: &FeedEvent,
@@ -503,18 +490,9 @@ impl Detector {
             return Detection::Benign;
         };
         let owned_prefix = self.rules[idx].owned.prefix;
-        let shard = &mut self.shards[idx];
-        let (id, new) = self.store.observe_scoped(
-            &mut shard.alerts,
-            hijack_type,
-            owned_prefix,
-            event.prefix,
-            observed_origin,
-            event.vantage,
-            event.emitted_at,
-            event.observed_at,
-            event.source,
-        );
+        let (id, new) = self
+            .store
+            .observe(hijack_type, owned_prefix, observed_origin, event);
         if new {
             Detection::NewAlert(id)
         } else {
@@ -804,7 +782,7 @@ mod tests {
         };
         let removed = d.remove_shard(pfx("10.0.0.0/23")).expect("shard exists");
         assert_eq!(removed.owned.prefix, pfx("10.0.0.0/23"));
-        assert_eq!(removed.alerts, vec![id]);
+        assert_eq!(removed.open_alerts, vec![id]);
         assert_eq!(removed.events, 1);
         assert_eq!(d.shard_count(), 1);
         assert!(d.remove_shard(pfx("10.0.0.0/23")).is_none());
@@ -944,7 +922,8 @@ mod tests {
         ];
         let check = |d: &Detector| {
             // The routing structure must mirror the shard table exactly…
-            assert_eq!(d.routing.len(), d.shards.len());
+            assert_eq!(d.routing.len(), d.rules.len());
+            assert_eq!(d.events.len(), d.rules.len());
             for (i, r) in d.rules.iter().enumerate() {
                 assert_eq!(d.routing.flat.get(r.owned.prefix), Some(&i));
             }

@@ -151,8 +151,9 @@ pub struct Pipeline {
     retired_coalesced_points: u64,
     /// Plans computed but held (confirm-first policy, or paused).
     pending: BTreeMap<AlertId, MitigationPlan>,
-    /// Plans that were executed, for withdrawal on offboard.
-    executed_plans: BTreeMap<AlertId, MitigationPlan>,
+    /// Plans that were executed, keyed by owned prefix so an offboard
+    /// withdraws the prefix's plans as one range.
+    executed_plans: BTreeMap<(Prefix, AlertId), MitigationPlan>,
     /// True while mitigation is paused (detection continues).
     paused: bool,
     /// Owned, replayable record of everything noteworthy.
@@ -342,34 +343,28 @@ impl Pipeline {
     ) -> Option<OffboardReport> {
         let removed = self.detector.remove_shard(prefix)?;
         self.mitigator.clear_policy(prefix);
-        let mut closed_alerts = Vec::new();
+        // Withdraw every plan ever executed on this prefix, in id order
+        // — a naturally resolved incident keeps its de-aggregated
+        // announcements installed by design, so resolved alerts need
+        // the withdrawal just as much as open ones.
         let mut withdrawn_plans = 0usize;
-        for id in &removed.alerts {
+        let executed = self.executed_plans.extract_if(
+            (prefix, AlertId(0))..=(prefix, AlertId(u64::MAX)),
+            |_, _| true,
+        );
+        for (_, plan) in executed {
+            self.mitigator
+                .withdraw(&plan, now, controller, helper_controllers);
+            withdrawn_plans += 1;
+        }
+        let closed_alerts = removed.open_alerts;
+        for id in &closed_alerts {
             self.pending.remove(id);
             self.recheck.remove(id);
-            // Withdraw every plan ever executed on this shard — a
-            // naturally resolved incident keeps its de-aggregated
-            // announcements installed by design, so resolved alerts
-            // need the withdrawal just as much as open ones.
-            if let Some(plan) = self.executed_plans.remove(id) {
-                self.mitigator
-                    .withdraw(&plan, now, controller, helper_controllers);
-                withdrawn_plans += 1;
-            }
-            let open = self
-                .detector
-                .alerts()
-                .get(*id)
-                .map(|a| a.state != AlertState::Resolved)
-                .unwrap_or(false);
-            if !open {
-                continue;
-            }
             self.detector.alerts_mut().mark_resolved(*id, now);
             if let Some(monitor) = self.take_monitor(*id) {
                 self.retire_monitor(*id, monitor, now);
             }
-            closed_alerts.push(*id);
         }
         self.log.push(IncidentEvent::PrefixOffboarded {
             prefix,
@@ -914,19 +909,18 @@ impl Pipeline {
         // A Squatting plan announces the dormant prefix itself: from
         // now on it is active, and the echo of our own announcement
         // must classify under normal rules.
-        let squat_target = self
-            .detector
-            .alerts()
-            .get(id)
-            .filter(|a| a.hijack_type == crate::classify::HijackType::Squatting)
-            .map(|a| a.owned_prefix);
-        if let Some(prefix) = squat_target {
-            self.detector.activate_prefix(prefix);
+        let alert = self.detector.alerts().get(id).expect("alert exists");
+        let (owned_prefix, squat) = (
+            alert.owned_prefix,
+            alert.hijack_type == crate::classify::HijackType::Squatting,
+        );
+        if squat {
+            self.detector.activate_prefix(owned_prefix);
         }
         self.mitigator
             .execute(&plan, now, controller, helper_controllers);
         self.detector.alerts_mut().mark_mitigating(id, now);
-        self.executed_plans.insert(id, plan.clone());
+        self.executed_plans.insert((owned_prefix, id), plan.clone());
         self.log.push(IncidentEvent::MitigationTriggered {
             alert: id,
             plan,
@@ -1566,50 +1560,82 @@ mod tests {
         // A resolved incident keeps its de-aggregated announcements
         // installed by design; offboarding the prefix must withdraw
         // them anyway, or the operator keeps originating space it no
-        // longer owns.
-        let mut p = two_prefix_pipeline();
-        let mut ctrl = controller();
-        let acts = deliver(
-            &mut p,
-            &event(174, "10.0.0.0/23", &[174, 666], 45),
-            &mut ctrl,
+        // longer owns. The second input nests an owned /24 inside the
+        // offboarded /22, with a mitigated incident of its own: that
+        // incident stays open and its plan stays installed.
+        let nested_fleet = ArtemisConfig::new(
+            Asn(65001),
+            vec![
+                OwnedPrefix::new(pfx("10.0.0.0/22"), Asn(65001)),
+                OwnedPrefix::new(pfx("10.0.3.0/24"), Asn(65001)),
+            ],
         );
-        let IncidentEvent::AlertRaised { alert: id, .. } = acts[0] else {
-            panic!("must alert");
-        };
-        // The mitigation /24 echo resolves the incident naturally.
-        let acts = deliver(
-            &mut p,
-            &event(174, "10.0.0.0/24", &[174, 65001], 120),
-            &mut ctrl,
-        );
-        assert!(acts
-            .iter()
-            .any(|a| matches!(a, IncidentEvent::Resolved { alert, .. } if *alert == id)));
+        let inputs = [
+            (two_prefix_pipeline(), "10.0.0.0/23", "10.0.0.0/24", None),
+            (
+                Pipeline::bare(nested_fleet, [Asn(174), Asn(3356)].into_iter().collect()),
+                "10.0.0.0/22",
+                "10.0.0.0/23",
+                Some("10.0.3.0/24"),
+            ),
+        ];
+        for (mut p, owned, echo, nested) in inputs {
+            let mut ctrl = controller();
+            let acts = deliver(&mut p, &event(174, owned, &[174, 666], 45), &mut ctrl);
+            let IncidentEvent::AlertRaised { alert: id, .. } = acts[0] else {
+                panic!("must alert");
+            };
+            // AS2914 is no monitored vantage point, so the /22's
+            // monitor ignores the nested hijack and still resolves.
+            let nested_alert = nested.map(|n| {
+                let acts = deliver(&mut p, &event(2914, n, &[2914, 777], 50), &mut ctrl);
+                let IncidentEvent::AlertRaised { alert, .. } = acts[0] else {
+                    panic!("must alert");
+                };
+                alert
+            });
+            // The mitigation echo resolves the incident naturally.
+            let acts = deliver(&mut p, &event(174, echo, &[174, 65001], 120), &mut ctrl);
+            assert!(acts
+                .iter()
+                .any(|a| matches!(a, IncidentEvent::Resolved { alert, .. } if *alert == id)));
 
-        let report = p
-            .remove_owned_prefix(
-                pfx("10.0.0.0/23"),
-                SimTime::from_secs(200),
-                &mut ctrl,
-                &mut [],
-            )
-            .expect("prefix configured");
-        assert!(report.closed_alerts.is_empty(), "nothing was still open");
-        assert_eq!(report.withdrawn_plans, 1, "resolved plan still withdrawn");
-        let announces = ctrl
-            .intents()
-            .filter(|i| i.kind == IntentKind::Announce)
-            .count();
-        let withdraws = ctrl
-            .intents()
-            .filter(|i| i.kind == IntentKind::Withdraw)
-            .count();
-        assert_eq!(announces, withdraws, "no intent keeps originating");
-        assert!(
-            !p.executed_plans.contains_key(&id),
-            "plan bookkeeping cleared"
-        );
+            let report = p
+                .remove_owned_prefix(pfx(owned), SimTime::from_secs(200), &mut ctrl, &mut [])
+                .expect("prefix configured");
+            assert!(report.closed_alerts.is_empty(), "nothing was still open");
+            assert_eq!(report.withdrawn_plans, 1, "resolved plan still withdrawn");
+            let announced: Vec<Prefix> = ctrl
+                .intents()
+                .filter(|i| i.kind == IntentKind::Announce && pfx(owned).contains(i.prefix))
+                .filter(|i| nested.is_none_or(|n| !pfx(n).contains(i.prefix)))
+                .map(|i| i.prefix)
+                .collect();
+            let withdrawn: Vec<Prefix> = ctrl
+                .intents()
+                .filter(|i| i.kind == IntentKind::Withdraw)
+                .map(|i| i.prefix)
+                .collect();
+            assert_eq!(announced.len(), 2);
+            assert_eq!(withdrawn, announced, "no intent keeps originating");
+            assert!(
+                !p.executed_plans.contains_key(&(pfx(owned), id)),
+                "plan bookkeeping cleared"
+            );
+            if let (Some(n), Some(nested_alert)) = (nested, nested_alert) {
+                assert_eq!(
+                    p.detector().alerts().get(nested_alert).unwrap().state,
+                    AlertState::Mitigating
+                );
+                assert!(p.monitor_for(nested_alert).is_some());
+                assert!(p.executed_plans.contains_key(&(pfx(n), nested_alert)));
+                let acts = deliver(&mut p, &event(2914, n, &[2914, 777], 210), &mut ctrl);
+                assert!(
+                    acts.is_empty(),
+                    "the nested incident still absorbs: {acts:?}"
+                );
+            }
+        }
     }
 
     #[test]

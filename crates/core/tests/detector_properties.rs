@@ -1,7 +1,9 @@
 //! Property tests for the detector: no false positives on legitimate
-//! traffic, no false negatives on hijacks, dedup sanity.
+//! traffic, no false negatives on hijacks, dedup sanity, and repeat
+//! victims held to a linear model of dedup.
 
 use artemis_bgp::{AsPath, Asn, Prefix};
+use artemis_core::alert::{AlertId, AlertState};
 use artemis_core::detector::Detection;
 use artemis_core::{ArtemisConfig, Detector, OwnedPrefix};
 use artemis_feeds::{FeedEvent, FeedKind};
@@ -44,7 +46,137 @@ fn arb_transit() -> impl Strategy<Value = u32> {
     })
 }
 
+/// The repeat-victim fleet: an owned /22 and an owned /24 nested in it.
+const NESTED_FLEET: [&str; 2] = ["10.0.0.0/22", "10.0.1.0/24"];
+/// What the repeat-victim histories announce: each owned prefix
+/// itself and more-specifics of each.
+const OBSERVED: [&str; 5] = [
+    "10.0.0.0/22",
+    "10.0.0.0/23",
+    "10.0.2.0/24",
+    "10.0.1.0/24",
+    "10.0.1.128/25",
+];
+
+fn pfx(s: &str) -> Prefix {
+    s.parse().expect("valid")
+}
+
+/// One step of a repeat-victim history.
+#[derive(Debug, Clone)]
+enum Step {
+    /// `AS<vantage>` sees `AS<origin>` announce `OBSERVED[observed]`.
+    Witness {
+        vantage: u32,
+        origin: u32,
+        observed: usize,
+    },
+    /// Resolve the `k`-th unresolved alert (mod their count).
+    Resolve(usize),
+    /// Offboard `NESTED_FLEET[i]` and onboard it again.
+    Reonboard(usize),
+}
+
+fn arb_step() -> impl Strategy<Value = Step> {
+    (0u8..10, 0usize..64, 0u32..3, 0u32..3).prop_map(|(kind, k, origin, vantage)| match kind {
+        0..=6 => Step::Witness {
+            vantage: [UPSTREAM_A, UPSTREAM_B, 2_914][vantage as usize],
+            origin: [666, 667, VICTIM][origin as usize],
+            observed: k % OBSERVED.len(),
+        },
+        7 | 8 => Step::Resolve(k),
+        _ => Step::Reonboard(k % NESTED_FLEET.len()),
+    })
+}
+
+/// The linear model of dedup: the unresolved alert on `key` raised
+/// since `owned` was last onboarded (`since` is the first id raised
+/// after that), found by scanning every alert ever raised.
+fn model_open(d: &Detector, key: (Prefix, Prefix, Option<Asn>), since: AlertId) -> Option<AlertId> {
+    d.alerts()
+        .all()
+        .iter()
+        .find(|a| {
+            a.state != AlertState::Resolved
+                && a.id >= since
+                && (a.owned_prefix, a.observed_prefix, a.offending_origin) == key
+        })
+        .map(|a| a.id)
+}
+
 proptest! {
+    /// Hijacks that come back — after their incident resolved, or
+    /// after their prefix was offboarded and onboarded again — open a
+    /// new incident exactly when the linear model finds no open one on
+    /// the same key, and join the open one otherwise. An offboard hands
+    /// back exactly the prefix's open alerts, ascending.
+    #[test]
+    fn repeat_victims_match_a_linear_model(
+        steps in prop::collection::vec(arb_step(), 1..160),
+    ) {
+        let fleet: Vec<Prefix> = NESTED_FLEET.iter().map(|p| pfx(p)).collect();
+        let onboard = |p: Prefix| OwnedPrefix::new(p, Asn(VICTIM));
+        let mut d = Detector::new(ArtemisConfig::new(
+            Asn(VICTIM),
+            fleet.iter().map(|p| onboard(*p)).collect(),
+        ));
+        // The first id each owned prefix may dedup against.
+        let mut since = [AlertId(0); 2];
+        let next_id = |d: &Detector| AlertId(d.alerts().all().len() as u64);
+        for (t, step) in steps.into_iter().enumerate() {
+            match step {
+                Step::Witness { vantage, origin, observed } => {
+                    let observed = pfx(OBSERVED[observed]);
+                    let owner = (0..fleet.len())
+                        .filter(|i| fleet[*i].contains(observed))
+                        .max_by_key(|i| fleet[*i].len())
+                        .expect("observed inside the fleet");
+                    let owned = fleet[owner];
+                    let hijack = observed != owned || origin != VICTIM;
+                    let key = (owned, observed, Some(Asn(origin)));
+                    let expected = if !hijack {
+                        Detection::Benign
+                    } else {
+                        match model_open(&d, key, since[owner]) {
+                            Some(id) => Detection::UpdatedAlert(id),
+                            None => Detection::NewAlert(next_id(&d)),
+                        }
+                    };
+                    let got = d.process(&event(observed, vec![vantage, origin], t as u64));
+                    prop_assert_eq!(&got, &expected);
+                    if let Detection::NewAlert(id) = got {
+                        let alert = d.alerts().get(id).expect("stored");
+                        prop_assert_eq!(
+                            (alert.owned_prefix, alert.observed_prefix, alert.offending_origin),
+                            key
+                        );
+                    }
+                }
+                Step::Resolve(k) => {
+                    let open: Vec<AlertId> =
+                        d.alerts().active().map(|a| a.id).collect();
+                    if !open.is_empty() {
+                        let id = open[k % open.len()];
+                        d.alerts_mut().mark_resolved(id, SimTime::from_secs(t as u64));
+                    }
+                }
+                Step::Reonboard(i) => {
+                    let owned = fleet[i];
+                    let expected: Vec<AlertId> = d
+                        .alerts()
+                        .active()
+                        .filter(|a| a.owned_prefix == owned && a.id >= since[i])
+                        .map(|a| a.id)
+                        .collect();
+                    let removed = d.remove_shard(owned).expect("onboarded");
+                    prop_assert_eq!(removed.open_alerts, expected);
+                    prop_assert!(d.add_shard(onboard(owned)));
+                    since[i] = next_id(&d);
+                }
+            }
+        }
+    }
+
     /// Announcements of the owned prefix with the legitimate origin
     /// through a known upstream never alert, whatever the transit tail.
     #[test]

@@ -57,7 +57,8 @@ struct LiveCounters {
     decoded: AtomicU64,
     /// Events rejected by the pre-ring filter.
     filtered: AtomicU64,
-    /// Messages skipped on per-message decode defects.
+    /// Messages skipped on per-message decode defects, plus one for a
+    /// reader thread that failed to start.
     diagnostics: AtomicU64,
     /// Completed re-dials after an established session was lost.
     reconnects: AtomicU64,
@@ -126,7 +127,8 @@ pub struct LiveFeedStats {
     pub shed: u64,
     /// Events currently parked in the ring.
     pub pending: usize,
-    /// Messages skipped because their body failed to decode.
+    /// Messages skipped because their body failed to decode, plus one
+    /// for a reader thread that failed to start.
     pub diagnostics: u64,
     /// Completed re-dials after an established session was lost.
     pub reconnects: u64,
@@ -180,17 +182,26 @@ impl BmpLiveFeed {
             let counters = Arc::clone(&counters);
             let shutdown = Arc::clone(&shutdown);
             let collector = Arc::clone(&name);
+            // `spawn` refuses a thread name with an interior NUL; the
+            // feed itself keeps the name as given.
             std::thread::Builder::new()
-                .name(format!("bmp-live-{name}"))
+                .name(format!("bmp-live-{name}").replace('\0', ""))
                 .spawn(move || reader_main(addr, config, collector, ring, counters, shutdown))
-                .expect("spawn bmp reader thread")
         };
+        // A feed whose reader could not start never connects: it counts
+        // the failure and reports itself disconnected.
+        let reader = reader
+            .inspect_err(|_| {
+                counters.diagnostics.fetch_add(1, Ordering::Relaxed);
+                counters.disconnected.store(true, Ordering::Relaxed);
+            })
+            .ok();
         BmpLiveFeed {
             name,
             ring,
             counters,
             shutdown,
-            reader: Some(reader),
+            reader,
             emitted: 0,
             polls: 0,
         }
