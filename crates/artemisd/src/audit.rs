@@ -5,7 +5,9 @@
 //! clock (milliseconds since daemon start) and the service-clock
 //! instant the command was applied at. Records are held in memory for
 //! the `/v1/audit` endpoint and, when a path is configured, appended
-//! as JSON lines to a file that survives the daemon.
+//! as JSON lines to a file that survives the daemon. A record the file
+//! does not take (full disk, revoked file) is still served from memory
+//! and counted in `artemis_audit_write_errors_total`.
 
 use artemis_core::wire::CommandResult;
 use artemis_core::ServiceCommand;
@@ -40,6 +42,7 @@ impl AuditRecord {
 pub struct AuditLog {
     records: Vec<AuditRecord>,
     file: Option<std::fs::File>,
+    write_errors: u64,
 }
 
 impl AuditLog {
@@ -48,6 +51,7 @@ impl AuditLog {
         AuditLog {
             records: Vec::new(),
             file: None,
+            write_errors: 0,
         }
     }
 
@@ -61,6 +65,7 @@ impl AuditLog {
         Ok(AuditLog {
             records: Vec::new(),
             file: Some(file),
+            write_errors: 0,
         })
     }
 
@@ -79,10 +84,13 @@ impl AuditLog {
             command,
             result,
         };
-        if let (Some(file), Ok(line)) = (self.file.as_mut(), serde_json::to_string(&rec)) {
-            // Audit persistence must never take the control plane down;
-            // a full disk degrades to in-memory-only records.
-            let _ = writeln!(file, "{line}");
+        if let Some(file) = self.file.as_mut() {
+            // Audit persistence must never take the control plane down:
+            // a record the file does not take is kept in memory and
+            // counted, so the loss shows on `/metrics`.
+            let persisted =
+                serde_json::to_string(&rec).is_ok_and(|line| writeln!(file, "{line}").is_ok());
+            self.write_errors += u64::from(!persisted);
         }
         self.records.push(rec);
         self.records.last().expect("just pushed")
@@ -97,6 +105,12 @@ impl AuditLog {
     /// Total records appended.
     pub fn len(&self) -> u64 {
         self.records.len() as u64
+    }
+
+    /// Records the file did not take (serialization or write failed).
+    /// Always 0 for an in-memory log.
+    pub(crate) fn write_errors(&self) -> u64 {
+        self.write_errors
     }
 
     /// True before the first record.

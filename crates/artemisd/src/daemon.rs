@@ -399,6 +399,7 @@ fn handle_metrics(shared: &Shared) -> Response {
     let daemon = crate::metrics::DaemonGauges {
         alert_queue_depth: inner.dispatcher.queued(),
         audit_records: inner.audit.len(),
+        audit_write_errors: inner.audit.write_errors(),
         state_lock_poisoned: shared.state_lock_poisoned.load(Ordering::Relaxed),
         feed_pump_wakeups: shared.feed_pump_wakeups.load(Ordering::Relaxed),
         feed_pump_panics: shared.feed_pump_panics.load(Ordering::Relaxed),

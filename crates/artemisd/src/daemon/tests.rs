@@ -18,8 +18,7 @@
 
 use super::*;
 use crate::CtlClient;
-use artemis_bgp::{AsPath, Asn, BgpMessage, PathAttributes, Prefix, UpdateMessage};
-use artemis_bgpsim::RouteChange;
+use artemis_bgp::{AsPath, Asn, BgpMessage, PathAttributes, Prefix, RouteChange, UpdateMessage};
 use artemis_bmp::{BmpMessage, BmpWriter, PeerHeader};
 use artemis_controller::Controller;
 use artemis_core::wire::CommandResult;
@@ -328,5 +327,37 @@ fn a_panicking_feed_poll_is_counted_and_the_pump_keeps_going() {
         .events
         .iter()
         .any(|e| matches!(e, IncidentEvent::AlertRaised { .. })));
+    daemon.shutdown();
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn audit_records_the_file_refuses_are_served_from_memory_and_counted() {
+    // Every write to /dev/full fails with ENOSPC: the audit file takes
+    // nothing, yet every command must succeed and stay listed.
+    let controller = Controller::new(OPERATOR, LatencyModel::const_secs(15), SimRng::new(1));
+    let service = ArtemisService::new(pipeline(), controller);
+    let config = DaemonConfig {
+        audit_path: Some("/dev/full".into()),
+        ..DaemonConfig::default()
+    };
+    let daemon = Daemon::start("127.0.0.1:0", service, config).unwrap();
+    let client = CtlClient::new(daemon.addr().to_string());
+    const N: u64 = 4;
+    for i in 0..N {
+        let owned = OwnedPrefix::new(format!("172.16.{i}.0/24").parse().unwrap(), OPERATOR);
+        let command = ServiceCommand::AddOwnedPrefix {
+            owned,
+            policy: None,
+        };
+        let out = client.apply(command, Some(SimTime::from_secs(i))).unwrap();
+        assert!(matches!(out.result, CommandResult::Outcome(_)), "{out:?}");
+    }
+    let audit = client.audit(0).unwrap();
+    assert_eq!(audit.len() as u64, N);
+    assert!(audit.iter().all(|r| r.accepted()));
+    let metrics = client.metrics_text().unwrap();
+    assert_eq!(counter(&metrics, "artemis_audit_records_total"), N);
+    assert_eq!(counter(&metrics, "artemis_audit_write_errors_total"), N);
     daemon.shutdown();
 }

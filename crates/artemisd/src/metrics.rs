@@ -52,6 +52,8 @@ pub struct DaemonGauges {
     pub alert_queue_depth: usize,
     /// Operator commands audited.
     pub audit_records: u64,
+    /// Audited commands the audit file did not take.
+    pub audit_write_errors: u64,
     /// Times the state lock was taken over from a thread that
     /// panicked while holding it.
     pub state_lock_poisoned: u64,
@@ -321,6 +323,16 @@ pub fn render(
     out.push_str("# HELP artemis_audit_records_total Operator commands audited.\n");
     out.push_str("# TYPE artemis_audit_records_total counter\n");
     let _ = writeln!(out, "artemis_audit_records_total {}", daemon.audit_records);
+    out.push_str(
+        "# HELP artemis_audit_write_errors_total Audited commands the audit file did not take \
+         (kept in memory only).\n",
+    );
+    out.push_str("# TYPE artemis_audit_write_errors_total counter\n");
+    let _ = writeln!(
+        out,
+        "artemis_audit_write_errors_total {}",
+        daemon.audit_write_errors
+    );
 
     // -- daemon threads ------------------------------------------------
     out.push_str(
@@ -390,6 +402,7 @@ mod tests {
             &DaemonGauges {
                 alert_queue_depth: 0,
                 audit_records: 5,
+                audit_write_errors: 3,
                 state_lock_poisoned: 1,
                 feed_pump_wakeups: 12,
                 feed_pump_panics: 2,
@@ -408,6 +421,7 @@ mod tests {
         assert!(text.contains("artemis_incidents{phase=\"none\"} 0"));
         assert!(text.contains("artemis_owned_prefixes 100000"));
         assert!(text.contains("artemis_audit_records_total 5"));
+        assert!(text.contains("artemis_audit_write_errors_total 3"));
         assert!(text.contains("artemis_state_lock_poisoned_total 1"));
         assert!(text.contains("artemis_feed_pump_wakeups_total 12"));
         assert!(text.contains("artemis_feed_pump_panics_total 2"));

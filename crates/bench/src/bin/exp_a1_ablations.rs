@@ -10,10 +10,10 @@
 //! cargo run --release -p artemis-bench --bin exp_a1_ablations [trials] [seed]
 //! ```
 
+use artemis_bench::report::{DurationStats, Table};
 use artemis_bench::{arg_seed, arg_trials, collect_metric, run_trials};
-use artemis_core::report::{DurationStats, Table};
-use artemis_core::{DeaggregationPolicy, ExperimentBuilder};
-use artemis_feeds::VantageStrategy;
+use artemis_bench::{ExperimentBuilder, VantageStrategy};
+use artemis_core::DeaggregationPolicy;
 
 fn mean_str(samples: &[artemis_simnet::SimDuration]) -> String {
     DurationStats::from_samples(samples)

@@ -10,10 +10,10 @@
 //! cargo run --release -p artemis-bench --bin exp_a2_attack_types [trials] [seed]
 //! ```
 
+use artemis_bench::experiment::AttackKind;
+use artemis_bench::report::{DurationStats, Table};
+use artemis_bench::ExperimentBuilder;
 use artemis_bench::{arg_seed, arg_trials, collect_metric, run_trials};
-use artemis_core::experiment::AttackKind;
-use artemis_core::report::{DurationStats, Table};
-use artemis_core::ExperimentBuilder;
 
 fn main() {
     let trials = arg_trials(8);

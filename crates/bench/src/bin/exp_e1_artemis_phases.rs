@@ -12,9 +12,9 @@
 //! cargo run --release -p artemis-bench --bin exp_e1_artemis_phases [trials] [seed]
 //! ```
 
+use artemis_bench::report::{DurationStats, Table};
+use artemis_bench::ExperimentBuilder;
 use artemis_bench::{arg_seed, arg_trials, collect_metric, run_trials};
-use artemis_core::report::{DurationStats, Table};
-use artemis_core::ExperimentBuilder;
 
 fn main() {
     let trials = arg_trials(30);

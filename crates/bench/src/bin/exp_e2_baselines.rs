@@ -10,10 +10,10 @@
 //! cargo run --release -p artemis-bench --bin exp_e2_baselines [trials] [seed]
 //! ```
 
+use artemis_bench::baseline::{run_baseline, BaselineKind};
+use artemis_bench::report::{DurationStats, Table};
+use artemis_bench::ExperimentBuilder;
 use artemis_bench::{arg_seed, arg_trials, run_trials};
-use artemis_core::baseline::{run_baseline, BaselineKind};
-use artemis_core::report::{DurationStats, Table};
-use artemis_core::ExperimentBuilder;
 use artemis_simnet::SimDuration;
 
 fn main() {

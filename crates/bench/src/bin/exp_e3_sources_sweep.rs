@@ -13,10 +13,10 @@
 //! cargo run --release -p artemis-bench --bin exp_e3_sources_sweep [trials] [seed]
 //! ```
 
+use artemis_bench::experiment::SourceSelection;
+use artemis_bench::report::{DurationStats, Table};
+use artemis_bench::ExperimentBuilder;
 use artemis_bench::{arg_seed, arg_trials, collect_metric, run_trials};
-use artemis_core::experiment::SourceSelection;
-use artemis_core::report::{DurationStats, Table};
-use artemis_core::ExperimentBuilder;
 
 fn main() {
     let trials = arg_trials(10);

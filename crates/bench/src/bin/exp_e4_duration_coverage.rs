@@ -11,10 +11,10 @@
 //! cargo run --release -p artemis-bench --bin exp_e4_duration_coverage [trials] [seed]
 //! ```
 
+use artemis_bench::baseline::{run_baseline, BaselineKind};
+use artemis_bench::report::{DurationStats, Table};
 use artemis_bench::{arg_seed, arg_trials, collect_metric, run_trials};
-use artemis_core::baseline::{run_baseline, BaselineKind};
-use artemis_core::report::{DurationStats, Table};
-use artemis_core::{ExperimentBuilder, HijackDurationModel};
+use artemis_bench::{ExperimentBuilder, HijackDurationModel};
 use artemis_simnet::SimDuration;
 
 fn main() {

@@ -14,11 +14,11 @@
 //! cargo run --release -p artemis-bench --bin exp_e5_deaggregation [trials] [seed]
 //! ```
 
+use artemis_bench::report::Table;
+use artemis_bench::ExperimentBuilder;
 use artemis_bench::{arg_seed, arg_trials};
 use artemis_bgp::{Asn, Prefix};
 use artemis_bgpsim::{Engine, SimConfig};
-use artemis_core::report::Table;
-use artemis_core::ExperimentBuilder;
 use artemis_simnet::SimRng;
 use artemis_topology::{generate, TopologyConfig};
 

@@ -6,8 +6,8 @@
 //! cargo run --release -p artemis-bench --bin exp_e6_propagation_timeline [seed]
 //! ```
 
-use artemis_core::viz::{render_milestones, render_timeline};
-use artemis_core::ExperimentBuilder;
+use artemis_bench::viz::{render_milestones, render_timeline};
+use artemis_bench::ExperimentBuilder;
 
 fn main() {
     let seed: u64 = std::env::args()

@@ -18,21 +18,19 @@
 //! The run interleaves four clock domains deterministically — the BGP
 //! engine, the controller's install queue, pull-feed polls, and
 //! batched feed-event deliveries — by assembling an
-//! [`ArtemisService`] (pipeline + controller) and delegating to
-//! [`ArtemisService::run`]; the harness itself only assembles the
-//! scenario and records milestones.
+//! [`ArtemisService`] (pipeline + controller) and handing it to
+//! [`crate::run`]; the harness itself only assembles the scenario and
+//! records milestones.
 
-use crate::config::{ArtemisConfig, OwnedPrefix};
-use crate::event_log::IncidentEvent;
-use crate::monitor::TimelinePoint;
-use crate::pipeline::Pipeline;
-use crate::service::ArtemisService;
+use crate::vantage::VantageStrategy;
 use artemis_bgp::{Asn, Prefix};
 use artemis_bgpsim::{Engine, SimConfig};
 use artemis_controller::{Controller, IntentKind};
+use artemis_core::config::{ArtemisConfig, DeaggregationPolicy, OwnedPrefix};
+use artemis_core::monitor::TimelinePoint;
+use artemis_core::{ArtemisService, HijackType, IncidentEvent, Pipeline};
 use artemis_feeds::{
     vantage::group_into_collectors, FeedHub, FeedKind, LookingGlass, PeriscopeFeed, StreamFeed,
-    VantageStrategy,
 };
 use artemis_simnet::{LatencyModel, SimDuration, SimRng, SimTime};
 use artemis_topology::{generate, GeneratedTopology, TopologyConfig};
@@ -134,7 +132,7 @@ pub struct ExperimentBuilder {
     /// Disable mitigation (detection-only runs, used by baselines).
     pub mitigate: bool,
     /// De-aggregation aggressiveness (ablation knob).
-    pub deagg_policy: crate::config::DeaggregationPolicy,
+    pub deagg_policy: DeaggregationPolicy,
     /// What the adversary does in Phase 2.
     pub attack: AttackKind,
 }
@@ -174,7 +172,7 @@ impl Default for ExperimentBuilder {
             hijack_offset: SimDuration::from_secs(30),
             max_sim_time: SimDuration::from_mins(360),
             mitigate: true,
-            deagg_policy: crate::config::DeaggregationPolicy::OneLevel,
+            deagg_policy: DeaggregationPolicy::OneLevel,
             attack: AttackKind::ExactOrigin,
         }
     }
@@ -267,7 +265,7 @@ pub struct ExperimentOutcome {
     /// Which feed won the detection race.
     pub detected_by: Option<FeedKind>,
     /// Hijack classification of the first alert.
-    pub hijack_type: Option<crate::classify::HijackType>,
+    pub hijack_type: Option<HijackType>,
     /// Ground truth from the engine.
     pub ground_truth: GroundTruth,
     /// Monitor timeline (for the demo viz).
@@ -421,21 +419,6 @@ impl Experiment {
         }
     }
 
-    /// The assembled operator control plane (read access).
-    pub fn service(&self) -> &ArtemisService {
-        &self.service
-    }
-
-    /// The victim AS chosen for this run.
-    pub fn victim(&self) -> Asn {
-        self.victim
-    }
-
-    /// The attacker AS chosen for this run.
-    pub fn attacker(&self) -> Asn {
-        self.attacker
-    }
-
     /// Run all three phases.
     pub fn run(mut self) -> ExperimentOutcome {
         let mut milestones: Vec<(SimTime, String)> = Vec::new();
@@ -451,7 +434,10 @@ impl Experiment {
         self.service.pipeline_mut().expect_announcement(self.prefix);
         self.engine.announce(self.victim, self.prefix);
         let changes = self.engine.run_to_quiescence(10_000_000);
-        self.service.pipeline_mut().ingest_route_changes(&changes);
+        self.service
+            .pipeline_mut()
+            .hub_mut()
+            .ingest_route_changes(&changes);
         let converged = self.engine.now();
         timings.setup_converged = Some(converged);
         milestones.push((
@@ -492,9 +478,12 @@ impl Experiment {
         let horizon = SimTime::ZERO + self.builder.max_sim_time;
         let attacker = self.attacker;
         let hijack_prefix = self.hijack_prefix;
-        let report = self
-            .service
-            .run(&mut self.engine, converged, horizon, |engine, event| {
+        let report = crate::run(
+            &mut self.service,
+            &mut self.engine,
+            converged,
+            horizon,
+            |engine, event| {
                 match event {
                     IncidentEvent::ControllerApplied {
                         kind: IntentKind::Announce,
@@ -546,7 +535,8 @@ impl Experiment {
                 } else {
                     ControlFlow::Continue(())
                 }
-            });
+            },
+        );
         let loop_now = report.ended_at;
 
         // First-alert details (detection instant, winning feed,
@@ -794,10 +784,7 @@ mod tests {
         let mut b = ExperimentBuilder::tiny(9);
         b.hijack_prefix = Some("10.0.0.0/24".parse().unwrap());
         let out = b.run();
-        assert_eq!(
-            out.hijack_type,
-            Some(crate::classify::HijackType::SubPrefix)
-        );
+        assert_eq!(out.hijack_type, Some(HijackType::SubPrefix));
         assert!(out.timings.detected_at.is_some());
     }
 

@@ -1,5 +1,14 @@
-//! Shared helpers for the experiment binaries (`src/bin/exp_*`) that
-//! regenerate every number in the ARTEMIS paper.
+//! # artemis-bench — the simulation layer
+//!
+//! Everything that runs ARTEMIS against a simulated Internet rather
+//! than a real network: the PEERING-style experiment harness
+//! ([`experiment`]), the slow baselines it is compared with
+//! ([`baseline`]), the hijack-duration model ([`hijack_stats`]), the
+//! run loop that drives an [`artemis_core::ArtemisService`] against an
+//! [`artemis_bgpsim::Engine`] ([`run`]), vantage-point selection over a
+//! topology ([`vantage`]), text reports ([`report`], [`viz`]), and the
+//! experiment binaries (`src/bin/exp_*`) that regenerate every number
+//! in the ARTEMIS paper.
 //!
 //! Experiment ↔ paper mapping (README "Reproducing the paper's
 //! numbers" has the measured side of each row):
@@ -13,7 +22,22 @@
 //! | `exp_e5_deaggregation` | §2: de-aggregation works above /24, not at /24 |
 //! | `exp_e6_propagation_timeline` | §4 demo: vantage points flipping origins |
 
-use artemis_core::{ExperimentBuilder, ExperimentOutcome};
+#![forbid(unsafe_code)]
+#![warn(missing_docs)]
+
+pub mod baseline;
+pub mod driver;
+pub mod experiment;
+pub mod hijack_stats;
+pub mod report;
+pub mod vantage;
+pub mod viz;
+
+pub use driver::{run, EngineView, RunEnd, RunReport};
+pub use experiment::{Experiment, ExperimentBuilder, ExperimentOutcome, PhaseTimings};
+pub use hijack_stats::HijackDurationModel;
+pub use vantage::VantageStrategy;
+
 use artemis_simnet::SimDuration;
 
 /// Parse `argv[1]` as trial count with a default.
@@ -54,15 +78,9 @@ where
     outcomes.iter().filter_map(f).collect()
 }
 
-/// Format an optional duration.
-pub fn fmt_opt(d: Option<SimDuration>) -> String {
-    d.map(|d| d.to_string()).unwrap_or_else(|| "n/a".into())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use artemis_core::ExperimentBuilder;
 
     #[test]
     fn run_trials_uses_distinct_seeds() {

@@ -2,7 +2,7 @@
 //! "geographical visualization of vantage points … that select the
 //! (il-)legitimate origin-AS" (paper §4), as a terminal strip chart.
 
-use crate::monitor::TimelinePoint;
+use artemis_core::monitor::TimelinePoint;
 use artemis_simnet::SimTime;
 
 /// Render the hijack/mitigation timeline as a strip chart: one row per

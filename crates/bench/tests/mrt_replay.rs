@@ -6,10 +6,11 @@
 //! simulate → write MRT → replay → detect the same hijack at the same
 //! batch-delayed instant.
 
+use artemis_bench::run;
 use artemis_bgp::{Asn, Prefix};
 use artemis_bgpsim::{Engine, SimConfig};
 use artemis_controller::Controller;
-use artemis_core::{ArtemisConfig, OwnedPrefix, Pipeline};
+use artemis_core::{ArtemisConfig, ArtemisService, OwnedPrefix, Pipeline};
 use artemis_feeds::{ArchiveUpdatesFeed, FeedHub, FeedKind, MrtReplayFeed};
 use artemis_simnet::{LatencyModel, SimDuration, SimRng, SimTime};
 use artemis_topology::{generate, AsGraph, TopologyConfig};
@@ -75,27 +76,24 @@ fn original_run(seed: u64) -> OriginalRun {
     let mut hub = FeedHub::new(SimRng::new(seed ^ 0xfeed));
     hub.add(Box::new(ArchiveUpdatesFeed::route_views(peers)));
     let mut pipeline = Pipeline::new(hub, config.clone(), vantage_points.clone());
-    let mut controller = Controller::new(victim, LatencyModel::const_secs(15), SimRng::new(3));
+    let controller = Controller::new(victim, LatencyModel::const_secs(15), SimRng::new(3));
 
     let mut engine = Engine::new(topo.graph.clone(), SimConfig::default(), seed);
     pipeline.expect_announcement(prefix);
     engine.announce(victim, prefix);
     let changes = engine.run_to_quiescence(1_000_000);
-    pipeline.ingest_route_changes(&changes);
+    pipeline.hub_mut().ingest_route_changes(&changes);
     let converged = engine.now();
     engine.announce_at(attacker, prefix, converged + SimDuration::from_secs(30));
 
     let horizon = SimTime::ZERO + SimDuration::from_mins(120);
-    pipeline.run(
-        &mut engine,
-        &mut controller,
-        &mut [],
-        converged,
-        horizon,
-        |_, _| ControlFlow::Continue(()),
-    );
+    let mut service = ArtemisService::new(pipeline, controller);
+    run(&mut service, &mut engine, converged, horizon, |_, _| {
+        ControlFlow::Continue(())
+    });
+    let pipeline = service.pipeline();
 
-    let keys = alert_keys(&pipeline);
+    let keys = alert_keys(pipeline);
     let mrt_bytes = pipeline
         .hub()
         .handles()
@@ -118,7 +116,7 @@ fn original_run(seed: u64) -> OriginalRun {
 
 /// Replay `bytes` into a fresh pipeline with no engine and no live
 /// feeds: the archive is the only source of truth.
-fn replay_run(original: &OriginalRun) -> (Pipeline, Vec<AlertKey>) {
+fn replay_run(original: &OriginalRun) -> (ArtemisService, Vec<AlertKey>) {
     let mut hub = FeedHub::new(SimRng::new(99));
     hub.add(Box::new(MrtReplayFeed::route_views(&original.mrt_bytes)));
     let mut pipeline = Pipeline::new(
@@ -127,7 +125,7 @@ fn replay_run(original: &OriginalRun) -> (Pipeline, Vec<AlertKey>) {
         original.vantage_points.clone(),
     );
     pipeline.expect_announcement(original.config.owned[0].prefix);
-    let mut controller = Controller::new(
+    let controller = Controller::new(
         original.victim,
         LatencyModel::const_secs(15),
         SimRng::new(3),
@@ -140,16 +138,12 @@ fn replay_run(original: &OriginalRun) -> (Pipeline, Vec<AlertKey>) {
     graph.add_as(original.victim);
     let mut engine = Engine::new(graph, SimConfig::default(), 1);
     let horizon = SimTime::ZERO + SimDuration::from_mins(120);
-    pipeline.run(
-        &mut engine,
-        &mut controller,
-        &mut [],
-        SimTime::ZERO,
-        horizon,
-        |_, _| ControlFlow::Continue(()),
-    );
-    let keys = alert_keys(&pipeline);
-    (pipeline, keys)
+    let mut service = ArtemisService::new(pipeline, controller);
+    run(&mut service, &mut engine, SimTime::ZERO, horizon, |_, _| {
+        ControlFlow::Continue(())
+    });
+    let keys = alert_keys(service.pipeline());
+    (service, keys)
 }
 
 #[test]
@@ -168,6 +162,7 @@ fn replayed_archive_reproduces_the_detection_timeline() {
     );
     // Replay delivered the same number of events the archive feed fed
     // the original detector (the archive is complete).
+    let replayed = replayed.pipeline();
     assert_eq!(replayed.events_delivered(), original.events_delivered);
     // And the winning feed on the replay side is the replay feed.
     assert!(replayed

@@ -53,5 +53,5 @@ pub use message::{
     OPEN_TYPE, UPDATE_TYPE,
 };
 pub use prefix::{Afi, Prefix, PrefixParseError};
-pub use route::{Route, RouteSource, RouteUpdate};
+pub use route::{BestRoute, RelKind, Route, RouteChange, RouteSource, RouteUpdate};
 pub use wire::Codec;

@@ -2,6 +2,7 @@
 //! feeds and detector.
 
 use crate::{AsPath, Asn, PathAttributes, Prefix};
+use artemis_simnet::SimTime;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::net::IpAddr;
@@ -100,6 +101,78 @@ impl RouteUpdate {
             RouteUpdate::Announce(r) => Some(r),
             RouteUpdate::Withdraw { .. } => None,
         }
+    }
+}
+
+/// The role a *neighbor* plays relative to a given AS.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+pub enum RelKind {
+    /// The neighbor pays us for transit.
+    Customer,
+    /// Settlement-free peer.
+    Peer,
+    /// We pay the neighbor for transit.
+    Provider,
+}
+
+impl fmt::Display for RelKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RelKind::Customer => write!(f, "customer"),
+            RelKind::Peer => write!(f, "peer"),
+            RelKind::Provider => write!(f, "provider"),
+        }
+    }
+}
+
+impl RelKind {
+    /// The same edge seen from the other endpoint.
+    pub fn inverse(self) -> RelKind {
+        match self {
+            RelKind::Customer => RelKind::Provider,
+            RelKind::Peer => RelKind::Peer,
+            RelKind::Provider => RelKind::Customer,
+        }
+    }
+}
+
+/// The selected (best) route of one AS for one prefix, as visible in
+/// its Loc-RIB.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BestRoute {
+    /// AS path *as stored in the Loc-RIB* (empty for locally originated
+    /// routes; a collector peering with this AS sees it prepended with
+    /// this AS's number).
+    pub as_path: AsPath,
+    /// The origin AS (for local routes, the AS itself).
+    pub origin_as: Asn,
+    /// The eBGP neighbor the route was learned from (`None` = local).
+    pub neighbor: Option<Asn>,
+    /// Relationship of that neighbor (`None` = local route).
+    pub learned_from: Option<RelKind>,
+    /// Effective LOCAL_PREF after ingress policy.
+    pub local_pref: u32,
+}
+
+/// A Loc-RIB delta: AS `asn`'s best route for `prefix` changed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RouteChange {
+    /// When the change happened.
+    pub time: SimTime,
+    /// The AS whose Loc-RIB changed.
+    pub asn: Asn,
+    /// The affected prefix.
+    pub prefix: Prefix,
+    /// Previous best (`None` = was unreachable).
+    pub old: Option<BestRoute>,
+    /// New best (`None` = now unreachable).
+    pub new: Option<BestRoute>,
+}
+
+impl RouteChange {
+    /// Origin AS now selected, if any.
+    pub fn new_origin(&self) -> Option<Asn> {
+        self.new.as_ref().map(|b| b.origin_as)
     }
 }
 

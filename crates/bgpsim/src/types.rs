@@ -1,8 +1,10 @@
 //! Shared types for the propagation engine.
 
 use artemis_bgp::{AsPath, Asn, Prefix};
-use artemis_simnet::{FaultInjector, LatencyModel, SimDuration, SimTime};
-use artemis_topology::RelKind;
+use artemis_simnet::{FaultInjector, LatencyModel, SimDuration};
+
+/// Defined in [`artemis_bgp::route`] so feeds need no simulator.
+pub use artemis_bgp::{BestRoute, RouteChange};
 
 /// Engine timing/fault configuration.
 ///
@@ -57,46 +59,6 @@ impl SimConfig {
     }
 }
 
-/// The selected (best) route of one AS for one prefix, as visible in
-/// its Loc-RIB.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BestRoute {
-    /// AS path *as stored in the Loc-RIB* (empty for locally originated
-    /// routes; a collector peering with this AS sees it prepended with
-    /// this AS's number).
-    pub as_path: AsPath,
-    /// The origin AS (for local routes, the AS itself).
-    pub origin_as: Asn,
-    /// The eBGP neighbor the route was learned from (`None` = local).
-    pub neighbor: Option<Asn>,
-    /// Relationship of that neighbor (`None` = local route).
-    pub learned_from: Option<RelKind>,
-    /// Effective LOCAL_PREF after ingress policy.
-    pub local_pref: u32,
-}
-
-/// A Loc-RIB delta: AS `asn`'s best route for `prefix` changed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RouteChange {
-    /// When the change happened.
-    pub time: SimTime,
-    /// The AS whose Loc-RIB changed.
-    pub asn: Asn,
-    /// The affected prefix.
-    pub prefix: Prefix,
-    /// Previous best (`None` = was unreachable).
-    pub old: Option<BestRoute>,
-    /// New best (`None` = now unreachable).
-    pub new: Option<BestRoute>,
-}
-
-impl RouteChange {
-    /// Origin AS now selected, if any.
-    pub fn new_origin(&self) -> Option<Asn> {
-        self.new.as_ref().map(|b| b.origin_as)
-    }
-}
-
 /// One per-prefix message on a session (the engine's unit of delivery).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum Msg {
@@ -140,6 +102,8 @@ pub(crate) enum Event {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use artemis_bgp::RelKind;
+    use artemis_simnet::SimTime;
     use std::str::FromStr;
 
     #[test]

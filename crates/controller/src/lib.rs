@@ -14,10 +14,12 @@
 //! installed intents become originations on the simulated BGP speakers.
 //!
 //! The controller is deliberately engine-agnostic: it emits
-//! [`ControllerAction`]s that the pipeline driver applies to the
-//! simulation engine (`artemis_bgpsim::Engine`, not a dependency of
-//! this crate), keeping the layering honest — a real deployment would
-//! apply them to router configs instead.
+//! [`ControllerAction`]s, and whoever owns the routing layer applies
+//! them. `ArtemisService::take_due_intents` (in `artemis_core`) takes
+//! the due ones, records each in the incident log and hands them back:
+//! the simulator driver in `artemis_bench` applies them to the
+//! simulated Internet, and a deployment would apply them to its
+//! routers or BGP speaker instead.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,7 +1,6 @@
 //! The owned, replayable incident event stream — the one record of
 //! everything the pipeline does. The daemon's sinks, `/v1/events` and
-//! [`Pipeline::run`](crate::pipeline::Pipeline::run)'s observer all
-//! read it:
+//! the simulator driver's observer (`artemis_bench::run`) all read it:
 //!
 //! * [`IncidentEvent`] — an owned, `serde`-serializable record of one
 //!   noteworthy thing (alert raised, mitigation triggered/pending,

@@ -30,30 +30,27 @@
 //! with owned serializable snapshots ([`service::ServiceStatus`]),
 //! and a replayable [`event_log::IncidentEvent`] stream with
 //! independent cursors.
-//! [`experiment`] reproduces the paper's
-//! PEERING experiments (Phase 1 setup / Phase 2 hijack + detection /
-//! Phase 3 mitigation) on the simulated Internet by delegating its
-//! main loop to the service; and [`baseline`] implements the slow
-//! pipelines ARTEMIS is compared against in §1.
+//!
+//! This crate is the product an operator runs, and it knows no
+//! simulator: routing changes arrive as feed events, and mitigation
+//! leaves as controller intents that the caller applies to its routing
+//! layer ([`ArtemisService::take_due_intents`]). The paper's PEERING
+//! experiments, the baselines and the run loop over a simulated
+//! Internet live in `artemis_bench`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod alert;
-pub mod baseline;
 pub mod classify;
 pub mod config;
 pub mod detector;
 pub mod event_log;
-pub mod experiment;
-pub mod hijack_stats;
 pub mod metrics;
 pub mod mitigation;
 pub mod monitor;
 pub mod pipeline;
-pub mod report;
 pub mod service;
-pub mod viz;
 pub mod wire;
 
 pub use alert::{Alert, AlertId, AlertState};
@@ -61,12 +58,10 @@ pub use classify::HijackType;
 pub use config::{ArtemisConfig, DeaggregationPolicy, OwnedPrefix};
 pub use detector::Detector;
 pub use event_log::{EventCursor, EventLog, IncidentEvent, PollBatch};
-pub use experiment::{Experiment, ExperimentBuilder, ExperimentOutcome, PhaseTimings};
-pub use hijack_stats::HijackDurationModel;
 pub use metrics::{StageMetrics, StageStat};
 pub use mitigation::{MitigationPlan, MitigationPolicy, Mitigator};
 pub use monitor::{MonitorIndex, MonitorService, RetiredMonitor};
-pub use pipeline::{OffboardReport, Pipeline, RunEnd, RunReport};
+pub use pipeline::{OffboardReport, Pipeline};
 pub use service::{
     ArtemisService, CommandOutcome, ServiceCommand, ServiceError, ServiceQuery, ServiceReply,
     ServiceStatus, ServiceSummary,

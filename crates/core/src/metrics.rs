@@ -113,9 +113,8 @@ impl StageStat {
 /// Every entry point goes through the same staged commit, so every
 /// delivered batch — a drained backlog or a hand-fed batch of one —
 /// records the classify and commit families; the drain family is
-/// recorded wherever the pipeline drains its own hub
-/// ([`Pipeline::deliver_due`](crate::Pipeline::deliver_due) and
-/// [`Pipeline::run`](crate::Pipeline::run)).
+/// recorded only where the pipeline drains its own hub
+/// ([`Pipeline::deliver_due`](crate::Pipeline::deliver_due)).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageMetrics {
     /// Draining due events out of the hub's merge queue.

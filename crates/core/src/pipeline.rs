@@ -26,20 +26,17 @@
 //! internal [`EventLog`] — poll it with [`Pipeline::poll_events`]; any
 //! number of cursors replay the same history independently.
 //!
-//! Drivers have three entry points, and all three are batches through
-//! the same staged commit (classify pass → monitor route → monitor
-//! replay in batch order → ordered detect/resolve walk) — there is no
-//! second code path that walks events:
+//! Drivers have two entry points, and both are batches through the
+//! same staged commit (classify pass → monitor route → monitor replay
+//! in batch order → ordered detect/resolve walk) — there is no second
+//! code path that walks events:
 //!
 //! * [`Pipeline::deliver_due`] — drain everything due and commit it as
 //!   one batch (the daemon's pump, archive replays, benches).
-//! * [`Pipeline::run`] — the full interleaved loop across the four
-//!   clock domains (BGP engine, controller installs, pull-feed polls,
-//!   feed-event deliveries); its observer reads the log entries each
-//!   step appended. Each due event is committed as a batch of one so
-//!   the observer can stop the run between any two events.
 //! * [`Pipeline::deliver`] — hand-feed a single event: a batch of one
-//!   (deployments that bring their own transport, `/v1/inject`).
+//!   (deployments that bring their own transport, `/v1/inject`, and
+//!   the simulator driver in `artemis_bench`, which commits each due
+//!   event alone so its observer can stop between any two).
 //!
 //! Deployments that want typed commands/queries over these primitives
 //! should use [`crate::service::ArtemisService`].
@@ -52,36 +49,12 @@ use crate::metrics::StageMetrics;
 use crate::mitigation::{MitigationPlan, MitigationPolicy, Mitigator};
 use crate::monitor::{MonitorIndex, MonitorService, RetiredMonitor};
 use artemis_bgp::{Asn, Prefix};
-use artemis_bgpsim::Engine;
-use artemis_controller::{Controller, IntentKind};
-use artemis_feeds::{EmptyRibView, EngineView, FeedEvent, FeedHandle, FeedHub, FeedSource};
+use artemis_controller::{Controller, ControllerAction};
+use artemis_feeds::{EmptyRibView, FeedEvent, FeedHandle, FeedHub, FeedSource};
 use artemis_simnet::{SimRng, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
-use std::ops::ControlFlow;
 use std::time::{Duration, Instant};
-
-/// How a [`Pipeline::run`] ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RunEnd {
-    /// Every clock domain drained — nothing left to do.
-    Drained,
-    /// The time horizon was reached first.
-    Horizon,
-    /// The observer returned [`ControlFlow::Break`].
-    Stopped,
-}
-
-/// Summary of one [`Pipeline::run`] invocation.
-#[derive(Debug, Clone, Copy)]
-pub struct RunReport {
-    /// Virtual time when the loop exited.
-    pub ended_at: SimTime,
-    /// Why the loop exited.
-    pub end: RunEnd,
-    /// Feed events delivered to the detector during this run.
-    pub events_delivered: u64,
-}
 
 /// What [`Pipeline::remove_owned_prefix`] did while winding the
 /// prefix down.
@@ -302,6 +275,16 @@ impl Pipeline {
         &self.log
     }
 
+    /// Record that the routing layer applied a controller intent at
+    /// `at` (see [`crate::ArtemisService::take_due_intents`]).
+    pub(crate) fn log_controller_applied(&mut self, action: &ControllerAction, at: SimTime) {
+        self.log.push(IncidentEvent::ControllerApplied {
+            kind: action.kind,
+            prefix: action.prefix,
+            at,
+        });
+    }
+
     // ---- Runtime reconfiguration ------------------------------------
 
     /// Onboard an owned prefix mid-run: a fresh detector shard, an
@@ -331,15 +314,14 @@ impl Pipeline {
     /// In-flight incidents on the prefix are closed: their monitors
     /// freeze (kept for reporting, skipped on ingestion), their held
     /// plans are discarded, and every *executed* mitigation plan is
-    /// withdrawn through the controller — so no helper or operator
-    /// intent keeps originating offboarded address space. Returns
+    /// withdrawn through the controller — so no operator intent keeps
+    /// originating offboarded address space. Returns
     /// `None` when the prefix is not configured.
     pub fn remove_owned_prefix(
         &mut self,
         prefix: Prefix,
         now: SimTime,
         controller: &mut Controller,
-        helper_controllers: &mut [Controller],
     ) -> Option<OffboardReport> {
         let removed = self.detector.remove_shard(prefix)?;
         self.mitigator.clear_policy(prefix);
@@ -353,8 +335,7 @@ impl Pipeline {
             |_, _| true,
         );
         for (_, plan) in executed {
-            self.mitigator
-                .withdraw(&plan, now, controller, helper_controllers);
+            self.mitigator.withdraw(&plan, now, controller, &mut []);
             withdrawn_plans += 1;
         }
         let closed_alerts = removed.open_alerts;
@@ -407,7 +388,7 @@ impl Pipeline {
     /// this every tick at negligible idle cost. Uses an
     /// [`EmptyRibView`]: wire feeds never inspect simulated routing
     /// state (RIB-inspecting pull feeds belong to simulation drivers,
-    /// which poll through [`Pipeline::run`] with a real engine view).
+    /// which poll the hub themselves with a real routing view).
     pub fn poll_feeds(&mut self, now: SimTime) {
         if self.hub.next_poll(now).is_some() {
             self.hub.poll_and_queue(now, &EmptyRibView);
@@ -453,12 +434,7 @@ impl Pipeline {
     /// [`MitigationPolicy::Auto`] execute now (confirm-first plans
     /// keep waiting for their confirmation). Returns the alerts whose
     /// plans executed. No-op when not paused.
-    pub fn resume_mitigation(
-        &mut self,
-        now: SimTime,
-        controller: &mut Controller,
-        helper_controllers: &mut [Controller],
-    ) -> Vec<AlertId> {
+    pub fn resume_mitigation(&mut self, now: SimTime, controller: &mut Controller) -> Vec<AlertId> {
         if !self.paused {
             return Vec::new();
         }
@@ -475,7 +451,7 @@ impl Pipeline {
             .collect();
         for id in &to_run {
             let plan = self.pending.remove(id).expect("listed as pending");
-            self.execute_held_plan(*id, plan, now, controller, helper_controllers);
+            self.execute_held_plan(*id, plan, now, controller);
             // The monitor may already be all-legitimate (the hijack
             // could have withered while the plan was held), so the
             // resolution condition must be evaluated at the next
@@ -504,10 +480,9 @@ impl Pipeline {
         alert: AlertId,
         now: SimTime,
         controller: &mut Controller,
-        helper_controllers: &mut [Controller],
     ) -> Option<MitigationPlan> {
         let plan = self.pending.remove(&alert)?;
-        self.execute_held_plan(alert, plan.clone(), now, controller, helper_controllers);
+        self.execute_held_plan(alert, plan.clone(), now, controller);
         // Same rationale as in `resume_mitigation`: the alert turned
         // `Mitigating` outside delivery, so the next delivered event must
         // re-evaluate this alert's resolution condition.
@@ -530,19 +505,13 @@ impl Pipeline {
         self.detector.expect_announcement(prefix);
     }
 
-    /// Fan a batch of routing changes out to the push feeds; the
-    /// resulting events queue inside the hub until due.
-    pub fn ingest_route_changes(&mut self, changes: &[artemis_bgpsim::RouteChange]) {
-        self.hub.ingest_route_changes(changes);
-    }
-
     /// Drain pending BMP `peer_down` signals from the hub's wire feeds
     /// and purge each downed peer from every active monitor's per-VP
     /// view: a vantage point whose session to the collector is gone no
     /// longer has current routes, so it returns to `Unknown` until it
-    /// reports again. Called automatically at each delivery boundary
-    /// ([`Pipeline::deliver_due`] and [`Pipeline::run`]); exposed for
-    /// drivers that pump wire feeds without delivering. Returns the
+    /// reports again. Called automatically by [`Pipeline::deliver_due`];
+    /// drivers that drain the hub themselves call it before each drain.
+    /// Returns the
     /// number of `(peer, monitor)` purges applied.
     pub fn apply_peer_downs(&mut self, at: SimTime) -> usize {
         let downs = self.hub.take_peer_downs();
@@ -558,24 +527,14 @@ impl Pipeline {
         purged
     }
 
-    /// Earliest pending pull-feed poll.
-    pub fn next_poll(&self, now: SimTime) -> Option<SimTime> {
-        self.hub.next_poll(now)
-    }
-
     /// Feed one monitoring event through detection, monitoring and
     /// (policy permitting) automatic mitigation — a batch of one
-    /// through the staged commit. `controller` (and optional helpers)
-    /// receive mitigation intents when a new alert fires. Returns the
+    /// through the staged commit. `controller` receives mitigation
+    /// intents when a new alert fires. Returns the
     /// alert the event raised, if any (one event raises at most one);
     /// everything else it caused is in the event log.
-    pub fn deliver(
-        &mut self,
-        event: &FeedEvent,
-        controller: &mut Controller,
-        helper_controllers: &mut [Controller],
-    ) -> Option<AlertId> {
-        self.commit_batch(std::slice::from_ref(event), controller, helper_controllers)
+    pub fn deliver(&mut self, event: &FeedEvent, controller: &mut Controller) -> Option<AlertId> {
+        self.commit_batch(std::slice::from_ref(event), controller)
     }
 
     /// Steps 1–3 of committing one event: commit its prepared
@@ -589,7 +548,6 @@ impl Pipeline {
         event: &FeedEvent,
         prepared: PreparedEvent,
         controller: &mut Controller,
-        helper_controllers: &mut [Controller],
     ) -> (Option<AlertId>, u64) {
         // 1. Detection: the detector re-classifies against live state
         // whenever the owning shard's rules changed since the batch was
@@ -640,7 +598,7 @@ impl Pipeline {
             let alert = self.detector.alerts().get(id).expect("just created");
             let plan = self.mitigator.plan(alert);
             if policy == MitigationPolicy::Auto && !self.paused {
-                self.execute_held_plan(id, plan, at, controller, helper_controllers);
+                self.execute_held_plan(id, plan, at, controller);
             } else {
                 // Confirm-first policy, or Auto while paused: the
                 // plan is computed and held for the operator.
@@ -674,23 +632,17 @@ impl Pipeline {
     }
 
     /// Drain every queued feed event due by `upto` and deliver it as
-    /// **one** batch, using the caller's controllers but no observer.
-    /// Returns the number of events delivered.
+    /// **one** batch, using the caller's controller. Returns the number
+    /// of events delivered.
     ///
     /// This is the bulk-ingestion surface for drivers that pump live
     /// feeds or replay pre-queued streams (the daemon, benchmarks,
-    /// archive replays): unlike [`Pipeline::run`], which stops between
-    /// events for its observer, the whole backlog becomes a single
-    /// batch — exactly the `drain_batch` contract — preserving the
-    /// global `(emitted_at, ingestion order)` delivery order.
-    pub fn deliver_due(
-        &mut self,
-        upto: SimTime,
-        controller: &mut Controller,
-        helper_controllers: &mut [Controller],
-    ) -> u64 {
+    /// archive replays): the whole backlog becomes a single batch —
+    /// exactly the `drain_batch` contract — preserving the global
+    /// `(emitted_at, ingestion order)` delivery order.
+    pub fn deliver_due(&mut self, upto: SimTime, controller: &mut Controller) -> u64 {
         let mut batch = self.drain_due(upto);
-        self.commit_batch(&batch, controller, helper_controllers);
+        self.commit_batch(&batch, controller);
         let delivered = batch.len() as u64;
         batch.clear();
         self.batch = batch;
@@ -717,11 +669,11 @@ impl Pipeline {
         batch
     }
 
-    /// The staged commit — the only code that walks events. Every
-    /// entry point ([`Pipeline::deliver_due`], [`Pipeline::deliver`],
-    /// [`Pipeline::run`]) hands it a batch in `(emitted_at, ingestion
-    /// order)`; every lifecycle fact goes to the event log in delivery
-    /// order. Returns the last alert the batch raised, if any.
+    /// The staged commit — the only code that walks events. Both entry
+    /// points ([`Pipeline::deliver_due`], [`Pipeline::deliver`]) hand
+    /// it a batch in `(emitted_at, ingestion order)`; every lifecycle
+    /// fact goes to the event log in delivery order. Returns the last
+    /// alert the batch raised, if any.
     ///
     /// Stages: classify the whole batch in one tight pass (the flat
     /// trie and shard rules stay hot in cache); route every event once
@@ -742,7 +694,6 @@ impl Pipeline {
         &mut self,
         batch: &[FeedEvent],
         controller: &mut Controller,
-        helper_controllers: &mut [Controller],
     ) -> Option<AlertId> {
         if batch.is_empty() {
             return None;
@@ -830,8 +781,7 @@ impl Pipeline {
         let mut resolve_ns = 0u64;
         for (i, event) in batch.iter().enumerate() {
             self.events_delivered += 1;
-            let (new_alert, mit_ns) =
-                self.detect_and_arm(event, prep[i], controller, helper_controllers);
+            let (new_alert, mit_ns) = self.detect_and_arm(event, prep[i], controller);
             mitigate_ns += mit_ns;
             last_raised = new_alert.or(last_raised);
             live_new.extend(new_alert);
@@ -901,7 +851,6 @@ impl Pipeline {
         plan: MitigationPlan,
         now: SimTime,
         controller: &mut Controller,
-        helper_controllers: &mut [Controller],
     ) {
         for p in &plan.announce {
             self.detector.expect_announcement(*p);
@@ -917,8 +866,7 @@ impl Pipeline {
         if squat {
             self.detector.activate_prefix(owned_prefix);
         }
-        self.mitigator
-            .execute(&plan, now, controller, helper_controllers);
+        self.mitigator.execute(&plan, now, controller, &mut []);
         self.detector.alerts_mut().mark_mitigating(id, now);
         self.executed_plans.insert((owned_prefix, id), plan.clone());
         self.log.push(IncidentEvent::MitigationTriggered {
@@ -926,153 +874,6 @@ impl Pipeline {
             plan,
             at: now,
         });
-    }
-
-    /// Drive the four interleaved clock domains — BGP engine,
-    /// controller installs, pull-feed polls, batched feed deliveries —
-    /// from `start` until `horizon`, everything drains, or the
-    /// observer breaks.
-    ///
-    /// Tie-break at equal instants (deterministic, and identical to
-    /// the historical experiment loop): engine first so RIB views are
-    /// current, then controller installs, then polls, then feed
-    /// deliveries. Feed events due at the same instant are drained
-    /// together and committed one at a time in `(emitted_at, ingestion
-    /// order)`.
-    ///
-    /// Mitigation plans that outsource co-announcements reach
-    /// `helper_controllers`, whose install queues join the controller
-    /// clock domain (the operator's controller installs first at equal
-    /// instants, then helpers in order).
-    ///
-    /// The observer reads the event log: after each committed feed
-    /// event and after each controller instant it is shown, in order,
-    /// the entries that step appended, together with the engine (for
-    /// ground-truth measurements); returning [`ControlFlow::Break`]
-    /// stops the run. Every step is fully logged before the observer
-    /// sees any of it, so a Break loses nothing and a later `run`
-    /// resumes where this one stopped. The observer sees what the log
-    /// retains: a step that appends more than the log's capacity
-    /// (4096 entries by default, see [`Pipeline::with_event_capacity`])
-    /// shows only the retained tail.
-    pub fn run<F>(
-        &mut self,
-        engine: &mut Engine,
-        controller: &mut Controller,
-        helper_controllers: &mut [Controller],
-        start: SimTime,
-        horizon: SimTime,
-        mut observer: F,
-    ) -> RunReport
-    where
-        F: FnMut(&mut Engine, &IncidentEvent) -> ControlFlow<()>,
-    {
-        let delivered_before = self.events_delivered;
-        let mut now = start;
-        let end = loop {
-            if now > horizon {
-                break RunEnd::Horizon;
-            }
-            // Candidate times across the four clock domains.
-            let t_engine = engine.next_event_time();
-            let t_feed = self.hub.next_emission();
-            let t_poll = self.hub.next_poll(now);
-            let t_ctrl = std::iter::once(controller.next_action_time())
-                .chain(helper_controllers.iter().map(|h| h.next_action_time()))
-                .flatten()
-                .min();
-            let candidates = [t_engine, t_feed, t_ctrl, t_poll];
-            let Some(next) = candidates.iter().flatten().min().copied() else {
-                break RunEnd::Drained;
-            };
-            if next > horizon {
-                break RunEnd::Horizon;
-            }
-            now = next;
-
-            if t_engine == Some(next) {
-                // Engine first at equal times so RIB views are current.
-                if let Some(changes) = engine.step() {
-                    self.hub.ingest_route_changes(&changes);
-                }
-                continue;
-            }
-            if t_ctrl == Some(next) {
-                // Apply and log every due intent *before* the observer
-                // runs: `due_actions` already removed them from the
-                // controller's queue, so an early Break must not lose
-                // installs. (The announcements only enter RIBs when the
-                // engine processes them, so ground-truth reads in the
-                // observer are unaffected.)
-                let seen = self.log.live_cursor();
-                let mut due = controller.due_actions(next);
-                for helper in helper_controllers.iter_mut() {
-                    due.extend(helper.due_actions(next));
-                }
-                for action in &due {
-                    match action.kind {
-                        IntentKind::Announce => {
-                            engine.announce_at(action.origin_as, action.prefix, next);
-                        }
-                        IntentKind::Withdraw => {
-                            engine.withdraw_at(action.origin_as, action.prefix, next);
-                        }
-                    }
-                    self.log.push(IncidentEvent::ControllerApplied {
-                        kind: action.kind,
-                        prefix: action.prefix,
-                        at: next,
-                    });
-                }
-                let flow = self
-                    .log
-                    .iter_from(seen)
-                    .try_for_each(|e| observer(engine, e));
-                if flow.is_break() {
-                    break RunEnd::Stopped;
-                }
-                continue;
-            }
-            if t_poll == Some(next) {
-                let view = EngineView(engine);
-                self.hub.poll_and_queue(next, &view);
-                continue;
-            }
-
-            // Otherwise: the feed events due now, committed one by one
-            // in `(emitted_at, ingestion order)` — a batch of one each,
-            // so nothing is staged past an event the observer has not
-            // seen yet and a Break loses nothing.
-            let mut batch = self.drain_due(next);
-            let mut stopped_at: Option<usize> = None;
-            for i in 0..batch.len() {
-                let seen = self.log.live_cursor();
-                self.commit_batch(&batch[i..=i], controller, helper_controllers);
-                let flow = self
-                    .log
-                    .iter_from(seen)
-                    .try_for_each(|e| observer(engine, e));
-                if flow.is_break() {
-                    stopped_at = Some(i);
-                    break;
-                }
-            }
-            if let Some(i) = stopped_at {
-                // Hand undelivered events back to the hub so a later
-                // `run` resumes without losing them.
-                self.hub.requeue(batch.drain(i + 1..));
-            }
-            batch.clear();
-            self.batch = batch;
-            if stopped_at.is_some() {
-                break RunEnd::Stopped;
-            }
-        };
-        RunReport {
-            ended_at: now,
-            end,
-            events_delivered: self.events_delivered - delivered_before,
-        }
     }
 }
 
@@ -1083,6 +884,7 @@ mod tests {
     use crate::config::OwnedPrefix;
     use crate::event_log::EventCursor;
     use artemis_bgp::AsPath;
+    use artemis_controller::IntentKind;
     use artemis_feeds::FeedKind;
     use artemis_simnet::LatencyModel;
     use std::str::FromStr;
@@ -1125,7 +927,7 @@ mod tests {
     /// Deliver one event and return what it appended to the log.
     fn deliver(p: &mut Pipeline, ev: &FeedEvent, ctrl: &mut Controller) -> Vec<IncidentEvent> {
         let cursor = p.event_log().live_cursor();
-        p.deliver(ev, ctrl, &mut []);
+        p.deliver(ev, ctrl);
         p.poll_events(cursor).events
     }
 
@@ -1144,7 +946,7 @@ mod tests {
         }
         fn on_route_change_into(
             &mut self,
-            _change: &artemis_bgpsim::RouteChange,
+            _change: &artemis_bgp::RouteChange,
             _rng: &mut SimRng,
             _out: &mut Vec<FeedEvent>,
         ) {
@@ -1372,7 +1174,7 @@ mod tests {
 
         // Operator confirms: the held plan executes verbatim.
         let plan = p
-            .confirm_mitigation(id, SimTime::from_secs(70), &mut ctrl, &mut [])
+            .confirm_mitigation(id, SimTime::from_secs(70), &mut ctrl)
             .expect("plan was pending");
         assert_eq!(plan.announce, vec![pfx("10.0.0.0/24"), pfx("10.0.1.0/24")]);
         assert_eq!(ctrl.intents().count(), 2);
@@ -1382,7 +1184,7 @@ mod tests {
             AlertState::Mitigating
         );
         assert!(
-            p.confirm_mitigation(id, SimTime::from_secs(71), &mut ctrl, &mut [])
+            p.confirm_mitigation(id, SimTime::from_secs(71), &mut ctrl)
                 .is_none(),
             "double-confirm is a no-op"
         );
@@ -1422,7 +1224,7 @@ mod tests {
         assert!(matches!(&acts[1], IncidentEvent::MitigationPending { .. }));
         assert_eq!(ctrl.intents().count(), 0);
 
-        let executed = p.resume_mitigation(SimTime::from_secs(90), &mut ctrl, &mut []);
+        let executed = p.resume_mitigation(SimTime::from_secs(90), &mut ctrl);
         assert_eq!(executed, vec![id]);
         assert!(!p.mitigation_paused());
         assert_eq!(ctrl.intents().count(), 2, "held plan executed on resume");
@@ -1431,7 +1233,7 @@ mod tests {
             AlertState::Mitigating
         );
         assert!(
-            p.resume_mitigation(SimTime::from_secs(91), &mut ctrl, &mut [])
+            p.resume_mitigation(SimTime::from_secs(91), &mut ctrl)
                 .is_empty(),
             "resume is idempotent"
         );
@@ -1505,23 +1307,13 @@ mod tests {
 
         // …then offboard it while the incident is still active.
         let report = p
-            .remove_owned_prefix(
-                pfx("10.0.0.0/23"),
-                SimTime::from_secs(60),
-                &mut ctrl,
-                &mut [],
-            )
+            .remove_owned_prefix(pfx("10.0.0.0/23"), SimTime::from_secs(60), &mut ctrl)
             .expect("prefix configured");
         assert_eq!(report.closed_alerts, vec![id]);
         assert_eq!(report.withdrawn_plans, 1);
         assert_eq!(report.shard_events, 1);
         assert!(p
-            .remove_owned_prefix(
-                pfx("10.0.0.0/23"),
-                SimTime::from_secs(61),
-                &mut ctrl,
-                &mut []
-            )
+            .remove_owned_prefix(pfx("10.0.0.0/23"), SimTime::from_secs(61), &mut ctrl)
             .is_none());
 
         // The alert is closed, its monitor frozen, and every announce
@@ -1601,7 +1393,7 @@ mod tests {
                 .any(|a| matches!(a, IncidentEvent::Resolved { alert, .. } if *alert == id)));
 
             let report = p
-                .remove_owned_prefix(pfx(owned), SimTime::from_secs(200), &mut ctrl, &mut [])
+                .remove_owned_prefix(pfx(owned), SimTime::from_secs(200), &mut ctrl)
                 .expect("prefix configured");
             assert!(report.closed_alerts.is_empty(), "nothing was still open");
             assert_eq!(report.withdrawn_plans, 1, "resolved plan still withdrawn");
@@ -1935,7 +1727,7 @@ mod tests {
         // Closing the incident moves the count from the live monitor
         // to the retired record; the total does not move.
         let at = SimTime::from_secs(10_000);
-        p.remove_owned_prefix(pfx("10.0.0.0/23"), at, &mut ctrl, &mut [])
+        p.remove_owned_prefix(pfx("10.0.0.0/23"), at, &mut ctrl)
             .expect("prefix configured");
         assert!(p.monitor_for(id).is_none());
         assert_eq!(p.retired_monitor(id).unwrap().coalesced_points(), extra);

@@ -5,8 +5,7 @@
 //! survey both name self-operation, a configurable auto-mitigation
 //! policy, and live visibility as the adoption blockers. This module
 //! is that layer: it wraps a [`Pipeline`] together with the
-//! operator's [`Controller`] (and optional helper-AS controllers) and
-//! exposes three typed surfaces:
+//! operator's [`Controller`] and exposes three typed surfaces:
 //!
 //! * **Commands** — [`ServiceCommand`] applied via
 //!   [`ArtemisService::apply`]: runtime prefix onboarding/offboarding,
@@ -16,7 +15,7 @@
 //! * **Queries** — [`ServiceQuery`] answered with owned,
 //!   `serde`-serializable snapshots ([`ServiceStatus`] and friends)
 //!   rather than borrows into pipeline internals.
-//! * **Events** — the owned [`IncidentEvent`] stream via
+//! * **Events** — the owned [`IncidentEvent`](crate::IncidentEvent) stream via
 //!   [`ArtemisService::poll_events`]; every consumer holds its own
 //!   [`EventCursor`] and replays the identical history.
 
@@ -24,19 +23,17 @@
 
 use crate::alert::{Alert, AlertId, AlertState};
 use crate::config::OwnedPrefix;
-use crate::event_log::{EventCursor, EventLog, IncidentEvent, PollBatch};
+use crate::event_log::{EventCursor, EventLog, PollBatch};
 use crate::mitigation::{MitigationPlan, MitigationPolicy};
-use crate::pipeline::{OffboardReport, Pipeline, RunReport};
+use crate::pipeline::{OffboardReport, Pipeline};
 use crate::HijackType;
 use artemis_bgp::{Asn, Prefix};
-use artemis_bgpsim::Engine;
-use artemis_controller::Controller;
+use artemis_controller::{Controller, ControllerAction};
 use artemis_feeds::{FeedEvent, FeedHandle, FeedKind, FeedSpec};
 use artemis_simnet::SimTime;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::ops::ControlFlow;
 
 /// A typed operator command, applied with [`ArtemisService::apply`].
 ///
@@ -372,12 +369,11 @@ pub struct FeedStatus {
 }
 
 /// The runtime-reconfigurable ARTEMIS service: a [`Pipeline`] plus
-/// the operator's [`Controller`] (and optional helper-AS controllers)
-/// behind typed commands, queries, and an owned event stream.
+/// the operator's [`Controller`] behind typed commands, queries, and
+/// an owned event stream.
 pub struct ArtemisService {
     pipeline: Pipeline,
     controller: Controller,
-    helpers: Vec<Controller>,
 }
 
 impl ArtemisService {
@@ -387,14 +383,7 @@ impl ArtemisService {
         ArtemisService {
             pipeline,
             controller,
-            helpers: Vec::new(),
         }
-    }
-
-    /// Attach helper-AS controllers (outsourced /24 mitigation).
-    pub fn with_helpers(mut self, helpers: Vec<Controller>) -> Self {
-        self.helpers = helpers;
-        self
     }
 
     /// Read access to the wrapped pipeline.
@@ -439,7 +428,7 @@ impl ArtemisService {
             }
             ServiceCommand::RemoveOwnedPrefix { prefix } => self
                 .pipeline
-                .remove_owned_prefix(prefix, now, &mut self.controller, &mut self.helpers)
+                .remove_owned_prefix(prefix, now, &mut self.controller)
                 .map(CommandOutcome::PrefixRemoved)
                 .ok_or(ServiceError::UnknownPrefix(prefix)),
             ServiceCommand::AttachFeed { feed } => {
@@ -463,7 +452,7 @@ impl ArtemisService {
             }
             ServiceCommand::ConfirmMitigation { alert } => self
                 .pipeline
-                .confirm_mitigation(alert, now, &mut self.controller, &mut self.helpers)
+                .confirm_mitigation(alert, now, &mut self.controller)
                 .map(|plan| CommandOutcome::MitigationConfirmed { alert, plan })
                 .ok_or(ServiceError::NothingPending(alert)),
             ServiceCommand::Pause => {
@@ -478,11 +467,8 @@ impl ArtemisService {
                 if !self.pipeline.mitigation_paused() {
                     Err(ServiceError::NotPaused)
                 } else {
-                    let executed_alerts = self.pipeline.resume_mitigation(
-                        now,
-                        &mut self.controller,
-                        &mut self.helpers,
-                    );
+                    let executed_alerts =
+                        self.pipeline.resume_mitigation(now, &mut self.controller);
                     Ok(CommandOutcome::Resumed { executed_alerts })
                 }
             }
@@ -497,8 +483,7 @@ impl ArtemisService {
     /// body; idle ticks cost one readiness check per feed.
     pub fn pump_feeds(&mut self, now: SimTime) -> u64 {
         self.pipeline.poll_feeds(now);
-        self.pipeline
-            .deliver_due(now, &mut self.controller, &mut self.helpers)
+        self.pipeline.deliver_due(now, &mut self.controller)
     }
 
     // ---- Queries ----------------------------------------------------
@@ -668,34 +653,24 @@ impl ArtemisService {
     // ---- Driving ----------------------------------------------------
 
     /// Feed one monitoring event through the pipeline using the
-    /// service's own controllers (deployments that bring their own
+    /// service's own controller (deployments that bring their own
     /// transport). Returns the alert it raised, if any.
     pub fn deliver(&mut self, event: &FeedEvent) -> Option<AlertId> {
-        self.pipeline
-            .deliver(event, &mut self.controller, &mut self.helpers)
+        self.pipeline.deliver(event, &mut self.controller)
     }
 
-    /// Drive the interleaved clock domains until `horizon` (or drain,
-    /// or observer break) with the service's own controllers. The
-    /// observer reads the event log as [`Pipeline::run`] describes.
-    pub fn run<F>(
-        &mut self,
-        engine: &mut Engine,
-        start: SimTime,
-        horizon: SimTime,
-        observer: F,
-    ) -> RunReport
-    where
-        F: FnMut(&mut Engine, &IncidentEvent) -> ControlFlow<()>,
-    {
-        self.pipeline.run(
-            engine,
-            &mut self.controller,
-            &mut self.helpers,
-            start,
-            horizon,
-            observer,
-        )
+    /// Take every controller intent due by `upto`, record each as a
+    /// [`ControllerApplied`](crate::IncidentEvent::ControllerApplied)
+    /// event at `upto`, and return them for the caller to apply to its
+    /// routing layer (router configs, a BGP speaker, a simulated
+    /// Internet). The controller forgets an intent once it is taken,
+    /// so every one is logged before the caller sees any.
+    pub fn take_due_intents(&mut self, upto: SimTime) -> Vec<ControllerAction> {
+        let due = self.controller.due_actions(upto);
+        for action in &due {
+            self.pipeline.log_controller_applied(action, upto);
+        }
+        due
     }
 }
 
@@ -703,6 +678,7 @@ impl ArtemisService {
 mod tests {
     use super::*;
     use crate::config::ArtemisConfig;
+    use crate::event_log::IncidentEvent;
     use artemis_bgp::AsPath;
     use artemis_simnet::{LatencyModel, SimRng};
     use std::str::FromStr;

@@ -12,22 +12,17 @@
 //!   through [`Pipeline::deliver`]; event log, alert store, live
 //!   monitors, retired timelines and controller intents must come out
 //!   byte-identical.
-//! * A [`Pipeline::run`] interrupted by `Break` at every action of a
-//!   multi-event same-instant batch — and at every event its observer
-//!   sees, same-instant controller installs included — then resumed,
-//!   must match the uninterrupted run.
+//!
+//! The simulator driver's own break-and-resume invariance is tested
+//! beside it, in `artemis_bench`'s `tests/batch_boundary.rs`.
 
 use artemis_bgp::{AsPath, Asn, Prefix};
-use artemis_bgpsim::{BestRoute, Engine, RouteChange, SimConfig};
 use artemis_controller::Controller;
 use artemis_core::config::OwnedPrefix;
-use artemis_core::{ArtemisConfig, EventCursor, IncidentEvent, MitigationPolicy, Pipeline, RunEnd};
-use artemis_feeds::vantage::group_into_collectors;
-use artemis_feeds::{FeedEvent, FeedHub, FeedKind, StreamFeed};
+use artemis_core::{ArtemisConfig, EventCursor, MitigationPolicy, Pipeline};
+use artemis_feeds::{FeedEvent, FeedKind};
 use artemis_simnet::{LatencyModel, SimRng, SimTime};
-use artemis_topology::{AsGraph, RelKind};
 use proptest::prelude::*;
-use std::ops::ControlFlow;
 
 const VPS: [u32; 3] = [174, 3356, 2914];
 const OPERATOR: u32 = 65001;
@@ -148,7 +143,7 @@ enum Cut<'a> {
 fn deliver_phase(p: &mut Pipeline, ctrl: &mut Controller, phase: &[FeedEvent], cut: &Cut<'_>) {
     let mut batch = |p: &mut Pipeline, chunk: &[FeedEvent]| {
         p.hub_mut().requeue(chunk.iter().cloned());
-        let n = p.deliver_due(SimTime::from_secs(FAR), ctrl, &mut []);
+        let n = p.deliver_due(SimTime::from_secs(FAR), ctrl);
         assert_eq!(n, chunk.len() as u64);
     };
     match cut {
@@ -168,7 +163,7 @@ fn deliver_phase(p: &mut Pipeline, ctrl: &mut Controller, phase: &[FeedEvent], c
         }
         Cut::Singletons => {
             for ev in phase {
-                p.deliver(ev, ctrl, &mut []);
+                p.deliver(ev, ctrl);
             }
         }
     }
@@ -184,7 +179,7 @@ fn replay(events: &[FeedEvent], confirm_at: usize, cut: Cut<'_>) -> Outcome {
     let now = before.last().map_or(SimTime::ZERO, |e| e.emitted_at);
     let held: Vec<_> = p.pending_mitigations().map(|(id, _)| id).collect();
     for id in held {
-        p.confirm_mitigation(id, now, &mut ctrl, &mut [])
+        p.confirm_mitigation(id, now, &mut ctrl)
             .expect("listed as pending");
     }
     deliver_phase(&mut p, &mut ctrl, after, &cut);
@@ -244,123 +239,4 @@ fn confirmed_and_already_healed_incident_resolves_at_the_next_event_however_it_i
         whole.log
     );
     assert_eq!(whole, replay(&events, 2, Cut::Singletons));
-}
-
-// ---- run(): Break at every action, resume, compare ------------------
-
-fn change(vp: u32, prefix: &str, origin: u32, t: u64) -> RouteChange {
-    let path = AsPath::from_sequence([vp, 3356, origin]);
-    RouteChange {
-        time: SimTime::from_secs(t),
-        asn: Asn(vp),
-        prefix: pfx(prefix),
-        old: None,
-        new: Some(BestRoute {
-            origin_as: path.origin().expect("non-empty path"),
-            as_path: path,
-            neighbor: Some(Asn(3356)),
-            learned_from: Some(RelKind::Provider),
-            local_pref: 100,
-        }),
-    }
-}
-
-/// A hub-fed pipeline with a queued backlog whose first instant holds
-/// several events that each produce actions (three alerts with their
-/// mitigations), followed by heals that resolve them.
-fn queued_pipeline() -> Pipeline {
-    let vps: Vec<Asn> = VPS.iter().copied().map(Asn).collect();
-    let mut hub = FeedHub::new(SimRng::new(11));
-    hub.add(Box::new(
-        StreamFeed::ris_live(group_into_collectors("rrc", &vps, 1))
-            .with_export_delay(LatencyModel::const_secs(3)),
-    ));
-    let mut p = Pipeline::new(hub, config(), vps.into_iter().collect());
-    p.ingest_route_changes(&[
-        // One instant, five events, three of them raising alerts.
-        change(174, "10.0.0.0/23", 666, 10),
-        change(3356, "10.0.0.0/23", 666, 10),
-        change(174, "192.0.2.0/24", 667, 10),
-        change(2914, "8.8.8.0/24", 15169, 10),
-        change(2914, "10.0.1.0/24", 666, 10),
-        // Heals, again sharing an instant.
-        change(174, "10.0.0.0/23", OPERATOR, 40),
-        change(3356, "10.0.0.0/23", OPERATOR, 40),
-        change(2914, "10.0.1.0/24", OPERATOR, 40),
-        change(174, "192.0.2.0/24", OPERATOR, 41),
-    ]);
-    p
-}
-
-/// Alerts, mitigations and resolutions: what the commit walk logs.
-fn is_action(event: &IncidentEvent) -> bool {
-    !matches!(event, IncidentEvent::ControllerApplied { .. })
-}
-
-/// Run to the horizon, breaking at the `stop_at`-th observed event for
-/// which `counts` holds (if any) and then resuming. Returns the
-/// serialized event log, the events delivered, and how many counted
-/// events the observer saw in total.
-fn run_with_break(
-    stop_at: Option<usize>,
-    counts: fn(&IncidentEvent) -> bool,
-) -> (String, u64, usize) {
-    let mut p = queued_pipeline();
-    let mut ctrl = controller();
-    let mut graph = AsGraph::new();
-    graph.add_as(Asn(OPERATOR));
-    let mut engine = Engine::new(graph, SimConfig::default(), 1);
-    let horizon = SimTime::from_secs(600);
-
-    let mut seen = 0usize;
-    let mut start = SimTime::ZERO;
-    let mut pending_stop = stop_at;
-    loop {
-        let report = p.run(&mut engine, &mut ctrl, &mut [], start, horizon, |_, ev| {
-            if counts(ev) {
-                seen += 1;
-                if pending_stop == Some(seen - 1) {
-                    pending_stop = None;
-                    return ControlFlow::Break(());
-                }
-            }
-            ControlFlow::Continue(())
-        });
-        if report.end != RunEnd::Stopped {
-            break;
-        }
-        start = report.ended_at;
-    }
-    (serialized_log(&p), p.events_delivered(), seen)
-}
-
-#[test]
-fn run_broken_at_every_action_and_resumed_matches_the_uninterrupted_run() {
-    let (log, delivered, actions) = run_with_break(None, is_action);
-    assert_eq!(delivered, 9);
-    assert!(
-        actions >= 8,
-        "alerts, mitigations and resolutions: {actions}"
-    );
-    assert!(log.contains("\"Resolved\""), "incidents heal: {log}");
-    for k in 0..actions {
-        let (broken_log, broken_delivered, _) = run_with_break(Some(k), is_action);
-        assert_eq!(broken_log, log, "break at action {k}");
-        assert_eq!(broken_delivered, delivered, "break at action {k}");
-    }
-}
-
-#[test]
-fn run_broken_at_every_observed_event_and_resumed_matches_the_uninterrupted_run() {
-    // Same-instant mitigation installs are break points too: a Break
-    // on the first of them must not cost the log the others, which the
-    // engine has already applied.
-    let (log, delivered, events) = run_with_break(None, |_| true);
-    let installs = log.matches("\"ControllerApplied\"").count();
-    assert!(installs >= 2, "several installs share an instant: {log}");
-    for k in 0..events {
-        let (broken_log, broken_delivered, _) = run_with_break(Some(k), |_| true);
-        assert_eq!(broken_log, log, "break at observed event {k} of {events}");
-        assert_eq!(broken_delivered, delivered, "break at observed event {k}");
-    }
 }

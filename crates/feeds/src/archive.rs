@@ -9,8 +9,7 @@
 
 use crate::event::{FeedEvent, FeedKind};
 use crate::source::{FeedSource, RibView};
-use artemis_bgp::{AsPath, Asn, PathAttributes, Prefix, UpdateMessage};
-use artemis_bgpsim::RouteChange;
+use artemis_bgp::{AsPath, Asn, PathAttributes, Prefix, RouteChange, UpdateMessage};
 use artemis_mrt::{
     Bgp4mpMessage, MrtRecord, MrtWriter, PeerEntry, PeerIndexTable, RibEntry, RibRecord,
 };
@@ -309,7 +308,7 @@ impl FeedSource for ArchiveRibFeed {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use artemis_bgpsim::BestRoute;
+    use artemis_bgp::BestRoute;
     use artemis_mrt::MrtReader;
     use std::collections::BTreeMap;
     use std::str::FromStr;
@@ -328,7 +327,7 @@ mod tests {
                 as_path: AsPath::from_sequence([3356u32, origin]),
                 origin_as: Asn(origin),
                 neighbor: Some(Asn(3356)),
-                learned_from: Some(artemis_topology::RelKind::Provider),
+                learned_from: Some(artemis_bgp::RelKind::Provider),
                 local_pref: 100,
             }),
         }
@@ -404,7 +403,7 @@ mod tests {
                         as_path: AsPath::from_sequence([3356u32, 666]),
                         origin_as: Asn(666),
                         neighbor: Some(Asn(3356)),
-                        learned_from: Some(artemis_topology::RelKind::Provider),
+                        learned_from: Some(artemis_bgp::RelKind::Provider),
                         local_pref: 100,
                     },
                 ),
@@ -414,7 +413,7 @@ mod tests {
                         as_path: AsPath::from_sequence([2914u32, 65009]),
                         origin_as: Asn(65009),
                         neighbor: Some(Asn(2914)),
-                        learned_from: Some(artemis_topology::RelKind::Peer),
+                        learned_from: Some(artemis_bgp::RelKind::Peer),
                         local_pref: 200,
                     },
                 ),

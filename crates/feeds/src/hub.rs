@@ -3,7 +3,7 @@
 
 use crate::event::{FeedEvent, FeedKind};
 use crate::source::{FeedSource, RibView, WakeLatch};
-use artemis_bgpsim::RouteChange;
+use artemis_bgp::RouteChange;
 use artemis_simnet::{SimRng, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
@@ -554,8 +554,8 @@ mod tests {
     use super::*;
     use crate::stream::StreamFeed;
     use crate::vantage::group_into_collectors;
+    use artemis_bgp::BestRoute;
     use artemis_bgp::{AsPath, Asn};
-    use artemis_bgpsim::BestRoute;
     use std::str::FromStr;
 
     fn change(asn: u32, t: u64) -> RouteChange {
@@ -568,7 +568,7 @@ mod tests {
                 as_path: AsPath::from_sequence([3356u32, 65001]),
                 origin_as: Asn(65001),
                 neighbor: Some(Asn(3356)),
-                learned_from: Some(artemis_topology::RelKind::Provider),
+                learned_from: Some(artemis_bgp::RelKind::Provider),
                 local_pref: 100,
             }),
         }

@@ -2,10 +2,14 @@
 //!
 //! ARTEMIS detects hijacks by combining *multiple live control-plane
 //! feeds* (paper §2): the streaming service of RIPE RIS, BGPmon, and
-//! Periscope-style Looking Glass queries. This crate simulates all of
+//! Periscope-style Looking Glass queries. This crate models all of
 //! them — plus the slow archive pipelines (2-hour RIBs / 15-minute
-//! update batches) that the paper's baselines rely on — against the
-//! routing state of an [`artemis_bgpsim::Engine`].
+//! update batches) that the paper's baselines rely on — over two
+//! engine-free inputs: pushed Loc-RIB deltas
+//! ([`RouteChange`](artemis_bgp::RouteChange)) and pulled routing state
+//! behind a [`RibView`]. Whoever produces those (the simulator driver
+//! in `artemis_bench`, or nothing at all for the live BMP feed) is not
+//! a dependency of this crate.
 //!
 //! Taxonomy:
 //!
@@ -20,7 +24,7 @@
 //! | [`MrtReplayFeed`] | replay of raw MRT bytes | recorded instants + batch window |
 //!
 //! Every source implements [`FeedSource`]; a [`FeedHub`] fans a
-//! [`RouteChange`](artemis_bgpsim::RouteChange) out to all of them and
+//! [`RouteChange`](artemis_bgp::RouteChange) out to all of them and
 //! merge-sorts the timestamped [`FeedEvent`]s it collects into batches
 //! (see [`FeedHub::drain_batch`]). Detection delay is therefore *the
 //! min over sources* — exactly the property the paper exploits (claim
@@ -48,7 +52,6 @@ pub use hub::{DrainBreakdown, FeedHandle, FeedHub, FeedLag};
 pub use live::{BmpLiveFeed, LiveFeedConfig, LiveFeedStats, PeerHealth, WireHealth};
 pub use periscope::{LookingGlass, PeriscopeFeed};
 pub use replay::{MrtReplayFeed, MrtRibSnapshot};
-pub use source::{EmptyRibView, EngineView, FeedSource, RibView, WakeLatch};
+pub use source::{EmptyRibView, FeedSource, RibView, WakeLatch};
 pub use spec::FeedSpec;
 pub use stream::StreamFeed;
-pub use vantage::VantageStrategy;

@@ -18,8 +18,7 @@
 use crate::event::{FeedEvent, FeedKind};
 use crate::filter::FeedFilter;
 use crate::source::{FeedSource, RibView, WakeLatch};
-use artemis_bgp::{Asn, BgpMessage};
-use artemis_bgpsim::RouteChange;
+use artemis_bgp::{Asn, BgpMessage, RouteChange};
 use artemis_bmp::{BackpressureRing, BmpMessage, FrameAssembler, PeerHeader};
 use artemis_simnet::{SimRng, SimTime};
 use std::collections::BTreeMap;

@@ -87,7 +87,7 @@ impl FeedSource for PeriscopeFeed {
 
     fn on_route_change_into(
         &mut self,
-        _change: &artemis_bgpsim::RouteChange,
+        _change: &artemis_bgp::RouteChange,
         _rng: &mut SimRng,
         _out: &mut Vec<FeedEvent>,
     ) {
@@ -148,7 +148,7 @@ impl FeedSource for PeriscopeFeed {
 mod tests {
     use super::*;
     use artemis_bgp::AsPath;
-    use artemis_bgpsim::BestRoute;
+    use artemis_bgp::BestRoute;
     use std::collections::BTreeMap;
     use std::str::FromStr;
 
@@ -174,7 +174,7 @@ mod tests {
             as_path: AsPath::from_sequence([3356u32, origin]),
             origin_as: Asn(origin),
             neighbor: Some(Asn(3356)),
-            learned_from: Some(artemis_topology::RelKind::Provider),
+            learned_from: Some(artemis_bgp::RelKind::Provider),
             local_pref: 100,
         }
     }

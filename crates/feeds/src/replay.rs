@@ -23,8 +23,7 @@
 use crate::archive::batch_end;
 use crate::event::{FeedEvent, FeedKind};
 use crate::source::{FeedSource, RibView};
-use artemis_bgp::{Asn, BgpMessage, Prefix};
-use artemis_bgpsim::{BestRoute, RouteChange};
+use artemis_bgp::{Asn, BestRoute, BgpMessage, Prefix, RouteChange};
 use artemis_mrt::{MrtDiagnostic, MrtError, MrtRecord, MrtScanner, PeerEntry, PeerIndexTable};
 use artemis_simnet::{SimDuration, SimRng, SimTime};
 use std::collections::{BTreeMap, VecDeque};
@@ -447,8 +446,7 @@ mod tests {
     use super::*;
     use crate::archive::{ArchiveRibFeed, ArchiveUpdatesFeed};
     use artemis_bgp::AsPath;
-    use artemis_bgpsim::BestRoute;
-    use artemis_topology::RelKind;
+    use artemis_bgp::RelKind;
     use std::str::FromStr;
 
     fn pfx(s: &str) -> Prefix {

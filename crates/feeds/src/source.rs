@@ -1,8 +1,7 @@
 //! The [`FeedSource`] trait and routing-state views.
 
 use crate::event::{FeedEvent, FeedKind};
-use artemis_bgp::{Asn, Prefix};
-use artemis_bgpsim::{BestRoute, Engine, RouteChange};
+use artemis_bgp::{Asn, BestRoute, Prefix, RouteChange};
 use artemis_simnet::{SimRng, SimTime};
 
 pub use artemis_bmp::WakeLatch;
@@ -30,18 +29,6 @@ impl RibView for EmptyRibView {
     }
     fn loc_rib(&self, _asn: Asn) -> Vec<(Prefix, BestRoute)> {
         Vec::new()
-    }
-}
-
-/// The live engine as a [`RibView`].
-pub struct EngineView<'a>(pub &'a Engine);
-
-impl RibView for EngineView<'_> {
-    fn best_route(&self, asn: Asn, prefix: Prefix) -> Option<BestRoute> {
-        self.0.best_route(asn, prefix)
-    }
-    fn loc_rib(&self, asn: Asn) -> Vec<(Prefix, BestRoute)> {
-        self.0.loc_rib(asn)
     }
 }
 
@@ -147,26 +134,4 @@ pub trait FeedSource: Send {
     /// ready, so the driver need not ask on a timer. Feeds driven
     /// entirely by the caller have nobody to wake and ignore it.
     fn set_waker(&mut self, _waker: WakeLatch) {}
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use artemis_bgpsim::SimConfig;
-    use artemis_topology::AsGraph;
-    use std::str::FromStr;
-
-    #[test]
-    fn engine_view_delegates() {
-        let mut g = AsGraph::new();
-        g.add_provider_customer(Asn(1), Asn(2)).unwrap();
-        let mut e = Engine::new(g, SimConfig::instantaneous(), 1);
-        let p = Prefix::from_str("10.0.0.0/24").unwrap();
-        e.announce(Asn(2), p);
-        e.run_to_quiescence(10_000);
-        let view = EngineView(&e);
-        assert!(view.best_route(Asn(1), p).is_some());
-        assert_eq!(view.loc_rib(Asn(1)).len(), 1);
-        assert!(view.best_route(Asn(99), p).is_none());
-    }
 }

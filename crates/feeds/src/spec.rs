@@ -203,16 +203,16 @@ mod tests {
         let spec = FeedSpec::ris_live("rrc", vec![Asn(174)]);
         let mut a = spec.build();
         let mut b = spec.build();
-        let change = artemis_bgpsim::RouteChange {
+        let change = artemis_bgp::RouteChange {
             time: artemis_simnet::SimTime::from_secs(10),
             asn: Asn(174),
             prefix: "10.0.0.0/23".parse().unwrap(),
             old: None,
-            new: Some(artemis_bgpsim::BestRoute {
+            new: Some(artemis_bgp::BestRoute {
                 as_path: artemis_bgp::AsPath::from_sequence([3356u32, 65001]),
                 origin_as: Asn(65001),
                 neighbor: Some(Asn(3356)),
-                learned_from: Some(artemis_topology::RelKind::Provider),
+                learned_from: Some(artemis_bgp::RelKind::Provider),
                 local_pref: 100,
             }),
         };

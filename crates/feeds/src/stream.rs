@@ -2,8 +2,7 @@
 
 use crate::event::{FeedEvent, FeedKind};
 use crate::source::{FeedSource, RibView};
-use artemis_bgp::Asn;
-use artemis_bgpsim::RouteChange;
+use artemis_bgp::{Asn, RouteChange};
 use artemis_simnet::{LatencyModel, SimDuration, SimRng, SimTime};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -172,7 +171,7 @@ impl FeedSource for StreamFeed {
 mod tests {
     use super::*;
     use artemis_bgp::AsPath;
-    use artemis_bgpsim::BestRoute;
+    use artemis_bgp::BestRoute;
     use std::str::FromStr;
 
     fn change(asn: u32, t: u64) -> RouteChange {
@@ -185,7 +184,7 @@ mod tests {
                 as_path: AsPath::from_sequence([3356u32, 65001]),
                 origin_as: Asn(65001),
                 neighbor: Some(Asn(3356)),
-                learned_from: Some(artemis_topology::RelKind::Provider),
+                learned_from: Some(artemis_bgp::RelKind::Provider),
                 local_pref: 100,
             }),
         }

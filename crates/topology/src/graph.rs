@@ -5,37 +5,8 @@ use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-/// The role a *neighbor* plays relative to a given AS.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub enum RelKind {
-    /// The neighbor pays us for transit.
-    Customer,
-    /// Settlement-free peer.
-    Peer,
-    /// We pay the neighbor for transit.
-    Provider,
-}
-
-impl fmt::Display for RelKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RelKind::Customer => write!(f, "customer"),
-            RelKind::Peer => write!(f, "peer"),
-            RelKind::Provider => write!(f, "provider"),
-        }
-    }
-}
-
-impl RelKind {
-    /// The same edge seen from the other endpoint.
-    pub fn inverse(self) -> RelKind {
-        match self {
-            RelKind::Customer => RelKind::Provider,
-            RelKind::Peer => RelKind::Peer,
-            RelKind::Provider => RelKind::Customer,
-        }
-    }
-}
+/// Defined in [`artemis_bgp::route`], beside the Loc-RIB delta it annotates.
+pub use artemis_bgp::RelKind;
 
 /// Errors when mutating an [`AsGraph`].
 #[derive(Debug, Clone, PartialEq, Eq)]

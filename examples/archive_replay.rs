@@ -16,10 +16,10 @@
 use artemis_bgpsim::{Engine, SimConfig};
 use artemis_controller::Controller;
 use artemis_feeds::{
-    ArchiveRibFeed, ArchiveUpdatesFeed, EngineView, FeedHub, FeedSource, MrtReplayFeed,
-    MrtRibSnapshot,
+    ArchiveRibFeed, ArchiveUpdatesFeed, FeedHub, FeedSource, MrtReplayFeed, MrtRibSnapshot,
 };
-use artemis_repro::core::{ArtemisConfig, OwnedPrefix, Pipeline};
+use artemis_repro::bench::{run, EngineView};
+use artemis_repro::core::{ArtemisConfig, ArtemisService, OwnedPrefix, Pipeline};
 use artemis_repro::prelude::*;
 use artemis_simnet::{LatencyModel, SimRng};
 use artemis_topology::{generate, AsGraph, TopologyConfig};
@@ -40,13 +40,13 @@ fn main() {
     let mut hub = FeedHub::new(SimRng::new(42));
     let archive_feed = hub.add(Box::new(ArchiveUpdatesFeed::route_views(peers.clone())));
     let mut pipeline = Pipeline::new(hub, config.clone(), vantage_points.clone());
-    let mut controller = Controller::new(victim, LatencyModel::const_secs(15), SimRng::new(3));
+    let controller = Controller::new(victim, LatencyModel::const_secs(15), SimRng::new(3));
 
     let mut engine = Engine::new(topo.graph.clone(), SimConfig::default(), 9);
     pipeline.expect_announcement(prefix);
     engine.announce(victim, prefix);
     let changes = engine.run_to_quiescence(1_000_000);
-    pipeline.ingest_route_changes(&changes);
+    pipeline.hub_mut().ingest_route_changes(&changes);
     let converged = engine.now();
 
     // A RouteViews-style RIB snapshot of the pre-hijack Internet — the
@@ -59,14 +59,11 @@ fn main() {
 
     engine.announce_at(attacker, prefix, converged + SimDuration::from_secs(30));
     let horizon = SimTime::ZERO + SimDuration::from_mins(120);
-    pipeline.run(
-        &mut engine,
-        &mut controller,
-        &mut [],
-        converged,
-        horizon,
-        |_, _| ControlFlow::Continue(()),
-    );
+    let mut service = ArtemisService::new(pipeline, controller);
+    run(&mut service, &mut engine, converged, horizon, |_, _| {
+        ControlFlow::Continue(())
+    });
+    let pipeline = service.pipeline();
 
     let update_bytes = pipeline
         .hub()
@@ -112,15 +109,16 @@ fn main() {
     let mut graph = AsGraph::new();
     graph.add_as(victim);
     let mut idle_engine = Engine::new(graph, SimConfig::default(), 1);
-    let mut idle_controller = Controller::new(victim, LatencyModel::const_secs(15), SimRng::new(3));
-    forensics.run(
+    let idle_controller = Controller::new(victim, LatencyModel::const_secs(15), SimRng::new(3));
+    let mut forensics = ArtemisService::new(forensics, idle_controller);
+    run(
+        &mut forensics,
         &mut idle_engine,
-        &mut idle_controller,
-        &mut [],
         SimTime::ZERO,
         horizon,
         |_, _| ControlFlow::Continue(()),
     );
+    let forensics = forensics.pipeline();
 
     println!("\n=== Verdict ===");
     match (original_alert, forensics.detector().alerts().all().first()) {

@@ -6,8 +6,8 @@
 //! cargo run --release --example baseline_comparison [seed]
 //! ```
 
-use artemis_repro::core::baseline::{run_baseline, BaselineKind};
-use artemis_repro::core::report::Table;
+use artemis_repro::bench::baseline::{run_baseline, BaselineKind};
+use artemis_repro::bench::report::Table;
 use artemis_repro::prelude::*;
 
 fn main() {

@@ -6,7 +6,7 @@
 //! cargo run --release --example hijack_experiment [seed]
 //! ```
 
-use artemis_repro::core::viz::render_milestones;
+use artemis_repro::bench::viz::render_milestones;
 use artemis_repro::prelude::*;
 
 fn main() {

@@ -6,7 +6,7 @@
 //! cargo run --release --example monitoring_dashboard [seed]
 //! ```
 
-use artemis_repro::core::viz::render_timeline;
+use artemis_repro::bench::viz::render_timeline;
 use artemis_repro::prelude::*;
 
 fn main() {

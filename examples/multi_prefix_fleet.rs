@@ -15,6 +15,7 @@
 //! cargo run --release --example multi_prefix_fleet [seed]
 //! ```
 
+use artemis_repro::bench::run;
 use artemis_repro::bgpsim::{Engine, SimConfig};
 use artemis_repro::controller::Controller;
 use artemis_repro::core::config::OwnedPrefix;
@@ -81,7 +82,10 @@ fn main() {
         engine.announce(victim, *p);
     }
     let changes = engine.run_to_quiescence(10_000_000);
-    service.pipeline_mut().ingest_route_changes(&changes);
+    service
+        .pipeline_mut()
+        .hub_mut()
+        .ingest_route_changes(&changes);
     let converged = engine.now();
     println!("=== multi-prefix fleet (seed {seed}) ===\n");
     println!(
@@ -107,7 +111,7 @@ fn main() {
         std::collections::BTreeMap::new();
     let mut recovered: BTreeSet<Prefix> = BTreeSet::new();
     let horizon = converged + artemis_repro::simnet::SimDuration::from_mins(120);
-    let report = service.run(&mut engine, converged, horizon, |_, event| {
+    let report = run(&mut service, &mut engine, converged, horizon, |_, event| {
         match event {
             IncidentEvent::MitigationTriggered { alert, plan, .. } => {
                 incident_target.insert(alert.0, plan.target);

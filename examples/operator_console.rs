@@ -9,6 +9,7 @@
 //! cargo run --release --example operator_console [seed]
 //! ```
 
+use artemis_repro::bench::run;
 use artemis_repro::bgpsim::{Engine, SimConfig};
 use artemis_repro::controller::Controller;
 use artemis_repro::core::config::OwnedPrefix;
@@ -72,7 +73,10 @@ fn main() {
     service.pipeline_mut().expect_announcement(p1);
     engine.announce(victim, p1);
     let changes = engine.run_to_quiescence(10_000_000);
-    service.pipeline_mut().ingest_route_changes(&changes);
+    service
+        .pipeline_mut()
+        .hub_mut()
+        .ingest_route_changes(&changes);
     let mut now = engine.now();
     println!("boot: operator {victim} announces {p1}; converged at {now}");
 
@@ -99,7 +103,8 @@ fn main() {
     println!("apply SetMitigationPolicy-> {out:?}");
     service.pipeline_mut().expect_announcement(p2);
     engine.announce_at(victim, p2, now + SimDuration::from_secs(1));
-    service.run(
+    run(
+        &mut service,
         &mut engine,
         now,
         now + SimDuration::from_mins(10),
@@ -111,9 +116,13 @@ fn main() {
     // --- The hijack: caught, but held for approval --------------------
     println!("\n{attacker} hijacks {p2}…");
     engine.announce_at(attacker, p2, now + SimDuration::from_secs(5));
-    service.run(&mut engine, now, now + SimDuration::from_mins(5), |_, _| {
-        ControlFlow::Continue(())
-    });
+    run(
+        &mut service,
+        &mut engine,
+        now,
+        now + SimDuration::from_mins(5),
+        |_, _| ControlFlow::Continue(()),
+    );
     now += SimDuration::from_mins(5);
     drain(&service, &mut dashboard_cursor, &mut dashboard);
 
@@ -139,7 +148,8 @@ fn main() {
         .apply(ServiceCommand::ConfirmMitigation { alert: held.0 }, now)
         .expect("plan pending");
     println!("apply ConfirmMitigation  -> {out:?}");
-    service.run(
+    run(
+        &mut service,
         &mut engine,
         now,
         now + SimDuration::from_mins(30),

@@ -14,9 +14,14 @@
 //! * [`artemis_bgpsim`] — event-driven BGP propagation simulator.
 //! * [`artemis_feeds`] — RIS-live / BGPmon / Periscope / archive feeds.
 //! * [`artemis_controller`] — ONOS-like route-intent controller.
-//! * [`artemis_core`] — the ARTEMIS detector, mitigator and experiment
-//!   harness (the paper's contribution).
+//! * [`artemis_core`] — the ARTEMIS detector, mitigator, monitor and
+//!   operator service (the paper's contribution); it knows no simulator.
+//! * [`artemis_bgpd`] — BGP-4 session state machine for controller peering.
+//! * [`artemis_bench`] — the simulation layer: the PEERING-style
+//!   experiment harness, the baselines, the run driver over a simulated
+//!   Internet, and the `exp_*` paper-experiment binaries.
 
+pub use artemis_bench as bench;
 pub use artemis_bgp as bgp;
 pub use artemis_bgpd as bgpd;
 pub use artemis_bgpsim as bgpsim;
@@ -30,10 +35,10 @@ pub use artemis_topology as topology;
 
 /// Commonly used items for examples and quick scripts.
 pub mod prelude {
+    pub use artemis_bench::ExperimentBuilder;
     pub use artemis_bgp::{Asn, Prefix};
     pub use artemis_core::{
-        ArtemisConfig, ArtemisService, Detector, ExperimentBuilder, HijackType, MitigationPolicy,
-        Mitigator, Pipeline,
+        ArtemisConfig, ArtemisService, Detector, HijackType, MitigationPolicy, Mitigator, Pipeline,
     };
     pub use artemis_simnet::{SimDuration, SimTime};
 }

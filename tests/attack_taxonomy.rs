@@ -7,11 +7,11 @@
 //! nobody at all. Those cases therefore run on the medium (1000-AS)
 //! topology, which is also where the paper-scale dynamics live.
 
-use artemis_repro::core::experiment::AttackKind;
+use artemis_repro::bench::experiment::AttackKind;
 use artemis_repro::core::HijackType;
 use artemis_repro::prelude::*;
 
-fn run_tiny(attack: AttackKind, seed: u64) -> artemis_repro::core::ExperimentOutcome {
+fn run_tiny(attack: AttackKind, seed: u64) -> artemis_repro::bench::ExperimentOutcome {
     let mut b = ExperimentBuilder::tiny(seed);
     b.attack = attack;
     b.run()

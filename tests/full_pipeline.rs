@@ -2,8 +2,8 @@
 //! BGP propagation, feeds, detection, controller, mitigation,
 //! monitoring — exercised together.
 
-use artemis_repro::core::baseline::{run_baseline, BaselineKind};
-use artemis_repro::core::experiment::SourceSelection;
+use artemis_repro::bench::baseline::{run_baseline, BaselineKind};
+use artemis_repro::bench::experiment::SourceSelection;
 use artemis_repro::core::HijackType;
 use artemis_repro::prelude::*;
 use artemis_simnet::SimDuration;

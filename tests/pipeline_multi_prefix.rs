@@ -1,15 +1,15 @@
 //! End-to-end multi-prefix pipeline test: one operator with several
 //! owned prefixes, two hijacks on different prefixes launched at
-//! nearly the same instant, driven through `Pipeline::run` against the
+//! nearly the same instant, driven through `artemis_bench::run` against the
 //! full simulated Internet — proving the pipeline sustains ≥ 2
 //! concurrent alerts with independent monitor timelines and
 //! independent mitigation lifecycles (the configuration the old
 //! single-alert experiment loop could not represent).
 
+use artemis_repro::bench::{run, RunEnd};
 use artemis_repro::bgpsim::{Engine, SimConfig};
 use artemis_repro::controller::Controller;
 use artemis_repro::core::config::OwnedPrefix;
-use artemis_repro::core::pipeline::RunEnd;
 use artemis_repro::core::service::ServiceStatus;
 use artemis_repro::core::{AlertState, EventCursor, IncidentEvent};
 use artemis_repro::feeds::vantage::group_into_collectors;
@@ -85,7 +85,10 @@ fn run_fleet(seed: u64) -> FleetRun {
         engine.announce(victim, p);
     }
     let changes = engine.run_to_quiescence(10_000_000);
-    service.pipeline_mut().ingest_route_changes(&changes);
+    service
+        .pipeline_mut()
+        .hub_mut()
+        .ingest_route_changes(&changes);
     let converged = engine.now();
 
     let dt = artemis_repro::simnet::SimDuration::from_secs(30);
@@ -103,7 +106,7 @@ fn run_fleet(seed: u64) -> FleetRun {
     let mut recovered: BTreeSet<Prefix> = BTreeSet::new();
     let mut target_of: BTreeMap<u64, Prefix> = BTreeMap::new();
     let horizon = converged + artemis_repro::simnet::SimDuration::from_mins(120);
-    let report = service.run(&mut engine, converged, horizon, |_, event| {
+    let report = run(&mut service, &mut engine, converged, horizon, |_, event| {
         match event {
             IncidentEvent::AlertRaised { alert, .. } => {
                 concurrent_at_raise.insert(alert.0, active.len());

@@ -11,6 +11,7 @@
 //! with the full sequence observable via `poll_events` from two
 //! independent cursors yielding identical `IncidentEvent` histories.
 
+use artemis_repro::bench::run;
 use artemis_repro::bgpsim::{Engine, SimConfig};
 use artemis_repro::controller::{Controller, IntentKind};
 use artemis_repro::core::config::OwnedPrefix;
@@ -30,7 +31,9 @@ const SEED: u64 = 7;
 
 /// Drive the service until `until`, letting everything due happen.
 fn run_until(service: &mut ArtemisService, engine: &mut Engine, from: SimTime, until: SimTime) {
-    service.run(engine, from, until, |_, _| ControlFlow::Continue(()));
+    run(service, engine, from, until, |_, _| {
+        ControlFlow::Continue(())
+    });
 }
 
 #[test]
@@ -88,7 +91,10 @@ fn one_service_run_reconfigures_mid_stream() {
     service.pipeline_mut().expect_announcement(p1);
     engine.announce(victim, p1);
     let changes = engine.run_to_quiescence(10_000_000);
-    service.pipeline_mut().ingest_route_changes(&changes);
+    service
+        .pipeline_mut()
+        .hub_mut()
+        .ingest_route_changes(&changes);
     let converged = engine.now();
     let mut now = converged;
     poll_a(&service, &mut cursor_a);
@@ -188,7 +194,8 @@ fn one_service_run_reconfigures_mid_stream() {
     // the instant p1's auto-mitigation triggers, so the offboard
     // happens mid-incident deterministically.
     engine.announce_at(attacker_b, p1, now + SimDuration::from_secs(5));
-    let report = service.run(
+    let report = run(
+        &mut service,
         &mut engine,
         now,
         now + SimDuration::from_mins(30),
@@ -375,7 +382,10 @@ fn control_plane_runs_are_deterministic() {
         service.pipeline_mut().expect_announcement(p1);
         engine.announce(victim, p1);
         let changes = engine.run_to_quiescence(10_000_000);
-        service.pipeline_mut().ingest_route_changes(&changes);
+        service
+            .pipeline_mut()
+            .hub_mut()
+            .ingest_route_changes(&changes);
         let converged = engine.now();
         engine.announce_at(attacker, p1, converged + SimDuration::from_secs(30));
         run_until(
