@@ -325,7 +325,9 @@ impl Codec {
     /// ORIGIN and AS_PATH; a missing NEXT_HOP falls back to `0.0.0.0`
     /// (some dumps omit it for iBGP-learned entries).
     pub fn decode_path_attributes(&self, bytes: &[u8]) -> Result<PathAttributes, BgpError> {
-        let parsed = self.decode_attrs(bytes)?;
+        // A RIB entry's MP_REACH carries no NLRI; any it has is ignored.
+        let (mut nlri, mut withdrawn) = (Vec::new(), Vec::new());
+        let parsed = self.decode_attrs(bytes, &mut MpPrefixes::after(&mut nlri, &mut withdrawn))?;
         let origin = parsed
             .origin
             .ok_or(BgpError::MissingMandatoryAttribute("ORIGIN"))?;
@@ -333,9 +335,9 @@ impl Codec {
             .as_path
             .ok_or(BgpError::MissingMandatoryAttribute("AS_PATH"))?;
         let as_path = reconcile_as4(raw_path, parsed.as4_path);
-        let next_hop: IpAddr = match (parsed.next_hop, &parsed.mp_reach) {
+        let next_hop: IpAddr = match (parsed.next_hop, parsed.mp_next_hop) {
             (Some(v4), _) => IpAddr::V4(v4),
-            (None, Some((_, nh))) => IpAddr::V6(*nh),
+            (None, Some(nh)) => IpAddr::V6(nh),
             (None, None) => IpAddr::V4(Ipv4Addr::UNSPECIFIED),
         };
         Ok(PathAttributes {
@@ -357,24 +359,14 @@ impl Codec {
     /// Decode one message from the front of `buf`. Returns the message
     /// and the number of bytes consumed.
     pub fn decode(&self, buf: &[u8]) -> Result<(BgpMessage, usize), BgpError> {
-        if buf.len() < HEADER_LEN {
-            return Err(BgpError::Truncated("header"));
-        }
-        if buf[..16].iter().any(|&b| b != 0xFF) {
-            return Err(BgpError::BadMarker);
-        }
-        let claimed = u16::from_be_bytes([buf[16], buf[17]]) as usize;
-        if !(HEADER_LEN..=MAX_MESSAGE_LEN).contains(&claimed) || claimed > buf.len() {
-            return Err(BgpError::BadLength {
-                claimed,
-                available: buf.len(),
-            });
-        }
-        let msg_type = buf[18];
-        let body = &buf[HEADER_LEN..claimed];
+        let (msg_type, body) = split_header(buf)?;
         let msg = match msg_type {
             OPEN_TYPE => BgpMessage::Open(self.decode_open(body)?),
-            UPDATE_TYPE => BgpMessage::Update(self.decode_update(body)?),
+            UPDATE_TYPE => {
+                let mut update = UpdateMessage::withdraw(Vec::new());
+                self.decode_update_body(body, &mut update)?;
+                BgpMessage::Update(update)
+            }
             NOTIFICATION_TYPE => {
                 if body.len() < 2 {
                     return Err(BgpError::Truncated("notification"));
@@ -388,7 +380,7 @@ impl Codec {
             KEEPALIVE_TYPE => {
                 if !body.is_empty() {
                     return Err(BgpError::BadLength {
-                        claimed,
+                        claimed: HEADER_LEN + body.len(),
                         available: HEADER_LEN,
                     });
                 }
@@ -396,7 +388,29 @@ impl Codec {
             }
             t => return Err(BgpError::UnknownMessageType(t)),
         };
-        Ok((msg, claimed))
+        Ok((msg, HEADER_LEN + body.len()))
+    }
+
+    /// Decode the UPDATE at the front of `buf` into `out`, reusing its
+    /// `withdrawn` and `nlri` buffers: a reader that keeps one
+    /// `UpdateMessage` allocates only the AS path of each announcement.
+    /// Returns the bytes consumed, or `Ok(None)` when `buf` starts with
+    /// a well-framed message of another type (left undecoded).
+    ///
+    /// The body is decoded by the code behind [`Codec::decode`], so the
+    /// two accept the same UPDATEs and yield equal messages. After an
+    /// error `out` holds no meaningful message, only its buffers.
+    pub fn decode_update_into(
+        &self,
+        buf: &[u8],
+        out: &mut UpdateMessage,
+    ) -> Result<Option<usize>, BgpError> {
+        let (msg_type, body) = split_header(buf)?;
+        if msg_type != UPDATE_TYPE {
+            return Ok(None);
+        }
+        self.decode_update_body(body, out)?;
+        Ok(Some(HEADER_LEN + body.len()))
     }
 
     fn decode_open(&self, mut body: &[u8]) -> Result<OpenMessage, BgpError> {
@@ -452,7 +466,7 @@ impl Codec {
         })
     }
 
-    fn decode_update(&self, body: &[u8]) -> Result<UpdateMessage, BgpError> {
+    fn decode_update_body(&self, body: &[u8], out: &mut UpdateMessage) -> Result<(), BgpError> {
         let mut cur = body;
         if cur.len() < 2 {
             return Err(BgpError::Truncated("withdrawn length"));
@@ -461,7 +475,8 @@ impl Codec {
         if cur.len() < wd_len {
             return Err(BgpError::Truncated("withdrawn routes"));
         }
-        let mut withdrawn = decode_nlri(&cur[..wd_len], Afi::Ipv4)?;
+        out.withdrawn.clear();
+        decode_nlri(&cur[..wd_len], Afi::Ipv4, &mut out.withdrawn)?;
         cur = &cur[wd_len..];
 
         if cur.len() < 2 {
@@ -474,9 +489,14 @@ impl Codec {
         let attr_bytes = &cur[..attr_len];
         cur = &cur[attr_len..];
 
-        let mut nlri = decode_nlri(cur, Afi::Ipv4)?;
+        out.nlri.clear();
+        decode_nlri(cur, Afi::Ipv4, &mut out.nlri)?;
 
-        let parsed = self.decode_attrs(attr_bytes)?;
+        // MP_REACH / MP_UNREACH prefixes follow the classic IPv4 ones.
+        let parsed = self.decode_attrs(
+            attr_bytes,
+            &mut MpPrefixes::after(&mut out.nlri, &mut out.withdrawn),
+        )?;
         let ParsedAttrs {
             origin,
             as_path,
@@ -487,26 +507,18 @@ impl Codec {
             atomic_aggregate,
             aggregator,
             communities,
-            mp_reach,
-            mp_unreach,
+            mp_next_hop,
         } = parsed;
 
-        if let Some((v6_nlri, _)) = &mp_reach {
-            nlri.extend(v6_nlri.iter().copied());
-        }
-        if let Some(v6_wd) = &mp_unreach {
-            withdrawn.extend(v6_wd.iter().copied());
-        }
-
-        let attrs = if nlri.is_empty() {
+        out.attrs = if out.nlri.is_empty() {
             None
         } else {
             let origin = origin.ok_or(BgpError::MissingMandatoryAttribute("ORIGIN"))?;
             let raw_path = as_path.ok_or(BgpError::MissingMandatoryAttribute("AS_PATH"))?;
             let as_path = reconcile_as4(raw_path, as4_path);
-            let next_hop: IpAddr = match (next_hop, &mp_reach) {
+            let next_hop: IpAddr = match (next_hop, mp_next_hop) {
                 (Some(v4), _) => IpAddr::V4(v4),
-                (None, Some((_, nh))) => IpAddr::V6(*nh),
+                (None, Some(nh)) => IpAddr::V6(nh),
                 (None, None) => return Err(BgpError::MissingMandatoryAttribute("NEXT_HOP")),
             };
             Some(PathAttributes {
@@ -520,15 +532,14 @@ impl Codec {
                 communities,
             })
         };
-
-        Ok(UpdateMessage {
-            withdrawn,
-            attrs,
-            nlri,
-        })
+        Ok(())
     }
 
-    fn decode_attrs(&self, mut cur: &[u8]) -> Result<ParsedAttrs, BgpError> {
+    fn decode_attrs(
+        &self,
+        mut cur: &[u8],
+        mp: &mut MpPrefixes<'_>,
+    ) -> Result<ParsedAttrs, BgpError> {
         let mut parsed = ParsedAttrs::default();
         while !cur.is_empty() {
             if cur.len() < 2 {
@@ -552,7 +563,7 @@ impl Codec {
             }
             let val = &cur[..len];
             cur = &cur[len..];
-            self.decode_one_attr(flags, type_code, val, &mut parsed)?;
+            self.decode_one_attr(flags, type_code, val, &mut parsed, mp)?;
         }
         Ok(parsed)
     }
@@ -563,6 +574,7 @@ impl Codec {
         type_code: u8,
         val: &[u8],
         parsed: &mut ParsedAttrs,
+        mp: &mut MpPrefixes<'_>,
     ) -> Result<(), BgpError> {
         match type_code {
             ATTR_ORIGIN => {
@@ -684,8 +696,10 @@ impl Codec {
                 let nh = Ipv6Addr::from(nh_bytes);
                 cur = &cur[nh_len..];
                 let _reserved = cur.get_u8();
-                let nlri = decode_nlri(cur, Afi::Ipv6)?;
-                parsed.mp_reach = Some((nlri, nh));
+                // A repeated attribute replaces the earlier one.
+                mp.nlri.truncate(mp.v4_nlri);
+                decode_nlri(cur, Afi::Ipv6, mp.nlri)?;
+                parsed.mp_next_hop = Some(nh);
             }
             ATTR_MP_UNREACH => {
                 let mut cur = val;
@@ -703,7 +717,8 @@ impl Codec {
                         reason: "unsupported MP_UNREACH AFI",
                     });
                 }
-                parsed.mp_unreach = Some(decode_nlri(cur, Afi::Ipv6)?);
+                mp.withdrawn.truncate(mp.v4_withdrawn);
+                decode_nlri(cur, Afi::Ipv6, mp.withdrawn)?;
             }
             _ => {
                 // Unknown attribute: tolerated and skipped (optional
@@ -725,8 +740,47 @@ struct ParsedAttrs {
     atomic_aggregate: bool,
     aggregator: Option<(Asn, Ipv4Addr)>,
     communities: Vec<Community>,
-    mp_reach: Option<(Vec<Prefix>, Ipv6Addr)>,
-    mp_unreach: Option<Vec<Prefix>>,
+    /// The MP_REACH next hop; its prefixes went to [`MpPrefixes`].
+    mp_next_hop: Option<Ipv6Addr>,
+}
+
+/// Where MP_REACH / MP_UNREACH prefixes land: the UPDATE's own lists,
+/// after the classic IPv4 prefixes already decoded into them.
+struct MpPrefixes<'a> {
+    nlri: &'a mut Vec<Prefix>,
+    withdrawn: &'a mut Vec<Prefix>,
+    v4_nlri: usize,
+    v4_withdrawn: usize,
+}
+
+impl<'a> MpPrefixes<'a> {
+    fn after(nlri: &'a mut Vec<Prefix>, withdrawn: &'a mut Vec<Prefix>) -> Self {
+        MpPrefixes {
+            v4_nlri: nlri.len(),
+            v4_withdrawn: withdrawn.len(),
+            nlri,
+            withdrawn,
+        }
+    }
+}
+
+/// Validate the 19-byte header at the front of `buf` and split off the
+/// message's type code and body.
+fn split_header(buf: &[u8]) -> Result<(u8, &[u8]), BgpError> {
+    if buf.len() < HEADER_LEN {
+        return Err(BgpError::Truncated("header"));
+    }
+    if buf[..16].iter().any(|&b| b != 0xFF) {
+        return Err(BgpError::BadMarker);
+    }
+    let claimed = u16::from_be_bytes([buf[16], buf[17]]) as usize;
+    if !(HEADER_LEN..=MAX_MESSAGE_LEN).contains(&claimed) || claimed > buf.len() {
+        return Err(BgpError::BadLength {
+            claimed,
+            available: buf.len(),
+        });
+    }
+    Ok((buf[18], &buf[HEADER_LEN..claimed]))
 }
 
 /// RFC 6793 §4.2.3 reconciliation: when AS4_PATH is present and no
@@ -796,7 +850,10 @@ fn encode_as_path(path: &AsPath, four_octet: bool, substitute_trans: bool) -> Ve
 
 fn decode_as_path(mut cur: &[u8], four_octet: bool) -> Result<AsPath, BgpError> {
     let asn_size = if four_octet { 4 } else { 2 };
-    let mut segments = Vec::new();
+    // Nearly every path off the wire is one segment: it goes straight
+    // into the path's shared slice, and only a second one starts a Vec.
+    let mut first = None;
+    let mut more = Vec::new();
     while !cur.is_empty() {
         if cur.len() < 2 {
             return Err(BgpError::MalformedAttribute {
@@ -821,20 +878,25 @@ fn decode_as_path(mut cur: &[u8], four_octet: bool) -> Result<AsPath, BgpError> 
             };
             asns.push(Asn(v));
         }
-        match seg_type {
-            SEG_SET => segments.push(Segment::Set(asns)),
-            SEG_SEQUENCE => segments.push(Segment::Sequence(asns)),
+        let segment = match seg_type {
+            SEG_SET => Segment::Set(asns),
+            SEG_SEQUENCE => Segment::Sequence(asns),
             _ => {
                 return Err(BgpError::MalformedAttribute {
                     type_code: ATTR_AS_PATH,
                     reason: "unknown segment type",
                 })
             }
+        };
+        if first.is_none() {
+            first = Some(segment);
+        } else {
+            more.push(segment);
         }
     }
     // `from_segments` merges adjacent sequences (chunked on encode)
     // back together.
-    Ok(AsPath::from_segments(segments))
+    Ok(AsPath::from_segments(first.into_iter().chain(more)))
 }
 
 fn encode_mp_unreach(wd_v6: &[Prefix], out: &mut BytesMut) {
@@ -855,9 +917,8 @@ fn encode_nlri_prefix(prefix: Prefix, out: &mut BytesMut) {
     out.put_slice(&bytes[..nbytes]);
 }
 
-/// Decode a run of NLRI prefixes for one family.
-fn decode_nlri(mut cur: &[u8], afi: Afi) -> Result<Vec<Prefix>, BgpError> {
-    let mut out = Vec::new();
+/// Decode a run of NLRI prefixes for one family, appending to `out`.
+fn decode_nlri(mut cur: &[u8], afi: Afi, out: &mut Vec<Prefix>) -> Result<(), BgpError> {
     while !cur.is_empty() {
         let bit_len = cur.get_u8();
         if bit_len > afi.max_len() {
@@ -875,7 +936,7 @@ fn decode_nlri(mut cur: &[u8], afi: Afi) -> Result<Vec<Prefix>, BgpError> {
             Prefix::from_bits(afi, bits, bit_len).map_err(|_| BgpError::InvalidNlri { bit_len })?;
         out.push(prefix);
     }
-    Ok(out)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1117,6 +1178,47 @@ mod tests {
         let bytes = codec.encode(&BgpMessage::Update(update.clone())).unwrap();
         let (msg, _) = codec.decode(&bytes).unwrap();
         assert_eq!(msg, BgpMessage::Update(update));
+    }
+
+    #[test]
+    fn a_repeated_mp_reach_replaces_the_earlier_one() {
+        let mp_reach = |second_octet: u8| {
+            let mut v = vec![0x80, ATTR_MP_REACH, 26, 0, 2, 1, 16];
+            v.extend_from_slice(&"2001:db8::1".parse::<Ipv6Addr>().unwrap().octets());
+            v.extend_from_slice(&[0, 32, 0x20, 0x01, 0x0d, second_octet]);
+            v
+        };
+        let mut attrs = vec![0x40, ATTR_ORIGIN, 1, 0];
+        attrs.extend_from_slice(&[0x40, ATTR_AS_PATH, 6, SEG_SEQUENCE, 1, 0, 0, 0, 174]);
+        attrs.extend(mp_reach(0xb8));
+        attrs.extend(mp_reach(0xb9));
+        let mut body = vec![0, 0];
+        body.extend_from_slice(&(attrs.len() as u16).to_be_bytes());
+        body.extend(attrs);
+        body.extend_from_slice(&[24, 10, 0, 0]); // one classic IPv4 prefix
+        let mut msg = vec![0xFF; 16];
+        msg.extend_from_slice(&((HEADER_LEN + body.len()) as u16).to_be_bytes());
+        msg.push(UPDATE_TYPE);
+        msg.extend(body);
+
+        let codec = Codec::default();
+        let mut reused = UpdateMessage::withdraw(vec![p("192.0.2.0/24")]);
+        assert_eq!(
+            codec.decode_update_into(&msg, &mut reused),
+            Ok(Some(msg.len()))
+        );
+        assert_eq!(reused.nlri, vec![p("10.0.0.0/24"), p("2001:db9::/32")]);
+        assert!(reused.withdrawn.is_empty());
+        let (owned, _) = codec.decode(&msg).unwrap();
+        assert_eq!(owned, BgpMessage::Update(reused));
+        // Any other message type is left to the caller.
+        let keepalive = codec.encode(&BgpMessage::Keepalive).unwrap();
+        let mut untouched = UpdateMessage::withdraw(vec![p("192.0.2.0/24")]);
+        assert_eq!(
+            codec.decode_update_into(&keepalive, &mut untouched),
+            Ok(None)
+        );
+        assert_eq!(untouched, UpdateMessage::withdraw(vec![p("192.0.2.0/24")]));
     }
 
     #[test]

@@ -153,9 +153,22 @@ impl<T> BackpressureRing<T> {
     /// Move up to `max` items (oldest first) into `out` (appended, not
     /// cleared). Returns how many were moved.
     pub fn drain_into(&self, out: &mut Vec<T>, max: usize) -> usize {
+        // Not `drain_map_into` with an identity map: extending from the
+        // bare `Drain` timed a few percent faster per item.
         let mut q = self.lock();
         let n = max.min(q.len());
         out.extend(q.drain(..n));
+        n
+    }
+
+    /// [`BackpressureRing::drain_into`], passing each item through `f`
+    /// on its way out: a consumer whose queue holds a thinner type than
+    /// it hands on builds each output in the same pass. `f` runs under
+    /// the queue lock, so it should be cheap.
+    pub fn drain_map_into<U>(&self, out: &mut Vec<U>, max: usize, f: impl FnMut(T) -> U) -> usize {
+        let mut q = self.lock();
+        let n = max.min(q.len());
+        out.extend(q.drain(..n).map(f));
         n
     }
 
@@ -329,6 +342,16 @@ mod tests {
         assert_eq!(out, vec![3, 4, 5]);
         // 6 landed, then 100: 3 shed, 3 drained, 1 still queued.
         assert_eq!((ring.shed_total(), ring.len()), (3, 1));
+    }
+
+    #[test]
+    fn drain_map_into_maps_oldest_first_and_appends() {
+        let ring = BackpressureRing::new(4);
+        ring.push_batch(0..6u32);
+        let mut out = vec!["kept".to_string()];
+        assert_eq!(ring.drain_map_into(&mut out, 3, |i| format!("#{i}")), 3);
+        assert_eq!(out, ["kept", "#2", "#3", "#4"]);
+        assert_eq!((ring.len(), ring.shed_total()), (1, 2));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! BMP v3 message model, encoder, and zero-copy scanner (RFC 7854).
 
-use artemis_bgp::{Asn, BgpError, BgpMessage, Codec, OpenMessage};
+use artemis_bgp::{Asn, BgpError, BgpMessage, Codec, OpenMessage, UpdateMessage};
 use std::fmt;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
@@ -474,15 +474,12 @@ impl RawBmpMessage<'_> {
         let mut c = Cursor::new(self.body);
         match self.msg_type {
             MSG_ROUTE_MONITORING => {
-                let peer = get_peer_header(&mut c)?;
-                let (update, used) = pdu_codec().decode(c.rest())?;
-                if used != c.remaining() {
-                    return Err(BmpError::Malformed("trailing bytes after BGP PDU"));
-                }
-                if !matches!(update, BgpMessage::Update(_)) {
-                    return Err(BmpError::Malformed("route monitoring PDU is not an UPDATE"));
-                }
-                Ok(BmpMessage::RouteMonitoring { peer, update })
+                let mut update = UpdateMessage::withdraw(Vec::new());
+                let peer = self.decode_route_monitoring_into(&mut update)?;
+                Ok(BmpMessage::RouteMonitoring {
+                    peer,
+                    update: BgpMessage::Update(update),
+                })
             }
             MSG_STATS_REPORT => {
                 let peer = get_peer_header(&mut c)?;
@@ -548,6 +545,31 @@ impl RawBmpMessage<'_> {
             }),
             t => Err(BmpError::UnknownType(t)),
         }
+    }
+
+    /// Decode a `route_monitoring` message into the caller's `update`,
+    /// reusing its prefix buffers (see [`Codec::decode_update_into`]),
+    /// and return its per-peer header. Accepts exactly the messages
+    /// [`RawBmpMessage::decode`] decodes as
+    /// [`BmpMessage::RouteMonitoring`], with an equal header and
+    /// UPDATE; any other message type is `Malformed`. After an error
+    /// `update` holds no meaningful message, only its buffers.
+    pub fn decode_route_monitoring_into(
+        &self,
+        update: &mut UpdateMessage,
+    ) -> Result<PeerHeader, BmpError> {
+        if self.msg_type != MSG_ROUTE_MONITORING {
+            return Err(BmpError::Malformed("not a route monitoring message"));
+        }
+        let mut c = Cursor::new(self.body);
+        let peer = get_peer_header(&mut c)?;
+        let used = pdu_codec()
+            .decode_update_into(c.rest(), update)?
+            .ok_or(BmpError::Malformed("route monitoring PDU is not an UPDATE"))?;
+        if used != c.remaining() {
+            return Err(BmpError::Malformed("trailing bytes after BGP PDU"));
+        }
+        Ok(peer)
     }
 
     /// Attach stream context to a body-level decode error, producing

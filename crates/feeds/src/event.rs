@@ -45,10 +45,12 @@ impl fmt::Display for FeedKind {
 /// session* — i.e. it starts with the vantage AS itself (a collector
 /// receives the peer's Adj-RIB-Out, which prepends the peer).
 ///
-/// The event is moved ring → lane → batch by value and cloned per
-/// NLRI, so what it carries on the heap is shared, not owned: cloning
-/// `collector` or `as_path` bumps a reference count. On the wire both
-/// are a plain string and a plain segment list, as they always were.
+/// A feed builds one event per NLRI, and the hub moves it lane → batch
+/// by value (the live BMP feed builds it as it drains its ring, whose
+/// entries are thinner), so what it carries on the heap is shared, not
+/// owned: cloning `collector` or `as_path` bumps a reference count. On
+/// the wire both are a plain string and a plain segment list, as they
+/// always were.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FeedEvent {
     /// When the monitoring service delivered the event to subscribers

@@ -71,23 +71,35 @@ impl FeedFilter {
 
     /// Evaluate the predicate against one event.
     pub fn matches(&self, ev: &FeedEvent) -> bool {
-        if !self.prefixes.is_empty() && !self.prefixes.iter().any(|p| p.overlaps(ev.prefix)) {
+        self.matches_parts(ev.prefix, ev.origin_as, ev.vantage, ev.observed_at)
+    }
+
+    /// The predicate on the four fields it reads: what the live reader
+    /// calls on an event before it is a [`FeedEvent`].
+    pub(crate) fn matches_parts(
+        &self,
+        prefix: Prefix,
+        origin_as: Option<Asn>,
+        vantage: Asn,
+        observed_at: SimTime,
+    ) -> bool {
+        if !self.prefixes.is_empty() && !self.prefixes.iter().any(|p| p.overlaps(prefix)) {
             return false;
         }
         if !self.origins.is_empty() {
             // Withdrawals carry no origin: they pass, because a
             // withdrawal of a watched route is always interesting.
-            if let Some(origin) = ev.origin_as {
+            if let Some(origin) = origin_as {
                 if !self.origins.contains(&origin) {
                     return false;
                 }
             }
         }
-        if !self.vantages.is_empty() && !self.vantages.contains(&ev.vantage) {
+        if !self.vantages.is_empty() && !self.vantages.contains(&vantage) {
             return false;
         }
         if let Some((start, end)) = self.window {
-            if ev.observed_at < start || ev.observed_at >= end {
+            if observed_at < start || observed_at >= end {
                 return false;
             }
         }

@@ -2,24 +2,33 @@
 //!
 //! [`BmpLiveFeed`] owns a reader thread that speaks RFC 7854 framing
 //! off a [`std::net::TcpStream`], decodes `route_monitoring` messages
-//! into [`FeedEvent`]s, applies an optional pre-ring [`FeedFilter`],
-//! and parks the survivors in a fixed-capacity
-//! [`artemis_bmp::BackpressureRing`]. The pipeline side is an ordinary
-//! pull-based [`FeedSource`]: `next_poll` reports "now" whenever the
-//! ring holds events, and `poll` drains them; a driver that installed
-//! a latch with [`FeedSource::set_waker`] is woken when the ring turns
-//! non-empty (and on a `peer_down`). When the detector falls
-//! behind, the ring sheds oldest-first and counts every shed — memory
-//! stays bounded by construction, and the loss is visible in
-//! [`crate::FeedLag`] instead of silent.
+//! into one reused [`UpdateMessage`], expands each into one entry per
+//! prefix, applies an optional pre-ring [`FeedFilter`], and parks the
+//! survivors in a fixed-capacity [`artemis_bmp::BackpressureRing`].
+//! A ring entry carries only what differs between events (observation
+//! time, vantage, prefix, path, origin); the pump thread's `poll`
+//! builds each [`FeedEvent`] from one as it drains, adding the feed's
+//! collector name and the emission instant. What is per feed or per
+//! socket read is paid once: the reader clones no name and publishes
+//! its `decoded` count once per read, after that read's events are in
+//! the ring.
+//!
+//! The pipeline side is an ordinary pull-based [`FeedSource`]:
+//! `next_poll` reports "now" whenever the ring holds events, and
+//! `poll` drains them; a driver that installed a latch with
+//! [`FeedSource::set_waker`] is woken when the ring turns non-empty
+//! (and on a `peer_down`). When the detector falls behind, the ring
+//! sheds oldest-first and counts every shed — memory stays bounded by
+//! construction, and the loss is visible in [`crate::FeedLag`] instead
+//! of silent.
 
 #![deny(missing_docs)]
 
 use crate::event::{FeedEvent, FeedKind};
 use crate::filter::FeedFilter;
 use crate::source::{FeedSource, RibView, WakeLatch};
-use artemis_bgp::{Asn, BgpMessage, RouteChange};
-use artemis_bmp::{BackpressureRing, BmpMessage, FrameAssembler, PeerHeader};
+use artemis_bgp::{AsPath, Asn, Prefix, RouteChange, UpdateMessage};
+use artemis_bmp::{BackpressureRing, BmpMessage, FrameAssembler, PeerHeader, MSG_ROUTE_MONITORING};
 use artemis_simnet::{SimRng, SimTime};
 use std::collections::BTreeMap;
 use std::io::Read;
@@ -52,9 +61,12 @@ impl Default for LiveFeedConfig {
 /// events — stats reports and peer downs — never per route).
 #[derive(Default)]
 struct LiveCounters {
-    /// Route-monitoring events decoded off the wire.
+    /// Route-monitoring events decoded off the wire. Published once per
+    /// socket read (with `Release`), after that read's events were
+    /// pushed and its rejections counted in `filtered`.
     decoded: AtomicU64,
-    /// Events rejected by the pre-ring filter.
+    /// Events rejected by the pre-ring filter, published per socket
+    /// read just before `decoded`.
     filtered: AtomicU64,
     /// Messages skipped on per-message decode defects, plus one for a
     /// reader thread that failed to start.
@@ -118,7 +130,12 @@ pub struct WireHealth {
 /// A point-in-time snapshot of a live feed's wire-side health.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LiveFeedStats {
-    /// Route-monitoring events decoded off the wire so far.
+    /// Route-monitoring events decoded off the wire so far. Published
+    /// once per socket read, after that read's events are in the ring:
+    /// each one counted here is already pending, polled
+    /// ([`FeedSource::events_emitted`]), filtered or shed, so
+    /// `decoded == polled + filtered + shed + pending` whenever the
+    /// feed is quiescent.
     pub decoded: u64,
     /// Events discarded by the pre-ring filter.
     pub filtered: u64,
@@ -142,10 +159,10 @@ pub struct LiveFeedStats {
 /// A live RFC 7854 BMP session as a [`FeedSource`]. See the module
 /// docs for the architecture.
 pub struct BmpLiveFeed {
-    /// Also the `collector` of every event: the reader clones this
-    /// handle per event, never the bytes.
+    /// Also the `collector` of every event: `poll` clones this handle
+    /// per event on the pump thread, never the bytes.
     name: Arc<str>,
-    ring: Arc<BackpressureRing<FeedEvent>>,
+    ring: Arc<BackpressureRing<RingEntry>>,
     counters: Arc<LiveCounters>,
     shutdown: Arc<AtomicBool>,
     reader: Option<std::thread::JoinHandle<()>>,
@@ -209,7 +226,9 @@ impl BmpLiveFeed {
     /// Wire-side health counters (see [`LiveFeedStats`]).
     pub fn stats(&self) -> LiveFeedStats {
         LiveFeedStats {
-            decoded: self.counters.decoded.load(Ordering::Relaxed),
+            // Acquire: what the reader did before publishing this count
+            // (ring pushes, sheds, filter rejections) is seen below.
+            decoded: self.counters.decoded.load(Ordering::Acquire),
             filtered: self.counters.filtered.load(Ordering::Relaxed),
             shed: self.ring.shed_total(),
             pending: self.ring.len(),
@@ -284,18 +303,24 @@ impl FeedSource for BmpLiveFeed {
         _rng: &mut SimRng,
         out: &mut Vec<FeedEvent>,
     ) {
-        // The ring drains straight into the caller's buffer: one move
-        // per event, and only what this poll appended is stamped.
-        let start = out.len();
-        let n = self.ring.drain_into(out, usize::MAX);
-        for ev in &mut out[start..] {
+        // The ring drains straight into the caller's buffer, each entry
+        // becoming its event in the same pass.
+        let collector = &self.name;
+        let n = self.ring.drain_map_into(out, usize::MAX, |e| FeedEvent {
             // Emission is the instant the pipeline could first react;
             // observation keeps the collector's wire timestamp (capped
             // so a fast collector clock cannot place it after
             // emission).
-            ev.emitted_at = at;
-            ev.observed_at = ev.observed_at.min(at);
-        }
+            emitted_at: at,
+            observed_at: e.observed_at.min(at),
+            source: FeedKind::BmpLive,
+            collector: Arc::clone(collector),
+            vantage: e.vantage,
+            prefix: e.prefix,
+            as_path: e.as_path,
+            origin_as: e.origin_as,
+            raw: None,
+        });
         if n > 0 {
             self.emitted += n as u64;
             self.polls += 1;
@@ -333,6 +358,22 @@ impl FeedSource for BmpLiveFeed {
         self.ring.set_waker(waker);
     }
 }
+
+/// One prefix of one route-monitoring UPDATE, as the reader parks it:
+/// only what differs between events. `poll` adds the rest.
+struct RingEntry {
+    /// The collector's wire timestamp.
+    observed_at: SimTime,
+    vantage: Asn,
+    prefix: Prefix,
+    /// `None` for withdrawals; shared by every prefix of one UPDATE.
+    as_path: Option<AsPath>,
+    origin_as: Option<Asn>,
+}
+
+// The reader writes one per prefix and the ring moves each twice:
+// every build fails when it regrows toward `FeedEvent`'s 128 bytes.
+const _: () = assert!(std::mem::size_of::<RingEntry>() <= 80);
 
 /// Why one TCP session ended, deciding what the reader does next.
 enum SessionEnd {
@@ -390,7 +431,7 @@ fn reader_main(
     addr: String,
     config: LiveFeedConfig,
     collector: Arc<str>,
-    ring: Arc<BackpressureRing<FeedEvent>>,
+    ring: Arc<BackpressureRing<RingEntry>>,
     counters: Arc<LiveCounters>,
     shutdown: Arc<AtomicBool>,
 ) {
@@ -408,7 +449,7 @@ fn reader_main(
             }
             established_once = true;
             attempt = 0;
-            match stream_session(stream, &config, &collector, &ring, &counters, &shutdown) {
+            match stream_session(stream, &config, &ring, &counters, &shutdown) {
                 SessionEnd::Shutdown | SessionEnd::Fatal => break,
                 SessionEnd::TransportLost => {}
             }
@@ -422,8 +463,7 @@ fn reader_main(
 fn stream_session(
     mut stream: TcpStream,
     config: &LiveFeedConfig,
-    collector: &Arc<str>,
-    ring: &BackpressureRing<FeedEvent>,
+    ring: &BackpressureRing<RingEntry>,
     counters: &LiveCounters,
     shutdown: &AtomicBool,
 ) -> SessionEnd {
@@ -432,7 +472,10 @@ fn stream_session(
     let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
     let mut asm = FrameAssembler::new();
     let mut buf = vec![0u8; READ_CHUNK];
-    let mut batch: Vec<FeedEvent> = Vec::new();
+    let mut batch: Vec<RingEntry> = Vec::new();
+    // Every route-monitoring message decodes into this one UPDATE, so
+    // its prefix lists are allocated once per session.
+    let mut update = UpdateMessage::withdraw(Vec::new());
     loop {
         if shutdown.load(Ordering::Relaxed) {
             return SessionEnd::Shutdown;
@@ -450,12 +493,24 @@ fn stream_session(
             Err(_) => return SessionEnd::TransportLost,
         };
         asm.push(&buf[..n]);
-        loop {
+        let mut tally = ReadTally::default();
+        let fused = loop {
             match asm.next_message() {
-                Ok(Some(raw)) => match raw.decode() {
-                    Ok(BmpMessage::RouteMonitoring { peer, update }) => {
-                        events_from_update(collector, &peer, &update, config, counters, &mut batch);
+                Ok(Some(raw)) if raw.msg_type == MSG_ROUTE_MONITORING => {
+                    match raw.decode_route_monitoring_into(&mut update) {
+                        Ok(peer) => events_from_update(
+                            &peer,
+                            &update,
+                            config.filter.as_ref(),
+                            &mut tally,
+                            &mut batch,
+                        ),
+                        Err(_) => {
+                            counters.diagnostics.fetch_add(1, Ordering::Relaxed);
+                        }
                     }
+                }
+                Ok(Some(raw)) => match raw.decode() {
                     Ok(BmpMessage::StatsReport { peer, stats }) => {
                         let mut health = lock_recovering(&counters.peer_health);
                         let h = health.entry(peer.peer_as).or_default();
@@ -495,65 +550,92 @@ fn stream_session(
                         counters.diagnostics.fetch_add(1, Ordering::Relaxed);
                     }
                 },
-                Ok(None) => break,
+                Ok(None) => break false,
                 // Fused framing: the stream boundary is lost for good.
                 Err(_) => {
                     counters.diagnostics.fetch_add(1, Ordering::Relaxed);
-                    return SessionEnd::Fatal;
+                    break true;
                 }
             }
-        }
-        if !batch.is_empty() {
-            ring.push_batch(batch.drain(..));
+        };
+        // What this read decoded reaches the ring and the counters
+        // even when its framing fused part-way.
+        tally.publish(ring, counters, &mut batch);
+        if fused {
+            return SessionEnd::Fatal;
         }
     }
 }
 
-/// Expand one route-monitoring UPDATE into per-prefix feed events,
-/// filter them, and append survivors to `batch`. The events share the
-/// feed's collector name and the UPDATE's one path: nothing here
-/// allocates per event.
+/// What one socket read decoded and filtered, published in one go.
+#[derive(Default)]
+struct ReadTally {
+    decoded: u64,
+    filtered: u64,
+}
+
+impl ReadTally {
+    /// Push the read's survivors, then count them: filter rejections
+    /// first, then `decoded` with `Release`, so a `stats` that sees the
+    /// new `decoded` also sees every one of its events queued, shed or
+    /// filtered.
+    fn publish(
+        self,
+        ring: &BackpressureRing<RingEntry>,
+        counters: &LiveCounters,
+        batch: &mut Vec<RingEntry>,
+    ) {
+        if !batch.is_empty() {
+            ring.push_batch(batch.drain(..));
+        }
+        if self.filtered > 0 {
+            counters
+                .filtered
+                .fetch_add(self.filtered, Ordering::Relaxed);
+        }
+        if self.decoded > 0 {
+            counters.decoded.fetch_add(self.decoded, Ordering::Release);
+        }
+    }
+}
+
+/// Expand one route-monitoring UPDATE into per-prefix ring entries,
+/// filter them, and append survivors to `batch`, counting both in
+/// `tally`. The entries share the UPDATE's one path and carry no
+/// collector name (the pump adds it): nothing here allocates per
+/// prefix, and the path's reference count is the one shared counter
+/// it touches.
 fn events_from_update(
-    collector: &Arc<str>,
     peer: &PeerHeader,
-    update: &BgpMessage,
-    config: &LiveFeedConfig,
-    counters: &LiveCounters,
-    batch: &mut Vec<FeedEvent>,
+    update: &UpdateMessage,
+    filter: Option<&FeedFilter>,
+    tally: &mut ReadTally,
+    batch: &mut Vec<RingEntry>,
 ) {
-    let BgpMessage::Update(u) = update else {
-        return; // decode() already guarantees this
-    };
-    let observed = SimTime::from_micros(peer.timestamp_micros());
-    let path = u.attrs.as_ref().map(|a| &a.as_path);
-    let origin = u.attrs.as_ref().and_then(|a| a.origin_as());
-    let mut push = |prefix, as_path, origin_as| {
-        counters.decoded.fetch_add(1, Ordering::Relaxed);
-        let ev = FeedEvent {
-            // Placeholder until `poll` stamps the true emission
-            // instant; observation is the collector's wire timestamp.
-            emitted_at: observed,
-            observed_at: observed,
-            source: FeedKind::BmpLive,
-            collector: Arc::clone(collector),
-            vantage: peer.peer_as,
-            prefix,
-            as_path,
-            origin_as,
-            raw: None,
-        };
-        match &config.filter {
-            Some(f) if !f.matches(&ev) => {
-                counters.filtered.fetch_add(1, Ordering::Relaxed);
+    let observed_at = SimTime::from_micros(peer.timestamp_micros());
+    let vantage = peer.peer_as;
+    let path = update.attrs.as_ref().map(|a| &a.as_path);
+    let origin = update.attrs.as_ref().and_then(|a| a.origin_as());
+    let mut push = |prefix, as_path: Option<&AsPath>, origin_as| {
+        tally.decoded += 1;
+        match filter {
+            Some(f) if !f.matches_parts(prefix, origin_as, vantage, observed_at) => {
+                tally.filtered += 1;
             }
-            _ => batch.push(ev),
+            _ => batch.push(RingEntry {
+                observed_at,
+                vantage,
+                prefix,
+                as_path: as_path.cloned(),
+                origin_as,
+            }),
         }
     };
-    for prefix in &u.withdrawn {
+    for prefix in &update.withdrawn {
         push(*prefix, None, None);
     }
-    for prefix in &u.nlri {
-        push(*prefix, path.cloned(), origin);
+    for prefix in &update.nlri {
+        push(*prefix, path, origin);
     }
 }
 
@@ -561,7 +643,7 @@ fn events_from_update(
 mod tests {
     use super::*;
     use crate::source::EmptyRibView;
-    use artemis_bgp::{AsPath, Asn, PathAttributes, Prefix, UpdateMessage};
+    use artemis_bgp::{BgpMessage, PathAttributes};
     use artemis_bmp::BmpWriter;
     use std::io::Write;
     use std::net::{Ipv4Addr, TcpListener};
@@ -858,6 +940,72 @@ mod tests {
     }
 
     #[test]
+    fn every_decoded_event_is_polled_filtered_or_shed() {
+        const BURST: u64 = 300;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let config = LiveFeedConfig {
+            ring_capacity: 16,
+            filter: Some(FeedFilter::any().prefix(Prefix::from_str("10.0.0.0/16").unwrap())),
+        };
+        let mut feed = BmpLiveFeed::connect("bmp0", addr.to_string(), config);
+        let (mut sock, _) = listener.accept().unwrap();
+        let writer = std::thread::spawn(move || {
+            // Two of every three inside the filter. Half the burst in
+            // one write (more than the ring holds), the rest in small
+            // pieces so the reader sees many socket reads.
+            let mut w = BmpWriter::new();
+            let mut cut = 0;
+            for i in 0..BURST {
+                let p = if i % 3 == 2 {
+                    "198.51.100.0/24"
+                } else {
+                    "10.0.0.0/24"
+                };
+                w.write(&route_monitoring(p, &[174, 666], i)).unwrap();
+                if i == BURST / 2 {
+                    cut = w.as_bytes().len();
+                }
+            }
+            let (bulk, rest) = w.as_bytes().split_at(cut);
+            sock.write_all(bulk).unwrap();
+            for chunk in rest.chunks(700) {
+                sock.write_all(chunk).unwrap();
+                std::thread::sleep(Duration::from_micros(200));
+            }
+            sock
+        });
+        // Poll while the burst streams in: some events are polled,
+        // some shed from the small ring, some filtered.
+        let mut polled = 0u64;
+        let mut rng = SimRng::new(1);
+        while feed.stats().decoded < BURST {
+            polled += feed
+                .poll(SimTime::from_secs(1), &EmptyRibView, &mut rng)
+                .len() as u64;
+        }
+        // The stats that first read the whole burst already see all of
+        // it in the ring, shed or filtered: none is still in flight.
+        let stats = feed.stats();
+        assert_eq!(
+            stats.decoded,
+            polled + stats.filtered + stats.shed + stats.pending as u64,
+            "{stats:?}, polled {polled}"
+        );
+        let _sock = writer.join().unwrap();
+        polled += feed
+            .poll(SimTime::from_secs(1), &EmptyRibView, &mut rng)
+            .len() as u64;
+        let stats = feed.stats();
+        assert_eq!(stats.decoded, BURST);
+        assert_eq!(stats.filtered, BURST / 3);
+        assert_eq!(stats.pending, 0);
+        assert_eq!(stats.decoded, polled + stats.filtered + stats.shed);
+        assert_eq!(feed.events_emitted(), polled);
+        assert_eq!(feed.dropped_events(), stats.filtered + stats.shed);
+    }
+
+    #[test]
     fn stalled_consumer_sheds_oldest_bounded() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
@@ -902,11 +1050,15 @@ mod tests {
             // framing itself, not on EOF.
             std::thread::sleep(Duration::from_millis(300));
         });
-        let feed = BmpLiveFeed::connect("bmp0", addr.to_string(), LiveFeedConfig::default());
+        let mut feed = BmpLiveFeed::connect("bmp0", addr.to_string(), LiveFeedConfig::default());
         wait_until(|| feed.stats().disconnected);
         let stats = feed.stats();
         assert_eq!(stats.decoded, 1, "events before the corruption were kept");
+        assert_eq!(stats.pending, 1, "... and reached the ring");
         assert!(stats.diagnostics >= 1);
+        let evs = feed.poll(SimTime::from_secs(1), &EmptyRibView, &mut SimRng::new(1));
+        assert_eq!(evs.len(), 1);
+        assert_eq!(evs[0].prefix, Prefix::from_str("10.0.0.0/24").unwrap());
         writer.join().unwrap();
     }
 
