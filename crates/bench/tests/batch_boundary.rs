@@ -2,8 +2,11 @@
 //! interrupted by `Break` at every action of a multi-event same-instant
 //! batch — and at every event its observer sees, same-instant
 //! controller installs included — then resumed, must match the
-//! uninterrupted run. (The staged commit's own batch-boundary
-//! invariance is tested in `artemis_core`.)
+//! uninterrupted run. The driver commits each due event as a batch of
+//! one, so every break falls between two walks of the pipeline's
+//! commit. (That commit's own batch-boundary invariance — the same
+//! outcome however a stream is cut into batches — is tested in
+//! `artemis_core`.)
 
 use artemis_bench::{run, RunEnd};
 use artemis_bgp::{AsPath, Asn, BestRoute, Prefix, RelKind, RouteChange};

@@ -2,9 +2,8 @@
 //!
 //! These counters time the three stages of a feed batch — drain from
 //! the hub's merge queue, classification, and the ordered commit
-//! through monitoring/mitigation — plus
-//! the commit stage's five named sub-stages (detect, monitor-route,
-//! monitor-ingest, resolve, mitigate), with `std::time::Instant`.
+//! through monitoring/mitigation — plus the sub-stages each splits
+//! into, with `std::time::Instant`.
 //! They exist for operators: the daemon's `/metrics` endpoint renders
 //! them as Prometheus counters.
 //!
@@ -102,15 +101,14 @@ impl StageStat {
 /// The classify stage splits into `classify_snapshot` (starting the
 /// batch: resetting the detector's dirty tracking) and
 /// `classify_prepare` (classifying every event in one sequential
-/// pass). The commit stage splits into `detect`
-/// (ordered detection walk, including in-batch monitor creation),
-/// `monitor_route` (prefix-routing every event onto the event list of
-/// each active monitor it concerns), `monitor_ingest` (replaying each
-/// monitor's list in batch order, up to the event that resolves it),
-/// `resolve` (applying resolution
-/// decisions: alert state, log, monitor retirement) and `mitigate`
-/// (planning/executing/holding mitigation for newly raised alerts).
-/// Every entry point goes through the same staged commit, so every
+/// pass). The commit stage is one ordered walk over the batch and
+/// splits into `resolve` (applying resolution decisions: alert state,
+/// log, monitor retirement), `mitigate` (planning/executing/holding
+/// mitigation for newly raised alerts) and `detect` (the rest of the
+/// walk: detection, in-batch monitor creation, and routing each event
+/// to the monitors it concerns, which ingest it). `monitor_route` and
+/// `monitor_ingest` are never recorded; see their field docs.
+/// Every entry point goes through the same commit, so every
 /// delivered batch — a drained backlog or a hand-fed batch of one —
 /// records the classify and commit families; the drain family is
 /// recorded only where the pipeline drains its own hub
@@ -132,15 +130,22 @@ pub struct StageMetrics {
     /// pass.
     pub classify_prepare: StageStat,
     /// Committing the batch in order through detection, monitoring
-    /// and mitigation (the umbrella over the five sub-stages below).
+    /// and mitigation (the umbrella over `detect`, `resolve` and
+    /// `mitigate`).
     pub commit: StageStat,
-    /// Commit sub-stage: the ordered detection walk.
+    /// Commit sub-stage: the walk minus `resolve` and `mitigate` —
+    /// detection, plus routing each event to its monitors and their
+    /// ingesting it.
     pub detect: StageStat,
-    /// Commit sub-stage: routing every event through the prefix index
-    /// onto the event lists of the monitors alive at batch start.
+    /// Never recorded; always zero. Monitor routing is timed inside
+    /// `detect`. The field and its `/metrics` lines
+    /// (`stage="commit_monitor_route"`) stay because scrape readers
+    /// expect them.
     pub monitor_route: StageStat,
-    /// Commit sub-stage: replaying each monitor's event list, in batch
-    /// order, into that monitor.
+    /// Never recorded; always zero. Monitor ingestion is timed inside
+    /// `detect`. The field and its `/metrics` lines
+    /// (`stage="commit_monitor_ingest"`) stay because scrape readers
+    /// expect them.
     pub monitor_ingest: StageStat,
     /// Commit sub-stage: applying resolution decisions in order.
     pub resolve: StageStat,

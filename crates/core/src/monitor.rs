@@ -181,13 +181,12 @@ impl MonitorService {
     }
 
     /// Ingest a monitoring event; records a timeline point when the
-    /// reporting vantage point's selection changed.
-    ///
-    /// This is the *checked* entry point for direct callers: events
-    /// outside the monitored space (see [`MonitorService::is_relevant`])
-    /// are silently ignored. The pipeline's hot path routes events
-    /// through the [`MonitorIndex`] instead, which guarantees relevance
-    /// up front and calls the crate-private `ingest_routed` directly.
+    /// reporting vantage point's selection changed. Events outside the
+    /// monitored space (see [`MonitorService::is_relevant`]) are
+    /// ignored: the pipeline's walk hands a monitor the events the
+    /// [`MonitorIndex`] routed to it, plus — once, for an alert
+    /// mitigated between deliveries — the next batch's first event
+    /// whatever its prefix, so its resolution is re-evaluated there.
     ///
     /// The change test is **per-VP**, not aggregate: it compares the
     /// reporting VP's `(state, selected origin)` before and after the
@@ -199,26 +198,9 @@ impl MonitorService {
     /// opposite per-VP flips netting out across a recorded point
     /// vanished from the timeline entirely.
     pub fn ingest(&mut self, event: &FeedEvent) {
-        // Only events about the monitored space matter.
         if !self.is_relevant(event.prefix) {
             return;
         }
-        self.ingest_routed(event);
-    }
-
-    /// [`MonitorService::ingest`] minus the relevance check: the
-    /// caller asserts the event concerns the monitored space (it was
-    /// routed here by the [`MonitorIndex`]). Relevance is re-verified
-    /// only in debug builds — a routing-layer bug trips the assert in
-    /// tests instead of silently corrupting observations in
-    /// production.
-    pub(crate) fn ingest_routed(&mut self, event: &FeedEvent) {
-        debug_assert!(
-            self.is_relevant(event.prefix),
-            "event {} routed to monitor {} without relevance",
-            event.prefix,
-            self.target
-        );
         let Ok(vp) = self.vantage_points.binary_search(&event.vantage) else {
             return;
         };

@@ -27,9 +27,9 @@
 //! number of cursors replay the same history independently.
 //!
 //! Drivers have two entry points, and both are batches through the
-//! same staged commit (classify pass → monitor route → monitor replay
-//! in batch order → ordered detect/resolve walk) — there is no second
-//! code path that walks events:
+//! same commit (a classify pass over the batch, then one ordered walk
+//! that detects, feeds every concerned monitor and resolves, event by
+//! event) — there is no second code path that walks events:
 //!
 //! * [`Pipeline::deliver_due`] — drain everything due and commit it as
 //!   one batch (the daemon's pump, archive replays, benches).
@@ -109,9 +109,6 @@ pub struct Pipeline {
     recheck: BTreeSet<AlertId>,
     /// Reusable routing buffer for [`MonitorIndex::route`].
     route_buf: Vec<AlertId>,
-    /// Reusable monitor-route output, parallel to `monitors`: the batch
-    /// indices routed to each monitor, ascending.
-    routed: Vec<Vec<u32>>,
     /// Vantage population handed to new monitors.
     vantage_points: BTreeSet<Asn>,
     /// Compact records of incidents that are over (resolved, or closed
@@ -158,7 +155,6 @@ impl Pipeline {
             monitor_index: MonitorIndex::new(),
             recheck: BTreeSet::new(),
             route_buf: Vec::new(),
-            routed: Vec::new(),
             vantage_points,
             retired: BTreeMap::new(),
             retired_coalesced_points: 0,
@@ -529,7 +525,8 @@ impl Pipeline {
 
     /// Feed one monitoring event through detection, monitoring and
     /// (policy permitting) automatic mitigation — a batch of one
-    /// through the staged commit. `controller` receives mitigation
+    /// through the same commit as a drained backlog: its classify pass
+    /// and its walk each see one event. `controller` receives mitigation
     /// intents when a new alert fires. Returns the
     /// alert the event raised, if any (one event raises at most one);
     /// everything else it caused is in the event log.
@@ -669,27 +666,30 @@ impl Pipeline {
         batch
     }
 
-    /// The staged commit — the only code that walks events. Both entry
+    /// The batch commit — the only code that walks events. Both entry
     /// points ([`Pipeline::deliver_due`], [`Pipeline::deliver`]) hand
     /// it a batch in `(emitted_at, ingestion order)`; every lifecycle
     /// fact goes to the event log in delivery order. Returns the last
     /// alert the batch raised, if any.
     ///
-    /// Stages: classify the whole batch in one tight pass (the flat
-    /// trie and shard rules stay hot in cache); route every event once
-    /// through the [`MonitorIndex`] onto the list of each monitor alive
-    /// at batch start that it concerns; replay each monitor's list in
-    /// batch order, stopping at the event that resolves it; then walk
-    /// the batch in order running detection, monitors born earlier in
-    /// this batch, and the noted resolutions.
+    /// Two passes. The first classifies the whole batch in one tight
+    /// loop (the flat trie and shard rules stay hot in cache). The
+    /// second walks the batch once, in order; at each event it commits
+    /// detection (a monitor born here is indexed before the event is
+    /// routed, so it sees its own birth event), routes the event
+    /// through the [`MonitorIndex`] into every monitor it concerns, and
+    /// resolves, in ascending id order, each of those monitors that is
+    /// now all-legitimate on a `Mitigating` alert — before the next
+    /// event's detection, so dedup against resolved alerts (a re-hijack
+    /// is a NEW alert) sees them. Alerts mitigated outside delivery
+    /// (`recheck`) join the first event's route whether or not it
+    /// concerns them: their monitor may already be all-legitimate.
     ///
     /// The outcome is independent of how a stream is cut into batches:
-    /// a pre-existing monitor's state evolution depends only on the
-    /// event sequence, never on in-batch detection; its alert cannot
-    /// turn `Mitigating` mid-batch (confirm/resume happen between
-    /// deliveries); and the detector re-classifies any event whose
-    /// shard rules changed after the classify pass. Each stage records
-    /// its own [`crate::StageStat`] (see [`StageMetrics`]).
+    /// the walk is the singleton delivery repeated, and the detector
+    /// re-classifies any event whose shard rules changed after the
+    /// classify pass. Each stage records its own [`crate::StageStat`]
+    /// (see [`StageMetrics`]).
     fn commit_batch(
         &mut self,
         batch: &[FeedEvent],
@@ -710,72 +710,10 @@ impl Pipeline {
         prep.extend(batch.iter().map(|event| self.detector.prepare(event)));
         let t2 = Instant::now();
 
-        // --- monitor-route: every event once through the prefix
-        // index, its batch index appended to the list of each monitor it
-        // concerns. Alerts mitigated outside delivery (`recheck`) start
-        // their list with event 0 whether or not it concerns them: their
-        // monitor may already be all-legitimate, so resolution is due at
-        // the first event.
-        let mut routed = std::mem::take(&mut self.routed);
-        routed.iter_mut().for_each(Vec::clear);
-        routed.resize_with(self.monitors.len(), Vec::new);
-        for id in std::mem::take(&mut self.recheck) {
-            if let Some(at) = self.monitor_at(id) {
-                routed[at].push(0);
-            }
-        }
+        // --- commit walk: detection, monitoring and resolution, event
+        // by event.
         let mut route = std::mem::take(&mut self.route_buf);
-        for (i, event) in batch.iter().enumerate() {
-            self.monitor_index.route(event.prefix, &mut route);
-            for id in &route {
-                let at = self
-                    .monitor_at(*id)
-                    .expect("indexed alert has a live monitor");
-                let list = &mut routed[at];
-                if list.last() != Some(&(i as u32)) {
-                    list.push(i as u32); // not already there as a recheck
-                }
-            }
-        }
-        self.route_buf = route;
-        let t3 = Instant::now();
-
-        // --- monitor-ingest: replay each monitor's events in batch
-        // order straight into the registry, one monitor at a time so its
-        // per-VP slots stay in cache, and stop at the event that
-        // resolves it. Monitors are independent, so this is the state a
-        // batch-order replay reaches. The resolved leave the registry in
-        // the order the walk applies them: by event, then by alert.
-        let mut due: Vec<(usize, AlertId)> = Vec::new();
-        let alerts = self.detector.alerts();
-        for ((id, monitor), events) in self.monitors.iter_mut().zip(&routed) {
-            for &i in events {
-                let event = &batch[i as usize];
-                if monitor.is_relevant(event.prefix) {
-                    monitor.ingest_routed(event);
-                }
-                if monitor.all_legitimate() && is_mitigating(alerts, *id) {
-                    due.push((i as usize, *id));
-                    break;
-                }
-            }
-        }
-        self.routed = routed;
-        due.sort_unstable();
-        let mut resolved = Vec::with_capacity(due.len());
-        for (i, id) in due {
-            let monitor = self.take_monitor(id).expect("listed monitor is live");
-            resolved.push((i, id, monitor));
-        }
-        let mut resolved = resolved.into_iter().peekable();
-        let t4 = Instant::now();
-
-        // --- commit walk: detection in delivery order, events into
-        // monitors born earlier in this batch, and the noted
-        // resolutions applied at their exact event indices (before the
-        // next event's detection, so dedup against resolved alerts —
-        // a re-hijack is a NEW alert — sees them).
-        let mut live_new: Vec<AlertId> = Vec::new();
+        let mut healed: Vec<AlertId> = Vec::new();
         let mut last_raised = None;
         let mut mitigate_ns = 0u64;
         let mut resolve_ns = 0u64;
@@ -784,56 +722,42 @@ impl Pipeline {
             let (new_alert, mit_ns) = self.detect_and_arm(event, prep[i], controller);
             mitigate_ns += mit_ns;
             last_raised = new_alert.or(last_raised);
-            live_new.extend(new_alert);
 
-            // Monitors born earlier in this batch could not be
-            // pre-staged; they ingest inline (their count is bounded
-            // by in-batch alerts, not registry size).
-            let mut resolved_new: Vec<AlertId> = Vec::new();
-            for id in &live_new {
-                let Some(at) = self.monitor_at(*id) else {
-                    continue;
-                };
+            self.monitor_index.route(event.prefix, &mut route);
+            if i == 0 && !self.recheck.is_empty() {
+                route.extend(std::mem::take(&mut self.recheck));
+                route.sort_unstable();
+                route.dedup();
+            }
+            for id in &route {
+                let at = self
+                    .monitor_at(*id)
+                    .expect("routed alert has a live monitor");
                 let monitor = &mut self.monitors[at].1;
-                if !monitor.is_relevant(event.prefix) {
-                    continue;
-                }
-                monitor.ingest_routed(event);
+                monitor.ingest(event);
                 if monitor.all_legitimate() && is_mitigating(self.detector.alerts(), *id) {
-                    resolved_new.push(*id);
+                    healed.push(*id);
                 }
             }
-
-            let scheduled = resolved.peek().is_some_and(|(j, _, _)| *j == i);
-            if scheduled || !resolved_new.is_empty() {
+            if !healed.is_empty() {
                 let clock = Instant::now();
-                let at = event.emitted_at;
-                // Pre-existing alerts carry smaller ids than any alert
-                // born in this batch, so scheduled-then-new keeps the
-                // ascending order.
-                while let Some((_, id, monitor)) = resolved.next_if(|(j, _, _)| *j == i) {
-                    self.resolve(id, monitor, at);
-                }
-                for id in resolved_new {
-                    if let Some(monitor) = self.take_monitor(id) {
-                        self.resolve(id, monitor, at);
-                    }
-                    live_new.retain(|x| *x != id);
+                for id in healed.drain(..) {
+                    let monitor = self.take_monitor(id).expect("healed monitor is live");
+                    self.resolve(id, monitor, event.emitted_at);
                 }
                 resolve_ns += elapsed_ns(clock);
             }
         }
-        let t5 = Instant::now();
+        self.route_buf = route;
+        let t3 = Instant::now();
         self.prepared = prep;
 
         let m = &mut self.stage_metrics;
         m.classify.record(delivered, t2 - t1);
         m.classify_snapshot.record(delivered, t1b - t1);
         m.classify_prepare.record(delivered, t2 - t1b);
-        m.commit.record(delivered, t5 - t2);
-        m.monitor_route.record(delivered, t3 - t2);
-        m.monitor_ingest.record(delivered, t4 - t3);
-        let walk_ns = u64::try_from((t5 - t4).as_nanos()).unwrap_or(u64::MAX);
+        m.commit.record(delivered, t3 - t2);
+        let walk_ns = u64::try_from((t3 - t2).as_nanos()).unwrap_or(u64::MAX);
         let detect_ns = walk_ns.saturating_sub(mitigate_ns + resolve_ns);
         m.detect.record(delivered, Duration::from_nanos(detect_ns));
         m.resolve

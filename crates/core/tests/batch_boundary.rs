@@ -1,17 +1,23 @@
-//! Batch-boundary invariance: the staged commit is the only code that
-//! walks events, and what it produces must not depend on how a stream
-//! is cut into batches.
+//! Batch-boundary invariance: the pipeline's commit — a classify pass
+//! over the batch, then one ordered walk that detects, feeds each
+//! concerned monitor and resolves, event by event — is the only code
+//! that walks events, and what it produces must not depend on how a
+//! stream is cut into batches.
 //!
 //! * One generated stream — nested owned prefixes (so one event is
-//!   routed to several monitors), hijacks and heals (so resolutions
-//!   land mid-batch), mitigation echoes that dirty shard rules after
-//!   the classify pass, a dormant prefix, and an operator confirmation
-//!   between two deliveries (so a confirmed alert's resolution is due
-//!   at the next batch's first event) — is
+//!   routed to several monitors), an owned IPv6 prefix, hijacks and
+//!   heals (so resolutions land mid-batch), mitigation echoes that
+//!   dirty shard rules after the classify pass, a dormant prefix, and
+//!   an operator confirmation between two deliveries (so a confirmed
+//!   alert's resolution is due at the next batch's first event) — is
 //!   delivered as one batch, as random splits, and as singletons
 //!   through [`Pipeline::deliver`]; event log, alert store, live
 //!   monitors, retired timelines and controller intents must come out
 //!   byte-identical.
+//! * Fixed streams pin the walk's own edge cases: an incident raised,
+//!   mitigated and healed inside one batch, two incidents healed by
+//!   the same event, and a confirmed incident that only the recheck
+//!   at the next batch's first event can resolve.
 //!
 //! The simulator driver's own break-and-resume invariance is tested
 //! beside it, in `artemis_bench`'s `tests/batch_boundary.rs`.
@@ -19,7 +25,9 @@
 use artemis_bgp::{AsPath, Asn, Prefix};
 use artemis_controller::Controller;
 use artemis_core::config::OwnedPrefix;
-use artemis_core::{ArtemisConfig, EventCursor, MitigationPolicy, Pipeline};
+use artemis_core::{
+    AlertId, ArtemisConfig, EventCursor, IncidentEvent, MitigationPolicy, Pipeline,
+};
 use artemis_feeds::{FeedEvent, FeedKind};
 use artemis_simnet::{LatencyModel, SimRng, SimTime};
 use proptest::prelude::*;
@@ -44,6 +52,7 @@ fn config() -> ArtemisConfig {
             OwnedPrefix::new(pfx("172.16.0.0/22"), Asn(OPERATOR)),
             OwnedPrefix::new(pfx("192.0.2.0/24"), Asn(OPERATOR)),
             OwnedPrefix::new(pfx("203.0.113.0/24"), Asn(OPERATOR)).dormant(),
+            OwnedPrefix::new(pfx("2001:db8::/32"), Asn(OPERATOR)),
         ],
     )
 }
@@ -83,7 +92,7 @@ fn event(vp: u32, prefix: &str, origin: Option<u32>, t: u64) -> FeedEvent {
 /// share one.
 fn decode(kind: u8, slot: u8, t: u64) -> FeedEvent {
     let vp = VPS[(slot % 3) as usize];
-    let (prefix, origin): (&str, u32) = match kind % 12 {
+    let (prefix, origin): (&str, u32) = match kind % 15 {
         0 => ("10.0.0.0/23", OPERATOR),     // benign exact / heals the /23
         1 => ("10.0.0.0/23", 666),          // exact-origin hijack
         2 => ("10.0.0.0/24", 666),          // sub-prefix hijack
@@ -95,7 +104,10 @@ fn decode(kind: u8, slot: u8, t: u64) -> FeedEvent {
         8 => ("10.0.1.0/24", OPERATOR),     // benign nested / mitigation echo
         9 => ("10.0.0.0/24", OPERATOR),     // mitigation echo (or forged origin before it)
         10 => ("203.0.113.0/24", OPERATOR), // squat mitigation echo
-        _ => ("172.16.0.0/22", 668),        // exact hijack under ConfirmFirst
+        11 => ("172.16.0.0/22", 668),       // exact hijack under ConfirmFirst
+        12 => ("2001:db8::/32", 666),       // IPv6 exact-origin hijack
+        13 => ("2001:db8::/32", OPERATOR),  // benign IPv6 exact / heals the /32
+        _ => ("2001:db8::/33", OPERATOR),   // IPv6 mitigation echo
     };
     // Rare withdrawals.
     event(vp, prefix, (kind < 240).then_some(origin), t)
@@ -171,18 +183,24 @@ fn deliver_phase(p: &mut Pipeline, ctrl: &mut Controller, phase: &[FeedEvent], c
 
 /// Deliver `events[..confirm_at]`, confirm every held plan, deliver the
 /// rest — each phase cut into batches as `cut` says.
-fn replay(events: &[FeedEvent], confirm_at: usize, cut: Cut<'_>) -> Outcome {
+fn run(events: &[FeedEvent], confirm_at: usize, cut: &Cut<'_>) -> (Pipeline, Controller) {
     let mut p = pipeline();
     let mut ctrl = controller();
     let (before, after) = events.split_at(confirm_at);
-    deliver_phase(&mut p, &mut ctrl, before, &cut);
+    deliver_phase(&mut p, &mut ctrl, before, cut);
     let now = before.last().map_or(SimTime::ZERO, |e| e.emitted_at);
     let held: Vec<_> = p.pending_mitigations().map(|(id, _)| id).collect();
     for id in held {
         p.confirm_mitigation(id, now, &mut ctrl)
             .expect("listed as pending");
     }
-    deliver_phase(&mut p, &mut ctrl, after, &cut);
+    deliver_phase(&mut p, &mut ctrl, after, cut);
+    (p, ctrl)
+}
+
+/// [`run`], reduced to everything observable.
+fn replay(events: &[FeedEvent], confirm_at: usize, cut: Cut<'_>) -> Outcome {
+    let (p, ctrl) = run(events, confirm_at, &cut);
     Outcome {
         log: serialized_log(&p),
         alerts: format!("{:?}", p.detector().alerts().all()),
@@ -201,8 +219,30 @@ fn replay(events: &[FeedEvent], confirm_at: usize, cut: Cut<'_>) -> Outcome {
     }
 }
 
+/// Every `Resolved` entry of the log, in log order.
+fn resolutions(p: &Pipeline) -> Vec<(AlertId, SimTime)> {
+    p.poll_events(EventCursor::START)
+        .events
+        .into_iter()
+        .filter_map(|e| match e {
+            IncidentEvent::Resolved { alert, at } => Some((alert, at)),
+            _ => None,
+        })
+        .collect()
+}
+
+/// 48 cases, or `PROPTEST_CASES` when set (`with_cases` alone would
+/// override the variable).
+fn cases() -> ProptestConfig {
+    if std::env::var_os("PROPTEST_CASES").is_some() {
+        ProptestConfig::default()
+    } else {
+        ProptestConfig::with_cases(48)
+    }
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(cases())]
 
     #[test]
     fn outcome_is_independent_of_batch_boundaries(
@@ -239,4 +279,52 @@ fn confirmed_and_already_healed_incident_resolves_at_the_next_event_however_it_i
         whole.log
     );
     assert_eq!(whole, replay(&events, 2, Cut::Singletons));
+}
+
+#[test]
+fn incident_raised_mitigated_and_healed_in_one_batch_resolves_at_the_singleton_event() {
+    // The alert, its monitor and its mitigation are all born at the
+    // second event; the echo of the plan's first half heals the only
+    // hijacked vantage point two events later.
+    let events = [
+        event(3356, "8.8.8.0/24", Some(15169), 10),
+        event(174, "10.0.0.0/23", Some(666), 11),
+        event(2914, "192.0.2.0/24", Some(OPERATOR), 12),
+        event(174, "10.0.0.0/24", Some(OPERATOR), 13),
+        event(3356, "8.8.8.0/24", Some(15169), 14),
+    ];
+    let (whole, _) = run(&events, events.len(), &Cut::Whole);
+    let (single, _) = run(&events, events.len(), &Cut::Singletons);
+    let healed = resolutions(&whole);
+    assert_eq!(healed.len(), 1, "one incident, resolved once: {healed:?}");
+    assert_eq!(healed[0].1, SimTime::from_secs(13), "at the echo");
+    assert_eq!(healed, resolutions(&single));
+    assert_eq!(
+        replay(&events, events.len(), Cut::Whole),
+        replay(&events, events.len(), Cut::Singletons)
+    );
+}
+
+#[test]
+fn incidents_healed_by_the_same_event_resolve_in_id_order() {
+    // A hijack of the /23, then of the owned /24 nested in it: two
+    // mitigated incidents, both seen only by AS174. Its route back to
+    // the operator for the /24 is the longest match in both monitored
+    // spaces, so that one event heals both.
+    let events = [
+        event(174, "10.0.0.0/23", Some(666), 10),
+        event(174, "10.0.1.0/24", Some(666), 11),
+        event(174, "10.0.1.0/24", Some(OPERATOR), 12),
+    ];
+    for cut in [Cut::Whole, Cut::Singletons] {
+        let (p, _) = run(&events, events.len(), &cut);
+        let raised: Vec<AlertId> = p.detector().alerts().all().iter().map(|a| a.id).collect();
+        assert_eq!(raised.len(), 2, "two incidents");
+        let at = SimTime::from_secs(12);
+        assert_eq!(
+            resolutions(&p),
+            vec![(raised[0], at), (raised[1], at)],
+            "one event, ascending ids"
+        );
+    }
 }
