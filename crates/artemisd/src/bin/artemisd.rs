@@ -27,7 +27,8 @@ FLAGS:
     --addr HOST:PORT       listen address (default 127.0.0.1:8900; port 0 = ephemeral)
     --asn N                the operator's AS number (default 65001)
     --owned PREFIX:ASN     onboard an owned prefix at startup (repeatable),
-                           e.g. --owned 10.0.0.0/23:65001
+                           e.g. --owned 10.0.0.0/23:65001; repeating a
+                           prefix adds ASN as another legitimate origin
     --vantage N            a vantage-point ASN for monitors (repeatable;
                            default 174 and 3356)
     --event-capacity N     incident event-log ring capacity (default 1024)

@@ -66,7 +66,9 @@ pub enum DeaggregationPolicy {
 pub struct ArtemisConfig {
     /// The operator's primary AS.
     pub operator_as: Asn,
-    /// Owned prefixes with their rules.
+    /// Owned prefixes with their rules. A prefix listed more than once
+    /// is owned once, under the union of its copies' origins and
+    /// neighbours, and is dormant only if every copy is.
     pub owned: Vec<OwnedPrefix>,
     /// De-aggregation aggressiveness.
     pub deaggregation_policy: DeaggregationPolicy,

@@ -25,6 +25,18 @@
 //! the shard *dirty* so classifications prepared before it are
 //! recomputed at commit time. [`Detector::process`] is the two phases
 //! back to back for one event.
+//!
+//! # One trie entry per event
+//!
+//! The routing trie's value for an owned prefix is a `ShardRoute`:
+//! the shard's index and, when the shard is *plain* (announced, one
+//! legitimate origin, no known neighbours, nothing expected), that
+//! origin. Classifying an event routed to a plain shard reads nothing
+//! but the trie entry; only the other shards load their rules. Both
+//! paths run the same rules (`decide`). A shard's expectation set
+//! holds only the announcements a mitigation registered, never the
+//! configured prefix itself: no rule reads that entry for an announced
+//! prefix, so a fleet of plain prefixes allocates no set at all.
 
 use crate::alert::{AlertId, AlertStore};
 use crate::classify::HijackType;
@@ -50,11 +62,28 @@ pub enum Detection {
 struct ShardRules {
     /// The shard's owned prefix and its legitimacy rules.
     owned: OwnedPrefix,
-    /// Announcements within this shard's space we originate ourselves.
+    /// Announcements within this shard's space that a mitigation
+    /// registered as our own ([`Detector::expect_announcement`],
+    /// [`Detector::activate_prefix`]). Empty for a configured prefix:
+    /// its own announcement is judged by origin alone.
     expected: BTreeSet<Prefix>,
 }
 
 impl ShardRules {
+    /// The routing trie's value for this shard at index `idx`.
+    fn route(&self, idx: usize) -> ShardRoute {
+        let owned = &self.owned;
+        let origins = &owned.legitimate_origins;
+        ShardRoute {
+            idx: u32::try_from(idx).expect("shard count fits in u32"),
+            origin: origins.first().copied().unwrap_or(Asn(0)),
+            plain: !owned.dormant
+                && owned.known_neighbors.is_empty()
+                && origins.len() == 1
+                && self.expected.is_empty(),
+        }
+    }
+
     /// Classify one event routed to this shard. Pure read.
     fn classify(
         &self,
@@ -63,63 +92,87 @@ impl ShardRules {
         observed_origin: Option<Asn>,
     ) -> Option<HijackType> {
         let owned = &self.owned;
-        let exact = event.prefix == owned.prefix;
-        let legit_origin = observed_origin
-            .map(|o| owned.legitimate_origins.contains(&o))
-            .unwrap_or(false);
-
-        if owned.dormant {
-            // Any announcement of a dormant prefix is squatting —
-            // *except* the echo of our own mitigation announcement: a
-            // Squatting plan announces the dormant prefix itself, and
-            // that announcement re-enters here through the feeds. An
-            // event is ours only when it is both expected (registered
-            // by the mitigation) and carries a legitimate origin; an
-            // attacker announcing the same prefix stays a hijack.
-            if self.expected.contains(&event.prefix) && legit_origin {
-                None
-            } else {
-                Some(HijackType::Squatting)
-            }
-        } else if exact {
-            if !legit_origin {
-                Some(HijackType::ExactOrigin)
-            } else if !owned.known_neighbors.is_empty() {
+        decide(
+            owned.dormant,
+            event.prefix == owned.prefix,
+            observed_origin.is_some_and(|o| owned.legitimate_origins.contains(&o)),
+            || self.expected.contains(&event.prefix),
+            || {
                 // Type-1 check: the hop adjacent to the origin must be
                 // a known neighbor. Skip when the vantage point *is*
                 // the origin (path "VP" with VP == origin: no adjacency
                 // to judge).
-                match as_path.origin_neighbor() {
-                    Some(adj)
-                        if !owned.known_neighbors.contains(&adj)
+                !owned.known_neighbors.is_empty()
+                    && as_path.origin_neighbor().is_some_and(|adj| {
+                        !owned.known_neighbors.contains(&adj)
                             && Some(adj) != observed_origin
-                            && !owned.legitimate_origins.contains(&adj) =>
-                    {
-                        Some(HijackType::Type1FakeNeighbor)
-                    }
-                    _ => None,
-                }
-            } else {
-                None
-            }
-        } else {
-            // More-specific announcement of our space.
-            if self.expected.contains(&event.prefix) {
-                // Our own (mitigation) announcement echoed back — but
-                // only if the origin is also legitimate; an attacker
-                // announcing *the same* /24 is still a hijack.
-                if legit_origin {
-                    None
-                } else {
-                    Some(HijackType::SubPrefix)
-                }
-            } else if legit_origin {
-                Some(HijackType::SubPrefixForgedOrigin)
-            } else {
-                Some(HijackType::SubPrefix)
-            }
-        }
+                            && !owned.legitimate_origins.contains(&adj)
+                    })
+            },
+        )
     }
+}
+
+/// The detection rules, over what one event tells the shard it routes
+/// to: whether the shard's prefix is dormant, whether the event
+/// announces that prefix itself (`exact`, else a more-specific) and
+/// whether its origin is legitimate. The two remaining facts are asked
+/// only where a rule needs them: whether the announcement is one we
+/// expect, and whether its origin-adjacent hop is a fake neighbour. A
+/// plain shard answers both `false` without looking.
+#[inline(always)]
+fn decide(
+    dormant: bool,
+    exact: bool,
+    legit_origin: bool,
+    expected: impl FnOnce() -> bool,
+    fake_neighbor: impl FnOnce() -> bool,
+) -> Option<HijackType> {
+    if dormant {
+        // Any announcement of a dormant prefix is squatting — *except*
+        // the echo of our own mitigation announcement: a Squatting plan
+        // announces the dormant prefix itself, and that announcement
+        // re-enters here through the feeds. An event is ours only when
+        // it is both expected (registered by the mitigation) and
+        // carries a legitimate origin; an attacker announcing the same
+        // prefix stays a hijack.
+        if expected() && legit_origin {
+            None
+        } else {
+            Some(HijackType::Squatting)
+        }
+    } else if exact {
+        if !legit_origin {
+            Some(HijackType::ExactOrigin)
+        } else if fake_neighbor() {
+            Some(HijackType::Type1FakeNeighbor)
+        } else {
+            None
+        }
+    } else if expected() {
+        // More-specific announcement of our space, and our own
+        // (mitigation) announcement echoed back — but only if the
+        // origin is also legitimate; an attacker announcing *the same*
+        // /24 is still a hijack.
+        if legit_origin {
+            None
+        } else {
+            Some(HijackType::SubPrefix)
+        }
+    } else if legit_origin {
+        Some(HijackType::SubPrefixForgedOrigin)
+    } else {
+        Some(HijackType::SubPrefix)
+    }
+}
+
+/// Fold a repeated configuration entry for the same prefix into the
+/// first: the shard accepts every origin and neighbour either copy
+/// lists, and stays dormant only if both copies are.
+fn fold_repeat(first: &mut OwnedPrefix, repeat: OwnedPrefix) {
+    first.legitimate_origins.extend(repeat.legitimate_origins);
+    first.known_neighbors.extend(repeat.known_neighbors);
+    first.dormant &= repeat.dormant;
 }
 
 /// What [`Detector::remove_shard`] hands back: everything the caller
@@ -161,19 +214,41 @@ impl PreparedEvent {
     };
 }
 
+/// The routing trie's value for one owned prefix: the shard's index
+/// into the rule table, and the shard's rules themselves when they are
+/// the common case — `plain`: announced, exactly one legitimate origin
+/// (`origin`), no known neighbours and no expected announcements. An
+/// event routed to a plain shard classifies from this entry alone.
+/// Re-derived ([`ShardRules::route`]) after every change to the shard.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct ShardRoute {
+    idx: u32,
+    origin: Asn,
+    plain: bool,
+}
+
+// Keeps the trie's value slot (prefix bits, length, family and value)
+// at 32 bytes, as it was for a bare `usize` index.
+const _: () = assert!(std::mem::size_of::<ShardRoute>() <= 12);
+
 /// The detector's routing structure: the incremental [`FlatTrie`] that
 /// maps an observed prefix to the responsible shard, plus a generation
 /// counter bumped on every onboard/offboard mutation (exported as the
 /// `artemis_routing_epoch` gauge).
 pub struct RoutingEpoch {
-    flat: FlatTrie<usize>,
+    flat: FlatTrie<ShardRoute>,
     epoch: u64,
 }
 
 impl RoutingEpoch {
     /// Shard index of the most-specific owned prefix covering `p`.
     pub fn route(&self, p: Prefix) -> Option<usize> {
-        self.flat.longest_match(p).map(|(_, idx)| *idx)
+        self.flat.longest_match(p).map(|(_, r)| r.idx as usize)
+    }
+
+    /// Shard index of the owned prefix `owned` itself.
+    fn shard_of(&self, owned: Prefix) -> Option<usize> {
+        self.flat.get(owned).map(|r| r.idx as usize)
     }
 
     /// Generation counter: bumped once per onboard/offboard mutation.
@@ -189,32 +264,6 @@ impl RoutingEpoch {
     /// True when no prefixes are routed.
     pub fn is_empty(&self) -> bool {
         self.flat.is_empty()
-    }
-}
-
-fn prepare_with(
-    route: impl Fn(Prefix) -> Option<usize>,
-    rules: &[ShardRules],
-    event: &FeedEvent,
-) -> PreparedEvent {
-    // Withdrawals never *raise* alerts (resolution is judged by the
-    // monitoring service, which tracks per-VP state).
-    let Some(as_path) = &event.as_path else {
-        return PreparedEvent::BENIGN;
-    };
-    // Which shard is responsible? The most-specific owned prefix
-    // containing the observed one (exact and sub-prefix cases) — an
-    // allocation-free walk over the routing structure.
-    let Some(idx) = route(event.prefix) else {
-        return PreparedEvent::BENIGN; // not our address space
-    };
-    // The origin as seen by the vantage point. The path includes the
-    // vantage AS at the front; the origin is at the end.
-    let origin = event.origin_as.or_else(|| as_path.origin());
-    PreparedEvent {
-        shard: Some(idx as u32),
-        hijack: rules[idx].classify(event, as_path, origin),
-        origin,
     }
 }
 
@@ -250,19 +299,26 @@ pub struct Detector {
 
 impl Detector {
     /// Build from the operator's configuration: one shard per owned
-    /// prefix. Every owned, non-dormant prefix is initially expected
-    /// to be announced.
+    /// prefix. A prefix listed more than once gets one shard whose
+    /// rules are the union of the copies' (see [`ArtemisConfig::owned`]).
     pub fn new(config: ArtemisConfig) -> Self {
         let operator_as = config.operator_as;
         let mut flat = FlatTrie::new();
         let mut rules = Vec::with_capacity(config.owned.len());
-        for o in config.owned {
-            let mut expected = BTreeSet::new();
-            if !o.dormant {
-                expected.insert(o.prefix);
+        for owned in config.owned {
+            let prefix = owned.prefix;
+            let shard = ShardRules {
+                owned,
+                expected: BTreeSet::new(),
+            };
+            match flat.insert(prefix, shard.route(rules.len())) {
+                None => rules.push(shard),
+                Some(first) => {
+                    let first = first.idx as usize;
+                    fold_repeat(&mut rules[first].owned, shard.owned);
+                    flat.insert(prefix, rules[first].route(first));
+                }
             }
-            flat.insert(o.prefix, rules.len());
-            rules.push(ShardRules { owned: o, expected });
         }
         let shards = rules.len();
         Detector {
@@ -290,16 +346,19 @@ impl Detector {
         if self.routing.flat.get(owned.prefix).is_some() {
             return false;
         }
-        let mut expected = BTreeSet::new();
-        if !owned.dormant {
-            expected.insert(owned.prefix);
-        }
-        self.routing.flat.insert(owned.prefix, self.rules.len());
+        let idx = self.rules.len();
+        let shard = ShardRules {
+            owned,
+            expected: BTreeSet::new(),
+        };
+        self.routing
+            .flat
+            .insert(shard.owned.prefix, shard.route(idx));
         self.routing.epoch += 1;
-        self.rules.push(ShardRules { owned, expected });
+        self.rules.push(shard);
         self.events.push(0);
         self.dirty.push(false);
-        self.mark_dirty(self.dirty.len() - 1);
+        self.mark_dirty(idx);
         true
     }
 
@@ -310,7 +369,7 @@ impl Detector {
     /// incident. Events for the removed address space classify as "not
     /// our prefix" (benign) from now on.
     pub fn remove_shard(&mut self, owned: Prefix) -> Option<RemovedShard> {
-        let idx = self.routing.flat.remove(owned)?;
+        let idx = self.routing.flat.remove(owned)?.idx as usize;
         self.routing.epoch += 1;
         let rules = self.rules.swap_remove(idx);
         let events = self.events.swap_remove(idx);
@@ -318,12 +377,7 @@ impl Detector {
         // `swap_remove` moved the former last shard into `idx`; its
         // routing entry must follow it.
         if idx < self.rules.len() {
-            let moved_prefix = self.rules[idx].owned.prefix;
-            *self
-                .routing
-                .flat
-                .get_mut(moved_prefix)
-                .expect("moved shard stays routed") = idx;
+            self.reroute(idx);
             self.mark_dirty(idx);
         }
         Some(RemovedShard {
@@ -335,7 +389,7 @@ impl Detector {
 
     /// Events routed to the shard owning exactly `owned`, if any.
     pub fn shard_events(&self, owned: Prefix) -> Option<u64> {
-        self.routing.flat.get(owned).map(|i| self.events[*i])
+        self.routing.shard_of(owned).map(|i| self.events[i])
     }
 
     fn mark_dirty(&mut self, idx: usize) {
@@ -343,11 +397,23 @@ impl Detector {
         self.dirtied.push(idx);
     }
 
-    /// Mutable access to one shard's rules, marking the shard dirty so
-    /// in-flight batch preparations re-classify at commit time.
-    fn rules_mut(&mut self, idx: usize) -> &mut ShardRules {
+    /// Re-derive shard `idx`'s routing trie value from its rules.
+    fn reroute(&mut self, idx: usize) {
+        let shard = &self.rules[idx];
+        *self
+            .routing
+            .flat
+            .get_mut(shard.owned.prefix)
+            .expect("every shard stays routed") = shard.route(idx);
+    }
+
+    /// Change one shard's rules, marking the shard dirty so in-flight
+    /// batch preparations re-classify at commit time, and re-deriving
+    /// its routing trie value.
+    fn update_rules(&mut self, idx: usize, update: impl FnOnce(&mut ShardRules)) {
         self.mark_dirty(idx);
-        &mut self.rules[idx]
+        update(&mut self.rules[idx]);
+        self.reroute(idx);
     }
 
     /// Register a prefix we are about to announce ourselves (e.g. the
@@ -358,7 +424,9 @@ impl Detector {
     /// expecting it changes nothing.
     pub fn expect_announcement(&mut self, prefix: Prefix) {
         if let Some(idx) = self.routing.route(prefix) {
-            self.rules_mut(idx).expected.insert(prefix);
+            self.update_rules(idx, |rules| {
+                rules.expected.insert(prefix);
+            });
         }
     }
 
@@ -368,11 +436,11 @@ impl Detector {
     /// so subsequent events classify under the normal (non-squatting)
     /// rules instead of flagging our own announcement.
     pub fn activate_prefix(&mut self, owned: Prefix) {
-        if let Some(idx) = self.routing.flat.get(owned) {
-            let idx = *idx;
-            let rules = self.rules_mut(idx);
-            rules.owned.dormant = false;
-            rules.expected.insert(owned);
+        if let Some(idx) = self.routing.shard_of(owned) {
+            self.update_rules(idx, |rules| {
+                rules.owned.dormant = false;
+                rules.expected.insert(owned);
+            });
         }
     }
 
@@ -413,9 +481,8 @@ impl Detector {
     /// any — a keyed trie lookup, not a scan over the configuration.
     pub fn owned_rules(&self, owned: Prefix) -> Option<&OwnedPrefix> {
         self.routing
-            .flat
-            .get(owned)
-            .map(|idx| &self.rules[*idx].owned)
+            .shard_of(owned)
+            .map(|idx| &self.rules[idx].owned)
     }
 
     /// Every owned prefix's rules as currently in force, in prefix
@@ -425,12 +492,44 @@ impl Detector {
         self.routing
             .flat
             .iter()
-            .map(|(_, idx)| &self.rules[*idx].owned)
+            .map(|(_, r)| &self.rules[r.idx as usize].owned)
     }
 
     /// Classify one event against live state without committing it.
+    ///
+    /// An event routed to a plain shard (see `ShardRoute`) classifies
+    /// from the trie entry alone; any other loads the shard's rules.
     pub fn prepare(&self, event: &FeedEvent) -> PreparedEvent {
-        prepare_with(|p| self.routing.route(p), &self.rules, event)
+        // Withdrawals never *raise* alerts (resolution is judged by the
+        // monitoring service, which tracks per-VP state).
+        let Some(as_path) = &event.as_path else {
+            return PreparedEvent::BENIGN;
+        };
+        // Which shard is responsible? The most-specific owned prefix
+        // containing the observed one (exact and sub-prefix cases) — an
+        // allocation-free walk over the routing structure.
+        let Some((owned, route)) = self.routing.flat.longest_match(event.prefix) else {
+            return PreparedEvent::BENIGN; // not our address space
+        };
+        // The origin as seen by the vantage point. The path includes the
+        // vantage AS at the front; the origin is at the end.
+        let origin = event.origin_as.or_else(|| as_path.origin());
+        let hijack = if route.plain {
+            decide(
+                false,
+                event.prefix == owned,
+                origin == Some(route.origin),
+                || false,
+                || false,
+            )
+        } else {
+            self.rules[route.idx as usize].classify(event, as_path, origin)
+        };
+        PreparedEvent {
+            shard: Some(route.idx),
+            hijack,
+            origin,
+        }
     }
 
     /// Start a new commit batch: forget which shards were dirtied by
@@ -807,6 +906,47 @@ mod tests {
         assert_eq!(d.process(&ev), Detection::Benign);
     }
 
+    #[test]
+    fn repeated_owned_prefixes_fold_into_one_shard() {
+        let repeats = |copies: Vec<OwnedPrefix>| {
+            let mut owned = vec![OwnedPrefix::new(pfx("192.0.2.0/24"), Asn(65001))];
+            owned.extend(copies);
+            Detector::new(ArtemisConfig::new(Asn(65001), owned))
+        };
+        let mut d = repeats(vec![
+            OwnedPrefix::new(pfx("10.0.0.0/23"), Asn(65001)).with_neighbors([Asn(174)]),
+            OwnedPrefix::new(pfx("10.0.0.0/23"), Asn(65002)).with_neighbors([Asn(3356)]),
+        ]);
+        assert_eq!(d.shard_count(), 2);
+        let rules = d.owned_rules(pfx("10.0.0.0/23")).expect("routed");
+        assert_eq!(rules.legitimate_origins.len(), 2);
+        assert_eq!(rules.known_neighbors.len(), 2);
+        // Either copy's origin, through either copy's neighbour: benign.
+        for (t, path) in [[2914, 174, 65001], [2914, 3356, 65002]].iter().enumerate() {
+            assert_eq!(
+                d.process(&event("10.0.0.0/23", path, t as u64)),
+                Detection::Benign
+            );
+        }
+        assert!(matches!(
+            d.process(&event("10.0.0.0/23", &[2914, 9999, 65001], 5)),
+            Detection::NewAlert(_)
+        ));
+        // Offboarding the other prefix moves the folded shard; both
+        // prefixes then offboard cleanly.
+        assert!(d.remove_shard(pfx("192.0.2.0/24")).is_some());
+        assert!(d.remove_shard(pfx("10.0.0.0/23")).is_some());
+        assert_eq!(d.shard_count(), 0);
+
+        // A repeat is dormant only when every copy is.
+        let owned = OwnedPrefix::new(pfx("203.0.113.0/24"), Asn(65001));
+        let mut d = repeats(vec![owned.clone().dormant(), owned.clone()]);
+        let ev = event("203.0.113.0/24", &[2914, 174, 65001], 1);
+        assert_eq!(d.process(&ev), Detection::Benign);
+        let mut d = repeats(vec![owned.clone().dormant(), owned.dormant()]);
+        assert!(matches!(d.process(&ev), Detection::NewAlert(_)));
+    }
+
     // ---- Two-phase path ---------------------------------------------
 
     #[test]
@@ -919,26 +1059,49 @@ mod tests {
             event("172.16.0.0/24", &[2914, 174, 666], 45),
             event("203.0.113.0/24", &[2914, 174, 31337], 45),
             event("8.8.8.0/24", &[2914, 15169], 45),
+            event("10.0.0.0/23", &[2914, 174, 65001], 45),
+            event("10.0.1.0/24", &[2914, 174, 65001], 45),
+            event("172.16.0.0/23", &[2914, 174, 65001], 45),
+            event("172.16.1.0/24", &[2914, 174, 65001], 45),
         ];
+        // Every probe's origin-adjacent hop is a known neighbour and no
+        // announcement is expected, so neither rule that consults them
+        // can fire.
         let check = |d: &Detector| {
             // The routing structure must mirror the shard table exactly…
             assert_eq!(d.routing.len(), d.rules.len());
             assert_eq!(d.events.len(), d.rules.len());
             for (i, r) in d.rules.iter().enumerate() {
-                assert_eq!(d.routing.flat.get(r.owned.prefix), Some(&i));
+                assert_eq!(d.routing.flat.get(r.owned.prefix), Some(&r.route(i)));
             }
-            // …and classify identically to a linear scan of the rules.
+            // …and classify identically to the rules applied to a linear
+            // scan of the shard table.
             for ev in &probes {
-                let reference = prepare_with(
-                    |p| {
-                        (0..d.rules.len())
-                            .filter(|i| d.rules[*i].owned.prefix.contains(p))
-                            .max_by_key(|i| d.rules[*i].owned.prefix.len())
-                    },
-                    &d.rules,
-                    ev,
-                );
-                assert_eq!(d.prepare(ev), reference, "probe {}", ev.prefix);
+                let got = d.prepare(ev);
+                let owner = d
+                    .rules
+                    .iter()
+                    .filter(|r| r.owned.prefix.contains(ev.prefix))
+                    .max_by_key(|r| r.owned.prefix.len());
+                let Some(owner) = owner else {
+                    assert_eq!(got, PreparedEvent::BENIGN, "probe {}", ev.prefix);
+                    continue;
+                };
+                let owned = &owner.owned;
+                let legit = owned.legitimate_origins.contains(&ev.origin_as.unwrap());
+                let reference = if owned.dormant {
+                    Some(HijackType::Squatting)
+                } else if ev.prefix == owned.prefix {
+                    (!legit).then_some(HijackType::ExactOrigin)
+                } else if legit {
+                    Some(HijackType::SubPrefixForgedOrigin)
+                } else {
+                    Some(HijackType::SubPrefix)
+                };
+                assert_eq!(got.hijack, reference, "probe {}", ev.prefix);
+                assert_eq!(got.origin, ev.origin_as);
+                let idx = got.shard.expect("routed") as usize;
+                assert_eq!(d.rules[idx].owned.prefix, owned.prefix);
             }
         };
         let e0 = d.routing_epoch().epoch();

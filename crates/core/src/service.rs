@@ -835,6 +835,59 @@ mod tests {
         );
     }
 
+    /// A service over `owned`, assembled the way `artemisd` assembles
+    /// one from its `--owned` flags.
+    fn service_owning(owned: &[(&str, u32)]) -> ArtemisService {
+        let owned = owned
+            .iter()
+            .map(|(p, origin)| OwnedPrefix::new(pfx(p), Asn(*origin)))
+            .collect();
+        let config = ArtemisConfig::new(Asn(65001), owned);
+        let pipeline = Pipeline::bare(config, [Asn(174), Asn(3356)].into_iter().collect());
+        let controller = Controller::new(Asn(65001), LatencyModel::const_secs(15), SimRng::new(1));
+        ArtemisService::new(pipeline, controller)
+    }
+
+    #[test]
+    fn a_prefix_owned_twice_accepts_both_origins() {
+        // Regression: the second copy used to replace the first in the
+        // routing trie, so the first copy's origin raised ExactOrigin.
+        let mut svc = service_owning(&[("10.0.0.0/23", 65001), ("10.0.0.0/23", 65002)]);
+        assert_eq!(svc.pipeline().detector().shard_count(), 1);
+        for (t, origin) in [(10, 65001), (11, 65002)] {
+            let ev = event(174, "10.0.0.0/23", &[174, origin], t);
+            assert_eq!(svc.deliver(&ev), None, "origin {origin}");
+        }
+        let rogue = event(174, "10.0.0.0/23", &[174, 666], 12);
+        assert!(svc.deliver(&rogue).is_some());
+    }
+
+    #[test]
+    fn offboarding_beside_a_prefix_owned_twice_does_not_panic() {
+        // Regression: the orphaned second shard was moved by the first
+        // offboard onto a trie entry that did not name it, and the
+        // second offboard panicked under the service lock.
+        let mut svc = service_owning(&[
+            ("192.0.2.0/24", 65001),
+            ("10.0.0.0/23", 65001),
+            ("10.0.0.0/23", 65001),
+        ]);
+        let t = SimTime::from_secs(1);
+        for prefix in ["192.0.2.0/24", "10.0.0.0/23"] {
+            let out = svc.apply(
+                ServiceCommand::RemoveOwnedPrefix {
+                    prefix: pfx(prefix),
+                },
+                t,
+            );
+            assert!(
+                matches!(out, Ok(CommandOutcome::PrefixRemoved(_))),
+                "{prefix}: {out:?}"
+            );
+        }
+        assert_eq!(svc.pipeline().detector().shard_count(), 0);
+    }
+
     #[test]
     fn status_snapshot_is_owned_and_serializable() {
         let mut svc = service();

@@ -1,14 +1,17 @@
 //! Property tests for the detector: no false positives on legitimate
-//! traffic, no false negatives on hijacks, dedup sanity, and repeat
-//! victims held to a linear model of dedup.
+//! traffic, no false negatives on hijacks, dedup sanity, repeat
+//! victims held to a linear model of dedup, and classification held to
+//! a linear model of the detection rules.
 
 use artemis_bgp::{AsPath, Asn, Prefix};
 use artemis_core::alert::{AlertId, AlertState};
 use artemis_core::detector::Detection;
-use artemis_core::{ArtemisConfig, Detector, OwnedPrefix};
+use artemis_core::{ArtemisConfig, Detector, HijackType, OwnedPrefix};
 use artemis_feeds::{FeedEvent, FeedKind};
 use artemis_simnet::SimTime;
 use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
+use std::net::{Ipv4Addr, Ipv6Addr};
 
 const VICTIM: u32 = 65_001;
 const UPSTREAM_A: u32 = 174;
@@ -104,7 +107,341 @@ fn model_open(d: &Detector, key: (Prefix, Prefix, Option<Asn>), since: AlertId) 
         .map(|a| a.id)
 }
 
+/// A second legitimate origin some owned prefixes list (anycast).
+const PARTNER: u32 = 65_002;
+/// Origins the classification histories announce with.
+const ORIGINS: [u32; 4] = [VICTIM, PARTNER, 666, 667];
+/// Origin-adjacent hops: the two upstreams and a stranger.
+const ADJACENT: [u32; 3] = [UPSTREAM_A, UPSTREAM_B, 9_999];
+
+/// The `k`-th `/len` of the classification address space: counted up
+/// from 10.0.0.0 for IPv4 and from 2001:db8:: for IPv6, so small `k`
+/// at different lengths nest.
+fn space(v6: bool, len: u8, k: u32) -> Prefix {
+    if v6 {
+        let bits = (0x2001_0db8u128 << 96) + (u128::from(k) << (128 - u32::from(len)));
+        Prefix::v6(Ipv6Addr::from(bits), len).expect("aligned")
+    } else {
+        let bits = 0x0A00_0000u32 + (k << (32 - u32::from(len)));
+        Prefix::v4(Ipv4Addr::from(bits), len).expect("aligned")
+    }
+}
+
+/// An owned prefix: a v4 /20–/24 (one in four is a v6 /32–/48), one or
+/// two legitimate origins, optional known neighbours, sometimes
+/// dormant.
+fn arb_owned() -> impl Strategy<Value = OwnedPrefix> {
+    (0u8..4, 0usize..5, 0u32..4, 0usize..3, 0usize..4, 0u8..6).prop_map(
+        |(family, len, k, origins, neighbors, dormant)| {
+            let v6 = family == 0;
+            let len = if v6 {
+                [32, 36, 40, 44, 48][len]
+            } else {
+                20 + len as u8
+            };
+            let origins: &[u32] = [&[VICTIM][..], &[PARTNER], &[VICTIM, PARTNER]][origins];
+            let neighbors = &[UPSTREAM_A, UPSTREAM_B][..[0, 0, 1, 2][neighbors]];
+            OwnedPrefix {
+                prefix: space(v6, len, k),
+                legitimate_origins: origins.iter().map(|a| Asn(*a)).collect(),
+                known_neighbors: neighbors.iter().map(|a| Asn(*a)).collect(),
+                dormant: dormant == 0,
+            }
+        },
+    )
+}
+
+/// A prefix an event may carry or a mitigation may expect: an owned
+/// prefix, a more-specific, a less-specific or nearby unowned space.
+fn arb_observed() -> impl Strategy<Value = Prefix> {
+    (0u8..4, 0usize..8, 0u32..8).prop_map(|(family, len, k)| {
+        let v6 = family == 0;
+        let len = if v6 {
+            [31, 32, 36, 40, 44, 48, 50, 56][len]
+        } else {
+            19 + len as u8
+        };
+        space(v6, len, k)
+    })
+}
+
+/// An observation: an announcement of `prefix` along one of a few path
+/// shapes, or its withdrawal.
+#[derive(Debug, Clone)]
+struct Observation {
+    prefix: Prefix,
+    /// The AS path, vantage point first; empty for a withdrawal.
+    path: Vec<u32>,
+}
+
+fn arb_observation() -> impl Strategy<Value = Observation> {
+    (arb_observed(), 0u8..6, 0usize..4, 0usize..3, 0usize..2).prop_map(
+        |(prefix, shape, origin, adjacent, vantage)| {
+            let (origin, adj, vp) = (ORIGINS[origin], ADJACENT[adjacent], [2_914, 1_299][vantage]);
+            let path = match shape {
+                0 | 1 => vec![vp, adj, origin],
+                2 => vec![vp, origin],
+                // The vantage point is the origin: no adjacency to judge.
+                3 => vec![origin],
+                // A prepended origin is its own adjacent hop.
+                4 => vec![vp, adj, origin, origin],
+                _ => Vec::new(),
+            };
+            Observation { prefix, path }
+        },
+    )
+}
+
+/// One step of a classification history.
+#[derive(Debug, Clone)]
+enum Op {
+    Observe(Observation),
+    /// `expect_announcement` — mid-batch, as a mitigation does it.
+    Expect(Prefix),
+    /// `activate_prefix` on the `k`-th owned prefix (mod their count),
+    /// mid-batch.
+    Activate(usize),
+    /// `add_shard`, between batches.
+    Add(OwnedPrefix),
+    /// `remove_shard` of the `k`-th owned prefix, between batches.
+    Remove(usize),
+    /// End the batch.
+    Cut,
+}
+
+fn arb_op() -> impl Strategy<Value = Op> {
+    (
+        0u8..20,
+        arb_observation(),
+        arb_observed(),
+        arb_owned(),
+        0usize..64,
+    )
+        .prop_map(|(kind, observation, prefix, owned, k)| match kind {
+            0..=12 => Op::Observe(observation),
+            13 | 14 => Op::Expect(prefix),
+            15 => Op::Activate(k),
+            16 => Op::Add(owned),
+            17 => Op::Remove(k),
+            _ => Op::Cut,
+        })
+}
+
+/// One owned prefix as the linear model keeps it.
+#[derive(Debug)]
+struct ModelShard {
+    prefix: Prefix,
+    origins: BTreeSet<Asn>,
+    neighbors: BTreeSet<Asn>,
+    dormant: bool,
+    /// Announcements a mitigation registered within this prefix.
+    expected: BTreeSet<Prefix>,
+}
+
+/// The detection rules applied to a list of owned prefixes, with no
+/// routing structure: a linear scan finds the most-specific owned
+/// prefix covering an announcement, and the paper's rules (exact
+/// prefix, sub-prefix, Type-1 fake neighbour, squatting) judge it.
+#[derive(Debug, Default)]
+struct RulesModel {
+    shards: Vec<ModelShard>,
+}
+
+impl RulesModel {
+    /// Add `owned`; a prefix already listed takes the union of both
+    /// copies' origins and neighbours and stays dormant only if both
+    /// are (`fold`), else the add is refused.
+    fn add(&mut self, owned: &OwnedPrefix, fold: bool) -> bool {
+        match self.shards.iter_mut().find(|s| s.prefix == owned.prefix) {
+            Some(shard) if fold => {
+                shard
+                    .origins
+                    .extend(owned.legitimate_origins.iter().copied());
+                shard
+                    .neighbors
+                    .extend(owned.known_neighbors.iter().copied());
+                shard.dormant &= owned.dormant;
+                true
+            }
+            Some(_) => false,
+            None => {
+                self.shards.push(ModelShard {
+                    prefix: owned.prefix,
+                    origins: owned.legitimate_origins.clone(),
+                    neighbors: owned.known_neighbors.clone(),
+                    dormant: owned.dormant,
+                    expected: BTreeSet::new(),
+                });
+                true
+            }
+        }
+    }
+
+    fn owner(&self, prefix: Prefix) -> Option<usize> {
+        (0..self.shards.len())
+            .filter(|i| self.shards[*i].prefix.contains(prefix))
+            .max_by_key(|i| self.shards[*i].prefix.len())
+    }
+
+    /// The owned prefix an announcement of `prefix` along `path` falls
+    /// under, and the hijack it is (`None`: benign). `None` overall for
+    /// a withdrawal or space nobody owns.
+    fn classify(&self, prefix: Prefix, path: &[u32]) -> Option<(Prefix, Option<HijackType>)> {
+        let origin = Asn(*path.last()?);
+        let shard = &self.shards[self.owner(prefix)?];
+        let legit = shard.origins.contains(&origin);
+        let expected = shard.expected.contains(&prefix);
+        let hijack = if shard.dormant {
+            (!(expected && legit)).then_some(HijackType::Squatting)
+        } else if prefix == shard.prefix {
+            let adjacent = path.iter().rev().nth(1).map(|a| Asn(*a));
+            let fake_neighbor = !shard.neighbors.is_empty()
+                && adjacent.is_some_and(|adj| {
+                    !shard.neighbors.contains(&adj)
+                        && adj != origin
+                        && !shard.origins.contains(&adj)
+                });
+            if !legit {
+                Some(HijackType::ExactOrigin)
+            } else {
+                fake_neighbor.then_some(HijackType::Type1FakeNeighbor)
+            }
+        } else if expected {
+            (!legit).then_some(HijackType::SubPrefix)
+        } else if legit {
+            Some(HijackType::SubPrefixForgedOrigin)
+        } else {
+            Some(HijackType::SubPrefix)
+        };
+        Some((shard.prefix, hijack))
+    }
+}
+
+fn observation_event(o: &Observation, t: u64) -> FeedEvent {
+    if o.path.is_empty() {
+        let mut withdrawal = event(o.prefix, vec![2_914], t);
+        withdrawal.as_path = None;
+        withdrawal.origin_as = None;
+        withdrawal
+    } else {
+        event(o.prefix, o.path.clone(), t)
+    }
+}
+
+/// Commit one batch of observations, expectations and activations the
+/// way the pipeline does — every observation prepared up front, then
+/// everything applied in order — checking each observation's outcome
+/// against `model` at its turn.
+fn commit_batch(
+    d: &mut Detector,
+    model: &mut RulesModel,
+    since: &BTreeMap<Prefix, AlertId>,
+    batch: &mut Vec<(u64, Op)>,
+) -> Result<(), TestCaseError> {
+    d.begin_batch();
+    let prepared: Vec<_> = batch
+        .iter()
+        .map(|(t, op)| match op {
+            Op::Observe(o) => {
+                let ev = observation_event(o, *t);
+                let prep = d.prepare(&ev);
+                Some((ev, prep))
+            }
+            _ => None,
+        })
+        .collect();
+    for ((_, op), prepared) in batch.drain(..).zip(prepared) {
+        match op {
+            Op::Observe(o) => {
+                let (ev, prep) = prepared.expect("observations are prepared");
+                let verdict = model.classify(o.prefix, &o.path);
+                let expected = match verdict {
+                    None | Some((_, None)) => Detection::Benign,
+                    Some((owned, Some(_))) => {
+                        let first = since.get(&owned).copied().unwrap_or(AlertId(0));
+                        match model_open(d, (owned, o.prefix, ev.origin_as), first) {
+                            Some(id) => Detection::UpdatedAlert(id),
+                            None => Detection::NewAlert(AlertId(d.alerts().all().len() as u64)),
+                        }
+                    }
+                };
+                let got = d.process_prepared(&ev, prep);
+                prop_assert_eq!(&got, &expected, "{:?}: model says {:?}", o, verdict);
+                if let Detection::NewAlert(id) = got {
+                    let alert = d.alerts().get(id).expect("stored");
+                    prop_assert_eq!(Some(alert.hijack_type), verdict.and_then(|v| v.1));
+                }
+            }
+            Op::Expect(prefix) => {
+                d.expect_announcement(prefix);
+                if let Some(i) = model.owner(prefix) {
+                    model.shards[i].expected.insert(prefix);
+                }
+            }
+            Op::Activate(k) if !model.shards.is_empty() => {
+                let count = model.shards.len();
+                let shard = &mut model.shards[k % count];
+                d.activate_prefix(shard.prefix);
+                shard.dormant = false;
+                shard.expected.insert(shard.prefix);
+            }
+            Op::Activate(_) => {}
+            Op::Add(_) | Op::Remove(_) | Op::Cut => unreachable!("only rule changes are batched"),
+        }
+    }
+    Ok(())
+}
+
 proptest! {
+    /// Every committed event classifies as the linear rules model says,
+    /// across owned sets with nested and repeated prefixes, both
+    /// families, one or two origins, known neighbours and dormancy, and
+    /// across expectations and activations registered mid-batch and
+    /// shards onboarded and offboarded between batches. Each batch is
+    /// prepared up front and committed in order, as the pipeline does.
+    #[test]
+    fn classification_matches_a_linear_model(
+        config in prop::collection::vec(arb_owned(), 1..8),
+        ops in prop::collection::vec(arb_op(), 1..160),
+    ) {
+        let mut model = RulesModel::default();
+        for owned in &config {
+            model.add(owned, true);
+        }
+        let mut d = Detector::new(ArtemisConfig::new(Asn(VICTIM), config));
+        prop_assert_eq!(d.shard_count(), model.shards.len());
+        // The first alert id each owned prefix may dedup against.
+        let mut since: BTreeMap<Prefix, AlertId> = BTreeMap::new();
+        let mut batch: Vec<(u64, Op)> = Vec::new();
+        for (t, op) in ops.into_iter().enumerate() {
+            match op {
+                Op::Observe(_) | Op::Expect(_) | Op::Activate(_) => batch.push((t as u64, op)),
+                Op::Add(owned) => {
+                    commit_batch(&mut d, &mut model, &since, &mut batch)?;
+                    let added = model.add(&owned, false);
+                    prop_assert_eq!(d.add_shard(owned.clone()), added, "{}", owned.prefix);
+                    if added {
+                        since.insert(owned.prefix, AlertId(d.alerts().all().len() as u64));
+                    }
+                }
+                Op::Remove(k) => {
+                    commit_batch(&mut d, &mut model, &since, &mut batch)?;
+                    if model.shards.is_empty() {
+                        continue;
+                    }
+                    let shard = model.shards.swap_remove(k % model.shards.len());
+                    let removed = d.remove_shard(shard.prefix).expect("onboarded");
+                    prop_assert_eq!(&removed.owned.legitimate_origins, &shard.origins);
+                    prop_assert_eq!(&removed.owned.known_neighbors, &shard.neighbors);
+                    prop_assert_eq!(removed.owned.dormant, shard.dormant);
+                }
+                Op::Cut => commit_batch(&mut d, &mut model, &since, &mut batch)?,
+            }
+            prop_assert_eq!(d.shard_count(), model.shards.len());
+        }
+        commit_batch(&mut d, &mut model, &since, &mut batch)?;
+    }
+
     /// Hijacks that come back — after their incident resolved, or
     /// after their prefix was offboarded and onboarded again — open a
     /// new incident exactly when the linear model finds no open one on
