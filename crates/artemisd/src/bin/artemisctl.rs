@@ -6,7 +6,7 @@
 
 use artemis_bgp::{AsPath, Asn, Prefix};
 use artemis_core::{AlertId, EventCursor, MitigationPolicy, OwnedPrefix, ServiceCommand};
-use artemis_feeds::{FeedEvent, FeedHandle, FeedKind, FeedSpec};
+use artemis_feeds::{FeedHandle, FeedKind, FeedSpec, WireFeedEvent};
 use artemis_simnet::SimTime;
 use artemisd::CtlClient;
 use serde::Serialize;
@@ -241,7 +241,7 @@ fn run(mut args: Vec<String>) -> Result<(), String> {
                 .map_err(|e| format!("--path: {e}"))?;
             let as_path = AsPath::from_sequence(hops.iter().copied());
             let origin_as = as_path.origin();
-            let event = FeedEvent {
+            let event = WireFeedEvent {
                 emitted_at: at,
                 observed_at: at,
                 source: FeedKind::RisLive,

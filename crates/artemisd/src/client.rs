@@ -13,7 +13,7 @@ use artemis_core::wire::{
     CommandEnvelope, EventsEnvelope, InjectEnvelope, InjectOutcome, OutcomeEnvelope, QueryEnvelope,
 };
 use artemis_core::{EventCursor, ServiceCommand, ServiceQuery, ServiceReply};
-use artemis_feeds::FeedEvent;
+use artemis_feeds::WireFeedEvent;
 use artemis_simnet::SimTime;
 use minihttp::{Client, ClientResponse};
 use serde::de::DeserializeOwned;
@@ -113,8 +113,15 @@ impl CtlClient {
         ))
     }
 
-    /// Deliver feed events through the daemon (`POST /v1/inject`).
-    pub fn inject(&self, events: Vec<FeedEvent>) -> Result<InjectOutcome, String> {
+    /// Deliver feed events through the daemon (`POST /v1/inject`), as
+    /// v2 wire events: a [`WireFeedEvent`] with its collector and full
+    /// path, or an [`artemis_feeds::FeedEvent`] rendered with the
+    /// shortest path that reads the same.
+    pub fn inject<E: Into<WireFeedEvent>>(
+        &self,
+        events: impl IntoIterator<Item = E>,
+    ) -> Result<InjectOutcome, String> {
+        let events = events.into_iter().map(Into::into).collect();
         self.post_json("/v1/inject", &InjectEnvelope::new(events))
     }
 

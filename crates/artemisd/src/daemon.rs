@@ -55,7 +55,7 @@ use artemis_core::wire::{
     QueryEnvelope, SCHEMA_VERSION,
 };
 use artemis_core::{ArtemisService, EventCursor, IncidentEvent, ServiceQuery};
-use artemis_feeds::WakeLatch;
+use artemis_feeds::{FeedEvent, WakeLatch};
 use artemis_simnet::SimTime;
 use minihttp::{Request, Response, Server, ShutdownSwitch};
 use serde::{Deserialize, Serialize};
@@ -358,9 +358,10 @@ fn handle_inject(shared: &Shared, req: &Request) -> Response {
     let (delivered, alerts_raised) = shared.mutate(Publish::Wake, |inner| {
         let mut delivered = 0u64;
         let mut alerts_raised = 0u64;
-        for event in &env.events {
+        for event in env.events {
             delivered += 1;
-            alerts_raised += u64::from(inner.service.deliver(event).is_some());
+            let event = FeedEvent::from(event);
+            alerts_raised += u64::from(inner.service.deliver(&event).is_some());
         }
         pump_alerts(inner);
         (delivered, alerts_raised)

@@ -26,7 +26,7 @@ use artemis_core::{
     ArtemisConfig, CommandOutcome, OwnedPrefix, Pipeline, ServiceCommand, ServiceReply,
 };
 use artemis_feeds::{
-    BmpLiveFeed, FeedEvent, FeedKind, FeedSource, FeedSpec, LiveFeedConfig, RibView,
+    BmpLiveFeed, FeedEvent, FeedKind, FeedSource, FeedSpec, LiveFeedConfig, RibView, WireFeedEvent,
 };
 use artemis_simnet::{LatencyModel, SimRng};
 use std::io::Write;
@@ -310,7 +310,7 @@ fn a_panicking_feed_poll_is_counted_and_the_pump_keeps_going() {
     );
     assert_eq!(read("artemis_feed_pump_panics_total"), 1);
 
-    let hijack = FeedEvent {
+    let hijack = WireFeedEvent {
         emitted_at: SimTime::from_secs(45),
         observed_at: SimTime::from_secs(40),
         source: FeedKind::RisLive,

@@ -10,7 +10,7 @@ use artemis_core::{
     ArtemisConfig, ArtemisService, EventCursor, IncidentEvent, MitigationPolicy, OwnedPrefix,
     Pipeline, ServiceCommand,
 };
-use artemis_feeds::{FeedEvent, FeedKind};
+use artemis_feeds::{FeedKind, WireFeedEvent};
 use artemis_simnet::{LatencyModel, SimRng, SimTime};
 use artemisd::{CtlClient, Daemon, DaemonConfig};
 use std::str::FromStr;
@@ -188,7 +188,7 @@ fn inject_counts_the_alert_that_a_one_entry_log_already_evicted() {
     let client = CtlClient::new(daemon.addr().to_string());
 
     let as_path = AsPath::from_sequence([174u32, 666]);
-    let hijack = FeedEvent {
+    let hijack = WireFeedEvent {
         emitted_at: SimTime::from_secs(45),
         observed_at: SimTime::from_secs(40),
         source: FeedKind::RisLive,

@@ -12,7 +12,7 @@ use artemis_core::{
     AlertId, ArtemisConfig, ArtemisService, CommandOutcome, EventCursor, MitigationPolicy,
     OwnedPrefix, Pipeline, ServiceCommand, ServiceError,
 };
-use artemis_feeds::{FeedEvent, FeedKind, FeedSpec};
+use artemis_feeds::{FeedEvent, FeedKind, FeedSpec, WireFeedEvent};
 use artemis_simnet::{LatencyModel, SimRng, SimTime};
 use artemisd::daemon::AlertPayload;
 use artemisd::{CtlClient, Daemon, DaemonConfig};
@@ -32,10 +32,10 @@ fn service() -> ArtemisService {
     ArtemisService::new(pipeline, controller)
 }
 
-fn event(vp: u32, prefix: &str, path: &[u32], t: u64) -> FeedEvent {
+fn event(vp: u32, prefix: &str, path: &[u32], t: u64) -> WireFeedEvent {
     let as_path = AsPath::from_sequence(path.iter().copied());
     let origin = as_path.origin();
-    FeedEvent {
+    WireFeedEvent {
         emitted_at: SimTime::from_secs(t),
         observed_at: SimTime::from_secs(t.saturating_sub(5)),
         source: FeedKind::RisLive,
@@ -114,7 +114,7 @@ fn every_command_round_trips_with_identical_history() {
     let injected = client.inject(vec![hijack.clone()]).expect("inject failed");
     assert_eq!(injected.delivered, 1);
     assert_eq!(injected.alerts_raised, 1);
-    twin.deliver(&hijack);
+    twin.deliver(&FeedEvent::from(hijack));
 
     // Mid-flight scrape: feed attached, incident pending confirmation.
     let metrics = client.metrics_text().expect("metrics scrape failed");
@@ -257,6 +257,63 @@ fn schema_version_mismatch_is_rejected() {
     // Nothing was applied or audited.
     let client = CtlClient::new(daemon.addr().to_string());
     assert!(client.audit(0).unwrap().is_empty());
+    daemon.shutdown();
+}
+
+/// A v2 inject body as a client in any language writes it: one event
+/// whose origin is left to its path (`"origin_as": null`).
+fn inject_body(vantage: u32, path: &[u32], secs: u64) -> String {
+    let path: Vec<String> = path.iter().map(u32::to_string).collect();
+    format!(
+        "{{\"schema_version\":2,\"events\":[{{\"emitted_at\":{t},\"observed_at\":{t},\
+         \"source\":\"RisLive\",\"collector\":\"rrc00\",\"vantage\":{vantage},\
+         \"prefix\":\"10.0.0.0/23\",\"as_path\":{{\"segments\":[{{\"Sequence\":[{}]}}]}},\
+         \"origin_as\":null,\"raw\":null}}]}}",
+        path.join(","),
+        t = secs * 1_000_000,
+    )
+}
+
+/// The origin an injected event leaves to its path is the one both
+/// detection and the incident's monitor read: heals announced by every
+/// vantage point with `"origin_as": null` are benign *and* resolve the
+/// incident. (When the monitor kept the stated `null`, it counted each
+/// healed vantage point as hijacked by an AS_SET origin, and the
+/// incident never resolved.)
+#[test]
+fn heals_without_a_stated_origin_resolve_the_incident() {
+    let daemon = Daemon::start("127.0.0.1:0", service(), DaemonConfig::default()).unwrap();
+    let http = minihttp::Client::new(daemon.addr().to_string());
+    let inject = |vantage: u32, path: &[u32], secs: u64| -> String {
+        let resp = http
+            .post(
+                "/v1/inject",
+                "application/json",
+                &inject_body(vantage, path, secs),
+            )
+            .expect("inject failed");
+        assert_eq!(resp.status, 200);
+        resp.body_utf8().to_string()
+    };
+    assert!(inject(174, &[174, 666], 45).contains("\"alerts_raised\":1"));
+    assert!(inject(3356, &[3356, 666], 50).contains("\"alerts_raised\":0"));
+    for (vantage, secs) in [(174, 120), (3356, 121), (174, 300)] {
+        let reply = inject(vantage, &[vantage, 65001], secs);
+        assert!(
+            reply.contains("\"delivered\":1,\"alerts_raised\":0"),
+            "{reply}"
+        );
+    }
+    let client = CtlClient::new(daemon.addr().to_string());
+    let log = client.events(EventCursor::START, 0).expect("events").events;
+    let resolved: Vec<_> = log
+        .iter()
+        .filter_map(|e| match e {
+            artemis_core::IncidentEvent::Resolved { alert, at } => Some((*alert, *at)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(resolved, vec![(AlertId(0), SimTime::from_secs(121))]);
     daemon.shutdown();
 }
 

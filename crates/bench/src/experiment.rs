@@ -370,7 +370,7 @@ impl Experiment {
                 .iter()
                 .enumerate()
                 .map(|(i, vp)| LookingGlass {
-                    name: format!("lg-{i:02}").into(),
+                    name: format!("lg-{i:02}"),
                     vantage: *vp,
                     min_interval: builder.lg_interval,
                     response_latency: LatencyModel::uniform_millis(1_000, 4_000),

@@ -109,7 +109,8 @@ impl AlertStore {
     }
 
     /// Record one witness of an offending announcement against
-    /// `owned_prefix`; returns `(alert id, is_new)`.
+    /// `owned_prefix`; returns `(alert id, is_new)`. The event's origin
+    /// is the offending one.
     ///
     /// The witness joins the open alert with the same key, if there is
     /// one; otherwise it raises a new alert of `hijack_type`.
@@ -117,9 +118,9 @@ impl AlertStore {
         &mut self,
         hijack_type: HijackType,
         owned_prefix: Prefix,
-        offending_origin: Option<Asn>,
         event: &FeedEvent,
     ) -> (AlertId, bool) {
+        let offending_origin = event.origin_as;
         let key = (owned_prefix, event.prefix, offending_origin);
         if let Some(id) = self.open.get(&key) {
             let i = self.idx(*id).expect("open id exists");
@@ -212,6 +213,7 @@ impl AlertStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use artemis_bgp::AsPath;
     use std::str::FromStr;
 
     fn pfx(s: &str) -> Prefix {
@@ -220,17 +222,15 @@ mod tests {
 
     /// `AS<vantage>` reporting `AS<origin>` announcing the owned /23.
     fn event(origin: u32, vantage: u32, t: u64, observed: u64, source: FeedKind) -> FeedEvent {
-        FeedEvent {
-            emitted_at: SimTime::from_secs(t),
-            observed_at: SimTime::from_secs(observed),
+        FeedEvent::new(
+            SimTime::from_secs(t),
+            SimTime::from_secs(observed),
             source,
-            collector: "rrc00".into(),
-            vantage: Asn(vantage),
-            prefix: pfx("10.0.0.0/23"),
-            as_path: None,
-            origin_as: Some(Asn(origin)),
-            raw: None,
-        }
+            Asn(vantage),
+            pfx("10.0.0.0/23"),
+            Some(&AsPath::from_sequence([vantage, origin])),
+            None,
+        )
     }
 
     /// A witness of `AS<origin>` announcing the owned /23.
@@ -245,7 +245,6 @@ mod tests {
         store.observe(
             HijackType::ExactOrigin,
             pfx("10.0.0.0/23"),
-            Some(Asn(origin)),
             &event(origin, vantage, t, observed, source),
         )
     }

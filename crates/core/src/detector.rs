@@ -41,8 +41,8 @@
 use crate::alert::{AlertId, AlertStore};
 use crate::classify::HijackType;
 use crate::config::{ArtemisConfig, OwnedPrefix};
-use artemis_bgp::{AsPath, Asn, FlatTrie, Prefix};
-use artemis_feeds::FeedEvent;
+use artemis_bgp::{Asn, FlatTrie, Prefix};
+use artemis_feeds::{FeedEvent, Reach};
 use std::collections::BTreeSet;
 
 /// Outcome of feeding one event to the detector.
@@ -84,26 +84,27 @@ impl ShardRules {
         }
     }
 
-    /// Classify one event routed to this shard. Pure read.
+    /// Classify an announcement of `prefix` routed to this shard, from
+    /// its origin and its origin-adjacent hop. Pure read.
     fn classify(
         &self,
-        event: &FeedEvent,
-        as_path: &AsPath,
+        prefix: Prefix,
         observed_origin: Option<Asn>,
+        origin_neighbor: Option<Asn>,
     ) -> Option<HijackType> {
         let owned = &self.owned;
         decide(
             owned.dormant,
-            event.prefix == owned.prefix,
+            prefix == owned.prefix,
             observed_origin.is_some_and(|o| owned.legitimate_origins.contains(&o)),
-            || self.expected.contains(&event.prefix),
+            || self.expected.contains(&prefix),
             || {
                 // Type-1 check: the hop adjacent to the origin must be
                 // a known neighbor. Skip when the vantage point *is*
                 // the origin (path "VP" with VP == origin: no adjacency
                 // to judge).
                 !owned.known_neighbors.is_empty()
-                    && as_path.origin_neighbor().is_some_and(|adj| {
+                    && origin_neighbor.is_some_and(|adj| {
                         !owned.known_neighbors.contains(&adj)
                             && Some(adj) != observed_origin
                             && !owned.legitimate_origins.contains(&adj)
@@ -200,8 +201,6 @@ pub struct PreparedEvent {
     /// The classification against the rules snapshot at preparation
     /// time (`None` = benign).
     hijack: Option<HijackType>,
-    /// The origin AS as seen by the vantage point.
-    origin: Option<Asn>,
 }
 
 impl PreparedEvent {
@@ -210,7 +209,6 @@ impl PreparedEvent {
     const BENIGN: PreparedEvent = PreparedEvent {
         shard: None,
         hijack: None,
-        origin: None,
     };
 }
 
@@ -502,7 +500,7 @@ impl Detector {
     pub fn prepare(&self, event: &FeedEvent) -> PreparedEvent {
         // Withdrawals never *raise* alerts (resolution is judged by the
         // monitoring service, which tracks per-VP state).
-        let Some(as_path) = &event.as_path else {
+        let Reach::Announced { origin_neighbor } = event.reach else {
             return PreparedEvent::BENIGN;
         };
         // Which shard is responsible? The most-specific owned prefix
@@ -511,24 +509,20 @@ impl Detector {
         let Some((owned, route)) = self.routing.flat.longest_match(event.prefix) else {
             return PreparedEvent::BENIGN; // not our address space
         };
-        // The origin as seen by the vantage point. The path includes the
-        // vantage AS at the front; the origin is at the end.
-        let origin = event.origin_as.or_else(|| as_path.origin());
         let hijack = if route.plain {
             decide(
                 false,
                 event.prefix == owned,
-                origin == Some(route.origin),
+                event.origin_as == Some(route.origin),
                 || false,
                 || false,
             )
         } else {
-            self.rules[route.idx as usize].classify(event, as_path, origin)
+            self.rules[route.idx as usize].classify(event.prefix, event.origin_as, origin_neighbor)
         };
         PreparedEvent {
             shard: Some(route.idx),
             hijack,
-            origin,
         }
     }
 
@@ -559,14 +553,12 @@ impl Detector {
         };
         let idx = idx as usize;
         self.events[idx] += 1;
-        let (hijack_type, observed_origin) = if self.dirty[idx] {
-            let as_path = event.as_path.as_ref().expect("routed events carry a path");
-            let origin = event.origin_as.or_else(|| as_path.origin());
-            (self.rules[idx].classify(event, as_path, origin), origin)
+        let hijack_type = if self.dirty[idx] {
+            self.rules[idx].classify(event.prefix, event.origin_as, event.origin_neighbor())
         } else {
-            (prep.hijack, prep.origin)
+            prep.hijack
         };
-        self.commit(event, idx, hijack_type, observed_origin)
+        self.commit(event, idx, hijack_type)
     }
 
     /// Process one monitoring event: route it to the shard whose owned
@@ -583,15 +575,12 @@ impl Detector {
         event: &FeedEvent,
         idx: usize,
         hijack_type: Option<HijackType>,
-        observed_origin: Option<Asn>,
     ) -> Detection {
         let Some(hijack_type) = hijack_type else {
             return Detection::Benign;
         };
         let owned_prefix = self.rules[idx].owned.prefix;
-        let (id, new) = self
-            .store
-            .observe(hijack_type, owned_prefix, observed_origin, event);
+        let (id, new) = self.store.observe(hijack_type, owned_prefix, event);
         if new {
             Detection::NewAlert(id)
         } else {
@@ -630,19 +619,15 @@ mod tests {
     }
 
     fn event(prefix: &str, path: &[u32], t: u64) -> FeedEvent {
-        let as_path = AsPath::from_sequence(path.iter().copied());
-        let origin = as_path.origin();
-        FeedEvent {
-            emitted_at: SimTime::from_secs(t),
-            observed_at: SimTime::from_secs(t.saturating_sub(8)),
-            source: FeedKind::RisLive,
-            collector: "rrc00".into(),
-            vantage: Asn(path[0]),
-            prefix: pfx(prefix),
-            as_path: Some(as_path),
-            origin_as: origin,
-            raw: None,
-        }
+        FeedEvent::new(
+            SimTime::from_secs(t),
+            SimTime::from_secs(t.saturating_sub(8)),
+            FeedKind::RisLive,
+            Asn(path[0]),
+            pfx(prefix),
+            Some(&AsPath::from_sequence(path.iter().copied())),
+            None,
+        )
     }
 
     #[test]
@@ -811,7 +796,7 @@ mod tests {
     fn withdrawals_are_benign() {
         let mut d = Detector::new(config());
         let mut ev = event("10.0.0.0/23", &[2914, 174, 666], 45);
-        ev.as_path = None;
+        ev.reach = Reach::Withdrawn;
         ev.origin_as = None;
         assert_eq!(d.process(&ev), Detection::Benign);
     }
@@ -1099,7 +1084,6 @@ mod tests {
                     Some(HijackType::SubPrefix)
                 };
                 assert_eq!(got.hijack, reference, "probe {}", ev.prefix);
-                assert_eq!(got.origin, ev.origin_as);
                 let idx = got.shard.expect("routed") as usize;
                 assert_eq!(d.rules[idx].owned.prefix, owned.prefix);
             }

@@ -206,9 +206,9 @@ impl MonitorService {
         };
         let slot = &mut self.slots[vp];
         let at = slot.routes.iter().position(|(p, _)| *p == event.prefix);
-        match (&event.as_path, at) {
-            (Some(_), Some(i)) => slot.routes[i].1 = event.origin_as,
-            (Some(_), None) => {
+        match (event.is_withdrawal(), at) {
+            (false, Some(i)) => slot.routes[i].1 = event.origin_as,
+            (false, None) => {
                 slot.routes.push((event.prefix, event.origin_as));
                 let i = slot.routes.len() - 1;
                 if i == 0
@@ -217,7 +217,7 @@ impl MonitorService {
                     slot.selected = i;
                 }
             }
-            (None, Some(i)) => {
+            (true, Some(i)) => {
                 slot.routes.swap_remove(i);
                 if slot.selected == i {
                     // The selection itself went away: the one rescan,
@@ -229,7 +229,7 @@ impl MonitorService {
                     slot.selected = i; // the selection was the moved tail
                 }
             }
-            (None, None) => {}
+            (true, None) => {}
         }
         let changed = self.reclassify(vp);
         if self.timeline.is_empty() || changed {
@@ -552,13 +552,10 @@ mod model {
             }
             let before = self.vp_observation(event.vantage);
             let slot = self.observations.entry(event.vantage).or_default();
-            match (&event.as_path, event.origin_as) {
-                (Some(_), origin) => {
-                    slot.insert(event.prefix, origin);
-                }
-                (None, _) => {
-                    slot.remove(&event.prefix);
-                }
+            if event.is_withdrawal() {
+                slot.remove(&event.prefix);
+            } else {
+                slot.insert(event.prefix, event.origin_as);
             }
             let after = self.vp_observation(event.vantage);
             if self.timeline.is_empty() || before != after {
@@ -630,7 +627,7 @@ mod tests {
     use super::model::ModelMonitor;
     use super::*;
     use artemis_bgp::AsPath;
-    use artemis_feeds::FeedKind;
+    use artemis_feeds::{FeedKind, Reach};
     use std::str::FromStr;
 
     fn pfx(s: &str) -> Prefix {
@@ -638,17 +635,15 @@ mod tests {
     }
 
     fn event(vp: u32, prefix: &str, origin: Option<u32>, t: u64) -> FeedEvent {
-        FeedEvent {
-            emitted_at: SimTime::from_secs(t),
-            observed_at: SimTime::from_secs(t),
-            source: FeedKind::RisLive,
-            collector: "rrc00".into(),
-            vantage: Asn(vp),
-            prefix: pfx(prefix),
-            as_path: origin.map(|o| AsPath::from_sequence([vp, o])),
-            origin_as: origin.map(Asn),
-            raw: None,
-        }
+        FeedEvent::new(
+            SimTime::from_secs(t),
+            SimTime::from_secs(t),
+            FeedKind::RisLive,
+            Asn(vp),
+            pfx(prefix),
+            origin.map(|o| AsPath::from_sequence([vp, o])).as_ref(),
+            None,
+        )
     }
 
     fn service() -> MonitorService {
@@ -993,7 +988,9 @@ mod tests {
         let vp = VPS[vp as usize % VPS.len()];
         let mut e = event(vp, PREFIXES[prefix as usize % PREFIXES.len()], None, t);
         if !withdraw {
-            e.as_path = Some(AsPath::from_sequence([vp]));
+            e.reach = Reach::Announced {
+                origin_neighbor: None,
+            };
             e.origin_as = ORIGINS[origin as usize % ORIGINS.len()].map(Asn);
         }
         e

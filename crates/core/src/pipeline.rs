@@ -818,19 +818,15 @@ mod tests {
     }
 
     fn event(vp: u32, prefix: &str, path: &[u32], t: u64) -> FeedEvent {
-        let as_path = AsPath::from_sequence(path.iter().copied());
-        let origin = as_path.origin();
-        FeedEvent {
-            emitted_at: SimTime::from_secs(t),
-            observed_at: SimTime::from_secs(t.saturating_sub(5)),
-            source: FeedKind::RisLive,
-            collector: "rrc00".into(),
-            vantage: Asn(vp),
-            prefix: pfx(prefix),
-            as_path: Some(as_path),
-            origin_as: origin,
-            raw: None,
-        }
+        FeedEvent::new(
+            SimTime::from_secs(t),
+            SimTime::from_secs(t.saturating_sub(5)),
+            FeedKind::RisLive,
+            Asn(vp),
+            pfx(prefix),
+            Some(&AsPath::from_sequence(path.iter().copied())),
+            None,
+        )
     }
 
     fn two_prefix_pipeline() -> Pipeline {

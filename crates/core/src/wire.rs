@@ -11,7 +11,7 @@
 
 use crate::event_log::{EventCursor, IncidentEvent, PollBatch};
 use crate::service::{CommandOutcome, ServiceCommand, ServiceError, ServiceQuery};
-use artemis_feeds::FeedEvent;
+use artemis_feeds::WireFeedEvent;
 use artemis_simnet::SimTime;
 use serde::{Deserialize, Serialize};
 
@@ -135,17 +135,19 @@ impl From<PollBatch> for EventsEnvelope {
 
 /// A batch of monitoring events injected over the wire (deployments
 /// that bring their own transport feed the detector through this).
+/// Each event carries its collector and full path; the daemon converts
+/// it to the [`artemis_feeds::FeedEvent`] detection reads.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct InjectEnvelope {
     /// Wire-contract version ([`SCHEMA_VERSION`]).
     pub schema_version: u32,
     /// The events to deliver, in order.
-    pub events: Vec<FeedEvent>,
+    pub events: Vec<WireFeedEvent>,
 }
 
 impl InjectEnvelope {
     /// Wrap events at the current schema version.
-    pub fn new(events: Vec<FeedEvent>) -> Self {
+    pub fn new(events: Vec<WireFeedEvent>) -> Self {
         InjectEnvelope {
             schema_version: SCHEMA_VERSION,
             events,

@@ -73,18 +73,17 @@ fn pipeline() -> Pipeline {
 }
 
 fn event(vp: u32, prefix: &str, origin: Option<u32>, t: u64) -> FeedEvent {
-    let as_path = origin.map(|o| AsPath::from_sequence([vp, 3356, o]));
-    FeedEvent {
-        emitted_at: SimTime::from_secs(t),
-        observed_at: SimTime::from_secs(t.saturating_sub(4)),
-        source: FeedKind::RisLive,
-        collector: "rrc00".into(),
-        vantage: Asn(vp),
-        prefix: pfx(prefix),
-        origin_as: as_path.as_ref().and_then(|p| p.origin()),
-        as_path,
-        raw: None,
-    }
+    FeedEvent::new(
+        SimTime::from_secs(t),
+        SimTime::from_secs(t.saturating_sub(4)),
+        FeedKind::RisLive,
+        Asn(vp),
+        pfx(prefix),
+        origin
+            .map(|o| AsPath::from_sequence([vp, 3356, o]))
+            .as_ref(),
+        None,
+    )
 }
 
 /// Decode one randomized `(kind, slot, t)` triple into a feed event.

@@ -1,21 +1,21 @@
 //! Property tests for the detector: no false positives on legitimate
 //! traffic, no false negatives on hijacks, dedup sanity, repeat
 //! victims held to a linear model of dedup, and classification held to
-//! a linear model of the detection rules.
+//! the linear model of the detection rules in `support`.
+
+mod support;
 
 use artemis_bgp::{AsPath, Asn, Prefix};
 use artemis_core::alert::{AlertId, AlertState};
 use artemis_core::detector::Detection;
-use artemis_core::{ArtemisConfig, Detector, HijackType, OwnedPrefix};
+use artemis_core::{ArtemisConfig, Detector, OwnedPrefix};
 use artemis_feeds::{FeedEvent, FeedKind};
 use artemis_simnet::SimTime;
 use proptest::prelude::*;
-use std::collections::{BTreeMap, BTreeSet};
-use std::net::{Ipv4Addr, Ipv6Addr};
-
-const VICTIM: u32 = 65_001;
-const UPSTREAM_A: u32 = 174;
-const UPSTREAM_B: u32 = 3_356;
+use std::collections::BTreeMap;
+use support::{
+    arb_observed, arb_owned, RulesModel, ADJACENT, ORIGINS, UPSTREAM_A, UPSTREAM_B, VICTIM,
+};
 
 fn config() -> ArtemisConfig {
     ArtemisConfig::new(
@@ -28,18 +28,15 @@ fn config() -> ArtemisConfig {
 }
 
 fn event(prefix: Prefix, path: Vec<u32>, t: u64) -> FeedEvent {
-    let as_path = AsPath::from_sequence(path.iter().copied());
-    FeedEvent {
-        emitted_at: SimTime::from_secs(t),
-        observed_at: SimTime::from_secs(t),
-        source: FeedKind::RisLive,
-        collector: "rrc00".into(),
-        vantage: Asn(path[0]),
+    FeedEvent::new(
+        SimTime::from_secs(t),
+        SimTime::from_secs(t),
+        FeedKind::RisLive,
+        Asn(path[0]),
         prefix,
-        origin_as: as_path.origin(),
-        as_path: Some(as_path),
-        raw: None,
-    }
+        Some(&AsPath::from_sequence(path.iter().copied())),
+        None,
+    )
 }
 
 /// Middle-of-path ASNs (not the victim, not reserved).
@@ -107,71 +104,13 @@ fn model_open(d: &Detector, key: (Prefix, Prefix, Option<Asn>), since: AlertId) 
         .map(|a| a.id)
 }
 
-/// A second legitimate origin some owned prefixes list (anycast).
-const PARTNER: u32 = 65_002;
-/// Origins the classification histories announce with.
-const ORIGINS: [u32; 4] = [VICTIM, PARTNER, 666, 667];
-/// Origin-adjacent hops: the two upstreams and a stranger.
-const ADJACENT: [u32; 3] = [UPSTREAM_A, UPSTREAM_B, 9_999];
-
-/// The `k`-th `/len` of the classification address space: counted up
-/// from 10.0.0.0 for IPv4 and from 2001:db8:: for IPv6, so small `k`
-/// at different lengths nest.
-fn space(v6: bool, len: u8, k: u32) -> Prefix {
-    if v6 {
-        let bits = (0x2001_0db8u128 << 96) + (u128::from(k) << (128 - u32::from(len)));
-        Prefix::v6(Ipv6Addr::from(bits), len).expect("aligned")
-    } else {
-        let bits = 0x0A00_0000u32 + (k << (32 - u32::from(len)));
-        Prefix::v4(Ipv4Addr::from(bits), len).expect("aligned")
-    }
-}
-
-/// An owned prefix: a v4 /20–/24 (one in four is a v6 /32–/48), one or
-/// two legitimate origins, optional known neighbours, sometimes
-/// dormant.
-fn arb_owned() -> impl Strategy<Value = OwnedPrefix> {
-    (0u8..4, 0usize..5, 0u32..4, 0usize..3, 0usize..4, 0u8..6).prop_map(
-        |(family, len, k, origins, neighbors, dormant)| {
-            let v6 = family == 0;
-            let len = if v6 {
-                [32, 36, 40, 44, 48][len]
-            } else {
-                20 + len as u8
-            };
-            let origins: &[u32] = [&[VICTIM][..], &[PARTNER], &[VICTIM, PARTNER]][origins];
-            let neighbors = &[UPSTREAM_A, UPSTREAM_B][..[0, 0, 1, 2][neighbors]];
-            OwnedPrefix {
-                prefix: space(v6, len, k),
-                legitimate_origins: origins.iter().map(|a| Asn(*a)).collect(),
-                known_neighbors: neighbors.iter().map(|a| Asn(*a)).collect(),
-                dormant: dormant == 0,
-            }
-        },
-    )
-}
-
-/// A prefix an event may carry or a mitigation may expect: an owned
-/// prefix, a more-specific, a less-specific or nearby unowned space.
-fn arb_observed() -> impl Strategy<Value = Prefix> {
-    (0u8..4, 0usize..8, 0u32..8).prop_map(|(family, len, k)| {
-        let v6 = family == 0;
-        let len = if v6 {
-            [31, 32, 36, 40, 44, 48, 50, 56][len]
-        } else {
-            19 + len as u8
-        };
-        space(v6, len, k)
-    })
-}
-
 /// An observation: an announcement of `prefix` along one of a few path
 /// shapes, or its withdrawal.
 #[derive(Debug, Clone)]
 struct Observation {
     prefix: Prefix,
-    /// The AS path, vantage point first; empty for a withdrawal.
-    path: Vec<u32>,
+    /// The AS path, vantage point first; `None` for a withdrawal.
+    path: Option<AsPath>,
 }
 
 fn arb_observation() -> impl Strategy<Value = Observation> {
@@ -187,7 +126,10 @@ fn arb_observation() -> impl Strategy<Value = Observation> {
                 4 => vec![vp, adj, origin, origin],
                 _ => Vec::new(),
             };
-            Observation { prefix, path }
+            Observation {
+                prefix,
+                path: (!path.is_empty()).then(|| AsPath::from_sequence(path)),
+            }
         },
     )
 }
@@ -227,105 +169,21 @@ fn arb_op() -> impl Strategy<Value = Op> {
         })
 }
 
-/// One owned prefix as the linear model keeps it.
-#[derive(Debug)]
-struct ModelShard {
-    prefix: Prefix,
-    origins: BTreeSet<Asn>,
-    neighbors: BTreeSet<Asn>,
-    dormant: bool,
-    /// Announcements a mitigation registered within this prefix.
-    expected: BTreeSet<Prefix>,
-}
-
-/// The detection rules applied to a list of owned prefixes, with no
-/// routing structure: a linear scan finds the most-specific owned
-/// prefix covering an announcement, and the paper's rules (exact
-/// prefix, sub-prefix, Type-1 fake neighbour, squatting) judge it.
-#[derive(Debug, Default)]
-struct RulesModel {
-    shards: Vec<ModelShard>,
-}
-
-impl RulesModel {
-    /// Add `owned`; a prefix already listed takes the union of both
-    /// copies' origins and neighbours and stays dormant only if both
-    /// are (`fold`), else the add is refused.
-    fn add(&mut self, owned: &OwnedPrefix, fold: bool) -> bool {
-        match self.shards.iter_mut().find(|s| s.prefix == owned.prefix) {
-            Some(shard) if fold => {
-                shard
-                    .origins
-                    .extend(owned.legitimate_origins.iter().copied());
-                shard
-                    .neighbors
-                    .extend(owned.known_neighbors.iter().copied());
-                shard.dormant &= owned.dormant;
-                true
-            }
-            Some(_) => false,
-            None => {
-                self.shards.push(ModelShard {
-                    prefix: owned.prefix,
-                    origins: owned.legitimate_origins.clone(),
-                    neighbors: owned.known_neighbors.clone(),
-                    dormant: owned.dormant,
-                    expected: BTreeSet::new(),
-                });
-                true
-            }
-        }
-    }
-
-    fn owner(&self, prefix: Prefix) -> Option<usize> {
-        (0..self.shards.len())
-            .filter(|i| self.shards[*i].prefix.contains(prefix))
-            .max_by_key(|i| self.shards[*i].prefix.len())
-    }
-
-    /// The owned prefix an announcement of `prefix` along `path` falls
-    /// under, and the hijack it is (`None`: benign). `None` overall for
-    /// a withdrawal or space nobody owns.
-    fn classify(&self, prefix: Prefix, path: &[u32]) -> Option<(Prefix, Option<HijackType>)> {
-        let origin = Asn(*path.last()?);
-        let shard = &self.shards[self.owner(prefix)?];
-        let legit = shard.origins.contains(&origin);
-        let expected = shard.expected.contains(&prefix);
-        let hijack = if shard.dormant {
-            (!(expected && legit)).then_some(HijackType::Squatting)
-        } else if prefix == shard.prefix {
-            let adjacent = path.iter().rev().nth(1).map(|a| Asn(*a));
-            let fake_neighbor = !shard.neighbors.is_empty()
-                && adjacent.is_some_and(|adj| {
-                    !shard.neighbors.contains(&adj)
-                        && adj != origin
-                        && !shard.origins.contains(&adj)
-                });
-            if !legit {
-                Some(HijackType::ExactOrigin)
-            } else {
-                fake_neighbor.then_some(HijackType::Type1FakeNeighbor)
-            }
-        } else if expected {
-            (!legit).then_some(HijackType::SubPrefix)
-        } else if legit {
-            Some(HijackType::SubPrefixForgedOrigin)
-        } else {
-            Some(HijackType::SubPrefix)
-        };
-        Some((shard.prefix, hijack))
-    }
-}
-
 fn observation_event(o: &Observation, t: u64) -> FeedEvent {
-    if o.path.is_empty() {
-        let mut withdrawal = event(o.prefix, vec![2_914], t);
-        withdrawal.as_path = None;
-        withdrawal.origin_as = None;
-        withdrawal
-    } else {
-        event(o.prefix, o.path.clone(), t)
-    }
+    let vantage = o
+        .path
+        .as_ref()
+        .and_then(|p| p.iter().next())
+        .unwrap_or(Asn(2_914));
+    FeedEvent::new(
+        SimTime::from_secs(t),
+        SimTime::from_secs(t),
+        FeedKind::RisLive,
+        vantage,
+        o.prefix,
+        o.path.as_ref(),
+        None,
+    )
 }
 
 /// Commit one batch of observations, expectations and activations the
@@ -354,7 +212,7 @@ fn commit_batch(
         match op {
             Op::Observe(o) => {
                 let (ev, prep) = prepared.expect("observations are prepared");
-                let verdict = model.classify(o.prefix, &o.path);
+                let verdict = model.classify(o.prefix, o.path.as_ref(), None);
                 let expected = match verdict {
                     None | Some((_, None)) => Detection::Benign,
                     Some((owned, Some(_))) => {
@@ -374,16 +232,12 @@ fn commit_batch(
             }
             Op::Expect(prefix) => {
                 d.expect_announcement(prefix);
-                if let Some(i) = model.owner(prefix) {
-                    model.shards[i].expected.insert(prefix);
-                }
+                model.expect(prefix);
             }
             Op::Activate(k) if !model.shards.is_empty() => {
-                let count = model.shards.len();
-                let shard = &mut model.shards[k % count];
-                d.activate_prefix(shard.prefix);
-                shard.dormant = false;
-                shard.expected.insert(shard.prefix);
+                let owned = model.shards[k % model.shards.len()].prefix;
+                d.activate_prefix(owned);
+                model.activate(owned);
             }
             Op::Activate(_) => {}
             Op::Add(_) | Op::Remove(_) | Op::Cut => unreachable!("only rule changes are batched"),

@@ -1,20 +1,21 @@
 //! Round-trip property tests locking the wire contract: every
 //! [`ServiceCommand`], [`CommandOutcome`], and [`ServiceError`] the
 //! in-process API can produce survives JSON serialization unchanged,
-//! wrapped in the versioned envelopes the daemon speaks. A lossy wire
-//! layer would show up here as a failed equality, not as a silent
-//! behavioural drift in the daemon.
+//! wrapped in the versioned envelopes the daemon speaks, and so does
+//! every v2 inject event. A lossy wire layer would show up here as a
+//! failed equality, not as a silent behavioural drift in the daemon.
 
-use artemis_bgp::{Asn, Prefix};
+use artemis_bgp::aspath::Segment;
+use artemis_bgp::{AsPath, Asn, Prefix};
 use artemis_core::pipeline::OffboardReport;
 use artemis_core::wire::{
-    CommandEnvelope, CommandResult, OutcomeEnvelope, QueryEnvelope, SCHEMA_VERSION,
+    CommandEnvelope, CommandResult, InjectEnvelope, OutcomeEnvelope, QueryEnvelope, SCHEMA_VERSION,
 };
 use artemis_core::{
     AlertId, CommandOutcome, MitigationPlan, MitigationPolicy, OwnedPrefix, ServiceCommand,
     ServiceError, ServiceQuery,
 };
-use artemis_feeds::{FeedHandle, FeedSpec};
+use artemis_feeds::{FeedEvent, FeedHandle, FeedKind, FeedSpec, WireFeedEvent};
 use artemis_simnet::SimTime;
 use proptest::prelude::*;
 
@@ -176,6 +177,39 @@ fn arb_error() -> impl Strategy<Value = ServiceError> {
     ]
 }
 
+/// A v2 wire event: any collector name, a path of sequences and sets
+/// (or a withdrawal), a stated origin or none.
+fn arb_wire_event() -> impl Strategy<Value = WireFeedEvent> {
+    let segment =
+        (any::<bool>(), prop::collection::vec(arb_asn(), 1..4)).prop_map(|(set, asns)| {
+            if set {
+                Segment::Set(asns)
+            } else {
+                Segment::Sequence(asns)
+            }
+        });
+    (
+        (0u64..1_000_000, 0u64..1_000_000, arb_asn(), arb_prefix()),
+        "[a-z0-9]{0,8}",
+        prop::option::of(prop::collection::vec(segment, 0..4)),
+        prop::option::of(arb_asn()),
+        prop::option::of("[a-z]{0,8}"),
+    )
+        .prop_map(
+            |((t, delay, vantage, prefix), collector, segments, origin_as, raw)| WireFeedEvent {
+                emitted_at: SimTime::from_micros(t + delay),
+                observed_at: SimTime::from_micros(t),
+                source: FeedKind::RisLive,
+                collector,
+                vantage,
+                prefix,
+                as_path: segments.map(AsPath::from_segments),
+                origin_as,
+                raw,
+            },
+        )
+}
+
 proptest! {
     /// Every command survives the command envelope byte-exactly.
     #[test]
@@ -221,5 +255,21 @@ proptest! {
         let json = serde_json::to_string(&env).expect("serialize");
         let back: QueryEnvelope = serde_json::from_str(&json).expect("deserialize");
         prop_assert_eq!(back, env);
+    }
+
+    /// Inject events survive their envelope unchanged, collector and
+    /// full path included, and convert to the same feed events after
+    /// the trip as before it.
+    #[test]
+    fn inject_events_round_trip(events in prop::collection::vec(arb_wire_event(), 0..4)) {
+        let env = InjectEnvelope::new(events);
+        let json = serde_json::to_string(&env).expect("serialize");
+        let back: InjectEnvelope = serde_json::from_str(&json).expect("deserialize");
+        prop_assert_eq!(back.schema_version, SCHEMA_VERSION);
+        prop_assert_eq!(&back, &env);
+        let converted = |env: InjectEnvelope| -> Vec<FeedEvent> {
+            env.events.into_iter().map(FeedEvent::from).collect()
+        };
+        prop_assert_eq!(converted(back), converted(env));
     }
 }

@@ -15,12 +15,11 @@ use artemis_mrt::{
 };
 use artemis_simnet::{SimDuration, SimRng, SimTime};
 use std::net::Ipv4Addr;
-use std::sync::Arc;
 
 /// Batched update archive: updates observed at vantage points become
 /// visible at the end of their batch window plus a publish delay.
 pub struct ArchiveUpdatesFeed {
-    name: Arc<str>,
+    name: String,
     peers: Vec<Asn>,
     /// Batch window (paper: 15 minutes).
     pub batch_period: SimDuration,
@@ -117,17 +116,15 @@ impl FeedSource for ArchiveUpdatesFeed {
             self.mrt_records += 1;
         }
         self.emitted += 1;
-        out.push(FeedEvent {
-            emitted_at: visible,
-            observed_at: change.time,
-            source: FeedKind::ArchiveUpdates,
-            collector: self.name.clone(),
-            vantage: change.asn,
-            prefix: change.prefix,
-            as_path,
+        out.push(FeedEvent::new(
+            visible,
+            change.time,
+            FeedKind::ArchiveUpdates,
+            change.asn,
+            change.prefix,
+            as_path.as_ref(),
             origin_as,
-            raw: None,
-        });
+        ));
     }
 
     fn next_poll(&self, _now: SimTime) -> Option<SimTime> {
@@ -149,7 +146,7 @@ impl FeedSource for ArchiveUpdatesFeed {
 
 /// Periodic full-RIB snapshots: the slowest baseline (paper: ~2 h).
 pub struct ArchiveRibFeed {
-    name: Arc<str>,
+    name: String,
     peers: Vec<Asn>,
     /// Snapshot period (paper: 2 hours).
     pub rib_period: SimDuration,
@@ -278,17 +275,15 @@ impl FeedSource for ArchiveRibFeed {
                     },
                 });
                 seq += 1;
-                out.push(FeedEvent {
-                    emitted_at: visible,
-                    observed_at: at,
-                    source: FeedKind::ArchiveRib,
-                    collector: self.name.clone(),
-                    vantage: *peer,
+                out.push(FeedEvent::new(
+                    visible,
+                    at,
+                    FeedKind::ArchiveRib,
+                    *peer,
                     prefix,
-                    as_path: Some(path),
-                    origin_as: Some(best.origin_as),
-                    raw: None,
-                });
+                    Some(&path),
+                    Some(best.origin_as),
+                ));
             }
         }
         self.last_dump_mrt = writer.into_bytes();

@@ -115,17 +115,15 @@ mod tests {
     use std::str::FromStr;
 
     fn event(prefix: &str, origin: Option<u32>, vantage: u32, observed_secs: u64) -> FeedEvent {
-        FeedEvent {
-            emitted_at: SimTime::from_secs(observed_secs + 1),
-            observed_at: SimTime::from_secs(observed_secs),
-            source: FeedKind::BmpLive,
-            collector: "bmp0".into(),
-            vantage: Asn(vantage),
-            prefix: Prefix::from_str(prefix).unwrap(),
-            as_path: origin.map(|o| AsPath::from_sequence([vantage, o])),
-            origin_as: origin.map(Asn),
-            raw: None,
-        }
+        FeedEvent::new(
+            SimTime::from_secs(observed_secs + 1),
+            SimTime::from_secs(observed_secs),
+            FeedKind::BmpLive,
+            Asn(vantage),
+            Prefix::from_str(prefix).unwrap(),
+            origin.map(|o| AsPath::from_sequence([vantage, o])).as_ref(),
+            origin.map(Asn),
+        )
     }
 
     #[test]

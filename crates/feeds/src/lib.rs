@@ -46,7 +46,7 @@ pub mod stream;
 pub mod vantage;
 
 pub use archive::{ArchiveRibFeed, ArchiveUpdatesFeed};
-pub use event::{FeedEvent, FeedKind};
+pub use event::{FeedEvent, FeedKind, Reach, WireFeedEvent};
 pub use filter::FeedFilter;
 pub use hub::{DrainBreakdown, FeedHandle, FeedHub, FeedLag};
 pub use live::{BmpLiveFeed, LiveFeedConfig, LiveFeedStats, PeerHealth, WireHealth};

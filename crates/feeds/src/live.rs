@@ -6,12 +6,14 @@
 //! prefix, applies an optional pre-ring [`FeedFilter`], and parks the
 //! survivors in a fixed-capacity [`artemis_bmp::BackpressureRing`].
 //! A ring entry carries only what differs between events (observation
-//! time, vantage, prefix, path, origin); the pump thread's `poll`
-//! builds each [`FeedEvent`] from one as it drains, adding the feed's
-//! collector name and the emission instant. What is per feed or per
-//! socket read is paid once: the reader clones no name and publishes
-//! its `decoded` count once per read, after that read's events are in
-//! the ring.
+//! time, vantage, prefix, [`Reach`], origin) and owns nothing: the
+//! reader reduces each UPDATE's path to its [`Reach`] and origin once,
+//! so the path's allocations are made and freed on the reader thread
+//! and the pump thread drops no shared handle. The pump's `poll` builds
+//! each [`FeedEvent`] from one entry as it drains, adding the emission
+//! instant. What is per feed or per socket read is paid once: the
+//! reader publishes its `decoded` count once per read, after that
+//! read's events are in the ring.
 //!
 //! The pipeline side is an ordinary pull-based [`FeedSource`]:
 //! `next_poll` reports "now" whenever the ring holds events, and
@@ -24,10 +26,10 @@
 
 #![deny(missing_docs)]
 
-use crate::event::{FeedEvent, FeedKind};
+use crate::event::{FeedEvent, FeedKind, Reach};
 use crate::filter::FeedFilter;
 use crate::source::{FeedSource, RibView, WakeLatch};
-use artemis_bgp::{AsPath, Asn, Prefix, RouteChange, UpdateMessage};
+use artemis_bgp::{Asn, Prefix, RouteChange, UpdateMessage};
 use artemis_bmp::{BackpressureRing, BmpMessage, FrameAssembler, PeerHeader, MSG_ROUTE_MONITORING};
 use artemis_simnet::{SimRng, SimTime};
 use std::collections::BTreeMap;
@@ -159,9 +161,8 @@ pub struct LiveFeedStats {
 /// A live RFC 7854 BMP session as a [`FeedSource`]. See the module
 /// docs for the architecture.
 pub struct BmpLiveFeed {
-    /// Also the `collector` of every event: `poll` clones this handle
-    /// per event on the pump thread, never the bytes.
-    name: Arc<str>,
+    /// The collector's name: the feed's, not its events'.
+    name: String,
     ring: Arc<BackpressureRing<RingEntry>>,
     counters: Arc<LiveCounters>,
     shutdown: Arc<AtomicBool>,
@@ -184,11 +185,11 @@ impl BmpLiveFeed {
     /// exponential backoff, so the feed outlives collector restarts;
     /// only dropping the feed or fused framing ends the reader.
     pub fn connect(
-        name: impl Into<Arc<str>>,
+        name: impl Into<String>,
         addr: impl Into<String>,
         config: LiveFeedConfig,
     ) -> Self {
-        let name: Arc<str> = name.into();
+        let name: String = name.into();
         let addr = addr.into();
         let ring = Arc::new(BackpressureRing::new(config.ring_capacity));
         let counters = Arc::new(LiveCounters::default());
@@ -197,7 +198,7 @@ impl BmpLiveFeed {
             let ring = Arc::clone(&ring);
             let counters = Arc::clone(&counters);
             let shutdown = Arc::clone(&shutdown);
-            let collector = Arc::clone(&name);
+            let collector = name.clone();
             // `spawn` refuses a thread name with an interior NUL; the
             // feed itself keeps the name as given.
             std::thread::Builder::new()
@@ -305,7 +306,6 @@ impl FeedSource for BmpLiveFeed {
     ) {
         // The ring drains straight into the caller's buffer, each entry
         // becoming its event in the same pass.
-        let collector = &self.name;
         let n = self.ring.drain_map_into(out, usize::MAX, |e| FeedEvent {
             // Emission is the instant the pipeline could first react;
             // observation keeps the collector's wire timestamp (capped
@@ -314,10 +314,9 @@ impl FeedSource for BmpLiveFeed {
             emitted_at: at,
             observed_at: e.observed_at.min(at),
             source: FeedKind::BmpLive,
-            collector: Arc::clone(collector),
             vantage: e.vantage,
             prefix: e.prefix,
-            as_path: e.as_path,
+            reach: e.reach,
             origin_as: e.origin_as,
             raw: None,
         });
@@ -360,20 +359,23 @@ impl FeedSource for BmpLiveFeed {
 }
 
 /// One prefix of one route-monitoring UPDATE, as the reader parks it:
-/// only what differs between events. `poll` adds the rest.
+/// only what differs between events, reduced as [`FeedEvent::new`]
+/// reduces it. `poll` adds the emission instant.
 struct RingEntry {
     /// The collector's wire timestamp.
     observed_at: SimTime,
     vantage: Asn,
     prefix: Prefix,
-    /// `None` for withdrawals; shared by every prefix of one UPDATE.
-    as_path: Option<AsPath>,
+    /// The same for every prefix of one UPDATE.
+    reach: Reach,
     origin_as: Option<Asn>,
 }
 
 // The reader writes one per prefix and the ring moves each twice:
-// every build fails when it regrows toward `FeedEvent`'s 128 bytes.
-const _: () = assert!(std::mem::size_of::<RingEntry>() <= 80);
+// every build fails when it regrows, or when dropping one costs
+// anything (the pump drops what the reader made).
+const _: () = assert!(std::mem::size_of::<RingEntry>() <= 64);
+const _: () = assert!(!std::mem::needs_drop::<RingEntry>());
 
 /// Why one TCP session ended, deciding what the reader does next.
 enum SessionEnd {
@@ -430,7 +432,7 @@ fn sleep_with_shutdown(total: Duration, shutdown: &AtomicBool) {
 fn reader_main(
     addr: String,
     config: LiveFeedConfig,
-    collector: Arc<str>,
+    collector: String,
     ring: Arc<BackpressureRing<RingEntry>>,
     counters: Arc<LiveCounters>,
     shutdown: Arc<AtomicBool>,
@@ -601,10 +603,9 @@ impl ReadTally {
 
 /// Expand one route-monitoring UPDATE into per-prefix ring entries,
 /// filter them, and append survivors to `batch`, counting both in
-/// `tally`. The entries share the UPDATE's one path and carry no
-/// collector name (the pump adds it): nothing here allocates per
-/// prefix, and the path's reference count is the one shared counter
-/// it touches.
+/// `tally`. The UPDATE's path is reduced once ([`Reach::of`]), and
+/// every announced prefix copies the result: nothing here allocates
+/// per prefix or shares anything with the pump.
 fn events_from_update(
     peer: &PeerHeader,
     update: &UpdateMessage,
@@ -614,9 +615,8 @@ fn events_from_update(
 ) {
     let observed_at = SimTime::from_micros(peer.timestamp_micros());
     let vantage = peer.peer_as;
-    let path = update.attrs.as_ref().map(|a| &a.as_path);
-    let origin = update.attrs.as_ref().and_then(|a| a.origin_as());
-    let mut push = |prefix, as_path: Option<&AsPath>, origin_as| {
+    let announced = Reach::of(update.attrs.as_ref().map(|a| &a.as_path), None);
+    let mut push = |prefix, (reach, origin_as): (Reach, Option<Asn>)| {
         tally.decoded += 1;
         match filter {
             Some(f) if !f.matches_parts(prefix, origin_as, vantage, observed_at) => {
@@ -626,16 +626,16 @@ fn events_from_update(
                 observed_at,
                 vantage,
                 prefix,
-                as_path: as_path.cloned(),
+                reach,
                 origin_as,
             }),
         }
     };
     for prefix in &update.withdrawn {
-        push(*prefix, None, None);
+        push(*prefix, (Reach::Withdrawn, None));
     }
     for prefix in &update.nlri {
-        push(*prefix, path, origin);
+        push(*prefix, announced);
     }
 }
 
@@ -643,7 +643,7 @@ fn events_from_update(
 mod tests {
     use super::*;
     use crate::source::EmptyRibView;
-    use artemis_bgp::{BgpMessage, PathAttributes};
+    use artemis_bgp::{AsPath, BgpMessage, PathAttributes};
     use artemis_bmp::BmpWriter;
     use std::io::Write;
     use std::net::{Ipv4Addr, TcpListener};
@@ -743,15 +743,16 @@ mod tests {
 
         // What the caller's buffer already holds must come back as it was.
         let earlier = FeedEvent {
-            emitted_at: SimTime::from_secs(1),
-            observed_at: SimTime::from_secs(999),
-            source: FeedKind::RisLive,
-            collector: "rrc00".into(),
-            vantage: Asn(3356),
-            prefix: Prefix::from_str("192.0.2.0/24").unwrap(),
-            as_path: None,
-            origin_as: None,
             raw: Some("kept".into()),
+            ..FeedEvent::new(
+                SimTime::from_secs(1),
+                SimTime::from_secs(999),
+                FeedKind::RisLive,
+                Asn(3356),
+                Prefix::from_str("192.0.2.0/24").unwrap(),
+                None,
+                None,
+            )
         };
         let mut out = vec![earlier.clone()];
         let at = SimTime::from_secs(100);
@@ -773,7 +774,7 @@ mod tests {
     }
 
     #[test]
-    fn events_of_one_update_share_one_path_and_one_collector_name() {
+    fn events_of_one_update_carry_one_reduction_of_its_path() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let writer = std::thread::spawn(move || {
@@ -818,34 +819,18 @@ mod tests {
         let (first, second) = evs.split_at(18);
         assert!(first[..2].iter().all(FeedEvent::is_withdrawal));
 
-        for ev in &evs {
-            assert_eq!(&*ev.collector, "bmp0");
-            assert!(
-                Arc::ptr_eq(&ev.collector, &evs[0].collector),
-                "one collector name per feed, not per event"
-            );
-        }
-        let segments = |ev: &FeedEvent| {
-            ev.as_path
-                .as_ref()
-                .expect("announcement")
-                .segments()
-                .as_ptr()
-        };
-        for ev in &first[2..] {
-            assert_eq!(ev.origin_as, Some(Asn(65001)));
-            assert_eq!(
-                segments(ev),
-                segments(&first[2]),
-                "one path allocation per UPDATE, not per NLRI"
-            );
-        }
-        assert_eq!(second[0].as_path, first[2].as_path);
-        assert_ne!(
-            segments(&second[0]),
-            segments(&first[2]),
-            "the next UPDATE decodes a path of its own"
+        assert_eq!(
+            feed.name(),
+            "bmp0",
+            "the name is the feed's, not its events'"
         );
+        let announced = Reach::Announced {
+            origin_neighbor: Some(Asn(3356)),
+        };
+        for ev in first[2..].iter().chain(second) {
+            assert_eq!((ev.reach, ev.origin_as), (announced, Some(Asn(65001))));
+        }
+        assert!(first[..2].iter().all(|ev| ev.origin_as.is_none()));
     }
 
     #[test]

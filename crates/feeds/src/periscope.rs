@@ -12,13 +12,12 @@ use crate::event::{FeedEvent, FeedKind};
 use crate::source::{FeedSource, RibView};
 use artemis_bgp::{Asn, Prefix};
 use artemis_simnet::{LatencyModel, SimDuration, SimRng, SimTime};
-use std::sync::Arc;
 
 /// One looking glass: a vantage AS we may query.
 #[derive(Debug, Clone)]
 pub struct LookingGlass {
-    /// Identifier, e.g. `lg-ams-01`; shared by every event the LG yields.
-    pub name: Arc<str>,
+    /// Identifier, e.g. `lg-ams-01`.
+    pub name: String,
     /// The AS whose operational routers this LG exposes.
     pub vantage: Asn,
     /// Minimum interval between queries (rate limit).
@@ -117,17 +116,15 @@ impl FeedSource for PeriscopeFeed {
                     if !target.contains(*prefix) && !prefix.contains(*target) {
                         continue;
                     }
-                    out.push(FeedEvent {
-                        emitted_at: at + latency,
-                        observed_at: at,
-                        source: FeedKind::Periscope,
-                        collector: state.lg.name.clone(),
-                        vantage: state.lg.vantage,
-                        prefix: *prefix,
-                        as_path: Some(best.as_path.prepend(state.lg.vantage)),
-                        origin_as: Some(best.origin_as),
-                        raw: None,
-                    });
+                    out.push(FeedEvent::new(
+                        at + latency,
+                        at,
+                        FeedKind::Periscope,
+                        state.lg.vantage,
+                        *prefix,
+                        Some(&best.as_path.prepend(state.lg.vantage)),
+                        Some(best.origin_as),
+                    ));
                 }
             }
         }
@@ -240,7 +237,7 @@ mod tests {
         let mut rng = SimRng::new(3);
         let lgs: Vec<LookingGlass> = (0..8)
             .map(|i| LookingGlass {
-                name: format!("lg-{i}").into(),
+                name: format!("lg-{i}"),
                 vantage: Asn(100 + i),
                 min_interval: SimDuration::from_secs(60),
                 response_latency: LatencyModel::const_secs(1),

@@ -27,7 +27,6 @@ use artemis_bgp::{Asn, BestRoute, BgpMessage, Prefix, RouteChange};
 use artemis_mrt::{MrtDiagnostic, MrtError, MrtRecord, MrtScanner, PeerEntry, PeerIndexTable};
 use artemis_simnet::{SimDuration, SimRng, SimTime};
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::Arc;
 
 /// Convert an MRT `(seconds, microseconds)` pair back into simulation
 /// time (the writers store observation instants at full precision).
@@ -201,7 +200,7 @@ impl RibView for MrtRibSnapshot {
 /// feed replays at observation instants instead — the forensics mode:
 /// "what would ARTEMIS have seen live?".
 pub struct MrtReplayFeed {
-    name: Arc<str>,
+    name: String,
     batch_period: SimDuration,
     publish_delay: SimDuration,
     /// Events in emission order, ready to be polled out.
@@ -261,18 +260,15 @@ impl MrtReplayFeed {
         // v6), and per-row iteration would queue those routes twice.
         for (&vantage, routes) in &snapshot.ribs {
             for (prefix, best) in routes {
-                let path = best.as_path.prepend(vantage);
-                self.queue.push_back(FeedEvent {
-                    emitted_at: at,
-                    observed_at: at,
-                    source: FeedKind::MrtReplay,
-                    collector: self.name.clone(),
+                self.queue.push_back(FeedEvent::new(
+                    at,
+                    at,
+                    FeedKind::MrtReplay,
                     vantage,
-                    prefix: *prefix,
-                    origin_as: Some(best.origin_as),
-                    as_path: Some(path),
-                    raw: None,
-                });
+                    *prefix,
+                    Some(&best.as_path.prepend(vantage)),
+                    Some(best.origin_as),
+                ));
                 self.records_replayed += 1;
             }
         }
@@ -366,31 +362,27 @@ impl MrtReplayFeed {
             };
             let observed = mrt_instant(timestamp, microseconds);
             for prefix in &update.withdrawn {
-                self.queue.push_back(FeedEvent {
-                    emitted_at: observed, // scheduled later
-                    observed_at: observed,
-                    source: FeedKind::MrtReplay,
-                    collector: self.name.clone(),
-                    vantage: message.peer_as,
-                    prefix: *prefix,
-                    as_path: None,
-                    origin_as: None,
-                    raw: None,
-                });
+                self.queue.push_back(FeedEvent::new(
+                    observed, // emission is scheduled later
+                    observed,
+                    FeedKind::MrtReplay,
+                    message.peer_as,
+                    *prefix,
+                    None,
+                    None,
+                ));
             }
             if let Some(attrs) = &update.attrs {
                 for prefix in &update.nlri {
-                    self.queue.push_back(FeedEvent {
-                        emitted_at: observed,
-                        observed_at: observed,
-                        source: FeedKind::MrtReplay,
-                        collector: self.name.clone(),
-                        vantage: message.peer_as,
-                        prefix: *prefix,
-                        as_path: Some(attrs.as_path.clone()),
-                        origin_as: attrs.as_path.origin(),
-                        raw: None,
-                    });
+                    self.queue.push_back(FeedEvent::new(
+                        observed,
+                        observed,
+                        FeedKind::MrtReplay,
+                        message.peer_as,
+                        *prefix,
+                        Some(&attrs.as_path),
+                        None,
+                    ));
                 }
             }
             self.records_replayed += 1;
@@ -445,6 +437,7 @@ impl FeedSource for MrtReplayFeed {
 mod tests {
     use super::*;
     use crate::archive::{ArchiveRibFeed, ArchiveUpdatesFeed};
+    use crate::event::Reach;
     use artemis_bgp::AsPath;
     use artemis_bgp::RelKind;
     use std::str::FromStr;
@@ -501,10 +494,13 @@ mod tests {
         assert_eq!(events[0].vantage, Asn(174));
         assert_eq!(events[0].prefix, pfx("10.0.0.0/23"));
         assert_eq!(events[0].origin_as, Some(Asn(65001)));
-        // Path as exported to the collector: vantage prepended.
+        // Path as exported to the collector, reduced: 3356 is the
+        // origin's neighbour.
         assert_eq!(
-            events[0].as_path,
-            Some(AsPath::from_sequence([174u32, 3356, 65001]))
+            events[0].reach,
+            Reach::Announced {
+                origin_neighbor: Some(Asn(3356))
+            }
         );
         // Zero batch window: emission == observation.
         assert_eq!(events[0].emitted_at, events[0].observed_at);
@@ -714,10 +710,15 @@ mod tests {
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].vantage, Asn(174));
         // Bootstrap events carry the collector-session path (vantage
-        // prepended), like every other feed event.
+        // prepended) reduced, like every other feed event.
         assert_eq!(
-            events[0].as_path,
-            Some(AsPath::from_sequence([174u32, 3356, 65001]))
+            (events[0].reach, events[0].origin_as),
+            (
+                Reach::Announced {
+                    origin_neighbor: Some(Asn(3356))
+                },
+                Some(Asn(65001))
+            )
         );
     }
 }

@@ -2,10 +2,9 @@
 
 use crate::event::{FeedEvent, FeedKind};
 use crate::source::{FeedSource, RibView};
-use artemis_bgp::{Asn, RouteChange};
+use artemis_bgp::{AsPath, Asn, RouteChange};
 use artemis_simnet::{LatencyModel, SimDuration, SimRng, SimTime};
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// A streaming collector network (RIS-live or BGPmon flavour).
 ///
@@ -16,19 +15,10 @@ use std::sync::Arc;
 pub struct StreamFeed {
     kind: FeedKind,
     name: String,
-    /// collector name -> peers; each name is shared by the events
-    /// its sessions produce
-    collectors: BTreeMap<Arc<str>, Vec<Asn>>,
+    /// collector name -> peers
+    collectors: BTreeMap<String, Vec<Asn>>,
     export_delay: LatencyModel,
     emitted: u64,
-}
-
-/// One shared handle per collector name, made once at construction.
-fn shared_names(collectors: BTreeMap<String, Vec<Asn>>) -> BTreeMap<Arc<str>, Vec<Asn>> {
-    collectors
-        .into_iter()
-        .map(|(name, peers)| (name.into(), peers))
-        .collect()
 }
 
 impl StreamFeed {
@@ -40,7 +30,7 @@ impl StreamFeed {
         StreamFeed {
             kind: FeedKind::RisLive,
             name: "ris-live".into(),
-            collectors: shared_names(collectors),
+            collectors,
             export_delay: LatencyModel::LogNormal {
                 median: SimDuration::from_secs(8),
                 sigma: 0.6,
@@ -55,7 +45,7 @@ impl StreamFeed {
         StreamFeed {
             kind: FeedKind::BgpMon,
             name: "bgpmon".into(),
-            collectors: shared_names(collectors),
+            collectors,
             export_delay: LatencyModel::LogNormal {
                 median: SimDuration::from_secs(15),
                 sigma: 0.5,
@@ -78,31 +68,35 @@ impl StreamFeed {
         v
     }
 
-    /// Render the RIS-live JSON payload for an event (schema mirrors
-    /// the real `ris_message` envelope).
-    fn render_raw(&self, ev: &FeedEvent) -> Option<String> {
+    /// Render the RIS-live JSON payload for an event that `collector`
+    /// saw along `as_path` (schema mirrors the real `ris_message`
+    /// envelope).
+    fn render_raw(
+        &self,
+        collector: &str,
+        as_path: Option<&AsPath>,
+        ev: &FeedEvent,
+    ) -> Option<String> {
         if self.kind != FeedKind::RisLive {
             return None;
         }
-        let path: Vec<u32> = ev
-            .as_path
-            .as_ref()
+        let path: Vec<u32> = as_path
             .map(|p| p.iter().map(|a| a.value()).collect())
             .unwrap_or_default();
         let msg = serde_json::json!({
             "type": "ris_message",
             "data": {
                 "timestamp": ev.emitted_at.as_secs_f64(),
-                "host": ev.collector,
+                "host": collector,
                 "peer_asn": ev.vantage.value().to_string(),
                 "type": "UPDATE",
                 "path": path,
-                "announcements": if ev.as_path.is_some() {
+                "announcements": if as_path.is_some() {
                     serde_json::json!([{ "prefixes": [ev.prefix.to_string()] }])
                 } else {
                     serde_json::json!([])
                 },
-                "withdrawals": if ev.as_path.is_none() {
+                "withdrawals": if as_path.is_none() {
                     serde_json::json!([ev.prefix.to_string()])
                 } else {
                     serde_json::json!([])
@@ -137,18 +131,16 @@ impl FeedSource for StreamFeed {
                 Some(best) => (Some(best.as_path.prepend(change.asn)), Some(best.origin_as)),
                 None => (None, None),
             };
-            let mut ev = FeedEvent {
-                emitted_at: change.time + delay,
-                observed_at: change.time,
-                source: self.kind,
-                collector: collector.clone(),
-                vantage: change.asn,
-                prefix: change.prefix,
-                as_path,
+            let mut ev = FeedEvent::new(
+                change.time + delay,
+                change.time,
+                self.kind,
+                change.asn,
+                change.prefix,
+                as_path.as_ref(),
                 origin_as,
-                raw: None,
-            };
-            ev.raw = self.render_raw(&ev);
+            );
+            ev.raw = self.render_raw(collector, as_path.as_ref(), &ev);
             out.push(ev);
             self.emitted += 1;
         }
@@ -170,7 +162,7 @@ impl FeedSource for StreamFeed {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use artemis_bgp::AsPath;
+    use crate::event::Reach;
     use artemis_bgp::BestRoute;
     use std::str::FromStr;
 
@@ -217,10 +209,17 @@ mod tests {
         let ev = &evs[0];
         assert_eq!(ev.emitted_at, SimTime::from_secs(105));
         assert_eq!(ev.observed_at, SimTime::from_secs(100));
+        let raw: serde_json::Value = serde_json::from_str(ev.raw.as_ref().unwrap()).unwrap();
         assert_eq!(
-            ev.as_path.as_ref().unwrap().to_string(),
-            "3356 3356 65001",
+            raw["data"]["path"],
+            serde_json::json!([3356, 3356, 65001]),
             "vantage AS must be prepended"
+        );
+        assert_eq!(
+            ev.reach,
+            Reach::Announced {
+                origin_neighbor: Some(Asn(3356))
+            }
         );
         assert_eq!(ev.origin_as, Some(Asn(65001)));
     }

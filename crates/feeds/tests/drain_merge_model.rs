@@ -90,15 +90,17 @@ impl FeedSource for ScriptedFeed {
 fn scripted_event(tag: &str, feed: usize, step: usize, k: usize, t_micros: u64) -> FeedEvent {
     let as_path = AsPath::from_sequence([3356u32, 65001]);
     FeedEvent {
-        emitted_at: SimTime::from_micros(t_micros),
-        observed_at: SimTime::from_micros(t_micros.saturating_sub(3)),
-        source: FeedKind::RisLive,
-        collector: format!("{tag}-f{feed}-s{step}-e{k}").into(),
-        vantage: Asn([174, 3356][k % 2]),
-        prefix: Prefix::from_str("10.0.0.0/23").unwrap(),
-        as_path: Some(as_path),
-        origin_as: Some(Asn(65001)),
-        raw: None,
+        // A unique tag, so the model can tell events apart.
+        raw: Some(format!("{tag}-f{feed}-s{step}-e{k}")),
+        ..FeedEvent::new(
+            SimTime::from_micros(t_micros),
+            SimTime::from_micros(t_micros.saturating_sub(3)),
+            FeedKind::RisLive,
+            Asn([174, 3356][k % 2]),
+            Prefix::from_str("10.0.0.0/23").unwrap(),
+            Some(&as_path),
+            None,
+        )
     }
 }
 

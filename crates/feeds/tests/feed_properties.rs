@@ -4,7 +4,7 @@
 use artemis_bgp::{AsPath, Asn, Prefix};
 use artemis_bgpsim::{BestRoute, RouteChange};
 use artemis_feeds::vantage::group_into_collectors;
-use artemis_feeds::{ArchiveUpdatesFeed, FeedSource, StreamFeed};
+use artemis_feeds::{ArchiveUpdatesFeed, FeedSource, Reach, StreamFeed};
 use artemis_simnet::{LatencyModel, SimDuration, SimRng, SimTime};
 use artemis_topology::RelKind;
 use proptest::prelude::*;
@@ -42,9 +42,10 @@ fn arb_change() -> impl Strategy<Value = RouteChange> {
 }
 
 proptest! {
-    /// Stream events are faithful: correct vantage/prefix, the path is
-    /// the Loc-RIB path prepended with the vantage AS, the origin is
-    /// preserved, and emission never precedes observation.
+    /// Stream events are faithful: correct vantage/prefix, the
+    /// origin-adjacent hop is that of the Loc-RIB path prepended with
+    /// the vantage AS, the origin is preserved, and emission never
+    /// precedes observation.
     #[test]
     fn stream_events_are_faithful(change in arb_change()) {
         let vantage = change.asn;
@@ -61,13 +62,13 @@ proptest! {
         prop_assert_eq!(ev.prefix, change.prefix);
         prop_assert!(ev.emitted_at >= ev.observed_at);
         prop_assert_eq!(ev.observed_at, change.time);
-        match (&change.new, &ev.as_path) {
-            (Some(best), Some(path)) => {
-                prop_assert_eq!(path.neighbor(), Some(vantage), "vantage prepended");
-                prop_assert_eq!(path.origin(), Some(best.origin_as));
+        match (&change.new, ev.reach) {
+            (Some(best), Reach::Announced { origin_neighbor }) => {
+                let path = best.as_path.prepend(vantage);
+                prop_assert_eq!(origin_neighbor, path.origin_neighbor(), "vantage prepended");
                 prop_assert_eq!(ev.origin_as, Some(best.origin_as));
             }
-            (None, None) => prop_assert!(ev.is_withdrawal()),
+            (None, Reach::Withdrawn) => prop_assert!(ev.origin_as.is_none()),
             other => prop_assert!(false, "mismatch {:?}", other),
         }
     }
@@ -102,7 +103,9 @@ proptest! {
                 .iter()
                 .map(|v| v.as_u64().expect("asn"))
                 .collect();
-            let typed: Vec<u64> = ev.as_path.as_ref().expect("path")
+            let typed: Vec<u64> = change.new.as_ref().expect("announced")
+                .as_path
+                .prepend(vantage)
                 .iter()
                 .map(|a| a.value() as u64)
                 .collect();

@@ -3,18 +3,28 @@
 //! `poll_and_queue` polls into the hub's reused scratch buffer
 //! (`FeedSource::poll_into`), the lane takes that buffer by swap, and
 //! `drain_batch` hands the lane's buffer to the caller by swap.
+//! Dropping the drained events (the next `drain_batch` clears the
+//! batch) frees nothing either: an event owns no heap. Behind a live
+//! BMP feed, the whole consuming side — draining the ring, queueing,
+//! merging and dropping — neither allocates nor frees; the UPDATE's
+//! path is made and freed on the reader thread.
 //!
 //! This binary installs a counting global allocator that counts only
-//! the thread that armed it, so the test harness's own threads cannot
-//! disturb the count.
+//! the thread that armed it, so the test harness's own threads (and
+//! the live feed's reader) cannot disturb the count.
 
-use artemis_bgp::{AsPath, Asn, Prefix};
-use artemis_feeds::{EmptyRibView, FeedEvent, FeedHub, FeedKind, FeedSource, RibView};
+use artemis_bgp::{AsPath, Asn, BgpMessage, PathAttributes, Prefix, UpdateMessage};
+use artemis_bmp::{BmpMessage, BmpWriter, PeerHeader};
+use artemis_feeds::{
+    BmpLiveFeed, EmptyRibView, FeedEvent, FeedHub, FeedKind, FeedSource, LiveFeedConfig, RibView,
+};
 use artemis_simnet::{SimRng, SimTime};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::net::Ipv4Addr;
-use std::sync::Arc;
+use std::io::Write;
+use std::net::{IpAddr, Ipv4Addr, TcpListener};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc};
 
 thread_local! {
     // `const` initialisers and `Cell`s need neither lazy initialisation
@@ -22,16 +32,17 @@ thread_local! {
     // itself allocate.
     static ARMED: Cell<bool> = const { Cell::new(false) };
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static FREES: Cell<u64> = const { Cell::new(0) };
 }
 
 struct CountingAlloc;
 
-fn count() {
+fn count(counter: &'static std::thread::LocalKey<Cell<u64>>) {
     // `try_with`: a thread being torn down may allocate after its
     // thread-locals are gone; those are not counted.
     let _ = ARMED.try_with(|armed| {
         if armed.get() {
-            let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+            let _ = counter.try_with(|c| c.set(c.get() + 1));
         }
     });
 }
@@ -41,25 +52,26 @@ fn count() {
 // and never allocates.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(&ALLOCS);
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(&ALLOCS);
         // SAFETY: as for `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(&ALLOCS);
         // SAFETY: `ptr` came from this allocator with `layout`, which
         // means it came from `System` with `layout`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count(&FREES);
         // SAFETY: as for `realloc`.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -68,19 +80,23 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Allocations the calling thread makes while running `f`.
-fn allocs_during(f: impl FnOnce()) -> u64 {
-    let before = ALLOCS.with(Cell::get);
+/// Allocations and frees the calling thread makes while running `f`.
+fn allocs_during<R>(f: impl FnOnce() -> R) -> (R, u64, u64) {
+    let (allocs, frees) = (ALLOCS.with(Cell::get), FREES.with(Cell::get));
     ARMED.with(|a| a.set(true));
-    f();
+    let out = f();
     ARMED.with(|a| a.set(false));
-    ALLOCS.with(Cell::get) - before
+    (
+        out,
+        ALLOCS.with(Cell::get) - allocs,
+        FREES.with(Cell::get) - frees,
+    )
 }
 
 /// A pull feed that, like a live wire feed, is due whenever asked and
 /// appends one fixed burst straight into the caller's buffer, stamped
-/// with the poll instant. Its events share one collector name and one
-/// path, so cloning one allocates nothing.
+/// with the poll instant. Its events own no heap, so cloning one
+/// allocates nothing.
 struct BurstFeed {
     burst: Vec<FeedEvent>,
 }
@@ -127,19 +143,18 @@ impl FeedSource for BurstFeed {
 #[test]
 fn steady_state_poll_and_drain_through_one_feed_allocates_nothing() {
     const BURST: usize = 512;
-    let collector: Arc<str> = "bmp0".into();
     let path = AsPath::from_sequence([174u32, 3356, 65001]);
     let burst = (0..BURST)
-        .map(|i| FeedEvent {
-            emitted_at: SimTime::ZERO,
-            observed_at: SimTime::from_micros(i as u64),
-            source: FeedKind::BmpLive,
-            collector: Arc::clone(&collector),
-            vantage: Asn(174),
-            prefix: Prefix::v4(Ipv4Addr::new(10, (i >> 8) as u8, i as u8, 0), 24).unwrap(),
-            as_path: Some(path.clone()),
-            origin_as: Some(Asn(65001)),
-            raw: None,
+        .map(|i| {
+            FeedEvent::new(
+                SimTime::ZERO,
+                SimTime::from_micros(i as u64),
+                FeedKind::BmpLive,
+                Asn(174),
+                Prefix::v4(Ipv4Addr::new(10, (i >> 8) as u8, i as u8, 0), 24).unwrap(),
+                Some(&path),
+                None,
+            )
         })
         .collect();
     let mut hub = FeedHub::new(SimRng::new(1));
@@ -157,7 +172,7 @@ fn steady_state_poll_and_drain_through_one_feed_allocates_nothing() {
         assert_eq!(cycle(t, &mut batch), BURST);
     }
     let mut delivered = 0;
-    let allocs = allocs_during(|| {
+    let ((), allocs, frees) = allocs_during(|| {
         for t in 8..264 {
             delivered += cycle(t, &mut batch);
         }
@@ -168,7 +183,127 @@ fn steady_state_poll_and_drain_through_one_feed_allocates_nothing() {
         Some(SimTime::from_micros(263))
     );
     assert_eq!(
-        allocs, 0,
-        "steady-state poll → queue → drain must not allocate"
+        (allocs, frees),
+        (0, 0),
+        "steady-state poll → queue → drain must neither allocate nor free"
+    );
+}
+
+/// A live feed the hub polls only once the reader has decoded `open_at`
+/// events, so every poll drains one whole round of UPDATEs.
+struct Gated {
+    feed: BmpLiveFeed,
+    open_at: Arc<AtomicU64>,
+}
+
+impl FeedSource for Gated {
+    fn kind(&self) -> FeedKind {
+        self.feed.kind()
+    }
+    fn name(&self) -> &str {
+        self.feed.name()
+    }
+    fn on_route_change_into(
+        &mut self,
+        _: &artemis_bgpsim::RouteChange,
+        _: &mut SimRng,
+        _: &mut Vec<FeedEvent>,
+    ) {
+    }
+    fn next_poll(&self, now: SimTime) -> Option<SimTime> {
+        let decoded = self.feed.stats().decoded;
+        (decoded >= self.open_at.load(Ordering::Relaxed))
+            .then(|| self.feed.next_poll(now))
+            .flatten()
+    }
+    fn poll(&mut self, at: SimTime, view: &dyn RibView, rng: &mut SimRng) -> Vec<FeedEvent> {
+        self.feed.poll(at, view, rng)
+    }
+    fn poll_into(
+        &mut self,
+        at: SimTime,
+        view: &dyn RibView,
+        rng: &mut SimRng,
+        out: &mut Vec<FeedEvent>,
+    ) {
+        self.feed.poll_into(at, view, rng, out);
+    }
+    fn events_emitted(&self) -> u64 {
+        self.feed.events_emitted()
+    }
+}
+
+#[test]
+fn a_live_feed_drained_through_the_hub_neither_allocates_nor_frees_per_event() {
+    /// UPDATEs per round; the `i`-th announces `i % 16 + 1` prefixes.
+    const UPDATES: usize = 64;
+    const EVENTS: u64 = (UPDATES / 16 * (16 * 17 / 2)) as u64;
+    const ROUNDS: u64 = 64;
+    const WARM: u64 = 8;
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let (go, rounds) = mpsc::channel::<u64>();
+    let writer = std::thread::spawn(move || {
+        let (mut sock, _) = listener.accept().unwrap();
+        for round in rounds {
+            let mut w = BmpWriter::new();
+            for i in 0..UPDATES {
+                let peer = PeerHeader::global(
+                    IpAddr::V4(Ipv4Addr::new(192, 0, 2, 10)),
+                    Asn(174),
+                    Ipv4Addr::new(10, 0, 0, 1),
+                    round,
+                );
+                // Every UPDATE decodes a path of its own.
+                let path = AsPath::from_sequence([174u32, 3356, 64_512 + i as u32]);
+                let nlri = (0..=i % 16)
+                    .map(|k| Prefix::v4(Ipv4Addr::new(10, i as u8, k as u8, 0), 24).unwrap())
+                    .collect();
+                let attrs =
+                    PathAttributes::with_path(path, IpAddr::V4(Ipv4Addr::new(192, 0, 2, 10)));
+                w.write(&BmpMessage::RouteMonitoring {
+                    peer,
+                    update: BgpMessage::Update(UpdateMessage::announce(attrs, nlri)),
+                })
+                .unwrap();
+            }
+            sock.write_all(w.as_bytes()).unwrap();
+        }
+    });
+    let open_at = Arc::new(AtomicU64::new(u64::MAX));
+    let mut hub = FeedHub::new(SimRng::new(1));
+    hub.add(Box::new(Gated {
+        feed: BmpLiveFeed::connect("bmp0", addr.to_string(), LiveFeedConfig::default()),
+        open_at: Arc::clone(&open_at),
+    }));
+    let mut batch: Vec<FeedEvent> = Vec::new();
+    let (mut allocs, mut frees) = (0, 0);
+    for round in 0..ROUNDS {
+        open_at.store((round + 1) * EVENTS, Ordering::Relaxed);
+        go.send(round).unwrap();
+        let at = SimTime::from_micros(round);
+        while hub.next_poll(at).is_none() {
+            std::thread::yield_now();
+        }
+        // Poll the ring into the hub, queue, merge into the batch, and
+        // drop the previous round's events as the batch is cleared.
+        let (drained, a, f) = allocs_during(|| {
+            hub.poll_and_queue(at, &EmptyRibView);
+            hub.drain_batch(at, &mut batch)
+        });
+        assert_eq!(drained as u64, EVENTS, "round {round} drains whole");
+        if round >= WARM {
+            allocs += a;
+            frees += f;
+        }
+    }
+    drop(go);
+    writer.join().unwrap();
+    assert!(batch.iter().all(|e| e.origin_as.is_some()));
+    assert_eq!(
+        (allocs, frees),
+        (0, 0),
+        "{} warm rounds of {EVENTS} events",
+        ROUNDS - WARM
     );
 }

@@ -41,17 +41,15 @@ fn main() {
         vec![OwnedPrefix::new("10.0.0.0/23".parse().unwrap(), Asn(65001))],
     );
     let mut detector = Detector::new(config.clone());
-    let hijack = artemis_repro::feeds::FeedEvent {
-        emitted_at: SimTime::from_secs(45),
-        observed_at: SimTime::from_secs(40),
-        source: artemis_repro::feeds::FeedKind::RisLive,
-        collector: "rrc00".into(),
-        vantage: Asn(174),
-        prefix: "10.0.0.0/23".parse().unwrap(),
-        as_path: Some(AsPath::from_sequence([174u32, 666])),
-        origin_as: Some(Asn(666)),
-        raw: None,
-    };
+    let hijack = artemis_repro::feeds::FeedEvent::new(
+        SimTime::from_secs(45),
+        SimTime::from_secs(40),
+        artemis_repro::feeds::FeedKind::RisLive,
+        Asn(174),
+        "10.0.0.0/23".parse().unwrap(),
+        Some(&AsPath::from_sequence([174u32, 666])),
+        None,
+    );
     detector.process(&hijack);
     let alert = &detector.alerts().all()[0];
     println!("\nalert: {alert}");

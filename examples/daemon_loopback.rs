@@ -22,17 +22,17 @@ use artemis_repro::core::{
     ArtemisConfig, ArtemisService, CommandOutcome, EventCursor, MitigationPolicy, Pipeline,
     ServiceCommand,
 };
-use artemis_repro::feeds::{FeedEvent, FeedKind, FeedSpec};
+use artemis_repro::feeds::{FeedKind, FeedSpec, WireFeedEvent};
 use artemis_repro::prelude::*;
 use artemis_repro::simnet::{LatencyModel, SimRng, SimTime};
 use artemisd::{CtlClient, Daemon, DaemonConfig};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-fn hijack_event(vantage: u32, prefix: &str, path: &[u32], t: u64) -> FeedEvent {
+fn hijack_event(vantage: u32, prefix: &str, path: &[u32], t: u64) -> WireFeedEvent {
     let as_path = AsPath::from_sequence(path.iter().copied());
     let origin_as = as_path.origin();
-    FeedEvent {
+    WireFeedEvent {
         emitted_at: SimTime::from_secs(t),
         observed_at: SimTime::from_secs(t.saturating_sub(5)),
         source: FeedKind::RisLive,

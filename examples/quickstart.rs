@@ -46,17 +46,13 @@ fn main() {
 
 /// Build a monitoring event as the feed adapters would.
 fn feed_event(prefix: &str, path: &[u32], t: u64) -> FeedEvent {
-    let as_path = AsPath::from_sequence(path.iter().copied());
-    let origin = as_path.origin();
-    FeedEvent {
-        emitted_at: SimTime::from_secs(t),
-        observed_at: SimTime::from_secs(t.saturating_sub(8)),
-        source: FeedKind::RisLive,
-        collector: "rrc00".into(),
-        vantage: Asn(path[0]),
-        prefix: prefix.parse().expect("valid prefix"),
-        as_path: Some(as_path),
-        origin_as: origin,
-        raw: None,
-    }
+    FeedEvent::new(
+        SimTime::from_secs(t),
+        SimTime::from_secs(t.saturating_sub(8)),
+        FeedKind::RisLive,
+        Asn(path[0]),
+        prefix.parse().expect("valid prefix"),
+        Some(&AsPath::from_sequence(path.iter().copied())),
+        None,
+    )
 }

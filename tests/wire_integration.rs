@@ -128,17 +128,16 @@ fn mrt_archive_replays_into_the_detector() {
         };
         let Some(attrs) = &update.attrs else { continue };
         for prefix in &update.nlri {
-            let ev = artemis_repro::feeds::FeedEvent {
-                emitted_at: artemis_simnet::SimTime::from_secs(timestamp as u64),
-                observed_at: artemis_simnet::SimTime::from_secs(timestamp as u64),
-                source: artemis_repro::feeds::FeedKind::ArchiveUpdates,
-                collector: "mrt-replay".into(),
-                vantage: message.peer_as,
-                prefix: *prefix,
-                as_path: Some(attrs.as_path.clone()),
-                origin_as: attrs.as_path.origin(),
-                raw: None,
-            };
+            let at = artemis_simnet::SimTime::from_secs(timestamp as u64);
+            let ev = artemis_repro::feeds::FeedEvent::new(
+                at,
+                at,
+                artemis_repro::feeds::FeedKind::ArchiveUpdates,
+                message.peer_as,
+                *prefix,
+                Some(&attrs.as_path),
+                None,
+            );
             detector.process(&ev);
             replayed += 1;
         }
