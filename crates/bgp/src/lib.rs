@@ -54,4 +54,4 @@ pub use message::{
 };
 pub use prefix::{Afi, Prefix, PrefixParseError};
 pub use route::{BestRoute, RelKind, Route, RouteChange, RouteSource, RouteUpdate};
-pub use wire::Codec;
+pub use wire::{Codec, PathEnds, UpdateView};

@@ -5,6 +5,16 @@
 //! capability: in two-octet mode, AS_PATHs containing 32-bit ASNs are
 //! encoded with `AS_TRANS` substitutions plus an `AS4_PATH` attribute,
 //! and reconstructed on decode — the same dance real routers perform.
+//!
+//! UPDATEs are parsed once, by one walk: [`Codec::scan_update`] checks
+//! a body whole and returns an [`UpdateView`] that borrows it. The view
+//! yields the withdrawn and announced prefixes (classic IPv4, then
+//! MP_UNREACH / MP_REACH IPv6) and the announced path's origin and
+//! origin-adjacent hop ([`PathEnds`]), reduced from the AS_PATH and
+//! AS4_PATH bytes as RFC 6793 §4.2.3 reconciliation would leave them,
+//! all without allocating. A live reader stops there; [`Codec::decode`]
+//! builds its owned [`UpdateMessage`] from the same walk, so the two
+//! accept exactly the same bytes.
 
 use crate::aspath::{AsPath, Segment};
 use crate::attrs::{Community, Origin, PathAttributes};
@@ -326,30 +336,9 @@ impl Codec {
     /// (some dumps omit it for iBGP-learned entries).
     pub fn decode_path_attributes(&self, bytes: &[u8]) -> Result<PathAttributes, BgpError> {
         // A RIB entry's MP_REACH carries no NLRI; any it has is ignored.
-        let (mut nlri, mut withdrawn) = (Vec::new(), Vec::new());
-        let parsed = self.decode_attrs(bytes, &mut MpPrefixes::after(&mut nlri, &mut withdrawn))?;
-        let origin = parsed
-            .origin
-            .ok_or(BgpError::MissingMandatoryAttribute("ORIGIN"))?;
-        let raw_path = parsed
-            .as_path
-            .ok_or(BgpError::MissingMandatoryAttribute("AS_PATH"))?;
-        let as_path = reconcile_as4(raw_path, parsed.as4_path);
-        let next_hop: IpAddr = match (parsed.next_hop, parsed.mp_next_hop) {
-            (Some(v4), _) => IpAddr::V4(v4),
-            (None, Some(nh)) => IpAddr::V6(nh),
-            (None, None) => IpAddr::V4(Ipv4Addr::UNSPECIFIED),
-        };
-        Ok(PathAttributes {
-            origin,
-            as_path,
-            next_hop,
-            med: parsed.med,
-            local_pref: parsed.local_pref,
-            atomic_aggregate: parsed.atomic_aggregate,
-            aggregator: parsed.aggregator,
-            communities: parsed.communities,
-        })
+        let attrs = self.scan_attrs(bytes)?;
+        let mandatory = attrs.mandatory(Some(IpAddr::V4(Ipv4Addr::UNSPECIFIED)))?;
+        Ok(attrs.materialise(mandatory, self.four_octet_as))
     }
 
     // ------------------------------------------------------------------
@@ -363,9 +352,8 @@ impl Codec {
         let msg = match msg_type {
             OPEN_TYPE => BgpMessage::Open(self.decode_open(body)?),
             UPDATE_TYPE => {
-                let mut update = UpdateMessage::withdraw(Vec::new());
-                self.decode_update_body(body, &mut update)?;
-                BgpMessage::Update(update)
+                let (view, attrs) = self.walk_update(body)?;
+                BgpMessage::Update(view.to_update(&attrs, self.four_octet_as))
             }
             NOTIFICATION_TYPE => {
                 if body.len() < 2 {
@@ -391,26 +379,67 @@ impl Codec {
         Ok((msg, HEADER_LEN + body.len()))
     }
 
-    /// Decode the UPDATE at the front of `buf` into `out`, reusing its
-    /// `withdrawn` and `nlri` buffers: a reader that keeps one
-    /// `UpdateMessage` allocates only the AS path of each announcement.
-    /// Returns the bytes consumed, or `Ok(None)` when `buf` starts with
-    /// a well-framed message of another type (left undecoded).
+    /// Walk one UPDATE body (the bytes after the header, see
+    /// [`split_header`]) in place. Nothing is allocated: the view
+    /// borrows `body`, and yields the withdrawn and announced prefixes
+    /// and the two hops detection reads of the announced path
+    /// ([`UpdateView::path_ends`]) straight from the wire bytes.
     ///
-    /// The body is decoded by the code behind [`Codec::decode`], so the
-    /// two accept the same UPDATEs and yield equal messages. After an
-    /// error `out` holds no meaningful message, only its buffers.
-    pub fn decode_update_into(
+    /// This is the one UPDATE parser: [`Codec::decode`] builds its
+    /// [`UpdateMessage`] from this walk, so the two accept exactly the
+    /// same bodies and yield the same prefixes and path ends.
+    pub fn scan_update<'a>(&self, body: &'a [u8]) -> Result<UpdateView<'a>, BgpError> {
+        self.walk_update(body).map(|(view, _)| view)
+    }
+
+    /// [`Codec::scan_update`], keeping the checked attributes for a
+    /// caller that builds them out.
+    #[inline]
+    fn walk_update<'a>(
         &self,
-        buf: &[u8],
-        out: &mut UpdateMessage,
-    ) -> Result<Option<usize>, BgpError> {
-        let (msg_type, body) = split_header(buf)?;
-        if msg_type != UPDATE_TYPE {
-            return Ok(None);
+        body: &'a [u8],
+    ) -> Result<(UpdateView<'a>, ScannedAttrs<'a>), BgpError> {
+        let mut cur = body;
+        if cur.len() < 2 {
+            return Err(BgpError::Truncated("withdrawn length"));
         }
-        self.decode_update_body(body, out)?;
-        Ok(Some(HEADER_LEN + body.len()))
+        let wd_len = cur.get_u16() as usize;
+        if cur.len() < wd_len {
+            return Err(BgpError::Truncated("withdrawn routes"));
+        }
+        let withdrawn = &cur[..wd_len];
+        let withdrawn_v4 = validate_nlri(withdrawn, Afi::Ipv4)?;
+        cur = &cur[wd_len..];
+
+        if cur.len() < 2 {
+            return Err(BgpError::Truncated("attribute length"));
+        }
+        let attr_len = cur.get_u16() as usize;
+        if cur.len() < attr_len {
+            return Err(BgpError::Truncated("path attributes"));
+        }
+        let attr_bytes = &cur[..attr_len];
+        let nlri = &cur[attr_len..];
+        let nlri_v4 = validate_nlri(nlri, Afi::Ipv4)?;
+
+        let attrs = self.scan_attrs(attr_bytes)?;
+        let withdrawn = Prefixes::new((withdrawn, withdrawn_v4), attrs.mp_unreach);
+        let announced = Prefixes::new((nlri, nlri_v4), attrs.mp_reach);
+        let ends = if announced.left > 0 {
+            let mandatory = attrs.mandatory(None)?;
+            Some(reconciled_ends(
+                mandatory.as_path.summary,
+                attrs.as4_path.map(|p| p.summary),
+            ))
+        } else {
+            None
+        };
+        let view = UpdateView {
+            withdrawn,
+            announced,
+            ends,
+        };
+        Ok((view, attrs))
     }
 
     fn decode_open(&self, mut body: &[u8]) -> Result<OpenMessage, BgpError> {
@@ -466,81 +495,11 @@ impl Codec {
         })
     }
 
-    fn decode_update_body(&self, body: &[u8], out: &mut UpdateMessage) -> Result<(), BgpError> {
-        let mut cur = body;
-        if cur.len() < 2 {
-            return Err(BgpError::Truncated("withdrawn length"));
-        }
-        let wd_len = cur.get_u16() as usize;
-        if cur.len() < wd_len {
-            return Err(BgpError::Truncated("withdrawn routes"));
-        }
-        out.withdrawn.clear();
-        decode_nlri(&cur[..wd_len], Afi::Ipv4, &mut out.withdrawn)?;
-        cur = &cur[wd_len..];
-
-        if cur.len() < 2 {
-            return Err(BgpError::Truncated("attribute length"));
-        }
-        let attr_len = cur.get_u16() as usize;
-        if cur.len() < attr_len {
-            return Err(BgpError::Truncated("path attributes"));
-        }
-        let attr_bytes = &cur[..attr_len];
-        cur = &cur[attr_len..];
-
-        out.nlri.clear();
-        decode_nlri(cur, Afi::Ipv4, &mut out.nlri)?;
-
-        // MP_REACH / MP_UNREACH prefixes follow the classic IPv4 ones.
-        let parsed = self.decode_attrs(
-            attr_bytes,
-            &mut MpPrefixes::after(&mut out.nlri, &mut out.withdrawn),
-        )?;
-        let ParsedAttrs {
-            origin,
-            as_path,
-            as4_path,
-            next_hop,
-            med,
-            local_pref,
-            atomic_aggregate,
-            aggregator,
-            communities,
-            mp_next_hop,
-        } = parsed;
-
-        out.attrs = if out.nlri.is_empty() {
-            None
-        } else {
-            let origin = origin.ok_or(BgpError::MissingMandatoryAttribute("ORIGIN"))?;
-            let raw_path = as_path.ok_or(BgpError::MissingMandatoryAttribute("AS_PATH"))?;
-            let as_path = reconcile_as4(raw_path, as4_path);
-            let next_hop: IpAddr = match (next_hop, mp_next_hop) {
-                (Some(v4), _) => IpAddr::V4(v4),
-                (None, Some(nh)) => IpAddr::V6(nh),
-                (None, None) => return Err(BgpError::MissingMandatoryAttribute("NEXT_HOP")),
-            };
-            Some(PathAttributes {
-                origin,
-                as_path,
-                next_hop,
-                med,
-                local_pref,
-                atomic_aggregate,
-                aggregator,
-                communities,
-            })
-        };
-        Ok(())
-    }
-
-    fn decode_attrs(
-        &self,
-        mut cur: &[u8],
-        mp: &mut MpPrefixes<'_>,
-    ) -> Result<ParsedAttrs, BgpError> {
-        let mut parsed = ParsedAttrs::default();
+    /// Walk a path-attribute block, checking every attribute as
+    /// [`Codec::decode`] does and keeping each value as wire bytes or a
+    /// `Copy` scalar. A repeated attribute replaces the earlier one.
+    fn scan_attrs<'a>(&self, mut cur: &'a [u8]) -> Result<ScannedAttrs<'a>, BgpError> {
+        let mut scanned = ScannedAttrs::default();
         while !cur.is_empty() {
             if cur.len() < 2 {
                 return Err(BgpError::Truncated("attribute header"));
@@ -563,83 +522,60 @@ impl Codec {
             }
             let val = &cur[..len];
             cur = &cur[len..];
-            self.decode_one_attr(flags, type_code, val, &mut parsed, mp)?;
+            self.scan_one_attr(type_code, val, &mut scanned)?;
         }
-        Ok(parsed)
+        Ok(scanned)
     }
 
-    fn decode_one_attr(
+    fn scan_one_attr<'a>(
         &self,
-        _flags: u8,
         type_code: u8,
-        val: &[u8],
-        parsed: &mut ParsedAttrs,
-        mp: &mut MpPrefixes<'_>,
+        val: &'a [u8],
+        scanned: &mut ScannedAttrs<'a>,
     ) -> Result<(), BgpError> {
+        let malformed = |reason| BgpError::MalformedAttribute { type_code, reason };
         match type_code {
             ATTR_ORIGIN => {
                 if val.len() != 1 {
-                    return Err(BgpError::MalformedAttribute {
-                        type_code,
-                        reason: "ORIGIN length != 1",
-                    });
+                    return Err(malformed("ORIGIN length != 1"));
                 }
-                parsed.origin = Some(Origin::from_code(val[0]).ok_or(
-                    BgpError::MalformedAttribute {
-                        type_code,
-                        reason: "unknown ORIGIN code",
-                    },
-                )?);
+                scanned.origin =
+                    Some(Origin::from_code(val[0]).ok_or(malformed("unknown ORIGIN code"))?);
             }
             ATTR_AS_PATH => {
-                parsed.as_path = Some(decode_as_path(val, self.four_octet_as)?);
+                scanned.as_path = Some(ScannedPath::scan(val, self.four_octet_as)?);
             }
             ATTR_AS4_PATH => {
-                parsed.as4_path = Some(decode_as_path(val, true)?);
+                scanned.as4_path = Some(ScannedPath::scan(val, true)?);
             }
             ATTR_NEXT_HOP => {
                 if val.len() != 4 {
-                    return Err(BgpError::MalformedAttribute {
-                        type_code,
-                        reason: "NEXT_HOP length != 4",
-                    });
+                    return Err(malformed("NEXT_HOP length != 4"));
                 }
-                parsed.next_hop = Some(Ipv4Addr::new(val[0], val[1], val[2], val[3]));
+                scanned.next_hop = Some(Ipv4Addr::new(val[0], val[1], val[2], val[3]));
             }
             ATTR_MED => {
                 if val.len() != 4 {
-                    return Err(BgpError::MalformedAttribute {
-                        type_code,
-                        reason: "MED length != 4",
-                    });
+                    return Err(malformed("MED length != 4"));
                 }
-                parsed.med = Some(u32::from_be_bytes([val[0], val[1], val[2], val[3]]));
+                scanned.med = Some(u32::from_be_bytes([val[0], val[1], val[2], val[3]]));
             }
             ATTR_LOCAL_PREF => {
                 if val.len() != 4 {
-                    return Err(BgpError::MalformedAttribute {
-                        type_code,
-                        reason: "LOCAL_PREF length != 4",
-                    });
+                    return Err(malformed("LOCAL_PREF length != 4"));
                 }
-                parsed.local_pref = Some(u32::from_be_bytes([val[0], val[1], val[2], val[3]]));
+                scanned.local_pref = Some(u32::from_be_bytes([val[0], val[1], val[2], val[3]]));
             }
             ATTR_ATOMIC_AGGREGATE => {
                 if !val.is_empty() {
-                    return Err(BgpError::MalformedAttribute {
-                        type_code,
-                        reason: "ATOMIC_AGGREGATE length != 0",
-                    });
+                    return Err(malformed("ATOMIC_AGGREGATE length != 0"));
                 }
-                parsed.atomic_aggregate = true;
+                scanned.atomic_aggregate = true;
             }
             ATTR_AGGREGATOR => {
                 let (asn, rest) = if self.four_octet_as {
                     if val.len() != 8 {
-                        return Err(BgpError::MalformedAttribute {
-                            type_code,
-                            reason: "AGGREGATOR length != 8",
-                        });
+                        return Err(malformed("AGGREGATOR length != 8"));
                     }
                     (
                         Asn(u32::from_be_bytes([val[0], val[1], val[2], val[3]])),
@@ -647,78 +583,51 @@ impl Codec {
                     )
                 } else {
                     if val.len() != 6 {
-                        return Err(BgpError::MalformedAttribute {
-                            type_code,
-                            reason: "AGGREGATOR length != 6",
-                        });
+                        return Err(malformed("AGGREGATOR length != 6"));
                     }
                     (Asn(u16::from_be_bytes([val[0], val[1]]) as u32), &val[2..])
                 };
-                parsed.aggregator = Some((asn, Ipv4Addr::new(rest[0], rest[1], rest[2], rest[3])));
+                scanned.aggregator = Some((asn, Ipv4Addr::new(rest[0], rest[1], rest[2], rest[3])));
             }
             ATTR_COMMUNITIES => {
                 if !val.len().is_multiple_of(4) {
-                    return Err(BgpError::MalformedAttribute {
-                        type_code,
-                        reason: "COMMUNITIES length not a multiple of 4",
-                    });
+                    return Err(malformed("COMMUNITIES length not a multiple of 4"));
                 }
-                parsed.communities = val
-                    .chunks_exact(4)
-                    .map(|c| Community(u32::from_be_bytes([c[0], c[1], c[2], c[3]])))
-                    .collect();
+                scanned.communities = val;
             }
             ATTR_MP_REACH => {
                 let mut cur = val;
                 if cur.len() < 5 {
-                    return Err(BgpError::MalformedAttribute {
-                        type_code,
-                        reason: "MP_REACH too short",
-                    });
+                    return Err(malformed("MP_REACH too short"));
                 }
                 let afi = cur.get_u16();
                 let _safi = cur.get_u8();
                 let nh_len = cur.get_u8() as usize;
                 if cur.len() < nh_len + 1 {
-                    return Err(BgpError::MalformedAttribute {
-                        type_code,
-                        reason: "MP_REACH next-hop truncated",
-                    });
+                    return Err(malformed("MP_REACH next-hop truncated"));
                 }
                 if afi != Afi::Ipv6.iana_code() || nh_len < 16 {
-                    return Err(BgpError::MalformedAttribute {
-                        type_code,
-                        reason: "unsupported MP_REACH AFI or next-hop",
-                    });
+                    return Err(malformed("unsupported MP_REACH AFI or next-hop"));
                 }
                 let mut nh_bytes = [0u8; 16];
                 nh_bytes.copy_from_slice(&cur[..16]);
                 let nh = Ipv6Addr::from(nh_bytes);
                 cur = &cur[nh_len..];
                 let _reserved = cur.get_u8();
-                // A repeated attribute replaces the earlier one.
-                mp.nlri.truncate(mp.v4_nlri);
-                decode_nlri(cur, Afi::Ipv6, mp.nlri)?;
-                parsed.mp_next_hop = Some(nh);
+                scanned.mp_reach = (cur, validate_nlri(cur, Afi::Ipv6)?);
+                scanned.mp_next_hop = Some(nh);
             }
             ATTR_MP_UNREACH => {
                 let mut cur = val;
                 if cur.len() < 3 {
-                    return Err(BgpError::MalformedAttribute {
-                        type_code,
-                        reason: "MP_UNREACH too short",
-                    });
+                    return Err(malformed("MP_UNREACH too short"));
                 }
                 let afi = cur.get_u16();
                 let _safi = cur.get_u8();
                 if afi != Afi::Ipv6.iana_code() {
-                    return Err(BgpError::MalformedAttribute {
-                        type_code,
-                        reason: "unsupported MP_UNREACH AFI",
-                    });
+                    return Err(malformed("unsupported MP_UNREACH AFI"));
                 }
-                mp.withdrawn.truncate(mp.v4_withdrawn);
-                decode_nlri(cur, Afi::Ipv6, mp.withdrawn)?;
+                scanned.mp_unreach = (cur, validate_nlri(cur, Afi::Ipv6)?);
             }
             _ => {
                 // Unknown attribute: tolerated and skipped (optional
@@ -729,44 +638,323 @@ impl Codec {
     }
 }
 
-#[derive(Default)]
-struct ParsedAttrs {
+/// One UPDATE body as [`Codec::scan_update`] walked it: checked whole,
+/// with its prefixes and attributes still borrowed from the wire.
+///
+/// Reading it allocates nothing: [`UpdateView::withdrawn`] and
+/// [`UpdateView::announced`] decode prefixes on the fly, and
+/// [`UpdateView::path_ends`] was reduced from the AS_PATH (and
+/// AS4_PATH) bytes during the walk. [`Codec::decode`] builds its owned
+/// message from the same walk. The view keeps only
+/// what a live reader reads, so it stays small to pass around.
+#[derive(Debug, Clone)]
+pub struct UpdateView<'a> {
+    /// Classic IPv4 withdrawn routes, then MP_UNREACH's IPv6 ones.
+    withdrawn: Prefixes<'a>,
+    /// Classic IPv4 NLRI, then MP_REACH's IPv6 NLRI.
+    announced: Prefixes<'a>,
+    /// Present exactly when the UPDATE announces a prefix.
+    ends: Option<PathEnds>,
+}
+
+impl<'a> UpdateView<'a> {
+    /// Withdrawn prefixes: the classic IPv4 ones, then MP_UNREACH's.
+    #[inline]
+    pub fn withdrawn(&self) -> impl ExactSizeIterator<Item = Prefix> + 'a {
+        self.withdrawn.clone()
+    }
+
+    /// Announced prefixes: the classic IPv4 ones, then MP_REACH's.
+    #[inline]
+    pub fn announced(&self) -> impl ExactSizeIterator<Item = Prefix> + 'a {
+        self.announced.clone()
+    }
+
+    /// The origin and origin-adjacent hop of the announced path, as
+    /// [`AsPath::origin`] and [`AsPath::origin_neighbor`] read them off
+    /// the path [`Codec::decode`] builds (AS4_PATH reconciled). `None`
+    /// when the UPDATE announces nothing.
+    #[inline]
+    pub fn path_ends(&self) -> Option<PathEnds> {
+        self.ends
+    }
+
+    /// The owned UPDATE, `attrs` being the walk's own.
+    fn to_update(&self, attrs: &ScannedAttrs<'_>, four_octet_as: bool) -> UpdateMessage {
+        // The walk found the mandatory attributes exactly when the
+        // UPDATE announces, so this lookup cannot fail.
+        let attrs = self.ends.and_then(|_| {
+            let mandatory = attrs.mandatory(None).ok()?;
+            Some(attrs.materialise(mandatory, four_octet_as))
+        });
+        UpdateMessage {
+            withdrawn: self.withdrawn().collect(),
+            attrs,
+            nlri: self.announced().collect(),
+        }
+    }
+}
+
+/// The two hops of an announced path that detection reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct PathEnds {
+    /// [`AsPath::origin`]: `None` for an empty path and for one whose
+    /// last segment is an AS_SET.
+    pub origin: Option<Asn>,
+    /// [`AsPath::origin_neighbor`]: `None` for a path of fewer than two
+    /// ASNs and for any path with an AS_SET.
+    pub origin_neighbor: Option<Asn>,
+}
+
+/// A path-attribute block as [`Codec::scan_attrs`] checked it.
+#[derive(Debug, Clone, Copy, Default)]
+struct ScannedAttrs<'a> {
     origin: Option<Origin>,
-    as_path: Option<AsPath>,
-    as4_path: Option<AsPath>,
+    as_path: Option<ScannedPath<'a>>,
+    as4_path: Option<ScannedPath<'a>>,
     next_hop: Option<Ipv4Addr>,
     med: Option<u32>,
     local_pref: Option<u32>,
     atomic_aggregate: bool,
     aggregator: Option<(Asn, Ipv4Addr)>,
-    communities: Vec<Community>,
-    /// The MP_REACH next hop; its prefixes went to [`MpPrefixes`].
+    /// Whole 4-byte communities.
+    communities: &'a [u8],
     mp_next_hop: Option<Ipv6Addr>,
+    /// MP_REACH's IPv6 NLRI, and how many prefixes it holds.
+    mp_reach: (&'a [u8], usize),
+    /// MP_UNREACH's IPv6 withdrawn routes, and how many.
+    mp_unreach: (&'a [u8], usize),
 }
 
-/// Where MP_REACH / MP_UNREACH prefixes land: the UPDATE's own lists,
-/// after the classic IPv4 prefixes already decoded into them.
-struct MpPrefixes<'a> {
-    nlri: &'a mut Vec<Prefix>,
-    withdrawn: &'a mut Vec<Prefix>,
-    v4_nlri: usize,
-    v4_withdrawn: usize,
+/// What an announcement must carry, checked present.
+#[derive(Debug, Clone, Copy)]
+struct Mandatory<'a> {
+    origin: Origin,
+    as_path: ScannedPath<'a>,
+    next_hop: IpAddr,
 }
 
-impl<'a> MpPrefixes<'a> {
-    fn after(nlri: &'a mut Vec<Prefix>, withdrawn: &'a mut Vec<Prefix>) -> Self {
-        MpPrefixes {
-            v4_nlri: nlri.len(),
-            v4_withdrawn: withdrawn.len(),
-            nlri,
-            withdrawn,
+impl<'a> ScannedAttrs<'a> {
+    /// ORIGIN, AS_PATH and a next hop (`no_next_hop` when the block
+    /// carries none; `None` makes that an error).
+    fn mandatory(&self, no_next_hop: Option<IpAddr>) -> Result<Mandatory<'a>, BgpError> {
+        let origin = self
+            .origin
+            .ok_or(BgpError::MissingMandatoryAttribute("ORIGIN"))?;
+        let as_path = self
+            .as_path
+            .ok_or(BgpError::MissingMandatoryAttribute("AS_PATH"))?;
+        let next_hop = match (self.next_hop, self.mp_next_hop) {
+            (Some(v4), _) => IpAddr::V4(v4),
+            (None, Some(nh)) => IpAddr::V6(nh),
+            (None, None) => no_next_hop.ok_or(BgpError::MissingMandatoryAttribute("NEXT_HOP"))?,
+        };
+        Ok(Mandatory {
+            origin,
+            as_path,
+            next_hop,
+        })
+    }
+
+    fn materialise(&self, m: Mandatory<'_>, four_octet_as: bool) -> PathAttributes {
+        let as_path = reconcile_as4(
+            m.as_path.to_path(four_octet_as),
+            self.as4_path.map(|p| p.to_path(true)),
+        );
+        PathAttributes {
+            origin: m.origin,
+            as_path,
+            next_hop: m.next_hop,
+            med: self.med,
+            local_pref: self.local_pref,
+            atomic_aggregate: self.atomic_aggregate,
+            aggregator: self.aggregator,
+            communities: self
+                .communities
+                .chunks_exact(4)
+                .map(|c| Community(u32::from_be_bytes([c[0], c[1], c[2], c[3]])))
+                .collect(),
         }
     }
 }
 
+/// A checked AS_PATH or AS4_PATH value and what the path reduction
+/// needs of it, gathered in the same walk.
+#[derive(Debug, Clone, Copy)]
+struct ScannedPath<'a> {
+    bytes: &'a [u8],
+    summary: PathSummary,
+}
+
+/// An AS path's ASN count and its tail, as its canonical [`AsPath`]
+/// (empty segments dropped) would report them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct PathSummary {
+    /// [`AsPath::asn_count`].
+    asns: usize,
+    /// Some non-empty segment is an AS_SET.
+    has_set: bool,
+    /// The last non-empty segment is an AS_SET.
+    last_is_set: bool,
+    /// The last and second-to-last ASN, segments flattened.
+    last: Option<Asn>,
+    second_last: Option<Asn>,
+}
+
+impl PathSummary {
+    fn ends(self) -> PathEnds {
+        PathEnds {
+            origin: if self.last_is_set { None } else { self.last },
+            origin_neighbor: if self.has_set { None } else { self.second_last },
+        }
+    }
+}
+
+impl<'a> ScannedPath<'a> {
+    fn scan(bytes: &'a [u8], four_octet: bool) -> Result<Self, BgpError> {
+        let mut summary = PathSummary::default();
+        for segment in segments(bytes, four_octet) {
+            let (set, asns) = segment?;
+            let Some(last) = asns.last() else {
+                continue;
+            };
+            summary.asns += asns.len();
+            summary.last_is_set = set;
+            summary.has_set |= set;
+            summary.second_last = match asns.len() {
+                1 => summary.last,
+                n => Some(asns.get(n - 2)),
+            };
+            summary.last = Some(last);
+        }
+        Ok(ScannedPath { bytes, summary })
+    }
+
+    fn to_path(self, four_octet: bool) -> AsPath {
+        // Every path off the wire is one segment, or nearly: the first
+        // goes straight into the path's shared slice, and only a second
+        // one starts a Vec. `scan` checked the bytes, so the walk ends
+        // only at their end.
+        let mut segs = segments(self.bytes, four_octet)
+            .map_while(Result::ok)
+            .map(|(set, asns)| {
+                let asns = asns.iter().collect();
+                if set {
+                    Segment::Set(asns)
+                } else {
+                    Segment::Sequence(asns)
+                }
+            });
+        let first = segs.next();
+        let more: Vec<Segment> = segs.collect();
+        // `from_segments` merges adjacent sequences (chunked on encode)
+        // back together.
+        AsPath::from_segments(first.into_iter().chain(more))
+    }
+}
+
+/// RFC 6793 §4.2.3 as [`reconcile_as4`] applies it, on summaries: the
+/// ends of the path it would build.
+fn reconciled_ends(as_path: PathSummary, as4_path: Option<PathSummary>) -> PathEnds {
+    let Some(as4) = as4_path else {
+        return as_path.ends();
+    };
+    match as4.asns.cmp(&as_path.asns) {
+        std::cmp::Ordering::Greater => as_path.ends(),
+        std::cmp::Ordering::Equal => as4.ends(),
+        // AS_PATH's leading hops as one sequence, then AS4_PATH: only
+        // AS4_PATH can hold a set, and each end comes from AS4_PATH
+        // unless it is too short to have it.
+        std::cmp::Ordering::Less => PathEnds {
+            origin: if as4.asns == 0 {
+                as_path.last
+            } else {
+                as4.ends().origin
+            },
+            origin_neighbor: match as4.asns {
+                _ if as4.has_set => None,
+                0 | 1 => as_path.second_last,
+                _ => as4.second_last,
+            },
+        },
+    }
+}
+
+/// The ASNs of one AS_PATH segment, still in wire order and width.
+#[derive(Debug, Clone, Copy)]
+struct SegmentAsns<'a> {
+    bytes: &'a [u8],
+    width: usize,
+}
+
+impl<'a> SegmentAsns<'a> {
+    fn len(&self) -> usize {
+        self.bytes.len() / self.width
+    }
+
+    fn get(&self, i: usize) -> Asn {
+        let b = &self.bytes[i * self.width..];
+        Asn(if self.width == 4 {
+            u32::from_be_bytes([b[0], b[1], b[2], b[3]])
+        } else {
+            u16::from_be_bytes([b[0], b[1]]) as u32
+        })
+    }
+
+    fn last(&self) -> Option<Asn> {
+        self.len().checked_sub(1).map(|i| self.get(i))
+    }
+
+    fn iter(self) -> impl Iterator<Item = Asn> + 'a {
+        (0..self.len()).map(move |i| self.get(i))
+    }
+}
+
+/// Walk AS_PATH segments: `(is AS_SET, ASNs)` each, or the error that
+/// ends the walk.
+fn segments(
+    mut cur: &[u8],
+    four_octet: bool,
+) -> impl Iterator<Item = Result<(bool, SegmentAsns<'_>), BgpError>> {
+    let width = if four_octet { 4 } else { 2 };
+    std::iter::from_fn(move || {
+        if cur.is_empty() {
+            return None;
+        }
+        let malformed = |reason| {
+            Some(Err(BgpError::MalformedAttribute {
+                type_code: ATTR_AS_PATH,
+                reason,
+            }))
+        };
+        if cur.len() < 2 {
+            cur = &[];
+            return malformed("segment header truncated");
+        }
+        let seg_type = cur.get_u8();
+        let count = cur.get_u8() as usize;
+        if cur.len() < count * width {
+            cur = &[];
+            return malformed("segment ASNs truncated");
+        }
+        let bytes = &cur[..count * width];
+        cur = &cur[count * width..];
+        let set = match seg_type {
+            SEG_SET => true,
+            SEG_SEQUENCE => false,
+            _ => {
+                cur = &[];
+                return malformed("unknown segment type");
+            }
+        };
+        Some(Ok((set, SegmentAsns { bytes, width })))
+    })
+}
+
 /// Validate the 19-byte header at the front of `buf` and split off the
-/// message's type code and body.
-fn split_header(buf: &[u8]) -> Result<(u8, &[u8]), BgpError> {
+/// message's type code and body. The message is
+/// `HEADER_LEN + body.len()` bytes long.
+pub fn split_header(buf: &[u8]) -> Result<(u8, &[u8]), BgpError> {
     if buf.len() < HEADER_LEN {
         return Err(BgpError::Truncated("header"));
     }
@@ -848,57 +1036,6 @@ fn encode_as_path(path: &AsPath, four_octet: bool, substitute_trans: bool) -> Ve
     out
 }
 
-fn decode_as_path(mut cur: &[u8], four_octet: bool) -> Result<AsPath, BgpError> {
-    let asn_size = if four_octet { 4 } else { 2 };
-    // Nearly every path off the wire is one segment: it goes straight
-    // into the path's shared slice, and only a second one starts a Vec.
-    let mut first = None;
-    let mut more = Vec::new();
-    while !cur.is_empty() {
-        if cur.len() < 2 {
-            return Err(BgpError::MalformedAttribute {
-                type_code: ATTR_AS_PATH,
-                reason: "segment header truncated",
-            });
-        }
-        let seg_type = cur.get_u8();
-        let count = cur.get_u8() as usize;
-        if cur.len() < count * asn_size {
-            return Err(BgpError::MalformedAttribute {
-                type_code: ATTR_AS_PATH,
-                reason: "segment ASNs truncated",
-            });
-        }
-        let mut asns = Vec::with_capacity(count);
-        for _ in 0..count {
-            let v = if four_octet {
-                cur.get_u32()
-            } else {
-                cur.get_u16() as u32
-            };
-            asns.push(Asn(v));
-        }
-        let segment = match seg_type {
-            SEG_SET => Segment::Set(asns),
-            SEG_SEQUENCE => Segment::Sequence(asns),
-            _ => {
-                return Err(BgpError::MalformedAttribute {
-                    type_code: ATTR_AS_PATH,
-                    reason: "unknown segment type",
-                })
-            }
-        };
-        if first.is_none() {
-            first = Some(segment);
-        } else {
-            more.push(segment);
-        }
-    }
-    // `from_segments` merges adjacent sequences (chunked on encode)
-    // back together.
-    Ok(AsPath::from_segments(first.into_iter().chain(more)))
-}
-
 fn encode_mp_unreach(wd_v6: &[Prefix], out: &mut BytesMut) {
     let mut buf = BytesMut::new();
     buf.put_u16(Afi::Ipv6.iana_code());
@@ -917,27 +1054,79 @@ fn encode_nlri_prefix(prefix: Prefix, out: &mut BytesMut) {
     out.put_slice(&bytes[..nbytes]);
 }
 
-/// Decode a run of NLRI prefixes for one family, appending to `out`.
-fn decode_nlri(mut cur: &[u8], afi: Afi, out: &mut Vec<Prefix>) -> Result<(), BgpError> {
-    while !cur.is_empty() {
-        let bit_len = cur.get_u8();
-        if bit_len > afi.max_len() {
-            return Err(BgpError::InvalidNlri { bit_len });
-        }
-        let nbytes = (bit_len as usize).div_ceil(8);
-        if cur.len() < nbytes {
-            return Err(BgpError::Truncated("NLRI prefix bytes"));
-        }
-        let mut bits_bytes = [0u8; 16];
-        bits_bytes[..nbytes].copy_from_slice(&cur[..nbytes]);
-        cur = &cur[nbytes..];
-        let bits = u128::from_be_bytes(bits_bytes);
-        let prefix =
-            Prefix::from_bits(afi, bits, bit_len).map_err(|_| BgpError::InvalidNlri { bit_len })?;
-        out.push(prefix);
+/// Split one NLRI prefix off the front of a non-empty run: its bit
+/// length and its address bytes. Every NLRI run is read through here.
+fn split_prefix<'a>(cur: &mut &'a [u8], afi: Afi) -> Result<(u8, &'a [u8]), BgpError> {
+    let Some((&bit_len, rest)) = cur.split_first() else {
+        return Err(BgpError::Truncated("NLRI prefix bytes"));
+    };
+    if bit_len > afi.max_len() {
+        return Err(BgpError::InvalidNlri { bit_len });
     }
-    Ok(())
+    let nbytes = (bit_len as usize).div_ceil(8);
+    if rest.len() < nbytes {
+        return Err(BgpError::Truncated("NLRI prefix bytes"));
+    }
+    let (addr, tail) = rest.split_at(nbytes);
+    *cur = tail;
+    Ok((bit_len, addr))
 }
+
+/// Check a run of NLRI prefixes for one family, and count them.
+fn validate_nlri(mut cur: &[u8], afi: Afi) -> Result<usize, BgpError> {
+    let mut count = 0;
+    while !cur.is_empty() {
+        split_prefix(&mut cur, afi)?;
+        count += 1;
+    }
+    Ok(count)
+}
+
+/// The prefixes of an IPv4 and an IPv6 run that [`validate_nlri`]
+/// accepted and counted, IPv4 first.
+#[derive(Debug, Clone)]
+struct Prefixes<'a> {
+    v4: &'a [u8],
+    v6: &'a [u8],
+    left: usize,
+}
+
+impl<'a> Prefixes<'a> {
+    fn new((v4, v4_count): (&'a [u8], usize), (v6, v6_count): (&'a [u8], usize)) -> Self {
+        Prefixes {
+            v4,
+            v6,
+            left: v4_count + v6_count,
+        }
+    }
+}
+
+impl Iterator for Prefixes<'_> {
+    type Item = Prefix;
+
+    #[inline]
+    fn next(&mut self) -> Option<Prefix> {
+        let (cur, afi) = if !self.v4.is_empty() {
+            (&mut self.v4, Afi::Ipv4)
+        } else if !self.v6.is_empty() {
+            (&mut self.v6, Afi::Ipv6)
+        } else {
+            return None;
+        };
+        let (bit_len, addr) = split_prefix(cur, afi).ok()?;
+        self.left = self.left.saturating_sub(1);
+        let mut bytes = [0u8; 16];
+        bytes[..addr.len()].copy_from_slice(addr);
+        Prefix::from_bits(afi, u128::from_be_bytes(bytes), bit_len).ok()
+    }
+
+    #[inline]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for Prefixes<'_> {}
 
 #[cfg(test)]
 mod tests {
@@ -1090,6 +1279,15 @@ mod tests {
             }
             other => panic!("unexpected message {other:?}"),
         }
+        // The walk reads the same two hops off the wire bytes.
+        let (_, body) = split_header(&bytes).unwrap();
+        assert_eq!(
+            codec.scan_update(body).unwrap().path_ends(),
+            Some(PathEnds {
+                origin: Some(Asn(65001)),
+                origin_neighbor: Some(Asn(4_200_000_001)),
+            })
+        );
     }
 
     #[test]
@@ -1202,23 +1400,29 @@ mod tests {
         msg.extend(body);
 
         let codec = Codec::default();
-        let mut reused = UpdateMessage::withdraw(vec![p("192.0.2.0/24")]);
+        let (msg_type, body) = split_header(&msg).unwrap();
         assert_eq!(
-            codec.decode_update_into(&msg, &mut reused),
-            Ok(Some(msg.len()))
+            (msg_type, HEADER_LEN + body.len()),
+            (UPDATE_TYPE, msg.len())
         );
-        assert_eq!(reused.nlri, vec![p("10.0.0.0/24"), p("2001:db9::/32")]);
-        assert!(reused.withdrawn.is_empty());
+        let view = codec.scan_update(body).unwrap();
+        assert_eq!(
+            view.announced().collect::<Vec<_>>(),
+            vec![p("10.0.0.0/24"), p("2001:db9::/32")]
+        );
+        assert_eq!(view.withdrawn().count(), 0);
+        assert_eq!(
+            view.path_ends(),
+            Some(PathEnds {
+                origin: Some(Asn(174)),
+                origin_neighbor: None
+            })
+        );
         let (owned, _) = codec.decode(&msg).unwrap();
-        assert_eq!(owned, BgpMessage::Update(reused));
-        // Any other message type is left to the caller.
-        let keepalive = codec.encode(&BgpMessage::Keepalive).unwrap();
-        let mut untouched = UpdateMessage::withdraw(vec![p("192.0.2.0/24")]);
-        assert_eq!(
-            codec.decode_update_into(&keepalive, &mut untouched),
-            Ok(None)
-        );
-        assert_eq!(untouched, UpdateMessage::withdraw(vec![p("192.0.2.0/24")]));
+        let BgpMessage::Update(owned) = owned else {
+            panic!("not an UPDATE: {owned:?}");
+        };
+        assert_eq!(owned.nlri, view.announced().collect::<Vec<_>>());
     }
 
     #[test]

@@ -35,6 +35,6 @@ pub use ring::{BackpressureRing, WakeLatch};
 pub use wire::{
     BmpDiagnostic, BmpError, BmpMessage, BmpScanner, BmpWriter, InfoTlv, PeerHeader, RawBmpMessage,
     StatCounter, COMMON_HEADER_LEN, MAX_BMP_MESSAGE_LEN, MSG_INITIATION, MSG_PEER_DOWN,
-    MSG_PEER_UP, MSG_ROUTE_MONITORING, MSG_STATS_REPORT, MSG_TERMINATION, PEER_FLAG_V,
+    MSG_PEER_UP, MSG_ROUTE_MONITORING, MSG_STATS_REPORT, MSG_TERMINATION, PEER_FLAG_A, PEER_FLAG_V,
     PEER_HEADER_LEN,
 };

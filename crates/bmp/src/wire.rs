@@ -1,6 +1,7 @@
 //! BMP v3 message model, encoder, and zero-copy scanner (RFC 7854).
 
-use artemis_bgp::{Asn, BgpError, BgpMessage, Codec, OpenMessage, UpdateMessage};
+use artemis_bgp::wire::{split_header, HEADER_LEN};
+use artemis_bgp::{Asn, BgpError, BgpMessage, Codec, OpenMessage, UpdateView, UPDATE_TYPE};
 use std::fmt;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
@@ -32,6 +33,9 @@ pub const MSG_TERMINATION: u8 = 5;
 
 /// Per-peer flag bit: the peer address is IPv6.
 pub const PEER_FLAG_V: u8 = 0x80;
+/// Per-peer flag bit: the peer's UPDATEs use the legacy two-octet
+/// AS_PATH format (RFC 7854 §4.2), AS4_PATH carrying any wider ASN.
+pub const PEER_FLAG_A: u8 = 0x20;
 
 /// Stat types carried as 64-bit gauges (RFC 7854 §4.8); everything
 /// else is a 32-bit counter.
@@ -95,7 +99,8 @@ pub struct PeerHeader {
     /// Peer type (0 = global instance peer).
     pub peer_type: u8,
     /// Flag bits ([`PEER_FLAG_V`] is derived from `peer_ip` when
-    /// encoding; other bits pass through).
+    /// encoding; other bits pass through, and [`PEER_FLAG_A`] selects
+    /// the AS_PATH format of the peer's route-monitoring UPDATEs).
     pub flags: u8,
     /// Peer distinguisher (0 for global instance peers).
     pub distinguisher: u64,
@@ -236,10 +241,15 @@ impl BmpMessage {
     }
 }
 
-/// The codec used for every BGP PDU inside BMP bodies. Collector
-/// sessions in this workspace always negotiate four-octet AS numbers.
-fn pdu_codec() -> Codec {
-    Codec::four_octet()
+/// The codec for the BGP PDUs a peer's messages carry: four-octet AS
+/// numbers unless the per-peer header's [`PEER_FLAG_A`] says the
+/// legacy two-octet format.
+fn pdu_codec(peer: &PeerHeader) -> Codec {
+    if peer.flags & PEER_FLAG_A != 0 {
+        Codec::two_octet()
+    } else {
+        Codec::four_octet()
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -275,7 +285,7 @@ impl BmpWriter {
         match msg {
             BmpMessage::RouteMonitoring { peer, update } => {
                 put_peer_header(&mut body, peer);
-                body.extend_from_slice(&pdu_codec().encode(update)?);
+                body.extend_from_slice(&pdu_codec(peer).encode(update)?);
             }
             BmpMessage::StatsReport { peer, stats } => {
                 put_peer_header(&mut body, peer);
@@ -312,8 +322,9 @@ impl BmpWriter {
                 put_addr16(&mut body, *local_ip);
                 body.extend_from_slice(&local_port.to_be_bytes());
                 body.extend_from_slice(&remote_port.to_be_bytes());
-                body.extend_from_slice(&pdu_codec().encode(&BgpMessage::Open(sent_open.clone()))?);
-                body.extend_from_slice(&pdu_codec().encode(&BgpMessage::Open(recv_open.clone()))?);
+                let codec = pdu_codec(peer);
+                body.extend_from_slice(&codec.encode(&BgpMessage::Open(sent_open.clone()))?);
+                body.extend_from_slice(&codec.encode(&BgpMessage::Open(recv_open.clone()))?);
             }
             BmpMessage::Initiation { info } | BmpMessage::Termination { info } => {
                 for tlv in info {
@@ -421,26 +432,30 @@ impl<'a> Cursor<'a> {
 }
 
 fn get_peer_header(c: &mut Cursor<'_>) -> Result<PeerHeader, BmpError> {
-    let peer_type = c.u8("per-peer header")?;
-    let flags = c.u8("per-peer header")?;
-    let distinguisher = c.u64("per-peer header")?;
-    let addr: [u8; 16] = c.take(16, "per-peer header")?.try_into().unwrap();
+    // One length check for the fixed-size header, then fixed offsets
+    // into it.
+    const FIXED: &str = "a fixed range of the fixed-size header";
+    let h: &[u8; PEER_HEADER_LEN] = c
+        .take(PEER_HEADER_LEN, "per-peer header")?
+        .try_into()
+        .expect("`take` returns exactly the bytes asked for");
+    let be32 = |at: usize| u32::from_be_bytes(h[at..at + 4].try_into().expect(FIXED));
+    let flags = h[1];
+    let addr: [u8; 16] = h[10..26].try_into().expect(FIXED);
     let peer_ip = if flags & PEER_FLAG_V != 0 {
         IpAddr::V6(Ipv6Addr::from(addr))
     } else {
         IpAddr::V4(Ipv4Addr::new(addr[12], addr[13], addr[14], addr[15]))
     };
-    let peer_as = Asn(c.u32("per-peer header")?);
-    let bgp_id: [u8; 4] = c.take(4, "per-peer header")?.try_into().unwrap();
     Ok(PeerHeader {
-        peer_type,
+        peer_type: h[0],
         flags,
-        distinguisher,
+        distinguisher: u64::from_be_bytes(h[2..10].try_into().expect(FIXED)),
         peer_ip,
-        peer_as,
-        bgp_id: Ipv4Addr::from(bgp_id),
-        ts_secs: c.u32("per-peer header")?,
-        ts_micros: c.u32("per-peer header")?,
+        peer_as: Asn(be32(26)),
+        bgp_id: Ipv4Addr::from(be32(30)),
+        ts_secs: be32(34),
+        ts_micros: be32(38),
     })
 }
 
@@ -468,18 +483,15 @@ pub struct RawBmpMessage<'a> {
     pub body: &'a [u8],
 }
 
-impl RawBmpMessage<'_> {
+impl<'a> RawBmpMessage<'a> {
     /// Fully decode the body.
     pub fn decode(&self) -> Result<BmpMessage, BmpError> {
         let mut c = Cursor::new(self.body);
         match self.msg_type {
             MSG_ROUTE_MONITORING => {
-                let mut update = UpdateMessage::withdraw(Vec::new());
-                let peer = self.decode_route_monitoring_into(&mut update)?;
-                Ok(BmpMessage::RouteMonitoring {
-                    peer,
-                    update: BgpMessage::Update(update),
-                })
+                let (peer, pdu) = self.route_monitoring_pdu()?;
+                let (update, _) = pdu_codec(&peer).decode(pdu)?;
+                Ok(BmpMessage::RouteMonitoring { peer, update })
             }
             MSG_STATS_REPORT => {
                 let peer = get_peer_header(&mut c)?;
@@ -519,9 +531,10 @@ impl RawBmpMessage<'_> {
                 };
                 let local_port = c.u16("peer up ports")?;
                 let remote_port = c.u16("peer up ports")?;
-                let (sent, used) = pdu_codec().decode(c.rest())?;
+                let codec = pdu_codec(&peer);
+                let (sent, used) = codec.decode(c.rest())?;
                 c.take(used, "sent OPEN")?;
-                let (recv, used) = pdu_codec().decode(c.rest())?;
+                let (recv, used) = codec.decode(c.rest())?;
                 c.take(used, "received OPEN")?;
                 match (sent, recv) {
                     (BgpMessage::Open(sent_open), BgpMessage::Open(recv_open)) => {
@@ -547,29 +560,35 @@ impl RawBmpMessage<'_> {
         }
     }
 
-    /// Decode a `route_monitoring` message into the caller's `update`,
-    /// reusing its prefix buffers (see [`Codec::decode_update_into`]),
-    /// and return its per-peer header. Accepts exactly the messages
-    /// [`RawBmpMessage::decode`] decodes as
-    /// [`BmpMessage::RouteMonitoring`], with an equal header and
-    /// UPDATE; any other message type is `Malformed`. After an error
-    /// `update` holds no meaningful message, only its buffers.
-    pub fn decode_route_monitoring_into(
-        &self,
-        update: &mut UpdateMessage,
-    ) -> Result<PeerHeader, BmpError> {
+    /// Walk a `route_monitoring` message in place: its per-peer header,
+    /// and its UPDATE as [`Codec::scan_update`] walks it, in the AS_PATH
+    /// format the header's [`PEER_FLAG_A`] names. Nothing is allocated.
+    /// Accepts exactly the messages [`RawBmpMessage::decode`] decodes
+    /// as [`BmpMessage::RouteMonitoring`] (both run the same walk); any
+    /// other message type is `Malformed`.
+    pub fn scan_route_monitoring(&self) -> Result<(PeerHeader, UpdateView<'a>), BmpError> {
+        let (peer, pdu) = self.route_monitoring_pdu()?;
+        let update = pdu_codec(&peer).scan_update(&pdu[HEADER_LEN..])?;
+        Ok((peer, update))
+    }
+
+    /// The per-peer header of a `route_monitoring` message and its BGP
+    /// PDU, checked to be exactly one UPDATE's bytes.
+    fn route_monitoring_pdu(&self) -> Result<(PeerHeader, &'a [u8]), BmpError> {
         if self.msg_type != MSG_ROUTE_MONITORING {
             return Err(BmpError::Malformed("not a route monitoring message"));
         }
         let mut c = Cursor::new(self.body);
         let peer = get_peer_header(&mut c)?;
-        let used = pdu_codec()
-            .decode_update_into(c.rest(), update)?
-            .ok_or(BmpError::Malformed("route monitoring PDU is not an UPDATE"))?;
-        if used != c.remaining() {
+        let pdu = c.rest();
+        let (msg_type, body) = split_header(pdu)?;
+        if msg_type != UPDATE_TYPE {
+            return Err(BmpError::Malformed("route monitoring PDU is not an UPDATE"));
+        }
+        if HEADER_LEN + body.len() != pdu.len() {
             return Err(BmpError::Malformed("trailing bytes after BGP PDU"));
         }
-        Ok(peer)
+        Ok((peer, pdu))
     }
 
     /// Attach stream context to a body-level decode error, producing
@@ -935,7 +954,7 @@ mod tests {
     fn route_monitoring_rejects_non_update_pdus() {
         let mut body = Vec::new();
         put_peer_header(&mut body, &peer());
-        body.extend_from_slice(&pdu_codec().encode(&BgpMessage::Keepalive).unwrap());
+        body.extend_from_slice(&pdu_codec(&peer()).encode(&BgpMessage::Keepalive).unwrap());
         let mut bytes = vec![BMP_VERSION];
         bytes.extend_from_slice(&((COMMON_HEADER_LEN + body.len()) as u32).to_be_bytes());
         bytes.push(MSG_ROUTE_MONITORING);

@@ -1,15 +1,18 @@
-//! Once warm, decoding route-monitoring messages into one reused
-//! `UpdateMessage` (what the live reader does) allocates only the AS
-//! path of each announcement: its ASN `Vec` and the shared segment
-//! slice. The prefix lists are the caller's, cleared and refilled, so
-//! a pure withdrawal allocates nothing.
+//! Walking route-monitoring messages in place (what the live reader
+//! does) allocates nothing: the per-peer header, the withdrawn and
+//! announced prefixes and the announced path's two ends all come
+//! straight from the wire bytes, for four-octet and legacy two-octet
+//! peers (AS4_PATH reconciled) alike, with or without AS_SETs and
+//! communities.
 //!
 //! This binary installs a counting global allocator that counts only
 //! the thread that armed it, so the test harness's own threads cannot
 //! disturb the count.
 
-use artemis_bgp::{AsPath, Asn, BgpMessage, PathAttributes, Prefix, UpdateMessage};
-use artemis_bmp::{BmpMessage, BmpScanner, BmpWriter, PeerHeader};
+use artemis_bgp::{
+    AsPath, Asn, BgpMessage, Community, PathAttributes, Prefix, Segment, UpdateMessage,
+};
+use artemis_bmp::{BmpMessage, BmpScanner, BmpWriter, PeerHeader, PEER_FLAG_A};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
@@ -67,25 +70,30 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Allocations the calling thread makes while running `f`.
-fn allocs_during(f: impl FnOnce()) -> u64 {
+fn allocs_during<R>(f: impl FnOnce() -> R) -> (R, u64) {
     let before = ALLOCS.with(Cell::get);
     ARMED.with(|a| a.set(true));
-    f();
+    let out = f();
     ARMED.with(|a| a.set(false));
-    ALLOCS.with(Cell::get) - before
+    (out, ALLOCS.with(Cell::get) - before)
 }
 
-/// 80 announcing UPDATEs without communities (1–8 NLRI, paths of 2–6
-/// ASNs, every fourth one IPv6 through MP_REACH) and 20 pure
-/// withdrawals (1–5 prefixes, every other one IPv6 through
-/// MP_UNREACH), interleaved.
+/// 80 announcing UPDATEs (1–8 NLRI, paths of 2–6 ASNs, every fourth
+/// one IPv6 through MP_REACH, every third one with communities, every
+/// seventh one ending in an AS_SET) and 20 pure withdrawals (1–5
+/// prefixes, every other one IPv6 through MP_UNREACH), interleaved.
+/// Every other UPDATE comes from a legacy two-octet peer, whose
+/// four-octet origin travels as AS_TRANS plus AS4_PATH.
 fn stream() -> Vec<u8> {
-    let peer = PeerHeader::global(
-        IpAddr::V4(Ipv4Addr::new(192, 0, 2, 10)),
-        Asn(174),
-        Ipv4Addr::new(10, 0, 0, 1),
-        1_000_000,
-    );
+    let peer = |legacy: bool| PeerHeader {
+        flags: if legacy { PEER_FLAG_A } else { 0 },
+        ..PeerHeader::global(
+            IpAddr::V4(Ipv4Addr::new(192, 0, 2, 10)),
+            Asn(174),
+            Ipv4Addr::new(10, 0, 0, 1),
+            1_000_000,
+        )
+    };
     let v4 = |i: u32| Prefix::v4(Ipv4Addr::from(0x0A00_0000 + (i << 8)), 24).unwrap();
     let v6 = |i: u32| {
         Prefix::v6(
@@ -102,17 +110,27 @@ fn stream() -> Vec<u8> {
             UpdateMessage::withdraw((0..n).map(|k| family(i * 8 + k)).collect())
         } else {
             let n = 1 + i % 8;
-            let path = AsPath::from_sequence((0..2 + i % 5).map(|k| 64_500 + i + k));
-            if i % 4 == 3 {
-                let attrs = PathAttributes::with_path(path, "2001:db8::1".parse().unwrap());
-                UpdateMessage::announce(attrs, (0..n).map(|k| v6(i * 8 + k)).collect())
-            } else {
-                let attrs = PathAttributes::with_path(path, "192.0.2.10".parse().unwrap());
-                UpdateMessage::announce(attrs, (0..n).map(|k| v4(i * 8 + k)).collect())
+            let hops = (0..1 + i % 5).map(|k| Asn(64_500 + i + k));
+            let mut segments = vec![Segment::Sequence(
+                hops.chain([Asn(4_200_000_000 + i)]).collect(),
+            )];
+            if i % 7 == 0 {
+                segments.push(Segment::Set(vec![Asn(65_001), Asn(4_200_000_001)]));
             }
+            let path = AsPath::from_segments(segments);
+            let mut attrs = if i % 4 == 3 {
+                PathAttributes::with_path(path, "2001:db8::1".parse().unwrap())
+            } else {
+                PathAttributes::with_path(path, "192.0.2.10".parse().unwrap())
+            };
+            if i % 3 == 0 {
+                attrs.communities = vec![Community::from_parts(174, i as u16)];
+            }
+            let family = if i % 4 == 3 { v6 } else { v4 };
+            UpdateMessage::announce(attrs, (0..n).map(|k| family(i * 8 + k)).collect())
         };
         w.write(&BmpMessage::RouteMonitoring {
-            peer,
+            peer: peer(i % 2 == 1),
             update: BgpMessage::Update(update),
         })
         .unwrap();
@@ -121,32 +139,38 @@ fn stream() -> Vec<u8> {
 }
 
 #[test]
-fn warm_decode_into_allocates_only_the_announced_path() {
+fn walking_route_monitoring_messages_allocates_nothing() {
     let bytes = stream();
     let raws: Vec<_> = BmpScanner::new(&bytes).map(Result::unwrap).collect();
     assert_eq!(raws.len(), 100);
-    let mut update = UpdateMessage::withdraw(Vec::new());
-    // Warm-up: the two prefix lists grow once to the largest UPDATE.
+    let (mut announcing, mut events) = (0u64, 0usize);
     for raw in &raws {
-        raw.decode_route_monitoring_into(&mut update).unwrap();
-    }
-    let (mut announcing, mut total) = (0u64, 0u64);
-    for raw in &raws {
-        let allocs = allocs_during(|| {
-            raw.decode_route_monitoring_into(&mut update).unwrap();
+        let ((announces, n), allocs) = allocs_during(|| {
+            let (peer, update) = raw.scan_route_monitoring().unwrap();
+            std::hint::black_box((peer, update.path_ends()));
+            let n = update
+                .withdrawn()
+                .chain(update.announced())
+                .map(std::hint::black_box)
+                .count();
+            (update.path_ends().is_some(), n)
         });
-        let expected = if update.attrs.is_some() { 2 } else { 0 };
-        assert_eq!(allocs, expected, "{update:?}");
-        announcing += u64::from(update.attrs.is_some());
-        total += allocs;
+        assert_eq!(allocs, 0, "message at {}", raw.offset);
+        announcing += u64::from(announces);
+        events += n;
     }
-    assert_eq!((announcing, total), (80, 160));
+    assert_eq!(announcing, 80);
+    // Legacy peers' paths reconcile to their four-octet origins.
+    let (_, legacy) = raws[1].scan_route_monitoring().unwrap();
+    assert_eq!(legacy.path_ends().unwrap().origin, Some(Asn(4_200_000_001)));
 
-    // The owned decode, for scale: it builds both lists afresh.
-    let owned = allocs_during(|| {
+    // The owned decode, for scale: it builds the lists, and each
+    // announced path's ASN list and shared segment slice.
+    let ((), owned) = allocs_during(|| {
         for raw in &raws {
             std::hint::black_box(raw.decode().unwrap());
         }
     });
-    assert!(owned > total, "owned decode: {owned} allocations");
+    assert!(owned > 2 * announcing, "owned decode: {owned} allocations");
+    assert!(events > raws.len());
 }

@@ -3,11 +3,11 @@
 //! length fields must **resync or fuse** — never panic, never loop.
 
 use artemis_bgp::{
-    AsPath, Asn, BgpMessage, Community, PathAttributes, Prefix, Segment, UpdateMessage,
+    AsPath, Asn, BgpMessage, Community, PathAttributes, PathEnds, Prefix, Segment, UpdateMessage,
 };
 use artemis_bmp::{
     BmpMessage, BmpScanner, BmpWriter, FrameAssembler, InfoTlv, PeerHeader, RawBmpMessage,
-    COMMON_HEADER_LEN, MAX_BMP_MESSAGE_LEN, MSG_ROUTE_MONITORING,
+    COMMON_HEADER_LEN, MAX_BMP_MESSAGE_LEN, MSG_ROUTE_MONITORING, PEER_FLAG_A, PEER_HEADER_LEN,
 };
 use proptest::prelude::*;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
@@ -264,41 +264,264 @@ fn frame_of(spec: &Spec) -> (u8, Vec<u8>) {
     (msg_type, body)
 }
 
+/// AS path segments as generated: `(is AS_SET, ASNs)`, empty ones and
+/// sets anywhere included.
+type Segments = Vec<(bool, Vec<u32>)>;
+
+/// One UPDATE written byte by byte, so that it can carry what the
+/// encoder never writes: empty segments, AS_SETs before sequences, an
+/// AS4_PATH shorter than, as long as or longer than AS_PATH, missing
+/// mandatory attributes. Then framed as a route-monitoring message
+/// whose per-peer header names the session's AS_PATH format.
+#[derive(Debug, Clone)]
+struct WireUpdate {
+    four_octet: bool,
+    /// IPv4 prefixes (address, length), withdrawn and announced.
+    withdrawn: Vec<(u32, u8)>,
+    announced: Vec<(u32, u8)>,
+    /// IPv6 prefixes (top 64 bits, length) in MP_UNREACH and MP_REACH.
+    withdrawn6: Vec<(u64, u8)>,
+    announced6: Vec<(u64, u8)>,
+    /// ORIGIN and NEXT_HOP present.
+    origin: bool,
+    next_hop: bool,
+    as_path: Option<Segments>,
+    as4_path: Option<Segments>,
+    communities: Vec<u32>,
+    /// A truncation of the BMP body, then a single-byte mutation of it
+    /// (past the body's end: of the message type).
+    cut: Option<u16>,
+    mutation: Option<(u16, u8)>,
+}
+
+fn segments() -> impl Strategy<Value = Segments> {
+    // A few ASNs recur so that paths prepend and hit AS_TRANS (23456).
+    let asn = prop_oneof![Just(23456u32), Just(174), Just(4_200_000_001), any::<u32>()];
+    proptest::collection::vec((any::<bool>(), proptest::collection::vec(asn, 0..5)), 0..4)
+}
+
+fn wire_update() -> impl Strategy<Value = WireUpdate> {
+    let v4 = || proptest::collection::vec((any::<u32>(), 0u8..=32), 0..4);
+    let v6 = || proptest::collection::vec((any::<u64>(), 0u8..=64), 0..3);
+    (
+        (any::<bool>(), v4(), v4(), v6(), v6()),
+        (
+            (0u8..10).prop_map(|x| x != 0),
+            (0u8..10).prop_map(|x| x != 0),
+            (0u8..10, segments()).prop_map(|(x, path)| (x != 0).then_some(path)),
+            proptest::option::of(segments()),
+            proptest::collection::vec(any::<u32>(), 0..3),
+        ),
+        (
+            (0u8..8, any::<u16>()).prop_map(|(x, cut)| (x == 0).then_some(cut)),
+            (0u8..4, any::<u16>(), any::<u8>()).prop_map(|(x, at, b)| (x == 0).then_some((at, b))),
+        ),
+    )
+        .prop_map(
+            |(
+                (four_octet, wd, nlri, wd6, nlri6),
+                (origin, next_hop, as_path, as4_path, communities),
+                (cut, mutation),
+            )| WireUpdate {
+                four_octet,
+                withdrawn: wd,
+                announced: nlri,
+                withdrawn6: wd6,
+                announced6: nlri6,
+                origin,
+                next_hop,
+                as_path,
+                as4_path,
+                communities,
+                cut,
+                mutation,
+            },
+        )
+}
+
+fn put_attr(out: &mut Vec<u8>, flags: u8, code: u8, value: &[u8]) {
+    if value.len() > 255 {
+        out.extend_from_slice(&[flags | 0x10, code]);
+        out.extend_from_slice(&(value.len() as u16).to_be_bytes());
+    } else {
+        out.extend_from_slice(&[flags, code, value.len() as u8]);
+    }
+    out.extend_from_slice(value);
+}
+
+fn put_segments(segments: &Segments, four_octet: bool) -> Vec<u8> {
+    let mut out = Vec::new();
+    for (set, asns) in segments {
+        out.extend_from_slice(&[if *set { 1 } else { 2 }, asns.len() as u8]);
+        for &asn in asns {
+            if four_octet {
+                out.extend_from_slice(&asn.to_be_bytes());
+            } else {
+                out.extend_from_slice(&(asn as u16).to_be_bytes());
+            }
+        }
+    }
+    out
+}
+
+/// One NLRI prefix: its length, then as many address bytes as it needs
+/// (host bits left as generated).
+fn put_prefix(out: &mut Vec<u8>, bits: u128, len: u8) {
+    out.push(len);
+    out.extend_from_slice(&bits.to_be_bytes()[..(len as usize).div_ceil(8)]);
+}
+
+/// Whether the spec is whole and unmutated, and carries what an
+/// announcement must: ORIGIN, AS_PATH and a next hop (MP_REACH's will
+/// do).
+fn well_formed(spec: &WireUpdate) -> bool {
+    let announces = !spec.announced.is_empty() || !spec.announced6.is_empty();
+    let mandatory =
+        spec.origin && spec.as_path.is_some() && (spec.next_hop || !spec.announced6.is_empty());
+    spec.cut.is_none() && spec.mutation.is_none() && (mandatory || !announces)
+}
+
+/// The spec's `(message type, BMP body)`.
+fn wire_frame(spec: &WireUpdate) -> (u8, Vec<u8>) {
+    let v4 = |out: &mut Vec<u8>, prefixes: &[(u32, u8)]| {
+        for &(addr, len) in prefixes {
+            put_prefix(out, (addr as u128) << 96, len);
+        }
+    };
+    let v6 = |out: &mut Vec<u8>, prefixes: &[(u64, u8)]| {
+        for &(addr, len) in prefixes {
+            put_prefix(out, (addr as u128) << 64, len);
+        }
+    };
+    let mut attrs = Vec::new();
+    if spec.origin {
+        put_attr(&mut attrs, 0x40, 1, &[0]);
+    }
+    if let Some(path) = &spec.as_path {
+        put_attr(&mut attrs, 0x40, 2, &put_segments(path, spec.four_octet));
+    }
+    if spec.next_hop {
+        put_attr(&mut attrs, 0x40, 3, &[192, 0, 2, 10]);
+    }
+    if !spec.communities.is_empty() {
+        let bytes: Vec<u8> = spec
+            .communities
+            .iter()
+            .flat_map(|c| c.to_be_bytes())
+            .collect();
+        put_attr(&mut attrs, 0xC0, 8, &bytes);
+    }
+    if let Some(path) = &spec.as4_path {
+        put_attr(&mut attrs, 0xC0, 17, &put_segments(path, true));
+    }
+    if !spec.announced6.is_empty() {
+        let mut mp = vec![0, 2, 1, 16];
+        mp.extend_from_slice(&"2001:db8::10".parse::<Ipv6Addr>().unwrap().octets());
+        mp.push(0);
+        v6(&mut mp, &spec.announced6);
+        put_attr(&mut attrs, 0x80, 14, &mp);
+    }
+    if !spec.withdrawn6.is_empty() {
+        let mut mp = vec![0, 2, 1];
+        v6(&mut mp, &spec.withdrawn6);
+        put_attr(&mut attrs, 0x80, 15, &mp);
+    }
+    let mut withdrawn = Vec::new();
+    v4(&mut withdrawn, &spec.withdrawn);
+    let mut body = (withdrawn.len() as u16).to_be_bytes().to_vec();
+    body.extend(withdrawn);
+    body.extend_from_slice(&(attrs.len() as u16).to_be_bytes());
+    body.extend(attrs);
+    v4(&mut body, &spec.announced);
+
+    let peer = PeerHeader {
+        flags: if spec.four_octet { 0 } else { PEER_FLAG_A },
+        ..PeerHeader::global(
+            IpAddr::V4(Ipv4Addr::new(192, 0, 2, 10)),
+            Asn(174),
+            Ipv4Addr::new(10, 0, 0, 1),
+            7_000_001,
+        )
+    };
+    // The per-peer header as the writer lays it out, with an empty
+    // UPDATE (whose bytes do not depend on the AS_PATH format) cut off.
+    let mut w = BmpWriter::new();
+    w.write(&BmpMessage::RouteMonitoring {
+        peer,
+        update: BgpMessage::Update(UpdateMessage::withdraw(Vec::new())),
+    })
+    .unwrap();
+    let mut bmp = w.into_bytes().split_off(COMMON_HEADER_LEN);
+    bmp.truncate(PEER_HEADER_LEN);
+    bmp.extend_from_slice(&[0xFF; 16]);
+    bmp.extend_from_slice(&((19 + body.len()) as u16).to_be_bytes());
+    bmp.push(2);
+    bmp.extend(body);
+
+    if let Some(cut) = spec.cut {
+        bmp.truncate(cut as usize % (bmp.len() + 1));
+    }
+    let mut msg_type = MSG_ROUTE_MONITORING;
+    if let Some((pos, byte)) = spec.mutation {
+        let at = pos as usize % (bmp.len() + 1);
+        match bmp.get_mut(at) {
+            Some(b) => *b = byte,
+            None => msg_type = byte % 6,
+        }
+    }
+    (msg_type, bmp)
+}
+
 proptest! {
-    /// The live reader's reused-buffer decode agrees with the owned
-    /// decode on every message of a sequence decoded into one
-    /// `UpdateMessage`: it accepts exactly the route-monitoring
-    /// messages `decode` accepts, with an equal peer header and UPDATE,
-    /// whatever the previous message left in the buffers. (Default
-    /// config, so `PROPTEST_CASES` sets the count.)
+    /// The live reader's walk ([`RawBmpMessage::scan_route_monitoring`])
+    /// agrees with the owned decode: it accepts exactly the
+    /// route-monitoring messages `decode` accepts, with an equal peer
+    /// header, the same withdrawn and announced lists, and the origin
+    /// and origin-adjacent hop that `AsPath::origin` and
+    /// `origin_neighbor` read off the decoded path (AS4_PATH
+    /// reconciled). Whole, well-formed UPDATEs decode.
+    /// (Default config, so `PROPTEST_CASES` sets the count.)
     #[test]
-    fn decode_into_a_reused_update_agrees_with_decode(
-        specs in proptest::collection::vec(spec(), 1..12),
+    fn the_update_walk_agrees_with_decode(
+        specs in proptest::collection::vec(
+            prop_oneof![
+                wire_update().prop_map(|w| (wire_frame(&w), well_formed(&w))),
+                spec().prop_map(|s| (frame_of(&s), s.6.is_none())),
+            ],
+            1..12,
+        ),
     ) {
-        let mut reused = UpdateMessage::withdraw(Vec::new());
-        for spec in &specs {
-            let (msg_type, body) = frame_of(spec);
-            let raw = RawBmpMessage { offset: 0, msg_type, body: &body };
+        for ((msg_type, body), well_formed) in &specs {
+            let raw = RawBmpMessage { offset: 0, msg_type: *msg_type, body };
             let owned = raw.decode();
-            let into = raw.decode_route_monitoring_into(&mut reused);
-            match (owned, into) {
+            let walked = raw.scan_route_monitoring();
+            match (owned, walked) {
                 (
                     Ok(BmpMessage::RouteMonitoring { peer, update: BgpMessage::Update(u) }),
-                    Ok(got),
+                    Ok((got, view)),
                 ) => {
                     prop_assert_eq!(got, peer);
-                    prop_assert_eq!(&reused, &u);
+                    prop_assert_eq!(view.withdrawn().collect::<Vec<_>>(), u.withdrawn.clone());
+                    prop_assert_eq!(view.announced().collect::<Vec<_>>(), u.nlri.clone());
+                    let ends = u.attrs.as_ref().map(|a| PathEnds {
+                        origin: a.as_path.origin(),
+                        origin_neighbor: a.as_path.origin_neighbor(),
+                    });
+                    prop_assert_eq!(view.path_ends(), ends);
                 }
                 (Ok(BmpMessage::RouteMonitoring { .. }), Err(e)) => {
-                    prop_assert!(false, "decode accepted what decode_into refused: {e}");
+                    prop_assert!(false, "decode accepted what the walk refused: {e}");
                 }
                 (Ok(other), Ok(_)) => {
-                    prop_assert!(false, "decode_into accepted a non-RM message: {other:?}");
+                    prop_assert!(false, "the walk accepted a non-RM message: {other:?}");
                 }
                 (Err(e), Ok(_)) => {
-                    prop_assert!(false, "decode_into accepted what decode refused: {e}");
+                    prop_assert!(false, "the walk accepted what decode refused: {e}");
                 }
-                (_, Err(_)) => {}
+                (Err(e), Err(_)) => {
+                    prop_assert!(!well_formed, "a well-formed UPDATE failed: {e}");
+                }
+                (Ok(_), Err(_)) => {}
             }
         }
     }
@@ -317,8 +540,8 @@ fn a_withdrawal_after_an_announcement_comes_out_without_attributes() {
         vec![7],
         None,
     );
-    let mut reused = UpdateMessage::withdraw(Vec::new());
     for shape in [1, 4] {
+        let mut last = None;
         for spec in [
             announce.clone(),
             (shape, v4.clone(), v6.clone(), vec![1], None, vec![], None),
@@ -329,10 +552,16 @@ fn a_withdrawal_after_an_announcement_comes_out_without_attributes() {
                 msg_type,
                 body: &body,
             };
-            raw.decode_route_monitoring_into(&mut reused).unwrap();
-            assert_eq!(reused, update_of(&spec), "shape {}", spec.0);
+            let expected = update_of(&spec);
+            let (_, view) = raw.scan_route_monitoring().unwrap();
+            assert_eq!(view.withdrawn().collect::<Vec<_>>(), expected.withdrawn);
+            assert_eq!(view.announced().collect::<Vec<_>>(), expected.nlri);
+            let BmpMessage::RouteMonitoring { update, .. } = raw.decode().unwrap() else {
+                panic!("shape {} is a route monitoring message", spec.0);
+            };
+            assert_eq!(update, BgpMessage::Update(expected), "shape {}", spec.0);
+            last = Some((view.path_ends(), view.announced().len()));
         }
-        assert_eq!(reused.attrs, None);
-        assert!(reused.nlri.is_empty());
+        assert_eq!(last, Some((None, 0)));
     }
 }

@@ -1,19 +1,23 @@
 //! The live BMP wire feed: a real TCP session into the pipeline.
 //!
 //! [`BmpLiveFeed`] owns a reader thread that speaks RFC 7854 framing
-//! off a [`std::net::TcpStream`], decodes `route_monitoring` messages
-//! into one reused [`UpdateMessage`], expands each into one entry per
-//! prefix, applies an optional pre-ring [`FeedFilter`], and parks the
-//! survivors in a fixed-capacity [`artemis_bmp::BackpressureRing`].
-//! A ring entry carries only what differs between events (observation
-//! time, vantage, prefix, [`Reach`], origin) and owns nothing: the
-//! reader reduces each UPDATE's path to its [`Reach`] and origin once,
-//! so the path's allocations are made and freed on the reader thread
-//! and the pump thread drops no shared handle. The pump's `poll` builds
-//! each [`FeedEvent`] from one entry as it drains, adding the emission
-//! instant. What is per feed or per socket read is paid once: the
-//! reader publishes its `decoded` count once per read, after that
-//! read's events are in the ring.
+//! off a [`std::net::TcpStream`] and turns each `route_monitoring`
+//! message into ring entries in one pass: the per-peer header, the
+//! UPDATE walked in place
+//! ([`artemis_bmp::RawBmpMessage::scan_route_monitoring`], in the
+//! AS_PATH format the header's "A" flag names), then one entry per
+//! withdrawn or announced prefix, through an optional pre-ring
+//! [`FeedFilter`], into a fixed-capacity
+//! [`artemis_bmp::BackpressureRing`]. No `UpdateMessage` and no
+//! `AsPath` is built: the walk checks the UPDATE whole, as the owned
+//! decode does, and reads the path's origin and origin-adjacent hop
+//! straight off the AS_PATH (and AS4_PATH) bytes, so a warm reader
+//! allocates nothing. A ring entry carries only what differs between
+//! events (observation time, vantage, prefix, [`Reach`], origin) and
+//! owns nothing. The pump's `poll` builds each [`FeedEvent`] from one
+//! entry as it drains, adding the emission instant. What is per feed or
+//! per socket read is paid once: the reader publishes its `decoded`
+//! count once per read, after that read's events are in the ring.
 //!
 //! The pipeline side is an ordinary pull-based [`FeedSource`]:
 //! `next_poll` reports "now" whenever the ring holds events, and
@@ -29,7 +33,7 @@
 use crate::event::{FeedEvent, FeedKind, Reach};
 use crate::filter::FeedFilter;
 use crate::source::{FeedSource, RibView, WakeLatch};
-use artemis_bgp::{Asn, Prefix, RouteChange, UpdateMessage};
+use artemis_bgp::{Asn, Prefix, RouteChange, UpdateView};
 use artemis_bmp::{BackpressureRing, BmpMessage, FrameAssembler, PeerHeader, MSG_ROUTE_MONITORING};
 use artemis_simnet::{SimRng, SimTime};
 use std::collections::BTreeMap;
@@ -475,9 +479,6 @@ fn stream_session(
     let mut asm = FrameAssembler::new();
     let mut buf = vec![0u8; READ_CHUNK];
     let mut batch: Vec<RingEntry> = Vec::new();
-    // Every route-monitoring message decodes into this one UPDATE, so
-    // its prefix lists are allocated once per session.
-    let mut update = UpdateMessage::withdraw(Vec::new());
     loop {
         if shutdown.load(Ordering::Relaxed) {
             return SessionEnd::Shutdown;
@@ -499,8 +500,8 @@ fn stream_session(
         let fused = loop {
             match asm.next_message() {
                 Ok(Some(raw)) if raw.msg_type == MSG_ROUTE_MONITORING => {
-                    match raw.decode_route_monitoring_into(&mut update) {
-                        Ok(peer) => events_from_update(
+                    match raw.scan_route_monitoring() {
+                        Ok((peer, update)) => events_from_update(
                             &peer,
                             &update,
                             config.filter.as_ref(),
@@ -601,21 +602,20 @@ impl ReadTally {
     }
 }
 
-/// Expand one route-monitoring UPDATE into per-prefix ring entries,
-/// filter them, and append survivors to `batch`, counting both in
-/// `tally`. The UPDATE's path is reduced once ([`Reach::of`]), and
-/// every announced prefix copies the result: nothing here allocates
-/// per prefix or shares anything with the pump.
+/// Expand one walked route-monitoring UPDATE into per-prefix ring
+/// entries, filter them, and append survivors to `batch`, counting
+/// both in `tally`. The walk reduced the UPDATE's path to its two ends
+/// once, and every announced prefix copies them: nothing here
+/// allocates or shares anything with the pump.
 fn events_from_update(
     peer: &PeerHeader,
-    update: &UpdateMessage,
+    update: &UpdateView<'_>,
     filter: Option<&FeedFilter>,
     tally: &mut ReadTally,
     batch: &mut Vec<RingEntry>,
 ) {
     let observed_at = SimTime::from_micros(peer.timestamp_micros());
     let vantage = peer.peer_as;
-    let announced = Reach::of(update.attrs.as_ref().map(|a| &a.as_path), None);
     let mut push = |prefix, (reach, origin_as): (Reach, Option<Asn>)| {
         tally.decoded += 1;
         match filter {
@@ -631,11 +631,18 @@ fn events_from_update(
             }),
         }
     };
-    for prefix in &update.withdrawn {
-        push(*prefix, (Reach::Withdrawn, None));
+    for prefix in update.withdrawn() {
+        push(prefix, (Reach::Withdrawn, None));
     }
-    for prefix in &update.nlri {
-        push(*prefix, announced);
+    // What `FeedEvent::new` makes of the decoded path, read off the
+    // walk; present exactly when the UPDATE announces a prefix.
+    if let Some(ends) = update.path_ends() {
+        let reach = Reach::Announced {
+            origin_neighbor: ends.origin_neighbor,
+        };
+        for prefix in update.announced() {
+            push(prefix, (reach, ends.origin));
+        }
     }
 }
 
@@ -643,7 +650,7 @@ fn events_from_update(
 mod tests {
     use super::*;
     use crate::source::EmptyRibView;
-    use artemis_bgp::{AsPath, BgpMessage, PathAttributes};
+    use artemis_bgp::{AsPath, BgpMessage, PathAttributes, UpdateMessage};
     use artemis_bmp::BmpWriter;
     use std::io::Write;
     use std::net::{Ipv4Addr, TcpListener};
@@ -831,6 +838,61 @@ mod tests {
             assert_eq!((ev.reach, ev.origin_as), (announced, Some(Asn(65001))));
         }
         assert!(first[..2].iter().all(|ev| ev.origin_as.is_none()));
+    }
+
+    #[test]
+    fn a_legacy_two_octet_peer_announces_its_four_octet_origin() {
+        // RFC 7854 §4.2: the per-peer "A" flag says the UPDATE uses
+        // 2-octet AS_PATH, so its four-octet hops travel as AS_TRANS
+        // and the AS4_PATH attribute restores them (RFC 6793).
+        let path = AsPath::from_sequence([174u32, 4_200_000_001, 4_200_000_002]);
+        let update = BgpMessage::Update(UpdateMessage::announce(
+            PathAttributes::with_path(path, "192.0.2.10".parse().unwrap()),
+            vec![Prefix::from_str("10.0.0.0/24").unwrap()],
+        ));
+        // The writer frames the per-peer header around an empty UPDATE
+        // (the same bytes in either AS_PATH format); the announcement
+        // is then encoded in the legacy format by hand, so that the
+        // bytes are legacy whatever the writer does with the flag.
+        let mut w = BmpWriter::new();
+        w.write(&artemis_bmp::BmpMessage::RouteMonitoring {
+            peer: PeerHeader {
+                flags: 0x20,
+                ..peer_174()
+            },
+            update: BgpMessage::Update(UpdateMessage::withdraw(Vec::new())),
+        })
+        .unwrap();
+        let mut msg = w.into_bytes();
+        msg.truncate(artemis_bmp::COMMON_HEADER_LEN + artemis_bmp::PEER_HEADER_LEN);
+        let pdu = artemis_bgp::Codec::two_octet().encode(&update).unwrap();
+        assert!(
+            pdu.windows(2).any(|w| w == 23456u16.to_be_bytes()),
+            "AS_TRANS on the wire"
+        );
+        msg.extend_from_slice(&pdu);
+        let len = msg.len() as u32;
+        msg[1..5].copy_from_slice(&len.to_be_bytes());
+
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let writer = std::thread::spawn(move || {
+            let (mut sock, _) = listener.accept().unwrap();
+            sock.write_all(&msg).unwrap();
+        });
+        let mut feed = BmpLiveFeed::connect("bmp0", addr.to_string(), LiveFeedConfig::default());
+        writer.join().unwrap();
+        wait_until(|| feed.stats().pending == 1);
+        let evs = feed.poll(SimTime::from_secs(100), &EmptyRibView, &mut SimRng::new(1));
+        assert_eq!(feed.stats().diagnostics, 0);
+        assert_eq!(evs.len(), 1);
+        assert_eq!(evs[0].origin_as, Some(Asn(4_200_000_002)));
+        assert_eq!(
+            evs[0].reach,
+            Reach::Announced {
+                origin_neighbor: Some(Asn(4_200_000_001))
+            }
+        );
     }
 
     #[test]

@@ -6,12 +6,14 @@
 //! Dropping the drained events (the next `drain_batch` clears the
 //! batch) frees nothing either: an event owns no heap. Behind a live
 //! BMP feed, the whole consuming side — draining the ring, queueing,
-//! merging and dropping — neither allocates nor frees; the UPDATE's
-//! path is made and freed on the reader thread.
+//! merging and dropping — neither allocates nor frees, and neither
+//! does the producing side: the feed's reader thread walks each UPDATE
+//! in place and parks its entries in a warm ring.
 //!
 //! This binary installs a counting global allocator that counts only
-//! the thread that armed it, so the test harness's own threads (and
-//! the live feed's reader) cannot disturb the count.
+//! the thread that armed it, so the test harness's own threads cannot
+//! disturb the count, plus, while the reader count is armed, any live
+//! feed's reader thread (known by its name).
 
 use artemis_bgp::{AsPath, Asn, BgpMessage, PathAttributes, Prefix, UpdateMessage};
 use artemis_bmp::{BmpMessage, BmpWriter, PeerHeader};
@@ -23,7 +25,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::io::Write;
 use std::net::{IpAddr, Ipv4Addr, TcpListener};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 
 thread_local! {
@@ -33,11 +35,39 @@ thread_local! {
     static ARMED: Cell<bool> = const { Cell::new(false) };
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
     static FREES: Cell<u64> = const { Cell::new(0) };
+    /// Whether this thread is a live feed's reader: unknown until the
+    /// first allocation the reader count sees on it.
+    static IS_READER: Cell<Option<bool>> = const { Cell::new(None) };
 }
+
+/// Allocations and frees of live feeds' reader threads, counted while
+/// `READER_ARMED` is set.
+static READER_ARMED: AtomicBool = AtomicBool::new(false);
+static READER_ALLOCS: AtomicU64 = AtomicU64::new(0);
+static READER_FREES: AtomicU64 = AtomicU64::new(0);
 
 struct CountingAlloc;
 
-fn count(counter: &'static std::thread::LocalKey<Cell<u64>>) {
+/// Whether the calling thread is a live feed's reader. The name is
+/// looked up once per thread; the verdict is stored as "no" first, so
+/// an allocation made while looking cannot recurse into the lookup.
+fn is_reader() -> bool {
+    IS_READER
+        .try_with(|known| match known.get() {
+            Some(verdict) => verdict,
+            None => {
+                known.set(Some(false));
+                let verdict = std::thread::current()
+                    .name()
+                    .is_some_and(|name| name.starts_with("bmp-live-"));
+                known.set(Some(verdict));
+                verdict
+            }
+        })
+        .unwrap_or(false)
+}
+
+fn count(counter: &'static std::thread::LocalKey<Cell<u64>>, reader: &AtomicU64) {
     // `try_with`: a thread being torn down may allocate after its
     // thread-locals are gone; those are not counted.
     let _ = ARMED.try_with(|armed| {
@@ -45,6 +75,9 @@ fn count(counter: &'static std::thread::LocalKey<Cell<u64>>) {
             let _ = counter.try_with(|c| c.set(c.get() + 1));
         }
     });
+    if READER_ARMED.load(Ordering::Relaxed) && is_reader() {
+        reader.fetch_add(1, Ordering::Relaxed);
+    }
 }
 
 // SAFETY: every method forwards to `System` with the caller's layout
@@ -52,26 +85,26 @@ fn count(counter: &'static std::thread::LocalKey<Cell<u64>>) {
 // and never allocates.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(&ALLOCS);
+        count(&ALLOCS, &READER_ALLOCS);
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count(&ALLOCS);
+        count(&ALLOCS, &READER_ALLOCS);
         // SAFETY: as for `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(&ALLOCS);
+        count(&ALLOCS, &READER_ALLOCS);
         // SAFETY: `ptr` came from this allocator with `layout`, which
         // means it came from `System` with `layout`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        count(&FREES);
+        count(&FREES, &READER_FREES);
         // SAFETY: as for `realloc`.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -235,6 +268,8 @@ impl FeedSource for Gated {
 
 #[test]
 fn a_live_feed_drained_through_the_hub_neither_allocates_nor_frees_per_event() {
+    // The reader's count is process-wide: this is the one test here
+    // with a live feed.
     /// UPDATEs per round; the `i`-th announces `i % 16 + 1` prefixes.
     const UPDATES: usize = 64;
     const EVENTS: u64 = (UPDATES / 16 * (16 * 17 / 2)) as u64;
@@ -280,6 +315,9 @@ fn a_live_feed_drained_through_the_hub_neither_allocates_nor_frees_per_event() {
     let (mut allocs, mut frees) = (0, 0);
     for round in 0..ROUNDS {
         open_at.store((round + 1) * EVENTS, Ordering::Relaxed);
+        // The reader decodes this round only after the send; from the
+        // first warm round on, everything it does is counted.
+        READER_ARMED.store(round >= WARM, Ordering::Relaxed);
         go.send(round).unwrap();
         let at = SimTime::from_micros(round);
         while hub.next_poll(at).is_none() {
@@ -297,13 +335,23 @@ fn a_live_feed_drained_through_the_hub_neither_allocates_nor_frees_per_event() {
             frees += f;
         }
     }
+    READER_ARMED.store(false, Ordering::Relaxed);
     drop(go);
     writer.join().unwrap();
     assert!(batch.iter().all(|e| e.origin_as.is_some()));
     assert_eq!(
         (allocs, frees),
         (0, 0),
-        "{} warm rounds of {EVENTS} events",
+        "consuming side, {} warm rounds of {EVENTS} events",
+        ROUNDS - WARM
+    );
+    assert_eq!(
+        (
+            READER_ALLOCS.load(Ordering::Relaxed),
+            READER_FREES.load(Ordering::Relaxed)
+        ),
+        (0, 0),
+        "reader thread, {} warm rounds of {EVENTS} events",
         ROUNDS - WARM
     );
 }
