@@ -83,6 +83,9 @@ pub struct DispatchStats {
 struct QueuedAlert {
     payload: String,
     attempts: u32,
+    /// Which sinks, by registration index, already accepted the
+    /// payload: a retry goes to the others only.
+    accepted: Vec<bool>,
 }
 
 /// A bounded retry/rate-limit queue in front of the registered sinks.
@@ -143,34 +146,40 @@ impl AlertDispatcher {
         self.queue.push_back(QueuedAlert {
             payload,
             attempts: 0,
+            accepted: Vec::new(),
         });
     }
 
     /// Try to deliver queued payloads, oldest first, respecting the
     /// rate limit. Returns the number of payloads fully delivered.
-    /// A payload that fails keeps its place at the front until its
+    /// Each attempt offers the payload to every sink that has not yet
+    /// accepted it, so no sink is paged twice and one failing sink
+    /// does not keep the payload from the sinks after it. A payload
+    /// that some sink refused keeps its place at the front until its
     /// attempt budget runs out, preserving delivery order.
     pub fn pump(&mut self) -> usize {
         let mut delivered = 0;
-        while let Some(front) = self.queue.front() {
+        while let Some(front) = self.queue.front_mut() {
             if let (Some(last), true) = (self.last_delivery, !self.min_interval.is_zero()) {
                 if last.elapsed() < self.min_interval {
                     break;
                 }
             }
-            let payload = front.payload.clone();
             self.stats.attempts += 1;
             self.last_delivery = Some(Instant::now());
-            let ok = self
-                .sinks
-                .iter_mut()
-                .all(|sink| sink.deliver(&payload).is_ok());
+            front.accepted.resize(self.sinks.len(), false);
+            let mut ok = true;
+            for (sink, accepted) in self.sinks.iter_mut().zip(&mut front.accepted) {
+                if !*accepted {
+                    *accepted = sink.deliver(&front.payload).is_ok();
+                    ok &= *accepted;
+                }
+            }
             if ok {
                 self.queue.pop_front();
                 self.stats.delivered += 1;
                 delivered += 1;
             } else {
-                let front = self.queue.front_mut().expect("still queued");
                 front.attempts += 1;
                 if front.attempts >= self.max_attempts {
                     self.queue.pop_front();
@@ -224,15 +233,21 @@ mod tests {
         AlertDispatcher::new(capacity, max_attempts, Duration::ZERO)
     }
 
+    /// A sink recording into `seen` that refuses its first
+    /// `fail_first` deliveries.
+    fn mock(seen: &Arc<Mutex<Vec<String>>>, fail_first: u32) -> Box<MockSink> {
+        Box::new(MockSink {
+            seen: seen.clone(),
+            fail_first,
+            failures: 0,
+        })
+    }
+
     #[test]
     fn delivers_in_order_with_retries() {
         let seen = Arc::new(Mutex::new(Vec::new()));
         let mut d = dispatcher(8, 3);
-        d.add_sink(Box::new(MockSink {
-            seen: seen.clone(),
-            fail_first: 2,
-            failures: 0,
-        }));
+        d.add_sink(mock(&seen, 2));
         d.enqueue("a".into());
         d.enqueue("b".into());
         // First pump: "a" fails (attempt 1) and stays queued.
@@ -248,14 +263,35 @@ mod tests {
     }
 
     #[test]
+    fn a_retry_pages_only_the_sinks_that_refused() {
+        let (ok, flaky) = (Arc::default(), Arc::default());
+        let mut d = dispatcher(8, 3);
+        d.add_sink(mock(&ok, 0));
+        d.add_sink(mock(&flaky, 1));
+        d.enqueue("a".into());
+        assert_eq!(d.pump(), 0, "the second sink refused");
+        assert_eq!(d.pump(), 1);
+        let received = (ok.lock().unwrap().len(), flaky.lock().unwrap().len());
+        assert_eq!(received, (1, 1), "each sink paged exactly once");
+    }
+
+    #[test]
+    fn a_failing_sink_does_not_starve_the_sinks_after_it() {
+        let (dead, ok) = (Arc::default(), Arc::default());
+        let mut d = dispatcher(8, 3);
+        d.add_sink(mock(&dead, u32::MAX));
+        d.add_sink(mock(&ok, 0));
+        d.enqueue("a".into());
+        assert_eq!(d.pump(), 0);
+        assert_eq!(*ok.lock().unwrap(), vec!["a"], "reached in the same pump");
+        assert!(dead.lock().unwrap().is_empty());
+    }
+
+    #[test]
     fn exhausted_attempts_drop_the_payload_and_count_it() {
         let seen = Arc::new(Mutex::new(Vec::new()));
         let mut d = dispatcher(8, 2);
-        d.add_sink(Box::new(MockSink {
-            seen: seen.clone(),
-            fail_first: 2,
-            failures: 0,
-        }));
+        d.add_sink(mock(&seen, 2));
         d.enqueue("doomed".into());
         d.enqueue("fine".into());
         assert_eq!(d.pump(), 0); // attempt 1 fails
@@ -268,11 +304,7 @@ mod tests {
     fn overflow_drops_oldest() {
         let seen = Arc::new(Mutex::new(Vec::new()));
         let mut d = dispatcher(2, 1);
-        d.add_sink(Box::new(MockSink {
-            seen: seen.clone(),
-            fail_first: 0,
-            failures: 0,
-        }));
+        d.add_sink(mock(&seen, 0));
         d.enqueue("1".into());
         d.enqueue("2".into());
         d.enqueue("3".into()); // evicts "1"
@@ -285,11 +317,7 @@ mod tests {
     fn rate_limit_defers_delivery() {
         let seen = Arc::new(Mutex::new(Vec::new()));
         let mut d = AlertDispatcher::new(8, 1, Duration::from_secs(60));
-        d.add_sink(Box::new(MockSink {
-            seen: seen.clone(),
-            fail_first: 0,
-            failures: 0,
-        }));
+        d.add_sink(mock(&seen, 0));
         d.enqueue("a".into());
         d.enqueue("b".into());
         assert_eq!(d.pump(), 1, "first delivery is immediate");

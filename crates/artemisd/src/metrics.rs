@@ -25,8 +25,7 @@ fn phase_label(phase: MitigationPhase) -> &'static str {
 /// Point-in-time gauges of the pipeline's internal structures that
 /// [`ServiceSummary`] does not carry (they are implementation detail,
 /// not operator-facing state): the routing trie's footprint and the
-/// count of incidents whose monitors were retired into compact
-/// summaries.
+/// count of incidents whose monitors were retired in place.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StructureGauges {
     /// Stride-8 multibit nodes in the detector's routing trie.
@@ -38,7 +37,7 @@ pub struct StructureGauges {
     /// with churn but never jumps — there are no wholesale rebuilds to
     /// observe anymore.
     pub routing_epoch: u64,
-    /// Resolved incidents retired to compact monitor summaries.
+    /// Incidents that are over, their monitors retired in place.
     pub retired_incidents: usize,
     /// Timeline points folded away by the per-incident timeline cap,
     /// over live and retired incidents.

@@ -606,12 +606,10 @@ impl Experiment {
             .all()
             .first()
             .and_then(|a| {
-                let p = self.service.pipeline();
-                // A resolved incident's monitor has retired; its
-                // recorded timeline is preserved on the retired record.
-                p.monitor_for(a.id)
-                    .map(|m| m.timeline().to_vec())
-                    .or_else(|| p.retired_monitor(a.id).map(|r| r.timeline().to_vec()))
+                // A resolved incident's monitor has retired in place,
+                // keeping its recorded timeline.
+                let monitor = self.service.pipeline().monitor(a.id)?;
+                Some(monitor.timeline().to_vec())
             })
             .unwrap_or_default();
 

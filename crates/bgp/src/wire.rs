@@ -171,7 +171,8 @@ impl Codec {
         // Path attributes.
         let mut attr_buf = BytesMut::new();
         if let Some(attrs) = &update.attrs {
-            self.encode_attrs(attrs, &nlri_v4, &nlri_v6, &wd_v6, &mut attr_buf)?;
+            let mp_reach = (!nlri_v6.is_empty()).then_some(&nlri_v6[..]);
+            self.encode_attrs(attrs, !nlri_v4.is_empty(), mp_reach, &wd_v6, &mut attr_buf)?;
         } else if !wd_v6.is_empty() {
             // Pure v6 withdrawal still needs MP_UNREACH.
             encode_mp_unreach(&wd_v6, &mut attr_buf);
@@ -186,11 +187,15 @@ impl Codec {
         Ok(())
     }
 
+    /// Encode the attribute block: NEXT_HOP when `next_hop` (classic
+    /// IPv4 NLRI follows), MP_REACH_NLRI carrying `mp_reach` when it is
+    /// `Some` (possibly empty, as in a RIB entry), and MP_UNREACH_NLRI
+    /// when `wd_v6` is not empty.
     fn encode_attrs(
         &self,
         attrs: &PathAttributes,
-        nlri_v4: &[Prefix],
-        nlri_v6: &[Prefix],
+        next_hop: bool,
+        mp_reach: Option<&[Prefix]>,
         wd_v6: &[Prefix],
         out: &mut BytesMut,
     ) -> Result<(), BgpError> {
@@ -203,7 +208,7 @@ impl Codec {
         put_attr(out, FLAG_TRANSITIVE, ATTR_AS_PATH, &path_buf);
 
         // NEXT_HOP: required alongside classic v4 NLRI.
-        if !nlri_v4.is_empty() {
+        if next_hop {
             match attrs.next_hop {
                 IpAddr::V4(a) => put_attr(out, FLAG_TRANSITIVE, ATTR_NEXT_HOP, &a.octets()),
                 IpAddr::V6(_) => {
@@ -254,7 +259,7 @@ impl Codec {
         }
 
         // MP_REACH_NLRI for IPv6 announcements.
-        if !nlri_v6.is_empty() {
+        if let Some(nlri_v6) = mp_reach {
             let next_hop_v6 = match attrs.next_hop {
                 IpAddr::V6(a) => a,
                 // Map a v4 next hop into the v4-mapped space so that a
@@ -284,51 +289,10 @@ impl Codec {
     pub fn encode_path_attributes(&self, attrs: &PathAttributes) -> Result<Vec<u8>, BgpError> {
         let mut buf = BytesMut::new();
         match attrs.next_hop {
-            IpAddr::V4(_) => {
-                // Pretend there is v4 NLRI so NEXT_HOP is emitted.
-                self.encode_attrs(attrs, &[Prefix::default_v4()], &[], &[], &mut buf)?
-            }
-            IpAddr::V6(_) => {
-                // Emit MP_REACH with the v6 next hop and an empty NLRI.
-                self.encode_attrs_v6_nonlri(attrs, &mut buf)?;
-                return Ok(buf.to_vec());
-            }
+            IpAddr::V4(_) => self.encode_attrs(attrs, true, None, &[], &mut buf)?,
+            IpAddr::V6(_) => self.encode_attrs(attrs, false, Some(&[]), &[], &mut buf)?,
         }
         Ok(buf.to_vec())
-    }
-
-    fn encode_attrs_v6_nonlri(
-        &self,
-        attrs: &PathAttributes,
-        out: &mut BytesMut,
-    ) -> Result<(), BgpError> {
-        put_attr(out, FLAG_TRANSITIVE, ATTR_ORIGIN, &[attrs.origin.code()]);
-        let path_buf = encode_as_path(&attrs.as_path, true, false);
-        put_attr(out, FLAG_TRANSITIVE, ATTR_AS_PATH, &path_buf);
-        if let Some(med) = attrs.med {
-            put_attr(out, FLAG_OPTIONAL, ATTR_MED, &med.to_be_bytes());
-        }
-        if let Some(lp) = attrs.local_pref {
-            put_attr(out, FLAG_TRANSITIVE, ATTR_LOCAL_PREF, &lp.to_be_bytes());
-        }
-        if !attrs.communities.is_empty() {
-            let mut buf = Vec::with_capacity(attrs.communities.len() * 4);
-            for c in &attrs.communities {
-                buf.extend_from_slice(&c.0.to_be_bytes());
-            }
-            put_attr(out, FLAG_OPTIONAL | FLAG_TRANSITIVE, ATTR_COMMUNITIES, &buf);
-        }
-        let IpAddr::V6(nh) = attrs.next_hop else {
-            return Err(BgpError::EncodingOverflow("expected v6 next hop"));
-        };
-        let mut buf = BytesMut::new();
-        buf.put_u16(Afi::Ipv6.iana_code());
-        buf.put_u8(1);
-        buf.put_u8(16);
-        buf.put_slice(&nh.octets());
-        buf.put_u8(0);
-        put_attr(out, FLAG_OPTIONAL, ATTR_MP_REACH, &buf);
-        Ok(())
     }
 
     /// Decode a bare path-attribute block (MRT RIB entries). Requires
@@ -1232,6 +1196,24 @@ mod tests {
         let bytes = codec.encode(&BgpMessage::Update(update.clone())).unwrap();
         let (msg, _) = codec.decode(&bytes).unwrap();
         assert_eq!(msg, BgpMessage::Update(update));
+    }
+
+    #[test]
+    fn rib_attribute_block_roundtrips_with_either_next_hop_family() {
+        let codec = Codec::four_octet();
+        for next_hop in ["192.0.2.1", "2001:db8::1"] {
+            let mut attrs = PathAttributes::with_path(
+                AsPath::from_sequence([6939u32, 4_200_000_000, 65001]),
+                next_hop.parse().unwrap(),
+            );
+            attrs.med = Some(50);
+            attrs.atomic_aggregate = true;
+            attrs.aggregator = Some((Asn(4_200_000_000), Ipv4Addr::new(10, 1, 1, 1)));
+            attrs.communities = vec![Community::NO_EXPORT];
+            let bytes = codec.encode_path_attributes(&attrs).unwrap();
+            let decoded = codec.decode_path_attributes(&bytes).unwrap();
+            assert_eq!(decoded, attrs, "next hop {next_hop}");
+        }
     }
 
     #[test]

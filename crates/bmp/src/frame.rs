@@ -1,6 +1,6 @@
 //! Incremental BMP framing for a TCP byte stream.
 
-use crate::wire::{BmpError, RawBmpMessage, BMP_VERSION, COMMON_HEADER_LEN, MAX_BMP_MESSAGE_LEN};
+use crate::wire::{parse_common_header, BmpError, RawBmpMessage, COMMON_HEADER_LEN};
 
 /// Reassembles framed BMP messages from arbitrarily chunked reads.
 ///
@@ -14,7 +14,7 @@ use crate::wire::{BmpError, RawBmpMessage, BMP_VERSION, COMMON_HEADER_LEN, MAX_B
 /// in-stream way to find the next boundary.
 ///
 /// Memory is bounded by construction: buffered bytes never exceed one
-/// maximum message ([`MAX_BMP_MESSAGE_LEN`]) plus the largest chunk
+/// maximum message ([`crate::wire::MAX_BMP_MESSAGE_LEN`]) plus the largest chunk
 /// ever pushed, because complete frames are consumed eagerly and a
 /// length field beyond the maximum fuses instead of waiting.
 pub struct FrameAssembler {
@@ -78,21 +78,14 @@ impl FrameAssembler {
             return Err(e.clone());
         }
         let tail = &self.buf[self.start..];
-        if tail.len() < COMMON_HEADER_LEN {
-            return Ok(None);
-        }
-        if tail[0] != BMP_VERSION {
-            return self.fuse(BmpError::BadVersion(tail[0]));
-        }
-        let len = u32::from_be_bytes(tail[1..5].try_into().unwrap());
-        if (len as usize) < COMMON_HEADER_LEN || len as usize > MAX_BMP_MESSAGE_LEN {
-            return self.fuse(BmpError::BadLength(len));
-        }
-        let len = len as usize;
+        let (len, msg_type) = match parse_common_header(tail) {
+            Ok(Some(header)) => header,
+            Ok(None) => return Ok(None),
+            Err(e) => return self.fuse(e),
+        };
         if tail.len() < len {
             return Ok(None);
         }
-        let msg_type = tail[5];
         let offset = self.consumed;
         let body_start = self.start + COMMON_HEADER_LEN;
         let body_end = self.start + len;
@@ -116,7 +109,7 @@ impl FrameAssembler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{BmpMessage, BmpWriter, InfoTlv};
+    use crate::wire::{BmpMessage, BmpWriter, InfoTlv, MAX_BMP_MESSAGE_LEN};
 
     fn framed(n: usize) -> Vec<u8> {
         let mut w = BmpWriter::new();

@@ -633,7 +633,7 @@ impl fmt::Display for BmpDiagnostic {
 /// shorter than [`COMMON_HEADER_LEN`]); `Err` means the framing is
 /// unrecoverable (wrong version, impossible length) and the stream
 /// position cannot be trusted.
-fn parse_common_header(data: &[u8]) -> Result<Option<(usize, u8)>, BmpError> {
+pub(crate) fn parse_common_header(data: &[u8]) -> Result<Option<(usize, u8)>, BmpError> {
     if data.len() < COMMON_HEADER_LEN {
         return Ok(None);
     }

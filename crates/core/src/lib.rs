@@ -60,7 +60,7 @@ pub use detector::Detector;
 pub use event_log::{EventCursor, EventLog, IncidentEvent, PollBatch};
 pub use metrics::{StageMetrics, StageStat};
 pub use mitigation::{MitigationPlan, MitigationPolicy, Mitigator};
-pub use monitor::{MonitorIndex, MonitorService, RetiredMonitor};
+pub use monitor::{MonitorIndex, MonitorService};
 pub use pipeline::{OffboardReport, Pipeline};
 pub use service::{
     ArtemisService, CommandOutcome, ServiceCommand, ServiceError, ServiceQuery, ServiceReply,

@@ -24,16 +24,20 @@
 //!   withdrawal rescans that one VP's routes only when it removed the
 //!   selection;
 //! * `legitimate` and `hijacked` are fields adjusted on each per-VP
-//!   transition, so [`MonitorService::snapshot`],
-//!   [`MonitorService::all_legitimate`] and [`MonitorService::retire`]
-//!   read two integers;
+//!   transition, so [`MonitorService::snapshot`] and
+//!   [`MonitorService::all_legitimate`] read two integers;
 //! * the timeline holds at most [`TIMELINE_CAP`] points. Below the cap
 //!   every state change appends one; at the cap the newest point
 //!   overwrites the last slot and `coalesced_points` counts it, so the
 //!   head of the incident (hijack spread, mitigation onset) and its
 //!   current state stay exact while a flapping incident's memory stays
 //!   bounded. The rule depends only on the event sequence, never on
-//!   how the stream was cut into batches.
+//!   how the stream was cut into batches;
+//! * once the incident is over, [`MonitorService::retire`] frees the
+//!   per-VP slots and the population list in place and keeps what
+//!   reporting reads (population count, counters, timeline): one
+//!   monitor type for every phase, costing a fixed-size record plus
+//!   its timeline once retired, when it ingests and purges nothing.
 //!
 //! The previous implementation (nested `BTreeMap`s, a `max_by_key`
 //! scan per read, a full population rescan per snapshot) lives on
@@ -108,11 +112,13 @@ pub struct MonitorService {
     /// The monitored (owned) prefix.
     target: Prefix,
     legitimate_origins: BTreeSet<Asn>,
-    /// Expected vantage points (fixed population for percentages),
-    /// ascending.
+    /// Expected vantage points, ascending; emptied on retirement.
     vantage_points: Vec<Asn>,
     /// One slot per vantage point, parallel to `vantage_points`.
     slots: Vec<VpSlot>,
+    /// Size of the fixed population (for percentages); outlives the
+    /// list on retirement.
+    population: usize,
     /// Vantage points whose selection is legitimate / the offender's;
     /// the rest of the population is unknown.
     legitimate: usize,
@@ -146,6 +152,7 @@ impl MonitorService {
         MonitorService {
             target,
             legitimate_origins,
+            population: vantage_points.len(),
             vantage_points,
             slots,
             legitimate: 0,
@@ -326,7 +333,7 @@ impl MonitorService {
             time,
             legitimate: self.legitimate,
             hijacked: self.hijacked,
-            unknown: self.vantage_points.len() - self.legitimate - self.hijacked,
+            unknown: self.population - self.legitimate - self.hijacked,
         }
     }
 
@@ -353,70 +360,20 @@ impl MonitorService {
 
     /// Number of monitored vantage points.
     pub fn vantage_count(&self) -> usize {
-        self.vantage_points.len()
+        self.population
     }
 
-    /// Freeze this monitor into its compact retirement record,
-    /// dropping the per-VP route lists. `at` stamps the final
-    /// snapshot. See [`RetiredMonitor`].
-    pub fn retire(self, at: SimTime) -> RetiredMonitor {
-        let final_point = self.snapshot(at);
-        RetiredMonitor {
-            target: self.target,
-            vantage_count: self.vantage_points.len(),
-            final_point,
-            timeline: self.timeline,
-            coalesced_points: self.coalesced_points,
-        }
-    }
-}
-
-/// Compact record of a monitor whose incident is over (resolved, or
-/// closed by offboarding its prefix).
-///
-/// Keeps what reporting needs — the target, the recorded timeline and
-/// the final aggregate counts — while dropping the per-VP route lists.
-/// The timeline holds one point per state *change* up to
-/// [`TIMELINE_CAP`], so a record is bounded by that constant whatever
-/// the incident's event volume or lifetime; how many changes the cap
-/// folded into the last point travels along as
-/// [`RetiredMonitor::coalesced_points`]. Long-running daemons
-/// therefore pay a small frozen record per lifetime incident instead
-/// of leaking full monitor state.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RetiredMonitor {
-    target: Prefix,
-    vantage_count: usize,
-    final_point: TimelinePoint,
-    timeline: Vec<TimelinePoint>,
-    coalesced_points: u64,
-}
-
-impl RetiredMonitor {
-    /// The prefix the monitor tracked.
-    pub fn target(&self) -> Prefix {
-        self.target
-    }
-
-    /// Number of vantage points the monitor tracked.
-    pub fn vantage_count(&self) -> usize {
-        self.vantage_count
-    }
-
-    /// Aggregate counts at retirement time.
-    pub fn final_point(&self) -> &TimelinePoint {
-        &self.final_point
-    }
-
-    /// The recorded timeline (identical to what the live monitor had).
-    pub fn timeline(&self) -> &[TimelinePoint] {
-        &self.timeline
-    }
-
-    /// State changes folded into the timeline's last point because the
-    /// incident outgrew [`TIMELINE_CAP`] (0 for any ordinary incident).
-    pub fn coalesced_points(&self) -> u64 {
-        self.coalesced_points
+    /// Retire the monitor once its incident is over (resolved, or
+    /// closed by offboarding its prefix): free the per-VP routes and
+    /// the population list in place. The counters, the population
+    /// count and the timeline stay, so reporting reads a retired
+    /// monitor exactly as it read the live one at retirement, and
+    /// [`MonitorService::ingest`] / [`MonitorService::purge_vantage`]
+    /// find no vantage point to change.
+    pub fn retire(&mut self) {
+        self.vantage_points = Vec::new();
+        self.slots = Vec::new();
+        self.legitimate_origins = BTreeSet::new();
     }
 }
 
@@ -782,9 +739,14 @@ mod tests {
         );
         assert_eq!(m.timeline().last().unwrap().legitimate, 1);
         assert_eq!(m.coalesced_points(), 3);
-        let retired = m.retire(SimTime::from_secs(9));
-        assert_eq!(retired.coalesced_points(), 3);
-        assert_eq!(retired.timeline().len(), 3);
+        // Retired, it keeps what it reported and takes nothing more.
+        let last = m.snapshot(SimTime::from_secs(9));
+        m.retire();
+        m.ingest(&event(174, "10.0.0.0/23", Some(666), 9));
+        assert!(!m.purge_vantage(Asn(174), SimTime::from_secs(9)));
+        assert_eq!(m.snapshot(SimTime::from_secs(9)), last);
+        assert_eq!(m.coalesced_points(), 3);
+        assert_eq!(m.timeline().len(), 3);
     }
 
     #[test]

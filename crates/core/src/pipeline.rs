@@ -2,10 +2,19 @@
 //!
 //! A [`Pipeline`] is the reusable event loop that used to live inside
 //! the experiment harness: it owns the [`FeedHub`], the sharded
-//! multi-prefix [`Detector`], the per-alert [`MonitorService`]
-//! registry and the [`Mitigator`], and consumes feed events in
-//! **batches** ([`FeedHub::drain_batch`] merge-sorts everything due by
+//! multi-prefix [`Detector`], one incident record per alert and the
+//! [`Mitigator`], and consumes feed events in **batches**
+//! ([`FeedHub::drain_batch`] merge-sorts everything due by
 //! `emitted_at` into one reusable buffer).
+//!
+//! An incident is one alert's whole lifecycle — detection, mitigation,
+//! recovery — in one slot of a `Vec` at the alert's position (alert ids
+//! are positions in the [`AlertStore`]): its [`MonitorService`] and
+//! where its mitigation plan stands (none, held for the operator, or
+//! executed). When the incident is over the monitor retires in place
+//! ([`MonitorService::retire`]) and the record stays, so every reader
+//! looks an incident up once, with [`Pipeline::monitor`], whatever its
+//! phase.
 //!
 //! Because the detector shards its state per owned prefix and every
 //! alert gets its own monitor, several concurrent incidents on
@@ -47,13 +56,13 @@ use crate::detector::{Detection, Detector, PreparedEvent};
 use crate::event_log::{EventCursor, EventLog, IncidentEvent, PollBatch};
 use crate::metrics::StageMetrics;
 use crate::mitigation::{MitigationPlan, MitigationPolicy, Mitigator};
-use crate::monitor::{MonitorIndex, MonitorService, RetiredMonitor};
+use crate::monitor::{MonitorIndex, MonitorService};
 use artemis_bgp::{Asn, Prefix};
 use artemis_controller::{Controller, ControllerAction};
 use artemis_feeds::{EmptyRibView, FeedEvent, FeedHandle, FeedHub, FeedSource};
 use artemis_simnet::{SimRng, SimTime};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
 /// What [`Pipeline::remove_owned_prefix`] did while winding the
@@ -80,6 +89,32 @@ fn is_mitigating(alerts: &AlertStore, id: AlertId) -> bool {
         .is_some_and(|a| a.state == AlertState::Mitigating)
 }
 
+/// Where an incident's mitigation plan stands.
+enum Plan {
+    /// None computed (detect-only policy), or discarded or withdrawn
+    /// when the prefix was offboarded.
+    None,
+    /// Computed and held for the operator (confirm-first policy, or
+    /// mitigation paused).
+    Held(MitigationPlan),
+    /// Executed through the controller. It stays installed after the
+    /// incident resolves, until the prefix is offboarded.
+    Executed(MitigationPlan),
+}
+
+/// One alert's incident: its monitor (live while the alert is open,
+/// retired in place once it is over) and its mitigation plan.
+struct Incident {
+    monitor: MonitorService,
+    plan: Plan,
+}
+
+/// `id`'s position in [`Pipeline`]'s incident records (its position
+/// in the [`AlertStore`]), for ids the pipeline raised itself.
+fn slot(id: AlertId) -> usize {
+    usize::try_from(id.0).expect("alert ids are positions in memory")
+}
+
 /// Saturating elapsed nanoseconds since `t0`.
 fn elapsed_ns(t0: Instant) -> u64 {
     u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
@@ -91,14 +126,12 @@ pub struct Pipeline {
     hub: FeedHub,
     detector: Detector,
     mitigator: Mitigator,
-    /// One monitor per live alert, created when the alert is raised,
-    /// ascending by id. Alert ids only grow, so raising an alert is a
-    /// push and a lookup is a binary search.
-    monitors: Vec<(AlertId, MonitorService)>,
-    /// Prefix index over the active monitors' targets: routes an event
-    /// to its covering set of relevant monitors instead of scanning the
-    /// whole registry. Kept in lockstep with `monitors` (insert on
-    /// alert raise, remove on retire/offboard).
+    /// One record per alert, at the alert's position: raising an
+    /// alert is a push, a lookup is an index.
+    incidents: Vec<Incident>,
+    /// Prefix index over the live monitors' targets: routes an event
+    /// to its covering set of relevant monitors instead of scanning
+    /// every incident. Insert on alert raise, remove on retirement.
     monitor_index: MonitorIndex,
     /// Alerts whose mitigation executed *outside* event delivery
     /// (operator confirm, or resume after a pause). Their monitors may
@@ -111,19 +144,6 @@ pub struct Pipeline {
     route_buf: Vec<AlertId>,
     /// Vantage population handed to new monitors.
     vantage_points: BTreeSet<Asn>,
-    /// Compact records of incidents that are over (resolved, or closed
-    /// by offboarding). Their full monitors are retired on resolution,
-    /// so per-event cost *and* memory track active incidents, not
-    /// lifetime incident count.
-    retired: BTreeMap<AlertId, RetiredMonitor>,
-    /// Sum of [`RetiredMonitor::coalesced_points`] over `retired`,
-    /// kept as a count so a metrics scrape never walks the records.
-    retired_coalesced_points: u64,
-    /// Plans computed but held (confirm-first policy, or paused).
-    pending: BTreeMap<AlertId, MitigationPlan>,
-    /// Plans that were executed, keyed by owned prefix so an offboard
-    /// withdraws the prefix's plans as one range.
-    executed_plans: BTreeMap<(Prefix, AlertId), MitigationPlan>,
     /// True while mitigation is paused (detection continues).
     paused: bool,
     /// Owned, replayable record of everything noteworthy.
@@ -151,15 +171,11 @@ impl Pipeline {
             hub,
             mitigator: Mitigator::new(config.clone()),
             detector: Detector::new(ArtemisConfig { owned, ..config }),
-            monitors: Vec::new(),
+            incidents: Vec::new(),
             monitor_index: MonitorIndex::new(),
             recheck: BTreeSet::new(),
             route_buf: Vec::new(),
             vantage_points,
-            retired: BTreeMap::new(),
-            retired_coalesced_points: 0,
-            pending: BTreeMap::new(),
-            executed_plans: BTreeMap::new(),
             paused: false,
             log: EventLog::new(),
             batch: Vec::new(),
@@ -197,52 +213,35 @@ impl Pipeline {
         &self.detector
     }
 
-    /// The live monitor attached to an *active* alert, if any. Once
-    /// the incident is over the monitor retires — see
-    /// [`Pipeline::retired_monitor`].
-    pub fn monitor_for(&self, alert: AlertId) -> Option<&MonitorService> {
-        self.monitor_at(alert).map(|at| &self.monitors[at].1)
+    /// `alert`'s monitor: live while the incident is open, retired
+    /// (frozen counts and timeline) once it is over.
+    pub fn monitor(&self, alert: AlertId) -> Option<&MonitorService> {
+        self.incident(alert).map(|i| &i.monitor)
     }
 
-    /// Position of `alert`'s live monitor in the registry.
-    fn monitor_at(&self, alert: AlertId) -> Option<usize> {
-        self.monitors
-            .binary_search_by_key(&alert, |(id, _)| *id)
-            .ok()
+    fn incident(&self, alert: AlertId) -> Option<&Incident> {
+        self.incidents.get(usize::try_from(alert.0).ok()?)
     }
 
-    /// Take `alert`'s live monitor out of the registry.
-    fn take_monitor(&mut self, alert: AlertId) -> Option<MonitorService> {
-        let at = self.monitor_at(alert)?;
-        Some(self.monitors.remove(at).1)
-    }
-
-    /// Every active `(alert, monitor)` pair, in alert-raise order.
-    pub fn monitors(&self) -> impl Iterator<Item = (AlertId, &MonitorService)> {
-        self.monitors.iter().map(|(id, m)| (*id, m))
-    }
-
-    /// The compact retirement record of an alert whose incident is
-    /// over (resolved, or closed by offboarding), if any.
-    pub fn retired_monitor(&self, alert: AlertId) -> Option<&RetiredMonitor> {
-        self.retired.get(&alert)
+    /// True while `alert`'s plan is computed and held for the operator.
+    pub(crate) fn plan_held(&self, alert: AlertId) -> bool {
+        self.incident(alert)
+            .is_some_and(|i| matches!(i.plan, Plan::Held(_)))
     }
 
     /// Number of retired (over) incidents (capacity gauge).
     pub fn retired_count(&self) -> usize {
-        self.retired.len()
+        self.incidents.len() - self.monitor_index.len()
     }
 
     /// Timeline points folded away by [`crate::monitor::TIMELINE_CAP`]
     /// over every incident so far, live and retired (monotone; 0
     /// unless some incident outlived the cap).
     pub fn timeline_coalesced_points(&self) -> u64 {
-        let live: u64 = self
-            .monitors
+        self.incidents
             .iter()
-            .map(|(_, m)| m.coalesced_points())
-            .sum();
-        self.retired_coalesced_points + live
+            .map(|i| i.monitor.coalesced_points())
+            .sum()
     }
 
     /// Wall-clock per-stage batch latency of the delivery path
@@ -321,27 +320,25 @@ impl Pipeline {
     ) -> Option<OffboardReport> {
         let removed = self.detector.remove_shard(prefix)?;
         self.mitigator.clear_policy(prefix);
-        // Withdraw every plan ever executed on this prefix, in id order
-        // — a naturally resolved incident keeps its de-aggregated
+        // Withdraw every plan still installed on this prefix, in id
+        // order — a naturally resolved incident keeps its de-aggregated
         // announcements installed by design, so resolved alerts need
-        // the withdrawal just as much as open ones.
+        // the withdrawal just as much as open ones — and discard the
+        // held ones.
         let mut withdrawn_plans = 0usize;
-        let executed = self.executed_plans.extract_if(
-            (prefix, AlertId(0))..=(prefix, AlertId(u64::MAX)),
-            |_, _| true,
-        );
-        for (_, plan) in executed {
-            self.mitigator.withdraw(&plan, now, controller, &mut []);
-            withdrawn_plans += 1;
+        for incident in &mut self.incidents {
+            if incident.monitor.target() != prefix {
+                continue;
+            }
+            if let Plan::Executed(plan) = std::mem::replace(&mut incident.plan, Plan::None) {
+                self.mitigator.withdraw(&plan, now, controller, &mut []);
+                withdrawn_plans += 1;
+            }
         }
         let closed_alerts = removed.open_alerts;
         for id in &closed_alerts {
-            self.pending.remove(id);
             self.recheck.remove(id);
-            self.detector.alerts_mut().mark_resolved(*id, now);
-            if let Some(monitor) = self.take_monitor(*id) {
-                self.retire_monitor(*id, monitor, now);
-            }
+            self.retire(*id, now);
         }
         self.log.push(IncidentEvent::PrefixOffboarded {
             prefix,
@@ -436,25 +433,16 @@ impl Pipeline {
         }
         self.paused = false;
         let to_run: Vec<AlertId> = self
-            .pending
-            .iter()
-            .filter(|(id, _)| {
-                self.detector.alerts().get(**id).is_some_and(|a| {
+            .pending_mitigations()
+            .map(|(id, _)| id)
+            .filter(|id| {
+                self.detector.alerts().get(*id).is_some_and(|a| {
                     self.mitigator.policy_for(a.owned_prefix) == MitigationPolicy::Auto
                 })
             })
-            .map(|(id, _)| *id)
             .collect();
         for id in &to_run {
-            let plan = self.pending.remove(id).expect("listed as pending");
-            self.execute_held_plan(*id, plan, now, controller);
-            // The monitor may already be all-legitimate (the hijack
-            // could have withered while the plan was held), so the
-            // resolution condition must be evaluated at the next
-            // delivered event even if that event is irrelevant.
-            if self.monitor_at(*id).is_some() {
-                self.recheck.insert(*id);
-            }
+            self.confirm_mitigation(*id, now, controller);
         }
         self.log.push(IncidentEvent::MitigationResumed {
             executed_alerts: to_run.clone(),
@@ -477,20 +465,28 @@ impl Pipeline {
         now: SimTime,
         controller: &mut Controller,
     ) -> Option<MitigationPlan> {
-        let plan = self.pending.remove(&alert)?;
+        let incident = self.incidents.get_mut(usize::try_from(alert.0).ok()?)?;
+        let Plan::Held(plan) = std::mem::replace(&mut incident.plan, Plan::None) else {
+            return None;
+        };
         self.execute_held_plan(alert, plan.clone(), now, controller);
-        // Same rationale as in `resume_mitigation`: the alert turned
-        // `Mitigating` outside delivery, so the next delivered event must
-        // re-evaluate this alert's resolution condition.
-        if self.monitor_at(alert).is_some() {
-            self.recheck.insert(alert);
-        }
+        // The alert turned `Mitigating` outside delivery, and its (open)
+        // monitor may already be all-legitimate: the hijack could have
+        // withered while the plan was held. The next delivered event
+        // re-evaluates it even if that event is irrelevant to it.
+        self.recheck.insert(alert);
         Some(plan)
     }
 
     /// Every alert with a computed-but-held plan, in alert order.
     pub fn pending_mitigations(&self) -> impl Iterator<Item = (AlertId, &MitigationPlan)> {
-        self.pending.iter().map(|(id, p)| (*id, p))
+        self.incidents
+            .iter()
+            .enumerate()
+            .filter_map(|(i, incident)| match &incident.plan {
+                Plan::Held(plan) => Some((AlertId(i as u64), plan)),
+                _ => None,
+            })
     }
 
     // ---- Event delivery ---------------------------------------------
@@ -502,12 +498,12 @@ impl Pipeline {
     }
 
     /// Drain pending BMP `peer_down` signals from the hub's wire feeds
-    /// and purge each downed peer from every active monitor's per-VP
-    /// view: a vantage point whose session to the collector is gone no
-    /// longer has current routes, so it returns to `Unknown` until it
-    /// reports again. Called automatically by [`Pipeline::deliver_due`];
-    /// drivers that drain the hub themselves call it before each drain.
-    /// Returns the
+    /// and purge each downed peer from every live monitor's per-VP
+    /// view (a retired monitor has none left): a vantage point whose
+    /// session to the collector is gone no longer has current routes,
+    /// so it returns to `Unknown` until it reports again. Called
+    /// automatically by [`Pipeline::deliver_due`]; callers that drain
+    /// the hub themselves call it before each drain. Returns the
     /// number of `(peer, monitor)` purges applied.
     pub fn apply_peer_downs(&mut self, at: SimTime) -> usize {
         let downs = self.hub.take_peer_downs();
@@ -516,8 +512,8 @@ impl Pipeline {
         }
         let mut purged = 0;
         for vp in &downs {
-            for (_, monitor) in &mut self.monitors {
-                purged += usize::from(monitor.purge_vantage(*vp, at));
+            for incident in &mut self.incidents {
+                purged += usize::from(incident.monitor.purge_vantage(*vp, at));
             }
         }
         purged
@@ -583,8 +579,11 @@ impl Pipeline {
             legitimate_origins,
             self.vantage_points.clone(),
         );
-        debug_assert!(self.monitors.last().is_none_or(|(last, _)| *last < id));
-        self.monitors.push((id, monitor));
+        debug_assert_eq!(slot(id), self.incidents.len(), "alert ids are positions");
+        self.incidents.push(Incident {
+            monitor,
+            plan: Plan::None,
+        });
         self.monitor_index.insert(owned_prefix, id);
 
         // 3. Mitigation, governed by the prefix's policy.
@@ -599,7 +598,7 @@ impl Pipeline {
             } else {
                 // Confirm-first policy, or Auto while paused: the
                 // plan is computed and held for the operator.
-                self.pending.insert(id, plan.clone());
+                self.incidents[slot(id)].plan = Plan::Held(plan.clone());
                 self.log.push(IncidentEvent::MitigationPending {
                     alert: id,
                     plan,
@@ -611,21 +610,14 @@ impl Pipeline {
         (Some(id), mitigate_ns)
     }
 
-    /// Resolve one alert's incident at `at`: mark it, log it, and
-    /// retire its monitor (already taken out of the registry) into the
-    /// compact record.
-    fn resolve(&mut self, id: AlertId, monitor: MonitorService, at: SimTime) {
+    /// End an open incident at `at` (healed, or closed by offboarding):
+    /// mark its alert resolved, unindex its monitor and retire it in
+    /// place.
+    fn retire(&mut self, id: AlertId, at: SimTime) {
         self.detector.alerts_mut().mark_resolved(id, at);
-        self.log.push(IncidentEvent::Resolved { alert: id, at });
-        self.retire_monitor(id, monitor, at);
-    }
-
-    /// Unindex a monitor already taken out of the registry and file its
-    /// compact record.
-    fn retire_monitor(&mut self, id: AlertId, monitor: MonitorService, at: SimTime) {
+        let monitor = &mut self.incidents[slot(id)].monitor;
         self.monitor_index.remove(monitor.target(), id);
-        self.retired_coalesced_points += monitor.coalesced_points();
-        self.retired.insert(id, monitor.retire(at));
+        monitor.retire();
     }
 
     /// Drain every queued feed event due by `upto` and deliver it as
@@ -730,10 +722,7 @@ impl Pipeline {
                 route.dedup();
             }
             for id in &route {
-                let at = self
-                    .monitor_at(*id)
-                    .expect("routed alert has a live monitor");
-                let monitor = &mut self.monitors[at].1;
+                let monitor = &mut self.incidents[slot(*id)].monitor;
                 monitor.ingest(event);
                 if monitor.all_legitimate() && is_mitigating(self.detector.alerts(), *id) {
                     healed.push(*id);
@@ -742,8 +731,11 @@ impl Pipeline {
             if !healed.is_empty() {
                 let clock = Instant::now();
                 for id in healed.drain(..) {
-                    let monitor = self.take_monitor(id).expect("healed monitor is live");
-                    self.resolve(id, monitor, event.emitted_at);
+                    self.retire(id, event.emitted_at);
+                    self.log.push(IncidentEvent::Resolved {
+                        alert: id,
+                        at: event.emitted_at,
+                    });
                 }
                 resolve_ns += elapsed_ns(clock);
             }
@@ -792,7 +784,7 @@ impl Pipeline {
         }
         self.mitigator.execute(&plan, now, controller, &mut []);
         self.detector.alerts_mut().mark_mitigating(id, now);
-        self.executed_plans.insert((owned_prefix, id), plan.clone());
+        self.incidents[slot(id)].plan = Plan::Executed(plan.clone());
         self.log.push(IncidentEvent::MitigationTriggered {
             alert: id,
             plan,
@@ -895,29 +887,53 @@ mod tests {
         use crate::monitor::VpState;
         let mut p = two_prefix_pipeline();
         let mut ctrl = controller();
-        let acts = deliver(
+        let raised = |acts: Vec<IncidentEvent>| match acts[0] {
+            IncidentEvent::AlertRaised { alert, .. } => alert,
+            ref other => panic!("hijack must alert, got {other:?}"),
+        };
+        // AS174 reports into two incidents; the one on 172.16.0.0/23
+        // heals and retires.
+        let alert = raised(deliver(
             &mut p,
             &event(174, "10.0.0.0/23", &[174, 666], 45),
             &mut ctrl,
+        ));
+        let healed = raised(deliver(
+            &mut p,
+            &event(174, "172.16.0.0/23", &[174, 667], 46),
+            &mut ctrl,
+        ));
+        deliver(
+            &mut p,
+            &event(174, "172.16.0.0/24", &[174, 65001], 47),
+            &mut ctrl,
         );
-        let IncidentEvent::AlertRaised { alert, .. } = acts[0] else {
-            panic!("hijack must alert");
-        };
+        assert_eq!(p.retired_count(), 1);
         assert_eq!(
-            p.monitor_for(alert).unwrap().vp_observation(Asn(174)).0,
+            p.monitor(alert).unwrap().vp_observation(Asn(174)).0,
             VpState::Hijacked
         );
+        let retired = p.monitor(healed).unwrap();
+        let (counts, timeline) = (retired.snapshot(SimTime::ZERO), retired.timeline().to_vec());
+        assert_eq!((counts.legitimate, counts.unknown), (1, 1));
 
         p.hub_mut().add(Box::new(PeerDownFeed {
             downs: vec![Asn(174)],
         }));
         let purged = p.apply_peer_downs(SimTime::from_secs(50));
-        assert_eq!(purged, 1, "one (peer, monitor) purge");
+        assert_eq!(purged, 1, "one (peer, monitor) purge: the live one");
         assert_eq!(
-            p.monitor_for(alert).unwrap().vp_observation(Asn(174)).0,
+            p.monitor(alert).unwrap().vp_observation(Asn(174)).0,
             VpState::Unknown,
             "the downed peer's routes are gone from the per-VP view"
         );
+        let retired = p.monitor(healed).unwrap();
+        assert_eq!(
+            retired.snapshot(SimTime::ZERO),
+            counts,
+            "retired: untouched"
+        );
+        assert_eq!(retired.timeline(), timeline);
         assert_eq!(
             p.apply_peer_downs(SimTime::from_secs(51)),
             0,
@@ -953,7 +969,7 @@ mod tests {
 
         // Both mitigations triggered independently (4 intents: 2 × /24s).
         assert_eq!(ctrl.intents().count(), 4);
-        assert_eq!(p.monitors().count(), 2);
+        assert_eq!(p.monitor_index.len(), 2);
 
         // Resolve incident 2 first; incident 1 stays active. The
         // monitor judges the hijacked vantage by LPM, so the echoed
@@ -984,17 +1000,14 @@ mod tests {
                 if *alert == a1 && *at == SimTime::from_secs(120))));
 
         // Independent timelines on independent monitors. Both
-        // incidents are over, so their monitors retired into compact
-        // records; live monitors are gone.
-        assert!(p.monitor_for(a1).is_none());
-        assert!(p.monitor_for(a2).is_none());
-        let t1 = p.retired_monitor(a1).unwrap();
-        let t2 = p.retired_monitor(a2).unwrap();
+        // incidents are over, so their monitors retired in place.
+        let t1 = p.monitor(a1).unwrap();
+        let t2 = p.monitor(a2).unwrap();
         assert_eq!(t1.target(), pfx("10.0.0.0/23"));
         assert_eq!(t2.target(), pfx("172.16.0.0/23"));
         assert!(!t1.timeline().is_empty());
         assert!(!t2.timeline().is_empty());
-        assert_eq!(t1.final_point().hijacked, 0);
+        assert_eq!(t1.snapshot(SimTime::ZERO).hijacked, 0);
         assert_eq!(p.retired_count(), 2);
     }
 
@@ -1259,10 +1272,10 @@ mod tests {
             &mut ctrl,
         );
         assert!(acts.is_empty());
-        // The retired record froze at close time and ignored the new
+        // The retired monitor froze at close time and ignored the new
         // event.
-        assert!(p.monitor_for(id).is_none());
-        let monitor = p.retired_monitor(id).expect("kept for reporting");
+        assert_eq!(p.retired_count(), 1);
+        let monitor = p.monitor(id).expect("kept for reporting");
         let last = monitor.timeline().last().map(|t| t.time);
         assert!(last.is_none_or(|t| t < SimTime::from_secs(70)));
     }
@@ -1331,7 +1344,7 @@ mod tests {
             assert_eq!(announced.len(), 2);
             assert_eq!(withdrawn, announced, "no intent keeps originating");
             assert!(
-                !p.executed_plans.contains_key(&(pfx(owned), id)),
+                matches!(p.incidents[slot(id)].plan, Plan::None),
                 "plan bookkeeping cleared"
             );
             if let (Some(n), Some(nested_alert)) = (nested, nested_alert) {
@@ -1339,14 +1352,27 @@ mod tests {
                     p.detector().alerts().get(nested_alert).unwrap().state,
                     AlertState::Mitigating
                 );
-                assert!(p.monitor_for(nested_alert).is_some());
-                assert!(p.executed_plans.contains_key(&(pfx(n), nested_alert)));
+                assert_eq!(p.monitor_index.len(), 1);
+                let nested_incident = &p.incidents[slot(nested_alert)];
+                assert_eq!(nested_incident.monitor.target(), pfx(n));
+                assert!(matches!(nested_incident.plan, Plan::Executed(_)));
                 let acts = deliver(&mut p, &event(2914, n, &[2914, 777], 210), &mut ctrl);
                 assert!(
                     acts.is_empty(),
                     "the nested incident still absorbs: {acts:?}"
                 );
             }
+
+            // Onboarded again and offboarded once more, the prefix has
+            // no plan left to withdraw.
+            let intents = ctrl.intents().count();
+            let owned_again = OwnedPrefix::new(pfx(owned), Asn(65001));
+            assert!(p.add_owned_prefix(owned_again, None, SimTime::from_secs(300)));
+            let again = p
+                .remove_owned_prefix(pfx(owned), SimTime::from_secs(310), &mut ctrl)
+                .expect("prefix configured");
+            assert_eq!(again.withdrawn_plans, 0);
+            assert_eq!(ctrl.intents().count(), intents, "no second withdraw");
         }
     }
 
@@ -1483,7 +1509,7 @@ mod tests {
         deliver(&mut p, &event(174, lo, &[174, 65001], 120), &mut ctrl);
         deliver(&mut p, &event(174, hi, &[174, 65001], 121), &mut ctrl);
         // 3356 still hijacked → not resolved yet.
-        let monitor = p.monitor_for(alert_id).expect("incident still open");
+        let monitor = p.monitor(alert_id).expect("incident still open");
         assert_eq!(monitor.snapshot(SimTime::ZERO).hijacked, 1);
         let acts = deliver(&mut p, &event(3356, lo, &[3356, 65001], 300), &mut ctrl);
         let resolved = acts
@@ -1639,18 +1665,18 @@ mod tests {
                 &mut ctrl,
             );
         }
-        let live = p.monitor_for(id).expect("never healed");
+        let live = p.monitor(id).expect("never healed");
         assert_eq!(live.timeline().len(), TIMELINE_CAP);
         assert_eq!(live.coalesced_points(), extra);
         assert_eq!(p.timeline_coalesced_points(), extra);
 
-        // Closing the incident moves the count from the live monitor
-        // to the retired record; the total does not move.
+        // Closing the incident retires the monitor with its count; the
+        // total does not move.
         let at = SimTime::from_secs(10_000);
         p.remove_owned_prefix(pfx("10.0.0.0/23"), at, &mut ctrl)
             .expect("prefix configured");
-        assert!(p.monitor_for(id).is_none());
-        assert_eq!(p.retired_monitor(id).unwrap().coalesced_points(), extra);
+        assert_eq!(p.retired_count(), 1);
+        assert_eq!(p.monitor(id).unwrap().coalesced_points(), extra);
         assert_eq!(p.timeline_coalesced_points(), extra);
     }
 }

@@ -32,7 +32,7 @@ use artemis_controller::{Controller, ControllerAction};
 use artemis_feeds::{FeedEvent, FeedHandle, FeedKind, FeedSpec};
 use artemis_simnet::SimTime;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// A typed operator command, applied with [`ArtemisService::apply`].
@@ -289,19 +289,6 @@ impl MitigationPhase {
     ];
 }
 
-/// The phase of `alert`, given the alerts whose plan awaits confirmation.
-fn phase_of(alert: &Alert, pending: &BTreeSet<AlertId>) -> MitigationPhase {
-    if alert.state == AlertState::Resolved {
-        MitigationPhase::Resolved
-    } else if pending.contains(&alert.id) {
-        MitigationPhase::PendingConfirmation
-    } else if alert.state == AlertState::Mitigating {
-        MitigationPhase::Executing
-    } else {
-        MitigationPhase::None
-    }
-}
-
 /// One row of the incident table.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct IncidentStatus {
@@ -515,10 +502,9 @@ impl ArtemisService {
     /// count is the detector's shard count and an incident costs one
     /// phase lookup — no per-prefix row, no monitor snapshot.
     pub fn summary(&self) -> ServiceSummary {
-        let pending = self.pending_alerts();
         let mut incidents_by_phase = [0; MitigationPhase::ALL.len()];
         for alert in self.pipeline.detector().alerts().all() {
-            incidents_by_phase[phase_of(alert, &pending) as usize] += 1;
+            incidents_by_phase[self.phase(alert) as usize] += 1;
         }
         ServiceSummary {
             mitigation_paused: self.pipeline.mitigation_paused(),
@@ -530,12 +516,17 @@ impl ArtemisService {
         }
     }
 
-    /// Alerts whose mitigation plan is held for confirmation.
-    fn pending_alerts(&self) -> BTreeSet<AlertId> {
-        self.pipeline
-            .pending_mitigations()
-            .map(|(id, _)| id)
-            .collect()
+    /// The phase of `alert`'s incident.
+    fn phase(&self, alert: &Alert) -> MitigationPhase {
+        if alert.state == AlertState::Resolved {
+            MitigationPhase::Resolved
+        } else if self.pipeline.plan_held(alert.id) {
+            MitigationPhase::PendingConfirmation
+        } else if alert.state == AlertState::Mitigating {
+            MitigationPhase::Executing
+        } else {
+            MitigationPhase::None
+        }
     }
 
     /// The owned-prefix table, read from the detector's shard rules in
@@ -563,38 +554,23 @@ impl ArtemisService {
     }
 
     fn incident_table(&self, now: SimTime) -> Vec<IncidentStatus> {
-        let pending = self.pending_alerts();
         self.pipeline
             .detector()
             .alerts()
             .all()
             .iter()
             .map(|a| {
-                let phase = phase_of(a, &pending);
-                // Active incidents snapshot their live monitor; over
-                // incidents read the counts frozen at retirement
-                // (identical, since a frozen monitor never changes).
-                let monitor = self
-                    .pipeline
-                    .monitor_for(a.id)
-                    .map(|m| {
-                        let snap = m.snapshot(now);
-                        MonitorSummary {
-                            legitimate: snap.legitimate,
-                            hijacked: snap.hijacked,
-                            unknown: snap.unknown,
-                        }
-                    })
-                    .or_else(|| {
-                        self.pipeline.retired_monitor(a.id).map(|r| {
-                            let last = r.final_point();
-                            MonitorSummary {
-                                legitimate: last.legitimate,
-                                hijacked: last.hijacked,
-                                unknown: last.unknown,
-                            }
-                        })
-                    });
+                let phase = self.phase(a);
+                // A retired monitor keeps the counts it had when the
+                // incident ended.
+                let monitor = self.pipeline.monitor(a.id).map(|m| {
+                    let snap = m.snapshot(now);
+                    MonitorSummary {
+                        legitimate: snap.legitimate,
+                        hijacked: snap.hijacked,
+                        unknown: snap.unknown,
+                    }
+                });
                 IncidentStatus {
                     alert: a.id,
                     owned_prefix: a.owned_prefix,

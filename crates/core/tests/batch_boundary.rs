@@ -204,13 +204,12 @@ fn replay(events: &[FeedEvent], confirm_at: usize, cut: Cut<'_>) -> Outcome {
         log: serialized_log(&p),
         alerts: format!("{:?}", p.detector().alerts().all()),
         monitors: format!(
-            "{:?} | {:?}",
-            p.monitors().collect::<Vec<_>>(),
+            "{:?}",
             p.detector()
                 .alerts()
                 .all()
                 .iter()
-                .filter_map(|a| p.retired_monitor(a.id))
+                .map(|a| p.monitor(a.id))
                 .collect::<Vec<_>>()
         ),
         intents: format!("{:?}", ctrl.intents().collect::<Vec<_>>()),

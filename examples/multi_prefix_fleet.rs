@@ -171,18 +171,13 @@ fn main() {
             incident.state,
             incident.phase
         );
-        // Active incidents have a live monitor; resolved ones retired
-        // theirs into a compact record that keeps the timeline.
-        let pipeline = service.pipeline();
-        let (target, points) = pipeline
-            .monitor_for(incident.alert)
-            .map(|m| (m.target(), m.timeline().len()))
-            .or_else(|| {
-                pipeline
-                    .retired_monitor(incident.alert)
-                    .map(|r| (r.target(), r.timeline().len()))
-            })
-            .expect("monitor record per alert");
+        // Every alert keeps its monitor: live while the incident is
+        // open, retired in place (timeline kept) once it is over.
+        let monitor = service
+            .pipeline()
+            .monitor(incident.alert)
+            .expect("monitor per alert");
+        let (target, points) = (monitor.target(), monitor.timeline().len());
         println!("  monitor on {target} recorded {points} timeline points");
     }
     for row in &status.owned {

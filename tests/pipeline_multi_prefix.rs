@@ -192,10 +192,11 @@ fn two_concurrent_incidents_run_independent_lifecycles() {
     assert_eq!(a2.owned_prefix, p2);
     assert_eq!(a1.state, AlertState::Resolved);
     assert_eq!(a2.state, AlertState::Resolved);
-    // Both incidents resolved, so the monitors retired into compact
-    // records that preserve the recorded timelines.
-    let m1 = pipeline.retired_monitor(a1.id).expect("record per alert");
-    let m2 = pipeline.retired_monitor(a2.id).expect("record per alert");
+    // Both incidents resolved, so the monitors retired in place,
+    // keeping the recorded timelines.
+    assert_eq!(pipeline.retired_count(), 2);
+    let m1 = pipeline.monitor(a1.id).expect("monitor per alert");
+    let m2 = pipeline.monitor(a2.id).expect("monitor per alert");
     assert_eq!(m1.target(), p1);
     assert_eq!(m2.target(), p2);
     assert!(!m1.timeline().is_empty() && !m2.timeline().is_empty());

@@ -245,12 +245,12 @@ fn one_service_run_reconfigures_mid_stream() {
     assert!(report.closed_alerts.contains(&alert_p1));
     assert_eq!(report.withdrawn_plans, 1, "executed plan withdrawn");
 
-    // Monitors retired: the p1 monitor's record ignores everything
-    // after the offboard instant.
+    // Monitors retired: the p1 monitor ignores everything after the
+    // offboard instant.
     let frozen_len = service
         .pipeline()
-        .retired_monitor(alert_p1)
-        .expect("record kept for reporting")
+        .monitor(alert_p1)
+        .expect("kept for reporting")
         .timeline()
         .len();
     run_until(
@@ -264,12 +264,12 @@ fn one_service_run_reconfigures_mid_stream() {
     assert_eq!(
         service
             .pipeline()
-            .retired_monitor(alert_p1)
+            .monitor(alert_p1)
             .unwrap()
             .timeline()
             .len(),
         frozen_len,
-        "retired record changes nothing after offboard"
+        "retired monitor changes nothing after offboard"
     );
 
     // No orphaned mitigation intents: every announce inside p1's space
