@@ -13,8 +13,9 @@ use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
-/// Where alert payloads go. Implementations must not block for long —
-/// the dispatcher calls them while holding the daemon state lock.
+/// Where alert payloads go. The daemon's alert thread calls them with
+/// no lock held; a sink that blocks delays only the payloads queued
+/// behind it.
 pub trait AlertSink: Send {
     /// Stable name for listings and metrics.
     fn name(&self) -> &str;
@@ -126,9 +127,9 @@ impl AlertDispatcher {
         self.sinks.push(sink);
     }
 
-    /// Names of the registered sinks, in registration order.
-    pub fn sink_names(&self) -> Vec<String> {
-        self.sinks.iter().map(|s| s.name().to_string()).collect()
+    /// Number of registered sinks.
+    pub fn sink_count(&self) -> usize {
+        self.sinks.len()
     }
 
     /// Queue one payload. With no sinks registered the payload is
@@ -165,12 +166,12 @@ impl AlertDispatcher {
                     break;
                 }
             }
-            self.stats.attempts += 1;
             self.last_delivery = Some(Instant::now());
             front.accepted.resize(self.sinks.len(), false);
             let mut ok = true;
             for (sink, accepted) in self.sinks.iter_mut().zip(&mut front.accepted) {
                 if !*accepted {
+                    self.stats.attempts += 1;
                     *accepted = sink.deliver(&front.payload).is_ok();
                     ok &= *accepted;
                 }
@@ -273,6 +274,7 @@ mod tests {
         assert_eq!(d.pump(), 1);
         let received = (ok.lock().unwrap().len(), flaky.lock().unwrap().len());
         assert_eq!(received, (1, 1), "each sink paged exactly once");
+        assert_eq!(d.stats().attempts, 3, "one per sink delivery attempt");
     }
 
     #[test]

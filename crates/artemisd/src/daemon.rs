@@ -46,9 +46,20 @@
 //! [`FEED_PUMP_IDLE_TICK`] is the safety net for a lost wake and for
 //! simulated feeds, which have no thread to knock with.
 //!
+//! One mutex guards the service, the audit log and the alert cursor;
+//! under it run only the service's own work (a pump's detection, a
+//! command, a query, an inject) and the copies a reply needs. No
+//! handler and not the feed pump pages alerts. A dedicated alert
+//! thread does: it parks until the incident log grows while a webhook
+//! sink is registered (or its retry tick passes), takes the new events
+//! under the lock, and releases it before it builds a payload or
+//! delivers one. A dead sink therefore delays only the pages queued
+//! behind it, never detection, a long-poll or a command. With no sink
+//! registered it takes no event and builds no payload.
+//!
 //! [`ServiceReply::Status`]: artemis_core::ServiceReply::Status
 
-use crate::alerts::{AlertDispatcher, WebhookSink};
+use crate::alerts::{AlertDispatcher, AlertSink, DispatchStats, WebhookSink};
 use crate::audit::{AuditLog, AuditRecord};
 use artemis_core::wire::{
     CommandEnvelope, CommandResult, EventsEnvelope, InjectEnvelope, InjectOutcome, OutcomeEnvelope,
@@ -61,7 +72,7 @@ use minihttp::{Request, Response, Server, ShutdownSwitch};
 use serde::{Deserialize, Serialize};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -80,7 +91,8 @@ pub const FEED_PUMP_IDLE_TICK: Duration = Duration::from_millis(250);
 /// instead of hiding behind this bound.
 const LONGPOLL_PARK_CAP: Duration = Duration::from_millis(if cfg!(test) { 3_000 } else { 10 });
 
-/// How often the background thread retries queued alerts.
+/// How long the alert thread parks when nothing wakes it: how soon a
+/// payload a sink refused is offered again.
 const ALERT_RETRY_TICK: Duration = Duration::from_millis(200);
 
 /// Payload posted to alert sinks: one alert-worthy incident event.
@@ -112,8 +124,27 @@ pub struct DaemonConfig {
 struct Inner {
     service: ArtemisService,
     audit: AuditLog,
-    dispatcher: AlertDispatcher,
+    /// The first event the alert thread has not yet taken.
     alert_cursor: EventCursor,
+}
+
+/// What the request handlers share with the alert thread, which owns
+/// the [`AlertDispatcher`]: sinks registered since the thread last
+/// looked, every sink's name, and the dispatcher's counters as of its
+/// last pump. Never held across a delivery.
+#[derive(Default)]
+struct AlertBoard {
+    added: Vec<Box<dyn AlertSink>>,
+    names: Vec<String>,
+    stats: DispatchStats,
+    queued: usize,
+}
+
+impl AlertBoard {
+    fn register(&mut self, sink: Box<dyn AlertSink>) {
+        self.names.push(sink.name().to_string());
+        self.added.push(sink);
+    }
 }
 
 struct Shared {
@@ -126,6 +157,11 @@ struct Shared {
     log_grew: Condvar,
     /// Knocked by live feeds' rings; the feed pump parks on it.
     feed_wake: WakeLatch,
+    alerts: Mutex<AlertBoard>,
+    /// Set once a sink is registered: from then on a log append knocks
+    /// `alert_wake`, which the alert thread parks on.
+    paging: AtomicBool,
+    alert_wake: WakeLatch,
     state_lock_poisoned: AtomicU64,
     feed_pump_wakeups: AtomicU64,
     feed_pump_panics: AtomicU64,
@@ -177,8 +213,16 @@ impl Shared {
             if publish == Publish::Wake {
                 self.log_grew.notify_all();
             }
+            if self.paging.load(Ordering::Relaxed) {
+                self.alert_wake.wake();
+            }
         }
         out
+    }
+
+    fn alert_board(&self) -> MutexGuard<'_, AlertBoard> {
+        // Nothing panics while holding the board.
+        self.alerts.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn log_generation(&self) -> MutexGuard<'_, u64> {
@@ -210,6 +254,7 @@ impl Shared {
     fn shutdown(&self) {
         self.switch.trigger();
         self.feed_wake.wake();
+        self.alert_wake.wake();
         // Through the mutex, so the flag cannot change between a
         // long-poll's check and its park.
         drop(self.log_generation());
@@ -217,31 +262,50 @@ impl Shared {
     }
 }
 
-/// Tail the incident stream for alert-worthy events, queue them as
-/// payloads, and pump the dispatcher. Called with the state lock held.
-fn pump_alerts(inner: &mut Inner) {
-    let batch = inner.service.poll_events(inner.alert_cursor);
-    inner.alert_cursor = batch.next;
-    for event in batch.events {
-        let alert_worthy = matches!(
-            event,
-            IncidentEvent::AlertRaised { .. }
-                | IncidentEvent::MitigationPending { .. }
-                | IncidentEvent::MitigationTriggered { .. }
-                | IncidentEvent::Resolved { .. }
-        );
-        if !alert_worthy {
+/// The alert thread (see the module docs): parked until the log grows
+/// while a sink is registered, or the retry tick passes; then it takes
+/// the new events under the state lock and pages the alert-worthy ones
+/// with the lock released.
+fn page_alerts(shared: &Shared) {
+    let mut dispatcher = AlertDispatcher::with_defaults();
+    while !shared.switch.is_triggered() {
+        shared.alert_wake.wait(ALERT_RETRY_TICK);
+        for sink in std::mem::take(&mut shared.alert_board().added) {
+            dispatcher.add_sink(sink);
+        }
+        if dispatcher.sink_count() == 0 {
             continue;
         }
-        let payload = AlertPayload {
-            schema_version: SCHEMA_VERSION,
-            event,
+        let events = {
+            let mut inner = shared.lock();
+            let batch = inner.service.poll_events(inner.alert_cursor);
+            inner.alert_cursor = batch.next;
+            batch.events
         };
-        if let Ok(json) = serde_json::to_string(&payload) {
-            inner.dispatcher.enqueue(json);
+        for event in events {
+            let alert_worthy = matches!(
+                event,
+                IncidentEvent::AlertRaised { .. }
+                    | IncidentEvent::MitigationPending { .. }
+                    | IncidentEvent::MitigationTriggered { .. }
+                    | IncidentEvent::Resolved { .. }
+            );
+            if !alert_worthy {
+                continue;
+            }
+            let payload = AlertPayload {
+                schema_version: SCHEMA_VERSION,
+                event,
+            };
+            if let Ok(json) = serde_json::to_string(&payload) {
+                dispatcher.enqueue(json);
+            }
         }
+        dispatcher.pump();
+        let mut board = shared.alert_board();
+        board.stats = dispatcher.stats();
+        board.queued = dispatcher.queued();
     }
-    inner.dispatcher.pump();
 }
 
 fn json_body<T: for<'de> Deserialize<'de>>(req: &Request) -> Result<T, Response> {
@@ -282,7 +346,6 @@ fn handle_command(shared: &Shared, req: &Request) -> Response {
             Err(error) => CommandResult::Rejected(error),
         };
         inner.audit.record(wall_ms, at, env.command, result.clone());
-        pump_alerts(inner);
         result
     });
     let envelope = OutcomeEnvelope {
@@ -363,7 +426,6 @@ fn handle_inject(shared: &Shared, req: &Request) -> Response {
             let event = FeedEvent::from(event);
             alerts_raised += u64::from(inner.service.deliver(&event).is_some());
         }
-        pump_alerts(inner);
         (delivered, alerts_raised)
     });
     reply_json(&InjectOutcome {
@@ -383,6 +445,10 @@ fn handle_audit(shared: &Shared, req: &Request) -> Response {
 }
 
 fn handle_metrics(shared: &Shared) -> Response {
+    let (dispatch, alert_queue_depth) = {
+        let board = shared.alert_board();
+        (board.stats, board.queued)
+    };
     let inner = shared.lock();
     let pipeline = inner.service.pipeline();
     let structure = crate::metrics::StructureGauges {
@@ -398,7 +464,7 @@ fn handle_metrics(shared: &Shared) -> Response {
         .filter_map(|(_, feed)| feed.wire_health().map(|h| (feed.name().to_string(), h)))
         .collect();
     let daemon = crate::metrics::DaemonGauges {
-        alert_queue_depth: inner.dispatcher.queued(),
+        alert_queue_depth,
         audit_records: inner.audit.len(),
         audit_write_errors: inner.audit.write_errors(),
         state_lock_poisoned: shared.state_lock_poisoned.load(Ordering::Relaxed),
@@ -410,7 +476,7 @@ fn handle_metrics(shared: &Shared) -> Response {
         inner.service.stage_metrics(),
         &structure,
         &wire,
-        &inner.dispatcher.stats(),
+        &dispatch,
         &daemon,
     );
     Response::text(text)
@@ -427,10 +493,16 @@ fn handle_sinks(shared: &Shared, req: &Request) -> Response {
             Err(e) => return Response::bad_request(e),
         };
         let mut inner = shared.lock();
-        inner.dispatcher.add_sink(Box::new(sink));
-        reply_json(&inner.dispatcher.sink_names())
+        let mut board = shared.alert_board();
+        if board.names.is_empty() {
+            // Nothing raised before the first sink is paged, as at start.
+            inner.alert_cursor = inner.service.event_log().live_cursor();
+        }
+        board.register(Box::new(sink));
+        shared.paging.store(true, Ordering::Relaxed);
+        reply_json(&board.names)
     } else {
-        reply_json(&shared.lock().dispatcher.sink_names())
+        reply_json(&shared.alert_board().names)
     }
 }
 
@@ -463,7 +535,7 @@ pub struct DaemonHandle {
     addr: std::net::SocketAddr,
     shared: Arc<Shared>,
     server: Option<JoinHandle<()>>,
-    pump: Option<JoinHandle<()>>,
+    alerts: Option<JoinHandle<()>>,
     feed_pump: Option<JoinHandle<()>>,
 }
 
@@ -498,8 +570,8 @@ impl DaemonHandle {
         if let Some(server) = self.server.take() {
             let _ = server.join();
         }
-        if let Some(pump) = self.pump.take() {
-            let _ = pump.join();
+        if let Some(alerts) = self.alerts.take() {
+            let _ = alerts.join();
         }
         if let Some(feed_pump) = self.feed_pump.take() {
             let _ = feed_pump.join();
@@ -507,7 +579,7 @@ impl DaemonHandle {
     }
 }
 
-/// The operator daemon: binds, serves, pumps alerts in the background.
+/// The operator daemon: binds, serves, pages alerts in the background.
 pub struct Daemon;
 
 impl Daemon {
@@ -519,11 +591,11 @@ impl Daemon {
         mut service: ArtemisService,
         config: DaemonConfig,
     ) -> std::io::Result<DaemonHandle> {
-        let mut dispatcher = AlertDispatcher::with_defaults();
+        let mut board = AlertBoard::default();
         for url in &config.webhooks {
             let sink = WebhookSink::from_url(url)
                 .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
-            dispatcher.add_sink(Box::new(sink));
+            board.register(Box::new(sink));
         }
         let audit = match &config.audit_path {
             Some(path) => AuditLog::with_file(path)?,
@@ -550,7 +622,6 @@ impl Daemon {
             inner: Mutex::new(Inner {
                 service,
                 audit,
-                dispatcher,
                 alert_cursor,
             }),
             started: Instant::now(),
@@ -558,6 +629,9 @@ impl Daemon {
             log_generation: Mutex::new(0),
             log_grew: Condvar::new(),
             feed_wake,
+            paging: AtomicBool::new(!board.names.is_empty()),
+            alerts: Mutex::new(board),
+            alert_wake: WakeLatch::new(),
             state_lock_poisoned: AtomicU64::new(0),
             feed_pump_wakeups: AtomicU64::new(0),
             feed_pump_panics: AtomicU64::new(0),
@@ -568,22 +642,13 @@ impl Daemon {
             let _ = server.serve(move |req| route(&server_shared, req));
         });
 
-        // Background retry loop: queued alert payloads whose sinks were
-        // down (or rate-limited) are retried even when no request
-        // arrives to pump them.
-        let pump_shared = Arc::clone(&shared);
-        let pump_thread = std::thread::spawn(move || {
-            while !pump_shared.switch.is_triggered() {
-                std::thread::sleep(ALERT_RETRY_TICK);
-                pump_alerts(&mut pump_shared.lock());
-            }
-        });
+        let alert_shared = Arc::clone(&shared);
+        let alert_thread = std::thread::spawn(move || page_alerts(&alert_shared));
 
         // Feed pump: parked until a live ring knocks (or the idle tick
-        // passes), then drains the feeds through detection, pages any
-        // alerts the delivered events raised without waiting for the
-        // slower alert retry tick, and wakes the long-polls if the
-        // incident log grew. An iteration that panics (a feed or a stage
+        // passes), then drains the feeds through detection and wakes
+        // the long-polls (and the alert thread) if the incident log
+        // grew. An iteration that panics (a feed or a stage
         // hitting a bug) is counted (`artemis_feed_pump_panics_total`)
         // and the pump goes on: a dead pump would stop detection with
         // no signal. Like a poisoned lock, whatever the panic left
@@ -597,11 +662,7 @@ impl Daemon {
                     .fetch_add(1, Ordering::Relaxed);
                 let now = feed_shared.now();
                 let pumped = catch_unwind(AssertUnwindSafe(|| {
-                    feed_shared.mutate(Publish::Wake, |inner| {
-                        if inner.service.pump_feeds(now) > 0 {
-                            pump_alerts(inner);
-                        }
-                    })
+                    feed_shared.mutate(Publish::Wake, |inner| inner.service.pump_feeds(now))
                 }));
                 if pumped.is_err() {
                     feed_shared.feed_pump_panics.fetch_add(1, Ordering::Relaxed);
@@ -613,7 +674,7 @@ impl Daemon {
             addr: bound,
             shared,
             server: Some(server_thread),
-            pump: Some(pump_thread),
+            alerts: Some(alert_thread),
             feed_pump: Some(feed_thread),
         })
     }

@@ -232,6 +232,8 @@ fn shutdown_releases_parked_polls() {
         let addr = client.addr().to_string();
         let parked = std::thread::spawn(move || CtlClient::new(addr).events(tail, 10_000));
         std::thread::sleep(Duration::from_millis(100));
+        // `client` holds an idle kept-alive connection, which the stop
+        // must end rather than wait out its idle timeout.
         let started = Instant::now();
         stop(daemon, &client);
         let took = started.elapsed();

@@ -373,3 +373,118 @@ fn webhook_sink_receives_alert_payloads() {
     receiver_switch.trigger();
     let _ = receiver_thread.join();
 }
+
+/// A webhook that accepts TCP and answers nothing until released must
+/// delay neither detection nor the control plane: the daemon pages on
+/// its own thread, outside the state lock. The bound is logical, not a
+/// timing one: every step must finish in well under the sink's 5 s
+/// delivery timeout, which is what any of them would wait for if the
+/// delivery ran under the lock.
+#[test]
+fn a_sink_that_never_answers_delays_neither_detection_nor_commands() {
+    use std::sync::mpsc::{channel, Receiver};
+    use std::sync::{Arc, Mutex};
+    use std::time::{Duration, Instant};
+    const WELL_UNDER_THE_SINK_TIMEOUT: Duration = Duration::from_secs(2);
+
+    // The sink: every request waits at the gate until `release` is
+    // sent (or dropped); from then on it answers at once.
+    let (entered_tx, entered) = channel::<()>();
+    let (release, released) = channel::<()>();
+    let gate: Mutex<(Receiver<()>, bool)> = Mutex::new((released, false));
+    let entered_tx = Mutex::new(entered_tx);
+    let received: Arc<Mutex<Vec<String>>> = Arc::default();
+    let store = Arc::clone(&received);
+    let sink = minihttp::Server::bind("127.0.0.1:0").unwrap();
+    let sink_addr = sink.local_addr().unwrap();
+    let sink_switch = sink.shutdown_switch().unwrap();
+    let sink_thread = std::thread::spawn(move || {
+        let _ = sink.serve(move |req| {
+            let _ = entered_tx.lock().unwrap().send(());
+            let mut gate = gate.lock().unwrap();
+            if !gate.1 {
+                let _ = gate.0.recv_timeout(Duration::from_secs(30));
+                gate.1 = true;
+            }
+            store
+                .lock()
+                .unwrap()
+                .push(req.body_utf8().unwrap().to_string());
+            minihttp::Response::json("{}")
+        });
+    });
+
+    let daemon = Daemon::start("127.0.0.1:0", service(), DaemonConfig::default()).unwrap();
+    let addr = daemon.addr().to_string();
+    let client = CtlClient::new(addr.clone());
+    client
+        .add_webhook(&format!("http://{sink_addr}/hook"))
+        .unwrap();
+    let timed = |what: &str, f: &dyn Fn()| {
+        let started = Instant::now();
+        f();
+        let took = started.elapsed();
+        assert!(took < WELL_UNDER_THE_SINK_TIMEOUT, "{what} took {took:?}");
+    };
+
+    // The first hijack's page reaches the sink and hangs there.
+    timed("an inject", &|| {
+        client
+            .inject(vec![event(174, "10.0.0.0/24", &[174, 666], 45)])
+            .unwrap();
+    });
+    entered
+        .recv_timeout(Duration::from_secs(5))
+        .expect("the daemon pages the sink");
+
+    // While it hangs: a second hijack reaches a parked long-poll, and
+    // a command and a scrape are answered.
+    let tail = client.events(EventCursor::START, 0).unwrap().next;
+    let parked = {
+        let addr = addr.clone();
+        std::thread::spawn(move || {
+            let batch = CtlClient::new(addr).events(tail, 10_000).unwrap();
+            (Instant::now(), batch)
+        })
+    };
+    std::thread::sleep(Duration::from_millis(100));
+    let sent = Instant::now();
+    client
+        .inject(vec![event(174, "10.0.1.0/24", &[174, 666], 50)])
+        .unwrap();
+    let (back, batch) = parked.join().unwrap();
+    let took = back.saturating_duration_since(sent);
+    assert!(
+        took < WELL_UNDER_THE_SINK_TIMEOUT,
+        "wire to parked poll took {took:?}"
+    );
+    assert!(batch
+        .events
+        .iter()
+        .any(|e| matches!(e, artemis_core::IncidentEvent::AlertRaised { .. })));
+    timed("a command", &|| {
+        client.apply(ServiceCommand::Pause, None).unwrap();
+    });
+    timed("a scrape", &|| {
+        client.metrics_text().unwrap();
+    });
+
+    // Once the sink answers, every page is delivered, oldest first:
+    // each hijack raised an alert and triggered its mitigation.
+    release.send(()).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while received.lock().unwrap().len() < 4 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(25));
+    }
+    let payloads = received.lock().unwrap().clone();
+    assert_eq!(payloads.len(), 4, "{payloads:?}");
+    let first: AlertPayload = serde_json::from_str(&payloads[0]).unwrap();
+    assert!(matches!(
+        first.event,
+        artemis_core::IncidentEvent::AlertRaised { alert, .. } if alert == AlertId(0)
+    ));
+
+    daemon.shutdown();
+    sink_switch.trigger();
+    sink_thread.join().unwrap();
+}
