@@ -50,6 +50,13 @@ impl WebhookSink {
             path,
         })
     }
+
+    /// The HTTP client deliveries go through. A clone shares its
+    /// connections, so [`minihttp::Client::close`] on one ends a
+    /// delivery in flight from another thread.
+    pub fn client(&self) -> &minihttp::Client {
+        &self.client
+    }
 }
 
 impl AlertSink for WebhookSink {

@@ -49,7 +49,7 @@ impl CtlClient {
     fn get_json<T: DeserializeOwned>(&self, path: &str) -> Result<T, String> {
         let resp = self.http.get(path).map_err(|e| e.to_string())?;
         let resp = expect_success(resp)?;
-        serde_json::from_str(&resp.body_utf8()).map_err(|e| format!("bad response body: {e}"))
+        serde_json::from_slice(&resp.body).map_err(|e| format!("bad response body: {e}"))
     }
 
     fn post_json<B: Serialize, T: DeserializeOwned>(
@@ -63,7 +63,7 @@ impl CtlClient {
             .post(path, "application/json", &body)
             .map_err(|e| e.to_string())?;
         let resp = expect_success(resp)?;
-        serde_json::from_str(&resp.body_utf8()).map_err(|e| format!("bad response body: {e}"))
+        serde_json::from_slice(&resp.body).map_err(|e| format!("bad response body: {e}"))
     }
 
     /// Liveness probe (`GET /healthz`).

@@ -55,7 +55,17 @@
 //! under the lock, and releases it before it builds a payload or
 //! delivers one. A dead sink therefore delays only the pages queued
 //! behind it, never detection, a long-poll or a command. With no sink
-//! registered it takes no event and builds no payload.
+//! registered it takes no event and builds no payload. Nor does a dead
+//! sink hold up a stop: once the server has returned, the webhooks'
+//! clients are closed, which ends a delivery in flight at once instead
+//! of after the sink's 5 s timeout.
+//!
+//! JSON never goes through a tree. A request body is parsed straight
+//! into its envelope type by the vendored `serde_json`'s streaming
+//! parser, which refuses arrays and objects nested deeper than
+//! [`serde_json::MAX_DEPTH`] (128): such a body is a 400 `invalid
+//! body`, not a handler recursing until its stack overflows and aborts
+//! the process. A reply is written straight into its body `String`.
 //!
 //! [`ServiceReply::Status`]: artemis_core::ServiceReply::Status
 
@@ -130,20 +140,24 @@ struct Inner {
 
 /// What the request handlers share with the alert thread, which owns
 /// the [`AlertDispatcher`]: sinks registered since the thread last
-/// looked, every sink's name, and the dispatcher's counters as of its
-/// last pump. Never held across a delivery.
+/// looked, every sink's name and HTTP client, and the dispatcher's
+/// counters as of its last pump. Never held across a delivery.
 #[derive(Default)]
 struct AlertBoard {
     added: Vec<Box<dyn AlertSink>>,
     names: Vec<String>,
+    /// Clones of every webhook's client, closed at shutdown to end a
+    /// delivery the alert thread is blocked in.
+    clients: Vec<minihttp::Client>,
     stats: DispatchStats,
     queued: usize,
 }
 
 impl AlertBoard {
-    fn register(&mut self, sink: Box<dyn AlertSink>) {
+    fn register(&mut self, sink: WebhookSink) {
         self.names.push(sink.name().to_string());
-        self.added.push(sink);
+        self.clients.push(sink.client().clone());
+        self.added.push(Box::new(sink));
     }
 }
 
@@ -498,7 +512,7 @@ fn handle_sinks(shared: &Shared, req: &Request) -> Response {
             // Nothing raised before the first sink is paged, as at start.
             inner.alert_cursor = inner.service.event_log().live_cursor();
         }
-        board.register(Box::new(sink));
+        board.register(sink);
         shared.paging.store(true, Ordering::Relaxed);
         reply_json(&board.names)
     } else {
@@ -570,6 +584,13 @@ impl DaemonHandle {
         if let Some(server) = self.server.take() {
             let _ = server.join();
         }
+        // The server returns once the switch has fired, however it was
+        // fired. A webhook that never answers would now hold the alert
+        // thread for the rest of its 5 s timeout: end that delivery (and
+        // fail any later one at once) instead of waiting it out.
+        for client in &self.shared.alert_board().clients {
+            client.close();
+        }
         if let Some(alerts) = self.alerts.take() {
             let _ = alerts.join();
         }
@@ -595,7 +616,7 @@ impl Daemon {
         for url in &config.webhooks {
             let sink = WebhookSink::from_url(url)
                 .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
-            board.register(Box::new(sink));
+            board.register(sink);
         }
         let audit = match &config.audit_path {
             Some(path) => AuditLog::with_file(path)?,

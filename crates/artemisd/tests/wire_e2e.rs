@@ -488,3 +488,86 @@ fn a_sink_that_never_answers_delays_neither_detection_nor_commands() {
     sink_switch.trigger();
     sink_thread.join().unwrap();
 }
+
+/// A webhook that accepts TCP and never reads must not hold up
+/// shutdown: the switch ends the delivery in flight instead of waiting
+/// out the sink's 5 s timeout, and `shutdown` still drops the service
+/// (joining its live feed's reader) before it returns.
+#[test]
+fn shutdown_ends_a_delivery_to_a_sink_that_never_reads() {
+    use artemis_feeds::{BmpLiveFeed, LiveFeedConfig};
+    use std::io::Read;
+    use std::net::TcpListener;
+    use std::time::{Duration, Instant};
+
+    // The kernel completes the sink's handshakes from the backlog; the
+    // test accepts one only to learn that a delivery is under way.
+    let sink = TcpListener::bind("127.0.0.1:0").unwrap();
+    let sink_addr = sink.local_addr().unwrap();
+    let collector = TcpListener::bind("127.0.0.1:0").unwrap();
+    let feed = BmpLiveFeed::connect(
+        "bmp0",
+        collector.local_addr().unwrap().to_string(),
+        LiveFeedConfig::default(),
+    );
+    let config = ArtemisConfig::new(
+        Asn(65001),
+        vec![OwnedPrefix::new(pfx("10.0.0.0/23"), Asn(65001))],
+    );
+    let mut pipeline = Pipeline::bare(config, [Asn(174), Asn(3356)].into_iter().collect());
+    pipeline.attach_feed(Box::new(feed), SimTime::ZERO);
+    let controller = Controller::new(Asn(65001), LatencyModel::const_secs(15), SimRng::new(1));
+    let daemon = Daemon::start(
+        "127.0.0.1:0",
+        ArtemisService::new(pipeline, controller),
+        DaemonConfig {
+            webhooks: vec![format!("http://{sink_addr}/hook")],
+            ..DaemonConfig::default()
+        },
+    )
+    .unwrap();
+    let (mut session, _) = collector.accept().unwrap();
+    let client = CtlClient::new(daemon.addr().to_string());
+    client
+        .inject(vec![event(174, "10.0.0.0/24", &[174, 666], 45)])
+        .unwrap();
+    let (_delivery, _) = sink.accept().unwrap();
+    // Let the page be written; the alert thread now waits for an answer.
+    std::thread::sleep(Duration::from_millis(200));
+
+    let started = Instant::now();
+    daemon.shutdown();
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(1), "shutdown took {took:?}");
+    // The service is gone: its feed's reader was joined and hung up.
+    session
+        .set_read_timeout(Some(Duration::from_secs(2)))
+        .unwrap();
+    let mut buf = [0u8; 64];
+    let read = session.read(&mut buf);
+    assert!(
+        matches!(read, Ok(0))
+            || read
+                .as_ref()
+                .is_err_and(|e| e.kind() == std::io::ErrorKind::ConnectionReset),
+        "the collector session is closed, got {read:?}"
+    );
+}
+
+/// A body of nothing but `[` nests far deeper than any envelope: the
+/// parser refuses it past 128 levels with a 400, instead of recursing
+/// until the handler thread's stack overflows and aborts the daemon.
+#[test]
+fn deeply_nested_bodies_are_refused_and_the_daemon_lives_on() {
+    let daemon = Daemon::start("127.0.0.1:0", service(), DaemonConfig::default()).unwrap();
+    let http = minihttp::Client::new(daemon.addr().to_string());
+    let body = "[".repeat(64 * 1024);
+    for path in ["/v1/command", "/v1/inject"] {
+        let resp = http.post(path, "application/json", &body).unwrap();
+        assert_eq!(resp.status, 400, "{path}: {}", resp.body_utf8());
+        assert!(resp.body_utf8().contains("invalid body"), "{path}");
+    }
+    let health = http.get("/healthz").unwrap();
+    assert_eq!((health.status, health.body_utf8().as_str()), (200, "ok\n"));
+    daemon.shutdown();
+}

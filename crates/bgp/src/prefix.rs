@@ -339,8 +339,7 @@ impl Serialize for Prefix {
 
 impl<'de> Deserialize<'de> for Prefix {
     fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let s = String::deserialize(deserializer)?;
-        Prefix::from_str(&s).map_err(de::Error::custom)
+        deserializer.deserialize_str(|s| Prefix::from_str(s).map_err(de::Error::custom))
     }
 }
 

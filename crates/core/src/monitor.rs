@@ -166,7 +166,7 @@ impl MonitorService {
     /// [`MonitorService::new`] with a small timeline cap, so tests
     /// reach the coalescing regime in a few events.
     #[cfg(test)]
-    fn with_timeline_cap(mut self, cap: usize) -> Self {
+    pub(crate) fn with_timeline_cap(mut self, cap: usize) -> Self {
         assert!(cap > 0, "the last slot must exist");
         self.timeline_cap = cap;
         self

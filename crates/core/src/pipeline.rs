@@ -156,6 +156,14 @@ pub struct Pipeline {
     /// Wall-clock per-stage batch latency (observability only; never
     /// part of deterministic snapshots).
     stage_metrics: StageMetrics,
+    /// Timeline points coalesced by every monitor so far, kept as the
+    /// monitors coalesce them (see
+    /// [`Pipeline::timeline_coalesced_points`]).
+    timeline_coalesced: u64,
+    /// Timeline cap handed to new monitors; tests shrink it to reach
+    /// the coalescing regime in a few events.
+    #[cfg(test)]
+    timeline_cap: usize,
 }
 
 impl Pipeline {
@@ -182,6 +190,9 @@ impl Pipeline {
             events_delivered: 0,
             prepared: Vec::new(),
             stage_metrics: StageMetrics::default(),
+            timeline_coalesced: 0,
+            #[cfg(test)]
+            timeline_cap: crate::monitor::TIMELINE_CAP,
         }
     }
 
@@ -236,12 +247,12 @@ impl Pipeline {
 
     /// Timeline points folded away by [`crate::monitor::TIMELINE_CAP`]
     /// over every incident so far, live and retired (monotone; 0
-    /// unless some incident outlived the cap).
+    /// unless some incident outlived the cap). A running total: the
+    /// commit walk and [`Pipeline::apply_peer_downs`] add what each
+    /// monitor coalesces as it does, and retirement keeps it, so a
+    /// scrape reads one counter instead of walking every incident.
     pub fn timeline_coalesced_points(&self) -> u64 {
-        self.incidents
-            .iter()
-            .map(|i| i.monitor.coalesced_points())
-            .sum()
+        self.timeline_coalesced
     }
 
     /// Wall-clock per-stage batch latency of the delivery path
@@ -513,7 +524,9 @@ impl Pipeline {
         let mut purged = 0;
         for vp in &downs {
             for incident in &mut self.incidents {
+                let before = incident.monitor.coalesced_points();
                 purged += usize::from(incident.monitor.purge_vantage(*vp, at));
+                self.timeline_coalesced += incident.monitor.coalesced_points() - before;
             }
         }
         purged
@@ -579,6 +592,8 @@ impl Pipeline {
             legitimate_origins,
             self.vantage_points.clone(),
         );
+        #[cfg(test)]
+        let monitor = monitor.with_timeline_cap(self.timeline_cap);
         debug_assert_eq!(slot(id), self.incidents.len(), "alert ids are positions");
         self.incidents.push(Incident {
             monitor,
@@ -723,7 +738,9 @@ impl Pipeline {
             }
             for id in &route {
                 let monitor = &mut self.incidents[slot(*id)].monitor;
+                let before = monitor.coalesced_points();
                 monitor.ingest(event);
+                self.timeline_coalesced += monitor.coalesced_points() - before;
                 if monitor.all_legitimate() && is_mitigating(self.detector.alerts(), *id) {
                     healed.push(*id);
                 }
@@ -939,6 +956,66 @@ mod tests {
             0,
             "the signal drains on first application"
         );
+    }
+
+    /// The walk the running total replaced, kept as its oracle.
+    fn coalesced_by_walk(p: &Pipeline) -> u64 {
+        p.incidents
+            .iter()
+            .map(|i| i.monitor.coalesced_points())
+            .sum()
+    }
+
+    #[test]
+    fn coalesced_points_running_total_matches_the_walk() {
+        let mut p = two_prefix_pipeline();
+        p.timeline_cap = 3;
+        let mut ctrl = controller();
+        let IncidentEvent::AlertRaised { alert: id, .. } = deliver(
+            &mut p,
+            &event(3356, "10.0.0.0/23", &[3356, 666], 45),
+            &mut ctrl,
+        )[0] else {
+            panic!("hijack must alert");
+        };
+        // AS3356 stays on the hijacker while AS174 flaps well past the
+        // cap of 3 points.
+        for flip in 0..10u64 {
+            let origin = if flip % 2 == 0 { 666 } else { 65001 };
+            deliver(
+                &mut p,
+                &event(174, "10.0.0.0/23", &[174, origin], 46 + flip),
+                &mut ctrl,
+            );
+            assert_eq!(p.timeline_coalesced_points(), coalesced_by_walk(&p));
+        }
+        let flapped = p.timeline_coalesced_points();
+        assert!(flapped > 0, "the flapping went past the cap");
+
+        // A second incident heals and retires; the total keeps its
+        // points and does not move at the retirement.
+        deliver(
+            &mut p,
+            &event(3356, "172.16.0.0/23", &[3356, 667], 60),
+            &mut ctrl,
+        );
+        deliver(
+            &mut p,
+            &event(3356, "172.16.0.0/24", &[3356, 65001], 61),
+            &mut ctrl,
+        );
+        assert_eq!(p.retired_count(), 1);
+        assert_eq!(p.timeline_coalesced_points(), coalesced_by_walk(&p));
+
+        // A peer-down flips AS174 to unknown in the full live monitor:
+        // one more point, coalesced.
+        p.hub_mut().add(Box::new(PeerDownFeed {
+            downs: vec![Asn(174)],
+        }));
+        assert_eq!(p.apply_peer_downs(SimTime::from_secs(70)), 1);
+        assert_eq!(p.timeline_coalesced_points(), flapped + 1);
+        assert_eq!(p.timeline_coalesced_points(), coalesced_by_walk(&p));
+        assert_eq!(p.monitor(id).unwrap().timeline().len(), 3);
     }
 
     #[test]
