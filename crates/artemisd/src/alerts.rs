@@ -1,28 +1,36 @@
-//! Pluggable alert sinks with a bounded retry/rate-limit queue.
+//! Webhook alert sinks and the pager that feeds each one.
 //!
 //! A confirmed hijack is only useful if it pages someone. The daemon
-//! tails its own incident event stream, turns alert-worthy events into
-//! JSON payloads, and hands them to an [`AlertDispatcher`]: a bounded
-//! queue in front of any number of [`AlertSink`]s. The queue absorbs
-//! sink outages (bounded, drop-oldest so a dead webhook cannot OOM the
-//! daemon), retries each payload a configurable number of times, and
-//! rate-limits deliveries so an incident storm does not DoS the
-//! receiver.
+//! gives every registered [`WebhookSink`] a thread of its own that
+//! reads the incident log by cursor, exactly as a `/v1/events`
+//! long-poll does, and hands each alert-worthy event to a `Pager`
+//! (see the daemon module docs). The log is the only buffer: a sink
+//! that falls further behind than the log retains misses the evicted
+//! entries, and its pager counts them as overflow, so a dead webhook
+//! cannot OOM the daemon. A pager offers each payload up to
+//! [`ALERT_ATTEMPTS`] times, [`ALERT_RETRY_TICK`] apart, and keeps
+//! [`ALERT_MIN_INTERVAL`] between its own deliveries so an incident
+//! storm does not DoS the receiver. A sink that never answers delays
+//! only its own pages.
 
-use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
+use artemis_core::EventCursor;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-/// Where alert payloads go. The daemon's alert thread calls them with
-/// no lock held; a sink that blocks delays only the payloads queued
-/// behind it.
-pub trait AlertSink: Send {
-    /// Stable name for listings and metrics.
-    fn name(&self) -> &str;
-    /// Deliver one JSON payload; an `Err` requeues the payload for
-    /// retry (up to the dispatcher's attempt budget).
-    fn deliver(&mut self, payload: &str) -> Result<(), String>;
-}
+/// Most webhook sinks one daemon pages; each owns a thread.
+pub const MAX_SINKS: usize = 16;
+
+/// Delivery attempts per payload before it is dropped as failed.
+pub const ALERT_ATTEMPTS: u32 = 3;
+
+/// Time from one attempt at a refused payload to the next.
+pub const ALERT_RETRY_TICK: Duration = Duration::from_millis(200);
+
+/// Least time between two delivery attempts to one sink.
+pub const ALERT_MIN_INTERVAL: Duration = Duration::from_millis(50);
+
+/// How long one delivery waits for the webhook to connect and answer.
+const DELIVERY_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// A sink POSTing payloads to an HTTP endpoint (`http://host:port/path`).
 pub struct WebhookSink {
@@ -32,8 +40,15 @@ pub struct WebhookSink {
 }
 
 impl WebhookSink {
-    /// Build a sink from an `http://host:port/path` URL.
+    /// Build a sink from an `http://host:port/path` URL. The port is
+    /// required, and every character must be printable ASCII with no
+    /// space: the host and path are written verbatim into each
+    /// request's head, where a CR or LF would start a header of the
+    /// URL's choosing.
     pub fn from_url(url: &str) -> Result<WebhookSink, String> {
+        if let Some(c) = url.chars().find(|c| !c.is_ascii_graphic()) {
+            return Err(format!("webhook URL must not contain {c:?}: {url:?}"));
+        }
         let rest = url
             .strip_prefix("http://")
             .ok_or_else(|| format!("webhook URL must start with http://: {url}"))?;
@@ -41,14 +56,22 @@ impl WebhookSink {
             Some((a, p)) => (a, format!("/{p}")),
             None => (rest, "/".to_string()),
         };
-        if addr.is_empty() {
-            return Err(format!("webhook URL has no host: {url}"));
+        let has_port = addr.rsplit_once(':').is_some_and(|(host, port)| {
+            !host.is_empty() && port.parse::<u16>().is_ok_and(|p| p != 0)
+        });
+        if !has_port {
+            return Err(format!("webhook URL needs http://host:port: {url}"));
         }
         Ok(WebhookSink {
             name: url.to_string(),
-            client: minihttp::Client::new(addr).with_timeout(Duration::from_secs(5)),
+            client: minihttp::Client::new(addr).with_timeout(DELIVERY_TIMEOUT),
             path,
         })
+    }
+
+    /// The URL the sink was registered with.
+    pub fn name(&self) -> &str {
+        &self.name
     }
 
     /// The HTTP client deliveries go through. A clone shares its
@@ -57,14 +80,8 @@ impl WebhookSink {
     pub fn client(&self) -> &minihttp::Client {
         &self.client
     }
-}
 
-impl AlertSink for WebhookSink {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn deliver(&mut self, payload: &str) -> Result<(), String> {
+    fn deliver(&self, payload: &str) -> Result<(), String> {
         match self.client.post(&self.path, "application/json", payload) {
             Ok(resp) if resp.is_success() => Ok(()),
             Ok(resp) => Err(format!("webhook returned {}", resp.status)),
@@ -73,280 +90,280 @@ impl AlertSink for WebhookSink {
     }
 }
 
-/// Delivery counters of an [`AlertDispatcher`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+/// Paging counters; `/metrics` sums them over sinks.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DispatchStats {
-    /// Payloads accepted into the queue.
+    /// Alert payloads built for delivery.
     pub enqueued: u64,
-    /// Payloads delivered to every sink.
+    /// Payloads a sink accepted.
     pub delivered: u64,
-    /// Payloads dropped because the queue was full (oldest first).
+    /// Incident-log entries evicted before the sink read them.
     pub dropped_overflow: u64,
-    /// Payloads dropped after exhausting their attempt budget.
+    /// Payloads dropped after [`ALERT_ATTEMPTS`] refused attempts.
     pub dropped_failed: u64,
-    /// Individual sink delivery attempts (including failures).
-    pub attempts: u64,
 }
 
-struct QueuedAlert {
-    payload: String,
-    attempts: u32,
-    /// Which sinks, by registration index, already accepted the
-    /// payload: a retry goes to the others only.
-    accepted: Vec<bool>,
+impl std::ops::AddAssign for DispatchStats {
+    fn add_assign(&mut self, other: DispatchStats) {
+        self.enqueued += other.enqueued;
+        self.delivered += other.delivered;
+        self.dropped_overflow += other.dropped_overflow;
+        self.dropped_failed += other.dropped_failed;
+    }
 }
 
-/// A bounded retry/rate-limit queue in front of the registered sinks.
-pub struct AlertDispatcher {
-    sinks: Vec<Box<dyn AlertSink>>,
-    queue: VecDeque<QueuedAlert>,
-    capacity: usize,
-    max_attempts: u32,
-    min_interval: Duration,
-    last_delivery: Option<Instant>,
-    stats: DispatchStats,
+/// What a [`Pager`] has done so far, shared with whoever reports it.
+#[derive(Debug, Default)]
+pub(crate) struct PagerState {
+    /// The pager's counters.
+    pub(crate) stats: DispatchStats,
+    /// The first incident-log entry the pager has not read.
+    pub(crate) next: EventCursor,
 }
 
-impl AlertDispatcher {
-    /// A dispatcher holding at most `capacity` undelivered payloads,
-    /// retrying each at most `max_attempts` times, with at least
-    /// `min_interval` between deliveries.
-    pub fn new(capacity: usize, max_attempts: u32, min_interval: Duration) -> Self {
-        AlertDispatcher {
-            sinks: Vec::new(),
-            queue: VecDeque::new(),
-            capacity: capacity.max(1),
-            max_attempts: max_attempts.max(1),
-            min_interval,
-            last_delivery: None,
+/// Pages one [`WebhookSink`]: offers each payload up to
+/// [`ALERT_ATTEMPTS`] times and keeps its counters and log position in
+/// a [`PagerState`] that others may read.
+pub(crate) struct Pager {
+    sink: WebhookSink,
+    state: Arc<Mutex<PagerState>>,
+    last_attempt: Option<Instant>,
+}
+
+impl Pager {
+    /// A pager for `sink` whose first read of the log starts at `from`.
+    pub(crate) fn new(sink: WebhookSink, from: EventCursor) -> Pager {
+        let state = PagerState {
             stats: DispatchStats::default(),
+            next: from,
+        };
+        Pager {
+            sink,
+            state: Arc::new(Mutex::new(state)),
+            last_attempt: None,
         }
     }
 
-    /// Defaults suited to paging webhooks: 256 queued payloads, 3
-    /// attempts, 50 ms between deliveries.
-    pub fn with_defaults() -> Self {
-        AlertDispatcher::new(256, 3, Duration::from_millis(50))
+    /// The pager's counters and log position, as it updates them.
+    pub(crate) fn state(&self) -> Arc<Mutex<PagerState>> {
+        Arc::clone(&self.state)
     }
 
-    /// Register a sink. Payloads already queued will reach it too.
-    pub fn add_sink(&mut self, sink: Box<dyn AlertSink>) {
-        self.sinks.push(sink);
+    fn lock(&self) -> MutexGuard<'_, PagerState> {
+        // Nothing panics while holding a pager's state.
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Number of registered sinks.
-    pub fn sink_count(&self) -> usize {
-        self.sinks.len()
+    /// Where the pager's next read of the log starts.
+    pub(crate) fn cursor(&self) -> EventCursor {
+        self.lock().next
     }
 
-    /// Queue one payload. With no sinks registered the payload is
-    /// accepted and delivered trivially (nobody to page).
-    pub fn enqueue(&mut self, payload: String) {
-        self.stats.enqueued += 1;
-        if self.sinks.is_empty() {
-            self.stats.delivered += 1;
-            return;
-        }
-        if self.queue.len() >= self.capacity {
-            self.queue.pop_front();
-            self.stats.dropped_overflow += 1;
-        }
-        self.queue.push_back(QueuedAlert {
-            payload,
-            attempts: 0,
-            accepted: Vec::new(),
-        });
+    /// Record a read of the log that ends before `next`, after
+    /// `missed` entries were evicted unread.
+    pub(crate) fn read(&self, next: EventCursor, missed: u64) {
+        let mut state = self.lock();
+        state.next = next;
+        state.stats.dropped_overflow += missed;
     }
 
-    /// Try to deliver queued payloads, oldest first, respecting the
-    /// rate limit. Returns the number of payloads fully delivered.
-    /// Each attempt offers the payload to every sink that has not yet
-    /// accepted it, so no sink is paged twice and one failing sink
-    /// does not keep the payload from the sinks after it. A payload
-    /// that some sink refused keeps its place at the front until its
-    /// attempt budget runs out, preserving delivery order.
-    pub fn pump(&mut self) -> usize {
-        let mut delivered = 0;
-        while let Some(front) = self.queue.front_mut() {
-            if let (Some(last), true) = (self.last_delivery, !self.min_interval.is_zero()) {
-                if last.elapsed() < self.min_interval {
-                    break;
-                }
-            }
-            self.last_delivery = Some(Instant::now());
-            front.accepted.resize(self.sinks.len(), false);
-            let mut ok = true;
-            for (sink, accepted) in self.sinks.iter_mut().zip(&mut front.accepted) {
-                if !*accepted {
-                    self.stats.attempts += 1;
-                    *accepted = sink.deliver(&front.payload).is_ok();
-                    ok &= *accepted;
-                }
-            }
-            if ok {
-                self.queue.pop_front();
-                self.stats.delivered += 1;
-                delivered += 1;
+    /// Deliver `payload`: at most [`ALERT_ATTEMPTS`] attempts, each at
+    /// least [`ALERT_MIN_INTERVAL`] after the pager's previous attempt
+    /// and [`ALERT_RETRY_TICK`] after a refused one. `pause(wait)`
+    /// waits that long. When it returns false (the owner is stopping),
+    /// `page` gives the payload up, counted neither delivered nor
+    /// dropped, and returns false.
+    pub(crate) fn page(&mut self, payload: &str, mut pause: impl FnMut(Duration) -> bool) -> bool {
+        self.lock().stats.enqueued += 1;
+        for attempt in 0..ALERT_ATTEMPTS {
+            let gap = if attempt == 0 {
+                ALERT_MIN_INTERVAL
             } else {
-                front.attempts += 1;
-                if front.attempts >= self.max_attempts {
-                    self.queue.pop_front();
-                    self.stats.dropped_failed += 1;
-                } else {
-                    // Leave it at the front; a later pump retries.
-                    break;
-                }
+                ALERT_RETRY_TICK
+            };
+            let wait = self
+                .last_attempt
+                .map_or(Duration::ZERO, |last| gap.saturating_sub(last.elapsed()));
+            if !wait.is_zero() && !pause(wait) {
+                return false;
+            }
+            self.last_attempt = Some(Instant::now());
+            if self.sink.deliver(payload).is_ok() {
+                self.lock().stats.delivered += 1;
+                return true;
             }
         }
-        delivered
-    }
-
-    /// Payloads currently waiting for delivery.
-    pub fn queued(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Delivery counters so far.
-    pub fn stats(&self) -> DispatchStats {
-        self.stats
+        self.lock().stats.dropped_failed += 1;
+        true
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Arc, Mutex};
 
-    struct MockSink {
-        seen: Arc<Mutex<Vec<String>>>,
-        fail_first: u32,
-        failures: u32,
+    /// A webhook receiver on loopback that refuses its first `refuse`
+    /// requests with a 500 and records the bodies it accepts.
+    struct Receiver {
+        url: String,
+        requests: Arc<Mutex<u32>>,
+        accepted: Arc<Mutex<Vec<String>>>,
+        switch: minihttp::ShutdownSwitch,
+        thread: std::thread::JoinHandle<()>,
     }
 
-    impl AlertSink for MockSink {
-        fn name(&self) -> &str {
-            "mock"
-        }
-        fn deliver(&mut self, payload: &str) -> Result<(), String> {
-            if self.failures < self.fail_first {
-                self.failures += 1;
-                return Err("transient".into());
+    impl Receiver {
+        fn start(refuse: u32) -> Receiver {
+            let server = minihttp::Server::bind("127.0.0.1:0").unwrap();
+            let url = format!("http://{}/hook", server.local_addr().unwrap());
+            let switch = server.shutdown_switch().unwrap();
+            let requests: Arc<Mutex<u32>> = Arc::default();
+            let accepted: Arc<Mutex<Vec<String>>> = Arc::default();
+            let (seen, store) = (Arc::clone(&requests), Arc::clone(&accepted));
+            let thread = std::thread::spawn(move || {
+                let _ = server.serve(move |req| {
+                    let mut seen = seen.lock().unwrap();
+                    *seen += 1;
+                    if *seen <= refuse {
+                        return minihttp::Response::status(500, "refused");
+                    }
+                    let body = req.body_utf8().unwrap().to_string();
+                    store.lock().unwrap().push(body);
+                    minihttp::Response::json("{}")
+                });
+            });
+            Receiver {
+                url,
+                requests,
+                accepted,
+                switch,
+                thread,
             }
-            self.seen.lock().unwrap().push(payload.to_string());
-            Ok(())
+        }
+
+        fn pager(&self) -> Pager {
+            Pager::new(
+                WebhookSink::from_url(&self.url).unwrap(),
+                EventCursor::START,
+            )
+        }
+
+        /// Stop the receiver; returns (requests seen, bodies accepted).
+        fn stop(self) -> (u32, Vec<String>) {
+            self.switch.trigger();
+            self.thread.join().unwrap();
+            let requests = *self.requests.lock().unwrap();
+            (requests, self.accepted.lock().unwrap().clone())
         }
     }
 
-    fn dispatcher(capacity: usize, max_attempts: u32) -> AlertDispatcher {
-        AlertDispatcher::new(capacity, max_attempts, Duration::ZERO)
-    }
-
-    /// A sink recording into `seen` that refuses its first
-    /// `fail_first` deliveries.
-    fn mock(seen: &Arc<Mutex<Vec<String>>>, fail_first: u32) -> Box<MockSink> {
-        Box::new(MockSink {
-            seen: seen.clone(),
-            fail_first,
-            failures: 0,
-        })
+    fn sleep(wait: Duration) -> bool {
+        std::thread::sleep(wait);
+        true
     }
 
     #[test]
     fn delivers_in_order_with_retries() {
-        let seen = Arc::new(Mutex::new(Vec::new()));
-        let mut d = dispatcher(8, 3);
-        d.add_sink(mock(&seen, 2));
-        d.enqueue("a".into());
-        d.enqueue("b".into());
-        // First pump: "a" fails (attempt 1) and stays queued.
-        assert_eq!(d.pump(), 0);
-        assert_eq!(d.queued(), 2);
-        // Second pump: "a" fails (attempt 2), still below the budget.
-        assert_eq!(d.pump(), 0);
-        // Third pump: sink recovered; both deliver, in order.
-        assert_eq!(d.pump(), 2);
-        assert_eq!(*seen.lock().unwrap(), vec!["a", "b"]);
-        assert_eq!(d.stats().delivered, 2);
-        assert_eq!(d.stats().attempts, 4);
-    }
-
-    #[test]
-    fn a_retry_pages_only_the_sinks_that_refused() {
-        let (ok, flaky) = (Arc::default(), Arc::default());
-        let mut d = dispatcher(8, 3);
-        d.add_sink(mock(&ok, 0));
-        d.add_sink(mock(&flaky, 1));
-        d.enqueue("a".into());
-        assert_eq!(d.pump(), 0, "the second sink refused");
-        assert_eq!(d.pump(), 1);
-        let received = (ok.lock().unwrap().len(), flaky.lock().unwrap().len());
-        assert_eq!(received, (1, 1), "each sink paged exactly once");
-        assert_eq!(d.stats().attempts, 3, "one per sink delivery attempt");
-    }
-
-    #[test]
-    fn a_failing_sink_does_not_starve_the_sinks_after_it() {
-        let (dead, ok) = (Arc::default(), Arc::default());
-        let mut d = dispatcher(8, 3);
-        d.add_sink(mock(&dead, u32::MAX));
-        d.add_sink(mock(&ok, 0));
-        d.enqueue("a".into());
-        assert_eq!(d.pump(), 0);
-        assert_eq!(*ok.lock().unwrap(), vec!["a"], "reached in the same pump");
-        assert!(dead.lock().unwrap().is_empty());
+        let receiver = Receiver::start(2);
+        let mut pager = receiver.pager();
+        let started = Instant::now();
+        assert!(pager.page("a", sleep));
+        assert!(
+            started.elapsed() >= 2 * ALERT_RETRY_TICK,
+            "two refusals, each followed by a retry tick"
+        );
+        assert!(pager.page("b", sleep));
+        assert_eq!(receiver.stop(), (4, vec!["a".into(), "b".into()]));
+        let stats = pager.state().lock().unwrap().stats;
+        assert_eq!((stats.enqueued, stats.delivered), (2, 2));
     }
 
     #[test]
     fn exhausted_attempts_drop_the_payload_and_count_it() {
-        let seen = Arc::new(Mutex::new(Vec::new()));
-        let mut d = dispatcher(8, 2);
-        d.add_sink(mock(&seen, 2));
-        d.enqueue("doomed".into());
-        d.enqueue("fine".into());
-        assert_eq!(d.pump(), 0); // attempt 1 fails
-        assert_eq!(d.pump(), 1); // attempt 2 fails -> dropped; "fine" delivers
-        assert_eq!(*seen.lock().unwrap(), vec!["fine"]);
-        assert_eq!(d.stats().dropped_failed, 1);
-    }
-
-    #[test]
-    fn overflow_drops_oldest() {
-        let seen = Arc::new(Mutex::new(Vec::new()));
-        let mut d = dispatcher(2, 1);
-        d.add_sink(mock(&seen, 0));
-        d.enqueue("1".into());
-        d.enqueue("2".into());
-        d.enqueue("3".into()); // evicts "1"
-        assert_eq!(d.stats().dropped_overflow, 1);
-        d.pump();
-        assert_eq!(*seen.lock().unwrap(), vec!["2", "3"]);
+        let receiver = Receiver::start(ALERT_ATTEMPTS);
+        let mut pager = receiver.pager();
+        assert!(pager.page("doomed", sleep));
+        assert!(pager.page("fine", sleep));
+        assert_eq!(receiver.stop(), (ALERT_ATTEMPTS + 1, vec!["fine".into()]));
+        let stats = pager.state().lock().unwrap().stats;
+        assert_eq!((stats.delivered, stats.dropped_failed), (1, 1));
     }
 
     #[test]
     fn rate_limit_defers_delivery() {
-        let seen = Arc::new(Mutex::new(Vec::new()));
-        let mut d = AlertDispatcher::new(8, 1, Duration::from_secs(60));
-        d.add_sink(mock(&seen, 0));
-        d.enqueue("a".into());
-        d.enqueue("b".into());
-        assert_eq!(d.pump(), 1, "first delivery is immediate");
-        assert_eq!(d.pump(), 0, "second is rate-limited");
-        assert_eq!(d.queued(), 1);
+        let receiver = Receiver::start(0);
+        let mut pager = receiver.pager();
+        let mut pauses = Vec::new();
+        let started = Instant::now();
+        pager.page("a", |wait| {
+            pauses.push(wait);
+            sleep(wait)
+        });
+        assert!(pauses.is_empty(), "the first delivery is immediate");
+        pager.page("b", sleep);
+        assert!(started.elapsed() >= ALERT_MIN_INTERVAL, "the second waits");
+        assert_eq!(receiver.stop().1, ["a", "b"]);
     }
 
     #[test]
-    fn no_sinks_means_trivial_delivery() {
-        let mut d = dispatcher(2, 1);
-        d.enqueue("x".into());
-        assert_eq!(d.queued(), 0);
-        assert_eq!(d.stats().delivered, 1);
+    fn a_stopping_owner_ends_the_retries() {
+        let receiver = Receiver::start(u32::MAX);
+        let mut pager = receiver.pager();
+        assert!(!pager.page("a", |_| false), "given up at the first pause");
+        assert_eq!(receiver.stop().0, 1);
+        let stats = pager.state().lock().unwrap().stats;
+        assert_eq!((stats.delivered, stats.dropped_failed), (0, 0));
+    }
+
+    /// The incident log drops its oldest entries when full; a pager
+    /// that reads after them counts them as overflow.
+    #[test]
+    fn overflow_drops_oldest() {
+        use artemis_core::{AlertId, EventLog, IncidentEvent};
+        use artemis_simnet::SimTime;
+        let mut log = EventLog::with_capacity(2);
+        let pager = Pager::new(
+            WebhookSink::from_url("http://127.0.0.1:9/hook").unwrap(),
+            log.live_cursor(),
+        );
+        for secs in 1..=3 {
+            log.push(IncidentEvent::Resolved {
+                alert: AlertId(0),
+                at: SimTime::from_secs(secs),
+            });
+        }
+        let batch = log.poll(pager.cursor());
+        pager.read(batch.next, batch.missed);
+        let kept: Vec<_> = batch.events.iter().map(IncidentEvent::at).collect();
+        assert_eq!(kept, [SimTime::from_secs(2), SimTime::from_secs(3)]);
+        assert_eq!(pager.cursor(), log.live_cursor());
+        assert_eq!(pager.state().lock().unwrap().stats.dropped_overflow, 1);
     }
 
     #[test]
     fn webhook_url_parsing() {
         assert!(WebhookSink::from_url("http://127.0.0.1:9999/hook").is_ok());
         assert!(WebhookSink::from_url("http://127.0.0.1:9999").is_ok());
+        assert!(WebhookSink::from_url("http://[::1]:9999/hook").is_ok());
         assert!(WebhookSink::from_url("https://x/y").is_err());
         assert!(WebhookSink::from_url("http:///y").is_err());
+        assert!(WebhookSink::from_url("http://:9999/y").is_err());
+    }
+
+    #[test]
+    fn a_webhook_url_needs_a_port_and_no_raw_whitespace() {
+        for url in [
+            "http://127.0.0.1/hook",
+            "http://127.0.0.1",
+            "http://127.0.0.1:/hook",
+            "http://127.0.0.1:0/hook",
+            "http://127.0.0.1:99999/hook",
+            "http://127.0.0.1:9999/a b",
+            "http://127.0.0.1:9999/hook\r\nx-injected: 1",
+            "http://127.0.0.1:9999/hook\n",
+            "http://127.0.0.1:9999/\thook",
+        ] {
+            assert!(WebhookSink::from_url(url).is_err(), "{url:?} was accepted");
+        }
     }
 }

@@ -33,7 +33,8 @@ FLAGS:
                            default 174 and 3356)
     --event-capacity N     incident event-log ring capacity (default 1024)
     --audit-log PATH       also append audit records to this JSONL file
-    --webhook URL          register a webhook alert sink (repeatable)
+    --webhook URL          register a webhook alert sink,
+                           http://host:port/path (repeatable, at most 16)
     --bmp-feed NAME@HOST:PORT
                            dial a live RFC 7854 BMP collector at startup
                            (repeatable); the reader retries until the

@@ -46,19 +46,22 @@
 //! [`FEED_PUMP_IDLE_TICK`] is the safety net for a lost wake and for
 //! simulated feeds, which have no thread to knock with.
 //!
-//! One mutex guards the service, the audit log and the alert cursor;
-//! under it run only the service's own work (a pump's detection, a
-//! command, a query, an inject) and the copies a reply needs. No
-//! handler and not the feed pump pages alerts. A dedicated alert
-//! thread does: it parks until the incident log grows while a webhook
-//! sink is registered (or its retry tick passes), takes the new events
-//! under the lock, and releases it before it builds a payload or
-//! delivers one. A dead sink therefore delays only the pages queued
-//! behind it, never detection, a long-poll or a command. With no sink
-//! registered it takes no event and builds no payload. Nor does a dead
-//! sink hold up a stop: once the server has returned, the webhooks'
-//! clients are closed, which ends a delivery in flight at once instead
-//! of after the sink's 5 s timeout.
+//! One mutex guards the service and the audit log; under it run only
+//! the service's own work (a pump's detection, a command, a query, an
+//! inject) and the copies a reply needs. No handler and not the feed
+//! pump pages alerts. Each registered webhook sink has a pager thread
+//! of its own (at most [`MAX_SINKS`]) that reads the incident log by
+//! cursor exactly as a long-poll does: it takes the new entries under
+//! the lock, releases it, builds and delivers the alert-worthy ones,
+//! and parks on the same generation counter. So a page born of a
+//! delivery leaves at once, and one born of a command within
+//! `LONGPOLL_PARK_CAP`, as a long-poll learns of it. A dead sink delays
+//! only its own pages, never another sink's, detection, a long-poll or
+//! a command; with no sink registered no pager runs. The log is the
+//! only buffer: entries evicted before a pager read them are counted as
+//! overflow. Nor does a dead sink hold up a stop: once the server has
+//! returned, the webhooks' clients are closed, which ends a delivery in
+//! flight at once instead of after the sink's 5 s timeout.
 //!
 //! JSON never goes through a tree. A request body is parsed straight
 //! into its envelope type by the vendored `serde_json`'s streaming
@@ -69,7 +72,7 @@
 //!
 //! [`ServiceReply::Status`]: artemis_core::ServiceReply::Status
 
-use crate::alerts::{AlertDispatcher, AlertSink, DispatchStats, WebhookSink};
+use crate::alerts::{DispatchStats, Pager, PagerState, WebhookSink, MAX_SINKS};
 use crate::audit::{AuditLog, AuditRecord};
 use artemis_core::wire::{
     CommandEnvelope, CommandResult, EventsEnvelope, InjectEnvelope, InjectOutcome, OutcomeEnvelope,
@@ -82,7 +85,7 @@ use minihttp::{Request, Response, Server, ShutdownSwitch};
 use serde::{Deserialize, Serialize};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -100,10 +103,6 @@ pub const FEED_PUMP_IDLE_TICK: Duration = Duration::from_millis(250);
 /// that a notification lost on the delivery path shows as seconds
 /// instead of hiding behind this bound.
 const LONGPOLL_PARK_CAP: Duration = Duration::from_millis(if cfg!(test) { 3_000 } else { 10 });
-
-/// How long the alert thread parks when nothing wakes it: how soon a
-/// payload a sink refused is offered again.
-const ALERT_RETRY_TICK: Duration = Duration::from_millis(200);
 
 /// Payload posted to alert sinks: one alert-worthy incident event.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -134,48 +133,30 @@ pub struct DaemonConfig {
 struct Inner {
     service: ArtemisService,
     audit: AuditLog,
-    /// The first event the alert thread has not yet taken.
-    alert_cursor: EventCursor,
 }
 
-/// What the request handlers share with the alert thread, which owns
-/// the [`AlertDispatcher`]: sinks registered since the thread last
-/// looked, every sink's name and HTTP client, and the dispatcher's
-/// counters as of its last pump. Never held across a delivery.
-#[derive(Default)]
-struct AlertBoard {
-    added: Vec<Box<dyn AlertSink>>,
-    names: Vec<String>,
-    /// Clones of every webhook's client, closed at shutdown to end a
-    /// delivery the alert thread is blocked in.
-    clients: Vec<minihttp::Client>,
-    stats: DispatchStats,
-    queued: usize,
-}
-
-impl AlertBoard {
-    fn register(&mut self, sink: WebhookSink) {
-        self.names.push(sink.name().to_string());
-        self.clients.push(sink.client().clone());
-        self.added.push(Box::new(sink));
-    }
+/// A registered webhook and the thread paging it.
+struct SinkSlot {
+    name: String,
+    /// A clone of the sink's client, closed at shutdown to end a
+    /// delivery the pager is blocked in.
+    client: minihttp::Client,
+    state: Arc<Mutex<PagerState>>,
+    pager: JoinHandle<()>,
 }
 
 struct Shared {
     inner: Mutex<Inner>,
     started: Instant,
     switch: ShutdownSwitch,
-    /// Bumped whenever the incident log grew; long-polls park on
-    /// `log_grew` until it moves.
+    /// Bumped whenever the incident log grew; long-polls and pagers
+    /// park on `log_grew` until it moves.
     log_generation: Mutex<u64>,
     log_grew: Condvar,
     /// Knocked by live feeds' rings; the feed pump parks on it.
     feed_wake: WakeLatch,
-    alerts: Mutex<AlertBoard>,
-    /// Set once a sink is registered: from then on a log append knocks
-    /// `alert_wake`, which the alert thread parks on.
-    paging: AtomicBool,
-    alert_wake: WakeLatch,
+    /// Registered webhooks, in registration order.
+    sinks: Mutex<Vec<SinkSlot>>,
     state_lock_poisoned: AtomicU64,
     feed_pump_wakeups: AtomicU64,
     feed_pump_panics: AtomicU64,
@@ -227,16 +208,13 @@ impl Shared {
             if publish == Publish::Wake {
                 self.log_grew.notify_all();
             }
-            if self.paging.load(Ordering::Relaxed) {
-                self.alert_wake.wake();
-            }
         }
         out
     }
 
-    fn alert_board(&self) -> MutexGuard<'_, AlertBoard> {
-        // Nothing panics while holding the board.
-        self.alerts.lock().unwrap_or_else(PoisonError::into_inner)
+    fn sinks(&self) -> MutexGuard<'_, Vec<SinkSlot>> {
+        // Nothing panics while holding the sink list.
+        self.sinks.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn log_generation(&self) -> MutexGuard<'_, u64> {
@@ -246,8 +224,8 @@ impl Shared {
             .unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Park a long-poll until the log generation moves past `seen`,
-    /// shutdown is requested, or `deadline` passes.
+    /// Park a long-poll or a pager until the log generation moves past
+    /// `seen`, shutdown is requested, or `deadline` passes.
     fn wait_for_log(&self, seen: u64, deadline: Instant) {
         let mut generation = self.log_generation();
         while *generation == seen && !self.switch.is_triggered() {
@@ -263,12 +241,22 @@ impl Shared {
         }
     }
 
-    /// Request shutdown and release every parked thread: the feed pump
-    /// and the long-polls, which return their current batch at once.
+    /// Wait `wait` unless shutdown is requested first; false once it is.
+    fn pause(&self, wait: Duration) -> bool {
+        let deadline = Instant::now() + wait;
+        while !self.switch.is_triggered() && Instant::now() < deadline {
+            let seen = *self.log_generation();
+            self.wait_for_log(seen, deadline);
+        }
+        !self.switch.is_triggered()
+    }
+
+    /// Request shutdown and release every parked thread: the feed pump,
+    /// the pagers and the long-polls, which return their current batch
+    /// at once.
     fn shutdown(&self) {
         self.switch.trigger();
         self.feed_wake.wake();
-        self.alert_wake.wake();
         // Through the mutex, so the flag cannot change between a
         // long-poll's check and its park.
         drop(self.log_generation());
@@ -276,50 +264,58 @@ impl Shared {
     }
 }
 
-/// The alert thread (see the module docs): parked until the log grows
-/// while a sink is registered, or the retry tick passes; then it takes
-/// the new events under the state lock and pages the alert-worthy ones
-/// with the lock released.
-fn page_alerts(shared: &Shared) {
-    let mut dispatcher = AlertDispatcher::with_defaults();
+/// Whether an incident event pages the sinks.
+fn alert_worthy(event: &IncidentEvent) -> bool {
+    matches!(
+        event,
+        IncidentEvent::AlertRaised { .. }
+            | IncidentEvent::MitigationPending { .. }
+            | IncidentEvent::MitigationTriggered { .. }
+            | IncidentEvent::Resolved { .. }
+    )
+}
+
+/// A sink's pager thread (see the module docs): reads the log by
+/// cursor like a long-poll and pages the alert-worthy entries with the
+/// state lock released.
+fn page_sink(shared: &Shared, mut pager: Pager) {
     while !shared.switch.is_triggered() {
-        shared.alert_wake.wait(ALERT_RETRY_TICK);
-        for sink in std::mem::take(&mut shared.alert_board().added) {
-            dispatcher.add_sink(sink);
-        }
-        if dispatcher.sink_count() == 0 {
-            continue;
-        }
-        let events = {
-            let mut inner = shared.lock();
-            let batch = inner.service.poll_events(inner.alert_cursor);
-            inner.alert_cursor = batch.next;
-            batch.events
-        };
-        for event in events {
-            let alert_worthy = matches!(
-                event,
-                IncidentEvent::AlertRaised { .. }
-                    | IncidentEvent::MitigationPending { .. }
-                    | IncidentEvent::MitigationTriggered { .. }
-                    | IncidentEvent::Resolved { .. }
-            );
-            if !alert_worthy {
-                continue;
-            }
+        let seen = *shared.log_generation();
+        let from = pager.cursor();
+        let batch = shared.lock().service.poll_events(from);
+        pager.read(batch.next, batch.missed);
+        for event in batch.events.into_iter().filter(alert_worthy) {
             let payload = AlertPayload {
                 schema_version: SCHEMA_VERSION,
                 event,
             };
-            if let Ok(json) = serde_json::to_string(&payload) {
-                dispatcher.enqueue(json);
+            let Ok(json) = serde_json::to_string(&payload) else {
+                continue;
+            };
+            if !pager.page(&json, |wait| shared.pause(wait)) {
+                return;
             }
         }
-        dispatcher.pump();
-        let mut board = shared.alert_board();
-        board.stats = dispatcher.stats();
-        board.queued = dispatcher.queued();
+        // No deadline of its own: a new entry or a stop ends the park.
+        shared.wait_for_log(seen, Instant::now() + Duration::from_secs(3600));
     }
+}
+
+/// Register `sink` in `sinks` and start its pager at the log's tail:
+/// nothing raised before a sink exists is paged to it.
+fn add_sink(shared: &Arc<Shared>, sinks: &mut Vec<SinkSlot>, sink: WebhookSink) {
+    let (name, client) = (sink.name().to_string(), sink.client().clone());
+    let tail = shared.lock().service.event_log().live_cursor();
+    let pager = Pager::new(sink, tail);
+    let state = pager.state();
+    let pager_shared = Arc::clone(shared);
+    let pager = std::thread::spawn(move || page_sink(&pager_shared, pager));
+    sinks.push(SinkSlot {
+        name,
+        client,
+        state,
+        pager,
+    });
 }
 
 fn json_body<T: for<'de> Deserialize<'de>>(req: &Request) -> Result<T, Response> {
@@ -459,10 +455,13 @@ fn handle_audit(shared: &Shared, req: &Request) -> Response {
 }
 
 fn handle_metrics(shared: &Shared) -> Response {
-    let (dispatch, alert_queue_depth) = {
-        let board = shared.alert_board();
-        (board.stats, board.queued)
-    };
+    let mut dispatch = DispatchStats::default();
+    let mut read = Vec::new();
+    for slot in shared.sinks().iter() {
+        let state = slot.state.lock().unwrap_or_else(PoisonError::into_inner);
+        dispatch += state.stats;
+        read.push(state.next.sequence());
+    }
     let inner = shared.lock();
     let pipeline = inner.service.pipeline();
     let structure = crate::metrics::StructureGauges {
@@ -477,8 +476,9 @@ fn handle_metrics(shared: &Shared) -> Response {
         .handles()
         .filter_map(|(_, feed)| feed.wire_health().map(|h| (feed.name().to_string(), h)))
         .collect();
+    let pushed = inner.service.event_log().total_pushed();
     let daemon = crate::metrics::DaemonGauges {
-        alert_queue_depth,
+        alert_queue_depth: read.iter().map(|next| pushed.saturating_sub(*next)).sum(),
         audit_records: inner.audit.len(),
         audit_write_errors: inner.audit.write_errors(),
         state_lock_poisoned: shared.state_lock_poisoned.load(Ordering::Relaxed),
@@ -496,7 +496,8 @@ fn handle_metrics(shared: &Shared) -> Response {
     Response::text(text)
 }
 
-fn handle_sinks(shared: &Shared, req: &Request) -> Response {
+fn handle_sinks(shared: &Arc<Shared>, req: &Request) -> Response {
+    let mut sinks = shared.sinks();
     if req.method == "POST" {
         let body: SinkRequest = match json_body(req) {
             Ok(v) => v,
@@ -506,21 +507,15 @@ fn handle_sinks(shared: &Shared, req: &Request) -> Response {
             Ok(s) => s,
             Err(e) => return Response::bad_request(e),
         };
-        let mut inner = shared.lock();
-        let mut board = shared.alert_board();
-        if board.names.is_empty() {
-            // Nothing raised before the first sink is paged, as at start.
-            inner.alert_cursor = inner.service.event_log().live_cursor();
+        if sinks.len() >= MAX_SINKS {
+            return Response::bad_request(format!("at most {MAX_SINKS} sinks"));
         }
-        board.register(sink);
-        shared.paging.store(true, Ordering::Relaxed);
-        reply_json(&board.names)
-    } else {
-        reply_json(&shared.alert_board().names)
+        add_sink(shared, &mut sinks, sink);
     }
+    reply_json(&sinks.iter().map(|s| &s.name).collect::<Vec<_>>())
 }
 
-fn route(shared: &Shared, req: &Request) -> Response {
+fn route(shared: &Arc<Shared>, req: &Request) -> Response {
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/healthz") => Response::text("ok\n"),
         ("POST", "/v1/command") => handle_command(shared, req),
@@ -549,7 +544,6 @@ pub struct DaemonHandle {
     addr: std::net::SocketAddr,
     shared: Arc<Shared>,
     server: Option<JoinHandle<()>>,
-    alerts: Option<JoinHandle<()>>,
     feed_pump: Option<JoinHandle<()>>,
 }
 
@@ -585,14 +579,16 @@ impl DaemonHandle {
             let _ = server.join();
         }
         // The server returns once the switch has fired, however it was
-        // fired. A webhook that never answers would now hold the alert
-        // thread for the rest of its 5 s timeout: end that delivery (and
-        // fail any later one at once) instead of waiting it out.
-        for client in &self.shared.alert_board().clients {
-            client.close();
+        // fired, and no sink is added after it. A webhook that never
+        // answers would now hold its pager for the rest of its 5 s
+        // timeout: end that delivery (and fail any later one at once)
+        // instead of waiting it out.
+        let sinks = std::mem::take(&mut *self.shared.sinks());
+        for slot in &sinks {
+            slot.client.close();
         }
-        if let Some(alerts) = self.alerts.take() {
-            let _ = alerts.join();
+        for slot in sinks {
+            let _ = slot.pager.join();
         }
         if let Some(feed_pump) = self.feed_pump.take() {
             let _ = feed_pump.join();
@@ -612,19 +608,20 @@ impl Daemon {
         mut service: ArtemisService,
         config: DaemonConfig,
     ) -> std::io::Result<DaemonHandle> {
-        let mut board = AlertBoard::default();
-        for url in &config.webhooks {
-            let sink = WebhookSink::from_url(url)
-                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
-            board.register(sink);
+        let invalid = |e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e);
+        if config.webhooks.len() > MAX_SINKS {
+            return Err(invalid(format!("at most {MAX_SINKS} webhooks")));
         }
+        let webhooks = config
+            .webhooks
+            .iter()
+            .map(|url| WebhookSink::from_url(url))
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(invalid)?;
         let audit = match &config.audit_path {
             Some(path) => AuditLog::with_file(path)?,
             None => AuditLog::in_memory(),
         };
-        // Alerts raised before the daemon started (setup-time history)
-        // are not paged: the alert cursor begins at the current tail.
-        let alert_cursor = service.event_log().live_cursor();
 
         let server = Server::bind(addr)?;
         let bound = server.local_addr()?;
@@ -640,35 +637,34 @@ impl Daemon {
             .set_waker(feed_wake.clone());
 
         let shared = Arc::new(Shared {
-            inner: Mutex::new(Inner {
-                service,
-                audit,
-                alert_cursor,
-            }),
+            inner: Mutex::new(Inner { service, audit }),
             started: Instant::now(),
             switch,
             log_generation: Mutex::new(0),
             log_grew: Condvar::new(),
             feed_wake,
-            paging: AtomicBool::new(!board.names.is_empty()),
-            alerts: Mutex::new(board),
-            alert_wake: WakeLatch::new(),
+            sinks: Mutex::default(),
             state_lock_poisoned: AtomicU64::new(0),
             feed_pump_wakeups: AtomicU64::new(0),
             feed_pump_panics: AtomicU64::new(0),
         });
+
+        // Alerts raised before the daemon started (setup-time history)
+        // are not paged: each pager begins at the current tail.
+        let mut sinks = shared.sinks();
+        for sink in webhooks {
+            add_sink(&shared, &mut sinks, sink);
+        }
+        drop(sinks);
 
         let server_shared = Arc::clone(&shared);
         let server_thread = std::thread::spawn(move || {
             let _ = server.serve(move |req| route(&server_shared, req));
         });
 
-        let alert_shared = Arc::clone(&shared);
-        let alert_thread = std::thread::spawn(move || page_alerts(&alert_shared));
-
         // Feed pump: parked until a live ring knocks (or the idle tick
         // passes), then drains the feeds through detection and wakes
-        // the long-polls (and the alert thread) if the incident log
+        // the long-polls (and the pagers) if the incident log
         // grew. An iteration that panics (a feed or a stage
         // hitting a bug) is counted (`artemis_feed_pump_panics_total`)
         // and the pump goes on: a dead pump would stop detection with
@@ -695,7 +691,6 @@ impl Daemon {
             addr: bound,
             shared,
             server: Some(server_thread),
-            alerts: Some(alert_thread),
             feed_pump: Some(feed_thread),
         })
     }

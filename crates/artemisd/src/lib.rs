@@ -18,9 +18,10 @@
 //!   mitigation phase;
 //! * an append-only [`AuditLog`] of every operator command with its
 //!   outcome, optionally persisted as JSON lines;
-//! * a pluggable alert layer ([`AlertSink`] / [`AlertDispatcher`])
-//!   that pages webhooks about raised, pending, triggered, and
-//!   resolved incidents through a bounded retry queue.
+//! * webhook alert sinks ([`WebhookSink`]) paged about raised,
+//!   pending, triggered and resolved incidents, each by a thread of
+//!   its own that reads the incident log by cursor like a long-poll
+//!   and retries a refused page a bounded number of times.
 //!
 //! [`CtlClient`] is the matching typed client; the `artemisd` and
 //! `artemisctl` binaries are thin flag parsers over [`Daemon`] and
@@ -37,7 +38,7 @@ pub mod client;
 pub mod daemon;
 pub mod metrics;
 
-pub use alerts::{AlertDispatcher, AlertSink, DispatchStats, WebhookSink};
+pub use alerts::{DispatchStats, WebhookSink, MAX_SINKS};
 pub use audit::{AuditLog, AuditRecord};
 pub use client::CtlClient;
 pub use daemon::{AlertPayload, Daemon, DaemonConfig, DaemonHandle, SinkRequest};

@@ -3,8 +3,8 @@
 //! Everything rendered here comes from surfaces the typed API already
 //! exposes — the [`ServiceSummary`] counts (the numbers of a
 //! `ServiceQuery::Status` snapshot without its fleet-sized tables), the
-//! pipeline's wall-clock [`StageMetrics`], the alert dispatcher's
-//! [`DispatchStats`], and the daemon's own counters — so a scrape can
+//! pipeline's wall-clock [`StageMetrics`], the webhook pagers'
+//! [`DispatchStats`] summed over sinks, and the daemon's own counters — so a scrape can
 //! never disagree with what `ServiceQuery::Status` reports at the same
 //! instant, and costs the same whatever the fleet size.
 
@@ -47,8 +47,9 @@ pub struct StructureGauges {
 /// The daemon's own state, outside the service it wraps.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DaemonGauges {
-    /// Alert payloads waiting for delivery.
-    pub alert_queue_depth: usize,
+    /// Incident-log entries the webhook pagers have not yet read,
+    /// summed over sinks.
+    pub alert_queue_depth: u64,
     /// Operator commands audited.
     pub audit_records: u64,
     /// Audited commands the audit file did not take.
@@ -367,26 +368,26 @@ pub fn render(
         structure.timeline_coalesced_points,
     );
 
-    // -- alert dispatch ------------------------------------------------
+    // -- alert paging, summed over sinks -------------------------------
     single(
         &mut out,
         "artemis_alerts_enqueued_total",
         "counter",
-        "Alert payloads queued for delivery.",
+        "Alert payloads built for a sink, summed over sinks.",
         dispatch.enqueued,
     );
     single(
         &mut out,
         "artemis_alerts_delivered_total",
         "counter",
-        "Alert payloads delivered to all sinks.",
+        "Alert payloads a sink accepted, summed over sinks.",
         dispatch.delivered,
     );
     family(
         &mut out,
         "artemis_alerts_dropped_total",
         "counter",
-        "Alert payloads dropped, by reason.",
+        "Alert pages lost, summed over sinks: overflow counts incident-log entries evicted before a sink read them, failed counts payloads a sink refused on every attempt.",
     );
     let _ = writeln!(
         out,
@@ -402,8 +403,8 @@ pub fn render(
         &mut out,
         "artemis_alert_queue_depth",
         "gauge",
-        "Alert payloads waiting for delivery.",
-        daemon.alert_queue_depth as u64,
+        "Incident-log entries the sinks have not yet read, summed over sinks.",
+        daemon.alert_queue_depth,
     );
 
     // -- audit ---------------------------------------------------------

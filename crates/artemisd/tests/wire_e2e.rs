@@ -17,6 +17,8 @@ use artemis_simnet::{LatencyModel, SimRng, SimTime};
 use artemisd::daemon::AlertPayload;
 use artemisd::{CtlClient, Daemon, DaemonConfig};
 use std::str::FromStr;
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 fn pfx(s: &str) -> Prefix {
     Prefix::from_str(s).unwrap()
@@ -317,31 +319,81 @@ fn heals_without_a_stated_origin_resolve_the_incident() {
     daemon.shutdown();
 }
 
+/// A webhook receiver on loopback recording every body it is sent.
+struct Capture {
+    url: String,
+    received: Arc<Mutex<Vec<String>>>,
+    switch: minihttp::ShutdownSwitch,
+    thread: std::thread::JoinHandle<()>,
+}
+
+impl Capture {
+    fn start() -> Capture {
+        let receiver = minihttp::Server::bind("127.0.0.1:0").unwrap();
+        let url = format!("http://{}/hook", receiver.local_addr().unwrap());
+        let switch = receiver.shutdown_switch().unwrap();
+        let received: Arc<Mutex<Vec<String>>> = Arc::default();
+        let store = Arc::clone(&received);
+        let thread = std::thread::spawn(move || {
+            let _ = receiver.serve(move |req| {
+                if let Ok(body) = req.body_utf8() {
+                    store.lock().unwrap().push(body.to_string());
+                }
+                minihttp::Response::json("{}")
+            });
+        });
+        Capture {
+            url,
+            received,
+            switch,
+            thread,
+        }
+    }
+
+    /// The bodies received once there are at least `n`, or all of
+    /// them when `within` passes first.
+    fn wait_for(&self, n: usize, within: Duration) -> Vec<String> {
+        let deadline = Instant::now() + within;
+        loop {
+            let got = self.received.lock().unwrap().clone();
+            if got.len() >= n || Instant::now() >= deadline {
+                return got;
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+
+    fn stop(self) {
+        self.switch.trigger();
+        self.thread.join().unwrap();
+    }
+}
+
+fn first_is_alert_zero_raised(payloads: &[String]) -> bool {
+    payloads.first().is_some_and(|p| {
+        let payload: AlertPayload = serde_json::from_str(p).expect("payload must parse");
+        matches!(
+            payload.event,
+            artemis_core::IncidentEvent::AlertRaised { alert, .. } if alert == AlertId(0)
+        )
+    })
+}
+
+/// The value of one unlabelled or labelled series in a scrape.
+fn scraped(text: &str, series: &str) -> u64 {
+    text.lines()
+        .find_map(|l| l.strip_prefix(series)?.strip_prefix(' '))
+        .unwrap_or_else(|| panic!("no {series} in the scrape"))
+        .parse()
+        .unwrap()
+}
+
 #[test]
 fn webhook_sink_receives_alert_payloads() {
-    use std::sync::{Arc, Mutex};
-    use std::time::{Duration, Instant};
-
-    // A capturing webhook receiver.
-    let received: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
-    let receiver = minihttp::Server::bind("127.0.0.1:0").unwrap();
-    let receiver_addr = receiver.local_addr().unwrap();
-    let receiver_switch = receiver.shutdown_switch().unwrap();
-    let store = Arc::clone(&received);
-    let receiver_thread = std::thread::spawn(move || {
-        let _ = receiver.serve(move |req| {
-            if let Ok(body) = req.body_utf8() {
-                store.lock().unwrap().push(body.to_string());
-            }
-            minihttp::Response::json("{}")
-        });
-    });
-
+    let capture = Capture::start();
     let daemon = Daemon::start("127.0.0.1:0", service(), DaemonConfig::default()).unwrap();
     let client = CtlClient::new(daemon.addr().to_string());
-    let sinks = client
-        .add_webhook(&format!("http://{receiver_addr}/hook"))
-        .expect("add-sink failed");
+    let sinks = client.add_webhook(&capture.url).expect("add-sink failed");
     assert_eq!(sinks.len(), 1);
 
     // Default policy is auto-mitigate: one hijack produces AlertRaised
@@ -350,41 +402,136 @@ fn webhook_sink_receives_alert_payloads() {
         .inject(vec![event(174, "10.0.0.0/23", &[174, 666], 45)])
         .expect("inject failed");
 
-    let deadline = Instant::now() + Duration::from_secs(10);
-    let payloads = loop {
-        let got = received.lock().unwrap().clone();
-        if got.len() >= 2 || Instant::now() >= deadline {
-            break got;
-        }
-        std::thread::sleep(Duration::from_millis(25));
-    };
+    let payloads = capture.wait_for(2, Duration::from_secs(10));
     assert!(
         payloads.len() >= 2,
         "expected at least 2 alert payloads, got {}",
         payloads.len()
     );
-    let first: AlertPayload = serde_json::from_str(&payloads[0]).expect("payload must parse");
-    assert!(matches!(
-        first.event,
-        artemis_core::IncidentEvent::AlertRaised { alert, .. } if alert == AlertId(0)
-    ));
+    assert!(first_is_alert_zero_raised(&payloads), "{payloads:?}");
 
     daemon.shutdown();
-    receiver_switch.trigger();
-    let _ = receiver_thread.join();
+    capture.stop();
+}
+
+/// The incident log is a pager's only buffer: entries evicted before
+/// the pager read them are counted as overflow, and the queue depth is
+/// what the sinks have yet to read.
+#[test]
+fn entries_evicted_before_a_sink_read_them_count_as_overflow() {
+    let capture = Capture::start();
+    let config = ArtemisConfig::new(
+        Asn(65001),
+        vec![OwnedPrefix::new(pfx("10.0.0.0/23"), Asn(65001))],
+    );
+    let pipeline =
+        Pipeline::bare(config, [Asn(174), Asn(3356)].into_iter().collect()).with_event_capacity(1);
+    let controller = Controller::new(Asn(65001), LatencyModel::const_secs(15), SimRng::new(1));
+    let daemon = Daemon::start(
+        "127.0.0.1:0",
+        ArtemisService::new(pipeline, controller),
+        DaemonConfig {
+            webhooks: vec![capture.url.clone()],
+            ..DaemonConfig::default()
+        },
+    )
+    .unwrap();
+    let client = CtlClient::new(daemon.addr().to_string());
+
+    // One lock hold appends AlertRaised and MitigationTriggered; the
+    // second evicts the first before the pager can read it.
+    client
+        .inject(vec![event(174, "10.0.0.0/23", &[174, 666], 45)])
+        .unwrap();
+    let payloads = capture.wait_for(1, Duration::from_secs(10));
+    assert_eq!(payloads.len(), 1, "{payloads:?}");
+    let payload: AlertPayload = serde_json::from_str(&payloads[0]).unwrap();
+    assert!(matches!(
+        payload.event,
+        artemis_core::IncidentEvent::MitigationTriggered { .. }
+    ));
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let text = loop {
+        let text = client.metrics_text().unwrap();
+        if scraped(&text, "artemis_alerts_delivered_total") == 1 || Instant::now() >= deadline {
+            break text;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    assert_eq!(scraped(&text, "artemis_alerts_enqueued_total"), 1);
+    assert_eq!(scraped(&text, "artemis_alerts_delivered_total"), 1);
+    assert_eq!(
+        scraped(&text, "artemis_alerts_dropped_total{reason=\"overflow\"}"),
+        1
+    );
+    assert_eq!(
+        scraped(&text, "artemis_alerts_dropped_total{reason=\"failed\"}"),
+        0
+    );
+    assert_eq!(scraped(&text, "artemis_alert_queue_depth"), 0);
+
+    daemon.shutdown();
+    capture.stop();
+}
+
+/// Every sink owns a pager thread, so the daemon pages at most
+/// `MAX_SINKS` (16): a seventeenth is refused over the wire and at
+/// start. Nothing is paged, so no sink needs to listen.
+#[test]
+fn the_seventeenth_sink_is_refused() {
+    assert_eq!(artemisd::MAX_SINKS, 16);
+    let urls: Vec<String> = (0..17).map(|i| format!("http://127.0.0.1:9/{i}")).collect();
+    let daemon = Daemon::start("127.0.0.1:0", service(), DaemonConfig::default()).unwrap();
+    let client = CtlClient::new(daemon.addr().to_string());
+    for (i, url) in urls[..16].iter().enumerate() {
+        assert_eq!(client.add_webhook(url).unwrap().len(), i + 1);
+    }
+    let refused = client.add_webhook(&urls[16]).unwrap_err();
+    assert!(refused.contains("400"), "{refused}");
+    assert_eq!(client.sinks().unwrap(), urls[..16]);
+    daemon.shutdown();
+
+    let too_many = DaemonConfig {
+        webhooks: urls,
+        ..DaemonConfig::default()
+    };
+    assert!(Daemon::start("127.0.0.1:0", service(), too_many).is_err());
+}
+
+/// A URL without a port would fail every delivery, and one with a raw
+/// space or CR/LF would write its own request line and headers: both
+/// are refused when the sink is registered, over the wire and at start.
+#[test]
+fn a_webhook_url_without_a_port_or_with_raw_whitespace_is_refused() {
+    let daemon = Daemon::start("127.0.0.1:0", service(), DaemonConfig::default()).unwrap();
+    let client = CtlClient::new(daemon.addr().to_string());
+    for url in [
+        "http://127.0.0.1/hook",
+        "http://127.0.0.1:9/a b",
+        "http://127.0.0.1:9/hook\r\nx-injected: 1",
+    ] {
+        let refused = client.add_webhook(url).unwrap_err();
+        assert!(refused.contains("400"), "{url:?}: {refused}");
+        let config = DaemonConfig {
+            webhooks: vec![url.to_string()],
+            ..DaemonConfig::default()
+        };
+        assert!(Daemon::start("127.0.0.1:0", service(), config).is_err());
+    }
+    assert!(client.sinks().unwrap().is_empty());
+    daemon.shutdown();
 }
 
 /// A webhook that accepts TCP and answers nothing until released must
-/// delay neither detection nor the control plane: the daemon pages on
-/// its own thread, outside the state lock. The bound is logical, not a
-/// timing one: every step must finish in well under the sink's 5 s
-/// delivery timeout, which is what any of them would wait for if the
-/// delivery ran under the lock.
+/// delay neither detection, the control plane nor another sink: each
+/// sink is paged from a thread of its own, outside the state lock. The
+/// bound is logical, not a timing one: every step must finish in well
+/// under the sink's 5 s delivery timeout, which is what any of them
+/// would wait for if the delivery ran under the lock or one thread
+/// paged every sink.
 #[test]
 fn a_sink_that_never_answers_delays_neither_detection_nor_commands() {
     use std::sync::mpsc::{channel, Receiver};
-    use std::sync::{Arc, Mutex};
-    use std::time::{Duration, Instant};
     const WELL_UNDER_THE_SINK_TIMEOUT: Duration = Duration::from_secs(2);
 
     // The sink: every request waits at the gate until `release` is
@@ -420,6 +567,10 @@ fn a_sink_that_never_answers_delays_neither_detection_nor_commands() {
     client
         .add_webhook(&format!("http://{sink_addr}/hook"))
         .unwrap();
+    // Registered after the silent sink: in a queue both drain, its
+    // pages would wait behind the silent sink's.
+    let live = Capture::start();
+    client.add_webhook(&live.url).unwrap();
     let timed = |what: &str, f: &dyn Fn()| {
         let started = Instant::now();
         f();
@@ -436,6 +587,11 @@ fn a_sink_that_never_answers_delays_neither_detection_nor_commands() {
     entered
         .recv_timeout(Duration::from_secs(5))
         .expect("the daemon pages the sink");
+    let live_pages = live.wait_for(1, WELL_UNDER_THE_SINK_TIMEOUT);
+    assert!(
+        first_is_alert_zero_raised(&live_pages),
+        "the live sink waited on the silent one: {live_pages:?}"
+    );
 
     // While it hangs: a second hijack reaches a parked long-poll, and
     // a command and a scrape are answered.
@@ -478,15 +634,13 @@ fn a_sink_that_never_answers_delays_neither_detection_nor_commands() {
     }
     let payloads = received.lock().unwrap().clone();
     assert_eq!(payloads.len(), 4, "{payloads:?}");
-    let first: AlertPayload = serde_json::from_str(&payloads[0]).unwrap();
-    assert!(matches!(
-        first.event,
-        artemis_core::IncidentEvent::AlertRaised { alert, .. } if alert == AlertId(0)
-    ));
+    assert!(first_is_alert_zero_raised(&payloads), "{payloads:?}");
+    assert_eq!(live.wait_for(4, Duration::from_secs(10)), payloads);
 
     daemon.shutdown();
     sink_switch.trigger();
     sink_thread.join().unwrap();
+    live.stop();
 }
 
 /// A webhook that accepts TCP and never reads must not hold up
@@ -498,7 +652,6 @@ fn shutdown_ends_a_delivery_to_a_sink_that_never_reads() {
     use artemis_feeds::{BmpLiveFeed, LiveFeedConfig};
     use std::io::Read;
     use std::net::TcpListener;
-    use std::time::{Duration, Instant};
 
     // The kernel completes the sink's handshakes from the backlog; the
     // test accepts one only to learn that a delivery is under way.
@@ -532,7 +685,7 @@ fn shutdown_ends_a_delivery_to_a_sink_that_never_reads() {
         .inject(vec![event(174, "10.0.0.0/24", &[174, 666], 45)])
         .unwrap();
     let (_delivery, _) = sink.accept().unwrap();
-    // Let the page be written; the alert thread now waits for an answer.
+    // Let the page be written; the sink's pager now waits for an answer.
     std::thread::sleep(Duration::from_millis(200));
 
     let started = Instant::now();
