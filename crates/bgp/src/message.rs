@@ -83,17 +83,6 @@ pub struct NotificationMessage {
     pub data: Vec<u8>,
 }
 
-impl NotificationMessage {
-    /// Cease / administrative shutdown (RFC 4486).
-    pub fn cease_admin_shutdown() -> Self {
-        NotificationMessage {
-            code: 6,
-            subcode: 2,
-            data: Vec::new(),
-        }
-    }
-}
-
 impl fmt::Display for NotificationMessage {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -155,12 +144,5 @@ mod tests {
         assert!(!w.is_empty());
         let empty = UpdateMessage::withdraw(vec![]);
         assert!(empty.is_empty());
-    }
-
-    #[test]
-    fn notification_helpers() {
-        let n = NotificationMessage::cease_admin_shutdown();
-        assert_eq!((n.code, n.subcode), (6, 2));
-        assert!(n.to_string().contains("code=6"));
     }
 }

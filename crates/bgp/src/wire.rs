@@ -1282,7 +1282,8 @@ mod tests {
         };
         let bytes = codec.encode(&BgpMessage::Notification(n.clone())).unwrap();
         let (msg, _) = codec.decode(&bytes).unwrap();
-        assert_eq!(msg, BgpMessage::Notification(n));
+        assert_eq!(msg, BgpMessage::Notification(n.clone()));
+        assert_eq!(n.to_string(), "NOTIFICATION code=6 subcode=2");
     }
 
     #[test]

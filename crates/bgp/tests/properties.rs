@@ -445,8 +445,10 @@ proptest! {
 
     #[test]
     fn decoder_never_panics_on_garbage(data in prop::collection::vec(any::<u8>(), 0..256)) {
-        let codec = Codec::four_octet();
-        let _ = codec.decode(&data); // must return, never panic
+        // Must return, never panic, whether or not four-octet AS
+        // numbers were negotiated.
+        let _ = Codec::four_octet().decode(&data);
+        let _ = Codec::two_octet().decode(&data);
     }
 
     #[test]

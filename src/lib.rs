@@ -16,14 +16,12 @@
 //! * [`artemis_controller`] — ONOS-like route-intent controller.
 //! * [`artemis_core`] — the ARTEMIS detector, mitigator, monitor and
 //!   operator service (the paper's contribution); it knows no simulator.
-//! * [`artemis_bgpd`] — BGP-4 session state machine for controller peering.
 //! * [`artemis_bench`] — the simulation layer: the PEERING-style
 //!   experiment harness, the baselines, the run driver over a simulated
 //!   Internet, and the `exp_*` paper-experiment binaries.
 
 pub use artemis_bench as bench;
 pub use artemis_bgp as bgp;
-pub use artemis_bgpd as bgpd;
 pub use artemis_bgpsim as bgpsim;
 pub use artemis_bmp as bmp;
 pub use artemis_controller as controller;
