@@ -1,9 +1,9 @@
 //! `artemisd` — run the ARTEMIS operator daemon.
 //!
 //! Assembles an [`ArtemisService`] from command-line flags and serves
-//! the HTTP/JSON control plane until `POST /v1/shutdown` (or a
-//! triggered switch) stops it. See the crate docs for the endpoint
-//! table; `artemisctl` is the matching client.
+//! the HTTP/JSON control plane until `POST /v1/shutdown` stops it. See
+//! the crate docs for the endpoint table; `artemisctl` is the matching
+//! client.
 //!
 //! [`ArtemisService`]: artemis_core::ArtemisService
 

@@ -36,15 +36,18 @@
 //!
 //! Nothing between a BMP socket and a parked `/v1/events` consumer
 //! sleeps on a timer. A live feed's ring signals a latch when it turns
-//! non-empty and the feed pump parks on that latch; after a delivery
-//! that grew the incident log the pump bumps a generation counter and
-//! notifies the condvar the long-polls park on. Operator commands bump
-//! the counter **without** notifying: waking the consumer while the
-//! operator's reply is still being written costs the operator more
-//! than it gains the consumer, so a parked poll looks at the counter
-//! again at least every `LONGPOLL_PARK_CAP` (10 ms) instead. The pump's
-//! [`FEED_PUMP_IDLE_TICK`] is the safety net for a lost wake and for
-//! simulated feeds, which have no thread to knock with.
+//! non-empty and the feed pump parks on that latch. Whatever grew the
+//! incident log bumps a generation counter and notifies the condvar
+//! that long-polls and pagers park on: the feed pump once it releases
+//! the state lock, a request (a command, an inject) once its reply is
+//! written, since waking the readers while the reply is being written
+//! costs the requester more than it gains them. A parked thread leaves
+//! its park only on that notify, a stop or its own deadline: nothing
+//! re-checks on a timer, so an idle daemon sleeps.
+//! Every stop goes through the daemon's own shutdown, which notifies
+//! too. The pump's [`FEED_PUMP_IDLE_TICK`] is the safety net for a
+//! lost ring wake and for simulated feeds, which have no thread to
+//! knock with. `artemis_log_park_wakeups_total` counts the parks left.
 //!
 //! One mutex guards the service and the audit log; under it run only
 //! the service's own work (a pump's detection, a command, a query, an
@@ -53,9 +56,8 @@
 //! of its own (at most [`MAX_SINKS`]) that reads the incident log by
 //! cursor exactly as a long-poll does: it takes the new entries under
 //! the lock, releases it, builds and delivers the alert-worthy ones,
-//! and parks on the same generation counter. So a page born of a
-//! delivery leaves at once, and one born of a command within
-//! `LONGPOLL_PARK_CAP`, as a long-poll learns of it. A dead sink delays
+//! and parks on the same generation counter. So a page leaves as soon
+//! as its entry is published, whoever appended it. A dead sink delays
 //! only its own pages, never another sink's, detection, a long-poll or
 //! a command; with no sink registered no pager runs. The log is the
 //! only buffer: entries evicted before a pager read them are counted as
@@ -92,17 +94,9 @@ use std::time::{Duration, Instant};
 
 /// How long the feed pump parks when no live ring wakes it. Not a
 /// setting: live feeds are drained when their ring knocks, and this
-/// only bounds how late a lost wake, a shutdown through a cloned
-/// [`ShutdownSwitch`] or an event queued by a simulated feed is seen.
+/// only bounds how late a lost ring wake or an event queued by a
+/// simulated feed is seen. A stop wakes the pump at once.
 pub const FEED_PUMP_IDLE_TICK: Duration = Duration::from_millis(250);
-
-/// Longest single park of a `/v1/events` long-poll before it looks at
-/// the log generation (and the shutdown switch) again: the bound on
-/// how late a consumer learns of an event an operator command
-/// recorded, since commands do not wake it. Unit tests raise it so
-/// that a notification lost on the delivery path shows as seconds
-/// instead of hiding behind this bound.
-const LONGPOLL_PARK_CAP: Duration = Duration::from_millis(if cfg!(test) { 3_000 } else { 10 });
 
 /// Payload posted to alert sinks: one alert-worthy incident event.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -160,14 +154,8 @@ struct Shared {
     state_lock_poisoned: AtomicU64,
     feed_pump_wakeups: AtomicU64,
     feed_pump_panics: AtomicU64,
-}
-
-/// Whether a log append wakes parked long-polls now or lets them find
-/// it at their next look (see the module docs).
-#[derive(Clone, Copy, PartialEq)]
-enum Publish {
-    Wake,
-    Quiet,
+    /// Returns from a park on `log_grew`, by any thread.
+    log_park_wakeups: AtomicU64,
 }
 
 impl Shared {
@@ -195,21 +183,20 @@ impl Shared {
         })
     }
 
-    /// Run `f` under the state lock and, if it grew the incident log,
-    /// publish that to the long-polls once the lock is released.
-    fn mutate<R>(&self, publish: Publish, f: impl FnOnce(&mut Inner) -> R) -> R {
+    /// Run `f` under the state lock. Also returns whether `f` grew the
+    /// incident log, which the caller must then [`Shared::publish`].
+    fn mutate<R>(&self, f: impl FnOnce(&mut Inner) -> R) -> (R, bool) {
         let mut inner = self.lock();
         let before = inner.service.event_log().total_pushed();
         let out = f(&mut inner);
         let grew = inner.service.event_log().total_pushed() > before;
-        drop(inner);
-        if grew {
-            *self.log_generation() += 1;
-            if publish == Publish::Wake {
-                self.log_grew.notify_all();
-            }
-        }
-        out
+        (out, grew)
+    }
+
+    /// Wake every long-poll and pager parked on the log: it grew.
+    fn publish(&self) {
+        *self.log_generation() += 1;
+        self.log_grew.notify_all();
     }
 
     fn sinks(&self) -> MutexGuard<'_, Vec<SinkSlot>> {
@@ -235,9 +222,10 @@ impl Shared {
             }
             generation = self
                 .log_grew
-                .wait_timeout(generation, left.min(LONGPOLL_PARK_CAP))
+                .wait_timeout(generation, left)
                 .unwrap_or_else(PoisonError::into_inner)
                 .0;
+            self.log_park_wakeups.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -318,6 +306,16 @@ fn add_sink(shared: &Arc<Shared>, sinks: &mut Vec<SinkSlot>, sink: WebhookSink) 
     });
 }
 
+/// `response`, and once it is written, if the request grew the log,
+/// [`Shared::publish`] that (see the module docs).
+fn publish_after(shared: &Arc<Shared>, grew: bool, response: Response) -> Response {
+    if !grew {
+        return response;
+    }
+    let shared = Arc::clone(shared);
+    response.then(move || shared.publish())
+}
+
 fn json_body<T: for<'de> Deserialize<'de>>(req: &Request) -> Result<T, Response> {
     let text = req.body_utf8().map_err(Response::bad_request)?;
     serde_json::from_str(text).map_err(|e| Response::bad_request(format!("invalid body: {e}")))
@@ -340,7 +338,7 @@ fn check_schema(version: u32) -> Result<(), Response> {
     }
 }
 
-fn handle_command(shared: &Shared, req: &Request) -> Response {
+fn handle_command(shared: &Arc<Shared>, req: &Request) -> Response {
     let env: CommandEnvelope = match json_body(req) {
         Ok(v) => v,
         Err(resp) => return resp,
@@ -350,7 +348,7 @@ fn handle_command(shared: &Shared, req: &Request) -> Response {
     }
     let at = env.at.unwrap_or_else(|| shared.now());
     let wall_ms = shared.wall_ms();
-    let result = shared.mutate(Publish::Quiet, |inner| {
+    let (result, grew) = shared.mutate(|inner| {
         let result = match inner.service.apply(env.command.clone(), at) {
             Ok(outcome) => CommandResult::Outcome(outcome),
             Err(error) => CommandResult::Rejected(error),
@@ -363,7 +361,7 @@ fn handle_command(shared: &Shared, req: &Request) -> Response {
         at,
         result,
     };
-    reply_json(&envelope)
+    publish_after(shared, grew, reply_json(&envelope))
 }
 
 fn handle_query(shared: &Shared, req: &Request) -> Response {
@@ -419,7 +417,7 @@ fn handle_events(shared: &Shared, req: &Request) -> Response {
     }
 }
 
-fn handle_inject(shared: &Shared, req: &Request) -> Response {
+fn handle_inject(shared: &Arc<Shared>, req: &Request) -> Response {
     let env: InjectEnvelope = match json_body(req) {
         Ok(v) => v,
         Err(resp) => return resp,
@@ -427,8 +425,7 @@ fn handle_inject(shared: &Shared, req: &Request) -> Response {
     if let Err(resp) = check_schema(env.schema_version) {
         return resp;
     }
-    // A delivery, like the feed pump's: it wakes the long-polls.
-    let (delivered, alerts_raised) = shared.mutate(Publish::Wake, |inner| {
+    let ((delivered, alerts_raised), grew) = shared.mutate(|inner| {
         let mut delivered = 0u64;
         let mut alerts_raised = 0u64;
         for event in env.events {
@@ -438,11 +435,12 @@ fn handle_inject(shared: &Shared, req: &Request) -> Response {
         }
         (delivered, alerts_raised)
     });
-    reply_json(&InjectOutcome {
+    let outcome = InjectOutcome {
         schema_version: SCHEMA_VERSION,
         delivered,
         alerts_raised,
-    })
+    };
+    publish_after(shared, grew, reply_json(&outcome))
 }
 
 fn handle_audit(shared: &Shared, req: &Request) -> Response {
@@ -484,6 +482,7 @@ fn handle_metrics(shared: &Shared) -> Response {
         state_lock_poisoned: shared.state_lock_poisoned.load(Ordering::Relaxed),
         feed_pump_wakeups: shared.feed_pump_wakeups.load(Ordering::Relaxed),
         feed_pump_panics: shared.feed_pump_panics.load(Ordering::Relaxed),
+        log_park_wakeups: shared.log_park_wakeups.load(Ordering::Relaxed),
     };
     let text = crate::metrics::render(
         &inner.service.summary(),
@@ -553,14 +552,6 @@ impl DaemonHandle {
         self.addr
     }
 
-    /// A clone of the shutdown switch, e.g. for signal handlers.
-    /// Triggering it stops the daemon too, but wakes nobody: parked
-    /// threads notice at their next look ([`FEED_PUMP_IDLE_TICK`] at
-    /// the latest).
-    pub fn switch(&self) -> ShutdownSwitch {
-        self.shared.switch.clone()
-    }
-
     /// Trigger shutdown, release every parked long-poll and join the
     /// server and pump threads.
     pub fn shutdown(mut self) {
@@ -568,8 +559,8 @@ impl DaemonHandle {
         self.join_threads();
     }
 
-    /// Block until the daemon stops some other way (`POST
-    /// /v1/shutdown` or a triggered switch), then join its threads.
+    /// Block until the daemon is stopped over the wire (`POST
+    /// /v1/shutdown`), then join its threads.
     pub fn wait(mut self) {
         self.join_threads();
     }
@@ -578,8 +569,8 @@ impl DaemonHandle {
         if let Some(server) = self.server.take() {
             let _ = server.join();
         }
-        // The server returns once the switch has fired, however it was
-        // fired, and no sink is added after it. A webhook that never
+        // The server returns once the switch has fired, and no sink is
+        // added after it. A webhook that never
         // answers would now hold its pager for the rest of its 5 s
         // timeout: end that delivery (and fail any later one at once)
         // instead of waiting it out.
@@ -647,6 +638,7 @@ impl Daemon {
             state_lock_poisoned: AtomicU64::new(0),
             feed_pump_wakeups: AtomicU64::new(0),
             feed_pump_panics: AtomicU64::new(0),
+            log_park_wakeups: AtomicU64::new(0),
         });
 
         // Alerts raised before the daemon started (setup-time history)
@@ -664,8 +656,7 @@ impl Daemon {
 
         // Feed pump: parked until a live ring knocks (or the idle tick
         // passes), then drains the feeds through detection and wakes
-        // the long-polls (and the pagers) if the incident log
-        // grew. An iteration that panics (a feed or a stage
+        // the long-polls and the pagers if the incident log grew. An iteration that panics (a feed or a stage
         // hitting a bug) is counted (`artemis_feed_pump_panics_total`)
         // and the pump goes on: a dead pump would stop detection with
         // no signal. Like a poisoned lock, whatever the panic left
@@ -679,10 +670,14 @@ impl Daemon {
                     .fetch_add(1, Ordering::Relaxed);
                 let now = feed_shared.now();
                 let pumped = catch_unwind(AssertUnwindSafe(|| {
-                    feed_shared.mutate(Publish::Wake, |inner| inner.service.pump_feeds(now))
+                    feed_shared.mutate(|inner| inner.service.pump_feeds(now))
                 }));
-                if pumped.is_err() {
-                    feed_shared.feed_pump_panics.fetch_add(1, Ordering::Relaxed);
+                match pumped {
+                    Ok((_, true)) => feed_shared.publish(),
+                    Ok((_, false)) => {}
+                    Err(_) => {
+                        feed_shared.feed_pump_panics.fetch_add(1, Ordering::Relaxed);
+                    }
                 }
             }
         });

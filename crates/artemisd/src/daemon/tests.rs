@@ -3,9 +3,10 @@
 //! through two notifications (ring → feed pump, feed pump →
 //! long-poll) and no timer. Nothing here times anything finer than
 //! half an idle tick: a lost ring wake shows as a wait for
-//! [`FEED_PUMP_IDLE_TICK`], and — because these tests build with the
-//! raised [`LONGPOLL_PARK_CAP`] — a lost long-poll wake shows as
-//! seconds.
+//! [`FEED_PUMP_IDLE_TICK`], and a lost long-poll or pager wake, since
+//! nothing re-checks the log on a timer, as a wait to the test's own
+//! deadline. An operator command that appends to the log wakes a
+//! parked long-poll and a parked pager the same way.
 //!
 //! They live beside the daemon rather than under `tests/` because
 //! they are stated in terms of its private constants and reach into
@@ -23,7 +24,8 @@ use artemis_bmp::{BmpMessage, BmpWriter, PeerHeader};
 use artemis_controller::Controller;
 use artemis_core::wire::CommandResult;
 use artemis_core::{
-    ArtemisConfig, CommandOutcome, OwnedPrefix, Pipeline, ServiceCommand, ServiceReply,
+    ArtemisConfig, CommandOutcome, MitigationPolicy, OwnedPrefix, Pipeline, ServiceCommand,
+    ServiceReply,
 };
 use artemis_feeds::{
     BmpLiveFeed, FeedEvent, FeedKind, FeedSource, FeedSpec, LiveFeedConfig, RibView, WireFeedEvent,
@@ -44,9 +46,13 @@ fn pipeline() -> Pipeline {
 }
 
 fn start(pipeline: Pipeline) -> (DaemonHandle, CtlClient) {
+    start_with(pipeline, DaemonConfig::default())
+}
+
+fn start_with(pipeline: Pipeline, config: DaemonConfig) -> (DaemonHandle, CtlClient) {
     let controller = Controller::new(OPERATOR, LatencyModel::const_secs(15), SimRng::new(1));
     let service = ArtemisService::new(pipeline, controller);
-    let daemon = Daemon::start("127.0.0.1:0", service, DaemonConfig::default()).unwrap();
+    let daemon = Daemon::start("127.0.0.1:0", service, config).unwrap();
     let client = CtlClient::new(daemon.addr().to_string());
     (daemon, client)
 }
@@ -227,7 +233,13 @@ fn shutdown_releases_parked_polls() {
         daemon.wait();
     };
     for stop in [by_handle, by_request] {
-        let (daemon, client) = start(pipeline());
+        // A sink on a closed port: its pager has nothing to page and
+        // stays parked on the log, which the stop must end too.
+        let config = DaemonConfig {
+            webhooks: vec!["http://127.0.0.1:9/hook".into()],
+            ..DaemonConfig::default()
+        };
+        let (daemon, client) = start_with(pipeline(), config);
         let tail = client.events(EventCursor::START, 0).unwrap().next;
         let addr = client.addr().to_string();
         let parked = std::thread::spawn(move || CtlClient::new(addr).events(tail, 10_000));
@@ -239,12 +251,132 @@ fn shutdown_releases_parked_polls() {
         let took = started.elapsed();
         assert!(
             took < Duration::from_secs(1),
-            "shutdown waited {took:?} for a parked long-poll"
+            "shutdown waited {took:?} for a parked long-poll or pager"
         );
         let batch = parked.join().unwrap().expect("the poll is answered");
         assert!(batch.events.is_empty());
         assert_eq!(batch.next, tail);
     }
+}
+
+/// A webhook receiver on loopback recording when each body arrived.
+struct Capture {
+    url: String,
+    received: Arc<Mutex<Vec<(Instant, String)>>>,
+    switch: ShutdownSwitch,
+    thread: JoinHandle<()>,
+}
+
+impl Capture {
+    fn start() -> Capture {
+        let receiver = Server::bind("127.0.0.1:0").unwrap();
+        let url = format!("http://{}/hook", receiver.local_addr().unwrap());
+        let switch = receiver.shutdown_switch().unwrap();
+        let received: Arc<Mutex<Vec<(Instant, String)>>> = Arc::default();
+        let store = Arc::clone(&received);
+        let thread = std::thread::spawn(move || {
+            let _ = receiver.serve(move |req| {
+                let body = req.body_utf8().unwrap_or_default().to_string();
+                store.lock().unwrap().push((Instant::now(), body));
+                Response::json("{}")
+            });
+        });
+        Capture {
+            url,
+            received,
+            switch,
+            thread,
+        }
+    }
+
+    /// When the first body holding `needle` arrived, waiting up to
+    /// `within` for it.
+    fn arrival_of(&self, needle: &str, within: Duration) -> Option<Instant> {
+        let deadline = Instant::now() + within;
+        loop {
+            let got = self.received.lock().unwrap();
+            if let Some((at, _)) = got.iter().find(|(_, body)| body.contains(needle)) {
+                return Some(*at);
+            }
+            drop(got);
+            if Instant::now() >= deadline {
+                return None;
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+
+    fn stop(self) {
+        self.switch.trigger();
+        self.thread.join().unwrap();
+    }
+}
+
+#[test]
+fn a_command_wakes_a_parked_poll_and_a_parked_pager() {
+    let capture = Capture::start();
+    let (daemon, client) = start(pipeline());
+    client.add_webhook(&capture.url).unwrap();
+    let policy = ServiceCommand::SetMitigationPolicy {
+        prefix: "10.0.0.0/16".parse().unwrap(),
+        policy: MitigationPolicy::ConfirmFirst,
+    };
+    client.apply(policy, None).unwrap();
+    let hijack = WireFeedEvent {
+        emitted_at: SimTime::from_secs(45),
+        observed_at: SimTime::from_secs(40),
+        source: FeedKind::RisLive,
+        collector: "rrc00".into(),
+        vantage: VANTAGE,
+        prefix: "10.0.7.0/24".parse().unwrap(),
+        as_path: Some(AsPath::from_sequence([VANTAGE.0, 666])),
+        origin_as: Some(Asn(666)),
+        raw: None,
+    };
+    assert_eq!(client.inject(vec![hijack]).unwrap().alerts_raised, 1);
+    // Settled: the hijack's pages have reached the sink, and the poll
+    // below parks at the log's tail with its pager parked too.
+    assert!(capture
+        .arrival_of("MitigationPending", Duration::from_secs(5))
+        .is_some());
+    let settled = client.events(EventCursor::START, 0).unwrap();
+    let alert = settled
+        .events
+        .iter()
+        .find_map(|e| match e {
+            IncidentEvent::MitigationPending { alert, .. } => Some(*alert),
+            _ => None,
+        })
+        .expect("the plan is held for confirmation");
+    let addr = client.addr().to_string();
+    let tail = settled.next;
+    let parked = std::thread::spawn(move || {
+        let batch = CtlClient::new(addr).events(tail, 10_000).unwrap();
+        (Instant::now(), batch)
+    });
+    std::thread::sleep(Duration::from_millis(100));
+
+    let confirmed = Instant::now();
+    client
+        .apply(ServiceCommand::ConfirmMitigation { alert }, None)
+        .unwrap();
+    let (back, batch) = parked.join().unwrap();
+    assert!(
+        batch
+            .events
+            .iter()
+            .any(|e| matches!(e, IncidentEvent::MitigationTriggered { .. })),
+        "the poll came back without the mitigation: {batch:?}"
+    );
+    let polled = back.saturating_duration_since(confirmed);
+    assert!(polled < Duration::from_secs(1), "the poll took {polled:?}");
+    let paged = capture
+        .arrival_of("MitigationTriggered", Duration::from_secs(5))
+        .expect("the sink is paged the mitigation")
+        .saturating_duration_since(confirmed);
+    assert!(paged < Duration::from_secs(1), "the page took {paged:?}");
+    daemon.shutdown();
+    capture.stop();
 }
 
 #[test]

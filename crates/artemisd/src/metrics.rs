@@ -61,6 +61,9 @@ pub struct DaemonGauges {
     pub feed_pump_wakeups: u64,
     /// Feed-pump iterations that panicked and were survived.
     pub feed_pump_panics: u64,
+    /// Times a long-poll, a pager or a pause left a park on the
+    /// incident log (an append, a stop or its own deadline).
+    pub log_park_wakeups: u64,
 }
 
 /// Write a family's `# HELP` and `# TYPE` lines; its samples follow
@@ -441,6 +444,14 @@ pub fn render(
     );
     single(
         &mut out,
+        "artemis_log_park_wakeups_total",
+        "counter",
+        "Times a long-poll, a webhook pager or a pause left its park on the incident log \
+         (an append, a stop or its deadline).",
+        daemon.log_park_wakeups,
+    );
+    single(
+        &mut out,
         "artemis_feed_pump_panics_total",
         "counter",
         "Feed-pump iterations that panicked; the pump counted each and kept pumping.",
@@ -590,6 +601,7 @@ mod tests {
                 state_lock_poisoned: 1,
                 feed_pump_wakeups: 12,
                 feed_pump_panics: 2,
+                log_park_wakeups: 5,
             },
         );
         let samples = parse_exposition(&text);
@@ -608,6 +620,7 @@ mod tests {
         assert!(text.contains("artemis_state_lock_poisoned_total 1"));
         assert!(text.contains("artemis_feed_pump_wakeups_total 12"));
         assert!(text.contains("artemis_feed_pump_panics_total 2"));
+        assert!(text.contains("artemis_log_park_wakeups_total 5"));
         assert!(text.contains("artemis_mitigation_paused 0"));
         assert!(text.contains("artemis_stage_p99_batch_nanos{stage=\"classify\"} 0"));
         for sub in [

@@ -1,7 +1,8 @@
 //! Wire tests for the cursor-based event stream: independent HTTP
 //! consumers replay identical histories from their own cursors, ring
 //! overruns surface as `missed` over the wire, a long-poll parks
-//! until an event arrives, and `/v1/inject` counts alerts whatever the
+//! until an event arrives, an idle daemon's parked pagers and
+//! long-polls stay parked, and `/v1/inject` counts alerts whatever the
 //! log retains.
 
 use artemis_bgp::{AsPath, Asn, Prefix};
@@ -212,4 +213,50 @@ fn inject_counts_the_alert_that_a_one_entry_log_already_evicted() {
     ));
 
     daemon.shutdown();
+}
+
+fn counter(metrics: &str, name: &str) -> u64 {
+    let line = metrics
+        .lines()
+        .find(|l| l.starts_with(name) && l[name.len()..].starts_with(' '))
+        .unwrap_or_else(|| panic!("{name} missing from /metrics"));
+    line[name.len() + 1..].parse().unwrap()
+}
+
+#[test]
+fn an_idle_daemon_leaves_its_parked_readers_parked() {
+    // Four sinks on a closed port: each pager parks on the log with
+    // nothing to page, beside two parked long-polls.
+    let config = DaemonConfig {
+        webhooks: vec!["http://127.0.0.1:9/hook".into(); 4],
+        ..DaemonConfig::default()
+    };
+    let daemon = Daemon::start("127.0.0.1:0", service_with_capacity(1024), config).unwrap();
+    let addr = daemon.addr().to_string();
+    let client = CtlClient::new(addr.clone());
+    let tail = client.events(EventCursor::START, 0).unwrap().next;
+    let polls: Vec<_> = (0..2)
+        .map(|_| {
+            let addr = addr.clone();
+            std::thread::spawn(move || CtlClient::new(addr).events(tail, 10_000))
+        })
+        .collect();
+    std::thread::sleep(Duration::from_millis(100));
+
+    let wakeups = || {
+        counter(
+            &client.metrics_text().unwrap(),
+            "artemis_log_park_wakeups_total",
+        )
+    };
+    let before = wakeups();
+    std::thread::sleep(Duration::from_millis(500));
+    let woken = wakeups() - before;
+    assert!(woken < 5, "{woken} park wake-ups in 500 ms of silence");
+
+    daemon.shutdown();
+    for poll in polls {
+        let batch = poll.join().unwrap().expect("the stop answers the poll");
+        assert!(batch.events.is_empty());
+    }
 }
